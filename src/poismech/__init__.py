@@ -14,7 +14,6 @@ from .bracket import (
     JacobiCertificate,
     ScalarField,
     add_bivectors,
-    bracket_matrix,
     coordinate_field,
     eval_bracket,
     hamiltonian_vector_field,
@@ -57,7 +56,6 @@ __all__ = [
     "JacobiCertificate",
     "ScalarField",
     "add_bivectors",
-    "bracket_matrix",
     "coordinate_field",
     "eval_bracket",
     "hamiltonian_vector_field",

@@ -1,13 +1,19 @@
 """Coordinate Poisson-bracket engine.
 
-A bivector field on an n-dimensional chart is stored through its independent
-components  pi^{ij}(x)  for  i < j;  the full antisymmetric matrix is implied.
-Brackets of scalar fields are evaluated as
+A bivector field on an n-dimensional chart is read only through its full
+antisymmetric matrix  P(x) = (pi^{ij}(x)).  Brackets of scalar fields are
 
-    {f, g}(x) = sum_{i<j} pi^{ij}(x) * (d_i f d_j g - d_j f d_i g),
+    {f, g}(x) = grad f . P(x) . grad g
+              = sum_{i<j} P_ij(x) * (d_i f d_j g - d_j f d_i g),
 
 with analytic gradients when a field carries one and central finite
-differences otherwise.  The global dynamical sign convention is
+differences otherwise.  The Jacobi identity [pi, pi] = 0 is checked through
+the Jacobiator tensor
+
+    J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic,
+
+built from one P and one central-difference dP per point.  The global
+dynamical sign convention is
 
     xdot = {H, x},
 
@@ -29,7 +35,6 @@ __all__ = [
     "coordinate_field",
     "constant_field",
     "eval_bracket",
-    "bracket_matrix",
     "hamiltonian_vector_field",
     "jacobi_residual",
     "jacobi_certificate",
@@ -40,8 +45,22 @@ __all__ = [
 
 # central-difference step scale used when a field has no analytic gradient
 _FD_SCALE = 1e-6
-# coarser scale used for the nested differences inside the Jacobi residual
+# coarser scale used for the derivative dP inside the Jacobi residual
 _FD_SCALE_NESTED = 1e-4
+
+
+def _central_differences(fn: Callable[[np.ndarray], object], x: np.ndarray, scale: float) -> np.ndarray:
+    """Stacked d_l fn(x) for l = 0..n-1: (fn(x + h_l e_l) - fn(x - h_l e_l)) / (2 h_l)
+    with h_l = scale * max(1, |x_l|); fn may return a scalar or an array."""
+    out = []
+    for l in range(x.size):
+        h = scale * max(1.0, abs(x[l]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[l] += h
+        xm[l] -= h
+        out.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -63,15 +82,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        out = np.empty_like(x)
-        for i in range(x.size):
-            h = self.fd_scale * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            out[i] = (self.fn(xp) - self.fn(xm)) / (2.0 * h)
-        return out
+        return _central_differences(self.fn, x, self.fd_scale)
 
 
 def coordinate_field(index: int, dim: int) -> ScalarField:
@@ -90,18 +101,17 @@ def constant_field(value: float, dim: int) -> ScalarField:
 
 @dataclass(frozen=True)
 class BivectorSpec:
-    """Bivector field pi on an n-dim chart.
+    """Bivector field pi on an n-dim chart, declared in exactly one form.
 
-    components maps (i, j) with i < j to a callable x -> pi^{ij}(x).  Missing
-    pairs are identically zero.  ``dense``, when given, must return the full
-    antisymmetric n x n matrix in one call and is used on hot paths
-    (hamiltonian vector fields, bracket matrices); it has to agree with the
-    per-component callables.
+    ``components`` maps (i, j) with i < j to a callable x -> pi^{ij}(x);
+    missing pairs are identically zero.  ``dense`` instead returns the full
+    antisymmetric n x n matrix in one call.  Every reader goes through
+    :meth:`matrix`.
     """
 
     dim: int
     coord_names: tuple[str, ...]
-    components: Mapping[tuple[int, int], Callable[[np.ndarray], float]]
+    components: Mapping[tuple[int, int], Callable[[np.ndarray], float]] = field(default_factory=dict)
     dense: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -111,24 +121,14 @@ class BivectorSpec:
             raise ContractViolation("coord_names length must equal dim")
         if len(set(self.coord_names)) != self.dim:
             raise ContractViolation("coord_names must be distinct")
+        if self.components and self.dense is not None:
+            raise ContractViolation("declare either components or dense, not both")
         for (i, j) in self.components:
             if not (0 <= i < j < self.dim):
                 raise ContractViolation(f"component key {(i, j)} must satisfy 0 <= i < j < dim")
 
-    def component(self, i: int, j: int, x: np.ndarray) -> float:
-        """pi^{ij}(x) for any index pair, with the antisymmetry sign."""
-        if i == j:
-            return 0.0
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        fn = self.components.get((i, j))
-        if fn is None:
-            return 0.0
-        return sign * float(fn(x))
-
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Full antisymmetric component matrix at x."""
+        """Full antisymmetric matrix P(x); P[i, j] = {x^i, x^j}(x)."""
         x = np.asarray(x, dtype=float)
         if self.dense is not None:
             return np.asarray(self.dense(x), dtype=float)
@@ -144,25 +144,11 @@ def add_bivectors(a: BivectorSpec, b: BivectorSpec) -> BivectorSpec:
     """Pointwise sum of two bivectors on the same chart."""
     if a.dim != b.dim:
         raise ContractViolation("bivector sum needs equal dims")
-    keys = set(a.components) | set(b.components)
-    comps = {}
-    for k in keys:
-        fa = a.components.get(k)
-        fb = b.components.get(k)
-        if fa is None:
-            comps[k] = fb
-        elif fb is None:
-            comps[k] = fa
-        else:
-            comps[k] = (lambda fa_, fb_: lambda x: fa_(x) + fb_(x))(fa, fb)
-    dense = None
-    if a.dense is not None and b.dense is not None:
-        dense = lambda x: a.dense(x) + b.dense(x)  # noqa: E731
-    return BivectorSpec(a.dim, a.coord_names, comps, dense=dense)
+    return BivectorSpec(a.dim, a.coord_names, dense=lambda x: a.matrix(x) + b.matrix(x))
 
 
 def eval_bracket(biv: BivectorSpec, f: ScalarField, g: ScalarField, x: np.ndarray) -> float:
-    """{f, g}(x).
+    """{f, g}(x) = sum_{i<j} P_ij(x) (d_i f d_j g - d_j f d_i g).
 
     Swapping f and g negates every term exactly, so antisymmetry holds at
     machine level along the identical code path.
@@ -170,19 +156,9 @@ def eval_bracket(biv: BivectorSpec, f: ScalarField, g: ScalarField, x: np.ndarra
     x = np.asarray(x, dtype=float)
     if x.shape != (biv.dim,):
         raise ContractViolation(f"point shape {x.shape} does not match chart dim {biv.dim}")
-    gf = f.gradient(x)
-    gg = g.gradient(x)
-    total = 0.0
-    for (i, j), fn in biv.components.items():
-        w = gf[i] * gg[j] - gf[j] * gg[i]
-        if w != 0.0:
-            total += float(fn(x)) * w
-    return total
-
-
-def bracket_matrix(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
-    """Matrix of coordinate brackets {x^i, x^j} at x (= the component matrix)."""
-    return biv.matrix(np.asarray(x, dtype=float))
+    w = np.outer(f.gradient(x), g.gradient(x))
+    i, j = np.triu_indices(biv.dim, 1)
+    return float(np.sum(biv.matrix(x)[i, j] * (w[i, j] - w[j, i])))
 
 
 def hamiltonian_vector_field(biv: BivectorSpec, H: ScalarField, x: np.ndarray) -> np.ndarray:
@@ -196,33 +172,36 @@ def hamiltonian_vector_field(biv: BivectorSpec, H: ScalarField, x: np.ndarray) -
     return -P @ H.gradient(x)
 
 
-def jacobi_residual(biv: BivectorSpec, x: np.ndarray, triple: tuple[int, int, int]) -> float:
-    """Cyclic sum {x^i,{x^j,x^k}} + {x^j,{x^k,x^i}} + {x^k,{x^i,x^j}} at x.
+def _jacobi_terms(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
+    """T[a, b, c] = sum_l pi^{al}(x) d_l pi^{bc}(x), with d_l P a central
+    difference at the nested step scale; the sum runs over l in ascending
+    order."""
+    P = biv.matrix(x)
+    dP = _central_differences(biv.matrix, x, _FD_SCALE_NESTED)
+    T = np.zeros((biv.dim,) * 3)
+    for l in range(biv.dim):
+        T += P[:, l, None, None] * dP[l]
+    return T
 
-    Inner brackets are evaluated through eval_bracket (exact for coordinate
-    pairs); the outer bracket differentiates them with central differences at
-    the coarser nested step scale.
-    """
+
+def _cyclic(T: np.ndarray, i, j, k):
+    """Jacobiator J^{ijk} = T[i,j,k] + T[j,k,i] + T[k,i,j]; indices may be arrays."""
+    return T[i, j, k] + T[j, k, i] + T[k, i, j]
+
+
+def jacobi_residual(biv: BivectorSpec, x: np.ndarray, triple: tuple[int, int, int]) -> float:
+    """Cyclic sum {x^i,{x^j,x^k}} + {x^j,{x^k,x^i}} + {x^k,{x^i,x^j}} at x,
+    as the Jacobiator J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (biv.dim,):
+        raise ContractViolation(f"point shape {x.shape} does not match chart dim {biv.dim}")
     i, j, k = triple
     if len({i, j, k}) != 3:
         raise ContractViolation(f"jacobi triple {triple} must have distinct entries")
     for idx in triple:
         if not 0 <= idx < biv.dim:
             raise ContractViolation(f"jacobi index {idx} outside chart of dim {biv.dim}")
-
-    coords = {m: coordinate_field(m, biv.dim) for m in triple}
-
-    def inner(a: int, b: int) -> ScalarField:
-        return ScalarField(
-            fn=lambda y: eval_bracket(biv, coords[a], coords[b], y),
-            fd_scale=_FD_SCALE_NESTED,
-        )
-
-    total = 0.0
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        total += eval_bracket(biv, coords[a], inner(b, c), x)
-    return total
+    return float(_cyclic(_jacobi_terms(biv, x), i, j, k))
 
 
 @dataclass(frozen=True)
@@ -249,7 +228,7 @@ def jacobi_certificate(
     box: tuple[float, float] = (0.0, 1.0),
 ) -> JacobiCertificate:
     """Check the Jacobi identity at seeded uniform random points of a box,
-    over every coordinate triple.
+    over every coordinate triple, from one P and one dP per point.
 
     Charts of dimension < 3 have no triple and certify vacuously.
     """
@@ -258,11 +237,12 @@ def jacobi_certificate(
         return JacobiCertificate(biv.dim, 0, 0, 0.0, threshold, vacuous=True)
     rng = np.random.default_rng(seed)
     lo, hi = box
+    i, j, k = np.array(triples).T
     worst = 0.0
     for _ in range(n_points):
         x = rng.uniform(lo, hi, size=biv.dim)
-        for t in triples:
-            worst = max(worst, abs(jacobi_residual(biv, x, t)))
+        residuals = _cyclic(_jacobi_terms(biv, x), i, j, k)
+        worst = max(worst, *np.abs(residuals).tolist())
     return JacobiCertificate(biv.dim, n_points, len(triples), worst, threshold, vacuous=False)
 
 
@@ -276,14 +256,9 @@ def pushforward_bivector(
     """Pointwise pushforward (dphi) Pi (dphi)^T at x, with a central-difference
     Jacobian of the map phi."""
     x = np.asarray(x, dtype=float)
-    J = np.zeros((out_dim, x.size))
-    for i in range(x.size):
-        h = fd_scale * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (np.asarray(phi(xp), dtype=float) - np.asarray(phi(xm), dtype=float)) / (2.0 * h)
+    J = _central_differences(phi, x, fd_scale).T
+    if J.shape != (out_dim, x.size):
+        raise ContractViolation(f"map Jacobian has shape {J.shape}, expected {(out_dim, x.size)}")
     return J @ biv.matrix(x) @ J.T
 
 
@@ -294,6 +269,6 @@ def gradient_deviation(fld: ScalarField, x: np.ndarray) -> float:
         raise ContractViolation("field has no analytic gradient to check")
     x = np.asarray(x, dtype=float)
     ana = np.asarray(fld.grad(x), dtype=float)
-    num = ScalarField(fn=fld.fn, fd_scale=fld.fd_scale).gradient(x)
+    num = _central_differences(fld.fn, x, fld.fd_scale)
     scale = max(1.0, float(np.max(np.abs(ana))), float(np.max(np.abs(num))))
     return float(np.max(np.abs(ana - num)) / scale)

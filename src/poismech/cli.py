@@ -179,6 +179,16 @@ def _validate_params(model: str, raw: Any) -> dict[str, float]:
             raise ConfigError("params.p_min", "profile momenta must be positive")
         if out["p_max"] <= out["p_min"]:
             raise ConfigError("params.p_max", "must exceed p_min")
+        # one projection's speed has a pole where the shell energy
+        # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)
+        for name in ("p_max", "p"):
+            q = out[name]
+            if math.sqrt(out["mass"] ** 2 + q * q) <= 0.5 * abs(out["epsilon"]) * q * q:
+                raise ConfigError(
+                    f"params.{name}",
+                    f"momentum {q} is at or past the projection pole "
+                    f"sqrt(mass^2 + p^2) = |epsilon| p^2 / 2",
+                )
     return out
 
 
@@ -898,15 +908,11 @@ def run_scenario(config: ScenarioConfig, out_dir: Path, fmt: str = "csv") -> tup
     return manifest, all_passed
 
 
-def _sweep_worker(task: tuple[ScenarioConfig, str, Any]) -> tuple[Any, dict | None, str]:
-    config, param, value = task
-    params = dict(config.params)
-    params[param] = value
+def _sweep_worker(config: ScenarioConfig) -> tuple[dict | None, str]:
     try:
-        row = scalar_summaries(replace(config, params=params))
-        return value, row, "ok"
+        return scalar_summaries(config), "ok"
     except Exception as exc:  # noqa: BLE001 — a failed row must not kill the sweep
-        return value, None, f"failed:{type(exc).__name__}"
+        return None, f"failed:{type(exc).__name__}"
 
 
 def sweep_scenario(
@@ -923,8 +929,15 @@ def sweep_scenario(
     if not values:
         raise ConfigError("values", "need at least one value")
     if workers is None:
-        workers = int(os.environ.get(_WORKERS_ENV, "1"))
-    tasks = [(config, param, v) for v in values]
+        raw = os.environ.get(_WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise ConfigError(_WORKERS_ENV, f"expected an integer, got {raw!r}") from exc
+    tasks = [
+        replace(config, params=_validate_params(config.model, {**config.params, param: v}))
+        for v in values
+    ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_sweep_worker, tasks))
@@ -932,14 +945,14 @@ def sweep_scenario(
         results = [_sweep_worker(t) for t in tasks]
 
     keys: list[str] = []
-    for _, row, status in results:
+    for row, status in results:
         if row is not None:
             keys = list(row.keys())
             break
     columns = (param, *keys, "status")
     rows = []
     all_ok = True
-    for value, row, status in results:
+    for value, (row, status) in zip(values, results):
         if row is None:
             all_ok = False
             rows.append((value, *(math.nan,) * len(keys), status))

@@ -130,21 +130,12 @@ def wedge_bivector(
     if X2.dim != dim or len(coord_names) != dim:
         raise ContractViolation("wedge bivector dims disagree")
 
-    def comp(i: int, j: int):
-        def fn(x: np.ndarray) -> float:
-            v1 = X1.value(x)
-            v2 = X2.value(x)
-            return epsilon * (v1[i] * v2[j] - v1[j] * v2[i])
-        return fn
-
-    comps = {(i, j): comp(i, j) for i in range(dim) for j in range(i + 1, dim)}
-
     def dense(x: np.ndarray) -> np.ndarray:
         v1 = X1.value(x)
         v2 = X2.value(x)
         return epsilon * (np.outer(v1, v2) - np.outer(v2, v1))
 
-    return BivectorSpec(dim, coord_names, comps, dense=dense)
+    return BivectorSpec(dim, coord_names, dense=dense)
 
 
 def cotangent_lift(gen: GeneratorField, n: int) -> GeneratorField:

@@ -75,15 +75,7 @@ def canonical_bivector(n: int, coord_names: tuple[str, ...] | None = None) -> Bi
     if coord_names is None:
         coord_names = tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
     comps = {(i, n + i): (lambda x: 1.0) for i in range(n)}
-
-    def dense(x: np.ndarray) -> np.ndarray:
-        P = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            P[i, n + i] = 1.0
-            P[n + i, i] = -1.0
-        return P
-
-    return BivectorSpec(2 * n, coord_names, comps, dense=dense)
+    return BivectorSpec(2 * n, coord_names, comps)
 
 
 def cotangent_wedge(

@@ -247,7 +247,14 @@ def _real_blocks(u_kl, v_kl):
     return rr, ri, ir, ii
 
 
-def _sl2c_dense(epsilon: float):
+def sl2c_bivector(epsilon: float) -> BivectorSpec:
+    """Multiplicative bracket on the 8-dimensional real group chart.
+
+    Satisfies the Jacobi identity identically on the ambient chart (not just
+    on the unit-determinant slice), so certificates sampled from a box are
+    meaningful.
+    """
+
     def dense(x: np.ndarray) -> np.ndarray:
         a, b, c, d = (x[0::2] + 1j * x[1::2]).tolist()
         u, v = _uv_tables(a, b, c, d)
@@ -270,27 +277,7 @@ def _sl2c_dense(epsilon: float):
                 p[2 * l + 1, 2 * k + 1] = -ii
         return p
 
-    return dense
-
-
-def sl2c_bivector(epsilon: float) -> BivectorSpec:
-    """Multiplicative bracket on the 8-dimensional real group chart.
-
-    Satisfies the Jacobi identity identically on the ambient chart (not just
-    on the unit-determinant slice), so certificates sampled from a box are
-    meaningful.
-    """
-    dense = _sl2c_dense(epsilon)
-    components = {}
-    for i in range(8):
-        for j in range(i + 1, 8):
-            components[(i, j)] = (lambda x, i=i, j=j: dense(x)[i, j])
-    return BivectorSpec(
-        dim=8,
-        coord_names=GROUP_COORD_NAMES,
-        components=components,
-        dense=dense,
-    )
+    return BivectorSpec(dim=8, coord_names=GROUP_COORD_NAMES, dense=dense)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Bracket engine: evaluation, antisymmetry, Leibniz, Jacobi residuals."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poismech.bracket import (
+    _FD_SCALE_NESTED,
     BivectorSpec,
     ScalarField,
     add_bivectors,
@@ -44,11 +47,11 @@ def so3_biv():
 def test_component_sign_convention():
     biv = quadratic_biv()
     x = np.array([2.0, 3.0, 5.0])
-    assert biv.component(0, 1, x) == 6.0
-    assert biv.component(1, 0, x) == -6.0
-    assert biv.component(1, 1, x) == 0.0
-    assert biv.component(1, 2, x) == 0.0  # missing pair is zero
     M = biv.matrix(x)
+    assert M[0, 1] == 6.0
+    assert M[1, 0] == -6.0
+    assert M[1, 1] == 0.0
+    assert M[1, 2] == 0.0  # missing pair is zero
     assert np.array_equal(M, -M.T)
 
 
@@ -60,6 +63,9 @@ def test_spec_validation():
     with pytest.raises(ContractViolation):
         BivectorSpec(2, ("a", "b"), {(1, 0): lambda x: 1.0})
     with pytest.raises(ContractViolation):
+        BivectorSpec(2, ("a", "b"), {(0, 1): lambda x: 1.0},
+                     dense=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ContractViolation):
         coordinate_field(3, 3)
 
 
@@ -68,7 +74,7 @@ def test_coordinate_bracket_matches_component():
     x = np.array([0.7, -1.2, 0.4])
     f = coordinate_field(0, 3)
     g = coordinate_field(1, 3)
-    assert eval_bracket(biv, f, g, x) == biv.component(0, 1, x)
+    assert eval_bracket(biv, f, g, x) == biv.matrix(x)[0, 1]
 
 
 @given(st.integers(0, 2), st.integers(0, 2),
@@ -127,7 +133,7 @@ def test_hamiltonian_field_sign():
 def test_jacobi_detects_non_poisson_structure():
     """pi12 = x3, pi13 = x1, pi23 = 0 violates Jacobi: the cyclic sum equals
     x3 identically, so the residual at (1,1,1) is 1 and at (1,1,2.5) is 2.5
-    (up to the nested finite-difference error)."""
+    (up to the finite-difference error of dP)."""
     bad = BivectorSpec(3, ("x1", "x2", "x3"),
                        {(0, 1): lambda x: x[2], (0, 2): lambda x: x[0]})
     r1 = jacobi_residual(bad, np.array([1.0, 1.0, 1.0]), (0, 1, 2))
@@ -136,6 +142,59 @@ def test_jacobi_detects_non_poisson_structure():
     assert abs(r2 - 2.5) < 1e-9
     cert = jacobi_certificate(bad, n_points=10, seed=4, box=(0.5, 1.5))
     assert not cert.passed and not cert.vacuous
+
+
+def _witness_4d(coeff, a, b, c):
+    """coeff * (x_a d_a ^ d_b + d_c ^ d_a) on a 4-chart: its Jacobiator is
+    coeff**2 on (a, b, c) and zero on every triple holding the fourth index."""
+    comps = {}
+
+    def put(i, j, fn):
+        if i < j:
+            comps[(i, j)] = fn
+        else:
+            comps[(j, i)] = lambda x: -fn(x)
+
+    put(a, b, lambda x: coeff * x[a])
+    put(c, a, lambda x: coeff)
+    return BivectorSpec(4, ("w", "x", "y", "z"), comps)
+
+
+@pytest.mark.parametrize("a, b, c", [(0, 1, 2), (2, 0, 3), (3, 1, 0)])
+def test_jacobi_tensor_on_4d_witness(a, b, c):
+    coeff = 0.7
+    biv = _witness_4d(coeff, a, b, c)
+    (d,) = set(range(4)) - {a, b, c}
+    for x in (np.array([0.3, -1.2, 0.8, 2.5]), np.array([1.5, 0.4, -0.6, 0.1])):
+        assert jacobi_residual(biv, x, (a, b, c)) == pytest.approx(coeff**2, abs=1e-9)
+        assert jacobi_residual(biv, x, (b, a, c)) == pytest.approx(-coeff**2, abs=1e-9)
+        for t in ((a, b, d), (d, c, a), (b, d, c)):
+            assert abs(jacobi_residual(biv, x, t)) <= 1e-9
+    cert = jacobi_certificate(biv, n_points=5, seed=3)
+    assert cert.n_triples == 4
+    assert not cert.passed
+    assert cert.max_residual == pytest.approx(coeff**2, abs=1e-9)
+
+
+def test_jacobi_tensor_matches_nested_brackets():
+    """Reference: the cyclic sum of brackets of brackets, the inner bracket
+    differentiated by central differences at the same step, on a random
+    quadratic (non-Poisson) bivector whose residuals are O(1)."""
+    C = np.random.default_rng(5).normal(size=(5, 5, 5, 5))
+    C = C - C.transpose(1, 0, 2, 3)
+    biv = BivectorSpec(5, ("a", "b", "c", "d", "e"), dense=lambda y: C @ y @ y)
+    x = np.array([0.4, -0.9, 1.3, 0.2, -0.6])
+    coords = [coordinate_field(m, 5) for m in range(5)]
+
+    def nested(a, b, c):
+        inner = ScalarField(fn=lambda y: eval_bracket(biv, coords[b], coords[c], y),
+                            fd_scale=_FD_SCALE_NESTED)
+        return eval_bracket(biv, coords[a], inner, x)
+
+    for i, j, k in itertools.combinations(range(5), 3):
+        ref = nested(i, j, k) + nested(j, k, i) + nested(k, i, j)
+        assert abs(ref) > 1e-2
+        assert jacobi_residual(biv, x, (i, j, k)) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def test_jacobi_certificate_on_rotation_algebra():
@@ -178,6 +237,8 @@ def test_pushforward_through_linear_map():
     got = pushforward_bivector(biv, lambda q: A @ q, x, 2)
     want = A @ biv.matrix(x) @ A.T
     np.testing.assert_allclose(got, want, atol=1e-9)
+    with pytest.raises(ContractViolation):
+        pushforward_bivector(biv, lambda q: A @ q, x, 3)
 
 
 def test_constant_field_bracket_vanishes():

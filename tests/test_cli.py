@@ -60,6 +60,18 @@ def test_wrong_parameter_type_names_field():
                          "params": {"epsilon": 0.2, "mass": "heavy"}})
 
 
+@pytest.mark.parametrize("epsilon", [0.5, -0.5])
+def test_kappa_momenta_past_projection_pole_rejected(epsilon):
+    """sqrt(m^2 + p^2) <= |eps| p^2 / 2 puts a projection past its pole:
+    the right one for eps > 0, the left one for eps < 0."""
+    with pytest.raises(ConfigError, match=r"params\.p_max"):
+        validate_config({"model": "kappa", "params": {"epsilon": epsilon, "p_max": 5.0}})
+    with pytest.raises(ConfigError, match=r"params\.p\b"):
+        validate_config({"model": "kappa", "params": {"epsilon": epsilon, "p": 5.0}})
+    validate_config({"model": "kappa", "params": {"epsilon": epsilon, "p": 2.0, "p_max": 2.0,
+                                                  "p_min": 0.2}})
+
+
 def test_unknown_output_and_duplicates_rejected():
     with pytest.raises(ConfigError, match=r"outputs\[1\]"):
         validate_config({"model": "su2", "params": {"epsilon": 0.2},
@@ -192,6 +204,31 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     rc = main(["sweep", str(cfg), "--param", "gamma", "--values", "1,2",
                "--out", str(tmp_path / "s")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("model, param, values", [
+    ("minkowski2d", "epsilon", "nan,inf"),
+    ("kappa", "n_samples", "4"),
+])
+def test_sweep_values_pass_validation_before_any_row(tmp_path, capsys, model, param, values):
+    cfg = write_cfg(tmp_path, {"model": model, "params": {"epsilon": 0.1},
+                               "outputs": []})
+    out = tmp_path / "sweep"
+    rc = main(["sweep", str(cfg), "--param", param, "--values", values,
+               "--out", str(out)])
+    assert rc == 2
+    assert f"params.{param}" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_sweep_rejects_non_integer_worker_count(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
+                               "params": {"epsilon": 0.2}, "outputs": []})
+    monkeypatch.setenv("POISMECH_WORKERS", "abc")
+    rc = main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.1",
+               "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert "POISMECH_WORKERS" in capsys.readouterr().out
 
 
 def test_parallel_sweep_matches_sequential(tmp_path):

@@ -21,9 +21,9 @@ def test_bivector_components():
     biv = kappa_bivector(SPEC)
     x = np.array([0.3, 1.2, -0.7, 0.4])
     # {x0, xk} = eps xk; spatial positions commute among themselves
-    assert biv.component(0, 1, x) == pytest.approx(0.5 * 1.2, abs=1e-16)
-    assert biv.component(0, 2, x) == pytest.approx(0.5 * (-0.7), abs=1e-16)
-    assert biv.component(1, 2, x) == 0.0
+    assert biv.matrix(x)[0, 1] == pytest.approx(0.5 * 1.2, abs=1e-16)
+    assert biv.matrix(x)[0, 2] == pytest.approx(0.5 * (-0.7), abs=1e-16)
+    assert biv.matrix(x)[1, 2] == 0.0
 
 
 def test_shell_trajectory_is_affine_with_constant_momenta():

@@ -24,7 +24,7 @@ CURVE = ScatteringCurveSpec(0.3, 2.0)
 def test_bivector_is_product_deformation():
     biv = minkowski2d_bivector(SPEC)
     x = np.array([1.5, -0.4])
-    assert biv.component(0, 1, x) == pytest.approx(0.2 * 1.5 * (-0.4), abs=1e-16)
+    assert biv.matrix(x)[0, 1] == pytest.approx(0.2 * 1.5 * (-0.4), abs=1e-16)
 
 
 def test_hyperbola_curve_satisfies_invariant():

@@ -217,20 +217,20 @@ def test_momentum_bivector_components():
     biv = momentum_bivector(0.4)
     q = np.array([0.7, 0.2, -0.5])
     # {zeta, w_re} = w_im, {zeta, w_im} = -w_re, {w_re, w_im} = sinh(2 eps zeta)/(2 eps)
-    assert biv.component(0, 1, q) == pytest.approx(-0.5, abs=1e-15)
-    assert biv.component(0, 2, q) == pytest.approx(-0.2, abs=1e-15)
-    assert biv.component(1, 2, q) == pytest.approx(np.sinh(0.8 * 0.7) / 0.8, abs=1e-15)
+    assert biv.matrix(q)[0, 1] == pytest.approx(-0.5, abs=1e-15)
+    assert biv.matrix(q)[0, 2] == pytest.approx(-0.2, abs=1e-15)
+    assert biv.matrix(q)[1, 2] == pytest.approx(np.sinh(0.8 * 0.7) / 0.8, abs=1e-15)
     # the undeformed limit degenerates to the linear structure
     flat = momentum_bivector(0.0)
-    assert flat.component(1, 2, q) == pytest.approx(0.7, abs=1e-15)
+    assert flat.matrix(q)[1, 2] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_linear_momentum_bivector_is_rotation_algebra():
     biv = linear_momentum_bivector()
     q = np.array([0.3, -0.8, 1.1])
-    assert biv.component(0, 1, q) == q[2]
-    assert biv.component(0, 2, q) == -q[1]
-    assert biv.component(1, 2, q) == q[0]
+    assert biv.matrix(q)[0, 1] == q[2]
+    assert biv.matrix(q)[0, 2] == -q[1]
+    assert biv.matrix(q)[1, 2] == q[0]
     assert jacobi_certificate(biv, n_points=25, seed=6).passed
 
 
