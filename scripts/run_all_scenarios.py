@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Run every YAML scenario in configs/ and print a one-line summary per run."""
+"""Run every YAML scenario in configs/ and print a one-line summary per run,
+followed by the sha256 of every file the run wrote (relative to --out), so
+two runs can be compared for byte identity with one diff of their output."""
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -29,6 +32,9 @@ def main():
         n_files = len(manifest["files"])
         status = "ok" if ok else "CERTIFICATE FAILED"
         print(f"{path.stem:<14} {config.model:<12} {n_files:>3} files  {status}")
+        for name in manifest["files"]:
+            digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            print(f"  {digest}  {path.stem}/{name}")
         any_failed = any_failed or not ok
     return 1 if any_failed else 0
 

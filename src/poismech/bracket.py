@@ -228,7 +228,9 @@ def jacobi_certificate(
     box: tuple[float, float] = (0.0, 1.0),
 ) -> JacobiCertificate:
     """Check the Jacobi identity at seeded uniform random points of a box,
-    over every coordinate triple, from one P and one dP per point.
+    over every coordinate triple, from one P and one dP per point.  A
+    non-finite residual at any point makes ``max_residual`` non-finite and
+    the certificate fail.
 
     Charts of dimension < 3 have no triple and certify vacuously.
     """
@@ -238,11 +240,12 @@ def jacobi_certificate(
     rng = np.random.default_rng(seed)
     lo, hi = box
     i, j, k = np.array(triples).T
-    worst = 0.0
+    peaks = []
     for _ in range(n_points):
         x = rng.uniform(lo, hi, size=biv.dim)
-        residuals = _cyclic(_jacobi_terms(biv, x), i, j, k)
-        worst = max(worst, *np.abs(residuals).tolist())
+        peaks.append(np.max(np.abs(_cyclic(_jacobi_terms(biv, x), i, j, k))))
+    # np.max propagates NaN, so one non-finite residual fails the certificate
+    worst = float(np.max(peaks, initial=0.0))
     return JacobiCertificate(biv.dim, n_points, len(triples), worst, threshold, vacuous=False)
 
 

@@ -555,6 +555,11 @@ def kappa_certificate(
     spatial_dim: int = 3,
 ) -> list[CertCheck]:
     spec = kappa_model.KappaSpec(epsilon, spatial_dim)
+    momenta = (0.5, 1.0, 1.5)
+    try:
+        closed = [kappa_model.closed_form_speeds(spec, mass, p) for p in momenta]
+    except ContractViolation as exc:
+        raise ConfigError("epsilon", f"{exc}; the speed check needs momenta {momenta}") from exc
     checks = []
     cert = jacobi_certificate(
         kappa_model.kappa_bivector(spec), n_points=n_points, seed=seed, threshold=1e-6
@@ -570,11 +575,10 @@ def kappa_certificate(
 
     r = kappa_model.kappa_rspec(spec)
     worst = 0.0
-    for p in (0.5, 1.0, 1.5):
+    for p, v_closed in zip(momenta, closed):
         pvec = np.zeros(spatial_dim)
         pvec[0] = p
         traj = kappa_model.free_shell_trajectory(spec, mass, pvec, t_span=3.0, n_samples=64)
-        v_closed = kappa_model.closed_form_speeds(spec, mass, p)
         for side, vc in zip(("left", "right"), v_closed):
             curve = project_trajectory(r, traj, side)
             vm = float(np.linalg.norm(tail_velocity(curve.points[:, 0], curve.points[:, 1:])))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bracket import BivectorSpec
 from .errors import ContractViolation
@@ -55,6 +54,9 @@ class GeneratorField:
         if self.kind == "translation":
             return x + t * self.vector
         if self.kind == "linear":
+            # scipy is imported only here: no shipped model has a linear generator
+            from scipy.linalg import expm
+
             return expm(t * self.matrix) @ x
         out = x.copy()
         s = np.exp(t)

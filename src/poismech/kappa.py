@@ -156,7 +156,8 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, f
         v_right = exp(-(eps/2) p0) * p / (p0 - (eps/2) p^2),
 
     with p0 = sqrt(m^2 + p^2).  The right denominator vanishes at
-    p0 = (eps/2) p^2; momenta at or beyond that pole are rejected.
+    p0 = (eps/2) p^2 (eps > 0), the left one at p0 = -(eps/2) p^2
+    (eps < 0); momenta at or beyond either pole are rejected.
     """
     if mass <= 0:
         raise ContractViolation("mass must be positive")
@@ -164,12 +165,14 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, f
         raise ContractViolation("speed profile momenta must be positive")
     e = spec.epsilon
     p0 = float(np.sqrt(mass * mass + p * p))
+    denom_l = p0 + 0.5 * e * p * p
     denom_r = p0 - 0.5 * e * p * p
-    if denom_r <= 0:
-        raise ContractViolation(
-            f"right projection degenerates at p = {p} for epsilon = {e}"
-        )
-    v_left = np.exp(0.5 * e * p0) * p / (p0 + 0.5 * e * p * p)
+    for side, denom in (("left", denom_l), ("right", denom_r)):
+        if denom <= 0:
+            raise ContractViolation(
+                f"{side} projection degenerates at p = {p} for epsilon = {e}"
+            )
+    v_left = np.exp(0.5 * e * p0) * p / denom_l
     v_right = np.exp(-0.5 * e * p0) * p / denom_r
     return float(v_left), float(v_right)
 

@@ -22,6 +22,7 @@ Charts
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -247,35 +248,59 @@ def _real_blocks(u_kl, v_kl):
     return rr, ri, ir, ii
 
 
+def _unit_upper(x: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of the real 8x8 bracket matrix at
+    ``epsilon = 1``, straight from the tables (zeros elsewhere)."""
+    a, b, c, d = (x[0::2] + 1j * x[1::2]).tolist()
+    u, v = _uv_tables(a, b, c, d)
+    p = np.zeros((8, 8))
+    for k in range(4):
+        # {re_k, im_k} = -(1/2) Im {z_k, conj z_k}
+        p[2 * k, 2 * k + 1] = -0.5 * (1j * v[(k, k)]).imag
+        for l in range(k + 1, 4):
+            rr, ri, ir, ii = _real_blocks(1j * u[(k, l)], 1j * v[(k, l)])
+            p[2 * k, 2 * l] = rr
+            p[2 * k, 2 * l + 1] = ri
+            p[2 * k + 1, 2 * l] = ir
+            p[2 * k + 1, 2 * l + 1] = ii
+    return p
+
+
+@functools.cache
+def _sl2c_coefficients() -> np.ndarray:
+    """Constant 64x64 matrix ``C`` with ``P(x) = eps * (C @ vec(x x^T))``
+    on the strict upper triangle of ``P`` (lower rows are zero).
+
+    ``P`` is homogeneous quadratic in ``x`` and linear in ``eps``, so ``C``
+    is the polarization ``(U(e_p + e_q) - U(e_p - e_q)) / 4`` of the table
+    formula ``U`` at ``eps = 1``; the ``+/-`` pairing makes every
+    coefficient an exact multiple of 1/4.
+    """
+    eye = np.eye(8)
+    coeff = np.zeros((8, 8, 8, 8))
+    for p in range(8):
+        for q in range(8):
+            plus, minus = _unit_upper(eye[p] + eye[q]), _unit_upper(eye[p] - eye[q])
+            coeff[:, :, p, q] = 0.25 * (plus - minus)
+    coeff = coeff.reshape(64, 64)
+    coeff.setflags(write=False)  # one cached array serves every bivector
+    return coeff
+
+
 def sl2c_bivector(epsilon: float) -> BivectorSpec:
     """Multiplicative bracket on the 8-dimensional real group chart.
 
     Satisfies the Jacobi identity identically on the ambient chart (not just
     on the unit-determinant slice), so certificates sampled from a box are
-    meaningful.
+    meaningful.  ``P(x)`` is one product with the polarized coefficient
+    matrix; subtracting the transpose of its upper triangle makes it
+    exactly antisymmetric.
     """
+    coeff = _sl2c_coefficients()
 
     def dense(x: np.ndarray) -> np.ndarray:
-        a, b, c, d = (x[0::2] + 1j * x[1::2]).tolist()
-        u, v = _uv_tables(a, b, c, d)
-        ie = 1j * epsilon
-        p = np.zeros((8, 8))
-        for k in range(4):
-            # {re_k, im_k} = -(1/2) Im {z_k, conj z_k}
-            val = -0.5 * (ie * v[(k, k)]).imag
-            p[2 * k, 2 * k + 1] = val
-            p[2 * k + 1, 2 * k] = -val
-            for l in range(k + 1, 4):
-                rr, ri, ir, ii = _real_blocks(ie * u[(k, l)], ie * v[(k, l)])
-                p[2 * k, 2 * l] = rr
-                p[2 * k, 2 * l + 1] = ri
-                p[2 * k + 1, 2 * l] = ir
-                p[2 * k + 1, 2 * l + 1] = ii
-                p[2 * l, 2 * k] = -rr
-                p[2 * l + 1, 2 * k] = -ri
-                p[2 * l, 2 * k + 1] = -ir
-                p[2 * l + 1, 2 * k + 1] = -ii
-        return p
+        upper = epsilon * (coeff @ np.outer(x, x).ravel()).reshape(8, 8)
+        return upper - upper.T
 
     return BivectorSpec(dim=8, coord_names=GROUP_COORD_NAMES, dense=dense)
 

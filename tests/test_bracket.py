@@ -144,6 +144,19 @@ def test_jacobi_detects_non_poisson_structure():
     assert not cert.passed and not cert.vacuous
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_jacobi_certificate_fails_on_non_finite_residual(bad_value):
+    """A bivector that evaluates to NaN (or inf) must not certify: the
+    non-finite residual is the certificate's max_residual."""
+    bad = BivectorSpec(3, ("x0", "x1", "x2"),
+                       {(0, 1): lambda x: bad_value, (1, 2): lambda x: x[0]})
+    with np.errstate(invalid="ignore"):  # inf - inf in the difference of P
+        cert = jacobi_certificate(bad, n_points=5, seed=0)
+    assert not cert.vacuous
+    assert not np.isfinite(cert.max_residual)
+    assert not cert.passed
+
+
 def _witness_4d(coeff, a, b, c):
     """coeff * (x_a d_a ^ d_b + d_c ^ d_a) on a 4-chart: its Jacobiator is
     coeff**2 on (a, b, c) and zero on every triple holding the fourth index."""

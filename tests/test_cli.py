@@ -1,6 +1,9 @@
 """Scenario CLI: config validation, artifact writing, determinism, sweeps."""
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +266,31 @@ def test_certify_writes_artifact_when_asked(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == collect_files(out)
+
+
+@pytest.mark.parametrize("epsilon", ["-3", "3"])
+def test_certify_kappa_past_projection_pole_is_config_error(epsilon, tmp_path, capsys):
+    """The speed check's momenta reach a projection pole (left for eps < 0,
+    right for eps > 0): a config error naming epsilon, not a FAIL."""
+    out = tmp_path / "cert"
+    rc = main(["certify", "kappa", "--epsilon", epsilon, "--points", "2", "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith("config error: epsilon:")
+    assert "FAIL" not in text
+    assert not out.exists()
+
+
+def test_cli_import_is_lean():
+    """Importing the CLI loads no scipy and builds no bracket coefficients."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, poismech.cli; from poismech import su2; "
+             "print('scipy' in sys.modules, su2._sl2c_coefficients.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "0"]
 
 
 def test_load_config_missing_file(tmp_path):

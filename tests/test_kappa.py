@@ -73,6 +73,21 @@ def test_right_speed_pole_is_guarded():
         closed_form_speeds(SPEC, 1.0, -1.0)
 
 
+def test_left_speed_pole_is_guarded():
+    # at eps < 0 the left denominator p0 + (eps/2) p^2 vanishes instead;
+    # at eps = -0.5 that happens near p = 4.12, mirroring the right pole
+    neg = KappaSpec(-0.5)
+    with pytest.raises(ContractViolation, match="left projection"):
+        closed_form_speeds(neg, 1.0, 5.0)
+    with pytest.raises(ContractViolation, match="left projection"):
+        closed_form_speeds(KappaSpec(-3.0), 1.0, 1.5)
+    # below the pole both speeds are positive, and left at -eps is right at eps
+    vl, vr = closed_form_speeds(neg, 1.0, 1.5)
+    vl_pos, vr_pos = closed_form_speeds(SPEC, 1.0, 1.5)
+    assert vl > 0.0 and vr > 0.0
+    assert vl == pytest.approx(vr_pos, rel=1e-15) and vr == pytest.approx(vl_pos, rel=1e-15)
+
+
 def test_profiles_are_increasing_below_the_pole():
     grid = np.linspace(0.3, 3.0, 12)
     for proj in ("ordinary", "left", "right"):

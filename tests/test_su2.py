@@ -96,35 +96,59 @@ def test_entry_brackets_scale_linearly_in_epsilon():
         assert t2[key] == pytest.approx(2.0 * v, abs=1e-15)
 
 
-def test_realified_matrix_matches_complex_table():
+def _realified_table(g, epsilon):
     """Rebuild the real 8x8 bracket matrix from the complex entry tables with
-    the change-of-variables re = (z + z*)/2, im = (z - z*)/(2i) and compare
-    against the packaged realification."""
+    the change-of-variables re = (z + z*)/2, im = (z - z*)/(2i)."""
+    tab = sl2c_bracket_table(g, epsilon)
+    names = ("a", "b", "c", "d")
+    Pz = np.zeros((8, 8), dtype=complex)
+    # order the complex chart as (z1..z4, z1*..z4*)
+    for k, nk in enumerate(names):
+        for l, nl in enumerate(names):
+            if (nk, nl) in tab:
+                Pz[k, l] = tab[(nk, nl)]
+            elif (nl, nk) in tab:
+                Pz[k, l] = -tab[(nl, nk)]
+            Pz[k, l + 4] = tab[(nk, nl + "*")] if (nk, nl + "*") in tab else 0.0
+    Pz[4:, :4] = -Pz[:4, 4:].T
+    # {z_k*, z_l*} = conj {z_k, z_l} with both entries conjugated
+    Pz[4:, 4:] = np.conj(Pz[:4, :4])
+    M = np.zeros((8, 8), dtype=complex)
+    for k in range(4):
+        M[2 * k, k] = M[2 * k, k + 4] = 0.5
+        M[2 * k + 1, k] = -0.5j
+        M[2 * k + 1, k + 4] = 0.5j
+    return (M @ Pz @ M.T).real
+
+
+def test_realified_matrix_matches_complex_table():
+    """Compare the packaged realification against the complex entry tables."""
     rng = np.random.default_rng(9)
     biv = sl2c_bivector(EPS)
     for _ in range(5):
         g = su2.random_sl2c(rng)
-        tab = sl2c_bracket_table(g, EPS)
-        names = ("a", "b", "c", "d")
-        Pz = np.zeros((8, 8), dtype=complex)
-        # order the complex chart as (z1..z4, z1*..z4*)
-        for k, nk in enumerate(names):
-            for l, nl in enumerate(names):
-                if (nk, nl) in tab:
-                    Pz[k, l] = tab[(nk, nl)]
-                elif (nl, nk) in tab:
-                    Pz[k, l] = -tab[(nl, nk)]
-                Pz[k, l + 4] = tab[(nk, nl + "*")] if (nk, nl + "*") in tab else 0.0
-        Pz[4:, :4] = -Pz[:4, 4:].T
-        # {z_k*, z_l*} = conj {z_k, z_l} with both entries conjugated
-        Pz[4:, 4:] = np.conj(Pz[:4, :4])
-        M = np.zeros((8, 8), dtype=complex)
-        for k in range(4):
-            M[2 * k, k] = M[2 * k, k + 4] = 0.5
-            M[2 * k + 1, k] = -0.5j
-            M[2 * k + 1, k + 4] = 0.5j
-        want = (M @ Pz @ M.T).real
-        np.testing.assert_allclose(biv.matrix(g.real8), want, atol=1e-13)
+        np.testing.assert_allclose(biv.matrix(g.real8), _realified_table(g, EPS), atol=1e-13)
+
+
+@pytest.mark.parametrize("epsilon", [EPS, -1.7, 1e-3])
+def test_polarized_matrix_matches_table_and_is_exactly_antisymmetric(epsilon):
+    """P(x) comes from the polarized coefficient matrix; it must agree with
+    the table formula to rounding and be antisymmetric bit for bit."""
+    rng = np.random.default_rng(17)
+    biv = sl2c_bivector(epsilon)
+    for _ in range(20):
+        g = su2.random_sl2c(rng, spread=1.0)
+        got = biv.matrix(g.real8)
+        want = _realified_table(g, epsilon)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, -got.T)
+    # off the unit-determinant slice, against the table formula directly
+    for _ in range(5):
+        x = rng.uniform(-2.0, 2.0, size=8)
+        got = biv.matrix(x)
+        want = epsilon * su2._unit_upper(x)
+        assert np.max(np.abs(np.triu(got, 1) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, -got.T)
 
 
 def test_bracket_table_jacobi_off_shell():
