@@ -1,13 +1,26 @@
 #!/usr/bin/env python3
-"""Run every YAML scenario in configs/ and print a one-line summary per run,
-followed by the sha256 of every file the run wrote (relative to --out), so
-two runs can be compared for byte identity with one diff of their output."""
+"""Run every YAML scenario in configs/ and, for each, one sweep (epsilon over
+0.1,0.2) and ``certify <model> --epsilon <config epsilon> --out``.
+
+Prints a one-line summary per run, the CLI's own output for the sweep and the
+certificate, and the sha256 of every file written (relative to --out), so two
+runs can be compared for byte identity of ``run``, ``sweep`` and ``certify``
+with one diff of their output."""
 import argparse
 import hashlib
 import sys
 from pathlib import Path
 
-from poismech.cli import load_config, run_scenario
+from poismech.cli import load_config, main as cli_main, run_scenario
+
+SWEEP_VALUES = "0.1,0.2"
+
+
+def print_digests(root: Path, sub: str) -> None:
+    for path in sorted((root / sub).rglob("*")):
+        if path.is_file():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"  {digest}  {path.relative_to(root).as_posix()}")
 
 
 def main():
@@ -24,18 +37,26 @@ def main():
         print(f"no scenario files in {cfg_dir}", file=sys.stderr)
         return 2
 
+    root = Path(args.out)
     any_failed = False
     for path in paths:
         config = load_config(path)
-        out_dir = Path(args.out) / path.stem
-        manifest, ok = run_scenario(config, out_dir, args.format)
+        manifest, ok = run_scenario(config, root / path.stem, args.format)
         n_files = len(manifest["files"])
         status = "ok" if ok else "CERTIFICATE FAILED"
         print(f"{path.stem:<14} {config.model:<12} {n_files:>3} files  {status}")
-        for name in manifest["files"]:
-            digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            print(f"  {digest}  {path.stem}/{name}")
-        any_failed = any_failed or not ok
+        print_digests(root, path.stem)
+
+        sweep = f"{path.stem}_sweep"
+        rc_sweep = cli_main(["sweep", str(path), "--param", "epsilon", "--values", SWEEP_VALUES,
+                             "--out", str(root / sweep), "--format", args.format])
+        print_digests(root, sweep)
+
+        cert = f"{path.stem}_certify"
+        rc_cert = cli_main(["certify", config.model, "--epsilon", repr(config.params["epsilon"]),
+                            "--out", str(root / cert), "--format", args.format])
+        print_digests(root, cert)
+        any_failed = any_failed or not ok or rc_sweep != 0 or rc_cert != 0
     return 1 if any_failed else 0
 
 

@@ -10,6 +10,10 @@ groupoid projections: the trajectory on the mass shell p^2 = m^2 (metric
 signature +,-,...,-) is an ordinary straight line, and each projection maps
 it to another straight line whose coordinate speed |dx_vec / dx^0| is
 extracted by a least-squares tail fit.
+
+``MODEL`` is the scenario record: parameters (with the projection-pole
+check), the trajectory, projection and profile artifacts, the certificate and
+the sweep row.
 """
 from __future__ import annotations
 
@@ -17,12 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import BivectorSpec
-from .errors import ContractViolation
-from .fitting import monotonicity_verdict, tail_velocity
+from .bracket import BivectorSpec, add_bivectors
+from .errors import ConfigError, ContractViolation
+from .fitting import collinearity_residual, monotonicity_verdict, tail_velocity
 from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
-from .groupoid import project_trajectory
+from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
+from .model import (
+    CERT_POINTS, INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    jacobi_check, threshold_check,
+)
 
 __all__ = [
     "KappaSpec",
@@ -32,6 +40,9 @@ __all__ = [
     "velocity_momentum_profile",
     "closed_form_speeds",
     "classical_limit_deviation",
+    "projected_speed_deviation",
+    "kappa_certificate",
+    "MODEL",
 ]
 
 
@@ -157,7 +168,8 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, f
 
     with p0 = sqrt(m^2 + p^2).  The right denominator vanishes at
     p0 = (eps/2) p^2 (eps > 0), the left one at p0 = -(eps/2) p^2
-    (eps < 0); momenta at or beyond either pole are rejected.
+    (eps < 0); momenta at or beyond either pole are rejected, and so are
+    momenta whose denominator is not a number (the squares overflowed).
     """
     if mass <= 0:
         raise ContractViolation("mass must be positive")
@@ -168,7 +180,7 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, f
     denom_l = p0 + 0.5 * e * p * p
     denom_r = p0 - 0.5 * e * p * p
     for side, denom in (("left", denom_l), ("right", denom_r)):
-        if denom <= 0:
+        if not denom > 0:
             raise ContractViolation(
                 f"{side} projection degenerates at p = {p} for epsilon = {e}"
             )
@@ -197,3 +209,161 @@ def classical_limit_deviation(
     right = velocity_momentum_profile(spec, mass, "right", p_grid)["v"]
     v0 = p_grid / np.sqrt(p_grid**2 + mass * mass)
     return float(np.max(np.abs(0.5 * (left + right) - v0)))
+
+
+def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, dict]) -> float:
+    """Worst |measured - closed form| of the 'left' and 'right' speed
+    profiles over their momenta; NaN and inf propagate."""
+    closed = [closed_form_speeds(spec, mass, float(p)) for p in profiles["left"]["p"]]
+    measured = np.column_stack([profiles["left"]["v"], profiles["right"]["v"]])
+    return float(np.max(np.abs(measured - closed), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# scenario record
+
+PARAMS = {
+    "epsilon": Param(REAL),
+    "mass": Param(REAL, 1.0, positive=True),
+    "p": Param(REAL, 1.0, positive=True),
+    "spatial_dim": Param(INT, 3, minimum=1),
+    "t_span": Param(REAL, 3.0, positive=True),
+    "n_samples": Param(INT, 64, minimum=29),  # tail fits need 8 samples in the last quarter
+    "p_min": Param(REAL, 0.2, positive=True),
+    "p_max": Param(REAL, 2.0),
+    "n_p": Param(INT, 10, minimum=2),
+}
+
+
+def _spec(p: Params) -> KappaSpec:
+    return KappaSpec(p["epsilon"], p["spatial_dim"])
+
+
+def _check(p: Params) -> None:
+    if p["p_max"] <= p["p_min"]:
+        raise ConfigError("params.p_max", "must exceed p_min")
+    # one projection's speed has a pole where the shell energy
+    # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)
+    spec = _spec(p)
+    for name in ("p_max", "p"):
+        try:
+            closed_form_speeds(spec, p["mass"], p[name])
+        except ContractViolation as exc:
+            raise ConfigError(
+                f"params.{name}",
+                f"momentum {p[name]} is at or past the projection pole "
+                f"sqrt(mass^2 + p^2) = |epsilon| p^2 / 2",
+            ) from exc
+
+
+def _shell(p: Params, spec: KappaSpec) -> Trajectory:
+    pvec = np.zeros(spec.spatial_dim)
+    pvec[0] = p["p"]
+    return free_shell_trajectory(spec, p["mass"], pvec, p["t_span"], p["n_samples"])
+
+
+def _trajectory(p: Params) -> ArtifactData:
+    spec = _spec(p)
+    traj = _shell(p, spec)
+    d = spec.dim
+    cols = ("t",) + spec.coord_names + tuple(f"p{k}" for k in range(d))
+    rows = [(t, *row) for t, row in zip(traj.times, traj.points)]
+    mom = traj.points[0, d:]
+    energy = mom[0] ** 2 - float(mom[1:] @ mom[1:])
+    summary = {
+        "speed_ordinary": _speed_of_curve(Trajectory(traj.times, traj.points[:, :d])),
+        "mass_shell_residual": abs(energy - p["mass"] ** 2),
+    }
+    return ArtifactData("trajectory", cols, rows, summary)
+
+
+def _projection(p: Params) -> ArtifactData:
+    spec = _spec(p)
+    r = kappa_rspec(spec)
+    traj = _shell(p, spec)
+    left = project_trajectory(r, traj, "left")
+    right = project_trajectory(r, traj, "right")
+    cols = (
+        ("t",)
+        + tuple(f"left_{n}" for n in spec.coord_names)
+        + tuple(f"right_{n}" for n in spec.coord_names)
+    )
+    rows = [(t, *l, *q) for t, l, q in zip(traj.times, left.points, right.points)]
+    measured = (_speed_of_curve(left), _speed_of_curve(right))
+    closed = closed_form_speeds(spec, p["mass"], p["p"])
+    summary = {
+        "collinearity_left": collinearity_residual(left.points),
+        "collinearity_right": collinearity_residual(right.points),
+        "v_left": measured[0],
+        "v_right": measured[1],
+        "closed_form_dev": float(np.max(np.abs(np.subtract(measured, closed)))),
+    }
+    return ArtifactData("projection", cols, rows, summary)
+
+
+def _profiles(p: Params, spec: KappaSpec, kinds: tuple[str, ...]) -> dict[str, dict]:
+    p_grid = np.linspace(p["p_min"], p["p_max"], p["n_p"])
+    kw = dict(t_span=p["t_span"], n_samples=p["n_samples"])
+    return {kind: velocity_momentum_profile(spec, p["mass"], kind, p_grid, **kw) for kind in kinds}
+
+
+def _profile(p: Params) -> ArtifactData:
+    prof = _profiles(p, _spec(p), ("ordinary", "left", "right"))
+    rows = list(zip(prof["ordinary"]["p"], *(prof[k]["v"] for k in ("ordinary", "left", "right"))))
+    summary = {f"verdict_{k}": prof[k]["verdict"] for k in prof}
+    return ArtifactData("profile", ("p", "v_ordinary", "v_left", "v_right"), rows, summary)
+
+
+def kappa_certificate(
+    epsilon: float,
+    seed: int,
+    n_points: int = CERT_POINTS,
+    mass: float = PARAMS["mass"].default,
+    spatial_dim: int = PARAMS["spatial_dim"].default,
+) -> list[CertCheck]:
+    """Jacobi checks of the kappa and shifted brackets, and the projected
+    shell speeds against their closed forms at three momenta."""
+    spec = KappaSpec(epsilon, spatial_dim)
+    momenta = (0.5, 1.0, 1.5)
+    try:  # a momentum at a projection pole is a config error, found before any work
+        for p in momenta:
+            closed_form_speeds(spec, mass, p)
+    except ContractViolation as exc:
+        raise ConfigError("epsilon", f"{exc}; the speed check needs momenta {momenta}") from exc
+    profiles = {
+        side: velocity_momentum_profile(spec, mass, side, momenta) for side in ("left", "right")
+    }
+    X1, X2 = _generators(spec)
+    shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(epsilon, X1, X2))
+    return [
+        jacobi_check("jacobi_base", kappa_bivector(spec), n_points, seed),
+        jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
+        threshold_check(
+            "projected_speed_closed_form", projected_speed_deviation(spec, mass, profiles), 1e-9
+        ),
+    ]
+
+
+def _sweep_row(p: Params) -> dict:
+    spec = _spec(p)
+    prof = _profiles(p, spec, ("left", "right"))
+    return {
+        "classical_limit_dev": classical_limit_deviation(
+            p["epsilon"], p["mass"], spatial_dim=p["spatial_dim"]
+        ),
+        "closed_speed_dev": projected_speed_deviation(spec, p["mass"], prof),
+        "v_left_verdict": prof["left"]["verdict"],
+        "v_right_verdict": prof["right"]["verdict"],
+    }
+
+
+MODEL = Model(
+    name="kappa",
+    params=PARAMS,
+    check=_check,
+    artifacts={"trajectory": _trajectory, "projection": _projection, "profile": _profile},
+    certificate=lambda p, seed, n: kappa_certificate(
+        p["epsilon"], seed, n, p["mass"], p["spatial_dim"]
+    ),
+    sweep_row=_sweep_row,
+)

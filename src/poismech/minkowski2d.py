@@ -15,20 +15,29 @@ and the parametric momentum-space description
     q+(p) = e^{ alpha} sinh(eps p / 2)        / ((eps/2) m)
     q-(p) = e^{-alpha} sinh(eps (p - beta)/2) / ((eps/2) m),
 
-whose p -> -+infinity velocity limits give the in/out scattering data.  The
-asymptotic limit of the parametric curve is a hyperbolic tangent of
-alpha -+ eps beta / 4; a circular-tangent variant of the same argument is
-provided for comparison, but the default follows the numerical limit.
+whose p -> -+infinity velocity limits give the in/out scattering data: the
+hyperbolic tangents of alpha -+ eps beta / 4.
+
+``MODEL`` is the scenario record: parameters, the trajectory, projection and
+scattering artifacts, the certificate and the sweep row.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import BivectorSpec
-from .errors import ContractViolation
+from .bracket import BivectorSpec, ScalarField, add_bivectors
+from .errors import ConfigError, ContractViolation
+from .fitting import collinearity_residual
+from .flow import StepControl, Trajectory, integrate_flow
 from .generators import AbelianRSpec, scaling, wedge_bivector
+from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
+from .model import (
+    CERT_POINTS, INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    jacobi_check, threshold_check,
+)
 
 __all__ = [
     "Minkowski2DSpec",
@@ -41,7 +50,12 @@ __all__ = [
     "velocity_on_curve",
     "scattering_data",
     "scattering_limits_numeric",
+    "scattering_match",
+    "scattering_odd_defect",
+    "scattering_check",
     "classical_limit_deviation",
+    "minkowski2d_certificate",
+    "MODEL",
 ]
 
 COORD_NAMES = ("x_plus", "x_minus")
@@ -141,25 +155,11 @@ def velocity_on_curve(spec: Minkowski2DSpec, curve: ScatteringCurveSpec,
     return float((qp - qm) / (qp + qm))
 
 
-def scattering_data(
-    spec: Minkowski2DSpec,
-    curve: ScatteringCurveSpec,
-    velocity_map: str = "tanh",
-) -> tuple[float, float]:
-    """(v_in, v_out): the p -> -infinity / +infinity velocity limits.
-
-    v_in = T(alpha - eps beta / 4), v_out = T(alpha + eps beta / 4), where T
-    is tanh by default; T = tan is available for comparison but does not
-    match the numerical limit of the parametric curve.
-    """
-    if velocity_map == "tanh":
-        T = np.tanh
-    elif velocity_map == "tan":
-        T = np.tan
-    else:
-        raise ContractViolation(f"velocity_map must be 'tanh' or 'tan', got {velocity_map!r}")
+def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec) -> tuple[float, float]:
+    """(v_in, v_out): the p -> -infinity / +infinity velocity limits,
+    v_in = tanh(alpha - eps beta / 4) and v_out = tanh(alpha + eps beta / 4)."""
     shift = spec.epsilon * curve.beta / 4.0
-    return float(T(curve.alpha - shift)), float(T(curve.alpha + shift))
+    return float(np.tanh(curve.alpha - shift)), float(np.tanh(curve.alpha + shift))
 
 
 def scattering_limits_numeric(
@@ -191,3 +191,191 @@ def classical_limit_deviation(
     q_eps = parametric_trajectory_2d(Minkowski2DSpec(epsilon, mass), curve, p_grid)
     q_zero = parametric_trajectory_2d(Minkowski2DSpec(0.0, mass), curve, p_grid)
     return float(np.max(np.abs(q_eps[:, 1:] - q_zero[:, 1:])))
+
+
+def scattering_match(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
+    """Closed-form and numeric (v_in, v_out) of one curve, and the two
+    mismatches |closed - numeric|."""
+    closed = scattering_data(spec, curve)
+    numeric = scattering_limits_numeric(spec, curve)
+    return closed, numeric, (abs(closed[0] - numeric[0]), abs(closed[1] - numeric[1]))
+
+
+def scattering_odd_defect(spec: Minkowski2DSpec, curve: ScatteringCurveSpec, numeric) -> float:
+    """|shift(beta) + shift(-beta)| of the numeric velocity shift v_out - v_in,
+    given the numeric limits at beta; zero when the shift is odd in beta."""
+    fi, fo = scattering_limits_numeric(spec, ScatteringCurveSpec(curve.alpha, -curve.beta))
+    return abs((numeric[1] - numeric[0]) + (fo - fi))
+
+
+def scattering_check(spec: Minkowski2DSpec, alphas, betas) -> tuple[float, float]:
+    """Worst closed-vs-numeric mismatch and worst odd defect over the
+    (alpha, beta) grid; NaN and inf propagate."""
+    match, odd = [], []
+    for alpha in alphas:
+        for beta in betas:
+            curve = ScatteringCurveSpec(alpha, beta)
+            _, numeric, mismatch = scattering_match(spec, curve)
+            match.extend(mismatch)
+            odd.append(scattering_odd_defect(spec, curve, numeric))
+    return float(np.max(match, initial=0.0)), float(np.max(odd, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# scenario record
+
+PARAMS = {
+    "epsilon": Param(REAL),
+    "mass": Param(REAL, 1.0, positive=True),
+    "alpha": Param(REAL, 0.3),
+    "beta": Param(REAL, 2.0),
+    "c_plus": Param(REAL, 1.0),
+    "c_minus": Param(REAL, -1.0),
+    "p_min": Param(REAL, -3.0),
+    "p_max": Param(REAL, 3.0),
+    "n_samples": Param(INT, 49, minimum=2),
+    "t_end": Param(REAL, 4.0, positive=True),
+}
+
+
+def _check(p: Params) -> None:
+    if p["p_max"] <= p["p_min"]:
+        raise ConfigError("params.p_max", "must exceed p_min")
+    if p["epsilon"] != 0.0 and not 1e-150 <= abs(p["epsilon"] * p["mass"]) <= 1e150:
+        raise ConfigError("params.epsilon", "|epsilon * mass| must lie in [1e-150, 1e150] "
+                          "(or epsilon be 0) for the shape constant -1/(epsilon mass)^2 to be a float")
+
+
+def _spec(p: Params) -> Minkowski2DSpec:
+    return Minkowski2DSpec(p["epsilon"], p["mass"])
+
+
+def _curve(p: Params) -> ScatteringCurveSpec:
+    return ScatteringCurveSpec(p["alpha"], p["beta"])
+
+
+def _shape(p: Params) -> tuple[np.ndarray, str, float]:
+    """Configuration-space curve samples + (kind, closed-form residual)."""
+    spec = _spec(p)
+    if spec.epsilon != 0.0:
+        grid = p["c_plus"] + np.linspace(0.2, 3.0, p["n_samples"])
+        pts = hyperbola_curve(spec, p["c_plus"], p["c_minus"], grid)
+        return pts, "hyperbola", hyperbola_residual(spec, p["c_plus"], p["c_minus"], pts)
+    p_grid = np.linspace(p["p_min"], p["p_max"], p["n_samples"])
+    pts = parametric_trajectory_2d(spec, _curve(p), p_grid)[:, 1:]
+    return pts, "line", collinearity_residual(pts)
+
+
+def _trajectory(p: Params) -> ArtifactData:
+    pts, kind, res = _shape(p)
+    summary = {"kind": kind, "shape_residual": res}
+    return ArtifactData("trajectory", COORD_NAMES, [tuple(row) for row in pts], summary)
+
+
+def _scattering(p: Params) -> ArtifactData:
+    spec, curve = _spec(p), _curve(p)
+    rows = []
+    for pv in np.linspace(p["p_min"], p["p_max"], p["n_samples"]):
+        q = parametric_trajectory_2d(spec, curve, np.array([pv]))[0]
+        v = (q[1] - q[2]) / (q[1] + q[2]) if q[1] + q[2] != 0 else math.nan
+        rows.append((q[0], q[1], q[2], v))
+    closed, numeric, mismatch = scattering_match(spec, curve)
+    summary = {
+        "v_in_closed": closed[0],
+        "v_out_closed": closed[1],
+        "v_in_numeric": numeric[0],
+        "v_out_numeric": numeric[1],
+        "closed_vs_numeric": float(np.max(mismatch)),
+        "odd_defect": scattering_odd_defect(spec, curve, numeric),
+    }
+    return ArtifactData("scattering", ("p", "q_plus", "q_minus", "v"), rows, summary)
+
+
+def _moment_hamiltonian() -> ScalarField:
+    # difference of the two generator moments on the (x+, x-, p+, p-) chart
+    return ScalarField(
+        fn=lambda s: s[2] * s[0] - s[3] * s[1],
+        grad=lambda s: np.array([s[2], -s[3], s[0], -s[1]]),
+    )
+
+
+def _projection(p: Params) -> ArtifactData:
+    r = minkowski2d_rspec(_spec(p))
+    phase0 = np.array([1.0, 1.0, 0.35, -0.8])
+    step = StepControl(h=1e-2, tol=1e-8)
+    traj = integrate_flow(canonical_bivector(2), _moment_hamiltonian(), phase0, p["t_end"], step)
+    left = project_trajectory(r, traj, "left")
+    right = project_trajectory(r, traj, "right")
+    rows = [
+        (t, l[0], l[1], q[0], q[1])
+        for t, l, q in zip(traj.times, left.points, right.points)
+    ]
+
+    def spread(curve: Trajectory) -> float:
+        prod = curve.points[:, 0] * curve.points[:, 1]
+        return float(np.max(np.abs(prod - prod[0])))
+
+    summary = {
+        "product_spread_left": spread(left),
+        "product_spread_right": spread(right),
+        "h_drift": traj.h_drift,
+    }
+    cols = ("t", "left_x_plus", "left_x_minus", "right_x_plus", "right_x_minus")
+    return ArtifactData("projection", cols, rows, summary)
+
+
+def minkowski2d_certificate(
+    epsilon: float,
+    seed: int,
+    n_points: int = CERT_POINTS,
+    mass: float = PARAMS["mass"].default,
+) -> list[CertCheck]:
+    """Jacobi checks of the plane and shifted brackets, the hyperbola shape
+    law, and the scattering match/odd checks over a 5x5 curve grid."""
+    spec = Minkowski2DSpec(epsilon, mass)
+    X1, X2 = scaling([0], 2), scaling([1], 2)
+    shifted = add_bivectors(canonical_bivector(2), cotangent_wedge(epsilon, X1, X2))
+    checks = [
+        jacobi_check("jacobi_base", minkowski2d_bivector(spec), n_points, seed),
+        jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
+    ]
+    if epsilon == 0.0:
+        thresholds = {"hyperbola_shape": 1e-12, "scattering_match": 1e-6, "scattering_odd": 1e-12}
+        note = "vacuous at epsilon = 0"
+        return checks + [CertCheck(n, 0.0, t, True, note) for n, t in thresholds.items()]
+    grid = 1.0 + np.linspace(0.2, 3.0, 64)
+    pts = hyperbola_curve(spec, 1.0, -1.0, grid)
+    res = hyperbola_residual(spec, 1.0, -1.0, pts)
+    # relative to the shape constant, which grows like epsilon^-2
+    res /= max(1.0, 1.0 / (epsilon * mass) ** 2)
+    match, odd = scattering_check(spec, np.linspace(-0.6, 0.6, 5), np.linspace(-2.0, 2.0, 5))
+    return checks + [
+        threshold_check("hyperbola_shape", res, 1e-12),
+        threshold_check("scattering_match", match, 1e-6),
+        threshold_check("scattering_odd", odd, 1e-12),
+    ]
+
+
+def _sweep_row(p: Params) -> dict:
+    _, _, shape_res = _shape(p)
+    spec = _spec(p)
+    (v_in, v_out), _, mismatch = scattering_match(spec, _curve(p))
+    return {
+        "classical_limit_dev": classical_limit_deviation(
+            p["epsilon"], p["mass"], p["alpha"], p["beta"]
+        ),
+        "shape_residual": shape_res,
+        "scattering_dev": float(np.max(mismatch)) if spec.epsilon != 0.0 else 0.0,
+        "v_in": v_in,
+        "v_out": v_out,
+    }
+
+
+MODEL = Model(
+    name="minkowski2d",
+    params=PARAMS,
+    check=_check,
+    artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
+    certificate=lambda p, seed, n: minkowski2d_certificate(p["epsilon"], seed, n, p["mass"]),
+    sweep_row=_sweep_row,
+)

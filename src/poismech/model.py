@@ -1,0 +1,83 @@
+"""The model record: everything the scenario runner knows about one model.
+
+Each worked model module (``minkowski2d``, ``kappa``, ``su2``) exports one
+:class:`Model`; the CLI reads all model knowledge through it and holds none
+of its own.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, NamedTuple
+
+from .bracket import BivectorSpec, jacobi_certificate
+
+REAL = "real"
+INT = "int"
+
+CERT_POINTS = 100  # sample points per randomized certificate check
+
+Params = Mapping[str, Any]
+
+
+class Param(NamedTuple):
+    """One scenario parameter: its kind (``REAL`` or ``INT``), its default
+    (None means required) and its lower bound: a ``positive`` value must
+    exceed 0, an int must reach ``minimum``."""
+
+    kind: str
+    default: float | int | None = None
+    positive: bool = False
+    minimum: int | None = None
+
+
+@dataclass(frozen=True)
+class CertCheck:
+    name: str
+    value: float
+    threshold: float
+    passed: bool
+    note: str = ""
+
+
+@dataclass
+class ArtifactData:
+    name: str
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    summary: dict
+    checks: list[CertCheck] | None = None
+
+
+class Model(NamedTuple):
+    """One model as data.
+
+    ``params`` is the schema; ``artifacts`` maps each output name to its
+    builder; ``certificate`` takes (params, seed, n_points) and returns every
+    check of the model; ``sweep_row`` gives one row of scalar observables for
+    a sweep; ``check`` runs on fully defaulted, per-field valid params and
+    raises ``ConfigError`` for a bad combination.
+    """
+
+    name: str
+    params: Mapping[str, Param]
+    artifacts: Mapping[str, Callable[[Params], ArtifactData]]
+    certificate: Callable[[Params, int, int], list[CertCheck]]
+    sweep_row: Callable[[Params], dict[str, Any]]
+    check: Callable[[Params], None] = lambda p: None
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        """Every artifact a config may request; the certificate comes last."""
+        return (*self.artifacts, "certificate")
+
+
+def threshold_check(name: str, value: float, threshold: float) -> CertCheck:
+    """A check that passes when ``value <= threshold``; NaN fails."""
+    return CertCheck(name, value, threshold, value <= threshold)
+
+
+def jacobi_check(name: str, biv: BivectorSpec, n_points: int, seed: int) -> CertCheck:
+    """The randomized Jacobi certificate of ``biv`` as a check (threshold 1e-6)."""
+    cert = jacobi_certificate(biv, n_points=n_points, seed=seed, threshold=1e-6)
+    note = "vacuous below dim 3" if cert.vacuous else ""
+    return CertCheck(name, cert.max_residual, 1e-6, cert.passed, note)

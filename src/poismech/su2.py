@@ -17,6 +17,9 @@ Charts
   ``B = [[rho, n], [0, 1/rho]]``.
 * linear chart (dim 3): ``(x, y, z)`` carrying the undeformed rotation-algebra
   brackets ``{x,y}=z, {z,x}=y, {z,y}=-x``.
+
+``MODEL`` is the scenario record: parameters, the trajectory artifact, the
+certificate and the sweep row.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .bracket import BivectorSpec, ScalarField
+from .bracket import BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
 from .errors import ContractViolation, NumericDomainError
 from .fitting import central_derivative
 from .flow import StepControl, Trajectory, integrate_flow
+from .model import (
+    CERT_POINTS, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    jacobi_check, threshold_check,
+)
 
 GROUP_COORD_NAMES = (
     "a_re",
@@ -742,3 +749,157 @@ def sample_unimodular(n: int, seed: int = 0, spread: float = 0.4) -> Iterator[SL
     rng = np.random.default_rng(seed)
     for _ in range(n):
         yield random_sl2c(rng, spread)
+
+
+# ---------------------------------------------------------------------------
+# checks shared by the certificate and the acceptance tests
+
+
+def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
+    """Worst gap between the two routes to the free dynamics at ``n_points``
+    seeded unimodular points: the bracket-table Hamiltonian vector field of
+    the trace energy against the matrix form :func:`flow_rhs`.  A non-finite
+    gap at any point makes the result non-finite."""
+    biv = sl2c_bivector(epsilon)
+    energy = free_hamiltonian_field(epsilon, kind="trace")
+    gaps = [
+        np.max(np.abs(
+            hamiltonian_vector_field(biv, energy, g.real8)
+            - real8_from_matrix(flow_rhs(g.matrix, epsilon))
+        ))
+        for g in sample_unimodular(n_points, seed=seed)
+    ]
+    return float(np.max(gaps, initial=0.0))
+
+
+def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[float, float]:
+    """Pushforward and Casimir defects of :func:`momentum_isomorphism`.
+
+    At ``n_points`` seeded points of the linear chart (uniform in the cube
+    of half-width 1.2, bounded away from the origin and from the axis where
+    the chart factor is continued by series), the finite-difference
+    pushforward of the linear bivector should equal the deformed one, and
+    ``eps R = sinh(eps r)`` should hold for the radius Casimirs.  Returns the
+    worst of each; NaN and inf propagate.
+    """
+    rng = np.random.default_rng(seed)
+    lin = linear_momentum_bivector()
+    mom = momentum_bivector(epsilon)
+    push, cas = [], []
+    while len(push) < n_points:
+        p = rng.uniform(-1.2, 1.2, size=3)
+        r = float(np.linalg.norm(p))
+        if r < 0.1 or abs(r * r - p[2] * p[2]) < 1e-3:
+            continue  # keep points away from the series-continued locus
+        img = momentum_isomorphism(p, epsilon)
+        got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p, 3)
+        push.append(np.max(np.abs(got - mom.matrix(img))))
+        big_r = math.sqrt(casimir_radius_squared(img, epsilon))
+        if epsilon != 0.0:
+            cas.append(abs(epsilon * big_r - math.sinh(epsilon * r)))
+        else:
+            cas.append(abs(big_r - r))
+    return float(np.max(push, initial=0.0)), float(np.max(cas, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# scenario record
+
+PARAMS = {
+    "epsilon": Param(REAL),
+    "t_end": Param(REAL, 1.0, positive=True),
+    "rho": Param(REAL, 1.4, positive=True),
+    "n_re": Param(REAL, 0.3),
+    "n_im": Param(REAL, 0.2),
+    "tol": Param(REAL, 1e-8, positive=True),
+    "step": Param(REAL, 1e-3, positive=True),
+}
+
+
+def _start(rho: float, n_re: float, n_im: float) -> SL2CElement:
+    return SL2CElement.from_matrix(SB2Element(rho, complex(n_re, n_im)).matrix)
+
+
+def _flow(p: Params) -> tuple[Trajectory, int]:
+    step = StepControl(h=p["step"], tol=p["tol"])
+    return free_flow(_start(p["rho"], p["n_re"], p["n_im"]), p["epsilon"], p["t_end"], step=step)
+
+
+def _trajectory(p: Params) -> ArtifactData:
+    traj, n_renorm = _flow(p)
+    energy = free_hamiltonian_field(p["epsilon"], kind="trace")
+    rows = []
+    for t, pt in zip(traj.times, traj.points):
+        m = matrix_from_real8(pt)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        _, b = iwasawa(SL2CElement.from_matrix(m))
+        rows.append((t, *pt, b.rho, b.n.real, b.n.imag, energy(pt), abs(det - 1.0)))
+    diag = flow_diagnostics(traj, p["epsilon"])
+    diag["renormalizations"] = n_renorm
+    diag["h_drift"] = traj.h_drift
+    cols = ("t",) + GROUP_COORD_NAMES + ("rho", "n_re", "n_im", "H", "det_residual")
+    return ArtifactData("trajectory", cols, rows, diag)
+
+
+def su2_certificate(
+    epsilon: float,
+    seed: int,
+    n_points: int = CERT_POINTS,
+    rho: float = PARAMS["rho"].default,
+    n_re: float = PARAMS["n_re"].default,
+    n_im: float = PARAMS["n_im"].default,
+) -> list[CertCheck]:
+    """Jacobi checks of the three shipped brackets, conservation along the
+    free flow from ``SB2Element(rho, n_re + i n_im)`` to t = 1, the energy
+    pipeline, the dual-path dynamics and the momentum isomorphism."""
+    # conservation along the flow, against the closed-form solution (t = 1)
+    traj, _ = free_flow(_start(rho, n_re, n_im), epsilon, 1.0, step=StepControl(h=1e-3, tol=1e-8))
+    diag = flow_diagnostics(traj, epsilon)
+
+    # energy pipeline: trace energy stays pinned to its classical conversion
+    energy = free_hamiltonian_field(epsilon, kind="trace")
+    h0 = float(energy(traj.points[0]))
+    if epsilon != 0.0:
+        target = energy_relations(epsilon, trace=h0)
+        expected = math.cosh(2.0 * epsilon * math.sqrt(2.0 * target.classical))
+    else:
+        expected = h0
+    pipeline = float(np.max([abs(float(energy(x)) - expected) for x in traj.points]))
+
+    dual = dual_path_deviation(epsilon, n_points, seed + 3)
+    push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
+    return [
+        jacobi_check("jacobi_group", sl2c_bivector(epsilon), n_points, seed),
+        jacobi_check("jacobi_momentum", momentum_bivector(epsilon), n_points, seed + 1),
+        jacobi_check("jacobi_linear", linear_momentum_bivector(), n_points, seed + 2),
+        threshold_check("flow_det_drift", diag["det_residual"], 1e-8),
+        threshold_check("flow_momentum_drift", diag["b_factor_drift"], 1e-6),
+        threshold_check("flow_body_velocity", diag["omega_deviation"], 1e-5),
+        threshold_check("flow_closed_form_endpoint", diag["endpoint_deviation"], 1e-7),
+        threshold_check("energy_pipeline", pipeline, 1e-6),
+        threshold_check("dual_path_dynamics", dual, 1e-6),
+        threshold_check("isomorphism_pushforward", push, 1e-5),
+        threshold_check("isomorphism_casimir", cas, 1e-12),
+    ]
+
+
+def _sweep_row(p: Params) -> dict:
+    traj, _ = _flow(p)
+    diag = flow_diagnostics(traj, p["epsilon"])
+    return {
+        "classical_limit_dev": classical_limit_deviation(p["epsilon"]),
+        "det_residual": diag["det_residual"],
+        "b_factor_drift": diag["b_factor_drift"],
+        "endpoint_deviation": diag["endpoint_deviation"],
+    }
+
+
+MODEL = Model(
+    name="su2",
+    params=PARAMS,
+    artifacts={"trajectory": _trajectory},
+    certificate=lambda p, seed, n: su2_certificate(
+        p["epsilon"], seed, n, p["rho"], p["n_re"], p["n_im"]
+    ),
+    sweep_row=_sweep_row,
+)

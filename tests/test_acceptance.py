@@ -13,9 +13,7 @@ from poismech.bracket import (
     add_bivectors,
     coordinate_field,
     eval_bracket,
-    hamiltonian_vector_field,
     jacobi_certificate,
-    pushforward_bivector,
 )
 from poismech.cli import main as cli_main
 from poismech.fitting import collinearity_residual, fit_loglog_slope
@@ -28,17 +26,15 @@ from poismech import su2 as su2_model
 from poismech.su2 import (
     SB2Element,
     SL2CElement,
-    casimir_radius_squared,
+    dual_path_deviation,
     energy_relations,
     flow_diagnostics,
     flow_rhs,
     free_flow,
     free_hamiltonian_field,
+    isomorphism_deviation,
     linear_momentum_bivector,
     momentum_bivector,
-    momentum_isomorphism,
-    real8_from_matrix,
-    sample_unimodular,
     sl2c_bivector,
 )
 
@@ -121,24 +117,7 @@ def test_criterion_05_momentum_isomorphism():
     100 seeded regular points, i.e. bounded away from the axis where the
     chart factor is continued by series), and the radius Casimirs correspond
     exactly: eps R = sinh(eps r) to 1e-12."""
-    lin = linear_momentum_bivector()
-    target = momentum_bivector(EPS)
-    rng = np.random.default_rng(23)
-    n_checked = 0
-    worst_push = 0.0
-    worst_cas = 0.0
-    while n_checked < 100:
-        xyz = rng.uniform(-1.2, 1.2, 3)
-        r = np.linalg.norm(xyz)
-        if r < 0.1 or abs(r**2 - xyz[2] ** 2) < 1e-3:
-            continue
-        n_checked += 1
-        pushed = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, EPS),
-                                      xyz, 3)
-        zw = momentum_isomorphism(xyz, EPS)
-        worst_push = max(worst_push, float(np.max(np.abs(pushed - target.matrix(zw)))))
-        big_r = EPS * np.sqrt(casimir_radius_squared(zw, EPS))
-        worst_cas = max(worst_cas, abs(big_r - np.sinh(EPS * r)))
+    worst_push, worst_cas = isomorphism_deviation(EPS, n_points=100, seed=23)
     assert worst_push < 1e-5
     assert worst_cas < 1e-12
 
@@ -147,24 +126,23 @@ def test_criterion_06_planar_shape_and_scattering():
     """Sampled hyperbola branches satisfy their defining invariant to 1e-12;
     the numeric asymptotic velocities match the closed-form scattering map
     within 1e-6 over a 5x5 parameter grid; and the velocity shift is odd in
-    the impact parameter."""
+    the impact parameter, both for the numeric limits and in closed form."""
     spec = mink_model.Minkowski2DSpec(EPS)
     grid = 1.0 + np.linspace(0.2, 3.0, 25)
     pts = mink_model.hyperbola_curve(spec, 1.0, -1.0, grid)
     assert mink_model.hyperbola_residual(spec, 1.0, -1.0, pts) < 1e-12
 
-    worst = 0.0
-    for alpha in np.linspace(-0.6, 0.6, 5):
-        for beta in np.linspace(-2.0, 2.0, 5):
-            curve = mink_model.ScatteringCurveSpec(alpha, beta)
-            closed = mink_model.scattering_data(spec, curve)
-            numeric = mink_model.scattering_limits_numeric(spec, curve)
-            worst = max(worst, abs(closed[0] - numeric[0]), abs(closed[1] - numeric[1]))
+    alphas, betas = np.linspace(-0.6, 0.6, 5), np.linspace(-2.0, 2.0, 5)
+    worst, worst_odd = mink_model.scattering_check(spec, alphas, betas)
+    assert worst < 1e-6
+    assert worst_odd < 1e-12
+    for alpha in alphas:
+        for beta in betas:
+            closed = mink_model.scattering_data(spec, mink_model.ScatteringCurveSpec(alpha, beta))
             flip = mink_model.scattering_data(
                 spec, mink_model.ScatteringCurveSpec(alpha, -beta))
             shift = closed[1] - closed[0]
             assert abs(shift + (flip[1] - flip[0])) < 1e-12
-    assert worst < 1e-6
 
 
 def test_criterion_07_translation_deformation_witness():
@@ -209,14 +187,7 @@ def test_criterion_09_dual_path_dynamics():
     """The matrix form of the equations of motion agrees with the
     bracket-table Hamiltonian vector field at 100 random unimodular points
     within 1e-6."""
-    biv = sl2c_bivector(EPS)
-    H = free_hamiltonian_field(EPS, "trace")
-    worst = 0.0
-    for g in sample_unimodular(100, seed=31):
-        via_bracket = hamiltonian_vector_field(biv, H, g.real8)
-        via_matrix = real8_from_matrix(flow_rhs(g.matrix, EPS))
-        worst = max(worst, float(np.max(np.abs(via_bracket - via_matrix))))
-    assert worst < 1e-6
+    assert dual_path_deviation(EPS, n_points=100, seed=31) < 1e-6
 
 
 def test_criterion_10_cli_artifacts_are_deterministic(tmp_path):

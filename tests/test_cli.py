@@ -1,16 +1,23 @@
 """Scenario CLI: config validation, artifact writing, determinism, sweeps."""
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poismech.cli import load_config, main, validate_config
+from poismech import cli
+from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError
+from poismech.model import INT
 
 SU2_CFG = {
     "model": "su2",
@@ -42,6 +49,8 @@ def collect_files(out_dir):
 def test_unknown_model_rejected():
     with pytest.raises(ConfigError, match="model"):
         validate_config({"model": "heisenberg", "params": {"epsilon": 0.1}})
+    with pytest.raises(ConfigError, match="model"):
+        validate_config({"model": ["su2"], "params": {"epsilon": 0.1}})
 
 
 def test_missing_required_parameter_names_field():
@@ -211,7 +220,9 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
 
 @pytest.mark.parametrize("model, param, values", [
     ("minkowski2d", "epsilon", "nan,inf"),
+    ("minkowski2d", "epsilon", "0.1,1e-200"),  # shape constant -1/(eps m)^2 overflows
     ("kappa", "n_samples", "4"),
+    ("kappa", "n_samples", "28"),  # 7 samples in the tail window, the fit needs 8
 ])
 def test_sweep_values_pass_validation_before_any_row(tmp_path, capsys, model, param, values):
     cfg = write_cfg(tmp_path, {"model": model, "params": {"epsilon": 0.1},
@@ -296,3 +307,100 @@ def test_cli_import_is_lean():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.yaml")
+
+
+# --- certificate folds --------------------------------------------------------
+
+def _nan_pair(*_args):
+    return (math.nan, math.nan)
+
+
+# certificate -> (NaN-returning stand-ins for module attributes, checks folding them)
+_NAN_FOLDS = {
+    "su2_certificate": (
+        {"su2.flow_rhs": lambda m, eps: np.full((2, 2), np.nan),
+         "su2.pushforward_bivector": lambda *args: np.full((3, 3), np.nan),
+         "su2.casimir_radius_squared": lambda *args: math.nan},
+        ("dual_path_dynamics", "isomorphism_pushforward", "isomorphism_casimir"),
+    ),
+    "kappa_certificate": (
+        {"kappa.closed_form_speeds": _nan_pair}, ("projected_speed_closed_form",),
+    ),
+    "minkowski2d_certificate": (
+        {"minkowski2d.scattering_limits_numeric": _nan_pair}, ("scattering_match", "scattering_odd"),
+    ),
+}
+
+
+@pytest.mark.parametrize("certificate", sorted(_NAN_FOLDS))
+def test_certificate_checks_fail_on_non_finite_residual(monkeypatch, certificate):
+    """NaN in the residuals a check folds makes the check FAIL with a
+    non-finite value, instead of being dropped by the fold."""
+    fakes, checks = _NAN_FOLDS[certificate]
+    for target, fake in fakes.items():
+        module, attr = target.split(".")
+        monkeypatch.setattr(importlib.import_module(f"poismech.{module}"), attr, fake)
+    results = {c.name: c for c in getattr(cli, certificate)(0.2, 0, 5)}
+    for check in checks:
+        assert not results[check].passed, check
+        assert not math.isfinite(results[check].value), check
+
+
+# --- schema-drawn robustness ---------------------------------------------------
+
+_ODD_VALUES = [None, True, False, math.nan, math.inf, -math.inf, "x", [1.0], {"a": 1},
+               0, -1, 0.0, -0.5, 1e300, -1e300]
+
+
+def _raw_value(kind, bounded):
+    """Valid and out-of-range numbers, wrong types, bools, None, nan and +-inf.
+
+    ``bounded`` keeps drawn ints small, since a run allocates arrays of that
+    size; the odd values, 1e300 among them, are drawn either way."""
+    if bounded:
+        number = st.integers(-2, 70) if kind == INT else st.floats(-6.0, 6.0)
+    else:
+        number = st.one_of(st.integers(), st.floats())
+    return st.one_of(number, st.sampled_from(_ODD_VALUES))
+
+
+@st.composite
+def _raw_params(draw, bounded):
+    name = draw(st.sampled_from(sorted(MODELS)))
+    schema = MODELS[name].params
+    keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
+    return name, {key: draw(_raw_value(schema[key].kind, bounded)) for key in keys}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_raw_params(bounded=False))
+def test_schema_drawn_params_validate_or_name_the_field(drawn):
+    name, params = drawn
+    schema = MODELS[name].params
+    try:
+        config = validate_config({"model": name, "params": params})
+    except ConfigError as exc:
+        assert exc.path in {f"params.{key}" for key in schema}
+        return
+    for key, param in schema.items():
+        value = config.params[key]
+        assert type(value) is (int if param.kind == INT else float)
+        assert math.isfinite(value)
+        assert not param.positive or value > 0
+        assert param.minimum is None or value >= param.minimum
+
+
+# outputs that cost milliseconds at any drawn size
+_CHEAP_OUTPUTS = {"minkowski2d": ["trajectory", "scattering"], "kappa": ["trajectory"], "su2": []}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_raw_params(bounded=True), st.sampled_from(["csv", "json"]))
+def test_run_on_schema_drawn_configs_exits_cleanly(drawn, fmt):
+    """run exits 0, 1 or 2 on any drawn config; it never raises."""
+    name, params = drawn
+    cfg = {"model": name, "params": params, "outputs": _CHEAP_OUTPUTS[name]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(path), "--out", str(Path(tmp) / "out"), "--format", fmt]) in (0, 1, 2)

@@ -68,19 +68,10 @@ def test_velocity_ratio_tails_and_waist():
 
 
 def test_scattering_closed_form_matches_numeric_limits():
-    closed = scattering_data(SPEC, CURVE, velocity_map="tanh")
+    closed = scattering_data(SPEC, CURVE)
     numeric = scattering_limits_numeric(SPEC, CURVE)
     assert abs(closed[0] - numeric[0]) < 1e-10
     assert abs(closed[1] - numeric[1]) < 1e-10
-
-
-def test_tan_map_is_wrong_at_fourth_decimal():
-    """The incoming/outgoing speeds are hyperbolic tangents of the shifted
-    rapidity; the circular-tangent variant disagrees with the numeric limits
-    already in the fourth decimal at these parameters."""
-    numeric = scattering_limits_numeric(SPEC, CURVE)
-    tan_map = scattering_data(SPEC, CURVE, velocity_map="tan")
-    assert max(abs(tan_map[0] - numeric[0]), abs(tan_map[1] - numeric[1])) > 1e-3
 
 
 def test_scattering_values_at_zero_impact():
