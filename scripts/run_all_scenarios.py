@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run every YAML scenario in configs/ and, for each, one sweep (epsilon over
-0.1,0.2) and ``certify <model> --epsilon <config epsilon> --out``.
+0.1,0.2) and ``certify <model> --epsilon <config epsilon> --out``, once in
+each output format (csv under <out>/csv, json under <out>/json).
 
 Prints a one-line summary per run, the CLI's own output for the sweep and the
 certificate, and the sha256 of every file written (relative to --out), so two
 runs can be compared for byte identity of ``run``, ``sweep`` and ``certify``
-with one diff of their output."""
+in both formats with one diff of their output."""
 import argparse
 import hashlib
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 from poismech.cli import load_config, main as cli_main, run_scenario
 
 SWEEP_VALUES = "0.1,0.2"
+FORMATS = ("csv", "json")
 
 
 def print_digests(root: Path, sub: str) -> None:
@@ -28,7 +30,6 @@ def main():
     parser.add_argument("--configs", default=None,
                         help="directory of scenario YAMLs (default: configs/ next to this script)")
     parser.add_argument("--out", default="out/scenarios", help="output root")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
 
     cfg_dir = Path(args.configs) if args.configs else Path(__file__).resolve().parents[1] / "configs"
@@ -39,24 +40,27 @@ def main():
 
     root = Path(args.out)
     any_failed = False
-    for path in paths:
-        config = load_config(path)
-        manifest, ok = run_scenario(config, root / path.stem, args.format)
-        n_files = len(manifest["files"])
-        status = "ok" if ok else "CERTIFICATE FAILED"
-        print(f"{path.stem:<14} {config.model:<12} {n_files:>3} files  {status}")
-        print_digests(root, path.stem)
+    for fmt in FORMATS:
+        for path in paths:
+            config = load_config(path)
+            run = f"{fmt}/{path.stem}"
+            manifest, ok = run_scenario(config, root / run, fmt)
+            n_files = len(manifest["files"])
+            status = "ok" if ok else "CERTIFICATE FAILED"
+            print(f"{run:<19} {config.model:<12} {n_files:>3} files  {status}")
+            print_digests(root, run)
 
-        sweep = f"{path.stem}_sweep"
-        rc_sweep = cli_main(["sweep", str(path), "--param", "epsilon", "--values", SWEEP_VALUES,
-                             "--out", str(root / sweep), "--format", args.format])
-        print_digests(root, sweep)
+            sweep = f"{run}_sweep"
+            rc_sweep = cli_main(["sweep", str(path), "--param", "epsilon", "--values", SWEEP_VALUES,
+                                 "--out", str(root / sweep), "--format", fmt])
+            print_digests(root, sweep)
 
-        cert = f"{path.stem}_certify"
-        rc_cert = cli_main(["certify", config.model, "--epsilon", repr(config.params["epsilon"]),
-                            "--out", str(root / cert), "--format", args.format])
-        print_digests(root, cert)
-        any_failed = any_failed or not ok or rc_sweep != 0 or rc_cert != 0
+            cert = f"{run}_certify"
+            epsilon = f"--epsilon={config.params['epsilon']!r}"  # "=" keeps a negative value
+            rc_cert = cli_main(["certify", config.model, epsilon,
+                                "--out", str(root / cert), "--format", fmt])
+            print_digests(root, cert)
+            any_failed = any_failed or not ok or rc_sweep != 0 or rc_cert != 0
     return 1 if any_failed else 0
 
 

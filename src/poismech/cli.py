@@ -228,14 +228,17 @@ def scalar_summaries(config: ScenarioConfig) -> dict[str, Any]:
 # writers
 
 
-def _fmt_cell(value: Any) -> str:
+def _fmt_cell(name: str, value: Any) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    value = float(value)
+    if math.isinf(value):  # NaN is written as nan, as JSON writes it as null
+        raise ContractViolation(f"{name}: infinite value {value}; CSV, like JSON, has no infinity")
+    return format(value, ".17g")
 
 
 def _json_text(name: str, obj: Any) -> str:
@@ -250,7 +253,7 @@ def write_artifact(data: ArtifactData, out_dir: Path, fmt: str) -> list[str]:
     if fmt == "csv":
         fname = f"{data.name}.csv"
         lines = [",".join(data.columns)]
-        lines.extend(",".join(_fmt_cell(c) for c in row) for row in data.rows)
+        lines.extend(",".join(_fmt_cell(data.name, c) for c in row) for row in data.rows)
         (out_dir / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "json":
         fname = f"{data.name}.json"
@@ -449,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # certify, at the schema defaults
         model = MODELS[args.model]
         params = {name: param.default for name, param in model.params.items()}
-        params["epsilon"] = args.epsilon
+        params["epsilon"] = _check_real("epsilon", args.epsilon)
         checks = model.certificate(params, args.seed, args.points)
         for c in checks:
             status = "PASS" if c.passed else "FAIL"

@@ -38,30 +38,34 @@ class GeneratorField:
     subset: tuple[int, ...] | None = None  # scaled coordinate indices
 
     def value(self, x: np.ndarray) -> np.ndarray:
+        """The field at one point (n,) or at each point of a stack (..., n)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "translation":
             return np.broadcast_to(self.vector, x.shape).copy()
         if self.kind == "linear":
-            return self.matrix @ x
+            return (self.matrix @ x[..., None])[..., 0]
         out = np.zeros_like(x)
-        for k in self.subset:
-            out[k] = x[k]
+        out[..., self.subset] = x[..., self.subset]
         return out
 
-    def flow(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Exact time-t flow map applied to x."""
+    def flow(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Exact time-t flow map applied to one point (n,) or to a stack of
+        points (..., n); t is one time, or one time per point (x.shape[:-1])."""
         x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
         if self.kind == "translation":
-            return x + t * self.vector
+            return x + t[..., None] * self.vector
         if self.kind == "linear":
             # scipy is imported only here: no shipped model has a linear generator
             from scipy.linalg import expm
 
-            return expm(t * self.matrix) @ x
+            t = np.broadcast_to(t, x.shape[:-1])
+            out = np.empty_like(x)
+            for i in np.ndindex(t.shape):
+                out[i] = expm(t[i] * self.matrix) @ x[i]
+            return out
         out = x.copy()
-        s = np.exp(t)
-        for k in self.subset:
-            out[k] = s * out[k]
+        out[..., self.subset] = np.exp(t)[..., None] * x[..., self.subset]
         return out
 
 

@@ -44,29 +44,38 @@ def moment_pair(r: AbelianRSpec, x: np.ndarray, p: np.ndarray) -> tuple[float, f
     return moment_J0(x, p, r.X1), moment_J0(x, p, r.X2)
 
 
-def groupoid_projection(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """Left or right projected base point of the state (x, p)."""
+def _project(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
+    """Projected base points of the (N, n) stacks of states (x, p), with
+    every moment and both flows taken over the whole stack at once."""
     if side not in ("left", "right"):
         raise ContractViolation(f"side must be 'left' or 'right', got {side!r}")
-    J1, J2 = moment_pair(r, x, p)
+    J1 = np.einsum("ij,ij->i", p, r.X1.value(x))
+    J2 = np.einsum("ij,ij->i", p, r.X2.value(x))
     sgn = -1.0 if side == "left" else +1.0
     t1 = sgn * 0.5 * r.epsilon * J2
     t2 = -sgn * 0.5 * r.epsilon * J1
-    return r.X1.flow(t1, r.X2.flow(t2, np.asarray(x, dtype=float)))
+    return r.X1.flow(t1, r.X2.flow(t2, x))
+
+
+def groupoid_projection(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
+    """Left or right projected base point of the state (x, p)."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if x.shape != p.shape or x.shape != (r.dim,):
+        raise ContractViolation("projection needs x, p of the generators' dim")
+    return _project(r, x[None], p[None], side)[0]
 
 
 def project_trajectory(r: AbelianRSpec, traj: Trajectory, side: str) -> Trajectory:
-    """Pointwise projection of a phase-space trajectory (points = (x, p) rows)
-    to a base-space curve, preserving the sampling times."""
+    """Projection of a phase-space trajectory (points = (x, p) rows) to a
+    base-space curve, preserving the sampling times."""
     n = r.dim
     if traj.dim != 2 * n:
         raise ContractViolation(
             f"trajectory dim {traj.dim} is not twice the base dim {n}"
         )
-    out = np.empty((len(traj.times), n))
-    for i, row in enumerate(traj.points):
-        out[i] = groupoid_projection(r, row[:n], row[n:], side)
-    return Trajectory(traj.times.copy(), out)
+    x, p = traj.points[:, :n], traj.points[:, n:]
+    return Trajectory(traj.times.copy(), _project(r, x, p, side))
 
 
 def canonical_bivector(n: int, coord_names: tuple[str, ...] | None = None) -> BivectorSpec:

@@ -238,12 +238,16 @@ PARAMS = {
 }
 
 
+def _check_epsilon(epsilon: float, mass: float, field: str) -> None:
+    if epsilon != 0.0 and not 1e-150 <= abs(epsilon * mass) <= 1e150:
+        raise ConfigError(field, "|epsilon * mass| must lie in [1e-150, 1e150] "
+                          "(or epsilon be 0) for the shape constant -1/(epsilon mass)^2 to be a float")
+
+
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
-    if p["epsilon"] != 0.0 and not 1e-150 <= abs(p["epsilon"] * p["mass"]) <= 1e150:
-        raise ConfigError("params.epsilon", "|epsilon * mass| must lie in [1e-150, 1e150] "
-                          "(or epsilon be 0) for the shape constant -1/(epsilon mass)^2 to be a float")
+    _check_epsilon(p["epsilon"], p["mass"], "params.epsilon")
 
 
 def _spec(p: Params) -> Minkowski2DSpec:
@@ -331,7 +335,9 @@ def minkowski2d_certificate(
     mass: float = PARAMS["mass"].default,
 ) -> list[CertCheck]:
     """Jacobi checks of the plane and shifted brackets, the hyperbola shape
-    law, and the scattering match/odd checks over a 5x5 curve grid."""
+    law, and the scattering match/odd checks over a 5x5 curve grid.  An
+    epsilon outside the range ``run`` accepts is a ``ConfigError``."""
+    _check_epsilon(epsilon, mass, "epsilon")
     spec = Minkowski2DSpec(epsilon, mass)
     X1, X2 = scaling([0], 2), scaling([1], 2)
     shifted = add_bivectors(canonical_bivector(2), cotangent_wedge(epsilon, X1, X2))

@@ -459,11 +459,22 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     worst deviation of the measured unitary angular velocity from its
     closed-form value, and the endpoint distance to the closed-form flow.
     """
+    return _diagnostics(traj, epsilon, *_split(traj))
+
+
+def _split(traj: Trajectory) -> tuple[np.ndarray, list[tuple[SU2Element, SB2Element]]]:
+    """The 2x2 matrix of every sample and its Iwasawa factors."""
     mats = np.array([matrix_from_real8(p) for p in traj.points])
+    return mats, [iwasawa(SL2CElement.from_matrix(m)) for m in mats]
+
+
+def _diagnostics(
+    traj: Trajectory, epsilon: float, mats: np.ndarray, factors: list[tuple[SU2Element, SB2Element]]
+) -> dict:
+    """:func:`flow_diagnostics` from the output of :func:`_split`."""
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     det_residual = float(np.max(np.abs(dets - 1.0)))
 
-    factors = [iwasawa(SL2CElement.from_matrix(m)) for m in mats]
     b0 = factors[0][1]
     rho_drift = max(abs(b.rho - b0.rho) for _, b in factors)
     n_drift = max(abs(b.n - b0.n) for _, b in factors)
@@ -828,13 +839,12 @@ def _flow(p: Params) -> tuple[Trajectory, int]:
 def _trajectory(p: Params) -> ArtifactData:
     traj, n_renorm = _flow(p)
     energy = free_hamiltonian_field(p["epsilon"], kind="trace")
+    mats, factors = _split(traj)
     rows = []
-    for t, pt in zip(traj.times, traj.points):
-        m = matrix_from_real8(pt)
+    for t, pt, m, (_, b) in zip(traj.times, traj.points, mats, factors):
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        _, b = iwasawa(SL2CElement.from_matrix(m))
         rows.append((t, *pt, b.rho, b.n.real, b.n.imag, energy(pt), abs(det - 1.0)))
-    diag = flow_diagnostics(traj, p["epsilon"])
+    diag = _diagnostics(traj, p["epsilon"], mats, factors)
     diag["renormalizations"] = n_renorm
     diag["h_drift"] = traj.h_drift
     cols = ("t",) + GROUP_COORD_NAMES + ("rho", "n_re", "n_im", "H", "det_residual")

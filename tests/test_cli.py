@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from poismech import cli
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError
-from poismech.model import INT
+from poismech.model import INT, ArtifactData
 
 SU2_CFG = {
     "model": "su2",
@@ -162,6 +162,33 @@ def test_json_format(tmp_path):
     assert len(data["rows"][0]) == len(data["columns"])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_infinite_cell_is_an_error_in_both_formats(tmp_path, capsys, fmt):
+    """exp(alpha) overflows on the scattering curve, so a q column holds an
+    infinity, which neither format can carry; the run exits 1 naming the
+    artifact and writes no artifact file."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.2, "alpha": 800},
+                               "outputs": ["scattering"]})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["run", str(cfg), "--out", str(out), "--format", fmt])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("error: scattering:")
+    assert collect_files(out) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nan_cell_is_written(tmp_path, fmt):
+    """NaN stays a value: nan in CSV, null in JSON."""
+    data = ArtifactData("probe", ("a", "b"), [(1.0, math.nan)], {})
+    written = cli.write_artifact(data, tmp_path, fmt)
+    text = (tmp_path / written[0]).read_text()
+    if fmt == "csv":
+        assert text == "a,b\n1,nan\n"
+    else:
+        assert json.loads(text)["rows"] == [[1.0, None]]
+
+
 def test_empty_outputs_allowed(tmp_path):
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2},
                                "outputs": []})
@@ -290,6 +317,36 @@ def test_certify_kappa_past_projection_pole_is_config_error(epsilon, tmp_path, c
     assert text.startswith("config error: epsilon:")
     assert "FAIL" not in text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_certify_non_finite_epsilon_is_config_error(model, epsilon, capsys):
+    rc = main(["certify", model, f"--epsilon={epsilon}", "--points", "2"])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith("config error: epsilon:")
+    assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("epsilon", ["1e-200", "-1e-200", "1e200"])
+def test_certify_minkowski2d_epsilon_outside_run_range_is_config_error(epsilon, capsys):
+    """The same |epsilon * mass| range as run: outside it the shape constant
+    -1/(epsilon mass)^2 is not a float."""
+    rc = main(["certify", "minkowski2d", f"--epsilon={epsilon}", "--points", "2"])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith("config error: epsilon:")
+
+
+def test_certify_kappa_ignores_config_momenta_poles(capsys):
+    """At epsilon 1.2 the default config momentum p_max = 2 sits past the
+    right pole, but certify checks momenta 0.5, 1.0, 1.5 only."""
+    with pytest.raises(ConfigError, match=r"params\.p_max"):
+        validate_config({"model": "kappa", "params": {"epsilon": 1.2}})
+    rc = main(["certify", "kappa", "--epsilon", "1.2", "--points", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("certificates: PASS\n")
 
 
 def test_cli_import_is_lean():

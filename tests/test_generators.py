@@ -6,6 +6,7 @@ from scipy.linalg import expm
 from poismech.errors import ContractViolation
 from poismech.generators import (
     AbelianRSpec,
+    GeneratorField,
     commutation_defect,
     cotangent_lift,
     linear,
@@ -15,11 +16,24 @@ from poismech.generators import (
 )
 
 
+def _check_stacks(X: GeneratorField) -> None:
+    """value and flow on a (4, n) stack, with one time or a time per row,
+    equal the same calls made row by row, bit for bit."""
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-2.0, 2.0, (4, X.dim))
+    ts = rng.uniform(-1.0, 1.0, 4)
+    np.testing.assert_array_equal(X.value(xs), [X.value(x) for x in xs])
+    np.testing.assert_array_equal(X.flow(ts, xs), [X.flow(t, x) for t, x in zip(ts, xs)])
+    np.testing.assert_array_equal(X.flow(0.7, xs), [X.flow(0.7, x) for x in xs])
+    assert X.flow(ts, xs).shape == xs.shape
+
+
 def test_translation_flow():
     X = translation([1.0, -2.0])
     x = np.array([0.5, 0.5])
     np.testing.assert_allclose(X.flow(0.3, x), [0.8, -0.1], atol=1e-15)
     np.testing.assert_allclose(X.value(x), [1.0, -2.0], atol=0)
+    _check_stacks(X)
 
 
 def test_linear_flow_matches_expm():
@@ -28,6 +42,7 @@ def test_linear_flow_matches_expm():
     x = np.array([1.0, 2.0])
     for t in (0.5, -1.3):
         np.testing.assert_allclose(X.flow(t, x), expm(t * L) @ x, atol=1e-13)
+    _check_stacks(X)
 
 
 def test_scaling_flow_hits_subset_only():
@@ -36,6 +51,8 @@ def test_scaling_flow_hits_subset_only():
     got = X.flow(0.1, x)
     np.testing.assert_allclose(got, [2.0, 3.0 * np.exp(0.1), 4.0], atol=1e-14)
     np.testing.assert_allclose(X.value(x), [0.0, 3.0, 0.0], atol=0)
+    _check_stacks(X)
+    _check_stacks(scaling([0, 2], 3))
 
 
 def test_commutation_defect():

@@ -7,8 +7,8 @@ from scipy.linalg import expm
 from poismech.bracket import ScalarField, add_bivectors, coordinate_field, eval_bracket, pushforward_bivector
 from poismech.errors import ContractViolation
 from poismech.fitting import collinearity_residual, fit_axis_hyperbola, windowed_shape_constants
-from poismech.flow import StepControl, integrate_flow
-from poismech.generators import AbelianRSpec, scaling, translation
+from poismech.flow import StepControl, Trajectory, integrate_flow
+from poismech.generators import AbelianRSpec, linear, scaling, translation
 from poismech.groupoid import (
     canonical_bivector,
     cotangent_wedge,
@@ -17,6 +17,8 @@ from poismech.groupoid import (
     project_trajectory,
     shifted_bracket,
 )
+from poismech.kappa import KappaSpec, free_shell_trajectory, kappa_rspec
+from poismech.minkowski2d import Minkowski2DSpec, minkowski2d_rspec
 
 EPS = 0.2
 R_SCALING = AbelianRSpec(EPS, scaling([0], 2), scaling([1], 2))
@@ -59,6 +61,8 @@ def test_left_right_related_by_sign_flip():
         np.testing.assert_array_equal(groupoid_projection(flipped, x, p, "left"), right)
     with pytest.raises(ContractViolation):
         groupoid_projection(R_SCALING, x, p, "middle")
+    with pytest.raises(ContractViolation):
+        project_trajectory(R_SCALING, Trajectory(np.array([0.0, 1.0]), np.ones((2, 4))), "middle")
 
 
 def test_pushforward_of_canonical_is_deformed_product_bracket():
@@ -113,6 +117,55 @@ FREE_H = ScalarField(fn=lambda s: s[2] * s[3],
 MOMENT_H = ScalarField(fn=lambda s: s[2] * s[0] - s[3] * s[1],
                        grad=lambda s: np.array([s[2], -s[3], s[0], -s[1]]))
 START = np.array([1.0, 1.0, 0.35, -0.8])
+
+
+def _per_point_projection(r, traj, side):
+    """Reference: one point at a time, moments as p @ X(x), then the flows."""
+    n = r.dim
+    sgn = -1.0 if side == "left" else +1.0
+    out = np.empty((len(traj.times), n))
+    for i, row in enumerate(traj.points):
+        x, p = row[:n], row[n:]
+        J1, J2 = float(p @ r.X1.value(x)), float(p @ r.X2.value(x))
+        t1, t2 = sgn * 0.5 * r.epsilon * J2, -sgn * 0.5 * r.epsilon * J1
+        out[i] = r.X1.flow(t1, r.X2.flow(t2, x))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.3, -0.3])
+@pytest.mark.parametrize("spatial_dim", [1, 2, 3])
+def test_project_trajectory_matches_per_point_loop_on_kappa_shells(spatial_dim, eps):
+    spec = KappaSpec(eps, spatial_dim)
+    pvec = np.zeros(spatial_dim)
+    pvec[0] = 1.3
+    traj = free_shell_trajectory(spec, 1.0, pvec, 3.0, 64)
+    r = kappa_rspec(spec)
+    for side in ("left", "right"):
+        got = project_trajectory(r, traj, side)
+        np.testing.assert_array_equal(got.points, _per_point_projection(r, traj, side))
+        np.testing.assert_array_equal(got.times, traj.times)
+
+
+def test_project_trajectory_matches_per_point_loop_on_minkowski2d_flow():
+    traj = integrate_flow(canonical_bivector(2), MOMENT_H, START, 4.0,
+                          StepControl(h=1e-2, tol=1e-8))
+    r = minkowski2d_rspec(Minkowski2DSpec(0.37))
+    for side in ("left", "right"):
+        got = project_trajectory(r, traj, side).points
+        np.testing.assert_array_equal(got, _per_point_projection(r, traj, side))
+        for row, q in zip(traj.points[::50], got[::50]):
+            np.testing.assert_array_equal(groupoid_projection(r, row[:2], row[2:], side), q)
+
+
+def test_project_trajectory_with_linear_generators():
+    """Commuting linear pair (a rotation and the identity): several terms per
+    moment, one matrix exponential per row."""
+    r = AbelianRSpec(0.4, linear(np.array([[0.0, -1.0], [1.0, 0.0]])), linear(np.eye(2)))
+    rng = np.random.default_rng(5)
+    traj = Trajectory(np.arange(20.0), rng.uniform(-1.0, 1.0, (20, 4)))
+    for side in ("left", "right"):
+        got = project_trajectory(r, traj, side).points
+        np.testing.assert_allclose(got, _per_point_projection(r, traj, side), rtol=0, atol=1e-13)
 
 
 @pytest.mark.xfail(reason="the left projection of the p+p- flow is not a "

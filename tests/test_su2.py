@@ -206,6 +206,26 @@ def test_free_flow_conserves_its_invariants():
     assert traj.h_drift < 1e-10
 
 
+def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
+    """The rho/n columns and the flow diagnostics share one Iwasawa split per
+    sample, and the diagnostics equal those of flow_diagnostics."""
+    calls = []
+
+    def counting(g):
+        calls.append(1)
+        return iwasawa(g)
+
+    monkeypatch.setattr(su2, "iwasawa", counting)
+    params = {name: p.default for name, p in su2.PARAMS.items()}
+    params.update(epsilon=0.2, t_end=0.1)
+    data = su2.MODEL.artifacts["trajectory"](params)
+    assert len(data.rows) == 101
+    assert len(calls) == len(data.rows)
+    traj, _ = su2._flow(params)
+    want = flow_diagnostics(traj, 0.2)
+    assert {k: data.summary[k] for k in want} == want
+
+
 def test_body_velocity_is_tracefree_and_flow_closed_form_unimodular():
     rng = np.random.default_rng(13)
     for _ in range(5):
