@@ -44,8 +44,6 @@ from .groupoid import (
     canonical_bivector,
     cotangent_wedge,
     groupoid_projection,
-    moment_J0,
-    moment_pair,
     project_trajectory,
     shifted_bracket,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "canonical_bivector",
     "cotangent_wedge",
     "groupoid_projection",
-    "moment_J0",
-    "moment_pair",
     "project_trajectory",
     "shifted_bracket",
 ]

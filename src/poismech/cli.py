@@ -161,10 +161,15 @@ def validate_config(raw: Any) -> ScenarioConfig:
     return ScenarioConfig(model=name, params=params, outputs=tuple(outputs), seed=seed)
 
 
+# libyaml's parser where it is installed; the resolver and the safe
+# constructor are PyYAML's own either way, so both give equal objects
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -195,21 +200,18 @@ def _py(obj):
 
 
 def _certificate_artifact(checks: list[CertCheck]) -> ArtifactData:
-    rows = [
-        (c.name, c.value, c.threshold, "pass" if c.passed else "fail", c.note)
-        for c in checks
-    ]
+    columns = {
+        "check": [c.name for c in checks],
+        "value": [c.value for c in checks],
+        "threshold": [c.threshold for c in checks],
+        "status": ["pass" if c.passed else "fail" for c in checks],
+        "note": [c.note for c in checks],
+    }
     summary = {
         "passed": all(c.passed for c in checks),
         "checks": {c.name: c.value for c in checks},
     }
-    return ArtifactData(
-        "certificate",
-        ("check", "value", "threshold", "status", "note"),
-        rows,
-        summary,
-        checks=checks,
-    )
+    return ArtifactData("certificate", columns, summary, checks=checks)
 
 
 def build_artifact(config: ScenarioConfig, name: str) -> ArtifactData:
@@ -229,6 +231,7 @@ def scalar_summaries(config: ScenarioConfig) -> dict[str, Any]:
 
 
 def _fmt_cell(name: str, value: Any) -> str:
+    """One cell of a column that is not a float array."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -241,9 +244,49 @@ def _fmt_cell(name: str, value: Any) -> str:
     return format(value, ".17g")
 
 
+def _csv_text(data: ArtifactData) -> str:
+    """A float column is checked for infinities once and written by
+    ``%.17g``, which gives the bytes of ``format(v, ".17g")``; any other
+    column goes through :func:`_fmt_cell`."""
+    cells, fields = [], []
+    for col in data.columns.values():
+        if isinstance(col, np.ndarray):
+            inf = np.isinf(col)
+            if inf.any():  # NaN is written as nan, as JSON writes it as null
+                value = col[inf][0]
+                raise ContractViolation(
+                    f"{data.name}: infinite value {value}; CSV, like JSON, has no infinity"
+                )
+            cells.append(col.tolist())
+            fields.append("%.17g")
+        else:
+            cells.append([_fmt_cell(data.name, v) for v in col])
+            fields.append("%s")
+    row = ",".join(fields)
+    lines = [",".join(data.columns)]
+    lines.extend(row % cell for cell in zip(*cells))
+    return "\n".join(lines) + "\n"
+
+
+def _json_rows(data: ArtifactData) -> list[tuple]:
+    """Rows of plain python values (the encoder writes a tuple as a list);
+    NaN becomes None, as in :func:`_py`."""
+    cells = []
+    for col in data.columns.values():
+        if isinstance(col, np.ndarray):
+            values = col.tolist()
+            for i in np.flatnonzero(np.isnan(col)).tolist():
+                values[i] = None
+        else:
+            values = [_py(v) for v in col]
+        cells.append(values)
+    return list(zip(*cells))
+
+
 def _json_text(name: str, obj: Any) -> str:
+    """``obj`` holds only plain python values (see :func:`_py`)."""
     try:
-        return json.dumps(_py(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # JSON has no infinity
         raise ContractViolation(f"{name}: {exc}") from exc
 
@@ -252,16 +295,15 @@ def write_artifact(data: ArtifactData, out_dir: Path, fmt: str) -> list[str]:
     """Write one artifact; returns the filenames created."""
     if fmt == "csv":
         fname = f"{data.name}.csv"
-        lines = [",".join(data.columns)]
-        lines.extend(",".join(_fmt_cell(data.name, c) for c in row) for row in data.rows)
-        (out_dir / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = _csv_text(data)
     elif fmt == "json":
         fname = f"{data.name}.json"
-        payload = {"columns": list(data.columns), "rows": [list(r) for r in data.rows],
-                   "summary": data.summary}
-        (out_dir / fname).write_text(_json_text(data.name, payload), encoding="utf-8")
+        payload = {"columns": list(data.columns), "rows": _json_rows(data),
+                   "summary": _py(data.summary)}
+        text = _json_text(data.name, payload)
     else:
         raise ContractViolation(f"format must be 'csv' or 'json', got {fmt!r}")
+    (out_dir / fname).write_text(text, encoding="utf-8")
     return [fname]
 
 
@@ -274,7 +316,7 @@ def write_manifest(out_dir: Path, manifest: dict) -> None:
     if stray:
         manifest = dict(manifest)
         manifest["unmanaged_files"] = sorted(stray)
-    (out_dir / "manifest.json").write_text(_json_text("manifest", manifest), encoding="utf-8")
+    (out_dir / "manifest.json").write_text(_json_text("manifest", _py(manifest)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +390,12 @@ def sweep_scenario(
         if row is not None:
             keys = list(row.keys())
             break
-    columns = (param, *keys, "status")
-    rows = []
-    all_ok = True
-    for value, (row, status) in zip(values, results):
-        if row is None:
-            all_ok = False
-            rows.append((value, *(math.nan,) * len(keys), status))
-        else:
-            rows.append((value, *(row[k] for k in keys), status))
-    data = ArtifactData("sweep", columns, rows, {"parameter": param, "n_values": len(values)})
+    columns = {param: list(values)}
+    for k in keys:  # a failed row holds NaN
+        columns[k] = [math.nan if row is None else row[k] for row, _ in results]
+    columns["status"] = [status for _, status in results]
+    all_ok = all(row is not None for row, _ in results)
+    data = ArtifactData("sweep", columns, {"parameter": param, "n_values": len(values)})
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = write_artifact(data, out_dir, fmt)

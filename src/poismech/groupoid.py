@@ -21,27 +21,12 @@ from .flow import Trajectory
 from .generators import AbelianRSpec, GeneratorField, cotangent_lift, wedge_bivector
 
 __all__ = [
-    "moment_J0",
-    "moment_pair",
     "groupoid_projection",
     "project_trajectory",
     "canonical_bivector",
     "shifted_bracket",
     "cotangent_wedge",
 ]
-
-
-def moment_J0(x: np.ndarray, p: np.ndarray, X: GeneratorField) -> float:
-    """<p, X(x)> — the canonical moment of the generator X at (x, p)."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if x.shape != p.shape or x.shape != (X.dim,):
-        raise ContractViolation("moment needs x, p of the generator's dim")
-    return float(p @ X.value(x))
-
-
-def moment_pair(r: AbelianRSpec, x: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    return moment_J0(x, p, r.X1), moment_J0(x, p, r.X2)
 
 
 def _project(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:

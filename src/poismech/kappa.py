@@ -17,6 +17,8 @@ the sweep row.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,9 +241,24 @@ def _spec(p: Params) -> KappaSpec:
     return KappaSpec(p["epsilon"], p["spatial_dim"])
 
 
+_LOG_SQRT_DBL_MAX = 0.5 * math.log(sys.float_info.max)
+
+
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
+    # the projections scale the shell by exp(-+(eps/2) p0), p0 = sqrt(mass^2 + p^2),
+    # and a speed is measured through its square, so exp(|eps| p0 / 2) must
+    # stay below sqrt(DBL_MAX); the largest momentum sets p0
+    q = "p_max" if p["p_max"] >= p["p"] else "p"
+    exponent = 0.5 * abs(p["epsilon"]) * math.hypot(p["mass"], p[q])
+    if not exponent < _LOG_SQRT_DBL_MAX:
+        raise ConfigError(
+            f"params.{q}" if p[q] > p["mass"] else "params.mass",
+            f"the projected speeds scale like exp(|epsilon| sqrt(mass^2 + {q}^2) / 2), whose "
+            f"square overflows a float: the exponent is {exponent:.6g}, above "
+            f"log(DBL_MAX) / 2 = {_LOG_SQRT_DBL_MAX:.6g}",
+        )
     # one projection's speed has a pole where the shell energy
     # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)
     spec = _spec(p)
@@ -266,15 +283,15 @@ def _trajectory(p: Params) -> ArtifactData:
     spec = _spec(p)
     traj = _shell(p, spec)
     d = spec.dim
-    cols = ("t",) + spec.coord_names + tuple(f"p{k}" for k in range(d))
-    rows = [(t, *row) for t, row in zip(traj.times, traj.points)]
+    names = spec.coord_names + tuple(f"p{k}" for k in range(d))
+    columns = {"t": traj.times, **dict(zip(names, traj.points.T))}
     mom = traj.points[0, d:]
     energy = mom[0] ** 2 - float(mom[1:] @ mom[1:])
     summary = {
         "speed_ordinary": _speed_of_curve(Trajectory(traj.times, traj.points[:, :d])),
         "mass_shell_residual": abs(energy - p["mass"] ** 2),
     }
-    return ArtifactData("trajectory", cols, rows, summary)
+    return ArtifactData("trajectory", columns, summary)
 
 
 def _projection(p: Params) -> ArtifactData:
@@ -283,12 +300,11 @@ def _projection(p: Params) -> ArtifactData:
     traj = _shell(p, spec)
     left = project_trajectory(r, traj, "left")
     right = project_trajectory(r, traj, "right")
-    cols = (
-        ("t",)
-        + tuple(f"left_{n}" for n in spec.coord_names)
-        + tuple(f"right_{n}" for n in spec.coord_names)
-    )
-    rows = [(t, *l, *q) for t, l, q in zip(traj.times, left.points, right.points)]
+    columns = {
+        "t": traj.times,
+        **{f"left_{n}": col for n, col in zip(spec.coord_names, left.points.T)},
+        **{f"right_{n}": col for n, col in zip(spec.coord_names, right.points.T)},
+    }
     measured = (_speed_of_curve(left), _speed_of_curve(right))
     closed = closed_form_speeds(spec, p["mass"], p["p"])
     summary = {
@@ -298,7 +314,7 @@ def _projection(p: Params) -> ArtifactData:
         "v_right": measured[1],
         "closed_form_dev": float(np.max(np.abs(np.subtract(measured, closed)))),
     }
-    return ArtifactData("projection", cols, rows, summary)
+    return ArtifactData("projection", columns, summary)
 
 
 def _profiles(p: Params, spec: KappaSpec, kinds: tuple[str, ...]) -> dict[str, dict]:
@@ -309,9 +325,9 @@ def _profiles(p: Params, spec: KappaSpec, kinds: tuple[str, ...]) -> dict[str, d
 
 def _profile(p: Params) -> ArtifactData:
     prof = _profiles(p, _spec(p), ("ordinary", "left", "right"))
-    rows = list(zip(prof["ordinary"]["p"], *(prof[k]["v"] for k in ("ordinary", "left", "right"))))
+    columns = {"p": prof["ordinary"]["p"], **{f"v_{k}": prof[k]["v"] for k in prof}}
     summary = {f"verdict_{k}": prof[k]["verdict"] for k in prof}
-    return ArtifactData("profile", ("p", "v_ordinary", "v_left", "v_right"), rows, summary)
+    return ArtifactData("profile", columns, summary)
 
 
 def kappa_certificate(

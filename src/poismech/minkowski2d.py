@@ -273,16 +273,17 @@ def _shape(p: Params) -> tuple[np.ndarray, str, float]:
 def _trajectory(p: Params) -> ArtifactData:
     pts, kind, res = _shape(p)
     summary = {"kind": kind, "shape_residual": res}
-    return ArtifactData("trajectory", COORD_NAMES, [tuple(row) for row in pts], summary)
+    return ArtifactData("trajectory", dict(zip(COORD_NAMES, pts.T)), summary)
 
 
 def _scattering(p: Params) -> ArtifactData:
     spec, curve = _spec(p), _curve(p)
-    rows = []
-    for pv in np.linspace(p["p_min"], p["p_max"], p["n_samples"]):
-        q = parametric_trajectory_2d(spec, curve, np.array([pv]))[0]
-        v = (q[1] - q[2]) / (q[1] + q[2]) if q[1] + q[2] != 0 else math.nan
-        rows.append((q[0], q[1], q[2], v))
+    q = np.array([
+        parametric_trajectory_2d(spec, curve, np.array([pv]))[0]
+        for pv in np.linspace(p["p_min"], p["p_max"], p["n_samples"])
+    ])
+    qp, qm = q[:, 1], q[:, 2]
+    v = np.divide(qp - qm, qp + qm, out=np.full(len(q), math.nan), where=qp + qm != 0)
     closed, numeric, mismatch = scattering_match(spec, curve)
     summary = {
         "v_in_closed": closed[0],
@@ -292,7 +293,8 @@ def _scattering(p: Params) -> ArtifactData:
         "closed_vs_numeric": float(np.max(mismatch)),
         "odd_defect": scattering_odd_defect(spec, curve, numeric),
     }
-    return ArtifactData("scattering", ("p", "q_plus", "q_minus", "v"), rows, summary)
+    columns = {"p": q[:, 0], "q_plus": qp, "q_minus": qm, "v": v}
+    return ArtifactData("scattering", columns, summary)
 
 
 def _moment_hamiltonian() -> ScalarField:
@@ -310,10 +312,6 @@ def _projection(p: Params) -> ArtifactData:
     traj = integrate_flow(canonical_bivector(2), _moment_hamiltonian(), phase0, p["t_end"], step)
     left = project_trajectory(r, traj, "left")
     right = project_trajectory(r, traj, "right")
-    rows = [
-        (t, l[0], l[1], q[0], q[1])
-        for t, l, q in zip(traj.times, left.points, right.points)
-    ]
 
     def spread(curve: Trajectory) -> float:
         prod = curve.points[:, 0] * curve.points[:, 1]
@@ -324,8 +322,14 @@ def _projection(p: Params) -> ArtifactData:
         "product_spread_right": spread(right),
         "h_drift": traj.h_drift,
     }
-    cols = ("t", "left_x_plus", "left_x_minus", "right_x_plus", "right_x_minus")
-    return ArtifactData("projection", cols, rows, summary)
+    columns = {
+        "t": traj.times,
+        "left_x_plus": left.points[:, 0],
+        "left_x_minus": left.points[:, 1],
+        "right_x_plus": right.points[:, 0],
+        "right_x_minus": right.points[:, 1],
+    }
+    return ArtifactData("projection", columns, summary)
 
 
 def minkowski2d_certificate(

@@ -9,7 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
+import numpy as np
+
 from .bracket import BivectorSpec, jacobi_certificate
+from .errors import ContractViolation
 
 REAL = "real"
 INT = "int"
@@ -41,11 +44,34 @@ class CertCheck:
 
 @dataclass
 class ArtifactData:
+    """One artifact as columns: ``columns`` maps each column name, in order,
+    to its values.  A float column is a 1-D ``float64`` array; a sequence
+    whose every value is a float becomes one.  Any other column (str, int,
+    bool, or ints or strings mixed with NaN) stays a plain list.  All columns
+    have the same length."""
+
     name: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
+    columns: Mapping[str, Any]
     summary: dict
     checks: list[CertCheck] | None = None
+
+    def __post_init__(self):
+        columns = {}
+        for key, col in self.columns.items():
+            if not isinstance(col, np.ndarray):
+                col = list(col)
+                if all(isinstance(v, float) for v in col):
+                    col = np.array(col, dtype=np.float64)
+            elif col.ndim != 1 or col.dtype != np.float64:
+                raise ContractViolation(
+                    f"{self.name}: column {key!r} is a {col.ndim}-D {col.dtype} array; "
+                    "an array column must be 1-D float64"
+                )
+            columns[key] = col
+        lengths = {key: len(col) for key, col in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ContractViolation(f"{self.name}: columns differ in length: {lengths}")
+        self.columns = columns
 
 
 class Model(NamedTuple):

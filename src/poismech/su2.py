@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .bracket import BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
-from .errors import ContractViolation, NumericDomainError
+from .errors import ConfigError, ContractViolation, NumericDomainError
 from .fitting import central_derivative
 from .flow import StepControl, Trajectory, integrate_flow
 from .model import (
@@ -840,15 +840,19 @@ def _trajectory(p: Params) -> ArtifactData:
     traj, n_renorm = _flow(p)
     energy = free_hamiltonian_field(p["epsilon"], kind="trace")
     mats, factors = _split(traj)
-    rows = []
-    for t, pt, m, (_, b) in zip(traj.times, traj.points, mats, factors):
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        rows.append((t, *pt, b.rho, b.n.real, b.n.imag, energy(pt), abs(det - 1.0)))
+    columns = {
+        "t": traj.times,
+        **dict(zip(GROUP_COORD_NAMES, traj.points.T)),
+        "rho": [b.rho for _, b in factors],
+        "n_re": [b.n.real for _, b in factors],
+        "n_im": [b.n.imag for _, b in factors],
+        "H": [energy(pt) for pt in traj.points],
+        "det_residual": [abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) for m in mats],
+    }
     diag = _diagnostics(traj, p["epsilon"], mats, factors)
     diag["renormalizations"] = n_renorm
     diag["h_drift"] = traj.h_drift
-    cols = ("t",) + GROUP_COORD_NAMES + ("rho", "n_re", "n_im", "H", "det_residual")
-    return ArtifactData("trajectory", cols, rows, diag)
+    return ArtifactData("trajectory", columns, diag)
 
 
 def su2_certificate(
@@ -861,7 +865,16 @@ def su2_certificate(
 ) -> list[CertCheck]:
     """Jacobi checks of the three shipped brackets, conservation along the
     free flow from ``SB2Element(rho, n_re + i n_im)`` to t = 1, the energy
-    pipeline, the dual-path dynamics and the momentum isomorphism."""
+    pipeline, the dual-path dynamics and the momentum isomorphism.  An
+    epsilon at which the momentum isomorphism overflows a float is a
+    ``ConfigError``, found before the flow runs."""
+    try:
+        push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
+    except OverflowError as exc:
+        raise ConfigError(
+            "epsilon", f"the momentum isomorphism overflows a float at epsilon = {epsilon} ({exc})"
+        ) from exc
+
     # conservation along the flow, against the closed-form solution (t = 1)
     traj, _ = free_flow(_start(rho, n_re, n_im), epsilon, 1.0, step=StepControl(h=1e-3, tol=1e-8))
     diag = flow_diagnostics(traj, epsilon)
@@ -877,7 +890,6 @@ def su2_certificate(
     pipeline = float(np.max([abs(float(energy(x)) - expected) for x in traj.points]))
 
     dual = dual_path_deviation(epsilon, n_points, seed + 3)
-    push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
     return [
         jacobi_check("jacobi_group", sl2c_bivector(epsilon), n_points, seed),
         jacobi_check("jacobi_momentum", momentum_bivector(epsilon), n_points, seed + 1),

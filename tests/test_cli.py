@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from poismech import cli
 from poismech.cli import MODELS, load_config, main, validate_config
-from poismech.errors import ConfigError
+from poismech.errors import ConfigError, ContractViolation
 from poismech.model import INT, ArtifactData
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 SU2_CFG = {
     "model": "su2",
@@ -84,6 +86,31 @@ def test_kappa_momenta_past_projection_pole_rejected(epsilon):
                                                   "p_min": 0.2}})
 
 
+@pytest.mark.parametrize("params, field", [
+    ({"mass": 1.0e4}, "params.mass"),
+    ({"mass": 1.0e200}, "params.mass"),
+    ({"p_max": 4.0e3}, "params.p_max"),
+    ({"p": 4.0e3, "p_max": 5.0}, "params.p"),
+], ids=["mass_1e4", "mass_1e200", "p_max", "p"])
+def test_kappa_projection_flow_overflow_rejected(params, field):
+    """The projections scale the shell by exp(-+(eps/2) sqrt(mass^2 + p^2)),
+    and a speed is measured through its square: past log(DBL_MAX) / 2 in the
+    exponent that square overflows.  The larger of mass and momentum is named."""
+    with pytest.raises(ConfigError, match=rf"{field}\b.*overflows"):
+        validate_config({"model": "kappa", "params": {"epsilon": 0.2, **params}})
+
+
+def test_kappa_config_just_inside_the_overflow_bound_runs(tmp_path):
+    exponent = 0.995 * 0.5 * math.log(sys.float_info.max)  # |eps| p0 / 2, just inside
+    mass = math.sqrt((exponent / 0.1) ** 2 - 2.0**2)  # at epsilon 0.2 and p_max 2
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.2, "mass": mass},
+                               "outputs": ["trajectory", "projection", "profile"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    profile = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(profile)) and np.all(profile > 0)
+
+
 def test_unknown_output_and_duplicates_rejected():
     with pytest.raises(ConfigError, match=r"outputs\[1\]"):
         validate_config({"model": "su2", "params": {"epsilon": 0.2},
@@ -103,6 +130,44 @@ def test_invalid_yaml_exits_with_usage_error(tmp_path, capsys):
     bad.write_text("model: [unclosed\n")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    "model: [unclosed\n",  # a flow sequence that never closes
+    "model: su2\nparams:\n\tepsilon: 0.2\n",  # a tab indent
+])
+def test_malformed_yaml_is_a_config_error_naming_the_path(tmp_path, text):
+    bad = tmp_path / "broken.yaml"
+    bad.write_text(text)
+    with pytest.raises(ConfigError, match="not parseable") as info:
+        load_config(bad)
+    assert info.value.path == str(bad)
+
+
+def _reference_load(path):
+    """PyYAML's pure-Python safe loader, then the same validation."""
+    text = Path(path).read_text(encoding="utf-8")
+    return validate_config(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_parse_equal_under_both_yaml_parsers(path):
+    assert load_config(path) == _reference_load(path)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml is not installed")
+def test_load_config_parses_with_libyaml(monkeypatch):
+    """Where libyaml is installed, configs go through its C parser."""
+    built = []
+    init = yaml.CSafeLoader.__init__
+
+    def spy(self, stream):
+        built.append(stream)
+        init(self, stream)
+
+    monkeypatch.setattr(yaml.CSafeLoader, "__init__", spy)
+    load_config(CONFIGS[0])
+    assert len(built) == 1
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -166,7 +231,8 @@ def test_json_format(tmp_path):
 def test_infinite_cell_is_an_error_in_both_formats(tmp_path, capsys, fmt):
     """exp(alpha) overflows on the scattering curve, so a q column holds an
     infinity, which neither format can carry; the run exits 1 naming the
-    artifact and writes no artifact file."""
+    artifact and writes no artifact file.  An infinity in a later float
+    column is caught the same way."""
     cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.2, "alpha": 800},
                                "outputs": ["scattering"]})
     out = tmp_path / "out"
@@ -176,17 +242,138 @@ def test_infinite_cell_is_an_error_in_both_formats(tmp_path, capsys, fmt):
     assert capsys.readouterr().out.startswith("error: scattering:")
     assert collect_files(out) == []
 
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    data = ArtifactData("probe", {"k": [1, 2], "a": [1.0, 2.0], "b": [0.5, -math.inf]}, {})
+    with pytest.raises(ContractViolation, match="^probe: "):
+        cli.write_artifact(data, probe, fmt)
+    assert collect_files(probe) == []
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_nan_cell_is_written(tmp_path, fmt):
     """NaN stays a value: nan in CSV, null in JSON."""
-    data = ArtifactData("probe", ("a", "b"), [(1.0, math.nan)], {})
+    data = ArtifactData("probe", {"a": [1.0], "b": [math.nan]}, {})
     written = cli.write_artifact(data, tmp_path, fmt)
     text = (tmp_path / written[0]).read_text()
     if fmt == "csv":
         assert text == "a,b\n1,nan\n"
     else:
         assert json.loads(text)["rows"] == [[1.0, None]]
+
+
+def test_columns_must_share_one_length():
+    with pytest.raises(ContractViolation, match="probe: columns differ in length"):
+        ArtifactData("probe", {"a": np.zeros(3), "b": ["x", "y"]}, {})
+    with pytest.raises(ContractViolation, match="1-D float64"):
+        ArtifactData("probe", {"a": np.zeros((3, 1))}, {})
+    with pytest.raises(ContractViolation, match="1-D float64"):
+        ArtifactData("probe", {"a": np.arange(3)}, {})
+
+
+# --- writers against the per-cell reference ----------------------------------
+
+def _ref_cell(name, value):
+    """One CSV cell as the row-wise writer formatted it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if math.isinf(value):
+        raise ContractViolation(f"{name}: infinite value {value}; CSV, like JSON, has no infinity")
+    return format(value, ".17g")
+
+
+def _ref_py(obj):
+    """numpy scalars and arrays to plain python, NaN to None, value by value."""
+    if isinstance(obj, dict):
+        return {str(k): _ref_py(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_py(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_ref_py(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return None if math.isnan(f) else f
+    return obj
+
+
+def _ref_text(data, fmt):
+    """The row-wise writer: every cell formatted on its own."""
+    rows = list(zip(*data.columns.values()))
+    if fmt == "csv":
+        lines = [",".join(data.columns)]
+        lines.extend(",".join(_ref_cell(data.name, c) for c in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    payload = {"columns": list(data.columns), "rows": [list(r) for r in rows],
+               "summary": data.summary}
+    return json.dumps(_ref_py(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _written_text(data, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        (name,) = cli.write_artifact(data, Path(tmp), fmt)
+        return (Path(tmp) / name).read_text(encoding="utf-8")
+
+
+_EDGE_FLOATS = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7e308, -1.7e308, sys.float_info.max,
+                0.1, 1 / 3, 2 / 3, 0.99999999999999989, 9.9999999999999992e22, 1e23,
+                9007199254740993.0, 123456789.12345678, -1.5e-7, 1e16, 1e17]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_infinity=False))
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"),
+                max_size=6)
+
+
+@st.composite
+def _columnar_artifacts(draw):
+    n = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "str", "int_nan", "str_nan"]),
+                          min_size=1, max_size=6))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        if kind == "float":
+            col = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=np.float64)
+        else:
+            base = {"int": st.integers(-2**70, 2**70), "bool": st.booleans(), "str": _TEXT,
+                    "int_nan": st.integers(-10**6, 10**6), "str_nan": _TEXT}[kind]
+            values = base if not kind.endswith("_nan") else st.one_of(base, st.just(math.nan))
+            col = draw(st.lists(values, min_size=n, max_size=n))
+        columns[f"{kind}{i}"] = col
+    summary = {"x": np.float64(draw(_FLOATS)), "n": draw(st.integers()), "ok": np.bool_(True),
+               "words": draw(st.lists(_TEXT, max_size=2))}
+    return ArtifactData("probe", columns, summary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_columnar_artifacts(), st.sampled_from(["csv", "json"]))
+def test_columnar_writers_match_the_per_cell_reference(data, fmt):
+    assert _written_text(data, fmt) == _ref_text(data, fmt)
+
+
+@pytest.fixture(scope="module")
+def shipped_artifacts():
+    """Every artifact run_scenario builds for the shipped configs."""
+    built = []
+    for path in CONFIGS:
+        config = load_config(path)
+        built += [cli.build_artifact(config, name) for name in config.outputs]
+    return built
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_shipped_artifacts_match_the_per_cell_reference(shipped_artifacts, fmt):
+    assert {"certificate", "trajectory", "projection", "profile", "scattering"} == {
+        a.name for a in shipped_artifacts}
+    for data in shipped_artifacts:
+        assert _written_text(data, fmt) == _ref_text(data, fmt), data.name
 
 
 def test_empty_outputs_allowed(tmp_path):
@@ -235,6 +422,21 @@ def test_sweep_marks_failed_rows_and_continues(tmp_path):
     status = [r[header.index("status")] for r in rows]
     assert status[0] == "ok"
     assert status[1].startswith("failed")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_over_an_int_parameter_writes_ints(tmp_path, fmt):
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
+                               "params": {"epsilon": 0.2}, "outputs": []})
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", "n_samples", "--values", "21,64",
+                 "--out", str(out), "--format", fmt]) == 0
+    if fmt == "csv":
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines] == ["n_samples", "21", "64"]
+    else:
+        rows = json.loads((out / "sweep.json").read_text())["rows"]
+        assert [type(r[0]) for r in rows] == [int, int] and rows[1][0] == 64
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
@@ -337,6 +539,18 @@ def test_certify_minkowski2d_epsilon_outside_run_range_is_config_error(epsilon, 
     text = capsys.readouterr().out
     assert rc == 2
     assert text.startswith("config error: epsilon:")
+
+
+def test_certify_su2_overflowing_isomorphism_is_config_error(tmp_path, capsys):
+    """At epsilon 300, sinh(epsilon r) in the momentum isomorphism overflows a
+    float: a config error naming epsilon, found before any check runs."""
+    out = tmp_path / "cert"
+    rc = main(["certify", "su2", "--epsilon", "300", "--points", "2", "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith("config error: epsilon:")
+    assert "FAIL" not in text
+    assert not out.exists()
 
 
 def test_certify_kappa_ignores_config_momenta_poles(capsys):
@@ -445,6 +659,25 @@ def test_schema_drawn_params_validate_or_name_the_field(drawn):
         assert math.isfinite(value)
         assert not param.positive or value > 0
         assert param.minimum is None or value >= param.minimum
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_raw_params(bounded=False))
+def test_schema_drawn_configs_parse_equal_under_both_yaml_parsers(drawn):
+    """The same ScenarioConfig, or the same ConfigError, from libyaml's
+    parser as from PyYAML's pure-Python one."""
+    name, params = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump({"model": name, "params": params, "seed": 2}))
+        assert _outcome(load_config, path) == _outcome(_reference_load, path)
 
 
 # outputs that cost milliseconds at any drawn size

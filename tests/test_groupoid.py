@@ -13,7 +13,6 @@ from poismech.groupoid import (
     canonical_bivector,
     cotangent_wedge,
     groupoid_projection,
-    moment_pair,
     project_trajectory,
     shifted_bracket,
 )
@@ -22,6 +21,11 @@ from poismech.minkowski2d import Minkowski2DSpec, minkowski2d_rspec
 
 EPS = 0.2
 R_SCALING = AbelianRSpec(EPS, scaling([0], 2), scaling([1], 2))
+
+
+def moment_pair(r, x, p):
+    """The canonical moments <p, X(x)> of both generators at one state."""
+    return float(p @ r.X1.value(x)), float(p @ r.X2.value(x))
 
 
 def test_canonical_bivector_pairing():

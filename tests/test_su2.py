@@ -219,8 +219,8 @@ def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
     params = {name: p.default for name, p in su2.PARAMS.items()}
     params.update(epsilon=0.2, t_end=0.1)
     data = su2.MODEL.artifacts["trajectory"](params)
-    assert len(data.rows) == 101
-    assert len(calls) == len(data.rows)
+    assert len(data.columns["t"]) == 101
+    assert len(calls) == len(data.columns["t"])
     traj, _ = su2._flow(params)
     want = flow_diagnostics(traj, 0.2)
     assert {k: data.summary[k] for k in want} == want
