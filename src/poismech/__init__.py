@@ -18,7 +18,6 @@ from .bracket import (
     eval_bracket,
     hamiltonian_vector_field,
     jacobi_certificate,
-    jacobi_residual,
     pushforward_bivector,
 )
 from .errors import (
@@ -29,11 +28,10 @@ from .errors import (
     NumericDomainError,
     StiffnessError,
 )
-from .flow import StepControl, Trajectory, conservation_drift, integrate_flow
+from .flow import StepControl, Trajectory, integrate_flow
 from .generators import (
     AbelianRSpec,
     GeneratorField,
-    commutation_defect,
     cotangent_lift,
     linear,
     scaling,
@@ -45,7 +43,6 @@ from .groupoid import (
     cotangent_wedge,
     groupoid_projection,
     project_trajectory,
-    shifted_bracket,
 )
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "eval_bracket",
     "hamiltonian_vector_field",
     "jacobi_certificate",
-    "jacobi_residual",
     "pushforward_bivector",
     "ConfigError",
     "ContractViolation",
@@ -68,11 +64,9 @@ __all__ = [
     "StiffnessError",
     "StepControl",
     "Trajectory",
-    "conservation_drift",
     "integrate_flow",
     "AbelianRSpec",
     "GeneratorField",
-    "commutation_defect",
     "cotangent_lift",
     "linear",
     "scaling",
@@ -82,5 +76,4 @@ __all__ = [
     "cotangent_wedge",
     "groupoid_projection",
     "project_trajectory",
-    "shifted_bracket",
 ]

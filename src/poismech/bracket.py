@@ -33,14 +33,11 @@ __all__ = [
     "ScalarField",
     "BivectorSpec",
     "coordinate_field",
-    "constant_field",
     "eval_bracket",
     "hamiltonian_vector_field",
-    "jacobi_residual",
     "jacobi_certificate",
     "JacobiCertificate",
     "pushforward_bivector",
-    "gradient_deviation",
 ]
 
 # central-difference step scale used when a field has no analytic gradient
@@ -92,11 +89,6 @@ def coordinate_field(index: int, dim: int) -> ScalarField:
     e = np.zeros(dim)
     e[index] = 1.0
     return ScalarField(fn=lambda x: float(x[index]), grad=lambda x: e)
-
-
-def constant_field(value: float, dim: int) -> ScalarField:
-    z = np.zeros(dim)
-    return ScalarField(fn=lambda x: value, grad=lambda x: z)
 
 
 @dataclass(frozen=True)
@@ -189,21 +181,6 @@ def _cyclic(T: np.ndarray, i, j, k):
     return T[i, j, k] + T[j, k, i] + T[k, i, j]
 
 
-def jacobi_residual(biv: BivectorSpec, x: np.ndarray, triple: tuple[int, int, int]) -> float:
-    """Cyclic sum {x^i,{x^j,x^k}} + {x^j,{x^k,x^i}} + {x^k,{x^i,x^j}} at x,
-    as the Jacobiator J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (biv.dim,):
-        raise ContractViolation(f"point shape {x.shape} does not match chart dim {biv.dim}")
-    i, j, k = triple
-    if len({i, j, k}) != 3:
-        raise ContractViolation(f"jacobi triple {triple} must have distinct entries")
-    for idx in triple:
-        if not 0 <= idx < biv.dim:
-            raise ContractViolation(f"jacobi index {idx} outside chart of dim {biv.dim}")
-    return float(_cyclic(_jacobi_terms(biv, x), i, j, k))
-
-
 @dataclass(frozen=True)
 class JacobiCertificate:
     """Result of a randomized Jacobi check of one bivector."""
@@ -254,24 +231,11 @@ def pushforward_bivector(
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     out_dim: int,
-    fd_scale: float = _FD_SCALE,
 ) -> np.ndarray:
     """Pointwise pushforward (dphi) Pi (dphi)^T at x, with a central-difference
     Jacobian of the map phi."""
     x = np.asarray(x, dtype=float)
-    J = _central_differences(phi, x, fd_scale).T
+    J = _central_differences(phi, x, _FD_SCALE).T
     if J.shape != (out_dim, x.size):
         raise ContractViolation(f"map Jacobian has shape {J.shape}, expected {(out_dim, x.size)}")
     return J @ biv.matrix(x) @ J.T
-
-
-def gradient_deviation(fld: ScalarField, x: np.ndarray) -> float:
-    """Relative deviation between the analytic gradient and central
-    differences; spot check for fields that carry a ``grad``."""
-    if fld.grad is None:
-        raise ContractViolation("field has no analytic gradient to check")
-    x = np.asarray(x, dtype=float)
-    ana = np.asarray(fld.grad(x), dtype=float)
-    num = _central_differences(fld.fn, x, fld.fd_scale)
-    scale = max(1.0, float(np.max(np.abs(ana))), float(np.max(np.abs(num))))
-    return float(np.max(np.abs(ana - num)) / scale)

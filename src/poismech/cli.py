@@ -118,6 +118,8 @@ def _validate_params(model: Model, raw: Any) -> dict[str, Any]:
             raise ConfigError(f"params.{key}", f"must be positive, got {out[key]}")
         if param.minimum is not None and out[key] < param.minimum:
             raise ConfigError(f"params.{key}", f"need at least {param.minimum}, got {out[key]}")
+        if param.maximum is not None and out[key] > param.maximum:
+            raise ConfigError(f"params.{key}", f"need at most {param.maximum}, got {out[key]}")
     model.check(out)
     return out
 

@@ -1,7 +1,7 @@
-"""Curve diagnostics: line fits, axis-hyperbola fits, tail slopes.
+"""Curve diagnostics: line fits, tail slopes, central derivatives.
 
-Used by tests and the scenario runner to turn sampled curves into scalar
-verdicts (collinearity residuals, asymptotic velocities, shape constants).
+Used by the models to turn sampled curves into scalar verdicts
+(collinearity residuals, asymptotic velocities, monotonicity).
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from .errors import EstimationError
 __all__ = [
     "collinearity_residual",
     "tail_velocity",
-    "fit_axis_hyperbola",
-    "windowed_shape_constants",
     "central_derivative",
     "monotonicity_verdict",
     "fit_loglog_slope",
@@ -54,39 +52,6 @@ def tail_velocity(times: np.ndarray, curve: np.ndarray, frac: float = 0.25,
     A = np.column_stack([t_tail, np.ones(n_tail)])
     sol, *_ = np.linalg.lstsq(A, y_tail, rcond=None)
     return np.atleast_1d(sol[0])
-
-
-def fit_axis_hyperbola(points: np.ndarray) -> tuple[float, float, float, float]:
-    """Fit (q0 - c0)(q1 - c1) = K to planar samples.
-
-    The model is linear in (c0, c1, c0*c1 - K):
-        q0 q1 - c0 q1 - c1 q0 + (c0 c1 - K) = 0,
-    so an ordinary least-squares solve recovers the centers and shape
-    constant exactly on noiseless hyperbola data.  Returns
-    (c0, c1, K, rms_residual).
-    """
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[1] != 2 or P.shape[0] < 4:
-        raise EstimationError("hyperbola fit needs >= 4 planar points")
-    A = np.column_stack([P[:, 1], P[:, 0], -np.ones(len(P))])
-    rhs = P[:, 0] * P[:, 1]
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    c0, c1, D = (float(v) for v in sol)
-    K = c0 * c1 - D
-    resid = A @ sol - rhs
-    return c0, c1, K, float(np.sqrt(np.mean(resid**2)))
-
-
-def windowed_shape_constants(points: np.ndarray, n_windows: int = 5) -> np.ndarray:
-    """Fitted K of overlapping half-curve windows along a planar curve;
-    a shape-constant curve gives a flat sequence."""
-    P = np.asarray(points, dtype=float)
-    n = len(P)
-    w = n // 2
-    if w < 4 or n_windows < 2:
-        raise EstimationError("too few samples for windowed shape fit")
-    starts = np.linspace(0, n - w, n_windows).astype(int)
-    return np.array([fit_axis_hyperbola(P[s:s + w])[2] for s in starts])
 
 
 def central_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .bracket import BivectorSpec, ScalarField, hamiltonian_vector_field
 from .errors import ContractViolation, DivergenceError, StiffnessError
 
-__all__ = ["StepControl", "Trajectory", "integrate_flow", "conservation_drift"]
+__all__ = ["StepControl", "Trajectory", "integrate_flow"]
 
 _MIN_H = 1e-12
 
@@ -154,9 +154,3 @@ def integrate_flow(
             stacklevel=2,
         )
     return traj
-
-
-def conservation_drift(traj: Trajectory, f: ScalarField) -> float:
-    """max_t |f(x(t)) - f(x(0))| over the trajectory samples."""
-    vals = np.array([f(p) for p in traj.points])
-    return float(np.max(np.abs(vals - vals[0])))

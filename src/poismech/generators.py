@@ -23,7 +23,6 @@ __all__ = [
     "AbelianRSpec",
     "wedge_bivector",
     "cotangent_lift",
-    "commutation_defect",
 ]
 
 
@@ -109,19 +108,6 @@ class AbelianRSpec:
     @property
     def dim(self) -> int:
         return self.X1.dim
-
-
-def commutation_defect(X1: GeneratorField, X2: GeneratorField, seed: int = 0, n: int = 16) -> float:
-    """max ||flow1_s flow2_t x - flow2_t flow1_s x|| over random (s, t, x)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        x = rng.uniform(-1.0, 1.0, size=X1.dim)
-        s, t = rng.uniform(-0.8, 0.8, size=2)
-        a = X2.flow(t, X1.flow(s, x))
-        b = X1.flow(s, X2.flow(t, x))
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
 
 
 def wedge_bivector(

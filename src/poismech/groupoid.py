@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bracket import BivectorSpec, add_bivectors
+from .bracket import BivectorSpec
 from .errors import ContractViolation
 from .flow import Trajectory
 from .generators import AbelianRSpec, GeneratorField, cotangent_lift, wedge_bivector
@@ -24,7 +24,6 @@ __all__ = [
     "groupoid_projection",
     "project_trajectory",
     "canonical_bivector",
-    "shifted_bracket",
     "cotangent_wedge",
 ]
 
@@ -84,15 +83,3 @@ def cotangent_wedge(
     if coord_names is None:
         coord_names = tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
     return wedge_bivector(epsilon, cotangent_lift(gen_a, n), cotangent_lift(gen_b, n), coord_names)
-
-
-def shifted_bracket(r_part: BivectorSpec, point: np.ndarray) -> np.ndarray:
-    """Matrix of all coordinate brackets of (canonical + r_part) at the point.
-
-    r_part must live on a 2n-chart; with r_part = 0 the result is the
-    canonical block structure."""
-    if r_part.dim % 2 != 0:
-        raise ContractViolation("shifted bracket needs an even-dimensional chart")
-    n = r_part.dim // 2
-    total = add_bivectors(canonical_bivector(n, r_part.coord_names), r_part)
-    return total.matrix(np.asarray(point, dtype=float))

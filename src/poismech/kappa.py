@@ -224,16 +224,23 @@ def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, 
 # ---------------------------------------------------------------------------
 # scenario record
 
+# The size bounds keep every float array a run builds within 2^24 values
+# (128 MiB) and every artifact near 2^24 cells (a few hundred MB of text):
+# the shifted certificate bracket lives on 2(1+d) <= 256 coordinates, so its
+# Jacobi tensor has (2(1+d))^3 <= 2^24 entries, and the trajectory holds
+# n_samples x 2(1+d) <= 2^24 values.  The profile integrates one shell per
+# momentum, so n_p bounds the run time, not the memory; it shares the bound.
 PARAMS = {
     "epsilon": Param(REAL),
     "mass": Param(REAL, 1.0, positive=True),
     "p": Param(REAL, 1.0, positive=True),
-    "spatial_dim": Param(INT, 3, minimum=1),
+    "spatial_dim": Param(INT, 3, minimum=1, maximum=127),
     "t_span": Param(REAL, 3.0, positive=True),
-    "n_samples": Param(INT, 64, minimum=29),  # tail fits need 8 samples in the last quarter
+    # tail fits need 8 samples in the last quarter
+    "n_samples": Param(INT, 64, minimum=29, maximum=2**16),
     "p_min": Param(REAL, 0.2, positive=True),
     "p_max": Param(REAL, 2.0),
-    "n_p": Param(INT, 10, minimum=2),
+    "n_p": Param(INT, 10, minimum=2, maximum=2**16),
 }
 
 

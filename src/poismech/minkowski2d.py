@@ -233,7 +233,8 @@ PARAMS = {
     "c_minus": Param(REAL, -1.0),
     "p_min": Param(REAL, -3.0),
     "p_max": Param(REAL, 3.0),
-    "n_samples": Param(INT, 49, minimum=2),
+    # the scattering artifact has 4 columns of n_samples: 2^24 cells at most
+    "n_samples": Param(INT, 49, minimum=2, maximum=2**22),
     "t_end": Param(REAL, 4.0, positive=True),
 }
 
@@ -278,10 +279,7 @@ def _trajectory(p: Params) -> ArtifactData:
 
 def _scattering(p: Params) -> ArtifactData:
     spec, curve = _spec(p), _curve(p)
-    q = np.array([
-        parametric_trajectory_2d(spec, curve, np.array([pv]))[0]
-        for pv in np.linspace(p["p_min"], p["p_max"], p["n_samples"])
-    ])
+    q = parametric_trajectory_2d(spec, curve, np.linspace(p["p_min"], p["p_max"], p["n_samples"]))
     qp, qm = q[:, 1], q[:, 2]
     v = np.divide(qp - qm, qp + qm, out=np.full(len(q), math.nan), where=qp + qm != 0)
     closed, numeric, mismatch = scattering_match(spec, curve)

@@ -90,15 +90,6 @@ class SL2CElement:
             raise ContractViolation(f"expected a 2x2 matrix, got shape {m.shape}")
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
-    @classmethod
-    def renormalized(cls, m: np.ndarray) -> "SL2CElement":
-        """Rescale ``m`` onto the unit-determinant slice, then wrap it."""
-        m = np.asarray(m, dtype=complex)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0:
-            raise NumericDomainError("cannot renormalize a singular matrix")
-        return cls.from_matrix(m / cmath.sqrt(det))
-
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
@@ -220,27 +211,6 @@ def _uv_tables(a, b, c, d):
     return u, v
 
 
-def sl2c_bracket_table(g: SL2CElement, epsilon: float) -> dict:
-    """All pairwise brackets among entries and conjugate entries at ``g``.
-
-    Keys are pairs of labels from ``a, b, c, d, a*, b*, c*, d*`` (star marks
-    conjugation), ordered as listed; values are the complex bracket values.
-    """
-    letters = ("a", "b", "c", "d")
-    u, v = _uv_tables(g.a, g.b, g.c, g.d)
-    ie = 1j * epsilon
-    out = {}
-    for k in range(4):
-        for l in range(k + 1, 4):
-            hol = ie * u[(k, l)]
-            out[(letters[k], letters[l])] = hol
-            out[(letters[k] + "*", letters[l] + "*")] = np.conj(hol)
-    for k in range(4):
-        for l in range(4):
-            out[(letters[k], letters[l] + "*")] = ie * v[(k, l)]
-    return out
-
-
 def _real_blocks(u_kl, v_kl):
     """Real brackets among (re_k, im_k, re_l, im_l) from complex ones.
 
@@ -322,55 +292,13 @@ def free_energy(m: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(m) ** 2))
 
 
-def free_hamiltonian_field(epsilon: float, kind: str = "trace") -> ScalarField:
-    """Energy function on the group chart, in one of three normalizations.
-
-    ``trace``       H  = half the squared Frobenius norm (the generator of the
-                    deformed free flow).
-    ``normalized``  (H - 1) / (4 eps^2), which equals half the squared-radius
-                    Casimir of the momentum chart.
-    ``classical``   half the squared geodesic radius, recovered from H by
-                    inverting the deformation; smooth away from H = 1.
-    """
-    if kind == "trace":
-        return ScalarField(
-            fn=lambda x: 0.5 * float(np.dot(x, x)),
-            grad=lambda x: np.asarray(x, dtype=float).copy(),
-        )
-    if kind == "normalized":
-        if epsilon == 0.0:
-            raise NumericDomainError("normalized energy undefined at epsilon = 0")
-        scale = 1.0 / (4.0 * epsilon**2)
-
-        return ScalarField(
-            fn=lambda x: (0.5 * float(np.dot(x, x)) - 1.0) * scale,
-            grad=lambda x: np.asarray(x, dtype=float) * scale,
-        )
-    if kind == "classical":
-        if epsilon == 0.0:
-            raise NumericDomainError("classical energy undefined at epsilon = 0")
-
-        def fn(x):
-            h = 0.5 * float(np.dot(x, x))
-            if h < 1.0 - 1e-12:
-                raise NumericDomainError(f"energy {h} below the flat floor 1")
-            r = math.acosh(max(h, 1.0)) / (2.0 * epsilon)
-            return 0.5 * r * r
-
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            h = 0.5 * float(np.dot(x, x))
-            if h < 1.0 - 1e-12:
-                raise NumericDomainError(f"energy {h} below the flat floor 1")
-            delta = max(h - 1.0, 0.0)
-            if delta < 1e-6:
-                ratio = 1.0 - delta / 3.0
-            else:
-                ratio = math.acosh(h) / math.sqrt(h * h - 1.0)
-            return x * (ratio / (4.0 * epsilon**2))
-
-        return ScalarField(fn=fn, grad=grad)
-    raise ContractViolation(f"unknown energy kind {kind!r}")
+def free_hamiltonian_field() -> ScalarField:
+    """The trace energy on the group chart: half the squared Frobenius norm,
+    the generator of the deformed free flow."""
+    return ScalarField(
+        fn=lambda x: 0.5 * float(np.dot(x, x)),
+        grad=lambda x: np.asarray(x, dtype=float).copy(),
+    )
 
 
 def flow_rhs(m: np.ndarray, epsilon: float) -> np.ndarray:
@@ -444,7 +372,7 @@ def free_flow(
     ctrl = StepControl(h=base.h, tol=base.tol, poststep=renorm)
     traj = integrate_flow(
         sl2c_bivector(epsilon),
-        free_hamiltonian_field(epsilon, kind="trace"),
+        free_hamiltonian_field(),
         g0.real8,
         t_end,
         step=ctrl,
@@ -540,15 +468,6 @@ def linear_momentum_bivector() -> BivectorSpec:
     )
 
 
-def sb2_momentum(b_part: SB2Element, epsilon: float) -> np.ndarray:
-    """Chart coordinates ``(zeta, w_re, w_im)`` of a triangular factor."""
-    if epsilon == 0.0:
-        raise NumericDomainError("momentum chart degenerates at epsilon = 0")
-    zeta = math.log(b_part.rho) / epsilon
-    w = b_part.n / (2.0 * epsilon)
-    return np.array([zeta, w.real, w.imag])
-
-
 def _phi_derivs(s: float, epsilon: float, m_max: int) -> list[float]:
     """Derivatives of Phi(s) = (cosh(2 eps sqrt(s)) - 1)/2 at s, orders 1..m_max.
 
@@ -602,29 +521,6 @@ def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
         )
     factor = math.sqrt(g) / abs(epsilon)
     return np.array([z, factor * x, factor * y])
-
-
-def momentum_isomorphism_inverse(zw: np.ndarray, epsilon: float) -> np.ndarray:
-    """Inverse of :func:`momentum_isomorphism` on the deformed chart."""
-    q = np.asarray(zw, dtype=float)
-    if q.shape != (3,):
-        raise ContractViolation(f"momentum chart points have 3 components, got {q.shape}")
-    zeta, wx, wy = q
-    if epsilon == 0.0:
-        return np.array([wx, wy, zeta])
-    sz = math.sinh(epsilon * zeta) / epsilon
-    big_r2 = wx * wx + wy * wy + sz * sz
-    r = math.asinh(abs(epsilon) * math.sqrt(big_r2)) / abs(epsilon)
-    z = zeta
-    r2, z2 = r * r, z * z
-    if abs(r2 - z2) < 1e-8:
-        d = _phi_derivs(z2, epsilon, 4)
-        u = r2 - z2
-        g = d[0] + u * (d[1] / 2.0 + u * (d[2] / 6.0 + u * d[3] / 24.0))
-    else:
-        g = (math.sinh(epsilon * r) ** 2 - math.sinh(epsilon * abs(z)) ** 2) / (r2 - z2)
-    factor = math.sqrt(g) / abs(epsilon)
-    return np.array([wx / factor, wy / factor, z])
 
 
 def casimir_radius_squared(zw: np.ndarray, epsilon: float) -> float:
@@ -772,7 +668,7 @@ def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
     the trace energy against the matrix form :func:`flow_rhs`.  A non-finite
     gap at any point makes the result non-finite."""
     biv = sl2c_bivector(epsilon)
-    energy = free_hamiltonian_field(epsilon, kind="trace")
+    energy = free_hamiltonian_field()
     gaps = [
         np.max(np.abs(
             hamiltonian_vector_field(biv, energy, g.real8)
@@ -838,7 +734,7 @@ def _flow(p: Params) -> tuple[Trajectory, int]:
 
 def _trajectory(p: Params) -> ArtifactData:
     traj, n_renorm = _flow(p)
-    energy = free_hamiltonian_field(p["epsilon"], kind="trace")
+    energy = free_hamiltonian_field()
     mats, factors = _split(traj)
     columns = {
         "t": traj.times,
@@ -880,7 +776,7 @@ def su2_certificate(
     diag = flow_diagnostics(traj, epsilon)
 
     # energy pipeline: trace energy stays pinned to its classical conversion
-    energy = free_hamiltonian_field(epsilon, kind="trace")
+    energy = free_hamiltonian_field()
     h0 = float(energy(traj.points[0]))
     if epsilon != 0.0:
         target = energy_relations(epsilon, trace=h0)

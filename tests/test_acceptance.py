@@ -104,7 +104,7 @@ def test_criterion_04_energy_relations_and_pipeline(reference_flow):
         for kwargs in ({"trace": er.trace}, {"radius2": er.radius2}):
             assert abs(energy_relations(EPS, **kwargs).classical - h0) < 1e-12
 
-    H = free_hamiltonian_field(EPS, "trace")
+    H = free_hamiltonian_field()
     h_start = energy_relations(EPS, trace=H(reference_flow.points[0])).classical
     expected = np.cosh(2.0 * EPS * np.sqrt(2.0 * h_start))
     worst = max(abs(H(p) - expected) for p in reference_flow.points)

@@ -452,6 +452,7 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     ("minkowski2d", "epsilon", "0.1,1e-200"),  # shape constant -1/(eps m)^2 overflows
     ("kappa", "n_samples", "4"),
     ("kappa", "n_samples", "28"),  # 7 samples in the tail window, the fit needs 8
+    ("kappa", "spatial_dim", "41252435"),  # would allocate tens of GiB
 ])
 def test_sweep_values_pass_validation_before_any_row(tmp_path, capsys, model, param, values):
     cfg = write_cfg(tmp_path, {"model": model, "params": {"epsilon": 0.1},
@@ -659,6 +660,7 @@ def test_schema_drawn_params_validate_or_name_the_field(drawn):
         assert math.isfinite(value)
         assert not param.positive or value > 0
         assert param.minimum is None or value >= param.minimum
+        assert param.maximum is None or value <= param.maximum
 
 
 def _outcome(load, path):

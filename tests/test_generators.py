@@ -7,7 +7,6 @@ from poismech.errors import ContractViolation
 from poismech.generators import (
     AbelianRSpec,
     GeneratorField,
-    commutation_defect,
     cotangent_lift,
     linear,
     scaling,
@@ -56,10 +55,16 @@ def test_scaling_flow_hits_subset_only():
 
 
 def test_commutation_defect():
-    # two scalings commute; a scaling and a generic rotation do not
-    assert commutation_defect(scaling([0], 2), scaling([1], 2)) < 1e-12
-    rot = linear(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert commutation_defect(scaling([0], 2), rot) > 1e-3
+    """The flows of two scalings commute; a scaling's and a rotation's do not."""
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-1.0, 1.0, (16, 2))
+    s, t = rng.uniform(-0.8, 0.8, (2, 16))
+
+    def defect(X1, X2):
+        return np.max(np.abs(X2.flow(t, X1.flow(s, xs)) - X1.flow(s, X2.flow(t, xs))))
+
+    assert defect(scaling([0], 2), scaling([1], 2)) < 1e-12
+    assert defect(scaling([0], 2), linear(np.array([[0.0, -1.0], [1.0, 0.0]]))) > 1e-3
 
 
 def test_rspec_requires_same_chart():

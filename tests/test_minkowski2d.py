@@ -1,7 +1,10 @@
 """Two-dimensional deformed spacetime model: shape laws and scattering."""
+import math
+
 import numpy as np
 import pytest
 
+from poismech import minkowski2d
 from poismech.errors import ContractViolation
 from poismech.fitting import collinearity_residual
 from poismech.minkowski2d import (
@@ -93,3 +96,18 @@ def test_classical_limit_is_second_order():
     d2 = classical_limit_deviation(0.02)
     assert d2 / d1 == pytest.approx(4.0, rel=0.05)
     assert classical_limit_deviation(0.0) == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2, -1.3])
+def test_scattering_artifact_equals_per_sample_evaluation(eps):
+    """The artifact evaluates the whole momentum grid in one call; every row
+    is bit for bit the curve evaluated at that one momentum."""
+    params = {name: p.default for name, p in minkowski2d.PARAMS.items()}
+    params.update(epsilon=eps, alpha=-0.45, beta=1.7, p_min=-4.0, p_max=2.5, n_samples=61)
+    cols = minkowski2d.MODEL.artifacts["scattering"](params).columns
+    spec, curve = Minkowski2DSpec(eps, params["mass"]), ScatteringCurveSpec(-0.45, 1.7)
+    for i, pv in enumerate(np.linspace(-4.0, 2.5, 61)):
+        p, qp, qm = parametric_trajectory_2d(spec, curve, np.array([pv]))[0]
+        v = (qp - qm) / (qp + qm) if qp + qm != 0 else math.nan
+        got = [cols[k][i] for k in ("p", "q_plus", "q_minus", "v")]
+        np.testing.assert_array_equal(got, [p, qp, qm, v])

@@ -27,12 +27,9 @@ from poismech.su2 import (
     matrix_from_real8,
     momentum_bivector,
     momentum_isomorphism,
-    momentum_isomorphism_inverse,
     real8_from_matrix,
     sample_unimodular,
-    sb2_momentum,
     sl2c_bivector,
-    sl2c_bracket_table,
 )
 
 EPS = 0.3
@@ -49,15 +46,6 @@ def test_unimodular_constraint_enforced():
     assert g.matrix[0, 0] == 2.0
     with pytest.raises(ContractViolation):
         SB2Element(-1.0, 0.0)
-
-
-def test_renormalized_restores_unit_determinant():
-    m = 1.02 * G0.matrix  # det 4% off the slice
-    h = SL2CElement.renormalized(m)
-    det = h.a * h.d - h.b * h.c
-    assert abs(det - 1.0) < 1e-15
-    with pytest.raises(NumericDomainError):
-        SL2CElement.renormalized(np.zeros((2, 2)))
 
 
 def test_iwasawa_factorization_roundtrip():
@@ -78,6 +66,25 @@ def test_real8_roundtrip():
 
 
 # --- bracket tables and realification -------------------------------------
+
+def sl2c_bracket_table(g, epsilon):
+    """All pairwise brackets among entries and conjugate entries at ``g``,
+    from the package's tables ``u = {z_k, z_l}`` and ``v = {z_k, conj z_l}``
+    (over ``i eps``).  Keys are pairs of labels from ``a, b, c, d, a*, b*,
+    c*, d*`` (star marks conjugation), ordered as listed."""
+    letters = ("a", "b", "c", "d")
+    u, v = su2._uv_tables(g.a, g.b, g.c, g.d)
+    ie = 1j * epsilon
+    out = {}
+    for k in range(4):
+        for l in range(k + 1, 4):
+            hol = ie * u[(k, l)]
+            out[(letters[k], letters[l])] = hol
+            out[(letters[k] + "*", letters[l] + "*")] = np.conj(hol)
+        for l in range(4):
+            out[(letters[k], letters[l] + "*")] = ie * v[(k, l)]
+    return out
+
 
 def test_entry_brackets_at_identity():
     tab = sl2c_bracket_table(SL2CElement(1, 0, 0, 1), EPS)
@@ -173,7 +180,7 @@ def test_dual_route_dynamics_agree_on_shell():
     """The bracket route {H, -} and the direct matrix form of the equations
     of motion coincide on the unit-determinant slice..."""
     biv = sl2c_bivector(EPS)
-    H = free_hamiltonian_field(EPS, kind="trace")
+    H = free_hamiltonian_field()
     from poismech.bracket import hamiltonian_vector_field
     worst = 0.0
     for g in sample_unimodular(20, seed=3):
@@ -190,7 +197,7 @@ def test_dual_route_dynamics_differ_off_shell():
     g = next(iter(sample_unimodular(1, seed=3)))
     off = real8_from_matrix(1.05 * g.matrix)  # det = 1.1025
     via_bracket = hamiltonian_vector_field(sl2c_bivector(EPS),
-                                           free_hamiltonian_field(EPS, "trace"), off)
+                                           free_hamiltonian_field(), off)
     via_matrix = real8_from_matrix(flow_rhs(matrix_from_real8(off), EPS))
     assert np.max(np.abs(via_bracket - via_matrix)) > 1e-3
 
@@ -285,22 +292,11 @@ def test_momentum_structures_satisfy_jacobi():
         assert cert.passed and not cert.vacuous
 
 
-def test_sb2_momentum_chart():
-    q = sb2_momentum(B0, 0.5)
-    assert q[0] == pytest.approx(np.log(1.4) / 0.5, abs=1e-15)
-    assert q[1] == pytest.approx(0.3 / 1.0, abs=1e-15)
-    assert q[2] == pytest.approx(0.2 / 1.0, abs=1e-15)
-    with pytest.raises(NumericDomainError):
-        sb2_momentum(B0, 0.0)
-
-
-def test_isomorphism_frozen_image_and_roundtrip():
+def test_isomorphism_frozen_image():
     xyz = np.array([0.4, 0.1, 0.7])
     zw = momentum_isomorphism(xyz, 0.35)
     np.testing.assert_allclose(
         zw, [0.7, 0.40941504230527948, 0.10235376057631987], rtol=0, atol=1e-15)
-    back = momentum_isomorphism_inverse(zw, 0.35)
-    np.testing.assert_allclose(back, xyz, atol=1e-14)
     # at eps = 0 the charts differ only by the coordinate permutation
     np.testing.assert_array_equal(momentum_isomorphism(xyz, 0.0), [0.7, 0.4, 0.1])
 
@@ -313,8 +309,6 @@ def test_isomorphism_smooth_through_the_axis():
     assert f_series == pytest.approx(f_direct, rel=1e-6)
     on_axis = momentum_isomorphism(np.array([0.0, 0.0, 0.7]), 0.35)
     np.testing.assert_allclose(on_axis, [0.7, 0.0, 0.0], atol=1e-15)
-    back = momentum_isomorphism_inverse(on_axis, 0.35)
-    np.testing.assert_allclose(back, [0.0, 0.0, 0.7], atol=1e-15)
 
 
 def test_casimir_pulls_back_to_radius_function():
@@ -370,16 +364,10 @@ def test_classical_limit_deviation_frozen_value():
     assert d2 / d1 == pytest.approx(4.0, rel=0.01)
 
 
-def test_hamiltonian_field_kinds():
+def test_hamiltonian_field_is_trace_energy():
+    """The flow generator is half the squared Frobenius norm of the matrix,
+    with its exact gradient."""
     x = G0.real8
-    trace = free_hamiltonian_field(EPS, "trace")
-    classical = free_hamiltonian_field(EPS, "classical")
-    # the trace kind reports half the squared Frobenius norm of the matrix
-    assert trace(x) == pytest.approx(free_energy(G0.matrix), abs=1e-15)
-    # the classical kind reports r^2/2 with cosh(2 eps r) = trace energy
-    r = np.arccosh(trace(x)) / (2 * EPS)
-    assert classical(x) == pytest.approx(r * r / 2, abs=1e-13)
-    with pytest.raises(ContractViolation):
-        free_hamiltonian_field(EPS, "euclidean")
-    with pytest.raises(NumericDomainError):
-        free_hamiltonian_field(0.0, "classical")
+    H = free_hamiltonian_field()
+    assert H(x) == pytest.approx(free_energy(G0.matrix), abs=1e-15)
+    np.testing.assert_array_equal(H.gradient(x), x)
