@@ -33,7 +33,6 @@ from .generators import (
     AbelianRSpec,
     GeneratorField,
     cotangent_lift,
-    linear,
     scaling,
     translation,
     wedge_bivector,
@@ -68,7 +67,6 @@ __all__ = [
     "AbelianRSpec",
     "GeneratorField",
     "cotangent_lift",
-    "linear",
     "scaling",
     "translation",
     "wedge_bivector",

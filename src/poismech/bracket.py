@@ -6,9 +6,8 @@ antisymmetric matrix  P(x) = (pi^{ij}(x)).  Brackets of scalar fields are
     {f, g}(x) = grad f . P(x) . grad g
               = sum_{i<j} P_ij(x) * (d_i f d_j g - d_j f d_i g),
 
-with analytic gradients when a field carries one and central finite
-differences otherwise.  The Jacobi identity [pi, pi] = 0 is checked through
-the Jacobiator tensor
+with the analytic gradient every scalar field carries.  The Jacobi identity
+[pi, pi] = 0 is checked through the Jacobiator tensor
 
     J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic,
 
@@ -40,7 +39,7 @@ __all__ = [
     "pushforward_bivector",
 ]
 
-# central-difference step scale used when a field has no analytic gradient
+# central-difference step scale of the Jacobian in pushforward_bivector
 _FD_SCALE = 1e-6
 # coarser scale used for the derivative dP inside the Jacobi residual
 _FD_SCALE_NESTED = 1e-4
@@ -62,24 +61,16 @@ def _central_differences(fn: Callable[[np.ndarray], object], x: np.ndarray, scal
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A real scalar function on the chart, with an optional analytic gradient.
-
-    ``fd_scale`` controls the relative central-difference step used when no
-    gradient is supplied: h_i = fd_scale * max(1, |x_i|).
-    """
+    """A real scalar function on the chart and its analytic gradient."""
 
     fn: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_scale: float = _FD_SCALE
+    grad: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: np.ndarray) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        return _central_differences(self.fn, x, self.fd_scale)
+        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
 
 
 def coordinate_field(index: int, dim: int) -> ScalarField:
@@ -166,14 +157,10 @@ def hamiltonian_vector_field(biv: BivectorSpec, H: ScalarField, x: np.ndarray) -
 
 def _jacobi_terms(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
     """T[a, b, c] = sum_l pi^{al}(x) d_l pi^{bc}(x), with d_l P a central
-    difference at the nested step scale; the sum runs over l in ascending
-    order."""
+    difference at the nested step scale, as one contraction over l."""
     P = biv.matrix(x)
     dP = _central_differences(biv.matrix, x, _FD_SCALE_NESTED)
-    T = np.zeros((biv.dim,) * 3)
-    for l in range(biv.dim):
-        T += P[:, l, None, None] * dP[l]
-    return T
+    return np.einsum("al,lbc->abc", P, dP)
 
 
 def _cyclic(T: np.ndarray, i, j, k):
@@ -230,12 +217,11 @@ def pushforward_bivector(
     biv: BivectorSpec,
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    out_dim: int,
 ) -> np.ndarray:
     """Pointwise pushforward (dphi) Pi (dphi)^T at x, with a central-difference
-    Jacobian of the map phi."""
+    Jacobian of the map phi; its row count is the size of phi's output."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (biv.dim,):
+        raise ContractViolation(f"point shape {x.shape} does not match chart dim {biv.dim}")
     J = _central_differences(phi, x, _FD_SCALE).T
-    if J.shape != (out_dim, x.size):
-        raise ContractViolation(f"map Jacobian has shape {J.shape}, expected {(out_dim, x.size)}")
     return J @ biv.matrix(x) @ J.T

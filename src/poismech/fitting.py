@@ -10,12 +10,19 @@ import numpy as np
 from .errors import EstimationError
 
 __all__ = [
+    "MIN_CURVE_SAMPLES",
     "collinearity_residual",
     "tail_velocity",
     "central_derivative",
     "monotonicity_verdict",
     "fit_loglog_slope",
 ]
+
+# the tail fit reads the trailing quarter of a curve and needs 8 samples there,
+# so MIN_CURVE_SAMPLES is the shortest curve it can fit
+_TAIL_FRACTION, _TAIL_MIN_SAMPLES = 0.25, 8
+MIN_CURVE_SAMPLES = int((_TAIL_MIN_SAMPLES - 1) / _TAIL_FRACTION) + 1
+_MONOTONE_SLACK = 1e-12  # steps within rounding of zero keep a sequence monotone
 
 
 def collinearity_residual(points: np.ndarray) -> float:
@@ -32,20 +39,20 @@ def collinearity_residual(points: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(perp, axis=1)))
 
 
-def tail_velocity(times: np.ndarray, curve: np.ndarray, frac: float = 0.25,
-                  min_samples: int = 8) -> np.ndarray:
+def tail_velocity(times: np.ndarray, curve: np.ndarray) -> np.ndarray:
     """Least-squares slope d(curve)/d(times[0-axis]) over the trailing
-    fraction of samples.
+    quarter of the samples, which must hold at least 8 of them (a curve of
+    at least ``MIN_CURVE_SAMPLES``).
 
     ``times`` is the abscissa (may itself be a curve coordinate); returns the
     slope vector of the remaining columns.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(curve, dtype=float)
-    n_tail = max(int(np.ceil(frac * t.size)), 0)
-    if n_tail < min_samples:
+    n_tail = max(int(np.ceil(_TAIL_FRACTION * t.size)), 0)
+    if n_tail < _TAIL_MIN_SAMPLES:
         raise EstimationError(
-            f"tail fit needs >= {min_samples} samples, window has {n_tail}"
+            f"tail fit needs >= {_TAIL_MIN_SAMPLES} samples, window has {n_tail}"
         )
     t_tail = t[-n_tail:]
     y_tail = y[-n_tail:]
@@ -69,12 +76,12 @@ def central_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     )
 
 
-def monotonicity_verdict(values: np.ndarray, slack: float = 1e-12) -> str:
+def monotonicity_verdict(values: np.ndarray) -> str:
     """'increasing' / 'decreasing' / 'non-monotonic' for a sampled sequence."""
     d = np.diff(np.asarray(values, dtype=float))
-    if np.all(d > -slack):
+    if np.all(d > -_MONOTONE_SLACK):
         return "increasing"
-    if np.all(d < slack):
+    if np.all(d < _MONOTONE_SLACK):
         return "decreasing"
     return "non-monotonic"
 

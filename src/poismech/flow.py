@@ -30,8 +30,8 @@ class StepControl:
     """Nominal step size, per-step error tolerance, and an optional
     constraint-restoration hook applied to each accepted state."""
 
-    h: float = 1e-3
-    tol: float = 1e-8
+    h: float
+    tol: float
     poststep: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -85,7 +85,7 @@ def integrate_flow(
     H: ScalarField,
     x0: np.ndarray,
     t_end: float,
-    step: StepControl | None = None,
+    step: StepControl,
 ) -> Trajectory:
     """Integrate xdot = {H, x} from x0 over [0, t_end].
 
@@ -93,7 +93,6 @@ def integrate_flow(
     10 * tol * |t_end| and reported on the returned trajectory; violations
     warn but do not raise.
     """
-    step = step or StepControl()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (biv.dim,):
         raise ContractViolation(f"x0 shape {x0.shape} does not match chart dim {biv.dim}")

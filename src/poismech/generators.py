@@ -1,12 +1,13 @@
 """Generator vector fields with closed-form flows, and bivectors built from
 them.
 
-Three kinds are supported: constant translations, linear fields x -> L x, and
-scalings of a coordinate subset.  Each knows its exact time-t flow, so
-exponential maps of generator combinations never need numerical integration.
+Two kinds are supported: constant translations and per-coordinate scalings
+x^k -> exp(w_k t) x^k.  Each knows its exact time-t flow, so exponential maps
+of generator combinations never need numerical integration.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,6 @@ from .errors import ContractViolation
 __all__ = [
     "GeneratorField",
     "translation",
-    "linear",
     "scaling",
     "AbelianRSpec",
     "wedge_bivector",
@@ -28,24 +28,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorField:
-    """A vector field of translation / linear / scaling kind on an n-chart."""
+    """A translation along ``vector`` or a scaling with one rate per
+    coordinate, ``rates`` (zero leaves a coordinate fixed), on an n-chart."""
 
     kind: str
     dim: int
     vector: np.ndarray | None = None   # translation direction
-    matrix: np.ndarray | None = None   # linear generator
-    subset: tuple[int, ...] | None = None  # scaled coordinate indices
+    rates: np.ndarray | None = None    # scaling rate of each coordinate
+
+    @functools.cached_property
+    def _moves(self) -> np.ndarray:
+        """Mask of the coordinates with a nonzero rate.  The others keep
+        their value exactly: a zero rate times x would turn inf into NaN."""
+        return self.rates != 0
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """The field at one point (n,) or at each point of a stack (..., n)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "translation":
             return np.broadcast_to(self.vector, x.shape).copy()
-        if self.kind == "linear":
-            return (self.matrix @ x[..., None])[..., 0]
-        out = np.zeros_like(x)
-        out[..., self.subset] = x[..., self.subset]
-        return out
+        return np.multiply(self.rates, x, out=np.zeros(x.shape), where=self._moves)
 
     def flow(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         """Exact time-t flow map applied to one point (n,) or to a stack of
@@ -54,18 +56,7 @@ class GeneratorField:
         t = np.asarray(t, dtype=float)
         if self.kind == "translation":
             return x + t[..., None] * self.vector
-        if self.kind == "linear":
-            # scipy is imported only here: no shipped model has a linear generator
-            from scipy.linalg import expm
-
-            t = np.broadcast_to(t, x.shape[:-1])
-            out = np.empty_like(x)
-            for i in np.ndindex(t.shape):
-                out[i] = expm(t[i] * self.matrix) @ x[i]
-            return out
-        out = x.copy()
-        out[..., self.subset] = np.exp(t)[..., None] * x[..., self.subset]
-        return out
+        return np.multiply(np.exp(t[..., None] * self.rates), x, out=x.copy(), where=self._moves)
 
 
 def translation(v: Sequence[float]) -> GeneratorField:
@@ -73,20 +64,16 @@ def translation(v: Sequence[float]) -> GeneratorField:
     return GeneratorField(kind="translation", dim=v.size, vector=v)
 
 
-def linear(L: np.ndarray) -> GeneratorField:
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ContractViolation("linear generator needs a square matrix")
-    return GeneratorField(kind="linear", dim=L.shape[0], matrix=L)
-
-
 def scaling(subset: Sequence[int], dim: int) -> GeneratorField:
-    subset = tuple(sorted(set(int(k) for k in subset)))
+    """The dilation of the coordinates in ``subset`` at unit rate."""
+    subset = sorted(set(int(k) for k in subset))
     if not subset:
         raise ContractViolation("scaling needs a nonempty coordinate subset")
     if subset[0] < 0 or subset[-1] >= dim:
-        raise ContractViolation(f"scaling subset {subset} outside chart of dim {dim}")
-    return GeneratorField(kind="scaling", dim=dim, subset=subset)
+        raise ContractViolation(f"scaling subset {tuple(subset)} outside chart of dim {dim}")
+    rates = np.zeros(dim)
+    rates[subset] = 1.0
+    return GeneratorField(kind="scaling", dim=dim, rates=rates)
 
 
 @dataclass(frozen=True)
@@ -133,21 +120,11 @@ def wedge_bivector(
 def cotangent_lift(gen: GeneratorField, n: int) -> GeneratorField:
     """Lift a base generator to the 2n-chart (x, p).
 
-    Translations lift to translations; a linear field L lifts to
-    blockdiag(L, -L^T) so that the pairing <p, x> is preserved; scalings lift
-    as their diagonal linear form.
+    Translations lift to translations; a scaling with rates w lifts to the
+    scaling with rates (w, -w), which preserves the pairing <p, x>.
     """
     if gen.dim != n:
         raise ContractViolation("generator dim does not match base dim")
     if gen.kind == "translation":
         return translation(np.concatenate([gen.vector, np.zeros(n)]))
-    if gen.kind == "linear":
-        L = gen.matrix
-    else:
-        L = np.zeros((n, n))
-        for k in gen.subset:
-            L[k, k] = 1.0
-    big = np.zeros((2 * n, 2 * n))
-    big[:n, :n] = L
-    big[n:, n:] = -L.T
-    return linear(big)
+    return GeneratorField(kind="scaling", dim=2 * n, rates=np.concatenate([gen.rates, -gen.rates]))

@@ -62,24 +62,20 @@ def project_trajectory(r: AbelianRSpec, traj: Trajectory, side: str) -> Trajecto
     return Trajectory(traj.times.copy(), _project(r, x, p, side))
 
 
-def canonical_bivector(n: int, coord_names: tuple[str, ...] | None = None) -> BivectorSpec:
+def _phase_names(n: int) -> tuple[str, ...]:
+    """Coordinate names (x0, ..., p0, ...) of the 2n-chart."""
+    return tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
+
+
+def canonical_bivector(n: int) -> BivectorSpec:
     """The cotangent-bundle structure on the 2n-chart (x, p):
     {x^i, p_j} = delta^i_j, all other coordinate brackets zero."""
-    if coord_names is None:
-        coord_names = tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
     comps = {(i, n + i): (lambda x: 1.0) for i in range(n)}
-    return BivectorSpec(2 * n, coord_names, comps)
+    return BivectorSpec(2 * n, _phase_names(n), comps)
 
 
-def cotangent_wedge(
-    epsilon: float,
-    gen_a: GeneratorField,
-    gen_b: GeneratorField,
-    coord_names: tuple[str, ...] | None = None,
-) -> BivectorSpec:
+def cotangent_wedge(epsilon: float, gen_a: GeneratorField, gen_b: GeneratorField) -> BivectorSpec:
     """epsilon * (lift of gen_a) ^ (lift of gen_b) on the 2n-chart — the
     r-part of a shifted cotangent structure."""
     n = gen_a.dim
-    if coord_names is None:
-        coord_names = tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
-    return wedge_bivector(epsilon, cotangent_lift(gen_a, n), cotangent_lift(gen_b, n), coord_names)
+    return wedge_bivector(epsilon, cotangent_lift(gen_a, n), cotangent_lift(gen_b, n), _phase_names(n))

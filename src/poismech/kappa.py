@@ -25,7 +25,7 @@ import numpy as np
 
 from .bracket import BivectorSpec, add_bivectors
 from .errors import ConfigError, ContractViolation
-from .fitting import collinearity_residual, monotonicity_verdict, tail_velocity
+from .fitting import MIN_CURVE_SAMPLES, collinearity_residual, monotonicity_verdict, tail_velocity
 from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
@@ -90,12 +90,11 @@ def free_shell_trajectory(
     spec: KappaSpec,
     mass: float,
     p_spatial: np.ndarray,
-    t_span: float = 3.0,
-    n_samples: int = 64,
-    x0: np.ndarray | None = None,
+    t_span: float,
+    n_samples: int,
 ) -> Trajectory:
-    """Straight-line free motion on the shell p^2 = m^2 as a phase-space
-    trajectory (rows (x, p) on the 2(1+d)-chart).
+    """Straight-line free motion on the shell p^2 = m^2 from the origin as a
+    phase-space trajectory (rows (x, p) on the 2(1+d)-chart).
 
     With H = p^2 = p_0^2 - sum_k p_k^2 and xdot = {H, x} under the canonical
     bracket {x^i, p_j} = delta, the velocity is (-2 p_0, +2 p_vec).
@@ -109,10 +108,9 @@ def free_shell_trajectory(
     p0 = float(np.sqrt(mass * mass + p_spatial @ p_spatial))
     mom = np.concatenate([[p0], p_spatial])
     vel = np.concatenate([[-2.0 * p0], 2.0 * p_spatial])
-    base = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     ts = np.linspace(0.0, t_span, n_samples)
     pts = np.empty((n_samples, 2 * d))
-    pts[:, :d] = base + ts[:, None] * vel
+    pts[:, :d] = ts[:, None] * vel + 0.0  # + 0.0: the t = 0 row is +0.0, not -0.0
     pts[:, d:] = mom
     return Trajectory(ts, pts)
 
@@ -191,21 +189,15 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, f
     return float(v_left), float(v_right)
 
 
-def classical_limit_deviation(
-    epsilon: float,
-    mass: float = 1.0,
-    p_grid: np.ndarray | None = None,
-    spatial_dim: int = 3,
-) -> float:
-    """max_p |(v_left + v_right)/2 - v_classical|.
+def classical_limit_deviation(epsilon: float, mass: float = 1.0, spatial_dim: int = 3) -> float:
+    """max_p |(v_left + v_right)/2 - v_classical| over p in [0.2, 2].
 
     The symmetric mean of the two groupoid-projected speeds is even in
     epsilon (left at epsilon is right at -epsilon), so the deviation from the
     undeformed p / sqrt(p^2 + m^2) closes at O(eps^2); either side alone
     deviates at O(eps).
     """
-    if p_grid is None:
-        p_grid = np.linspace(0.2, 2.0, 10)
+    p_grid = np.linspace(0.2, 2.0, 10)
     spec = KappaSpec(epsilon, spatial_dim)
     left = velocity_momentum_profile(spec, mass, "left", p_grid)["v"]
     right = velocity_momentum_profile(spec, mass, "right", p_grid)["v"]
@@ -236,8 +228,7 @@ PARAMS = {
     "p": Param(REAL, 1.0, positive=True),
     "spatial_dim": Param(INT, 3, minimum=1, maximum=127),
     "t_span": Param(REAL, 3.0, positive=True),
-    # tail fits need 8 samples in the last quarter
-    "n_samples": Param(INT, 64, minimum=29, maximum=2**16),
+    "n_samples": Param(INT, 64, minimum=MIN_CURVE_SAMPLES, maximum=2**16),
     "p_min": Param(REAL, 0.2, positive=True),
     "p_max": Param(REAL, 2.0),
     "n_p": Param(INT, 10, minimum=2, maximum=2**16),

@@ -60,13 +60,16 @@ __all__ = [
 
 COORD_NAMES = ("x_plus", "x_minus")
 
+# the numeric scattering limits read the velocity at p = -+ _P_SCALE / epsilon
+_P_SCALE = 40.0
+
 
 @dataclass(frozen=True)
 class Minkowski2DSpec:
     """Deformation strength and particle mass for the 2D model."""
 
     epsilon: float
-    mass: float = 1.0
+    mass: float
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -162,14 +165,10 @@ def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec) -> tuple[
     return float(np.tanh(curve.alpha - shift)), float(np.tanh(curve.alpha + shift))
 
 
-def scattering_limits_numeric(
-    spec: Minkowski2DSpec,
-    curve: ScatteringCurveSpec,
-    p_scale: float = 40.0,
-) -> tuple[float, float]:
-    """Direct velocity evaluation at p = -+ p_scale / epsilon (plain
-    -+ p_scale when epsilon = 0, where the curve is already straight)."""
-    p_inf = p_scale if spec.epsilon == 0.0 else p_scale / abs(spec.epsilon)
+def scattering_limits_numeric(spec: Minkowski2DSpec, curve: ScatteringCurveSpec) -> tuple[float, float]:
+    """Direct velocity evaluation at p = -+ 40 / epsilon (plain -+ 40 when
+    epsilon = 0, where the curve is already straight)."""
+    p_inf = _P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)
     return (
         velocity_on_curve(spec, curve, -p_inf),
         velocity_on_curve(spec, curve, +p_inf),
@@ -181,12 +180,10 @@ def classical_limit_deviation(
     mass: float = 1.0,
     alpha: float = 0.3,
     beta: float = 2.0,
-    p_grid: np.ndarray | None = None,
 ) -> float:
-    """max |q(eps; p) - q(0; p)| over the grid — O(eps^2), since the
-    parametric curve is even in eps."""
-    if p_grid is None:
-        p_grid = np.linspace(-3.0, 3.0, 25)
+    """max |q(eps; p) - q(0; p)| over 25 points of p in [-3, 3] — O(eps^2),
+    since the parametric curve is even in eps."""
+    p_grid = np.linspace(-3.0, 3.0, 25)
     curve = ScatteringCurveSpec(alpha, beta)
     q_eps = parametric_trajectory_2d(Minkowski2DSpec(epsilon, mass), curve, p_grid)
     q_zero = parametric_trajectory_2d(Minkowski2DSpec(0.0, mass), curve, p_grid)

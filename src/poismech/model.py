@@ -18,6 +18,7 @@ REAL = "real"
 INT = "int"
 
 CERT_POINTS = 100  # sample points per randomized certificate check
+_JACOBI_THRESHOLD = 1e-6  # largest Jacobiator entry a Poisson bivector may show
 
 Params = Mapping[str, Any]
 
@@ -104,7 +105,7 @@ def threshold_check(name: str, value: float, threshold: float) -> CertCheck:
 
 
 def jacobi_check(name: str, biv: BivectorSpec, n_points: int, seed: int) -> CertCheck:
-    """The randomized Jacobi certificate of ``biv`` as a check (threshold 1e-6)."""
-    cert = jacobi_certificate(biv, n_points=n_points, seed=seed, threshold=1e-6)
+    """The randomized Jacobi certificate of ``biv`` as a check."""
+    cert = jacobi_certificate(biv, n_points=n_points, seed=seed, threshold=_JACOBI_THRESHOLD)
     note = "vacuous below dim 3" if cert.vacuous else ""
-    return CertCheck(name, cert.max_residual, 1e-6, cert.passed, note)
+    return CertCheck(name, cert.max_residual, cert.threshold, cert.passed, note)

@@ -57,6 +57,8 @@ LINEAR_COORD_NAMES = ("x", "y", "z")
 _UNIMODULAR_TOL = 1e-9
 _UNITARY_TOL = 1e-10
 _RENORM_TRIGGER = 1e-10
+# standard deviation of the random triangular factors
+_SAMPLE_SPREAD = 0.4
 
 # [[0, -1], [1, 0]]: conjugation by this matrix implements the antihomomorphism
 # that sends a special unitary to its complex conjugate.
@@ -307,19 +309,15 @@ def flow_rhs(m: np.ndarray, epsilon: float) -> np.ndarray:
     return 1j * epsilon * (free_energy(m) * m + _Y @ np.conj(m) @ _Y)
 
 
-def legendre_velocity(b_part: SB2Element, epsilon: float, energy: float | None = None) -> np.ndarray:
+def legendre_velocity(b_part: SB2Element, epsilon: float) -> np.ndarray:
     """Body-frame angular velocity of the unitary factor along the free flow.
 
     Anti-hermitian and traceless; constant along a free trajectory because the
     triangular factor is.
     """
     bm = b_part.matrix
-    if energy is None:
-        energy = free_energy(bm)
-    binv = np.array(
-        [[1.0 / b_part.rho, -b_part.n], [0.0, b_part.rho]], dtype=complex
-    )
-    return 1j * epsilon * (energy * np.eye(2) + _Y @ np.conj(bm) @ _Y @ binv)
+    binv = np.array([[1.0 / b_part.rho, -b_part.n], [0.0, b_part.rho]], dtype=complex)
+    return 1j * epsilon * (free_energy(bm) * np.eye(2) + _Y @ np.conj(bm) @ _Y @ binv)
 
 
 def expm2(m: np.ndarray) -> np.ndarray:
@@ -350,15 +348,15 @@ def free_flow(
     g0: SL2CElement,
     epsilon: float,
     t_end: float,
-    step: StepControl | None = None,
+    step: StepControl,
 ) -> tuple[Trajectory, int]:
-    """Integrate the free flow on the group chart.
+    """Integrate the free flow on the group chart with the step size and
+    tolerance of ``step``.
 
     The determinant is conserved by the exact flow; whenever the numerical
     state drifts off the unit-determinant slice by more than 1e-10 it is
     rescaled back.  Returns the trajectory and the number of rescalings.
     """
-    base = step if step is not None else StepControl()
     events = [0]
 
     def renorm(x: np.ndarray) -> np.ndarray:
@@ -369,7 +367,7 @@ def free_flow(
             return real8_from_matrix(m / cmath.sqrt(det))
         return x
 
-    ctrl = StepControl(h=base.h, tol=base.tol, poststep=renorm)
+    ctrl = StepControl(h=step.h, tol=step.tol, poststep=renorm)
     traj = integrate_flow(
         sl2c_bivector(epsilon),
         free_hamiltonian_field(),
@@ -620,14 +618,14 @@ def energy_relations(
     )
 
 
-def classical_limit_deviation(epsilon: float, classical: float = 0.5) -> float:
-    """Gap between the normalized and classical energies at fixed radius.
+def classical_limit_deviation(epsilon: float) -> float:
+    """Gap between the normalized and classical energies at geodesic radius 1.
 
     Vanishes quadratically in ``epsilon``: the deformation correction to the
-    energy of a trajectory of geodesic radius ``sqrt(2 * classical)``.
+    energy of a trajectory of classical energy 1/2.
     """
-    rel = energy_relations(epsilon, classical=classical)
-    return abs(rel.normalized - classical)
+    rel = energy_relations(epsilon, classical=0.5)
+    return abs(rel.normalized - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -640,22 +638,22 @@ def random_su2(rng: np.random.Generator) -> SU2Element:
     return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
 
 
-def random_sb2(rng: np.random.Generator, spread: float = 0.4) -> SB2Element:
-    rho = math.exp(spread * rng.normal())
-    n = complex(spread * rng.normal(), spread * rng.normal())
+def random_sb2(rng: np.random.Generator) -> SB2Element:
+    rho = math.exp(_SAMPLE_SPREAD * rng.normal())
+    n = complex(_SAMPLE_SPREAD * rng.normal(), _SAMPLE_SPREAD * rng.normal())
     return SB2Element(rho, n)
 
 
-def random_sl2c(rng: np.random.Generator, spread: float = 0.4) -> SL2CElement:
+def random_sl2c(rng: np.random.Generator) -> SL2CElement:
     u = random_su2(rng)
-    b = random_sb2(rng, spread)
+    b = random_sb2(rng)
     return SL2CElement.from_matrix(u.matrix @ b.matrix)
 
 
-def sample_unimodular(n: int, seed: int = 0, spread: float = 0.4) -> Iterator[SL2CElement]:
+def sample_unimodular(n: int, seed: int) -> Iterator[SL2CElement]:
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        yield random_sl2c(rng, spread)
+        yield random_sl2c(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +697,7 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
         if r < 0.1 or abs(r * r - p[2] * p[2]) < 1e-3:
             continue  # keep points away from the series-continued locus
         img = momentum_isomorphism(p, epsilon)
-        got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p, 3)
+        got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p)
         push.append(np.max(np.abs(got - mom.matrix(img))))
         big_r = math.sqrt(casimir_radius_squared(img, epsilon))
         if epsilon != 0.0:
@@ -721,6 +719,16 @@ PARAMS = {
     "tol": Param(REAL, 1e-8, positive=True),
     "step": Param(REAL, 1e-3, positive=True),
 }
+
+# The integrator never steps past ``step``, so a run stores at least
+# t_end / step samples of 8 floats; 2^21 of them keep it within 2^24 floats.
+_MAX_SAMPLES = 2**21
+
+
+def _check(p: Params) -> None:
+    n = p["t_end"] / p["step"]
+    if not n <= _MAX_SAMPLES:
+        raise ConfigError("params.step", f"t_end / step = {n:.6g} samples, above the 2^21 a run may store")
 
 
 def _start(rho: float, n_re: float, n_im: float) -> SL2CElement:
@@ -815,6 +823,7 @@ def _sweep_row(p: Params) -> dict:
 MODEL = Model(
     name="su2",
     params=PARAMS,
+    check=_check,
     artifacts={"trajectory": _trajectory},
     certificate=lambda p, seed, n: su2_certificate(
         p["epsilon"], seed, n, p["rho"], p["n_re"], p["n_im"]

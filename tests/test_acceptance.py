@@ -55,7 +55,7 @@ def test_criterion_01_jacobi_certificates():
     triples.  The planar product deformation has no triple and certifies
     vacuously; the other four structures are checked in earnest."""
     shipped = [
-        mink_model.minkowski2d_bivector(mink_model.Minkowski2DSpec(EPS)),
+        mink_model.minkowski2d_bivector(mink_model.Minkowski2DSpec(EPS, 1.0)),
         kappa_model.kappa_bivector(kappa_model.KappaSpec(EPS)),
         sl2c_bivector(EPS),
         momentum_bivector(EPS),
@@ -127,7 +127,7 @@ def test_criterion_06_planar_shape_and_scattering():
     the numeric asymptotic velocities match the closed-form scattering map
     within 1e-6 over a 5x5 parameter grid; and the velocity shift is odd in
     the impact parameter, both for the numeric limits and in closed form."""
-    spec = mink_model.Minkowski2DSpec(EPS)
+    spec = mink_model.Minkowski2DSpec(EPS, 1.0)
     grid = 1.0 + np.linspace(0.2, 3.0, 25)
     pts = mink_model.hyperbola_curve(spec, 1.0, -1.0, grid)
     assert mink_model.hyperbola_residual(spec, 1.0, -1.0, pts) < 1e-12

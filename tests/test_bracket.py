@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poismech import bracket
+from poismech import bracket, generators, groupoid, kappa, minkowski2d, su2
 from poismech.bracket import (
+    _FD_SCALE,
     _FD_SCALE_NESTED,
     BivectorSpec,
     ScalarField,
@@ -109,10 +110,10 @@ def test_leibniz_rule(pt):
 
 
 def test_fd_gradient_close_to_analytic():
-    """A field without ``grad`` takes central differences, which agree with
-    the analytic gradient to the step's truncation error."""
+    """Central differences at the pushforward's step scale agree with the
+    analytic gradient to the step's truncation error."""
     x = np.array([0.6, -1.1])
-    fd = ScalarField(fn=lambda q: np.sin(q[0]) * q[1]).gradient(x)
+    fd = bracket._central_differences(lambda q: np.sin(q[0]) * q[1], x, _FD_SCALE)
     np.testing.assert_allclose(fd, [np.cos(0.6) * -1.1, np.sin(0.6)], rtol=0, atol=1e-9)
 
 
@@ -201,8 +202,10 @@ def test_jacobi_tensor_matches_nested_brackets():
     coords = [coordinate_field(m, 5) for m in range(5)]
 
     def nested(a, b, c):
-        inner = ScalarField(fn=lambda y: eval_bracket(biv, coords[b], coords[c], y),
-                            fd_scale=_FD_SCALE_NESTED)
+        def fn(y):
+            return eval_bracket(biv, coords[b], coords[c], y)
+
+        inner = ScalarField(fn=fn, grad=lambda y: bracket._central_differences(fn, y, _FD_SCALE_NESTED))
         return eval_bracket(biv, coords[a], inner, x)
 
     for i, j, k in itertools.combinations(range(5), 3):
@@ -240,11 +243,11 @@ def test_pushforward_through_linear_map():
     biv = so3_biv()
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     x = np.array([0.3, -0.5, 0.9])
-    got = pushforward_bivector(biv, lambda q: A @ q, x, 2)
+    got = pushforward_bivector(biv, lambda q: A @ q, x)
     want = A @ biv.matrix(x) @ A.T
     np.testing.assert_allclose(got, want, atol=1e-9)
     with pytest.raises(ContractViolation):
-        pushforward_bivector(biv, lambda q: A @ q, x, 3)
+        pushforward_bivector(biv, lambda q: A[:, :2] @ q, x[:2])
 
 
 def test_constant_field_bracket_vanishes():
@@ -252,3 +255,40 @@ def test_constant_field_bracket_vanishes():
     c = ScalarField(fn=lambda x: 4.2, grad=lambda x: np.zeros(3))
     f = coordinate_field(1, 3)
     assert eval_bracket(biv, c, f, np.array([1.0, 2.0, 3.0])) == 0.0
+
+
+def _shipped_structures():
+    yield "sl2c", su2.sl2c_bivector(0.2)
+    yield "su2_momentum", su2.momentum_bivector(0.2)
+    yield "su2_linear", su2.linear_momentum_bivector()
+    for d in (1, 2, 3, 7):
+        spec = kappa.KappaSpec(0.3, d)
+        yield f"kappa_{d}", kappa.kappa_bivector(spec)
+        r = kappa.kappa_rspec(spec)
+        yield f"kappa_shifted_{d}", add_bivectors(groupoid.canonical_bivector(spec.dim),
+                                                  groupoid.cotangent_wedge(0.3, r.X1, r.X2))
+    mink = minkowski2d.Minkowski2DSpec(0.3, 1.0)
+    yield "minkowski2d", minkowski2d.minkowski2d_bivector(mink)
+    X1, X2 = generators.scaling([0], 2), generators.scaling([1], 2)
+    yield "minkowski2d_shifted", add_bivectors(groupoid.canonical_bivector(2),
+                                               groupoid.cotangent_wedge(0.3, X1, X2))
+
+
+SHIPPED = dict(_shipped_structures())
+
+
+@pytest.mark.parametrize("name", list(SHIPPED))
+def test_jacobi_terms_contraction_matches_loop_bit_for_bit(name):
+    """The contraction T[a,b,c] = sum_l P[a,l] dP[l,b,c] equals, bit for bit,
+    the sum accumulated one l at a time in ascending order, at seeded
+    points of the certificate's box."""
+    biv = SHIPPED[name]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.uniform(0.0, 1.0, size=biv.dim)
+        P = biv.matrix(x)
+        dP = bracket._central_differences(biv.matrix, x, _FD_SCALE_NESTED)
+        T = np.zeros((biv.dim,) * 3)
+        for l in range(biv.dim):
+            T += P[:, l, None, None] * dP[l]
+        np.testing.assert_array_equal(bracket._jacobi_terms(biv, x), T)

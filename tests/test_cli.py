@@ -1,4 +1,5 @@
 """Scenario CLI: config validation, artifact writing, determinism, sweeps."""
+import ast
 import importlib
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +467,26 @@ def test_sweep_values_pass_validation_before_any_row(tmp_path, capsys, model, pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params", [{"step": 1e-9}, {"t_end": 1e9}])
+def test_su2_run_that_cannot_finish_is_config_error(tmp_path, capsys, params):
+    """The integrator never steps past ``step``, so t_end / step samples is
+    the least a run stores; above 2^21 the config names params.step and the
+    run exits 2 before the flow starts, writing nothing."""
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, **params},
+                               "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = main(["run", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2
+    assert "params.step" in capsys.readouterr().out
+    assert not out.exists()
+    at_bound = {"epsilon": 0.2, "t_end": 2.0**20, "step": 0.5}
+    validate_config({"model": "su2", "params": at_bound})
+    with pytest.raises(ConfigError, match=r"params\.step"):
+        validate_config({"model": "su2", "params": {**at_bound, "t_end": 2.0**20 + 1}})
+
+
 def test_sweep_rejects_non_integer_worker_count(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, {"model": "minkowski2d",
                                "params": {"epsilon": 0.2}, "outputs": []})
@@ -565,8 +587,14 @@ def test_certify_kappa_ignores_config_momenta_poles(capsys):
 
 
 def test_cli_import_is_lean():
-    """Importing the CLI loads no scipy and builds no bracket coefficients."""
+    """Importing the CLI loads no scipy and builds no bracket coefficients,
+    and no module of the package imports scipy at all."""
     src = Path(__file__).resolve().parents[1] / "src"
+    for path in sorted((src / "poismech").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "scipy" for n in names), f"{path.name} imports scipy"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     probe = ("import sys, poismech.cli; from poismech import su2; "

@@ -191,12 +191,12 @@ def test_hamiltonian_drift_warns():
 def test_input_validation():
     can = canonical_bivector(1)
     with pytest.raises(ContractViolation):
-        integrate_flow(can, OSC, np.zeros(3), 1.0)
+        integrate_flow(can, OSC, np.zeros(3), 1.0, StepControl(h=1e-2, tol=1e-8))
     with pytest.raises(ContractViolation):
-        integrate_flow(can, OSC, np.zeros(2), -1.0)
+        integrate_flow(can, OSC, np.zeros(2), -1.0, StepControl(h=1e-2, tol=1e-8))
     with pytest.raises(ContractViolation):
-        StepControl(h=0.0)
+        StepControl(h=0.0, tol=1e-8)
     with pytest.raises(ContractViolation):
-        StepControl(tol=-1e-8)
+        StepControl(h=1e-2, tol=-1e-8)
     with pytest.raises(ContractViolation):
         Trajectory(np.zeros(3), np.zeros((2, 2)))

@@ -20,7 +20,7 @@ from poismech.minkowski2d import (
     velocity_on_curve,
 )
 
-SPEC = Minkowski2DSpec(0.2)
+SPEC = Minkowski2DSpec(0.2, 1.0)
 CURVE = ScatteringCurveSpec(0.3, 2.0)
 
 
@@ -42,7 +42,7 @@ def test_hyperbola_curve_satisfies_invariant():
 def test_hyperbola_curve_validation():
     grid = np.array([1.5, 2.0])
     with pytest.raises(ContractViolation):
-        hyperbola_curve(Minkowski2DSpec(0.0), 1.0, -1.0, grid)
+        hyperbola_curve(Minkowski2DSpec(0.0, 1.0), 1.0, -1.0, grid)
     with pytest.raises(ContractViolation):
         hyperbola_curve(SPEC, 1.0, 2.0, grid)  # centers on the same side
     with pytest.raises(ContractViolation):
@@ -51,7 +51,7 @@ def test_hyperbola_curve_validation():
 
 def test_parametric_curve_flattens_at_zero_deformation():
     grid = np.linspace(-3.0, 3.0, 31)
-    rows = parametric_trajectory_2d(Minkowski2DSpec(0.0), CURVE, grid)
+    rows = parametric_trajectory_2d(Minkowski2DSpec(0.0, 1.0), CURVE, grid)
     assert collinearity_residual(rows[:, 1:]) < 1e-12
 
 

@@ -1,5 +1,7 @@
 """Group-chart model: factorization, bracket tables, free flow, and the two
 momentum charts."""
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -144,7 +146,10 @@ def test_polarized_matrix_matches_table_and_is_exactly_antisymmetric(epsilon):
     rng = np.random.default_rng(17)
     biv = sl2c_bivector(epsilon)
     for _ in range(20):
-        g = su2.random_sl2c(rng, spread=1.0)
+        # a unitary times a triangular factor of spread 1, not the samplers' 0.4
+        u = su2.random_su2(rng)
+        b = su2.SB2Element(math.exp(rng.normal()), complex(rng.normal(), rng.normal()))
+        g = SL2CElement.from_matrix(u.matrix @ b.matrix)
         got = biv.matrix(g.real8)
         want = _realified_table(g, epsilon)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
