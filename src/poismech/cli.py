@@ -93,6 +93,12 @@ def _check_int(path: str, value: Any) -> int:
     return int(value)
 
 
+def _check_at_least(path: str, value: int, least: int) -> int:
+    if value < least:
+        raise ConfigError(path, f"need at least {least}, got {value}")
+    return value
+
+
 def _validate_params(model: Model, raw: Any) -> dict[str, Any]:
     if raw is None:
         raw = {}
@@ -116,8 +122,8 @@ def _validate_params(model: Model, raw: Any) -> dict[str, Any]:
             out[key] = param.default
         if param.positive and out[key] <= 0:
             raise ConfigError(f"params.{key}", f"must be positive, got {out[key]}")
-        if param.minimum is not None and out[key] < param.minimum:
-            raise ConfigError(f"params.{key}", f"need at least {param.minimum}, got {out[key]}")
+        if param.minimum is not None:
+            _check_at_least(f"params.{key}", out[key], param.minimum)
         if param.maximum is not None and out[key] > param.maximum:
             raise ConfigError(f"params.{key}", f"need at most {param.maximum}, got {out[key]}")
     model.check(out)
@@ -139,10 +145,7 @@ def validate_config(raw: Any) -> ScenarioConfig:
             "model", f"unknown model {name!r} (one of: {', '.join(sorted(MODELS))})"
         )
     model = MODELS[name]
-    seed = raw.get("seed", 0)
-    seed = _check_int("seed", seed)
-    if seed < 0:
-        raise ConfigError("seed", "must be nonnegative")
+    seed = _check_at_least("seed", _check_int("seed", raw.get("seed", 0)), 0)
     params = _validate_params(model, raw.get("params"))
     outputs_raw = raw.get("outputs", [])
     if outputs_raw is None:
@@ -493,6 +496,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         model = MODELS[args.model]
         params = {name: param.default for name, param in model.params.items()}
         params["epsilon"] = _check_real("epsilon", args.epsilon)
+        _check_at_least("seed", args.seed, 0)
+        _check_at_least("points", args.points, 1)
         checks = model.certificate(params, args.seed, args.points)
         for c in checks:
             status = "PASS" if c.passed else "FAIL"

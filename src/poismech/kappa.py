@@ -18,7 +18,6 @@ the sweep row.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
 from .model import (
-    CERT_POINTS, INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    CERT_POINTS, INT, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
 )
 
@@ -239,9 +238,6 @@ def _spec(p: Params) -> KappaSpec:
     return KappaSpec(p["epsilon"], p["spatial_dim"])
 
 
-_LOG_SQRT_DBL_MAX = 0.5 * math.log(sys.float_info.max)
-
-
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
@@ -250,12 +246,12 @@ def _check(p: Params) -> None:
     # stay below sqrt(DBL_MAX); the largest momentum sets p0
     q = "p_max" if p["p_max"] >= p["p"] else "p"
     exponent = 0.5 * abs(p["epsilon"]) * math.hypot(p["mass"], p[q])
-    if not exponent < _LOG_SQRT_DBL_MAX:
+    if not exponent < LOG_SQRT_DBL_MAX:
         raise ConfigError(
             f"params.{q}" if p[q] > p["mass"] else "params.mass",
             f"the projected speeds scale like exp(|epsilon| sqrt(mass^2 + {q}^2) / 2), whose "
             f"square overflows a float: the exponent is {exponent:.6g}, above "
-            f"log(DBL_MAX) / 2 = {_LOG_SQRT_DBL_MAX:.6g}",
+            f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}",
         )
     # one projection's speed has a pole where the shell energy
     # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)

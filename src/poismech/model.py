@@ -6,6 +6,8 @@ of its own.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -19,6 +21,8 @@ INT = "int"
 
 CERT_POINTS = 100  # sample points per randomized certificate check
 _JACOBI_THRESHOLD = 1e-6  # largest Jacobiator entry a Poisson bivector may show
+# largest exponent x whose exp(x) still squares to a finite float
+LOG_SQRT_DBL_MAX = 0.5 * math.log(sys.float_info.max)
 
 Params = Mapping[str, Any]
 

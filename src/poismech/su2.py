@@ -37,7 +37,7 @@ from .errors import ConfigError, ContractViolation, NumericDomainError
 from .fitting import central_derivative
 from .flow import StepControl, Trajectory, integrate_flow
 from .model import (
-    CERT_POINTS, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    CERT_POINTS, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
 )
 
@@ -57,6 +57,8 @@ LINEAR_COORD_NAMES = ("x", "y", "z")
 _UNIMODULAR_TOL = 1e-9
 _UNITARY_TOL = 1e-10
 _RENORM_TRIGGER = 1e-10
+# half-width of the linear-chart cube the isomorphism certificate samples
+_CUBE = 1.2
 # standard deviation of the random triangular factors
 _SAMPLE_SPREAD = 0.4
 
@@ -320,20 +322,23 @@ def legendre_velocity(b_part: SB2Element, epsilon: float) -> np.ndarray:
     return 1j * epsilon * (free_energy(bm) * np.eye(2) + _Y @ np.conj(bm) @ _Y @ binv)
 
 
+def _sinhc(u):
+    """``sinh(u) / u`` for real or complex ``u``, continued by its limit 1 at
+    ``u = 0``; ``sinh(eps x) / eps`` is ``x * _sinhc(eps x)`` at every eps."""
+    if u == 0:
+        return 1.0
+    return (cmath.sinh(u) if isinstance(u, complex) else math.sinh(u)) / u
+
+
 def expm2(m: np.ndarray) -> np.ndarray:
-    """Exponential of a complex 2x2 matrix in closed form."""
+    """Exponential of a complex 2x2 matrix in closed form:
+    ``exp(lam) (cosh(theta) I + sinh(theta)/theta N)`` for ``m = lam I + N``
+    with ``N`` traceless and ``theta^2 = -det N``."""
     m = np.asarray(m, dtype=complex)
     lam = 0.5 * (m[0, 0] + m[1, 1])
     n = m - lam * np.eye(2)
-    theta2 = -(n[0, 0] * n[1, 1] - n[0, 1] * n[1, 0])
-    theta = cmath.sqrt(theta2)
-    if abs(theta) < 1e-4:
-        cosh_t = 1.0 + theta2 / 2.0 + theta2**2 / 24.0
-        sinhc_t = 1.0 + theta2 / 6.0 + theta2**2 / 120.0
-    else:
-        cosh_t = cmath.cosh(theta)
-        sinhc_t = cmath.sinh(theta) / theta
-    return cmath.exp(lam) * (cosh_t * np.eye(2) + sinhc_t * n)
+    theta = cmath.sqrt(n[0, 1] * n[1, 0] - n[0, 0] * n[1, 1])
+    return cmath.exp(lam) * (cmath.cosh(theta) * np.eye(2) + _sinhc(theta) * n)
 
 
 def closed_form_flow(
@@ -433,22 +438,16 @@ def momentum_bivector(epsilon: float) -> BivectorSpec:
     """Deformed rotation brackets on ``(zeta, w_re, w_im)``.
 
     ``{zeta, w_re} = w_im``, ``{zeta, w_im} = -w_re``,
-    ``{w_re, w_im} = sinh(2 eps zeta) / (2 eps)`` (the last degenerates to
-    ``zeta`` at ``eps = 0``, giving the linear structure back).
+    ``{w_re, w_im} = sinh(2 eps zeta) / (2 eps)`` (the last is ``zeta`` at
+    ``eps = 0``, giving the linear structure back).
     """
-
-    def ww(x):
-        if epsilon == 0.0:
-            return x[0]
-        return math.sinh(2.0 * epsilon * x[0]) / (2.0 * epsilon)
-
     return BivectorSpec(
         dim=3,
         coord_names=MOMENTUM_COORD_NAMES,
         components={
             (0, 1): lambda x: x[2],
             (0, 2): lambda x: -x[1],
-            (1, 2): ww,
+            (1, 2): lambda x: x[0] * _sinhc(2.0 * epsilon * x[0]),
         },
     )
 
@@ -466,27 +465,17 @@ def linear_momentum_bivector() -> BivectorSpec:
     )
 
 
-def _phi_derivs(s: float, epsilon: float, m_max: int) -> list[float]:
-    """Derivatives of Phi(s) = (cosh(2 eps sqrt(s)) - 1)/2 at s, orders 1..m_max.
-
-    Phi is entire in s, so the series works for any sign of s.
+def _chart_factor(s2: float, z: float, epsilon: float) -> float:
+    """The factor by which :func:`momentum_isomorphism` rescales ``x + i y``,
+    from ``s2 = x^2 + y^2``: the square root of
+    ``(sinh^2(eps r) - sinh^2(eps z)) / (eps^2 (r^2 - z^2))``, written as
+    ``sinhc(eps (r + |z|)) sinhc(eps (r - |z|))`` with ``r - |z|`` as
+    ``s2 / (r + |z|)``.  No two nearly equal numbers are subtracted, so the
+    one formula holds on and near the axis and at every ``eps``, 0 included.
     """
-    e2 = epsilon * epsilon
-    out = []
-    for m in range(1, m_max + 1):
-        total = 0.0
-        k = max(m, 1)
-        # term_k = 2^(2k-1) eps^(2k) k!/(k-m)! s^(k-m) / (2k)!
-        while True:
-            coeff = 2.0 ** (2 * k - 1) * e2**k / math.factorial(2 * k)
-            fall = math.factorial(k) / math.factorial(k - m)
-            term = coeff * fall * s ** (k - m)
-            total += term
-            k += 1
-            if abs(term) <= 1e-18 * max(abs(total), 1e-30) or k > m + 60:
-                break
-        out.append(total)
-    return out
+    s = math.sqrt(s2 + z * z) + abs(z)
+    d = s2 / s if s else 0.0  # both vanish only at the origin
+    return math.sqrt(_sinhc(epsilon * s) * _sinhc(epsilon * d))
 
 
 def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
@@ -494,30 +483,14 @@ def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
 
     ``zeta = z`` and ``w`` rescales ``x + i y`` so that the squared-radius
     functions correspond: ``|w|^2 + (sinh(eps zeta)/eps)^2 = (sinh(eps r)/eps)^2``
-    with ``r = |(x, y, z)|``.  Near the axis ``x = y = 0`` the rescaling factor
-    is continued by a 4-term Taylor series of an entire function, so the map
-    is smooth there.
+    with ``r = |(x, y, z)|``.  The rescaling factor is one closed formula,
+    smooth through the axis ``x = y = 0`` and equal to 1 at ``eps = 0``.
     """
     p = np.asarray(xyz, dtype=float)
     if p.shape != (3,):
         raise ContractViolation(f"linear chart points have 3 components, got {p.shape}")
     x, y, z = p
-    if epsilon == 0.0:
-        return np.array([z, x, y])
-    s2 = x * x + y * y
-    r2 = s2 + z * z
-    z2 = z * z
-    # g = (sinh^2(eps r) - sinh^2(eps |z|)) / (r^2 - z^2), continued through
-    # the removable singularity at r^2 = z^2.
-    if abs(r2 - z2) < 1e-8:
-        d = _phi_derivs(z2, epsilon, 4)
-        u = r2 - z2
-        g = d[0] + u * (d[1] / 2.0 + u * (d[2] / 6.0 + u * d[3] / 24.0))
-    else:
-        g = (math.sinh(epsilon * math.sqrt(r2)) ** 2 - math.sinh(epsilon * abs(z)) ** 2) / (
-            r2 - z2
-        )
-    factor = math.sqrt(g) / abs(epsilon)
+    factor = _chart_factor(x * x + y * y, z, epsilon)
     return np.array([z, factor * x, factor * y])
 
 
@@ -527,12 +500,8 @@ def casimir_radius_squared(zw: np.ndarray, epsilon: float) -> float:
     Pulls back to ``(sinh(eps r)/eps)^2`` under the isomorphism; at
     ``eps = 0`` it is the plain squared radius.
     """
-    q = np.asarray(zw, dtype=float)
-    zeta, wx, wy = q
-    if epsilon == 0.0:
-        sz = zeta
-    else:
-        sz = math.sinh(epsilon * zeta) / epsilon
+    zeta, wx, wy = np.asarray(zw, dtype=float)
+    sz = zeta * _sinhc(epsilon * zeta)
     return float(wx * wx + wy * wy + sz * sz)
 
 
@@ -680,30 +649,25 @@ def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
 def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[float, float]:
     """Pushforward and Casimir defects of :func:`momentum_isomorphism`.
 
-    At ``n_points`` seeded points of the linear chart (uniform in the cube
-    of half-width 1.2, bounded away from the origin and from the axis where
-    the chart factor is continued by series), the finite-difference
-    pushforward of the linear bivector should equal the deformed one, and
-    ``eps R = sinh(eps r)`` should hold for the radius Casimirs.  Returns the
-    worst of each; NaN and inf propagate.
+    At ``n_points`` seeded points of the linear chart, uniform in the cube of
+    half-width :data:`_CUBE` (the axis and the origin included), the
+    finite-difference pushforward of the linear bivector should equal the
+    deformed one, and ``eps R = sinh(eps r)`` should hold for the radius
+    Casimirs (``R = r`` at ``eps = 0``).  Returns the worst of each; NaN and
+    inf propagate.
     """
     rng = np.random.default_rng(seed)
     lin = linear_momentum_bivector()
     mom = momentum_bivector(epsilon)
     push, cas = [], []
-    while len(push) < n_points:
-        p = rng.uniform(-1.2, 1.2, size=3)
+    for _ in range(n_points):
+        p = rng.uniform(-_CUBE, _CUBE, size=3)
         r = float(np.linalg.norm(p))
-        if r < 0.1 or abs(r * r - p[2] * p[2]) < 1e-3:
-            continue  # keep points away from the series-continued locus
         img = momentum_isomorphism(p, epsilon)
         got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p)
         push.append(np.max(np.abs(got - mom.matrix(img))))
         big_r = math.sqrt(casimir_radius_squared(img, epsilon))
-        if epsilon != 0.0:
-            cas.append(abs(epsilon * big_r - math.sinh(epsilon * r)))
-        else:
-            cas.append(abs(big_r - r))
+        cas.append(abs(epsilon * big_r - math.sinh(epsilon * r)) if epsilon else abs(big_r - r))
     return float(np.max(push, initial=0.0)), float(np.max(cas, initial=0.0))
 
 
@@ -770,14 +734,15 @@ def su2_certificate(
     """Jacobi checks of the three shipped brackets, conservation along the
     free flow from ``SB2Element(rho, n_re + i n_im)`` to t = 1, the energy
     pipeline, the dual-path dynamics and the momentum isomorphism.  An
-    epsilon at which the momentum isomorphism overflows a float is a
-    ``ConfigError``, found before the flow runs."""
-    try:
-        push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
-    except OverflowError as exc:
-        raise ConfigError(
-            "epsilon", f"the momentum isomorphism overflows a float at epsilon = {epsilon} ({exc})"
-        ) from exc
+    epsilon at which the momentum isomorphism's Casimir overflows a float
+    somewhere in the sampling cube is a ``ConfigError``, raised before any
+    check runs."""
+    exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
+    if not exponent < LOG_SQRT_DBL_MAX:
+        raise ConfigError("epsilon", f"the momentum isomorphism overflows a float: |epsilon| r "
+                          f"reaches {exponent:.6g} in the sampling cube, at or above "
+                          f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
+    push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
 
     # conservation along the flow, against the closed-form solution (t = 1)
     traj, _ = free_flow(_start(rho, n_re, n_im), epsilon, 1.0, step=StepControl(h=1e-3, tol=1e-8))

@@ -114,8 +114,8 @@ def test_criterion_04_energy_relations_and_pipeline(reference_flow):
 def test_criterion_05_momentum_isomorphism():
     """The chart map from the linear momentum space to the deformed one
     intertwines the two bivectors to 1e-5 (finite-difference pushforward at
-    100 seeded regular points, i.e. bounded away from the axis where the
-    chart factor is continued by series), and the radius Casimirs correspond
+    100 seeded points of the whole cube, axis and origin included: the chart
+    factor is one closed formula), and the radius Casimirs correspond
     exactly: eps R = sinh(eps r) to 1e-12."""
     worst_push, worst_cas = isomorphism_deviation(EPS, n_points=100, seed=23)
     assert worst_push < 1e-5

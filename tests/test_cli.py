@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poismech import cli
+from poismech import cli, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
-from poismech.model import INT, ArtifactData
+from poismech.model import INT, LOG_SQRT_DBL_MAX, ArtifactData
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -565,14 +566,51 @@ def test_certify_minkowski2d_epsilon_outside_run_range_is_config_error(epsilon, 
 
 
 def test_certify_su2_overflowing_isomorphism_is_config_error(tmp_path, capsys):
-    """At epsilon 300, sinh(epsilon r) in the momentum isomorphism overflows a
-    float: a config error naming epsilon, found before any check runs."""
+    """At epsilon 300, far past the bound |epsilon| 1.2 sqrt(3) < log(DBL_MAX) / 2,
+    sinh(epsilon r) squared overflows a float somewhere in the isomorphism's
+    sampling cube: a config error naming epsilon, raised before any check runs."""
     out = tmp_path / "cert"
     rc = main(["certify", "su2", "--epsilon", "300", "--points", "2", "--out", str(out)])
     text = capsys.readouterr().out
     assert rc == 2
     assert text.startswith("config error: epsilon:")
     assert "FAIL" not in text
+    assert not out.exists()
+
+
+# |epsilon| r reaches log(DBL_MAX) / 2 at the corners of the sampling cube
+_SU2_EPSILON_BOUND = LOG_SQRT_DBL_MAX / (su2._CUBE * math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certify_su2_epsilon_bound_does_not_depend_on_the_seed(seed, capsys):
+    """At and above the bound, certify su2 is a config error naming epsilon
+    whatever the seed; just below it the isomorphism checks are finite and
+    raise no overflow and no warning."""
+    for epsilon in (_SU2_EPSILON_BOUND * (1 + 1e-12), -_SU2_EPSILON_BOUND * (1 + 1e-12), 300.0):
+        rc = main(["certify", "su2", f"--epsilon={epsilon!r}", "--seed", str(seed), "--points", "2"])
+        text = capsys.readouterr().out
+        assert rc == 2
+        assert text.startswith("config error: epsilon:")
+    below = _SU2_EPSILON_BOUND * (1 - 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epsilon in (below, -below):
+            values = su2.isomorphism_deviation(epsilon, 100, seed + 4)
+            assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--points", "0"), ("--points", "-3")])
+def test_certify_negative_seed_or_no_points_is_config_error(model, flag, value, tmp_path, capsys):
+    """A negative seed is refused as run refuses it, and a certificate must
+    check at least one point: config errors naming the field, nothing written."""
+    out = tmp_path / "cert"
+    rc = main(["certify", model, "--epsilon", "0.2", flag, value, "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith(f"config error: {flag[2:]}:")
+    assert "PASS" not in text
     assert not out.exists()
 
 

@@ -262,9 +262,14 @@ def test_renormalization_rescues_off_slice_start():
 def test_expm2_agrees_with_scipy():
     m = np.array([[0.3 + 0.1j, -0.2j], [0.5, -0.1 + 0.4j]])
     np.testing.assert_allclose(expm2(m), expm(m), atol=1e-14)
-    # nilpotent branch: theta = 0 exactly, handled by the series
+    # nilpotent: theta = 0 exactly, where sinh(theta)/theta is its limit 1
     n = np.array([[1e-6, 1e-6], [-1e-6, -1e-6]])
     np.testing.assert_allclose(expm2(n), expm(n), atol=1e-18)
+    # small complex theta, entry by entry relative to scipy
+    p = np.array([[0.6, 0.8], [0.8, -0.6]])  # traceless, -det p = 1
+    for scale in (1e-9, 1e-5, 1e-4):
+        m = (0.2 + 0.3j) * np.eye(2) + scale * (0.6 + 0.8j) * p
+        np.testing.assert_allclose(expm2(m), expm(m), rtol=1e-14, atol=0)
 
 
 # --- momentum charts -------------------------------------------------------
@@ -307,13 +312,43 @@ def test_isomorphism_frozen_image():
 
 
 def test_isomorphism_smooth_through_the_axis():
-    """Points with x = y = 0 take the series branch of the rescaling factor;
-    the factor must join the direct branch continuously."""
-    f_series = momentum_isomorphism(np.array([1e-5, 0.0, 0.7]), 0.35)[1] / 1e-5
-    f_direct = momentum_isomorphism(np.array([1e-3, 0.0, 0.7]), 0.35)[1] / 1e-3
-    assert f_series == pytest.approx(f_direct, rel=1e-6)
+    """The rescaling factor just off the axis x = y = 0 joins its value
+    further out continuously, and points on the axis map onto it."""
+    f_near = momentum_isomorphism(np.array([1e-5, 0.0, 0.7]), 0.35)[1] / 1e-5
+    f_far = momentum_isomorphism(np.array([1e-3, 0.0, 0.7]), 0.35)[1] / 1e-3
+    assert f_near == pytest.approx(f_far, rel=1e-6)
     on_axis = momentum_isomorphism(np.array([0.0, 0.0, 0.7]), 0.35)
     np.testing.assert_allclose(on_axis, [0.7, 0.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("epsilon", [0.35, -0.7, 3.0])
+@pytest.mark.parametrize("z", [0.7, -0.3])
+def test_chart_factor_on_and_near_the_axis_is_its_limit(z, epsilon):
+    """As x, y -> 0 the factor tends to sqrt(sinh(2 eps z) / (2 eps z)); it
+    takes that value on the axis and at x = y = 1e-9."""
+    limit = math.sqrt(math.sinh(2.0 * epsilon * z) / (2.0 * epsilon * z))
+    assert su2._chart_factor(0.0, z, epsilon) == pytest.approx(limit, rel=1e-15, abs=0)
+    _, w_re, w_im = momentum_isomorphism(np.array([1e-9, 1e-9, z]), epsilon)
+    assert w_re / 1e-9 == pytest.approx(limit, rel=1e-15, abs=0)
+    assert w_im / 1e-9 == pytest.approx(limit, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.35, -0.7, 3.0])
+def test_chart_factor_off_the_axis_matches_the_direct_formula(epsilon):
+    """Away from the axis the difference (sinh^2(eps r) - sinh^2(eps z)) /
+    (r^2 - z^2) loses little to cancellation, so it serves as the reference."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 200:
+        x, y, z = rng.uniform(-1.2, 1.2, 3)
+        s2 = x * x + y * y
+        if s2 < 1e-2:
+            continue
+        r = math.sqrt(s2 + z * z)
+        direct = math.sqrt((math.sinh(epsilon * r) ** 2 - math.sinh(epsilon * z) ** 2) / s2)
+        got = momentum_isomorphism(np.array([x, y, z]), epsilon)
+        assert got[1] / x == pytest.approx(direct / abs(epsilon), rel=1e-12, abs=0)
+        checked += 1
 
 
 def test_casimir_pulls_back_to_radius_function():
