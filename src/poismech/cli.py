@@ -163,6 +163,8 @@ def validate_config(raw: Any) -> ScenarioConfig:
         if entry in outputs:
             raise ConfigError(f"outputs[{i}]", f"duplicate artifact {entry!r}")
         outputs.append(entry)
+    if "certificate" in outputs:
+        model.certificate_check(params)
     return ScenarioConfig(model=name, params=params, outputs=tuple(outputs), seed=seed)
 
 

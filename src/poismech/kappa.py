@@ -324,6 +324,18 @@ def _profile(p: Params) -> ArtifactData:
     return ArtifactData("profile", columns, summary)
 
 
+_CERT_MOMENTA = (0.5, 1.0, 1.5)  # the certificate's speed check runs at these momenta
+
+
+def _check_certificate(spec: KappaSpec, mass: float, field: str) -> None:
+    """No momentum of the certificate's speed check may sit at a projection pole."""
+    try:
+        for p in _CERT_MOMENTA:
+            closed_form_speeds(spec, mass, p)
+    except ContractViolation as exc:
+        raise ConfigError(field, f"{exc}; the speed check needs momenta {_CERT_MOMENTA}") from exc
+
+
 def kappa_certificate(
     epsilon: float,
     seed: int,
@@ -332,16 +344,13 @@ def kappa_certificate(
     spatial_dim: int = PARAMS["spatial_dim"].default,
 ) -> list[CertCheck]:
     """Jacobi checks of the kappa and shifted brackets, and the projected
-    shell speeds against their closed forms at three momenta."""
+    shell speeds against their closed forms at three momenta.  A momentum at
+    a projection pole is a ``ConfigError``, raised before any check runs."""
     spec = KappaSpec(epsilon, spatial_dim)
-    momenta = (0.5, 1.0, 1.5)
-    try:  # a momentum at a projection pole is a config error, found before any work
-        for p in momenta:
-            closed_form_speeds(spec, mass, p)
-    except ContractViolation as exc:
-        raise ConfigError("epsilon", f"{exc}; the speed check needs momenta {momenta}") from exc
+    _check_certificate(spec, mass, "epsilon")
     profiles = {
-        side: velocity_momentum_profile(spec, mass, side, momenta) for side in ("left", "right")
+        side: velocity_momentum_profile(spec, mass, side, _CERT_MOMENTA)
+        for side in ("left", "right")
     }
     X1, X2 = _generators(spec)
     shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(epsilon, X1, X2))
@@ -375,5 +384,6 @@ MODEL = Model(
     certificate=lambda p, seed, n: kappa_certificate(
         p["epsilon"], seed, n, p["mass"], p["spatial_dim"]
     ),
+    certificate_check=lambda p: _check_certificate(_spec(p), p["mass"], "params.epsilon"),
     sweep_row=_sweep_row,
 )

@@ -47,7 +47,6 @@ __all__ = [
     "hyperbola_curve",
     "hyperbola_residual",
     "parametric_trajectory_2d",
-    "velocity_on_curve",
     "scattering_data",
     "scattering_limits_numeric",
     "scattering_match",
@@ -149,13 +148,12 @@ def parametric_trajectory_2d(
     return np.column_stack([p, qp, qm])
 
 
-def velocity_on_curve(spec: Minkowski2DSpec, curve: ScatteringCurveSpec,
-                      p: float) -> float:
-    """Coordinate velocity q1/q0 at parameter p, with q0 = (q+ + q-)/2 and
-    q1 = (q+ - q-)/2."""
-    row = parametric_trajectory_2d(spec, curve, np.array([p]))[0]
-    qp, qm = row[1], row[2]
-    return float((qp - qm) / (qp + qm))
+def _velocity(q: np.ndarray) -> np.ndarray:
+    """Coordinate velocity q1/q0 = (q+ - q-)/(q+ + q-) of parametric rows
+    (p, q+, q-), with q0 = (q+ + q-)/2 and q1 = (q+ - q-)/2; NaN where
+    q+ + q- = 0."""
+    qp, qm = q[:, 1], q[:, 2]
+    return np.divide(qp - qm, qp + qm, out=np.full(len(q), math.nan), where=qp + qm != 0)
 
 
 def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec) -> tuple[float, float]:
@@ -169,10 +167,8 @@ def scattering_limits_numeric(spec: Minkowski2DSpec, curve: ScatteringCurveSpec)
     """Direct velocity evaluation at p = -+ 40 / epsilon (plain -+ 40 when
     epsilon = 0, where the curve is already straight)."""
     p_inf = _P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)
-    return (
-        velocity_on_curve(spec, curve, -p_inf),
-        velocity_on_curve(spec, curve, +p_inf),
-    )
+    v_in, v_out = _velocity(parametric_trajectory_2d(spec, curve, np.array([-p_inf, p_inf])))
+    return float(v_in), float(v_out)
 
 
 def classical_limit_deviation(
@@ -277,8 +273,6 @@ def _trajectory(p: Params) -> ArtifactData:
 def _scattering(p: Params) -> ArtifactData:
     spec, curve = _spec(p), _curve(p)
     q = parametric_trajectory_2d(spec, curve, np.linspace(p["p_min"], p["p_max"], p["n_samples"]))
-    qp, qm = q[:, 1], q[:, 2]
-    v = np.divide(qp - qm, qp + qm, out=np.full(len(q), math.nan), where=qp + qm != 0)
     closed, numeric, mismatch = scattering_match(spec, curve)
     summary = {
         "v_in_closed": closed[0],
@@ -288,7 +282,7 @@ def _scattering(p: Params) -> ArtifactData:
         "closed_vs_numeric": float(np.max(mismatch)),
         "odd_defect": scattering_odd_defect(spec, curve, numeric),
     }
-    columns = {"p": q[:, 0], "q_plus": qp, "q_minus": qm, "v": v}
+    columns = {"p": q[:, 0], "q_plus": q[:, 1], "q_minus": q[:, 2], "v": _velocity(q)}
     return ArtifactData("scattering", columns, summary)
 
 
@@ -382,5 +376,6 @@ MODEL = Model(
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
     certificate=lambda p, seed, n: minkowski2d_certificate(p["epsilon"], seed, n, p["mass"]),
+    certificate_check=lambda p: _check_epsilon(p["epsilon"], p["mass"], "params.epsilon"),
     sweep_row=_sweep_row,
 )

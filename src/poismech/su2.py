@@ -145,35 +145,39 @@ class SB2Element:
 
 
 def real8_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Flatten a complex 2x2 matrix into the 8-dimensional group chart."""
+    """Flatten complex 2x2 matrices, shape ``(..., 2, 2)``, into points of
+    the 8-dimensional group chart, shape ``(..., 8)``."""
     m = np.asarray(m, dtype=complex)
-    flat = m.reshape(-1)
-    out = np.empty(8)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out
+    return np.stack([m.real, m.imag], axis=-1).reshape(m.shape[:-2] + (8,))
 
 
 def matrix_from_real8(x: np.ndarray) -> np.ndarray:
+    """Group-chart points, shape ``(..., 8)``, as complex 2x2 matrices."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (8,):
+    if x.shape[-1:] != (8,):
         raise ContractViolation(f"group chart points have 8 components, got {x.shape}")
-    return (x[0::2] + 1j * x[1::2]).reshape(2, 2)
+    return (x[..., 0::2] + 1j * x[..., 1::2]).reshape(x.shape[:-1] + (2, 2))
 
 
-def iwasawa(g: SL2CElement) -> tuple[SU2Element, SB2Element]:
-    """Split ``g = u * B`` into unitary and triangular factors.
+def _det(m: np.ndarray):
+    """Determinant of each complex 2x2 matrix of a stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
-    The first column (a, c) fixes the unitary factor; the triangular one is
-    whatever is left.  Exact for unit-determinant input up to rounding.
-    """
-    rho = math.hypot(abs(g.a), abs(g.c))
-    if rho == 0.0:
+
+def iwasawa(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split each matrix of a stack ``g = u * B``, shape ``(..., 2, 2)``, into
+    the arrays ``alpha, gamma`` of :class:`SU2Element` and ``rho, n`` of
+    :class:`SB2Element`.  The first column (a, c) fixes the unitary factor;
+    the triangular one is whatever is left.  Exact for unit-determinant input
+    up to rounding."""
+    g = np.asarray(g, dtype=complex)
+    rho = np.hypot(np.abs(g[..., 0, 0]), np.abs(g[..., 1, 0]))
+    if np.any(rho == 0.0):
         raise NumericDomainError("first column vanishes, no triangular factor")
-    alpha = g.a / rho
-    gamma = g.c / rho
-    n = np.conj(alpha) * g.b + np.conj(gamma) * g.d
-    return SU2Element(alpha, gamma), SB2Element(rho, n)
+    alpha = g[..., 0, 0] / rho
+    gamma = g[..., 1, 0] / rho
+    n = np.conj(alpha) * g[..., 0, 1] + np.conj(gamma) * g[..., 1, 1]
+    return alpha, gamma, rho, n
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def free_flow(
 
     def renorm(x: np.ndarray) -> np.ndarray:
         m = matrix_from_real8(x)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        det = _det(m)
         if abs(det - 1.0) > _RENORM_TRIGGER:
             events[0] += 1
             return real8_from_matrix(m / cmath.sqrt(det))
@@ -389,44 +393,28 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     Returns max determinant residual, drift of the triangular factor, the
     worst deviation of the measured unitary angular velocity from its
     closed-form value, and the endpoint distance to the closed-form flow.
+    A sample off the unit-determinant slice by more than 1e-9, or NaN, is a
+    ``ContractViolation``.
     """
-    return _diagnostics(traj, epsilon, *_split(traj))
-
-
-def _split(traj: Trajectory) -> tuple[np.ndarray, list[tuple[SU2Element, SB2Element]]]:
-    """The 2x2 matrix of every sample and its Iwasawa factors."""
-    mats = np.array([matrix_from_real8(p) for p in traj.points])
-    return mats, [iwasawa(SL2CElement.from_matrix(m)) for m in mats]
-
-
-def _diagnostics(
-    traj: Trajectory, epsilon: float, mats: np.ndarray, factors: list[tuple[SU2Element, SB2Element]]
-) -> dict:
-    """:func:`flow_diagnostics` from the output of :func:`_split`."""
-    dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    det_residual = float(np.max(np.abs(dets - 1.0)))
-
-    b0 = factors[0][1]
-    rho_drift = max(abs(b.rho - b0.rho) for _, b in factors)
-    n_drift = max(abs(b.n - b0.n) for _, b in factors)
+    mats = matrix_from_real8(traj.points)
+    det_residual = np.abs(_det(mats) - 1.0)
+    off = np.flatnonzero(~(det_residual <= _UNIMODULAR_TOL))
+    if off.size:
+        raise ContractViolation(f"sample {off[0]}: determinant deviates from 1 by "
+                                f"{det_residual[off[0]]}, more than {_UNIMODULAR_TOL}")
+    alpha, gamma, rho, n = iwasawa(mats)
+    u0, b0 = SU2Element(alpha[0], gamma[0]), SB2Element(rho[0], n[0])
 
     omega = legendre_velocity(b0, epsilon)
-    us = np.array([u.matrix for u, _ in factors])
-    udot = central_derivative(traj.times, us)
-    omega_dev = 0.0
-    for i, du in enumerate(udot, start=1):
-        est = np.linalg.solve(us[i], du)
-        omega_dev = max(omega_dev, float(np.max(np.abs(est - omega))))
+    us = np.moveaxis(np.array([[alpha, -np.conj(gamma)], [gamma, np.conj(alpha)]]), -1, 0)
+    est = np.linalg.solve(us[1:-1], central_derivative(traj.times, us))
 
-    u0 = factors[0][0]
     end = closed_form_flow(u0, b0, epsilon, float(traj.times[-1]))
-    endpoint_dev = float(np.max(np.abs(mats[-1] - end)))
-
     return {
-        "det_residual": det_residual,
-        "b_factor_drift": float(max(rho_drift, n_drift)),
-        "omega_deviation": float(omega_dev),
-        "endpoint_deviation": endpoint_dev,
+        "det_residual": float(np.max(det_residual)),
+        "b_factor_drift": float(max(np.max(np.abs(rho - rho[0])), np.max(np.abs(n - n[0])))),
+        "omega_deviation": float(np.max(np.abs(est - omega))),
+        "endpoint_deviation": float(np.max(np.abs(mats[-1] - end))),
     }
 
 
@@ -546,6 +534,11 @@ def energy_relations(
             f"exactly one energy must be given, got {given or 'none'}"
         )
 
+    if classical is not None and classical < 0.0:
+        raise NumericDomainError(f"classical energy must be >= 0, got {classical}")
+    if radius2 is not None and radius2 < 0.0:
+        raise NumericDomainError(f"squared radius must be >= 0, got {radius2}")
+
     if epsilon == 0.0:
         if trace is not None:
             raise NumericDomainError(
@@ -553,12 +546,7 @@ def energy_relations(
                 "classical or radius2 instead"
             )
         if classical is not None:
-            if classical < 0.0:
-                raise NumericDomainError(f"classical energy must be >= 0, got {classical}")
             return EnergyRelations(1.0, classical, classical, 2.0 * classical)
-        assert radius2 is not None
-        if radius2 < 0.0:
-            raise NumericDomainError(f"squared radius must be >= 0, got {radius2}")
         return EnergyRelations(1.0, radius2 / 2.0, radius2 / 2.0, radius2)
 
     e2 = epsilon * epsilon
@@ -569,14 +557,9 @@ def energy_relations(
             )
         radius2 = (trace - 1.0) / (2.0 * e2)
     elif classical is not None:
-        if classical < 0.0:
-            raise NumericDomainError(f"classical energy must be >= 0, got {classical}")
         r = math.sqrt(2.0 * classical)
         sr = math.sinh(epsilon * r) / epsilon
         radius2 = sr * sr
-    else:
-        if radius2 is None or radius2 < 0.0:
-            raise NumericDomainError(f"squared radius must be >= 0, got {radius2}")
 
     r = math.asinh(abs(epsilon) * math.sqrt(radius2)) / abs(epsilon)
     return EnergyRelations(
@@ -706,21 +689,32 @@ def _flow(p: Params) -> tuple[Trajectory, int]:
 
 def _trajectory(p: Params) -> ArtifactData:
     traj, n_renorm = _flow(p)
+    diag = flow_diagnostics(traj, p["epsilon"])
+    diag["renormalizations"] = n_renorm
+    diag["h_drift"] = traj.h_drift
     energy = free_hamiltonian_field()
-    mats, factors = _split(traj)
+    mats = matrix_from_real8(traj.points)
+    _, _, rho, n = iwasawa(mats)
     columns = {
         "t": traj.times,
         **dict(zip(GROUP_COORD_NAMES, traj.points.T)),
-        "rho": [b.rho for _, b in factors],
-        "n_re": [b.n.real for _, b in factors],
-        "n_im": [b.n.imag for _, b in factors],
+        "rho": rho,
+        "n_re": n.real,
+        "n_im": n.imag,
         "H": [energy(pt) for pt in traj.points],
-        "det_residual": [abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) for m in mats],
+        "det_residual": np.abs(_det(mats) - 1.0),
     }
-    diag = _diagnostics(traj, p["epsilon"], mats, factors)
-    diag["renormalizations"] = n_renorm
-    diag["h_drift"] = traj.h_drift
     return ArtifactData("trajectory", columns, diag)
+
+
+def _check_certificate(epsilon: float, field: str) -> None:
+    """The certificate's domain: the momentum isomorphism's Casimir must not
+    overflow a float anywhere in the sampling cube."""
+    exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
+    if not exponent < LOG_SQRT_DBL_MAX:
+        raise ConfigError(field, f"the momentum isomorphism overflows a float: |epsilon| r "
+                          f"reaches {exponent:.6g} in the sampling cube, at or above "
+                          f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
 
 
 def su2_certificate(
@@ -734,14 +728,9 @@ def su2_certificate(
     """Jacobi checks of the three shipped brackets, conservation along the
     free flow from ``SB2Element(rho, n_re + i n_im)`` to t = 1, the energy
     pipeline, the dual-path dynamics and the momentum isomorphism.  An
-    epsilon at which the momentum isomorphism's Casimir overflows a float
-    somewhere in the sampling cube is a ``ConfigError``, raised before any
-    check runs."""
-    exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
-    if not exponent < LOG_SQRT_DBL_MAX:
-        raise ConfigError("epsilon", f"the momentum isomorphism overflows a float: |epsilon| r "
-                          f"reaches {exponent:.6g} in the sampling cube, at or above "
-                          f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
+    epsilon outside :func:`_check_certificate` is a ``ConfigError``, raised
+    before any check runs."""
+    _check_certificate(epsilon, "epsilon")
     push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
 
     # conservation along the flow, against the closed-form solution (t = 1)
@@ -793,5 +782,6 @@ MODEL = Model(
     certificate=lambda p, seed, n: su2_certificate(
         p["epsilon"], seed, n, p["rho"], p["n_re"], p["n_im"]
     ),
+    certificate_check=lambda p: _check_certificate(p["epsilon"], "params.epsilon"),
     sweep_row=_sweep_row,
 )

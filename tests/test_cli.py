@@ -624,6 +624,32 @@ def test_certify_kappa_ignores_config_momenta_poles(capsys):
     assert capsys.readouterr().out.endswith("certificates: PASS\n")
 
 
+_OUTSIDE_CERTIFICATE_DOMAIN = {
+    # |epsilon| 1.2 sqrt(3) is past log(DBL_MAX) / 2: the isomorphism check overflows
+    "su2_isomorphism_overflow": {"model": "su2", "params": {"epsilon": 200.0, "t_end": 0.01}},
+    # the config's momenta are below the right pole, the certificate's 1.0 and 1.5 are not
+    "kappa_certificate_momentum_pole": {
+        "model": "kappa", "params": {"epsilon": 3.0, "p": 0.25, "p_min": 0.2, "p_max": 0.3}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUTSIDE_CERTIFICATE_DOMAIN))
+def test_run_checks_the_certificate_domain_before_writing(name, tmp_path, capsys):
+    """A config that asks for a certificate is validated against the
+    certificate's own precondition: a config error naming params.epsilon,
+    and no output directory.  Without the certificate the config runs."""
+    cfg = {**_OUTSIDE_CERTIFICATE_DOMAIN[name], "outputs": ["certificate"]}
+    out = tmp_path / "out"
+    rc = main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith("config error: params.epsilon:")
+    assert not out.exists()
+    cfg["outputs"] = ["trajectory"]
+    assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+
+
 def test_cli_import_is_lean():
     """Importing the CLI loads no scipy and builds no bracket coefficients,
     and no module of the package imports scipy at all."""

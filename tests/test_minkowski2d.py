@@ -17,7 +17,6 @@ from poismech.minkowski2d import (
     parametric_trajectory_2d,
     scattering_data,
     scattering_limits_numeric,
-    velocity_on_curve,
 )
 
 SPEC = Minkowski2DSpec(0.2, 1.0)
@@ -60,9 +59,10 @@ def test_velocity_ratio_tails_and_waist():
     near the waist of the curve the denominator changes sign and the ratio
     sweeps through the cone."""
     curve = ScatteringCurveSpec(0.0, 2.0)
-    tails = [velocity_on_curve(SPEC, curve, p) for p in (-200.0, 200.0)]
+    _, qp, qm = parametric_trajectory_2d(SPEC, curve, np.array([-200.0, 200.0, 0.4, 0.7])).T
+    v = (qp - qm) / (qp + qm)
+    tails, near_waist = v[:2], v[2:]
     assert all(abs(v) < 1.0 for v in tails)
-    near_waist = [velocity_on_curve(SPEC, curve, p) for p in (0.4, 0.7)]
     assert any(abs(v) > 1.0 for v in near_waist)
     # tail values approach the closed-form limits from the matching side
     v_in, v_out = scattering_data(SPEC, curve)
@@ -111,3 +111,12 @@ def test_scattering_artifact_equals_per_sample_evaluation(eps):
         v = (qp - qm) / (qp + qm) if qp + qm != 0 else math.nan
         got = [cols[k][i] for k in ("p", "q_plus", "q_minus", "v")]
         np.testing.assert_array_equal(got, [p, qp, qm, v])
+
+
+def test_numeric_limit_where_the_velocity_denominator_vanishes_is_nan():
+    """At alpha = 0 and beta = 80 / eps the curve has q+ + q- = 0 exactly at
+    p = 40 / eps, where the outgoing limit is read: NaN, as in the
+    scattering artifact's v column, not an infinity."""
+    v_in, v_out = scattering_limits_numeric(Minkowski2DSpec(1.0, 1.0), ScatteringCurveSpec(0.0, 80.0))
+    assert v_in == -1.0
+    assert math.isnan(v_out)

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from poismech.bracket import jacobi_certificate
 from poismech.errors import ContractViolation, NumericDomainError
-from poismech.flow import StepControl
+from poismech.fitting import central_derivative
+from poismech.flow import StepControl, Trajectory
 from poismech import su2
 from poismech.su2 import (
     SB2Element,
@@ -51,20 +53,46 @@ def test_unimodular_constraint_enforced():
 
 
 def test_iwasawa_factorization_roundtrip():
+    """One call splits a stack: 20 random unimodular matrices and one with
+    c = 0, which is triangular up to the phase of its diagonal."""
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        g = su2.random_sl2c(rng)
-        u, b = iwasawa(g)
-        recon = u.matrix @ b.matrix
-        np.testing.assert_allclose(recon, g.matrix, atol=1e-13)
-        # unitary factor is unitary, triangular factor has positive diagonal
-        np.testing.assert_allclose(u.matrix @ u.matrix.conj().T, np.eye(2), atol=1e-13)
-        assert b.rho > 0
+    stack = np.array([su2.random_sl2c(rng).matrix for _ in range(20)]
+                     + [[[1.4j, 0.3 - 0.2j], [0.0, -1j / 1.4]]])
+    alpha, gamma, rho, n = iwasawa(stack)
+    assert alpha.shape == gamma.shape == rho.shape == n.shape == (21,)
+    u = np.array([SU2Element(a, c).matrix for a, c in zip(alpha, gamma)])
+    b = np.array([SB2Element(r, m).matrix for r, m in zip(rho, n)])
+    np.testing.assert_allclose(u @ b, stack, atol=1e-13)
+    # unitary factor is unitary, triangular factor has positive diagonal
+    u_uh = u @ np.conj(np.swapaxes(u, 1, 2))
+    np.testing.assert_allclose(u_uh, np.tile(np.eye(2), (len(u), 1, 1)), atol=1e-13)
+    assert np.all(rho > 0)
+    # one vanishing first column anywhere in the stack has no triangular factor
+    stack[7, :, 0] = 0.0
+    with pytest.raises(NumericDomainError):
+        iwasawa(stack)
 
 
 def test_real8_roundtrip():
     x = G0.real8
     np.testing.assert_array_equal(real8_from_matrix(matrix_from_real8(x)), x)
+
+
+def test_chart_conversions_take_stacks_and_match_single_points():
+    """(..., 8) <-> (..., 2, 2) round-trips a stack, and each row of a stacked
+    conversion equals the one-point conversion bit for bit."""
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(3, 5, 8))
+    mats = matrix_from_real8(xs)
+    assert mats.shape == (3, 5, 2, 2)
+    back = real8_from_matrix(mats)
+    np.testing.assert_array_equal(back, xs)
+    for i in range(3):
+        for j in range(5):
+            assert matrix_from_real8(xs[i, j]).tobytes() == mats[i, j].tobytes()
+            assert real8_from_matrix(mats[i, j]).tobytes() == back[i, j].tobytes()
+    with pytest.raises(ContractViolation):
+        matrix_from_real8(np.zeros((4, 7)))
 
 
 # --- bracket tables and realification -------------------------------------
@@ -219,23 +247,95 @@ def test_free_flow_conserves_its_invariants():
 
 
 def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
-    """The rho/n columns and the flow diagnostics share one Iwasawa split per
-    sample, and the diagnostics equal those of flow_diagnostics."""
+    """The rho/n columns and the flow diagnostics each split the whole
+    trajectory in one stacked call, so the number of Iwasawa calls does not
+    grow with the sample count, and the summary is flow_diagnostics."""
     calls = []
 
     def counting(g):
-        calls.append(1)
+        calls.append(len(g))
         return iwasawa(g)
 
     monkeypatch.setattr(su2, "iwasawa", counting)
-    params = {name: p.default for name, p in su2.PARAMS.items()}
-    params.update(epsilon=0.2, t_end=0.1)
-    data = su2.MODEL.artifacts["trajectory"](params)
-    assert len(data.columns["t"]) == 101
-    assert len(calls) == len(data.columns["t"])
-    traj, _ = su2._flow(params)
-    want = flow_diagnostics(traj, 0.2)
-    assert {k: data.summary[k] for k in want} == want
+    per_run = []
+    for t_end, n_rows in ((0.1, 101), (0.2, 201)):
+        params = {name: p.default for name, p in su2.PARAMS.items()}
+        params.update(epsilon=0.2, t_end=t_end)
+        calls.clear()
+        data = su2.MODEL.artifacts["trajectory"](params)
+        assert len(data.columns["t"]) == n_rows
+        assert set(calls) == {n_rows}
+        per_run.append(len(calls))
+        traj, _ = su2._flow(params)
+        want = flow_diagnostics(traj, 0.2)
+        assert {k: data.summary[k] for k in want} == want
+    assert per_run[0] == per_run[1]
+
+
+def _reference_diagnostics(traj, epsilon):
+    """flow_diagnostics as it was read out one sample at a time: an
+    SL2CElement per sample (whose constructor checks the determinant), split
+    into an SU2Element and an SB2Element, and one solve per interior sample."""
+    def split(g):
+        rho = math.hypot(abs(g.a), abs(g.c))
+        alpha, gamma = g.a / rho, g.c / rho
+        return SU2Element(alpha, gamma), SB2Element(rho, np.conj(alpha) * g.b + np.conj(gamma) * g.d)
+
+    mats = np.array([matrix_from_real8(p) for p in traj.points])
+    factors = [split(SL2CElement.from_matrix(m)) for m in mats]
+    dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    u0, b0 = factors[0]
+    omega = legendre_velocity(b0, epsilon)
+    us = np.array([u.matrix for u, _ in factors])
+    udot = central_derivative(traj.times, us)
+    omega_dev = max(float(np.max(np.abs(np.linalg.solve(us[i], du) - omega)))
+                    for i, du in enumerate(udot, start=1))
+    end = closed_form_flow(u0, b0, epsilon, float(traj.times[-1]))
+    return {
+        "det_residual": float(np.max(np.abs(dets - 1.0))),
+        "b_factor_drift": max(max(abs(b.rho - b0.rho) for _, b in factors),
+                              max(abs(b.n - b0.n) for _, b in factors)),
+        "omega_deviation": omega_dev,
+        "endpoint_deviation": float(np.max(np.abs(mats[-1] - end))),
+    }
+
+
+@pytest.mark.parametrize("t_end", [0.02, 0.1, 1.0])
+@pytest.mark.parametrize("epsilon", [-3.0, -0.7, 0.2, 3.0])
+def test_flow_diagnostics_match_the_per_sample_reference(epsilon, t_end):
+    """The stacked read-out rounds differently from the per-sample one, but
+    every diagnostic stays within 1e-12 of it."""
+    g0 = su2.random_sl2c(np.random.default_rng(31))
+    traj, _ = free_flow(g0, epsilon, t_end, StepControl(h=1e-3, tol=1e-8))
+    got, want = flow_diagnostics(traj, epsilon), _reference_diagnostics(traj, epsilon)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("defect", [2e-9, math.nan])
+def test_flow_diagnostics_reject_a_sample_off_the_slice(defect):
+    """One sample whose determinant is 1 + 2e-9, or NaN, is a contract
+    violation, as the per-sample element constructors made it."""
+    traj, _ = free_flow(G0, EPS, 0.02, StepControl(h=1e-3, tol=1e-8))
+    points = traj.points.copy()
+    m = matrix_from_real8(points[5])
+    m[0] *= 1.0 + defect  # scales the determinant by 1 + defect
+    points[5] = real8_from_matrix(m)
+    with pytest.raises(ContractViolation):
+        flow_diagnostics(Trajectory(traj.times, points), EPS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_random_unimodular_starts_conserve_det_and_b_factor(rho, n_re, n_im, epsilon):
+    """From any triangular start rho, n_re + i n_im the free flow keeps the
+    determinant and the triangular factor within the certificate's bounds."""
+    g0 = SL2CElement.from_matrix(SB2Element(rho, complex(n_re, n_im)).matrix)
+    traj, _ = free_flow(g0, epsilon, 0.05, StepControl(h=1e-3, tol=1e-8))
+    diag = flow_diagnostics(traj, epsilon)
+    assert diag["det_residual"] <= 1e-8
+    assert diag["b_factor_drift"] <= 1e-6
 
 
 def test_body_velocity_is_tracefree_and_flow_closed_form_unimodular():
