@@ -1,18 +1,21 @@
 """Hamiltonian flow integration with per-step error estimation.
 
-The integrator is the classical explicit 4th-order one-step scheme.  Each
-nominal step of size h is taken twice — once whole, once as two half steps —
-and the Richardson estimate ||y_half - y_full|| / 15 bounds the local error
-of the accepted (half-stepped) state.  Both start from the same slope
-k1 = f(y), which is evaluated once per step, so a step costs 11 right-hand
-side evaluations rather than 12.  Steps whose estimate exceeds the
-tolerance are retried from the same y (and the same k1) with h halved; h
-recovers toward its nominal value afterwards.
+Each step is one Runge-Kutta-Fehlberg 4(5) step (Fehlberg 1969, NASA TR
+R-315; Hairer-Norsett-Wanner, *Solving ODEs I*, section II.4).  Its six
+stages give an embedded pair of solutions, of orders 4 and 5.  The fourth-
+order solution is the one propagated, and the difference of the two,
+``h * max|sum_i (b5 - b4)_i k_i|``, estimates the local error of that
+accepted state.  A step costs 6 right-hand side evaluations.  Steps whose
+estimate exceeds the tolerance are retried from the same y, and the same
+first slope k1 = f(y), with h halved, so a retry costs 5; h recovers toward
+its nominal value afterwards, which it never exceeds.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -23,6 +26,26 @@ from .errors import ContractViolation, DivergenceError, StiffnessError
 __all__ = ["StepControl", "Trajectory", "integrate_flow"]
 
 _MIN_H = 1e-12
+
+# Fehlberg's 4(5) tableau.  Stage i evaluates the right-hand side at
+# y + h * sum_j A[i][j] k_j; B4 weighs the stages into the fourth-order
+# solution, B5 into the fifth-order one.  Exact, so the order conditions
+# can be checked in rationals.
+_A = tuple(tuple(map(Fraction, row)) for row in (
+    (),
+    ("1/4",),
+    ("3/32", "9/32"),
+    ("1932/2197", "-7200/2197", "7296/2197"),
+    ("439/216", "-8", "3680/513", "-845/4104"),
+    ("-8/27", "2", "-3544/2565", "1859/4104", "-11/40"),
+))
+_B4 = tuple(map(Fraction, ("25/216", "0", "1408/2565", "2197/4104", "-1/5", "0")))
+_B5 = tuple(map(Fraction, ("16/135", "0", "6656/12825", "28561/56430", "-9/50", "2/55")))
+
+# float forms: one weight row per stage, and the update and error weights
+_STAGE_ROWS = tuple(np.array(row, dtype=float) for row in _A)
+_B4_F = np.array(_B4, dtype=float)
+_ERR_F = np.array([b5 - b4 for b4, b5 in zip(_B4, _B5)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -43,9 +66,11 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Sampled curve: times, points (row per sample), and the per-step error
-    estimates of the run that produced it.  Also reused as a plain curve
-    carrier (zero step_stats) by projection and model utilities."""
+    """Sampled curve: times, points (row per sample), and ``step_stats``, the
+    local error estimate of each accepted step of the run that produced it
+    (the embedded 4(5) difference that the step met against the tolerance).
+    Also reused as a plain curve carrier (zero step_stats) by projection and
+    model utilities."""
 
     times: np.ndarray
     points: np.ndarray
@@ -68,16 +93,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-
-def _rk4_step(
-    f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float, k1: np.ndarray
-) -> np.ndarray:
-    """One RK4 step of size h from y, given the slope k1 = f(y)."""
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_flow(
@@ -108,6 +123,7 @@ def integrate_flow(
     t = 0.0
     y = x0.copy()
     h = step.h
+    k = np.empty((len(_STAGE_ROWS), y.size))  # the stage slopes, one row each
     while t < t_end - 1e-15 * max(1.0, t_end):
         h = min(h, t_end - t)
         # absorb a sliver remainder into this step rather than emitting a
@@ -115,16 +131,16 @@ def integrate_flow(
         # over the sample times)
         if t_end - t - h < 0.1 * h:
             h = t_end - t
-        k1 = rhs(y)
+        k[0] = rhs(y)
         while True:
-            y_full = _rk4_step(rhs, y, h, k1)
-            y_mid = _rk4_step(rhs, y, 0.5 * h, k1)
-            y_half = _rk4_step(rhs, y_mid, 0.5 * h, rhs(y_mid))
-            if not (np.all(np.isfinite(y_full)) and np.all(np.isfinite(y_half))):
+            for i in range(1, len(_STAGE_ROWS)):
+                k[i] = rhs(y + h * (_STAGE_ROWS[i] @ k[:i]))
+            y_new = y + h * (_B4_F @ k)
+            est = h * float(np.max(np.abs(_ERR_F @ k)))
+            if not (np.all(np.isfinite(y_new)) and math.isfinite(est)):
                 raise DivergenceError(
                     f"state left the finite range near t = {t:.6g}", last_good_time=t
                 )
-            est = float(np.max(np.abs(y_half - y_full))) / 15.0
             if est <= step.tol:
                 break
             h *= 0.5
@@ -132,7 +148,7 @@ def integrate_flow(
                 raise StiffnessError(
                     f"step size underflow at t = {t:.6g}: flow too stiff for tol = {step.tol}"
                 )
-        y = y_half
+        y = y_new
         if step.poststep is not None:
             y = np.asarray(step.poststep(y), dtype=float)
         t += h

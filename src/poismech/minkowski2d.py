@@ -217,6 +217,21 @@ def scattering_check(spec: Minkowski2DSpec, alphas, betas) -> tuple[float, float
 # ---------------------------------------------------------------------------
 # scenario record
 
+_PHASE0 = np.array([1.0, 1.0, 0.35, -0.8])  # start of the projection flow
+_PROJECTION_TOL = 1e-8
+# The moment flow scales the chart by e^{+-t}, so the state's largest entry
+# grows like max|phase0| e^t = e^t.  On y' = y, Fehlberg's error estimate is
+# (1/104 - 1/120) h^5 e^t = h^5 e^t / 780 (the z^5 terms of the order-4 and
+# order-5 solutions), so the tolerance admits steps h(t) = (780 tol e^-t)^(1/5)
+# and the run takes about 5 (e^t_end / (780 tol))^(1/5) steps.  The estimate
+# also carries the rounding of the stage slopes, about h u e^t for the unit
+# roundoff u = 2^-53.  At h(t) that floor reaches tol where
+# e^(4t/5) = tol^(4/5) / (780^(1/5) u), at t = 25.8; past it the step has to
+# shrink like e^-t and the work grows like e^t instead of e^(t/5), so t_end
+# stops there.
+_T_END_MAX = (math.log(_PROJECTION_TOL) - 1.25 * math.log(2.0**-53)
+              - 0.25 * math.log(780.0))
+
 PARAMS = {
     "epsilon": Param(REAL),
     "mass": Param(REAL, 1.0, positive=True),
@@ -228,7 +243,7 @@ PARAMS = {
     "p_max": Param(REAL, 3.0),
     # the scattering artifact has 4 columns of n_samples: 2^24 cells at most
     "n_samples": Param(INT, 49, minimum=2, maximum=2**22),
-    "t_end": Param(REAL, 4.0, positive=True),
+    "t_end": Param(REAL, 4.0, positive=True, maximum=_T_END_MAX),
 }
 
 
@@ -296,9 +311,8 @@ def _moment_hamiltonian() -> ScalarField:
 
 def _projection(p: Params) -> ArtifactData:
     r = minkowski2d_rspec(_spec(p))
-    phase0 = np.array([1.0, 1.0, 0.35, -0.8])
-    step = StepControl(h=1e-2, tol=1e-8)
-    traj = integrate_flow(canonical_bivector(2), _moment_hamiltonian(), phase0, p["t_end"], step)
+    step = StepControl(h=1e-2, tol=_PROJECTION_TOL)
+    traj = integrate_flow(canonical_bivector(2), _moment_hamiltonian(), _PHASE0, p["t_end"], step)
     left = project_trajectory(r, traj, "left")
     right = project_trajectory(r, traj, "right")
 

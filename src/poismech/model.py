@@ -30,13 +30,13 @@ Params = Mapping[str, Any]
 class Param(NamedTuple):
     """One scenario parameter: its kind (``REAL`` or ``INT``), its default
     (None means required) and its bounds: a ``positive`` value must exceed
-    0, an int must reach ``minimum`` and must not pass ``maximum``."""
+    0, and a value must reach ``minimum`` and must not pass ``maximum``."""
 
     kind: str
     default: float | int | None = None
     positive: bool = False
-    minimum: int | None = None
-    maximum: int | None = None
+    minimum: float | int | None = None
+    maximum: float | int | None = None
 
 
 @dataclass(frozen=True)

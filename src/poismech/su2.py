@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -82,7 +83,7 @@ class SL2CElement:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _UNIMODULAR_TOL:
+        if not abs(det - 1.0) <= _UNIMODULAR_TOL:  # NaN fails too
             raise ContractViolation(
                 f"determinant {det} deviates from 1 by more than {_UNIMODULAR_TOL}"
             )
@@ -112,7 +113,7 @@ class SU2Element:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.gamma) ** 2
-        if abs(norm - 1.0) > _UNITARY_TOL:
+        if not abs(norm - 1.0) <= _UNITARY_TOL:  # NaN fails too
             raise ContractViolation(
                 f"|alpha|^2 + |gamma|^2 = {norm} deviates from 1 beyond {_UNITARY_TOL}"
             )
@@ -138,6 +139,8 @@ class SB2Element:
     def __post_init__(self):
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ContractViolation(f"diagonal scale must be positive, got {self.rho}")
+        if not cmath.isfinite(self.n):
+            raise ContractViolation(f"off-diagonal entry must be finite, got {self.n}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -657,12 +660,19 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
 # ---------------------------------------------------------------------------
 # scenario record
 
+# The start is B = [[rho, n], [0, 1/rho]].  With rho, 1/rho, |n_re| and |n_im|
+# at most S, its energy free_energy(B) = |B|^2 / 2 is at most 2 S^2, and each
+# entry of H B + Y conj(B) Y, which is flow_rhs(B, epsilon) without its
+# factor i epsilon, is at most 2 sqrt(2) S^3 + sqrt(2) S < 8 S^3.  So both
+# are finite at the start for S = (DBL_MAX / 8)^(1/3), about 2.8e102.
+_MAX_ENTRY = (sys.float_info.max / 8.0) ** (1.0 / 3.0)
+
 PARAMS = {
     "epsilon": Param(REAL),
     "t_end": Param(REAL, 1.0, positive=True),
-    "rho": Param(REAL, 1.4, positive=True),
-    "n_re": Param(REAL, 0.3),
-    "n_im": Param(REAL, 0.2),
+    "rho": Param(REAL, 1.4, positive=True, minimum=1.0 / _MAX_ENTRY, maximum=_MAX_ENTRY),
+    "n_re": Param(REAL, 0.3, minimum=-_MAX_ENTRY, maximum=_MAX_ENTRY),
+    "n_im": Param(REAL, 0.2, minimum=-_MAX_ENTRY, maximum=_MAX_ENTRY),
     "tol": Param(REAL, 1e-8, positive=True),
     "step": Param(REAL, 1e-3, positive=True),
 }

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from poismech import cli, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
+from poismech.minkowski2d import _T_END_MAX
 from poismech.model import INT, LOG_SQRT_DBL_MAX, ArtifactData
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
@@ -694,6 +695,65 @@ _NAN_FOLDS = {
         {"minkowski2d.scattering_limits_numeric": _nan_pair}, ("scattering_match", "scattering_odd"),
     ),
 }
+
+
+def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
+    """Past t_end 25.8 the projection flow's error estimate meets its rounding
+    floor and the step shrinks like e^-t; t_end 1e300 and one float past
+    the bound name params.t_end and exit 2, and a run at the bound finishes
+    in seconds."""
+    assert 20.0 < _T_END_MAX < 26.0
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
+                               "params": {"epsilon": 0.2, "t_end": 1.0e300},
+                               "outputs": ["projection"]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "far")]) == 2
+    assert "params.t_end" in capsys.readouterr().out
+    with pytest.raises(ConfigError, match=r"params\.t_end"):
+        validate_config({"model": "minkowski2d",
+                         "params": {"epsilon": 0.2, "t_end": math.nextafter(_T_END_MAX, math.inf)}})
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
+                               "params": {"epsilon": 0.2, "t_end": _T_END_MAX},
+                               "outputs": ["projection"]})
+    start = time.perf_counter()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "at")]) == 0
+    assert time.perf_counter() - start < 5.0
+    t = np.loadtxt(tmp_path / "at" / "projection.csv", delimiter=",", skiprows=1, usecols=0)
+    assert t[-1] == pytest.approx(_T_END_MAX, abs=1e-12)
+
+
+@pytest.mark.parametrize("field, past", [
+    ("rho", lambda s: 1.0e200),
+    ("rho", lambda s: math.nextafter(s, math.inf)),
+    ("rho", lambda s: math.nextafter(1.0 / s, 0.0)),
+    ("n_re", lambda s: math.nextafter(s, math.inf)),
+    ("n_re", lambda s: -math.nextafter(s, math.inf)),
+    ("n_im", lambda s: math.nextafter(s, math.inf)),
+    ("n_im", lambda s: -math.nextafter(s, math.inf)),
+], ids=["rho_1e200", "rho_above", "rho_below", "n_re_above", "n_re_below",
+        "n_im_above", "n_im_below"])
+def test_su2_start_past_the_finite_range_is_config_error(tmp_path, capsys, field, past):
+    """The starting factor's entries rho, 1/rho, n_re and n_im are bounded
+    by (DBL_MAX / 8)^(1/3), where its energy and the flow's right-hand side
+    are still finite; one float past the bound names the field, exit 2."""
+    cfg = write_cfg(tmp_path, {"model": "su2",
+                               "params": {"epsilon": 0.2, field: past(su2._MAX_ENTRY)},
+                               "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"params.{field}" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho, n", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
+def test_su2_start_at_the_bounds_has_a_finite_energy_and_rhs(rho, n):
+    """At the bounds (rho = S or 1/S, n_re and n_im = +-S) the config
+    validates, and free_energy and flow_rhs at unit epsilon are finite."""
+    s = su2._MAX_ENTRY
+    params = {"epsilon": 1.0, "rho": s ** rho, "n_re": n * s, "n_im": -n * s}
+    validate_config({"model": "su2", "params": params})
+    start = su2.SB2Element(params["rho"], complex(params["n_re"], params["n_im"])).matrix
+    assert math.isfinite(su2.free_energy(start))
+    assert np.all(np.isfinite(su2.flow_rhs(start, 1.0)))
 
 
 @pytest.mark.parametrize("certificate", sorted(_NAN_FOLDS))

@@ -1,10 +1,13 @@
-"""Adaptive RK4 flow integration: accuracy, order, and failure modes."""
+"""Adaptive Fehlberg 4(5) flow integration: accuracy, order, cost, the
+tableau, the error estimate, and failure modes."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from poismech.bracket import ScalarField, hamiltonian_vector_field
 from poismech.errors import ContractViolation, DivergenceError, StiffnessError
-from poismech.flow import StepControl, Trajectory, integrate_flow
+from poismech.flow import _A, _B4, _B5, StepControl, Trajectory, integrate_flow
 from poismech.groupoid import canonical_bivector
 
 OSC = ScalarField(fn=lambda s: 0.5 * (s[0] ** 2 + s[1] ** 2), grad=lambda s: s.copy())
@@ -26,9 +29,9 @@ def test_oscillator_endpoint_accuracy():
 
 
 def test_fourth_order_convergence():
-    """Halving a fixed step cuts the endpoint error by ~2^4 (the embedded
-    Richardson estimate uses the same ratio); tol is set huge so no step is
-    ever rejected and h stays nominal."""
+    """Halving a fixed step cuts the endpoint error by ~2^4: the propagated
+    solution is the fourth-order one; tol is set huge so no step is ever
+    rejected and h stays nominal."""
     can = canonical_bivector(1)
     y0 = np.array([1.0, 0.0])
     errs = []
@@ -63,19 +66,24 @@ def _counting_oscillator():
 
 
 def _reference_flow(biv, H, y0, t_end, h_nom, tol):
-    """The same step-doubling controller with k1 evaluated afresh in every
-    RK4 step (12 evaluations per accepted step).  Returns times, points,
-    error estimates and the number of rejected attempts."""
+    """The same controller around Fehlberg's step written out stage by
+    stage, with the coefficients as literals.  Returns times, points, error
+    estimates and the number of rejected attempts."""
 
     def f(y):
         return hamiltonian_vector_field(biv, H, y)
 
-    def rk4(y, h):
+    def fehlberg(y, h):
         k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = f(y + h * (k1 / 4))
+        k3 = f(y + h * (3 / 32 * k1 + 9 / 32 * k2))
+        k4 = f(y + h * (1932 / 2197 * k1 - 7200 / 2197 * k2 + 7296 / 2197 * k3))
+        k5 = f(y + h * (439 / 216 * k1 - 8 * k2 + 3680 / 513 * k3 - 845 / 4104 * k4))
+        k6 = f(y + h * (-8 / 27 * k1 + 2 * k2 - 3544 / 2565 * k3 + 1859 / 4104 * k4
+                        - 11 / 40 * k5))
+        y4 = y + h * (25 / 216 * k1 + 1408 / 2565 * k3 + 2197 / 4104 * k4 - k5 / 5)
+        err = 1 / 360 * k1 - 128 / 4275 * k3 - 2197 / 75240 * k4 + k5 / 50 + 2 / 55 * k6
+        return y4, h * float(np.max(np.abs(err)))
 
     times, points, stats, rejected = [0.0], [y0.copy()], [], 0
     t, y, h = 0.0, y0.copy(), h_nom
@@ -84,14 +92,12 @@ def _reference_flow(biv, H, y0, t_end, h_nom, tol):
         if t_end - t - h < 0.1 * h:
             h = t_end - t
         while True:
-            y_full = rk4(y, h)
-            y_half = rk4(rk4(y, 0.5 * h), 0.5 * h)
-            est = float(np.max(np.abs(y_half - y_full))) / 15.0
+            y_new, est = fehlberg(y, h)
             if est <= tol:
                 break
             h *= 0.5
             rejected += 1
-        y = y_half
+        y = y_new
         t += h
         times.append(t)
         points.append(y.copy())
@@ -101,8 +107,8 @@ def _reference_flow(biv, H, y0, t_end, h_nom, tol):
     return np.array(times), np.array(points), np.array(stats), rejected
 
 
-def test_double_step_costs_eleven_rhs_evaluations():
-    """k1 = f(y) is shared by the whole step and the first half step."""
+def test_step_costs_six_rhs_evaluations():
+    """Fehlberg's six stages are the whole cost of an accepted step."""
     H, calls = _counting_oscillator()
     traj = integrate_flow(canonical_bivector(1), H, np.array([1.0, 0.25]), 2.0,
                           StepControl(h=0.05, tol=1e-8))
@@ -110,25 +116,94 @@ def test_double_step_costs_eleven_rhs_evaluations():
     # no rejection: every interval is the nominal step
     np.testing.assert_allclose(np.diff(traj.times), 0.05, rtol=1e-12)
     assert n_steps == 40
-    assert calls[0] == 11 * n_steps
+    assert calls[0] == 6 * n_steps
 
 
 @pytest.mark.parametrize("h, tol", [(0.05, 1e-8), (0.5, 1e-12)])
-def test_trajectory_matches_twelve_evaluation_stepper_bit_for_bit(h, tol):
-    """Sharing k1 changes the cost, not the arithmetic: the trajectory is
-    identical to the 12-evaluation stepper's, rejections included, and a
-    retry from the same y costs 10 evaluations."""
+def test_trajectory_matches_the_stage_by_stage_fehlberg_stepper(h, tol):
+    """The tableau held as module data computes the textbook step: the same
+    times and rejections as the stage-by-stage stepper, points equal to
+    rounding, and a retry from the same y (and k1) costs 5 evaluations."""
     can = canonical_bivector(1)
     y0 = np.array([1.0, 0.25])
     H, calls = _counting_oscillator()
     traj = integrate_flow(can, H, y0, 3.0, StepControl(h=h, tol=tol))
     times, points, stats, rejected = _reference_flow(can, OSC, y0, 3.0, h, tol)
     assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.points, points)
-    assert np.array_equal(traj.step_stats, stats)
-    assert calls[0] == 11 * (len(times) - 1) + 10 * rejected
+    assert np.max(np.abs(traj.points - points)) <= 1e-15 * np.max(np.abs(points))
+    np.testing.assert_allclose(traj.step_stats, stats, rtol=1e-6, atol=1e-6 * tol)
+    assert calls[0] == 6 * (len(times) - 1) + 5 * rejected
     if h == 0.5:
         assert rejected > 0
+
+
+def _rooted_trees(order):
+    """Every rooted tree of ``order`` nodes, a tree being the sorted tuple of
+    its root's subtrees: a leaf grafted onto each node of each tree of one
+    node fewer, duplicates merged."""
+    if order == 1:
+        return {()}
+
+    def grafts(tree):
+        yield tuple(sorted(tree + ((),)))
+        for i, sub in enumerate(tree):
+            for g in grafts(sub):
+                yield tuple(sorted(tree[:i] + (g,) + tree[i + 1:]))
+
+    return {g for tree in _rooted_trees(order - 1) for g in grafts(tree)}
+
+
+def _density(tree):
+    """gamma(t) and the size of ``tree``: gamma is the size times the
+    gammas of the root's subtrees."""
+    gamma, size = 1, 1
+    for sub in tree:
+        g, n = _density(sub)
+        gamma, size = gamma * g, size + n
+    return gamma * size, size
+
+
+def _stage_weights(tree):
+    """Phi_i(t) of each stage i: the product over the root's subtrees s of
+    sum_j a_ij Phi_j(s); 1 for the one-node tree."""
+    phi = [Fraction(1)] * len(_A)
+    for sub in tree:
+        inner = _stage_weights(sub)
+        phi = [p * sum((a * w for a, w in zip(row, inner)), Fraction(0))
+               for p, row in zip(phi, _A)]
+    return phi
+
+
+def test_fehlberg_tableau_meets_the_order_conditions_exactly():
+    """Butcher's conditions sum_i b_i Phi_i(t) = 1 / gamma(t), in exact
+    rationals: on every rooted tree of up to 4 nodes for the propagated
+    weights B4, and up to 5 for B5.  B4 misses an order-5 condition, so the
+    difference of the two solutions estimates B4's own local error."""
+    assert [len(_rooted_trees(n)) for n in range(1, 6)] == [1, 1, 2, 4, 9]
+    assert [len(row) for row in _A] == list(range(6))  # explicit stages
+
+    def residual(b, tree):
+        total = sum((bi * p for bi, p in zip(b, _stage_weights(tree))), Fraction(0))
+        return total - Fraction(1, _density(tree)[0])
+
+    for order in range(1, 6):
+        for tree in _rooted_trees(order):
+            assert residual(_B5, tree) == 0
+            if order <= 4:
+                assert residual(_B4, tree) == 0
+    assert any(residual(_B4, tree) != 0 for tree in _rooted_trees(5))
+
+
+def test_error_estimate_tracks_the_true_local_error():
+    """The exact flow of the oscillator from each accepted state is known,
+    so the true local error of every step (the new state against the exact
+    flow over the step from the previous one) can be set beside the
+    estimate the step was accepted on."""
+    can = canonical_bivector(1)
+    traj = integrate_flow(can, OSC, np.array([1.0, 0.25]), 6.0, StepControl(h=0.2, tol=1e-7))
+    exact = np.array([rotation_exact(y, h) for y, h in zip(traj.points[:-1], np.diff(traj.times))])
+    ratio = np.max(np.abs(traj.points[1:] - exact), axis=1) / traj.step_stats
+    assert np.all((0.5 <= ratio) & (ratio <= 2.0)), (ratio.min(), ratio.max())
 
 
 # H = x^2 p drives xdot = -x^2: from x(0) = -1 the solution -1/(1 - t)

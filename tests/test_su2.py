@@ -52,6 +52,19 @@ def test_unimodular_constraint_enforced():
         SB2Element(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SL2CElement(math.nan, 0.0, 0.0, 1.0),
+    lambda: SU2Element(math.nan, 0.0),
+    lambda: SB2Element(1.0, math.nan),
+    lambda: SB2Element(1.0, complex(0.0, math.inf)),
+], ids=["sl2c_nan", "su2_nan", "sb2_nan_n", "sb2_inf_n"])
+def test_element_contracts_reject_nan(make):
+    """A NaN entry fails each constructor's contract instead of passing the
+    tolerance test that every comparison with NaN fails."""
+    with pytest.raises(ContractViolation):
+        make()
+
+
 def test_iwasawa_factorization_roundtrip():
     """One call splits a stack: 20 random unimodular matrices and one with
     c = 0, which is triangular up to the phase of its diagonal."""
