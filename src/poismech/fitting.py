@@ -40,25 +40,32 @@ def collinearity_residual(points: np.ndarray) -> float:
 
 
 def tail_velocity(times: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """Least-squares slope d(curve)/d(times[0-axis]) over the trailing
-    quarter of the samples, which must hold at least 8 of them (a curve of
-    at least ``MIN_CURVE_SAMPLES``).
+    """Least-squares slope d(curve)/d(times) over the trailing quarter of
+    the samples, which must hold at least 8 of them (a curve of at least
+    ``MIN_CURVE_SAMPLES``).
 
-    ``times`` is the abscissa (may itself be a curve coordinate); returns the
-    slope vector of the remaining columns.
+    ``times`` (..., N) is the abscissa (may itself be a curve coordinate) and
+    ``curve`` (..., N, k) the ordinates; returns the (..., k) slopes, one fit
+    per curve of the stack.  The slope of the straight line y = a t + b is
+    taken in closed form on the centred tail, sum (t - t_mean)(y - y_mean) /
+    sum (t - t_mean)^2; an abscissa whose tail has no spread is an
+    ``EstimationError``.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(curve, dtype=float)
-    n_tail = max(int(np.ceil(_TAIL_FRACTION * t.size)), 0)
+    n_tail = max(int(np.ceil(_TAIL_FRACTION * t.shape[-1])), 0)
     if n_tail < _TAIL_MIN_SAMPLES:
         raise EstimationError(
             f"tail fit needs >= {_TAIL_MIN_SAMPLES} samples, window has {n_tail}"
         )
-    t_tail = t[-n_tail:]
-    y_tail = y[-n_tail:]
-    A = np.column_stack([t_tail, np.ones(n_tail)])
-    sol, *_ = np.linalg.lstsq(A, y_tail, rcond=None)
-    return np.atleast_1d(sol[0])
+    dt = t[..., -n_tail:]
+    dt = dt - dt.mean(axis=-1, keepdims=True)
+    dy = y[..., -n_tail:, :]
+    dy = dy - dy.mean(axis=-2, keepdims=True)
+    spread = np.einsum("...i,...i->...", dt, dt)
+    if np.any(spread == 0.0):
+        raise EstimationError("tail fit abscissa has no spread: every tail sample is at one value")
+    return np.einsum("...i,...ik->...k", dt, dy) / spread[..., None]
 
 
 def central_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:

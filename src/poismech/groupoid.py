@@ -29,12 +29,12 @@ __all__ = [
 
 
 def _project(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """Projected base points of the (N, n) stacks of states (x, p), with
+    """Projected base points of the (..., n) stacks of states (x, p), with
     every moment and both flows taken over the whole stack at once."""
     if side not in ("left", "right"):
         raise ContractViolation(f"side must be 'left' or 'right', got {side!r}")
-    J1 = np.einsum("ij,ij->i", p, r.X1.value(x))
-    J2 = np.einsum("ij,ij->i", p, r.X2.value(x))
+    J1 = np.einsum("...j,...j->...", p, r.X1.value(x))
+    J2 = np.einsum("...j,...j->...", p, r.X2.value(x))
     sgn = -1.0 if side == "left" else +1.0
     t1 = sgn * 0.5 * r.epsilon * J2
     t2 = -sgn * 0.5 * r.epsilon * J1
@@ -69,9 +69,14 @@ def _phase_names(n: int) -> tuple[str, ...]:
 
 def canonical_bivector(n: int) -> BivectorSpec:
     """The cotangent-bundle structure on the 2n-chart (x, p):
-    {x^i, p_j} = delta^i_j, all other coordinate brackets zero."""
-    comps = {(i, n + i): (lambda x: 1.0) for i in range(n)}
-    return BivectorSpec(2 * n, _phase_names(n), comps)
+    {x^i, p_j} = delta^i_j, all other coordinate brackets zero.  P is one
+    constant read-only matrix, returned at every point."""
+    i = np.arange(n)
+    P = np.zeros((2 * n, 2 * n))
+    P[i, n + i] = 1.0
+    P[n + i, i] = -1.0
+    P.setflags(write=False)
+    return BivectorSpec(2 * n, _phase_names(n), dense=lambda x: P)
 
 
 def cotangent_wedge(epsilon: float, gen_a: GeneratorField, gen_b: GeneratorField) -> BivectorSpec:

@@ -11,13 +11,14 @@ signature +,-,...,-) is an ordinary straight line, and each projection maps
 it to another straight line whose coordinate speed |dx_vec / dx^0| is
 extracted by a least-squares tail fit.
 
-``MODEL`` is the scenario record: parameters (with the projection-pole
-check), the trajectory, projection and profile artifacts, the certificate and
-the sweep row.
+``MODEL`` is the scenario record: parameters (with the projection-pole and
+horizon checks), the trajectory, projection and profile artifacts, the
+certificate and the sweep row.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import ConfigError, ContractViolation
 from .fitting import MIN_CURVE_SAMPLES, collinearity_residual, monotonicity_verdict, tail_velocity
 from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
-from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
+from .groupoid import _project, canonical_bivector, cotangent_wedge, project_trajectory
 from .model import (
     CERT_POINTS, INT, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
@@ -85,6 +86,38 @@ def kappa_rspec(spec: KappaSpec) -> AbelianRSpec:
     return AbelianRSpec(spec.epsilon, X1, X2)
 
 
+# the profile builds its shells in chunks of momenta whose stacked states
+# hold at most this many floats, the bound every array of a run keeps
+_CHUNK_FLOATS = 2**24
+
+
+def _shells(
+    spec: KappaSpec,
+    mass: float,
+    p_spatial: np.ndarray,
+    t_span: float,
+    n_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times (n_samples,) and phase states (m, n_samples, 2(1+d)) of
+    the straight shell lines p^2 = m^2 from the origin, one per row of the
+    (m, d) spatial momenta.
+
+    With H = p^2 = p_0^2 - sum_k p_k^2 and xdot = {H, x} under the canonical
+    bracket {x^i, p_j} = delta, the velocity is (-2 p_0, +2 p_vec).
+    """
+    if mass <= 0:
+        raise ContractViolation("mass must be positive")
+    d = spec.dim
+    # (1, d) @ (d, 1) per row: the dot product p_vec @ p_vec, rounded alike
+    p0 = np.sqrt(mass * mass + p_spatial[:, None, :] @ p_spatial[:, :, None])[:, 0]
+    ts = np.linspace(0.0, t_span, n_samples)
+    pts = np.empty((len(p_spatial), n_samples, 2 * d))
+    vel = np.concatenate([-2.0 * p0, 2.0 * p_spatial], axis=1)
+    pts[..., :d] = ts[:, None] * vel[:, None, :] + 0.0  # + 0.0: the t = 0 row is +0.0, not -0.0
+    pts[..., d:] = np.concatenate([p0, p_spatial], axis=1)[:, None, :]
+    return ts, pts
+
+
 def free_shell_trajectory(
     spec: KappaSpec,
     mass: float,
@@ -93,31 +126,19 @@ def free_shell_trajectory(
     n_samples: int,
 ) -> Trajectory:
     """Straight-line free motion on the shell p^2 = m^2 from the origin as a
-    phase-space trajectory (rows (x, p) on the 2(1+d)-chart).
-
-    With H = p^2 = p_0^2 - sum_k p_k^2 and xdot = {H, x} under the canonical
-    bracket {x^i, p_j} = delta, the velocity is (-2 p_0, +2 p_vec).
-    """
-    if mass <= 0:
-        raise ContractViolation("mass must be positive")
+    phase-space trajectory (rows (x, p) on the 2(1+d)-chart); the one-momentum
+    case of the profile's stacked shells."""
     p_spatial = np.asarray(p_spatial, dtype=float)
     if p_spatial.shape != (spec.spatial_dim,):
         raise ContractViolation("spatial momentum has wrong dimension")
-    d = spec.dim
-    p0 = float(np.sqrt(mass * mass + p_spatial @ p_spatial))
-    mom = np.concatenate([[p0], p_spatial])
-    vel = np.concatenate([[-2.0 * p0], 2.0 * p_spatial])
-    ts = np.linspace(0.0, t_span, n_samples)
-    pts = np.empty((n_samples, 2 * d))
-    pts[:, :d] = ts[:, None] * vel + 0.0  # + 0.0: the t = 0 row is +0.0, not -0.0
-    pts[:, d:] = mom
-    return Trajectory(ts, pts)
+    ts, pts = _shells(spec, mass, p_spatial[None], t_span, n_samples)
+    return Trajectory(ts, pts[0])
 
 
-def _speed_of_curve(curve: Trajectory) -> float:
-    """|dx_vec / dx^0| of a sampled base curve via the tail fit."""
-    slopes = tail_velocity(curve.points[:, 0], curve.points[:, 1:])
-    return float(np.linalg.norm(slopes))
+def _speed_of_curve(points: np.ndarray) -> np.ndarray:
+    """|dx_vec / dx^0| of sampled base curves (..., N, 1+d) via the tail fit,
+    one speed per curve."""
+    return np.linalg.norm(tail_velocity(points[..., 0], points[..., 1:]), axis=-1)
 
 
 def velocity_momentum_profile(
@@ -133,6 +154,10 @@ def velocity_momentum_profile(
     projection is one of 'ordinary', 'left', 'right'.  Momenta point along
     the first spatial axis with magnitude p.  Returns a dict with sorted
     arrays 'p', 'v' and the 'verdict' of monotonicity in p.
+
+    The shells of all momenta are one stacked array, projected and fitted at
+    once; momenta go in chunks whose shells hold at most 2^24 floats, so the
+    memory is bounded whatever the number of momenta.
     """
     if projection not in ("ordinary", "left", "right"):
         raise ContractViolation(f"unknown projection {projection!r}")
@@ -141,16 +166,15 @@ def velocity_momentum_profile(
         raise ContractViolation("profile momenta must be positive")
     r = kappa_rspec(spec)
     d = spec.dim
+    per_chunk = max(1, _CHUNK_FLOATS // (n_samples * 2 * d))
     vs = np.empty_like(p_grid)
-    for i, p in enumerate(p_grid):
-        pvec = np.zeros(spec.spatial_dim)
-        pvec[0] = p
-        traj = free_shell_trajectory(spec, mass, pvec, t_span, n_samples)
-        if projection == "ordinary":
-            curve = Trajectory(traj.times, traj.points[:, :d])
-        else:
-            curve = project_trajectory(r, traj, projection)
-        vs[i] = _speed_of_curve(curve)
+    for lo in range(0, p_grid.size, per_chunk):
+        pvec = np.zeros((min(per_chunk, p_grid.size - lo), spec.spatial_dim))
+        pvec[:, 0] = p_grid[lo:lo + per_chunk]
+        _, shells = _shells(spec, mass, pvec, t_span, n_samples)
+        x, p = shells[..., :d], shells[..., d:]
+        base = x if projection == "ordinary" else _project(r, x, p, projection)
+        vs[lo:lo + len(pvec)] = _speed_of_curve(base)
     return {"p": p_grid, "v": vs, "verdict": monotonicity_verdict(vs)}
 
 
@@ -219,8 +243,9 @@ def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, 
 # (128 MiB) and every artifact near 2^24 cells (a few hundred MB of text):
 # the shifted certificate bracket lives on 2(1+d) <= 256 coordinates, so its
 # Jacobi tensor has (2(1+d))^3 <= 2^24 entries, and the trajectory holds
-# n_samples x 2(1+d) <= 2^24 values.  The profile integrates one shell per
-# momentum, so n_p bounds the run time, not the memory; it shares the bound.
+# n_samples x 2(1+d) <= 2^24 values.  The profile stacks the shells of its
+# momenta in chunks of at most 2^24 floats (at least one shell each), so n_p
+# bounds the run time, not the memory; it shares the bound.
 PARAMS = {
     "epsilon": Param(REAL),
     "mass": Param(REAL, 1.0, positive=True),
@@ -238,6 +263,32 @@ def _spec(p: Params) -> KappaSpec:
     return KappaSpec(p["epsilon"], p["spatial_dim"])
 
 
+# The largest coordinates a run computes.  The shell with momentum p along
+# x^1 is x^0 = -2 p0 t, x^1 = 2 p t.  The projections move x^0 by
+# -+(eps/2) J2 = -+eps p^2 t and scale x^1 by exp(-+(eps/2) p0).  So on the
+# trajectory, its projections and the profile's curves (p up to the largest
+# momentum), |x^0| <= A = t_span (2 p0 + |eps| p^2), and no coordinate
+# exceeds C = t_span max(2 p0 + |eps| p^2, 2 p exp(|eps| p0 / 2)).
+# * The tail fit sums at most n_samples products of a centred x^0 value (at
+#   most A in size) with a centred value of x^0 or of another coordinate (at
+#   most C): n_samples A C <= DBL_MAX / 2 keeps every sum finite, with a
+#   factor 2 to spare for rounding.
+# * The collinearity residual of a straight line is rounding, about u C in
+#   each of the 1 + d coordinates (u = 2^-53), and is measured through their
+#   squares: (1 + d) u C <= sqrt(DBL_MAX) keeps it finite (on the shipped
+#   config it overflows from about C = 7e170).
+def _t_span_max(p: Params) -> float:
+    """The largest t_span within both bounds above."""
+    q = max(p["p"], p["p_max"])
+    p0 = math.hypot(p["mass"], q)
+    e = abs(p["epsilon"])
+    a = 2.0 * p0 + e * q * q
+    c = max(a, 2.0 * q * math.exp(0.5 * e * p0))
+    fit = math.sqrt(sys.float_info.max / (2.0 * p["n_samples"] * a * c))
+    line = math.sqrt(sys.float_info.max) / ((1 + p["spatial_dim"]) * 2.0**-53 * c)
+    return min(fit, line)
+
+
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
@@ -252,6 +303,14 @@ def _check(p: Params) -> None:
             f"the projected speeds scale like exp(|epsilon| sqrt(mass^2 + {q}^2) / 2), whose "
             f"square overflows a float: the exponent is {exponent:.6g}, above "
             f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}",
+        )
+    t_max = _t_span_max(p)
+    if not p["t_span"] <= t_max:
+        raise ConfigError(
+            "params.t_span",
+            "the shell and its projections reach coordinates of size t_span * max(2 p0 + "
+            "|epsilon| p^2, 2 p exp(|epsilon| p0 / 2)) at the largest momentum; the tail fit's "
+            f"sums and the collinearity residual stay finite for t_span <= {t_max:.6g}",
         )
     # one projection's speed has a pole where the shell energy
     # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)
@@ -282,7 +341,7 @@ def _trajectory(p: Params) -> ArtifactData:
     mom = traj.points[0, d:]
     energy = mom[0] ** 2 - float(mom[1:] @ mom[1:])
     summary = {
-        "speed_ordinary": _speed_of_curve(Trajectory(traj.times, traj.points[:, :d])),
+        "speed_ordinary": float(_speed_of_curve(traj.points[:, :d])),
         "mass_shell_residual": abs(energy - p["mass"] ** 2),
     }
     return ArtifactData("trajectory", columns, summary)
@@ -299,7 +358,7 @@ def _projection(p: Params) -> ArtifactData:
         **{f"left_{n}": col for n, col in zip(spec.coord_names, left.points.T)},
         **{f"right_{n}": col for n, col in zip(spec.coord_names, right.points.T)},
     }
-    measured = (_speed_of_curve(left), _speed_of_curve(right))
+    measured = (float(_speed_of_curve(left.points)), float(_speed_of_curve(right.points)))
     closed = closed_form_speeds(spec, p["mass"], p["p"])
     summary = {
         "collinearity_left": collinearity_residual(left.points),

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poismech import cli, su2
+from poismech import cli, kappa, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
 from poismech.minkowski2d import _T_END_MAX
@@ -721,6 +721,97 @@ def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
     assert t[-1] == pytest.approx(_T_END_MAX, abs=1e-12)
 
 
+def test_kappa_horizon_is_bounded(tmp_path, capsys):
+    """t_span 1e300 and one float past the bound name params.t_span and exit
+    2, writing nothing; at the bound every column and summary value of the
+    three artifacts is finite."""
+    params = {"epsilon": 0.5}
+    t_max = kappa._t_span_max(validate_config({"model": "kappa", "params": params}).params)
+    assert 1e150 < t_max < 1e154
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": 1.0e300},
+                               "outputs": ["profile"]})
+    out = tmp_path / "far"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "params.t_span" in capsys.readouterr().out
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=r"params\.t_span"):
+        validate_config({"model": "kappa",
+                         "params": {**params, "t_span": math.nextafter(t_max, math.inf)}})
+    outputs = ["trajectory", "projection", "profile"]
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": t_max},
+                               "outputs": outputs})
+    out = tmp_path / "at"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    for name in outputs:
+        doc = json.loads((out / f"{name}.json").read_text())
+        assert np.all(np.isfinite(np.array(doc["rows"], dtype=float))), name
+        floats = [v for v in doc["summary"].values() if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in floats), name
+    assert np.array(json.loads((out / "trajectory.json").read_text())["rows"])[-1, 0] == t_max
+
+
+@pytest.mark.parametrize("field, value", [("epsilon", 1.0e10), ("rho", 1000.0)])
+def test_su2_first_step_past_one_radian_is_config_error(tmp_path, capsys, field, value):
+    """With the other defaults these starts failed at t = 0 (the first
+    step's stages overflowed); they name the field and exit 2, writing
+    nothing."""
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, field: value},
+                               "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"params.{field}" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def _largest_valid(params, field, guess):
+    """The largest float value of ``field`` with which the su2 config
+    validates, bisected between guess / 2 (valid) and 2 guess (not)."""
+    def valid(value):
+        try:
+            validate_config({"model": "su2", "params": {**params, field: value}})
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 0.5 * guess, 2.0 * guess
+    assert valid(lo) and not valid(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("field, guess", [
+    ("epsilon", 1.0 / (1e-3 * su2.free_energy(su2.SB2Element(1.4, 0.3 + 0.2j).matrix))),
+    ("step", 1.0 / (0.2 * su2.free_energy(su2.SB2Element(1.4, 0.3 + 0.2j).matrix))),
+    ("rho", 100.0),
+    ("n_im", 100.0),
+])
+def test_su2_turn_bound_is_one_radian_and_names_the_factor(field, guess):
+    """step * |epsilon| * H(start) <= 1: at the largest valid value of each
+    factor the nominal step turns the state by one radian to rounding, and
+    one float past it is a config error naming that factor."""
+    params = {"epsilon": 0.2}
+    value = _largest_valid(params, field, guess)
+    p = validate_config({"model": "su2", "params": {**params, field: value}}).params
+    energy = su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
+    assert p["step"] * abs(p["epsilon"]) * energy == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"model": "su2", "params": {**params, field: math.nextafter(value, math.inf)}})
+    assert exc.value.path == f"params.{field}"
+
+
+def test_su2_run_at_the_turn_bound_finishes():
+    """At one radian per nominal step the error control shrinks the step
+    and the run finishes with a conserved determinant, for both signs."""
+    bound = _largest_valid({"epsilon": 0.2}, "epsilon", 769.0)
+    for epsilon in (bound, -bound):
+        params = validate_config({"model": "su2", "params": {"epsilon": epsilon, "t_end": 0.05}}).params
+        art = su2.MODEL.artifacts["trajectory"](params)
+        assert art.summary["det_residual"] < 1e-8
+        assert np.all(np.isfinite(art.columns["H"]))
+
+
 @pytest.mark.parametrize("field, past", [
     ("rho", lambda s: 1.0e200),
     ("rho", lambda s: math.nextafter(s, math.inf)),
@@ -747,10 +838,16 @@ def test_su2_start_past_the_finite_range_is_config_error(tmp_path, capsys, field
 @pytest.mark.parametrize("rho, n", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
 def test_su2_start_at_the_bounds_has_a_finite_energy_and_rhs(rho, n):
     """At the bounds (rho = S or 1/S, n_re and n_im = +-S) the config
-    validates, and free_energy and flow_rhs at unit epsilon are finite."""
+    validates at epsilon 0, where the flow stands still, and free_energy and
+    flow_rhs at unit epsilon are finite.  At unit epsilon the first step
+    would turn the state by about 1e202 radians, a config error naming a
+    start entry."""
     s = su2._MAX_ENTRY
-    params = {"epsilon": 1.0, "rho": s ** rho, "n_re": n * s, "n_im": -n * s}
+    params = {"epsilon": 0.0, "rho": s ** rho, "n_re": n * s, "n_im": -n * s}
     validate_config({"model": "su2", "params": params})
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"model": "su2", "params": {**params, "epsilon": 1.0}})
+    assert exc.value.path in {"params.rho", "params.n_re", "params.n_im"}
     start = su2.SB2Element(params["rho"], complex(params["n_re"], params["n_im"])).matrix
     assert math.isfinite(su2.free_energy(start))
     assert np.all(np.isfinite(su2.flow_rhs(start, 1.0)))

@@ -1,0 +1,60 @@
+"""The stacked tail fit: one closed-form least-squares slope per curve."""
+import numpy as np
+import pytest
+
+from poismech.errors import EstimationError
+from poismech.fitting import MIN_CURVE_SAMPLES, tail_velocity
+
+
+def _noisy_lines(rng, shape, n, k):
+    """Affine curves y = a t + b + noise on an increasing abscissa of each
+    curve, in a stack of the given shape."""
+    t = np.sort(rng.uniform(-3.0, 5.0, size=shape + (n,)), axis=-1)
+    a = rng.normal(size=shape + (1, k))
+    b = rng.normal(size=shape + (1, k))
+    return t, a * t[..., None] + b + 1e-3 * rng.normal(size=shape + (n, k))
+
+
+def _lstsq_slope(t, y):
+    """Reference: the slope of the two-parameter least-squares line through
+    the trailing quarter of the samples."""
+    n_tail = int(np.ceil(0.25 * t.size))
+    A = np.column_stack([t[-n_tail:], np.ones(n_tail)])
+    return np.linalg.lstsq(A, y[-n_tail:], rcond=None)[0][0]
+
+
+@pytest.mark.parametrize("n", [MIN_CURVE_SAMPLES, 64, 101])
+def test_stacked_fit_equals_the_per_curve_fit_and_lstsq(n):
+    rng = np.random.default_rng(n)
+    t, y = _noisy_lines(rng, (3, 4), n, 2)
+    got = tail_velocity(t, y)
+    assert got.shape == (3, 4, 2)
+    for i in np.ndindex(3, 4):
+        np.testing.assert_array_equal(got[i], tail_velocity(t[i], y[i]))
+        np.testing.assert_allclose(got[i], _lstsq_slope(t[i], y[i]), rtol=1e-13, atol=0.0)
+
+
+def test_fit_is_exact_on_a_line():
+    t = np.linspace(0.0, 3.0, 64)
+    y = np.column_stack([0.5 * t - 1.0, -2.0 * t])
+    np.testing.assert_allclose(tail_velocity(t, y), [0.5, -2.0], rtol=1e-14)
+
+
+def test_short_tail_is_an_estimation_error():
+    t = np.linspace(0.0, 1.0, MIN_CURVE_SAMPLES - 1)
+    with pytest.raises(EstimationError, match="needs >= 8 samples"):
+        tail_velocity(t, t[:, None])
+    with pytest.raises(EstimationError, match="needs >= 8 samples"):
+        tail_velocity(np.tile(t, (2, 1)), np.tile(t[:, None], (2, 1, 1)))
+
+
+def test_zero_spread_abscissa_is_an_estimation_error():
+    """A tail that sits at one abscissa has no slope; lstsq would return the
+    minimum-norm one.  One such curve in a stack fails the whole fit."""
+    t = np.linspace(0.0, 1.0, 64)
+    flat = t.copy()
+    flat[-16:] = 1.0
+    with pytest.raises(EstimationError, match="no spread"):
+        tail_velocity(flat, t[:, None])
+    with pytest.raises(EstimationError, match="no spread"):
+        tail_velocity(np.stack([t, flat]), np.stack([t, t])[..., None])

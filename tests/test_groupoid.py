@@ -10,6 +10,7 @@ from poismech.fitting import collinearity_residual
 from poismech.flow import StepControl, Trajectory, integrate_flow
 from poismech.generators import AbelianRSpec, scaling, translation
 from poismech.groupoid import (
+    _project,
     canonical_bivector,
     cotangent_wedge,
     groupoid_projection,
@@ -56,6 +57,10 @@ def test_canonical_bivector_pairing():
     np.testing.assert_array_equal(M[:2, 2:], np.eye(2))
     np.testing.assert_array_equal(M[:2, :2], np.zeros((2, 2)))
     np.testing.assert_array_equal(M[2:, 2:], np.zeros((2, 2)))
+    # one constant, read-only and exactly antisymmetric matrix at every point
+    assert can.matrix(np.arange(4.0)) is M and not M.flags.writeable
+    np.testing.assert_array_equal(M, -M.T)
+    assert not np.signbit(M[M == 0.0]).any()
 
 
 def test_projection_against_exponential_oracle():
@@ -168,6 +173,20 @@ def test_project_trajectory_matches_per_point_loop_on_kappa_shells(spatial_dim, 
         got = project_trajectory(r, traj, side)
         np.testing.assert_array_equal(got.points, _per_point_projection(r, traj, side))
         np.testing.assert_array_equal(got.times, traj.times)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_project_on_a_stack_equals_it_row_by_row(side):
+    """_project of an (m, N, n) stack of states is, bit for bit, the stack of
+    its (N, n) rows' projections."""
+    spec = KappaSpec(-0.35, 3)
+    r = kappa_rspec(spec)
+    rng = np.random.default_rng(4)
+    x, p = rng.normal(size=(2, 5, 33, spec.dim))
+    got = _project(r, x, p, side)
+    assert got.shape == (5, 33, spec.dim)
+    for i in range(5):
+        np.testing.assert_array_equal(got[i], _project(r, x[i], p[i], side))
 
 
 def test_project_trajectory_matches_per_point_loop_on_minkowski2d_flow():

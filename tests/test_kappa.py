@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from poismech.errors import ContractViolation
+from poismech import kappa
 from poismech.fitting import monotonicity_verdict
+from poismech.groupoid import project_trajectory
 from poismech.kappa import (
     KappaSpec,
     classical_limit_deviation,
     closed_form_speeds,
     free_shell_trajectory,
     kappa_bivector,
+    kappa_rspec,
     velocity_momentum_profile,
 )
 
@@ -122,3 +125,57 @@ def test_spec_validation():
         closed_form_speeds(SPEC, 0.0, 1.0)
     with pytest.raises(ContractViolation):
         free_shell_trajectory(SPEC, 1.0, np.zeros(2), 1.0, 8)
+
+
+def _per_momentum_profile(spec, mass, projection, p_grid, t_span, n_samples):
+    """Reference: one shell per momentum, projected as a trajectory, each
+    base curve fitted on its own by lstsq over its trailing quarter."""
+    vs = []
+    for p in p_grid:
+        pvec = np.zeros(spec.spatial_dim)
+        pvec[0] = p
+        traj = free_shell_trajectory(spec, mass, pvec, t_span, n_samples)
+        if projection == "ordinary":
+            base = traj.points[:, :spec.dim]
+        else:
+            base = project_trajectory(kappa_rspec(spec), traj, projection).points
+        n_tail = int(np.ceil(0.25 * n_samples))
+        A = np.column_stack([base[-n_tail:, 0], np.ones(n_tail)])
+        slopes = np.linalg.lstsq(A, base[-n_tail:, 1:], rcond=None)[0][0]
+        vs.append(np.linalg.norm(slopes))
+    return np.array(vs)
+
+
+@pytest.mark.parametrize("eps", [0.4, -0.4])
+@pytest.mark.parametrize("spatial_dim", [1, 3, 7])
+@pytest.mark.parametrize("projection", ["ordinary", "left", "right"])
+def test_stacked_profile_matches_the_per_momentum_reference(projection, spatial_dim, eps):
+    spec = KappaSpec(eps, spatial_dim)
+    grid = np.linspace(0.2, 2.0, 10)
+    prof = velocity_momentum_profile(spec, 1.1, projection, grid, t_span=2.5, n_samples=48)
+    want = _per_momentum_profile(spec, 1.1, projection, grid, 2.5, 48)
+    np.testing.assert_array_equal(prof["p"], grid)
+    np.testing.assert_allclose(prof["v"], want, rtol=1e-14, atol=0.0)
+
+
+def test_profile_in_chunks_equals_one_chunk(monkeypatch):
+    """Forced into chunks of three shells, the profile gives the values of
+    one stacked pass, and no stack it builds holds more floats than a chunk."""
+    spec = KappaSpec(0.3, 2)
+    grid = np.linspace(0.2, 2.0, 10)
+    whole = {side: velocity_momentum_profile(spec, 1.0, side, grid)["v"]
+             for side in ("ordinary", "left", "right")}
+    sizes = []
+    shells = kappa._shells
+
+    def recording(*args):
+        ts, pts = shells(*args)
+        sizes.append(pts.size)
+        return ts, pts
+
+    monkeypatch.setattr(kappa, "_shells", recording)
+    monkeypatch.setattr(kappa, "_CHUNK_FLOATS", 3 * 64 * 2 * spec.dim)
+    for side, v in whole.items():
+        sizes.clear()
+        np.testing.assert_array_equal(velocity_momentum_profile(spec, 1.0, side, grid)["v"], v)
+        assert sizes == [3 * 64 * 2 * spec.dim] * 3 + [64 * 2 * spec.dim]
