@@ -136,8 +136,8 @@ def integrate_flow(
             for i in range(1, len(_STAGE_ROWS)):
                 k[i] = rhs(y + h * (_STAGE_ROWS[i] @ k[:i]))
             y_new = y + h * (_B4_F @ k)
-            est = h * float(np.max(np.abs(_ERR_F @ k)))
-            if not (np.all(np.isfinite(y_new)) and math.isfinite(est)):
+            est = h * float(np.abs(_ERR_F @ k).max())
+            if not (np.isfinite(y_new).all() and math.isfinite(est)):
                 raise DivergenceError(
                     f"state left the finite range near t = {t:.6g}", last_good_time=t
                 )

@@ -289,6 +289,30 @@ def _t_span_max(p: Params) -> float:
     return min(fit, line)
 
 
+# The smallest coordinate speeds on the same curves, at momenta q from
+# min(p, p_min) to max(p, p_max): |dx^0/dt| >= a = 2 p0 - |eps| q^2 and
+# |dx^1/dt| >= c = 2 q exp(-|eps| p0 / 2).  Both rise and then fall in q, so
+# their least values are at the two end momenta; a > 0 there once neither
+# end is at a projection pole.  The tail fit sums n >= 8 products of centred
+# values of x^0 with centred values of x^0 and x^1, spaced delta apart with
+# n delta >= t_span / 4; the sums are a^2 or a c times delta^2 n (n^2 - 1) / 12,
+# at least t_span^2 a min(a, c) / 195.  A product below DBL_MIN is subnormal
+# and rounds by up to 2^-1075 (at t_span = 1e-160 each one is, and the speeds
+# came out 0.3 % off); t_span^2 a min(a, c) >= 256 DBL_MIN keeps the n
+# roundings within u = 2^-53 of either sum.
+def _t_span_min(p: Params) -> float:
+    """The smallest t_span within the bound above."""
+    e = abs(p["epsilon"])
+    a = c = math.inf
+    for q in (min(p["p"], p["p_min"]), max(p["p"], p["p_max"])):
+        p0 = math.hypot(p["mass"], q)
+        a = min(a, 2.0 * (p0 - 0.5 * e * q * q))
+        c = min(c, 2.0 * q * math.exp(-0.5 * e * p0))
+    if not (a > 0.0 and c > 0.0):
+        return math.inf
+    return 16.0 * math.sqrt(sys.float_info.min / a / min(a, c))
+
+
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
@@ -324,6 +348,14 @@ def _check(p: Params) -> None:
                 f"momentum {p[name]} is at or past the projection pole "
                 f"sqrt(mass^2 + p^2) = |epsilon| p^2 / 2",
             ) from exc
+    t_min = _t_span_min(p)
+    if not p["t_span"] >= t_min:
+        raise ConfigError(
+            "params.t_span",
+            "the tail fit sums products of coordinate differences of size t_span times the "
+            "slowest speeds 2 p0 - |epsilon| p^2 and 2 p exp(-|epsilon| p0 / 2), which fall "
+            f"below the normal float range and lose precision for t_span < {t_min:.6g}",
+        )
 
 
 def _shell(p: Params, spec: KappaSpec) -> Trajectory:

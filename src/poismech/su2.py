@@ -35,7 +35,6 @@ import numpy as np
 
 from .bracket import BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
 from .errors import ConfigError, ContractViolation, NumericDomainError
-from .fitting import central_derivative
 from .flow import StepControl, Trajectory, integrate_flow
 from .model import (
     CERT_POINTS, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
@@ -390,11 +389,34 @@ def free_flow(
     return traj, events[0]
 
 
+def _body_velocities(alpha: np.ndarray, gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Body-frame angular velocity ``log(u_k^H u_{k+1}) / (t_{k+1} - t_k)``
+    on every interval of a sampled unitary path ``u_k = [[alpha_k,
+    -conj(gamma_k)], [gamma_k, conj(alpha_k)]]``, shape ``(N - 1, 2, 2)``.
+
+    The logarithm of a special unitary ``q`` is ``theta / sin(theta) *
+    (q - q^H) / 2`` with ``theta = atan2(|Im part|, Re alpha_q)``.  A free
+    flow is ``u(t) = u0 exp(t omega)``, so on it every interval reads
+    ``omega`` to rounding, at any spacing.  The domain is a turn below pi per
+    interval (a larger one aliases); the su2 configs keep a nominal step
+    within ``_MAX_TURN`` = 1 radian and steps never exceed it.
+    """
+    a0, c0, a1, c1 = alpha[:-1], gamma[:-1], alpha[1:], gamma[1:]
+    # q = u_k^H u_{k+1} = [[qa, -conj(qc)], [qc, conj(qa)]]
+    qa = np.conj(a0) * a1 + np.conj(c0) * c1
+    qc = a0 * c1 - c0 * a1
+    theta = np.arctan2(np.hypot(qa.imag, np.abs(qc)), qa.real)
+    scale = 1.0 / (np.sinc(theta / np.pi) * np.diff(times))  # theta / sin(theta) / dt
+    half = np.array([[1j * qa.imag, -np.conj(qc)], [qc, -1j * qa.imag]])  # (q - q^H) / 2
+    return np.moveaxis(scale * half, -1, 0)
+
+
 def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     """Conservation and factorization report for a free-flow trajectory.
 
     Returns max determinant residual, drift of the triangular factor, the
-    worst deviation of the measured unitary angular velocity from its
+    worst deviation of the measured unitary body velocity
+    (:func:`_body_velocities`, exact at any sample spacing) from its
     closed-form value, and the endpoint distance to the closed-form flow.
     A sample off the unit-determinant slice by more than 1e-9, or NaN, is a
     ``ContractViolation``.
@@ -409,8 +431,7 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     u0, b0 = SU2Element(alpha[0], gamma[0]), SB2Element(rho[0], n[0])
 
     omega = legendre_velocity(b0, epsilon)
-    us = np.moveaxis(np.array([[alpha, -np.conj(gamma)], [gamma, np.conj(alpha)]]), -1, 0)
-    est = np.linalg.solve(us[1:-1], central_derivative(traj.times, us))
+    est = _body_velocities(alpha, gamma, traj.times)
 
     end = closed_form_flow(u0, b0, epsilon, float(traj.times[-1]))
     return {
@@ -696,25 +717,50 @@ _MAX_SAMPLES = 2**21
 # step turns the state by more than one radian is a config error.
 _MAX_TURN = 1.0
 
+# The error control compares an absolute estimate with ``tol``.  The Fehlberg
+# estimate of a step is h times a weighted difference of its stage slopes
+# (weights of absolute sum 0.12), and each stage state carries the rounding
+# of the state's largest entry, u S with u = 2^-53, which the right-hand side
+# (derivative at most 3 |eps| H) passes on to its slope.  So the estimate of
+# the nominal step holds up to about 0.35 turn u S of rounding, where turn =
+# step |eps| H.  With turn u S <= tol that stays within tol, and the control
+# shrinks a step only for its truncation error; past it the control chases
+# rounding, and far past it no step above flow._MIN_H meets tol (rho = 1e50
+# at a turn of 0.95 failed with a step size underflow at t = 0).  At eps = 0
+# nothing moves and any start is valid.
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def _check(p: Params) -> None:
     n = p["t_end"] / p["step"]
     if not n <= _MAX_SAMPLES:
         raise ConfigError("params.step", f"t_end / step = {n:.6g} samples, above the 2^21 a run may store")
+    entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
+    entry = max(entries, key=entries.get)
     energy = free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
     turn = p["step"] * abs(p["epsilon"]) * energy
+    # an error names the factor furthest above its scale: step against its
+    # default, |epsilon| against 1, and the start entry that dominates H
+    # against 1, H's least value
+    factors = {"step": p["step"] / PARAMS["step"].default, "epsilon": abs(p["epsilon"]), entry: energy}
     if not turn <= _MAX_TURN:
-        # name the factor furthest above its scale: step against its default,
-        # |epsilon| against 1, and H against 1, its least value, through the
-        # start entry that dominates it
-        entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
-        factors = {"step": p["step"] / PARAMS["step"].default, "epsilon": abs(p["epsilon"]),
-                   max(entries, key=entries.get): energy}
         raise ConfigError(
             f"params.{max(factors, key=factors.get)}",
             f"the first step turns the state by up to step * |epsilon| * H = {turn!r} radians "
             f"(H = {energy:.6g} at the start), above {_MAX_TURN:g}: the integrator's stages "
             "leave the flow's circle and its cubic right-hand side can overflow",
+        )
+    rounding = turn * _UNIT_ROUNDOFF * entries[entry]
+    if not rounding <= p["tol"]:
+        # the entry enters through H and through its own rounding; tol
+        # against its default
+        factors.update({entry: energy * entries[entry], "tol": PARAMS["tol"].default / p["tol"]})
+        raise ConfigError(
+            f"params.{max(factors, key=factors.get)}",
+            f"the first step's error estimate carries about step * |epsilon| * H * u * S = "
+            f"{rounding:.6g} of rounding (S = {entries[entry]:.6g}, the start's largest entry, "
+            f"u = 2^-53), above tol = {p['tol']!r}: the absolute error control cannot "
+            "resolve a state of that size",
         )
 
 
@@ -757,6 +803,23 @@ def _check_certificate(epsilon: float, field: str) -> None:
                           f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
 
 
+# The certificate's flow to t = 1 turns the unitary factor at the rate
+# |eps| sqrt(H^2 - 1) < |eps| H (see _MAX_TURN), and the body velocity it is
+# checked against is read exactly at any spacing, so its nominal step is set
+# by the turn: at most 1/80 radian, between 1e-3 (the fixed step it replaces,
+# so never more steps) and 0.05 (at least 20 samples; eps = 0 stands still).
+_CERT_TURN = 1.0 / 80.0
+_CERT_STEP_MIN, _CERT_STEP_MAX = 1e-3, 0.05
+
+
+def _certificate_step(epsilon: float, energy: float) -> float:
+    """Nominal step of the certificate's flow from a start of energy H."""
+    rate = abs(epsilon) * energy
+    if rate * _CERT_STEP_MAX <= _CERT_TURN:
+        return _CERT_STEP_MAX
+    return max(_CERT_STEP_MIN, _CERT_TURN / rate)
+
+
 def su2_certificate(
     epsilon: float,
     seed: int,
@@ -774,7 +837,9 @@ def su2_certificate(
     push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
 
     # conservation along the flow, against the closed-form solution (t = 1)
-    traj, _ = free_flow(_start(rho, n_re, n_im), epsilon, 1.0, step=StepControl(h=1e-3, tol=1e-8))
+    start = _start(rho, n_re, n_im)
+    step = StepControl(h=_certificate_step(epsilon, free_energy(start.matrix)), tol=1e-8)
+    traj, _ = free_flow(start, epsilon, 1.0, step=step)
     diag = flow_diagnostics(traj, epsilon)
 
     # energy pipeline: trace energy stays pinned to its classical conversion

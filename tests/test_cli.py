@@ -524,6 +524,14 @@ def test_certify_reports_and_passes(capsys):
     assert "jacobi_shifted" in out
 
 
+def test_certify_su2_at_epsilon_5_passes_the_body_velocity(capsys):
+    """The central difference over the samples FAILed the correct flow here
+    (1.1e-5); the group logarithm of consecutive samples reads it to 4e-10."""
+    main(["certify", "su2", "--epsilon", "5", "--points", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS") and "flow_body_velocity" in line for line in lines)
+
+
 def test_certify_writes_artifact_when_asked(tmp_path):
     out = tmp_path / "cert"
     rc = main(["certify", "kappa", "--epsilon", "0.3", "--points", "5",
@@ -721,6 +729,47 @@ def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
     assert t[-1] == pytest.approx(_T_END_MAX, abs=1e-12)
 
 
+@pytest.mark.parametrize("t_span", [1.0e-320, 1.0e-160])
+def test_kappa_horizon_below_the_normal_range_is_config_error(tmp_path, capsys, t_span):
+    """1e-320 exited 1 (the tail fit's abscissa had no spread) and 1e-160
+    wrote v_ordinary 0.196676 for the exact 0.196116 (its products were
+    subnormal); both name params.t_span and exit 2, writing nothing."""
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.5, "t_span": t_span},
+                               "outputs": ["profile"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "params.t_span" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"epsilon": 0.5},
+    {"epsilon": 0.5, "p_max": 4.1},  # near the right pole, x^0 is the slowest coordinate
+    {"epsilon": -0.3, "spatial_dim": 1, "n_samples": 29},
+    {"epsilon": 2.0, "p": 0.5, "p_min": 0.01, "p_max": 1.2, "n_samples": 4096},
+])
+def test_kappa_runs_at_the_lower_horizon_bound_give_the_closed_form_speeds(params):
+    """At kappa._t_span_min every measured speed (profile, projection and
+    trajectory) is within 1e-12 of its closed form, relative; one float
+    below names params.t_span."""
+    t_min = kappa._t_span_min(validate_config({"model": "kappa", "params": params}).params)
+    assert 1e-155 < t_min < 1e-150
+    with pytest.raises(ConfigError, match=r"params\.t_span"):
+        validate_config({"model": "kappa", "params": {**params, "t_span": math.nextafter(t_min, 0.0)}})
+    p = validate_config({"model": "kappa", "params": {**params, "t_span": t_min}}).params
+    spec = kappa.KappaSpec(p["epsilon"], p["spatial_dim"])
+    measured, exact = [], []
+    prof = kappa.MODEL.artifacts["profile"](p).columns
+    for q, v_o, v_l, v_r in zip(prof["p"], prof["v_ordinary"], prof["v_left"], prof["v_right"]):
+        measured += [v_o, v_l, v_r]
+        exact += [q / math.hypot(p["mass"], q), *kappa.closed_form_speeds(spec, p["mass"], q)]
+    proj = kappa.MODEL.artifacts["projection"](p).summary
+    traj = kappa.MODEL.artifacts["trajectory"](p).summary
+    measured += [proj["v_left"], proj["v_right"], traj["speed_ordinary"]]
+    exact += [*kappa.closed_form_speeds(spec, p["mass"], p["p"]), p["p"] / math.hypot(p["mass"], p["p"])]
+    np.testing.assert_allclose(measured, exact, rtol=1e-12, atol=0.0)
+
+
 def test_kappa_horizon_is_bounded(tmp_path, capsys):
     """t_span 1e300 and one float past the bound name params.t_span and exit
     2, writing nothing; at the bound every column and summary value of the
@@ -833,6 +882,57 @@ def test_su2_start_past_the_finite_range_is_config_error(tmp_path, capsys, field
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert f"params.{field}" in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_su2_start_past_the_tolerance_is_config_error(tmp_path, capsys):
+    """rho 1e50 at a turn of 0.95 exited 1 with a step size underflow at
+    t = 0: one rounding of its entries, about 1e34, is far above tol.  It
+    names params.rho and exits 2, writing nothing."""
+    cfg = write_cfg(tmp_path, {"model": "su2",
+                               "params": {"rho": 1.0e50, "epsilon": 1.9e-97, "t_end": 0.01},
+                               "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "params.rho" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def _rounding(p):
+    """step |epsilon| H u S of a validated su2 config, as its check forms it."""
+    s = max(p["rho"], 1.0 / p["rho"], abs(p["n_re"]), abs(p["n_im"]))
+    energy = su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
+    return p["step"] * abs(p["epsilon"]) * energy * 2.0**-53 * s
+
+
+def test_su2_tolerance_bound_names_the_start_entry_and_runs_at_the_bound():
+    """step |epsilon| H u S <= tol: at the largest valid rho (epsilon 1e-20,
+    where the turn is 3e-3) the rounding meets tol to rounding, one float
+    past names params.rho, and a run at the bound finishes on the slice."""
+    params = {"epsilon": 1e-20, "t_end": 0.01}
+    guess = (2e-8 / (1e-3 * 1e-20 * 2.0**-53)) ** (1.0 / 3.0)
+    rho = _largest_valid(params, "rho", guess)
+    p = validate_config({"model": "su2", "params": {**params, "rho": rho}}).params
+    assert _rounding(p) == pytest.approx(p["tol"], rel=1e-12)
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"model": "su2", "params": {**params, "rho": math.nextafter(rho, math.inf)}})
+    assert exc.value.path == "params.rho"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # h_drift is absolute, H is 3e20
+        art = su2.MODEL.artifacts["trajectory"](p)
+    assert art.columns["t"][-1] == pytest.approx(0.01, abs=1e-15)
+    assert art.summary["det_residual"] < 1e-8
+
+
+def test_su2_tolerance_below_the_rounding_of_the_start_names_tol():
+    """At the defaults the bound on tol is about 4e-20: that tol validates,
+    one float below it names params.tol."""
+    p = validate_config({"model": "su2", "params": {"epsilon": 0.2}}).params
+    tol = _rounding(p)
+    assert 1e-20 < tol < 1e-19
+    validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": tol}})
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": math.nextafter(tol, 0.0)}})
+    assert exc.value.path == "params.tol"
 
 
 @pytest.mark.parametrize("rho, n", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])

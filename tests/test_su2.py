@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from poismech.bracket import jacobi_certificate
 from poismech.errors import ContractViolation, NumericDomainError
-from poismech.fitting import central_derivative
 from poismech.flow import StepControl, Trajectory
 from poismech import su2
 from poismech.su2 import (
@@ -286,9 +285,10 @@ def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
 
 
 def _reference_diagnostics(traj, epsilon):
-    """flow_diagnostics as it was read out one sample at a time: an
-    SL2CElement per sample (whose constructor checks the determinant), split
-    into an SU2Element and an SB2Element, and one solve per interior sample."""
+    """flow_diagnostics read out one sample at a time: an SL2CElement per
+    sample (whose constructor checks the determinant), split into an
+    SU2Element and an SB2Element, and scipy's matrix logarithm of
+    u_k^H u_{k+1} per interval for the body velocity."""
     def split(g):
         rho = math.hypot(abs(g.a), abs(g.c))
         alpha, gamma = g.a / rho, g.c / rho
@@ -299,10 +299,10 @@ def _reference_diagnostics(traj, epsilon):
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     u0, b0 = factors[0]
     omega = legendre_velocity(b0, epsilon)
-    us = np.array([u.matrix for u, _ in factors])
-    udot = central_derivative(traj.times, us)
-    omega_dev = max(float(np.max(np.abs(np.linalg.solve(us[i], du) - omega)))
-                    for i, du in enumerate(udot, start=1))
+    us = [u.matrix for u, _ in factors]
+    dts = np.diff(traj.times)
+    omega_dev = max(float(np.max(np.abs(logm(us[i].conj().T @ us[i + 1]) / dt - omega)))
+                    for i, dt in enumerate(dts))
     end = closed_form_flow(u0, b0, epsilon, float(traj.times[-1]))
     return {
         "det_residual": float(np.max(np.abs(dets - 1.0))),
@@ -324,6 +324,77 @@ def test_flow_diagnostics_match_the_per_sample_reference(epsilon, t_end):
     assert got.keys() == want.keys()
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("spacing", [1e-3, 0.05, 0.25])
+@pytest.mark.parametrize("epsilon", [-0.7, 0.2, 3.0])
+def test_body_velocity_is_exact_at_any_spacing(epsilon, spacing):
+    """On the closed-form flow u0 exp(t omega) B the group logarithm of
+    consecutive samples reads omega on every interval, whatever the
+    spacing.  What is left is the samples' own rounding, a few 1e-16,
+    divided by the spacing: within 1e-13 from spacing 0.05 up, and within
+    1e-12 at 1e-3."""
+    b0 = su2.random_sb2(np.random.default_rng(5))
+    u0 = su2.random_su2(np.random.default_rng(6))
+    times = np.linspace(0.0, 1.0, round(1.0 / spacing) + 1)
+    mats = np.array([closed_form_flow(u0, b0, epsilon, t) for t in times])
+    diag = flow_diagnostics(Trajectory(times, real8_from_matrix(mats)), epsilon)
+    assert diag["omega_deviation"] <= max(1e-13, 1e-15 / spacing)
+
+
+# the certificate's default start and its energy
+CERT_START = su2._start(*(su2.PARAMS[k].default for k in ("rho", "n_re", "n_im")))
+CERT_H = free_energy(CERT_START.matrix)
+
+
+@pytest.mark.parametrize("epsilon", [-0.7, 0.2, 0.3])
+def test_body_velocity_fails_a_flow_at_the_wrong_speed(epsilon):
+    """A flow integrated at eps (1 + 1e-4) and diagnosed at eps turns 1e-4
+    too fast; the body velocity sees that at the certificate's step and at
+    1e-3 alike, above the certificate's threshold."""
+    threshold = next(c.threshold for c in su2.su2_certificate(epsilon, 0, 1)
+                     if c.name == "flow_body_velocity")
+    for h in (su2._certificate_step(epsilon, CERT_H), 1e-3):
+        traj, _ = free_flow(CERT_START, epsilon * (1 + 1e-4), 1.0, StepControl(h=h, tol=1e-8))
+        assert flow_diagnostics(traj, epsilon)["omega_deviation"] > threshold, h
+
+
+def _certificate_steps(monkeypatch, epsilon):
+    """Accepted steps of the certificate's flow, and its checks."""
+    steps = []
+
+    def counting(*args, **kwargs):
+        traj, n_renorm = free_flow(*args, **kwargs)
+        steps.append(len(traj.times) - 1)
+        return traj, n_renorm
+
+    monkeypatch.setattr(su2, "free_flow", counting)
+    checks = su2.su2_certificate(epsilon, 0, 1)
+    (n_steps,) = steps
+    return n_steps, {c.name: c for c in checks}
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.15, 0.2, 0.25, 0.3, -0.2])
+def test_certificate_flow_takes_its_step_from_the_turn(monkeypatch, epsilon):
+    """At |eps| in [0.1, 0.3] the certificate's flow to t = 1 turns by at
+    most 1/80 radian per nominal step and takes at most 40 steps, and every
+    flow check PASSes."""
+    n_steps, checks = _certificate_steps(monkeypatch, epsilon)
+    assert 20 <= n_steps <= 40
+    assert abs(epsilon) * CERT_H * su2._certificate_step(epsilon, CERT_H) <= 1 / 80
+    assert all(c.passed for name, c in checks.items() if name.startswith("flow_"))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 5.0, 10.0, 40.0])
+def test_certificate_step_is_between_its_bounds(monkeypatch, epsilon):
+    """The nominal step is 0.05 where the flow stands still and never below
+    1e-3, so the flow takes at most 1000 steps; the body velocity PASSes the
+    correct flow at eps 5, 10 and 40."""
+    h = su2._certificate_step(epsilon, CERT_H)
+    assert h == (0.05 if epsilon == 0.0 else max(1e-3, 1 / 80 / (epsilon * CERT_H)))
+    n_steps, checks = _certificate_steps(monkeypatch, epsilon)
+    assert n_steps <= 1000
+    assert checks["flow_body_velocity"].passed
 
 
 @pytest.mark.parametrize("defect", [2e-9, math.nan])
