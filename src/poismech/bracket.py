@@ -11,8 +11,10 @@ with the analytic gradient every scalar field carries.  The Jacobi identity
 
     J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic,
 
-built from one P and one central-difference dP per point.  The global
-dynamical sign convention is
+built from one P and one dP per point.  Every derivative a certificate takes
+is the complex step d_l F(x) = Im F(x + i h e_l) / h (Squire-Trapp, SIAM
+Review 1998): it subtracts nothing, so it has no step to tune, and bivectors
+accept complex points for it.  The global dynamical sign convention is
 
     xdot = {H, x},
 
@@ -39,24 +41,14 @@ __all__ = [
     "pushforward_bivector",
 ]
 
-# central-difference step scale of the Jacobian in pushforward_bivector
-_FD_SCALE = 1e-6
-# coarser scale used for the derivative dP inside the Jacobi residual
-_FD_SCALE_NESTED = 1e-4
+_CS_STEP = 1e-30  # far below sqrt(u) |x|: its O(h^2) error is below rounding
 
 
-def _central_differences(fn: Callable[[np.ndarray], object], x: np.ndarray, scale: float) -> np.ndarray:
-    """Stacked d_l fn(x) for l = 0..n-1: (fn(x + h_l e_l) - fn(x - h_l e_l)) / (2 h_l)
-    with h_l = scale * max(1, |x_l|); fn may return a scalar or an array."""
-    out = []
-    for l in range(x.size):
-        h = scale * max(1.0, abs(x[l]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h
-        xm[l] -= h
-        out.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
-    return np.array(out)
+def _complex_step(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
+    """Stacked d_l fn(x) for l = 0..n-1, each Im fn(x + i h e_l) / h; fn may
+    return a scalar or an array, and must be analytic in x."""
+    points = x + 1j * _CS_STEP * np.eye(x.size)
+    return np.array([np.imag(fn(z)) for z in points]) / _CS_STEP
 
 
 @dataclass(frozen=True)
@@ -111,13 +103,13 @@ class BivectorSpec:
                 raise ContractViolation(f"component key {(i, j)} must satisfy 0 <= i < j < dim")
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Full antisymmetric matrix P(x); P[i, j] = {x^i, x^j}(x)."""
-        x = np.asarray(x, dtype=float)
+        """Full antisymmetric matrix P(x), P[i, j] = {x^i, x^j}(x); complex at complex x."""
+        x = np.asarray(x)
         if self.dense is not None:
-            return np.asarray(self.dense(x), dtype=float)
-        P = np.zeros((self.dim, self.dim))
+            return np.asarray(self.dense(x))
+        P = np.zeros((self.dim, self.dim), dtype=np.result_type(x, float))
         for (i, j), fn in self.components.items():
-            v = float(fn(x))
+            v = fn(x)
             P[i, j] = v
             P[j, i] = -v
         return P
@@ -156,10 +148,10 @@ def hamiltonian_vector_field(biv: BivectorSpec, H: ScalarField, x: np.ndarray) -
 
 
 def _jacobi_terms(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
-    """T[a, b, c] = sum_l pi^{al}(x) d_l pi^{bc}(x), with d_l P a central
-    difference at the nested step scale, as one contraction over l."""
+    """T[a, b, c] = sum_l pi^{al}(x) d_l pi^{bc}(x) from a complex-step dP, as
+    one contraction over l, so a non-finite P makes T non-finite."""
     P = biv.matrix(x)
-    dP = _central_differences(biv.matrix, x, _FD_SCALE_NESTED)
+    dP = _complex_step(biv.matrix, x)
     return np.einsum("al,lbc->abc", P, dP)
 
 
@@ -218,10 +210,10 @@ def pushforward_bivector(
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Pointwise pushforward (dphi) Pi (dphi)^T at x, with a central-difference
-    Jacobian of the map phi; its row count is the size of phi's output."""
+    """Pointwise pushforward (dphi) Pi (dphi)^T at x, with a complex-step
+    Jacobian of the analytic map phi; its row count is the size of phi's output."""
     x = np.asarray(x, dtype=float)
     if x.shape != (biv.dim,):
         raise ContractViolation(f"point shape {x.shape} does not match chart dim {biv.dim}")
-    J = _central_differences(phi, x, _FD_SCALE).T
+    J = _complex_step(phi, x).T
     return J @ biv.matrix(x) @ J.T

@@ -29,7 +29,8 @@ __all__ = [
 @dataclass(frozen=True)
 class GeneratorField:
     """A translation along ``vector`` or a scaling with one rate per
-    coordinate, ``rates`` (zero leaves a coordinate fixed), on an n-chart."""
+    coordinate, ``rates`` (zero leaves a coordinate fixed), on an n-chart.
+    Points and times may be complex."""
 
     kind: str
     dim: int
@@ -44,19 +45,21 @@ class GeneratorField:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """The field at one point (n,) or at each point of a stack (..., n)."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         if self.kind == "translation":
             return np.broadcast_to(self.vector, x.shape).copy()
-        return np.multiply(self.rates, x, out=np.zeros(x.shape), where=self._moves)
+        out = np.zeros(x.shape, np.result_type(x, float))
+        return np.multiply(self.rates, x, out=out, where=self._moves)
 
     def flow(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         """Exact time-t flow map applied to one point (n,) or to a stack of
         points (..., n); t is one time, or one time per point (x.shape[:-1])."""
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
+        x = np.asarray(x)
+        t = np.asarray(t)
         if self.kind == "translation":
             return x + t[..., None] * self.vector
-        return np.multiply(np.exp(t[..., None] * self.rates), x, out=x.copy(), where=self._moves)
+        out = np.array(x, np.result_type(x, t, float))
+        return np.multiply(np.exp(t[..., None] * self.rates), x, out=out, where=self._moves)
 
 
 def translation(v: Sequence[float]) -> GeneratorField:

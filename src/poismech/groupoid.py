@@ -42,9 +42,9 @@ def _project(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.nda
 
 
 def groupoid_projection(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """Left or right projected base point of the state (x, p)."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    """Left or right projected base point of the state (x, p), real or complex."""
+    x = np.asarray(x)
+    p = np.asarray(p)
     if x.shape != p.shape or x.shape != (r.dim,):
         raise ContractViolation("projection needs x, p of the generators' dim")
     return _project(r, x[None], p[None], side)[0]

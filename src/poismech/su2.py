@@ -484,10 +484,11 @@ def _chart_factor(s2: float, z: float, epsilon: float) -> float:
     ``sinhc(eps (r + |z|)) sinhc(eps (r - |z|))`` with ``r - |z|`` as
     ``s2 / (r + |z|)``.  No two nearly equal numbers are subtracted, so the
     one formula holds on and near the axis and at every ``eps``, 0 included.
+    ``|z|`` continues analytically as ``+-z`` by the sign of ``Re z``.
     """
-    s = math.sqrt(s2 + z * z) + abs(z)
+    s = np.sqrt(s2 + z * z) + (z if z.real >= 0 else -z)
     d = s2 / s if s else 0.0  # both vanish only at the origin
-    return math.sqrt(_sinhc(epsilon * s) * _sinhc(epsilon * d))
+    return np.sqrt(_sinhc(epsilon * s) * _sinhc(epsilon * d))
 
 
 def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
@@ -498,7 +499,7 @@ def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
     with ``r = |(x, y, z)|``.  The rescaling factor is one closed formula,
     smooth through the axis ``x = y = 0`` and equal to 1 at ``eps = 0``.
     """
-    p = np.asarray(xyz, dtype=float)
+    p = np.asarray(xyz)
     if p.shape != (3,):
         raise ContractViolation(f"linear chart points have 3 components, got {p.shape}")
     x, y, z = p
@@ -658,7 +659,7 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
 
     At ``n_points`` seeded points of the linear chart, uniform in the cube of
     half-width :data:`_CUBE` (the axis and the origin included), the
-    finite-difference pushforward of the linear bivector should equal the
+    complex-step pushforward of the linear bivector should equal the
     deformed one, and ``eps R = sinh(eps r)`` should hold for the radius
     Casimirs (``R = r`` at ``eps = 0``).  Returns the worst of each; NaN and
     inf propagate.

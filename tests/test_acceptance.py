@@ -113,7 +113,7 @@ def test_criterion_04_energy_relations_and_pipeline(reference_flow):
 
 def test_criterion_05_momentum_isomorphism():
     """The chart map from the linear momentum space to the deformed one
-    intertwines the two bivectors to 1e-5 (finite-difference pushforward at
+    intertwines the two bivectors to 1e-5 (complex-step pushforward at
     100 seeded points of the whole cube, axis and origin included: the chart
     factor is one closed formula), and the radius Casimirs correspond
     exactly: eps R = sinh(eps r) to 1e-12."""

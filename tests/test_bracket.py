@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from poismech import bracket, generators, groupoid, kappa, minkowski2d, su2
 from poismech.bracket import (
-    _FD_SCALE,
-    _FD_SCALE_NESTED,
     BivectorSpec,
     ScalarField,
     add_bivectors,
@@ -19,6 +17,13 @@ from poismech.bracket import (
     pushforward_bivector,
 )
 from poismech.errors import ContractViolation
+
+
+def central_difference(fn, x, h):
+    """Test-local reference derivative, independent of the complex step:
+    stacked (fn(x + h e_l) - fn(x - h e_l)) / (2 h) for l = 0..n-1."""
+    return np.array([(np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * h)
+                     for e in h * np.eye(x.size)])
 
 
 def jacobiator(biv, x, triple):
@@ -109,12 +114,12 @@ def test_leibniz_rule(pt):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_fd_gradient_close_to_analytic():
-    """Central differences at the pushforward's step scale agree with the
-    analytic gradient to the step's truncation error."""
+def test_complex_step_gradient_matches_analytic():
+    """The complex-step derivative subtracts nothing, so it agrees with the
+    analytic gradient to rounding."""
     x = np.array([0.6, -1.1])
-    fd = bracket._central_differences(lambda q: np.sin(q[0]) * q[1], x, _FD_SCALE)
-    np.testing.assert_allclose(fd, [np.cos(0.6) * -1.1, np.sin(0.6)], rtol=0, atol=1e-9)
+    cs = bracket._complex_step(lambda q: np.sin(q[0]) * q[1], x)
+    np.testing.assert_allclose(cs, [np.cos(0.6) * -1.1, np.sin(0.6)], rtol=1e-15, atol=0)
 
 
 def test_hamiltonian_field_sign():
@@ -135,13 +140,13 @@ def test_hamiltonian_field_sign():
 def test_jacobi_detects_non_poisson_structure():
     """pi12 = x3, pi13 = x1, pi23 = 0 violates Jacobi: the cyclic sum equals
     x3 identically, so the residual at (1,1,1) is 1 and at (1,1,2.5) is 2.5
-    (up to the finite-difference error of dP)."""
+    (to rounding: the complex-step dP is exact on this linear bivector)."""
     bad = BivectorSpec(3, ("x1", "x2", "x3"),
                        {(0, 1): lambda x: x[2], (0, 2): lambda x: x[0]})
     r1 = jacobiator(bad, [1.0, 1.0, 1.0], (0, 1, 2))
     r2 = jacobiator(bad, [1.0, 1.0, 2.5], (0, 1, 2))
-    assert abs(r1 - 1.0) < 1e-9
-    assert abs(r2 - 2.5) < 1e-9
+    assert abs(r1 - 1.0) < 1e-15
+    assert abs(r2 - 2.5) < 1e-15
     cert = jacobi_certificate(bad, n_points=10, seed=4, box=(0.5, 1.5))
     assert not cert.passed and not cert.vacuous
 
@@ -181,20 +186,22 @@ def test_jacobi_tensor_on_4d_witness(a, b, c):
     biv = _witness_4d(coeff, a, b, c)
     (d,) = set(range(4)) - {a, b, c}
     for x in (np.array([0.3, -1.2, 0.8, 2.5]), np.array([1.5, 0.4, -0.6, 0.1])):
-        assert jacobiator(biv, x, (a, b, c)) == pytest.approx(coeff**2, abs=1e-9)
-        assert jacobiator(biv, x, (b, a, c)) == pytest.approx(-coeff**2, abs=1e-9)
+        assert jacobiator(biv, x, (a, b, c)) == pytest.approx(coeff**2, abs=1e-15)
+        assert jacobiator(biv, x, (b, a, c)) == pytest.approx(-coeff**2, abs=1e-15)
         for t in ((a, b, d), (d, c, a), (b, d, c)):
-            assert abs(jacobiator(biv, x, t)) <= 1e-9
+            assert abs(jacobiator(biv, x, t)) <= 1e-15
     cert = jacobi_certificate(biv, n_points=5, seed=3)
     assert cert.n_triples == 4
     assert not cert.passed
-    assert cert.max_residual == pytest.approx(coeff**2, abs=1e-9)
+    assert cert.max_residual == pytest.approx(coeff**2, abs=1e-15)
 
 
 def test_jacobi_tensor_matches_nested_brackets():
     """Reference: the cyclic sum of brackets of brackets, the inner bracket
-    differentiated by central differences at the same step, on a random
-    quadratic (non-Poisson) bivector whose residuals are O(1)."""
+    differentiated by a test-local central difference, on a random quadratic
+    (non-Poisson) bivector whose residuals are O(1).  The inner bracket is
+    quadratic, so its central difference has no truncation error and the
+    coarse step keeps its cancellation small."""
     C = np.random.default_rng(5).normal(size=(5, 5, 5, 5))
     C = C - C.transpose(1, 0, 2, 3)
     biv = BivectorSpec(5, ("a", "b", "c", "d", "e"), dense=lambda y: C @ y @ y)
@@ -205,13 +212,13 @@ def test_jacobi_tensor_matches_nested_brackets():
         def fn(y):
             return eval_bracket(biv, coords[b], coords[c], y)
 
-        inner = ScalarField(fn=fn, grad=lambda y: bracket._central_differences(fn, y, _FD_SCALE_NESTED))
+        inner = ScalarField(fn=fn, grad=lambda y: central_difference(fn, y, 1e-2))
         return eval_bracket(biv, coords[a], inner, x)
 
     for i, j, k in itertools.combinations(range(5), 3):
         ref = nested(i, j, k) + nested(j, k, i) + nested(k, i, j)
         assert abs(ref) > 1e-2
-        assert jacobiator(biv, x, (i, j, k)) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert jacobiator(biv, x, (i, j, k)) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_jacobi_certificate_on_rotation_algebra():
@@ -238,14 +245,14 @@ def test_add_bivectors_pointwise():
 
 
 def test_pushforward_through_linear_map():
-    """For linear phi the pushforward is exactly J Pi J^T; the fd Jacobian
-    of a linear map is exact up to rounding."""
+    """For linear phi the pushforward is exactly J Pi J^T; the complex-step
+    Jacobian of a linear map is exact up to rounding."""
     biv = so3_biv()
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     x = np.array([0.3, -0.5, 0.9])
     got = pushforward_bivector(biv, lambda q: A @ q, x)
     want = A @ biv.matrix(x) @ A.T
-    np.testing.assert_allclose(got, want, atol=1e-9)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     with pytest.raises(ContractViolation):
         pushforward_bivector(biv, lambda q: A[:, :2] @ q, x[:2])
 
@@ -287,8 +294,22 @@ def test_jacobi_terms_contraction_matches_loop_bit_for_bit(name):
     for _ in range(20):
         x = rng.uniform(0.0, 1.0, size=biv.dim)
         P = biv.matrix(x)
-        dP = bracket._central_differences(biv.matrix, x, _FD_SCALE_NESTED)
+        dP = bracket._complex_step(biv.matrix, x)
         T = np.zeros((biv.dim,) * 3)
         for l in range(biv.dim):
             T += P[:, l, None, None] * dP[l]
         np.testing.assert_array_equal(bracket._jacobi_terms(biv, x), T)
+
+
+@pytest.mark.parametrize("name", list(SHIPPED))
+def test_complex_step_dP_matches_central_difference(name):
+    """A cast that dropped the imaginary part on the way would make the
+    complex-step dP zero and every Jacobi certificate pass vacuously; on
+    each shipped structure it matches a test-local central difference to
+    the latter's accuracy, at seeded points of the certificate's box."""
+    biv = SHIPPED[name]
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        x = rng.uniform(0.0, 1.0, size=biv.dim)
+        np.testing.assert_allclose(bracket._complex_step(biv.matrix, x),
+                                   central_difference(biv.matrix, x, 1e-5), rtol=0, atol=1e-9)

@@ -916,9 +916,10 @@ def test_su2_tolerance_bound_names_the_start_entry_and_runs_at_the_bound():
     with pytest.raises(ConfigError) as exc:
         validate_config({"model": "su2", "params": {**params, "rho": math.nextafter(rho, math.inf)}})
     assert exc.value.path == "params.rho"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # h_drift is absolute, H is 3e20
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # H is 3e20: the drift bound's rounding floor holds
         art = su2.MODEL.artifacts["trajectory"](p)
+    assert not caught, [str(w.message) for w in caught]
     assert art.columns["t"][-1] == pytest.approx(0.01, abs=1e-15)
     assert art.summary["det_residual"] < 1e-8
 

@@ -96,8 +96,8 @@ def test_left_right_related_by_sign_flip():
 
 def test_pushforward_of_canonical_is_deformed_product_bracket():
     """Pushing the canonical bivector through the left projection lands on
-    {q+, q-} = eps q+ q- at the image point (finite-difference Jacobian, so
-    agreement is at fd accuracy)."""
+    {q+, q-} = eps q+ q- at the image point (complex-step Jacobian, so
+    agreement is to rounding)."""
     state = np.array([1.0, 1.0, 0.35, -0.8])
     can = canonical_bivector(2)
 
@@ -106,7 +106,7 @@ def test_pushforward_of_canonical_is_deformed_product_bracket():
 
     P = pushforward_bivector(can, phi, state)
     q = phi(state)
-    assert abs(P[0, 1] - EPS * q[0] * q[1]) < 1e-8
+    assert abs(P[0, 1] - EPS * q[0] * q[1]) < 1e-15
 
 
 def test_shifted_bracket_matrix():

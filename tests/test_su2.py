@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
+from poismech import bracket
 from poismech.bracket import jacobi_certificate
 from poismech.errors import ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
@@ -533,6 +534,32 @@ def test_chart_factor_off_the_axis_matches_the_direct_formula(epsilon):
         got = momentum_isomorphism(np.array([x, y, z]), epsilon)
         assert got[1] / x == pytest.approx(direct / abs(epsilon), rel=1e-12, abs=0)
         checked += 1
+
+
+@pytest.mark.parametrize("epsilon", [0.35, -0.7, 5.0])
+def test_isomorphism_jacobian_matches_central_difference(epsilon):
+    """The chart map is complex-safe: its complex-step Jacobian matches a
+    test-local central difference, at points of the certificate's cube and
+    on the plane z = 0, where |z| continues by the sign of Re z."""
+    rng = np.random.default_rng(19)
+    h = 1e-6
+    for _ in range(10):
+        p = rng.uniform(-su2._CUBE, su2._CUBE, 3)
+        for q in (p, p * [1.0, 1.0, 0.0]):
+            cs = bracket._complex_step(lambda v: momentum_isomorphism(v, epsilon), q)
+            cd = np.array([(momentum_isomorphism(q + e, epsilon) - momentum_isomorphism(q - e, epsilon)) / (2 * h)
+                           for e in h * np.eye(3)])
+            np.testing.assert_allclose(cs, cd, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_certificate_structure_checks_pass_at_epsilon_5(seed):
+    """The complex-step derivative has no step to trade against eps: at
+    eps 5 the group bracket's Jacobi check and the momentum isomorphism's
+    pushforward PASS."""
+    checks = {c.name: c for c in su2.su2_certificate(5.0, seed)}
+    assert checks["jacobi_group"].passed
+    assert checks["isomorphism_pushforward"].passed
 
 
 def test_casimir_pulls_back_to_radius_function():
