@@ -49,8 +49,6 @@ __all__ = [
     "parametric_trajectory_2d",
     "scattering_data",
     "scattering_limits_numeric",
-    "scattering_match",
-    "scattering_odd_defect",
     "scattering_check",
     "classical_limit_deviation",
     "minkowski2d_certificate",
@@ -77,10 +75,11 @@ class Minkowski2DSpec:
 
 @dataclass(frozen=True)
 class ScatteringCurveSpec:
-    """Curve parameters: rapidity-like offset alpha and shift beta."""
+    """Curve parameters: rapidity-like offset alpha and shift beta; arrays
+    of the two broadcast to a grid of curves."""
 
-    alpha: float
-    beta: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
 
 
 def minkowski2d_bivector(spec: Minkowski2DSpec) -> BivectorSpec:
@@ -134,41 +133,50 @@ def parametric_trajectory_2d(
 ) -> np.ndarray:
     """Rows (p, q+, q-) of the parametric free-particle curve.
 
-    At epsilon = 0 the curve degenerates to the straight line
+    ``curve.alpha`` and ``curve.beta`` may be arrays that broadcast to a grid
+    of curves; ``p_grid`` of shape (..., N) broadcasts against that grid, and
+    the result is the (..., N, 3) stack of every curve's rows.  At
+    epsilon = 0 the curve degenerates to the straight line
     q+ = e^alpha p / m, q- = e^{-alpha} (p - beta) / m.
     """
     p = np.asarray(p_grid, dtype=float)
+    alpha = np.asarray(curve.alpha, dtype=float)[..., None]
+    beta = np.asarray(curve.beta, dtype=float)[..., None]
     e, m = spec.epsilon, spec.mass
     if e == 0.0:
-        qp = np.exp(curve.alpha) * p / m
-        qm = np.exp(-curve.alpha) * (p - curve.beta) / m
+        qp = np.exp(alpha) * p / m
+        qm = np.exp(-alpha) * (p - beta) / m
     else:
-        qp = np.exp(curve.alpha) * np.sinh(e * p / 2.0) / ((e / 2.0) * m)
-        qm = np.exp(-curve.alpha) * np.sinh(e * (p - curve.beta) / 2.0) / ((e / 2.0) * m)
-    return np.column_stack([p, qp, qm])
+        qp = np.exp(alpha) * np.sinh(e * p / 2.0) / ((e / 2.0) * m)
+        qm = np.exp(-alpha) * np.sinh(e * (p - beta) / 2.0) / ((e / 2.0) * m)
+    rows = np.empty(np.broadcast_shapes(p.shape, qp.shape, qm.shape) + (3,))
+    rows[..., 0], rows[..., 1], rows[..., 2] = p, qp, qm
+    return rows
 
 
 def _velocity(q: np.ndarray) -> np.ndarray:
     """Coordinate velocity q1/q0 = (q+ - q-)/(q+ + q-) of parametric rows
-    (p, q+, q-), with q0 = (q+ + q-)/2 and q1 = (q+ - q-)/2; NaN where
-    q+ + q- = 0."""
-    qp, qm = q[:, 1], q[:, 2]
-    return np.divide(qp - qm, qp + qm, out=np.full(len(q), math.nan), where=qp + qm != 0)
+    (..., 3) of (p, q+, q-), with q0 = (q+ + q-)/2 and q1 = (q+ - q-)/2; NaN
+    where q+ + q- = 0."""
+    qp, qm = q[..., 1], q[..., 2]
+    return np.divide(qp - qm, qp + qm, out=np.full(qp.shape, math.nan), where=qp + qm != 0)
 
 
-def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec) -> tuple[float, float]:
+def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
     """(v_in, v_out): the p -> -infinity / +infinity velocity limits,
-    v_in = tanh(alpha - eps beta / 4) and v_out = tanh(alpha + eps beta / 4)."""
-    shift = spec.epsilon * curve.beta / 4.0
-    return float(np.tanh(curve.alpha - shift)), float(np.tanh(curve.alpha + shift))
+    v_in = tanh(alpha - eps beta / 4) and v_out = tanh(alpha + eps beta / 4),
+    each of the broadcast shape of ``curve.alpha`` and ``curve.beta``."""
+    shift = spec.epsilon * np.asarray(curve.beta, dtype=float) / 4.0
+    return np.tanh(curve.alpha - shift), np.tanh(curve.alpha + shift)
 
 
-def scattering_limits_numeric(spec: Minkowski2DSpec, curve: ScatteringCurveSpec) -> tuple[float, float]:
+def scattering_limits_numeric(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
     """Direct velocity evaluation at p = -+ 40 / epsilon (plain -+ 40 when
-    epsilon = 0, where the curve is already straight)."""
+    epsilon = 0, where the curve is already straight), of the broadcast shape
+    of ``curve.alpha`` and ``curve.beta``."""
     p_inf = _P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)
-    v_in, v_out = _velocity(parametric_trajectory_2d(spec, curve, np.array([-p_inf, p_inf])))
-    return float(v_in), float(v_out)
+    v = _velocity(parametric_trajectory_2d(spec, curve, np.array([-p_inf, p_inf])))
+    return tuple(np.moveaxis(v, -1, 0))
 
 
 def classical_limit_deviation(
@@ -186,32 +194,24 @@ def classical_limit_deviation(
     return float(np.max(np.abs(q_eps[:, 1:] - q_zero[:, 1:])))
 
 
-def scattering_match(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
-    """Closed-form and numeric (v_in, v_out) of one curve, and the two
-    mismatches |closed - numeric|."""
+def _scattering_defects(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
+    """Closed-form and numeric (v_in, v_out) of a curve or a grid of curves,
+    the closed-vs-numeric mismatch (the larger of the in and out ones) and
+    the odd defect |shift(beta) + shift(-beta)| of the numeric velocity shift
+    v_out - v_in, which is zero when the shift is odd in beta."""
     closed = scattering_data(spec, curve)
-    numeric = scattering_limits_numeric(spec, curve)
-    return closed, numeric, (abs(closed[0] - numeric[0]), abs(closed[1] - numeric[1]))
-
-
-def scattering_odd_defect(spec: Minkowski2DSpec, curve: ScatteringCurveSpec, numeric) -> float:
-    """|shift(beta) + shift(-beta)| of the numeric velocity shift v_out - v_in,
-    given the numeric limits at beta; zero when the shift is odd in beta."""
-    fi, fo = scattering_limits_numeric(spec, ScatteringCurveSpec(curve.alpha, -curve.beta))
-    return abs((numeric[1] - numeric[0]) + (fo - fi))
+    v_in, v_out = scattering_limits_numeric(spec, curve)
+    f_in, f_out = scattering_limits_numeric(spec, ScatteringCurveSpec(curve.alpha, -np.asarray(curve.beta)))
+    mismatch = np.maximum(np.abs(closed[0] - v_in), np.abs(closed[1] - v_out))
+    return closed, (v_in, v_out), mismatch, np.abs((v_out - v_in) + (f_out - f_in))
 
 
 def scattering_check(spec: Minkowski2DSpec, alphas, betas) -> tuple[float, float]:
     """Worst closed-vs-numeric mismatch and worst odd defect over the
-    (alpha, beta) grid; NaN and inf propagate."""
-    match, odd = [], []
-    for alpha in alphas:
-        for beta in betas:
-            curve = ScatteringCurveSpec(alpha, beta)
-            _, numeric, mismatch = scattering_match(spec, curve)
-            match.extend(mismatch)
-            odd.append(scattering_odd_defect(spec, curve, numeric))
-    return float(np.max(match, initial=0.0)), float(np.max(odd, initial=0.0))
+    (alpha, beta) grid, evaluated as one array; NaN and inf propagate."""
+    grid = ScatteringCurveSpec(np.asarray(alphas, dtype=float)[:, None], np.asarray(betas, dtype=float))
+    _, _, mismatch, odd = _scattering_defects(spec, grid)
+    return float(np.max(mismatch, initial=0.0)), float(np.max(odd, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +288,14 @@ def _trajectory(p: Params) -> ArtifactData:
 def _scattering(p: Params) -> ArtifactData:
     spec, curve = _spec(p), _curve(p)
     q = parametric_trajectory_2d(spec, curve, np.linspace(p["p_min"], p["p_max"], p["n_samples"]))
-    closed, numeric, mismatch = scattering_match(spec, curve)
+    closed, numeric, mismatch, odd = _scattering_defects(spec, curve)
     summary = {
         "v_in_closed": closed[0],
         "v_out_closed": closed[1],
         "v_in_numeric": numeric[0],
         "v_out_numeric": numeric[1],
-        "closed_vs_numeric": float(np.max(mismatch)),
-        "odd_defect": scattering_odd_defect(spec, curve, numeric),
+        "closed_vs_numeric": mismatch,
+        "odd_defect": odd,
     }
     columns = {"p": q[:, 0], "q_plus": q[:, 1], "q_minus": q[:, 2], "v": _velocity(q)}
     return ArtifactData("scattering", columns, summary)
@@ -372,13 +372,13 @@ def minkowski2d_certificate(
 def _sweep_row(p: Params) -> dict:
     _, _, shape_res = _shape(p)
     spec = _spec(p)
-    (v_in, v_out), _, mismatch = scattering_match(spec, _curve(p))
+    (v_in, v_out), _, mismatch, _ = _scattering_defects(spec, _curve(p))
     return {
         "classical_limit_dev": classical_limit_deviation(
             p["epsilon"], p["mass"], p["alpha"], p["beta"]
         ),
         "shape_residual": shape_res,
-        "scattering_dev": float(np.max(mismatch)) if spec.epsilon != 0.0 else 0.0,
+        "scattering_dev": mismatch if spec.epsilon != 0.0 else 0.0,
         "v_in": v_in,
         "v_out": v_out,
     }

@@ -120,3 +120,52 @@ def test_numeric_limit_where_the_velocity_denominator_vanishes_is_nan():
     v_in, v_out = scattering_limits_numeric(Minkowski2DSpec(1.0, 1.0), ScatteringCurveSpec(0.0, 80.0))
     assert v_in == -1.0
     assert math.isnan(v_out)
+
+
+def _per_curve_reference(spec, alphas, betas):
+    """The per-curve loop that the grid evaluation replaced: one closed form
+    and two numeric limits (at beta and at -beta) per (alpha, beta) curve."""
+    match, odd = [], []
+    for alpha in alphas:
+        for beta in betas:
+            closed = scattering_data(spec, ScatteringCurveSpec(alpha, beta))
+            numeric = scattering_limits_numeric(spec, ScatteringCurveSpec(alpha, beta))
+            flip = scattering_limits_numeric(spec, ScatteringCurveSpec(alpha, -beta))
+            match += [abs(closed[0] - numeric[0]), abs(closed[1] - numeric[1])]
+            odd.append(abs((numeric[1] - numeric[0]) + (flip[1] - flip[0])))
+    return float(np.max(match, initial=0.0)), float(np.max(odd, initial=0.0))
+
+
+_SHIPPED_GRID = (np.linspace(-0.6, 0.6, 5), np.linspace(-2.0, 2.0, 5))
+# -beta is in neither beta row, so the flipped grid is not a reordering of it
+_ASYMMETRIC_GRID = (np.array([-0.45, 0.1, 0.9]), np.array([-1.3, 0.2, 0.7, 2.9]))
+
+
+@pytest.mark.parametrize("grid", [_SHIPPED_GRID, _ASYMMETRIC_GRID], ids=["shipped", "asymmetric"])
+@pytest.mark.parametrize("eps, mass", [
+    (0.2, 1.0), (-0.7, 1.7), (3.0, 0.5), (1e-150, 1.0), (-2e-150, 0.5), (0.0, 1.3),
+])
+def test_scattering_grid_equals_per_curve_reference_bit_for_bit(eps, mass, grid):
+    spec = Minkowski2DSpec(eps, mass)
+    got = minkowski2d.scattering_check(spec, *grid)
+    np.testing.assert_array_equal(got, _per_curve_reference(spec, *grid))
+
+
+def test_nan_in_one_grid_curve_fails_both_scattering_checks(monkeypatch):
+    """One NaN velocity, on one curve of the grid at +beta, reaches both the
+    closed-vs-numeric match and the odd defect, and FAILs both."""
+    velocity, calls = minkowski2d._velocity, []
+
+    def one_nan(q):
+        v = velocity(q)
+        if not calls:
+            v[1, 3, 0] = math.nan
+        calls.append(v.shape)
+        return v
+
+    monkeypatch.setattr(minkowski2d, "_velocity", one_nan)
+    checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(0.3, 0, 4)}
+    assert calls[0] == (5, 5, 2)
+    for name in ("scattering_match", "scattering_odd"):
+        assert math.isnan(checks[name].value) and not checks[name].passed
+    assert checks["hyperbola_shape"].passed
