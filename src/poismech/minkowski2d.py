@@ -24,6 +24,7 @@ scattering artifacts, the certificate and the sweep row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,14 @@ __all__ = [
 
 COORD_NAMES = ("x_plus", "x_minus")
 
-# the numeric scattering limits read the velocity at p = -+ _P_SCALE / epsilon
+# The numeric scattering limits read the velocity at
+# p = -+(_P_SCALE / |epsilon| + |beta|), _P_SCALE / |epsilon| past both waists
+# (q+ = 0 at p = 0, q- = 0 at p = beta), so every sinh argument there has
+# magnitude 20 to 20 + |epsilon beta|.  sinh(x) < e^x / 2 stays below half
+# the largest float up to x = ln(DBL_MAX), which bounds |epsilon beta|.
 _P_SCALE = 40.0
+_EPS_BETA_MAX = math.log(sys.float_info.max) - _P_SCALE / 2.0
+_CERT_BETA = 2.0  # largest |beta| of the certificate's curve grid
 
 
 @dataclass(frozen=True)
@@ -171,11 +178,12 @@ def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
 
 
 def scattering_limits_numeric(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
-    """Direct velocity evaluation at p = -+ 40 / epsilon (plain -+ 40 when
-    epsilon = 0, where the curve is already straight), of the broadcast shape
-    of ``curve.alpha`` and ``curve.beta``."""
-    p_inf = _P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)
-    v = _velocity(parametric_trajectory_2d(spec, curve, np.array([-p_inf, p_inf])))
+    """Direct velocity evaluation at p = -+(40 / |epsilon| + |beta|), 40 /
+    |epsilon| past both waists (plain 40 past them when epsilon = 0, where
+    the curve is already straight), of the broadcast shape of
+    ``curve.alpha`` and ``curve.beta``."""
+    p_inf = (_P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)) + np.abs(curve.beta)
+    v = _velocity(parametric_trajectory_2d(spec, curve, np.stack([-p_inf, p_inf], axis=-1)))
     return tuple(np.moveaxis(v, -1, 0))
 
 
@@ -247,16 +255,25 @@ PARAMS = {
 }
 
 
-def _check_epsilon(epsilon: float, mass: float, field: str) -> None:
+def _check_epsilon(epsilon: float, mass: float, beta: float, field: str, beta_field: str) -> None:
+    """Raise a ``ConfigError`` unless the shape constant -1/(epsilon mass)^2
+    and the numeric scattering limits of a curve of shift ``beta`` are
+    floats; ``field`` names epsilon, ``beta_field`` the field blamed for an
+    |epsilon beta| past the bound."""
     if epsilon != 0.0 and not 1e-150 <= abs(epsilon * mass) <= 1e150:
         raise ConfigError(field, "|epsilon * mass| must lie in [1e-150, 1e150] "
                           "(or epsilon be 0) for the shape constant -1/(epsilon mass)^2 to be a float")
+    if abs(epsilon * beta) > _EPS_BETA_MAX:
+        raise ConfigError(beta_field, f"|epsilon * beta| = |{epsilon:g} * {beta:g}| must not exceed "
+                          f"{_EPS_BETA_MAX:.6g}, or the numeric scattering limits overflow")
 
 
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
-    _check_epsilon(p["epsilon"], p["mass"], "params.epsilon")
+    # epsilon is to blame when no curve of the certificate's grid could take it
+    blame = "params.epsilon" if abs(p["epsilon"]) * _CERT_BETA > _EPS_BETA_MAX else "params.beta"
+    _check_epsilon(p["epsilon"], p["mass"], p["beta"], "params.epsilon", blame)
 
 
 def _spec(p: Params) -> Minkowski2DSpec:
@@ -343,8 +360,9 @@ def minkowski2d_certificate(
 ) -> list[CertCheck]:
     """Jacobi checks of the plane and shifted brackets, the hyperbola shape
     law, and the scattering match/odd checks over a 5x5 curve grid.  An
-    epsilon outside the range ``run`` accepts is a ``ConfigError``."""
-    _check_epsilon(epsilon, mass, "epsilon")
+    epsilon outside the range ``run`` accepts for the grid's largest |beta|
+    (|epsilon| up to 344.9) is a ``ConfigError``."""
+    _check_epsilon(epsilon, mass, _CERT_BETA, "epsilon", "epsilon")
     spec = Minkowski2DSpec(epsilon, mass)
     X1, X2 = scaling([0], 2), scaling([1], 2)
     shifted = add_bivectors(canonical_bivector(2), cotangent_wedge(epsilon, X1, X2))
@@ -361,7 +379,7 @@ def minkowski2d_certificate(
     res = hyperbola_residual(spec, 1.0, -1.0, pts)
     # relative to the shape constant, which grows like epsilon^-2
     res /= max(1.0, 1.0 / (epsilon * mass) ** 2)
-    match, odd = scattering_check(spec, np.linspace(-0.6, 0.6, 5), np.linspace(-2.0, 2.0, 5))
+    match, odd = scattering_check(spec, np.linspace(-0.6, 0.6, 5), np.linspace(-_CERT_BETA, _CERT_BETA, 5))
     return checks + [
         threshold_check("hyperbola_shape", res, 1e-12),
         threshold_check("scattering_match", match, 1e-6),
@@ -390,6 +408,7 @@ MODEL = Model(
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
     certificate=lambda p, seed, n: minkowski2d_certificate(p["epsilon"], seed, n, p["mass"]),
-    certificate_check=lambda p: _check_epsilon(p["epsilon"], p["mass"], "params.epsilon"),
+    certificate_check=lambda p: _check_epsilon(
+        p["epsilon"], p["mass"], _CERT_BETA, "params.epsilon", "params.epsilon"),
     sweep_row=_sweep_row,
 )

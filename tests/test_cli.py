@@ -729,6 +729,37 @@ def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
     assert t[-1] == pytest.approx(_T_END_MAX, abs=1e-12)
 
 
+def test_minkowski2d_scattering_reads_its_limits_past_both_waists(tmp_path):
+    """At epsilon 100 and beta 2 the outgoing limit was read at p = 0.4,
+    before the q- waist at p = beta: the run exited 0 with v_out_numeric -1
+    against v_out_closed +1.  Now both limits equal the closed form."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 100.0, "beta": 2.0},
+                               "outputs": ["scattering"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    summary = json.loads((out / "scattering.json").read_text())["summary"]
+    assert summary["v_in_numeric"] == summary["v_in_closed"]
+    assert summary["v_out_numeric"] == summary["v_out_closed"] == 1.0
+    assert summary["closed_vs_numeric"] == 0.0
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"epsilon": 1.0, "beta": 700.0}, "params.beta"),  # epsilon alone passes the certificate
+    ({"epsilon": -400.0, "beta": 2.0}, "params.epsilon"),  # no curve of the grid takes it
+])
+def test_minkowski2d_epsilon_beta_past_the_scattering_bound_is_config_error(tmp_path, capsys,
+                                                                            params, field):
+    """Past |epsilon beta| = ln(DBL_MAX) - 20 the numeric scattering limits
+    overflow: run and sweep exit 2 naming the field and write nothing."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": params, "outputs": ["scattering"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith(f"config error: {field}: |epsilon * beta|")
+    assert main(["sweep", str(cfg), "--param", "mass", "--values", "1,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith(f"config error: {field}: |epsilon * beta|")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t_span", [1.0e-320, 1.0e-160])
 def test_kappa_horizon_below_the_normal_range_is_config_error(tmp_path, capsys, t_span):
     """1e-320 exited 1 (the tail fit's abscissa had no spread) and 1e-160

@@ -1,11 +1,12 @@
 """Two-dimensional deformed spacetime model: shape laws and scattering."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from poismech import minkowski2d
-from poismech.errors import ContractViolation
+from poismech.errors import ConfigError, ContractViolation
 from poismech.fitting import collinearity_residual
 from poismech.minkowski2d import (
     Minkowski2DSpec,
@@ -113,13 +114,21 @@ def test_scattering_artifact_equals_per_sample_evaluation(eps):
         np.testing.assert_array_equal(got, [p, qp, qm, v])
 
 
-def test_numeric_limit_where_the_velocity_denominator_vanishes_is_nan():
-    """At alpha = 0 and beta = 80 / eps the curve has q+ + q- = 0 exactly at
-    p = 40 / eps, where the outgoing limit is read: NaN, as in the
-    scattering artifact's v column, not an infinity."""
-    v_in, v_out = scattering_limits_numeric(Minkowski2DSpec(1.0, 1.0), ScatteringCurveSpec(0.0, 80.0))
-    assert v_in == -1.0
-    assert math.isnan(v_out)
+def test_numeric_limit_past_both_waists_matches_the_closed_form():
+    """At alpha = 0 and beta = 80 / eps the q- waist lies at p = 80 / eps.
+    A reading at p = 40 / eps sat inside it, where q+ + q- = 0 and the
+    outgoing limit read NaN; read 40 / eps past both waists, both limits are
+    the closed form to the last bit."""
+    spec, curve = Minkowski2DSpec(1.0, 1.0), ScatteringCurveSpec(0.0, 80.0)
+    np.testing.assert_array_equal(scattering_limits_numeric(spec, curve), scattering_data(spec, curve))
+
+
+def test_velocity_where_the_denominator_vanishes_is_nan():
+    """q+ + q- = 0 gives NaN, as in the scattering artifact's v column, not
+    an infinity."""
+    v = minkowski2d._velocity(np.array([[0.4, 1.5, -1.5], [1.0, 3.0, 1.0]]))
+    assert math.isnan(v[0])
+    assert v[1] == 0.5
 
 
 def _per_curve_reference(spec, alphas, betas):
@@ -169,3 +178,32 @@ def test_nan_in_one_grid_curve_fails_both_scattering_checks(monkeypatch):
     for name in ("scattering_match", "scattering_odd"):
         assert math.isnan(checks[name].value) and not checks[name].passed
     assert checks["hyperbola_shape"].passed
+
+
+@pytest.mark.parametrize("eps", [10.0, 100.0, 300.0])
+def test_scattering_limits_match_at_large_epsilon_beta(eps):
+    """Read at p = -+40 / eps, the outgoing limit sat before the q- waist at
+    p = beta once eps beta passed 40: at eps 100 it read -1 for the closed
+    form's +1.  Read 40 / eps past both waists it matches to rounding."""
+    match, odd = minkowski2d.scattering_check(Minkowski2DSpec(eps, 1.0), *_SHIPPED_GRID)
+    assert match <= 2.3e-16
+    assert odd == 0.0
+
+
+_CERT_EPS_MAX = minkowski2d._EPS_BETA_MAX / minkowski2d._CERT_BETA
+
+
+def test_certificate_epsilon_bound_is_sharp_to_one_float():
+    """At |eps| = _EPS_BETA_MAX / 2 the grid's sinh arguments reach
+    ln(DBL_MAX) and both scattering checks pass without a warning; one float
+    further is a ConfigError naming epsilon."""
+    assert 340.0 < _CERT_EPS_MAX < 350.0
+    for eps in (_CERT_EPS_MAX,):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(eps, 0, 1)}
+        assert checks["scattering_match"].value < 1e-15
+        assert checks["scattering_odd"].value == 0.0
+    for eps in (math.nextafter(_CERT_EPS_MAX, math.inf), math.nextafter(-_CERT_EPS_MAX, -math.inf)):
+        with pytest.raises(ConfigError, match=r"^epsilon: "):
+            minkowski2d.minkowski2d_certificate(eps, 0, 1)
