@@ -16,7 +16,9 @@ and the parametric momentum-space description
     q-(p) = e^{-alpha} sinh(eps (p - beta)/2) / ((eps/2) m),
 
 whose p -> -+infinity velocity limits give the in/out scattering data: the
-hyperbolic tangents of alpha -+ eps beta / 4.
+hyperbolic tangents of alpha -+ |eps| beta / 4.  Both q+- are even in eps, so
+the curves at -eps are those at eps, and p -> -infinity is the incoming end
+(x0 -> -infinity) for either sign.
 
 ``MODEL`` is the scenario record: parameters, the trajectory, projection and
 scattering artifacts, the certificate and the sweep row.
@@ -171,9 +173,9 @@ def _velocity(q: np.ndarray) -> np.ndarray:
 
 def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
     """(v_in, v_out): the p -> -infinity / +infinity velocity limits,
-    v_in = tanh(alpha - eps beta / 4) and v_out = tanh(alpha + eps beta / 4),
+    v_in = tanh(alpha - |eps| beta / 4) and v_out = tanh(alpha + |eps| beta / 4),
     each of the broadcast shape of ``curve.alpha`` and ``curve.beta``."""
-    shift = spec.epsilon * np.asarray(curve.beta, dtype=float) / 4.0
+    shift = abs(spec.epsilon) * np.asarray(curve.beta, dtype=float) / 4.0
     return np.tanh(curve.alpha - shift), np.tanh(curve.alpha + shift)
 
 

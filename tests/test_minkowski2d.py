@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poismech import minkowski2d
 from poismech.errors import ConfigError, ContractViolation
@@ -76,6 +77,21 @@ def test_scattering_closed_form_matches_numeric_limits():
     numeric = scattering_limits_numeric(SPEC, CURVE)
     assert abs(closed[0] - numeric[0]) < 1e-10
     assert abs(closed[1] - numeric[1]) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [-0.2, -3.0])
+def test_scattering_closed_form_is_even_in_epsilon_like_the_curve(eps):
+    """q+- are even in eps, so at eps < 0 the curve, and its limits at the
+    incoming end p -> -infinity, are those at |eps|; the closed form was
+    tanh(alpha -+ eps beta / 4), and at eps -0.3 certify FAILed
+    scattering_match at 0.298."""
+    spec, flipped = Minkowski2DSpec(eps, 1.0), Minkowski2DSpec(-eps, 1.0)
+    p = np.linspace(-3.0, 3.0, 13)
+    np.testing.assert_array_equal(parametric_trajectory_2d(spec, CURVE, p),
+                                  parametric_trajectory_2d(flipped, CURVE, p))
+    np.testing.assert_array_equal(scattering_data(spec, CURVE), scattering_data(flipped, CURVE))
+    np.testing.assert_allclose(scattering_limits_numeric(spec, CURVE), scattering_data(spec, CURVE),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_scattering_values_at_zero_impact():
@@ -180,7 +196,7 @@ def test_nan_in_one_grid_curve_fails_both_scattering_checks(monkeypatch):
     assert checks["hyperbola_shape"].passed
 
 
-@pytest.mark.parametrize("eps", [10.0, 100.0, 300.0])
+@pytest.mark.parametrize("eps", [10.0, 100.0, 300.0, -100.0])
 def test_scattering_limits_match_at_large_epsilon_beta(eps):
     """Read at p = -+40 / eps, the outgoing limit sat before the q- waist at
     p = beta once eps beta passed 40: at eps 100 it read -1 for the closed
@@ -198,7 +214,7 @@ def test_certificate_epsilon_bound_is_sharp_to_one_float():
     ln(DBL_MAX) and both scattering checks pass without a warning; one float
     further is a ConfigError naming epsilon."""
     assert 340.0 < _CERT_EPS_MAX < 350.0
-    for eps in (_CERT_EPS_MAX,):
+    for eps in (_CERT_EPS_MAX, -_CERT_EPS_MAX):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(eps, 0, 1)}
@@ -207,3 +223,19 @@ def test_certificate_epsilon_bound_is_sharp_to_one_float():
     for eps in (math.nextafter(_CERT_EPS_MAX, math.inf), math.nextafter(-_CERT_EPS_MAX, -math.inf)):
         with pytest.raises(ConfigError, match=r"^epsilon: "):
             minkowski2d.minkowski2d_certificate(eps, 0, 1)
+
+
+# every epsilon certify accepts at mass 1, with 10 <= |eps| <= 300 drawn on its own
+_CERT_EPSILONS = st.one_of(
+    st.floats(10.0, 300.0),
+    st.floats(-300.0, -10.0),
+    st.floats(-_CERT_EPS_MAX, _CERT_EPS_MAX).filter(lambda e: e == 0.0 or abs(e) >= 1e-150),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps=_CERT_EPSILONS)
+def test_scattering_checks_pass_across_the_certificate_domain(eps):
+    checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(eps, 0, 1)}
+    assert checks["scattering_match"].value < 1e-6
+    assert checks["scattering_odd"].value < 1e-12
