@@ -44,7 +44,6 @@ from .model import (
 
 __all__ = [
     "Minkowski2DSpec",
-    "ScatteringCurveSpec",
     "minkowski2d_bivector",
     "minkowski2d_rspec",
     "hyperbola_curve",
@@ -80,15 +79,6 @@ class Minkowski2DSpec:
     def __post_init__(self):
         if self.mass <= 0:
             raise ContractViolation("mass must be positive")
-
-
-@dataclass(frozen=True)
-class ScatteringCurveSpec:
-    """Curve parameters: rapidity-like offset alpha and shift beta; arrays
-    of the two broadcast to a grid of curves."""
-
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
 
 
 def minkowski2d_bivector(spec: Minkowski2DSpec) -> BivectorSpec:
@@ -135,22 +125,19 @@ def hyperbola_residual(spec: Minkowski2DSpec, c_plus: float, c_minus: float,
     return float(np.max(np.abs(vals - K)))
 
 
-def parametric_trajectory_2d(
-    spec: Minkowski2DSpec,
-    curve: ScatteringCurveSpec,
-    p_grid: np.ndarray,
-) -> np.ndarray:
-    """Rows (p, q+, q-) of the parametric free-particle curve.
+def parametric_trajectory_2d(spec: Minkowski2DSpec, alpha, beta, p_grid: np.ndarray) -> np.ndarray:
+    """Rows (p, q+, q-) of the parametric free-particle curve with
+    rapidity-like offset ``alpha`` and shift ``beta``.
 
-    ``curve.alpha`` and ``curve.beta`` may be arrays that broadcast to a grid
-    of curves; ``p_grid`` of shape (..., N) broadcasts against that grid, and
-    the result is the (..., N, 3) stack of every curve's rows.  At
-    epsilon = 0 the curve degenerates to the straight line
-    q+ = e^alpha p / m, q- = e^{-alpha} (p - beta) / m.
+    Arrays ``alpha`` and ``beta`` broadcast to a grid of curves; ``p_grid``
+    of shape (..., N) broadcasts against that grid, and the result is the
+    (..., N, 3) stack of every curve's rows.  At epsilon = 0 the curve
+    degenerates to the straight line q+ = e^alpha p / m,
+    q- = e^{-alpha} (p - beta) / m.
     """
     p = np.asarray(p_grid, dtype=float)
-    alpha = np.asarray(curve.alpha, dtype=float)[..., None]
-    beta = np.asarray(curve.beta, dtype=float)[..., None]
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    beta = np.asarray(beta, dtype=float)[..., None]
     e, m = spec.epsilon, spec.mass
     if e == 0.0:
         qp = np.exp(alpha) * p / m
@@ -171,21 +158,20 @@ def _velocity(q: np.ndarray) -> np.ndarray:
     return np.divide(qp - qm, qp + qm, out=np.full(qp.shape, math.nan), where=qp + qm != 0)
 
 
-def scattering_data(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
+def scattering_data(spec: Minkowski2DSpec, alpha, beta):
     """(v_in, v_out): the p -> -infinity / +infinity velocity limits,
     v_in = tanh(alpha - |eps| beta / 4) and v_out = tanh(alpha + |eps| beta / 4),
-    each of the broadcast shape of ``curve.alpha`` and ``curve.beta``."""
-    shift = abs(spec.epsilon) * np.asarray(curve.beta, dtype=float) / 4.0
-    return np.tanh(curve.alpha - shift), np.tanh(curve.alpha + shift)
+    each of the broadcast shape of ``alpha`` and ``beta``."""
+    shift = abs(spec.epsilon) * beta / 4.0
+    return np.tanh(alpha - shift), np.tanh(alpha + shift)
 
 
-def scattering_limits_numeric(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
-    """Direct velocity evaluation at p = -+(40 / |epsilon| + |beta|), 40 /
-    |epsilon| past both waists (plain 40 past them when epsilon = 0, where
-    the curve is already straight), of the broadcast shape of
-    ``curve.alpha`` and ``curve.beta``."""
-    p_inf = (_P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)) + np.abs(curve.beta)
-    v = _velocity(parametric_trajectory_2d(spec, curve, np.stack([-p_inf, p_inf], axis=-1)))
+def scattering_limits_numeric(spec: Minkowski2DSpec, alpha, beta):
+    """Direct velocity evaluation at p = -+(40 / |epsilon| + |beta|), past
+    both waists (40 past them at epsilon = 0, where the curve is straight),
+    of the broadcast shape of ``alpha`` and ``beta``."""
+    p_inf = (_P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)) + np.abs(beta)
+    v = _velocity(parametric_trajectory_2d(spec, alpha, beta, np.stack([-p_inf, p_inf], axis=-1)))
     return tuple(np.moveaxis(v, -1, 0))
 
 
@@ -198,20 +184,19 @@ def classical_limit_deviation(
     """max |q(eps; p) - q(0; p)| over 25 points of p in [-3, 3] — O(eps^2),
     since the parametric curve is even in eps."""
     p_grid = np.linspace(-3.0, 3.0, 25)
-    curve = ScatteringCurveSpec(alpha, beta)
-    q_eps = parametric_trajectory_2d(Minkowski2DSpec(epsilon, mass), curve, p_grid)
-    q_zero = parametric_trajectory_2d(Minkowski2DSpec(0.0, mass), curve, p_grid)
+    q_eps = parametric_trajectory_2d(Minkowski2DSpec(epsilon, mass), alpha, beta, p_grid)
+    q_zero = parametric_trajectory_2d(Minkowski2DSpec(0.0, mass), alpha, beta, p_grid)
     return float(np.max(np.abs(q_eps[:, 1:] - q_zero[:, 1:])))
 
 
-def _scattering_defects(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
+def _scattering_defects(spec: Minkowski2DSpec, alpha, beta):
     """Closed-form and numeric (v_in, v_out) of a curve or a grid of curves,
     the closed-vs-numeric mismatch (the larger of the in and out ones) and
     the odd defect |shift(beta) + shift(-beta)| of the numeric velocity shift
     v_out - v_in, which is zero when the shift is odd in beta."""
-    closed = scattering_data(spec, curve)
-    v_in, v_out = scattering_limits_numeric(spec, curve)
-    f_in, f_out = scattering_limits_numeric(spec, ScatteringCurveSpec(curve.alpha, -np.asarray(curve.beta)))
+    closed = scattering_data(spec, alpha, beta)
+    v_in, v_out = scattering_limits_numeric(spec, alpha, beta)
+    f_in, f_out = scattering_limits_numeric(spec, alpha, -beta)
     mismatch = np.maximum(np.abs(closed[0] - v_in), np.abs(closed[1] - v_out))
     return closed, (v_in, v_out), mismatch, np.abs((v_out - v_in) + (f_out - f_in))
 
@@ -219,8 +204,8 @@ def _scattering_defects(spec: Minkowski2DSpec, curve: ScatteringCurveSpec):
 def scattering_check(spec: Minkowski2DSpec, alphas, betas) -> tuple[float, float]:
     """Worst closed-vs-numeric mismatch and worst odd defect over the
     (alpha, beta) grid, evaluated as one array; NaN and inf propagate."""
-    grid = ScatteringCurveSpec(np.asarray(alphas, dtype=float)[:, None], np.asarray(betas, dtype=float))
-    _, _, mismatch, odd = _scattering_defects(spec, grid)
+    alphas, betas = np.asarray(alphas, dtype=float)[:, None], np.asarray(betas, dtype=float)
+    _, _, mismatch, odd = _scattering_defects(spec, alphas, betas)
     return float(np.max(mismatch, initial=0.0)), float(np.max(odd, initial=0.0))
 
 
@@ -257,33 +242,28 @@ PARAMS = {
 }
 
 
-def _check_epsilon(epsilon: float, mass: float, beta: float, field: str, beta_field: str) -> None:
-    """Raise a ``ConfigError`` unless the shape constant -1/(epsilon mass)^2
-    and the numeric scattering limits of a curve of shift ``beta`` are
-    floats; ``field`` names epsilon, ``beta_field`` the field blamed for an
-    |epsilon beta| past the bound."""
+def _check_epsilon(epsilon: float, mass: float, beta: float, field: str) -> None:
+    """Raise a ``ConfigError`` naming ``field`` unless the shape constant
+    -1/(epsilon mass)^2 and the numeric scattering limits of a curve of shift
+    ``beta`` are floats; an |epsilon beta| past the bound names
+    ``params.beta`` instead when the certificate's grid could take epsilon."""
     if epsilon != 0.0 and not 1e-150 <= abs(epsilon * mass) <= 1e150:
         raise ConfigError(field, "|epsilon * mass| must lie in [1e-150, 1e150] "
                           "(or epsilon be 0) for the shape constant -1/(epsilon mass)^2 to be a float")
     if abs(epsilon * beta) > _EPS_BETA_MAX:
-        raise ConfigError(beta_field, f"|epsilon * beta| = |{epsilon:g} * {beta:g}| must not exceed "
+        blame = field if abs(epsilon) * _CERT_BETA > _EPS_BETA_MAX else "params.beta"
+        raise ConfigError(blame, f"|epsilon * beta| = |{epsilon:g} * {beta:g}| must not exceed "
                           f"{_EPS_BETA_MAX:.6g}, or the numeric scattering limits overflow")
 
 
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
-    # epsilon is to blame when no curve of the certificate's grid could take it
-    blame = "params.epsilon" if abs(p["epsilon"]) * _CERT_BETA > _EPS_BETA_MAX else "params.beta"
-    _check_epsilon(p["epsilon"], p["mass"], p["beta"], "params.epsilon", blame)
+    _check_epsilon(p["epsilon"], p["mass"], p["beta"], "params.epsilon")
 
 
 def _spec(p: Params) -> Minkowski2DSpec:
     return Minkowski2DSpec(p["epsilon"], p["mass"])
-
-
-def _curve(p: Params) -> ScatteringCurveSpec:
-    return ScatteringCurveSpec(p["alpha"], p["beta"])
 
 
 def _shape(p: Params) -> tuple[np.ndarray, str, float]:
@@ -294,7 +274,7 @@ def _shape(p: Params) -> tuple[np.ndarray, str, float]:
         pts = hyperbola_curve(spec, p["c_plus"], p["c_minus"], grid)
         return pts, "hyperbola", hyperbola_residual(spec, p["c_plus"], p["c_minus"], pts)
     p_grid = np.linspace(p["p_min"], p["p_max"], p["n_samples"])
-    pts = parametric_trajectory_2d(spec, _curve(p), p_grid)[:, 1:]
+    pts = parametric_trajectory_2d(spec, p["alpha"], p["beta"], p_grid)[:, 1:]
     return pts, "line", collinearity_residual(pts)
 
 
@@ -305,9 +285,9 @@ def _trajectory(p: Params) -> ArtifactData:
 
 
 def _scattering(p: Params) -> ArtifactData:
-    spec, curve = _spec(p), _curve(p)
-    q = parametric_trajectory_2d(spec, curve, np.linspace(p["p_min"], p["p_max"], p["n_samples"]))
-    closed, numeric, mismatch, odd = _scattering_defects(spec, curve)
+    spec, alpha, beta = _spec(p), p["alpha"], p["beta"]
+    q = parametric_trajectory_2d(spec, alpha, beta, np.linspace(p["p_min"], p["p_max"], p["n_samples"]))
+    closed, numeric, mismatch, odd = _scattering_defects(spec, alpha, beta)
     summary = {
         "v_in_closed": closed[0],
         "v_out_closed": closed[1],
@@ -364,7 +344,7 @@ def minkowski2d_certificate(
     law, and the scattering match/odd checks over a 5x5 curve grid.  An
     epsilon outside the range ``run`` accepts for the grid's largest |beta|
     (|epsilon| up to 344.9) is a ``ConfigError``."""
-    _check_epsilon(epsilon, mass, _CERT_BETA, "epsilon", "epsilon")
+    _check_epsilon(epsilon, mass, _CERT_BETA, "epsilon")
     spec = Minkowski2DSpec(epsilon, mass)
     X1, X2 = scaling([0], 2), scaling([1], 2)
     shifted = add_bivectors(canonical_bivector(2), cotangent_wedge(epsilon, X1, X2))
@@ -392,7 +372,7 @@ def minkowski2d_certificate(
 def _sweep_row(p: Params) -> dict:
     _, _, shape_res = _shape(p)
     spec = _spec(p)
-    (v_in, v_out), _, mismatch, _ = _scattering_defects(spec, _curve(p))
+    (v_in, v_out), _, mismatch, _ = _scattering_defects(spec, p["alpha"], p["beta"])
     return {
         "classical_limit_dev": classical_limit_deviation(
             p["epsilon"], p["mass"], p["alpha"], p["beta"]
@@ -410,7 +390,6 @@ MODEL = Model(
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
     certificate=lambda p, seed, n: minkowski2d_certificate(p["epsilon"], seed, n, p["mass"]),
-    certificate_check=lambda p: _check_epsilon(
-        p["epsilon"], p["mass"], _CERT_BETA, "params.epsilon", "params.epsilon"),
+    certificate_check=lambda p: _check_epsilon(p["epsilon"], p["mass"], _CERT_BETA, "params.epsilon"),
     sweep_row=_sweep_row,
 )

@@ -138,9 +138,8 @@ def test_criterion_06_planar_shape_and_scattering():
     assert worst_odd < 1e-12
     for alpha in alphas:
         for beta in betas:
-            closed = mink_model.scattering_data(spec, mink_model.ScatteringCurveSpec(alpha, beta))
-            flip = mink_model.scattering_data(
-                spec, mink_model.ScatteringCurveSpec(alpha, -beta))
+            closed = mink_model.scattering_data(spec, alpha, beta)
+            flip = mink_model.scattering_data(spec, alpha, -beta)
             shift = closed[1] - closed[0]
             assert abs(shift + (flip[1] - flip[0])) < 1e-12
 

@@ -11,7 +11,6 @@ from poismech.errors import ConfigError, ContractViolation
 from poismech.fitting import collinearity_residual
 from poismech.minkowski2d import (
     Minkowski2DSpec,
-    ScatteringCurveSpec,
     classical_limit_deviation,
     hyperbola_curve,
     hyperbola_residual,
@@ -22,7 +21,7 @@ from poismech.minkowski2d import (
 )
 
 SPEC = Minkowski2DSpec(0.2, 1.0)
-CURVE = ScatteringCurveSpec(0.3, 2.0)
+CURVE = (0.3, 2.0)  # (alpha, beta)
 
 
 def test_bivector_is_product_deformation():
@@ -52,7 +51,7 @@ def test_hyperbola_curve_validation():
 
 def test_parametric_curve_flattens_at_zero_deformation():
     grid = np.linspace(-3.0, 3.0, 31)
-    rows = parametric_trajectory_2d(Minkowski2DSpec(0.0, 1.0), CURVE, grid)
+    rows = parametric_trajectory_2d(Minkowski2DSpec(0.0, 1.0), *CURVE, grid)
     assert collinearity_residual(rows[:, 1:]) < 1e-12
 
 
@@ -60,21 +59,21 @@ def test_velocity_ratio_tails_and_waist():
     """The ratio (q+ - q-)/(q+ + q-) is subluminal only in the far tails;
     near the waist of the curve the denominator changes sign and the ratio
     sweeps through the cone."""
-    curve = ScatteringCurveSpec(0.0, 2.0)
-    _, qp, qm = parametric_trajectory_2d(SPEC, curve, np.array([-200.0, 200.0, 0.4, 0.7])).T
+    curve = (0.0, 2.0)
+    _, qp, qm = parametric_trajectory_2d(SPEC, *curve, np.array([-200.0, 200.0, 0.4, 0.7])).T
     v = (qp - qm) / (qp + qm)
     tails, near_waist = v[:2], v[2:]
     assert all(abs(v) < 1.0 for v in tails)
     assert any(abs(v) > 1.0 for v in near_waist)
     # tail values approach the closed-form limits from the matching side
-    v_in, v_out = scattering_data(SPEC, curve)
+    v_in, v_out = scattering_data(SPEC, *curve)
     assert tails[0] == pytest.approx(v_in, abs=1e-3)
     assert tails[1] == pytest.approx(v_out, abs=1e-3)
 
 
 def test_scattering_closed_form_matches_numeric_limits():
-    closed = scattering_data(SPEC, CURVE)
-    numeric = scattering_limits_numeric(SPEC, CURVE)
+    closed = scattering_data(SPEC, *CURVE)
+    numeric = scattering_limits_numeric(SPEC, *CURVE)
     assert abs(closed[0] - numeric[0]) < 1e-10
     assert abs(closed[1] - numeric[1]) < 1e-10
 
@@ -87,24 +86,24 @@ def test_scattering_closed_form_is_even_in_epsilon_like_the_curve(eps):
     scattering_match at 0.298."""
     spec, flipped = Minkowski2DSpec(eps, 1.0), Minkowski2DSpec(-eps, 1.0)
     p = np.linspace(-3.0, 3.0, 13)
-    np.testing.assert_array_equal(parametric_trajectory_2d(spec, CURVE, p),
-                                  parametric_trajectory_2d(flipped, CURVE, p))
-    np.testing.assert_array_equal(scattering_data(spec, CURVE), scattering_data(flipped, CURVE))
-    np.testing.assert_allclose(scattering_limits_numeric(spec, CURVE), scattering_data(spec, CURVE),
+    np.testing.assert_array_equal(parametric_trajectory_2d(spec, *CURVE, p),
+                                  parametric_trajectory_2d(flipped, *CURVE, p))
+    np.testing.assert_array_equal(scattering_data(spec, *CURVE), scattering_data(flipped, *CURVE))
+    np.testing.assert_allclose(scattering_limits_numeric(spec, *CURVE), scattering_data(spec, *CURVE),
                                rtol=0.0, atol=1e-14)
 
 
 def test_scattering_values_at_zero_impact():
     # with beta = 0 no deformation shift survives: both speeds are tanh(alpha)
-    v_in, v_out = scattering_data(SPEC, ScatteringCurveSpec(0.05, 0.0))
+    v_in, v_out = scattering_data(SPEC, 0.05, 0.0)
     assert v_in == pytest.approx(0.04995837495787997, abs=1e-16)
     assert v_out == v_in
 
 
 def test_velocity_shift_is_odd_in_impact_parameter():
     for beta in (0.5, 1.3, 2.0):
-        vp = scattering_data(SPEC, ScatteringCurveSpec(0.3, beta))
-        vm = scattering_data(SPEC, ScatteringCurveSpec(0.3, -beta))
+        vp = scattering_data(SPEC, 0.3, beta)
+        vm = scattering_data(SPEC, 0.3, -beta)
         assert (vp[1] - vp[0]) == pytest.approx(-(vm[1] - vm[0]), abs=1e-15)
 
 
@@ -122,9 +121,9 @@ def test_scattering_artifact_equals_per_sample_evaluation(eps):
     params = {name: p.default for name, p in minkowski2d.PARAMS.items()}
     params.update(epsilon=eps, alpha=-0.45, beta=1.7, p_min=-4.0, p_max=2.5, n_samples=61)
     cols = minkowski2d.MODEL.artifacts["scattering"](params).columns
-    spec, curve = Minkowski2DSpec(eps, params["mass"]), ScatteringCurveSpec(-0.45, 1.7)
+    spec, curve = Minkowski2DSpec(eps, params["mass"]), (-0.45, 1.7)
     for i, pv in enumerate(np.linspace(-4.0, 2.5, 61)):
-        p, qp, qm = parametric_trajectory_2d(spec, curve, np.array([pv]))[0]
+        p, qp, qm = parametric_trajectory_2d(spec, *curve, np.array([pv]))[0]
         v = (qp - qm) / (qp + qm) if qp + qm != 0 else math.nan
         got = [cols[k][i] for k in ("p", "q_plus", "q_minus", "v")]
         np.testing.assert_array_equal(got, [p, qp, qm, v])
@@ -135,8 +134,8 @@ def test_numeric_limit_past_both_waists_matches_the_closed_form():
     A reading at p = 40 / eps sat inside it, where q+ + q- = 0 and the
     outgoing limit read NaN; read 40 / eps past both waists, both limits are
     the closed form to the last bit."""
-    spec, curve = Minkowski2DSpec(1.0, 1.0), ScatteringCurveSpec(0.0, 80.0)
-    np.testing.assert_array_equal(scattering_limits_numeric(spec, curve), scattering_data(spec, curve))
+    spec, curve = Minkowski2DSpec(1.0, 1.0), (0.0, 80.0)
+    np.testing.assert_array_equal(scattering_limits_numeric(spec, *curve), scattering_data(spec, *curve))
 
 
 def test_velocity_where_the_denominator_vanishes_is_nan():
@@ -153,9 +152,9 @@ def _per_curve_reference(spec, alphas, betas):
     match, odd = [], []
     for alpha in alphas:
         for beta in betas:
-            closed = scattering_data(spec, ScatteringCurveSpec(alpha, beta))
-            numeric = scattering_limits_numeric(spec, ScatteringCurveSpec(alpha, beta))
-            flip = scattering_limits_numeric(spec, ScatteringCurveSpec(alpha, -beta))
+            closed = scattering_data(spec, alpha, beta)
+            numeric = scattering_limits_numeric(spec, alpha, beta)
+            flip = scattering_limits_numeric(spec, alpha, -beta)
             match += [abs(closed[0] - numeric[0]), abs(closed[1] - numeric[1])]
             odd.append(abs((numeric[1] - numeric[0]) + (flip[1] - flip[0])))
     return float(np.max(match, initial=0.0)), float(np.max(odd, initial=0.0))
