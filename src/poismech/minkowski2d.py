@@ -145,7 +145,7 @@ def parametric_trajectory_2d(spec: Minkowski2DSpec, alpha, beta, p_grid: np.ndar
     else:
         qp = np.exp(alpha) * np.sinh(e * p / 2.0) / ((e / 2.0) * m)
         qm = np.exp(-alpha) * np.sinh(e * (p - beta) / 2.0) / ((e / 2.0) * m)
-    rows = np.empty(np.broadcast_shapes(p.shape, qp.shape, qm.shape) + (3,))
+    rows = np.empty(qm.shape + (3,))  # q- depends on p, alpha and beta alike
     rows[..., 0], rows[..., 1], rows[..., 2] = p, qp, qm
     return rows
 
@@ -171,8 +171,8 @@ def scattering_limits_numeric(spec: Minkowski2DSpec, alpha, beta):
     both waists (40 past them at epsilon = 0, where the curve is straight),
     of the broadcast shape of ``alpha`` and ``beta``."""
     p_inf = (_P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)) + np.abs(beta)
-    v = _velocity(parametric_trajectory_2d(spec, alpha, beta, np.stack([-p_inf, p_inf], axis=-1)))
-    return tuple(np.moveaxis(v, -1, 0))
+    v = _velocity(parametric_trajectory_2d(spec, alpha, beta, np.multiply.outer(p_inf, (-1.0, 1.0))))
+    return v[..., 0][()], v[..., 1][()]  # [()] makes one curve's 0-d limits scalars
 
 
 def classical_limit_deviation(
