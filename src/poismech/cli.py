@@ -40,20 +40,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .errors import ConfigError, ContractViolation, DivergenceError, EstimationError, StiffnessError
+from .kappa import MODEL as KAPPA
+from .minkowski2d import MODEL as MINKOWSKI2D
 from .model import CERT_POINTS, INT, ArtifactData, CertCheck, Model
-
-# The certificate functions stay importable from this module, with their
-# (epsilon, seed, n_points) signatures.
-from .kappa import MODEL as KAPPA, kappa_certificate  # noqa: F401
-from .minkowski2d import MODEL as MINKOWSKI2D, minkowski2d_certificate  # noqa: F401
-from .su2 import MODEL as SU2, su2_certificate  # noqa: F401
+from .su2 import MODEL as SU2
 
 MODELS: dict[str, Model] = {m.name: m for m in (MINKOWSKI2D, KAPPA, SU2)}
 
@@ -164,7 +161,7 @@ def validate_config(raw: Any) -> ScenarioConfig:
             raise ConfigError(f"outputs[{i}]", f"duplicate artifact {entry!r}")
         outputs.append(entry)
     if "certificate" in outputs:
-        model.certificate_check(params)
+        model.certificate_check(params, "params.epsilon")
     return ScenarioConfig(model=name, params=params, outputs=tuple(outputs), seed=seed)
 
 
@@ -231,6 +228,35 @@ def build_artifact(config: ScenarioConfig, name: str) -> ArtifactData:
 def scalar_summaries(config: ScenarioConfig) -> dict[str, Any]:
     """One row of the model's scalar observables for the configured scenario."""
     return MODELS[config.model].sweep_row(config.params)
+
+
+# the schema defaults of every model, which certify runs at
+_DEFAULTS = {name: {k: p.default for k, p in m.params.items()} for name, m in MODELS.items()}
+
+
+def certify(model: str, epsilon: float, seed: int, n_points: int) -> list[CertCheck]:
+    """Every check of the model's certificate at ``epsilon`` and the schema
+    defaults of its other parameters.  A non-finite epsilon, a negative seed,
+    fewer than one point or an epsilon outside the certificate's domain is a
+    ``ConfigError`` naming ``epsilon``, ``seed`` or ``points``."""
+    params = {**_DEFAULTS[model], "epsilon": _check_real("epsilon", epsilon)}
+    _check_at_least("seed", seed, 0)
+    _check_at_least("points", n_points, 1)
+    record = MODELS[model]
+    record.certificate_check(params, "epsilon")
+    return record.certificate(params, seed, n_points)
+
+
+def minkowski2d_certificate(epsilon: float, seed: int, n_points: int) -> list[CertCheck]:
+    return certify("minkowski2d", epsilon, seed, n_points)
+
+
+def kappa_certificate(epsilon: float, seed: int, n_points: int) -> list[CertCheck]:
+    return certify("kappa", epsilon, seed, n_points)
+
+
+def su2_certificate(epsilon: float, seed: int, n_points: int) -> list[CertCheck]:
+    return certify("su2", epsilon, seed, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +356,37 @@ def write_manifest(out_dir: Path, manifest: dict) -> None:
 # runners
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path, fmt: str = "csv") -> tuple[dict, bool]:
-    """Execute all requested artifacts.  Returns (manifest, certificates_ok)."""
+def _write_outputs(out_dir: Path, fmt: str, config: dict,
+                   artifacts: Iterable[ArtifactData]) -> tuple[dict, bool]:
+    """Write each artifact as it comes, then the manifest that records
+    ``config``.  Returns (manifest, certificates_ok)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, dict] = {}
+    entries: dict[str, dict] = {}
     files = ["manifest.json"]
     all_passed = True
-    for name in config.outputs:
-        data = build_artifact(config, name)
+    for data in artifacts:
         written = write_artifact(data, out_dir, fmt)
         files.extend(written)
-        artifacts[name] = {"files": written, "summary": _py(data.summary)}
+        entries[data.name] = {"files": written, "summary": _py(data.summary)}
         if data.checks is not None:
             all_passed = all_passed and all(c.passed for c in data.checks)
     manifest = {
         "version": __version__,
         "format": fmt,
-        "config": config.as_dict(),
-        "artifacts": artifacts,
+        "config": config,
+        "artifacts": entries,
         "certificates_passed": all_passed,
         "files": sorted(files),
     }
     write_manifest(out_dir, manifest)
     return manifest, all_passed
+
+
+def run_scenario(config: ScenarioConfig, out_dir: Path, fmt: str = "csv") -> tuple[dict, bool]:
+    """Build and write the requested artifacts one at a time.  Returns
+    (manifest, certificates_ok)."""
+    built = (build_artifact(config, name) for name in config.outputs)
+    return _write_outputs(out_dir, fmt, config.as_dict(), built)
 
 
 def _sweep_worker(config: ScenarioConfig) -> tuple[dict | None, str]:
@@ -494,37 +528,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print("sweep: some rows failed")
             return 0 if ok else 1
 
-        # certify, at the schema defaults
-        model = MODELS[args.model]
-        params = {name: param.default for name, param in model.params.items()}
-        params["epsilon"] = _check_real("epsilon", args.epsilon)
-        _check_at_least("seed", args.seed, 0)
-        _check_at_least("points", args.points, 1)
-        checks = model.certificate(params, args.seed, args.points)
+        checks = certify(args.model, args.epsilon, args.seed, args.points)
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             note = f"  ({c.note})" if c.note else ""
             print(f"{status}  {c.name}: {c.value:.3e} (threshold {c.threshold:.1e}){note}")
         ok = all(c.passed for c in checks)
         if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            data = _certificate_artifact(checks)
-            written = write_artifact(data, out_dir, args.format)
-            manifest = {
-                "version": __version__,
-                "format": args.format,
-                "config": {
-                    "model": args.model,
-                    "epsilon": args.epsilon,
-                    "seed": args.seed,
-                    "points": args.points,
-                },
-                "artifacts": {"certificate": {"files": written, "summary": _py(data.summary)}},
-                "certificates_passed": ok,
-                "files": sorted(["manifest.json", *written]),
-            }
-            write_manifest(out_dir, manifest)
+            config = {"model": args.model, "epsilon": args.epsilon, "seed": args.seed,
+                      "points": args.points}
+            _write_outputs(Path(args.out), args.format, config, [_certificate_artifact(checks)])
         print(f"certificates: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     except ConfigError as exc:

@@ -26,6 +26,8 @@ from .errors import ContractViolation, DivergenceError, StiffnessError
 __all__ = ["StepControl", "Trajectory", "integrate_flow"]
 
 _MIN_H = 1e-12
+# the run ends once t is within _END_SLACK max(1, t_end) of t_end
+_END_SLACK = 1e-15
 
 # Fehlberg's 4(5) tableau.  Stage i evaluates the right-hand side at
 # y + h * sum_j A[i][j] k_j; B4 weighs the stages into the fourth-order
@@ -124,7 +126,7 @@ def integrate_flow(
     y = x0.copy()
     h = step.h
     k = np.empty((len(_STAGE_ROWS), y.size))  # the stage slopes, one row each
-    while t < t_end - 1e-15 * max(1.0, t_end):
+    while t < t_end - _END_SLACK * max(1.0, t_end):
         h = min(h, t_end - t)
         # absorb a sliver remainder into this step rather than emitting a
         # degenerate final interval (which would poison finite differences

@@ -30,7 +30,7 @@ from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
 from .groupoid import _project, canonical_bivector, cotangent_wedge, project_trajectory
 from .model import (
-    CERT_POINTS, INT, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    INT, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
 )
 
@@ -43,7 +43,6 @@ __all__ = [
     "closed_form_speeds",
     "classical_limit_deviation",
     "projected_speed_deviation",
-    "kappa_certificate",
     "MODEL",
 ]
 
@@ -418,33 +417,26 @@ def _profile(p: Params) -> ArtifactData:
 _CERT_MOMENTA = (0.5, 1.0, 1.5)  # the certificate's speed check runs at these momenta
 
 
-def _check_certificate(spec: KappaSpec, mass: float, field: str) -> None:
+def _certificate_check(p: Params, field: str) -> None:
     """No momentum of the certificate's speed check may sit at a projection pole."""
+    spec = _spec(p)
     try:
-        for p in _CERT_MOMENTA:
-            closed_form_speeds(spec, mass, p)
+        for q in _CERT_MOMENTA:
+            closed_form_speeds(spec, p["mass"], q)
     except ContractViolation as exc:
         raise ConfigError(field, f"{exc}; the speed check needs momenta {_CERT_MOMENTA}") from exc
 
 
-def kappa_certificate(
-    epsilon: float,
-    seed: int,
-    n_points: int = CERT_POINTS,
-    mass: float = PARAMS["mass"].default,
-    spatial_dim: int = PARAMS["spatial_dim"].default,
-) -> list[CertCheck]:
+def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     """Jacobi checks of the kappa and shifted brackets, and the projected
-    shell speeds against their closed forms at three momenta.  A momentum at
-    a projection pole is a ``ConfigError``, raised before any check runs."""
-    spec = KappaSpec(epsilon, spatial_dim)
-    _check_certificate(spec, mass, "epsilon")
+    shell speeds against their closed forms at three momenta."""
+    spec, mass = _spec(p), p["mass"]
     profiles = {
         side: velocity_momentum_profile(spec, mass, side, _CERT_MOMENTA)
         for side in ("left", "right")
     }
     X1, X2 = _generators(spec)
-    shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(epsilon, X1, X2))
+    shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(spec.epsilon, X1, X2))
     return [
         jacobi_check("jacobi_base", kappa_bivector(spec), n_points, seed),
         jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
@@ -472,9 +464,7 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "profile": _profile},
-    certificate=lambda p, seed, n: kappa_certificate(
-        p["epsilon"], seed, n, p["mass"], p["spatial_dim"]
-    ),
-    certificate_check=lambda p: _check_certificate(_spec(p), p["mass"], "params.epsilon"),
+    certificate=_certificate,
+    certificate_check=_certificate_check,
     sweep_row=_sweep_row,
 )

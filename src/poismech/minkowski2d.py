@@ -38,7 +38,7 @@ from .flow import StepControl, Trajectory, integrate_flow
 from .generators import AbelianRSpec, scaling, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
 from .model import (
-    CERT_POINTS, INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
 )
 
@@ -53,7 +53,6 @@ __all__ = [
     "scattering_limits_numeric",
     "scattering_check",
     "classical_limit_deviation",
-    "minkowski2d_certificate",
     "MODEL",
 ]
 
@@ -168,11 +167,16 @@ def scattering_data(spec: Minkowski2DSpec, alpha, beta):
 
 def scattering_limits_numeric(spec: Minkowski2DSpec, alpha, beta):
     """Direct velocity evaluation at p = -+(40 / |epsilon| + |beta|), past
-    both waists (40 past them at epsilon = 0, where the curve is straight),
-    of the broadcast shape of ``alpha`` and ``beta``."""
-    p_inf = (_P_SCALE if spec.epsilon == 0.0 else _P_SCALE / abs(spec.epsilon)) + np.abs(beta)
+    both waists, of the broadcast shape of ``alpha`` and ``beta``.  At
+    epsilon = 0 the curve is the straight line, whose velocity tends to
+    tanh(alpha) at both ends only like beta / p, so the limits are that
+    closed form."""
+    if spec.epsilon == 0.0:
+        v = np.tanh(np.broadcast_arrays(alpha, beta)[0])
+        return v[()], v[()]  # [()] makes one curve's 0-d limits scalars
+    p_inf = _P_SCALE / abs(spec.epsilon) + np.abs(beta)
     v = _velocity(parametric_trajectory_2d(spec, alpha, beta, np.multiply.outer(p_inf, (-1.0, 1.0))))
-    return v[..., 0][()], v[..., 1][()]  # [()] makes one curve's 0-d limits scalars
+    return v[..., 0][()], v[..., 1][()]
 
 
 def classical_limit_deviation(
@@ -259,6 +263,10 @@ def _check_epsilon(epsilon: float, mass: float, beta: float, field: str) -> None
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
+    # at epsilon = 0 the curve is a line and ignores the centres
+    if p["epsilon"] != 0.0 and not p["c_plus"] * p["c_minus"] < 0.0:
+        raise ConfigError("params.c_minus", f"the hyperbola centres need c_plus * c_minus < 0, "
+                          f"got {p['c_plus']!r} * {p['c_minus']!r}")
     _check_epsilon(p["epsilon"], p["mass"], p["beta"], "params.epsilon")
 
 
@@ -334,18 +342,20 @@ def _projection(p: Params) -> ArtifactData:
     return ArtifactData("projection", columns, summary)
 
 
-def minkowski2d_certificate(
-    epsilon: float,
-    seed: int,
-    n_points: int = CERT_POINTS,
-    mass: float = PARAMS["mass"].default,
-) -> list[CertCheck]:
+_CERT_THRESHOLDS = {"hyperbola_shape": 1e-12, "scattering_match": 1e-6, "scattering_odd": 1e-12}
+
+
+def _certificate_check(p: Params, field: str) -> None:
+    """The range ``run`` accepts, for the certificate grid's largest |beta|
+    (|epsilon| up to 344.9 at mass 1)."""
+    _check_epsilon(p["epsilon"], p["mass"], _CERT_BETA, field)
+
+
+def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     """Jacobi checks of the plane and shifted brackets, the hyperbola shape
-    law, and the scattering match/odd checks over a 5x5 curve grid.  An
-    epsilon outside the range ``run`` accepts for the grid's largest |beta|
-    (|epsilon| up to 344.9) is a ``ConfigError``."""
-    _check_epsilon(epsilon, mass, _CERT_BETA, "epsilon")
-    spec = Minkowski2DSpec(epsilon, mass)
+    law, and the scattering match/odd checks over a 5x5 curve grid."""
+    spec = _spec(p)
+    epsilon = spec.epsilon
     X1, X2 = scaling([0], 2), scaling([1], 2)
     shifted = add_bivectors(canonical_bivector(2), cotangent_wedge(epsilon, X1, X2))
     checks = [
@@ -353,32 +363,27 @@ def minkowski2d_certificate(
         jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
     ]
     if epsilon == 0.0:
-        thresholds = {"hyperbola_shape": 1e-12, "scattering_match": 1e-6, "scattering_odd": 1e-12}
         note = "vacuous at epsilon = 0"
-        return checks + [CertCheck(n, 0.0, t, True, note) for n, t in thresholds.items()]
+        return checks + [CertCheck(n, 0.0, t, True, note) for n, t in _CERT_THRESHOLDS.items()]
     grid = 1.0 + np.linspace(0.2, 3.0, 64)
     pts = hyperbola_curve(spec, 1.0, -1.0, grid)
     res = hyperbola_residual(spec, 1.0, -1.0, pts)
     # relative to the shape constant, which grows like epsilon^-2
-    res /= max(1.0, 1.0 / (epsilon * mass) ** 2)
+    res /= max(1.0, 1.0 / (epsilon * spec.mass) ** 2)
     match, odd = scattering_check(spec, np.linspace(-0.6, 0.6, 5), np.linspace(-_CERT_BETA, _CERT_BETA, 5))
-    return checks + [
-        threshold_check("hyperbola_shape", res, 1e-12),
-        threshold_check("scattering_match", match, 1e-6),
-        threshold_check("scattering_odd", odd, 1e-12),
-    ]
+    values = {"hyperbola_shape": res, "scattering_match": match, "scattering_odd": odd}
+    return checks + [threshold_check(n, v, _CERT_THRESHOLDS[n]) for n, v in values.items()]
 
 
 def _sweep_row(p: Params) -> dict:
     _, _, shape_res = _shape(p)
-    spec = _spec(p)
-    (v_in, v_out), _, mismatch, _ = _scattering_defects(spec, p["alpha"], p["beta"])
+    (v_in, v_out), _, mismatch, _ = _scattering_defects(_spec(p), p["alpha"], p["beta"])
     return {
         "classical_limit_dev": classical_limit_deviation(
             p["epsilon"], p["mass"], p["alpha"], p["beta"]
         ),
         "shape_residual": shape_res,
-        "scattering_dev": mismatch if spec.epsilon != 0.0 else 0.0,
+        "scattering_dev": mismatch,
         "v_in": v_in,
         "v_out": v_out,
     }
@@ -389,7 +394,7 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
-    certificate=lambda p, seed, n: minkowski2d_certificate(p["epsilon"], seed, n, p["mass"]),
-    certificate_check=lambda p: _check_epsilon(p["epsilon"], p["mass"], _CERT_BETA, "params.epsilon"),
+    certificate=_certificate,
+    certificate_check=_certificate_check,
     sweep_row=_sweep_row,
 )

@@ -85,17 +85,18 @@ class Model(NamedTuple):
 
     ``params`` is the schema; ``artifacts`` maps each output name to its
     builder; ``certificate`` takes (params, seed, n_points) and returns every
-    check of the model, and ``certificate_check`` raises its precondition as
-    a ``ConfigError`` naming ``params.epsilon``; ``sweep_row`` gives one row
-    of scalar observables for a sweep; ``check`` runs on fully defaulted,
-    per-field valid params and raises ``ConfigError`` for a bad combination.
+    check of the model, on params that have passed ``certificate_check``,
+    which takes (params, field) and raises the certificate's precondition as
+    a ``ConfigError`` naming ``field``; ``sweep_row`` gives one row of scalar
+    observables for a sweep; ``check`` runs on fully defaulted, per-field
+    valid params and raises ``ConfigError`` for a bad combination.
     """
 
     name: str
     params: Mapping[str, Param]
     artifacts: Mapping[str, Callable[[Params], ArtifactData]]
     certificate: Callable[[Params, int, int], list[CertCheck]]
-    certificate_check: Callable[[Params], None]
+    certificate_check: Callable[[Params, str], None]
     sweep_row: Callable[[Params], dict[str, Any]]
     check: Callable[[Params], None] = lambda p: None
 

@@ -35,9 +35,9 @@ import numpy as np
 
 from .bracket import BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
 from .errors import ConfigError, ContractViolation, NumericDomainError
-from .flow import StepControl, Trajectory, integrate_flow
+from .flow import _END_SLACK, StepControl, Trajectory, integrate_flow
 from .model import (
-    CERT_POINTS, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
+    LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
 )
 
@@ -679,6 +679,21 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
     return float(np.max(push, initial=0.0)), float(np.max(cas, initial=0.0))
 
 
+def energy_pipeline_deviation(traj: Trajectory, epsilon: float) -> float:
+    """Worst gap along a free-flow trajectory between the trace energy and
+    ``cosh(2 eps sqrt(2 h))`` of the classical energy ``h`` that
+    :func:`energy_relations` gives for the start's trace energy (the start's
+    own trace energy at ``eps = 0``); NaN and inf propagate."""
+    energy = free_hamiltonian_field()
+    h0 = float(energy(traj.points[0]))
+    if epsilon != 0.0:
+        target = energy_relations(epsilon, trace=h0)
+        expected = math.cosh(2.0 * epsilon * math.sqrt(2.0 * target.classical))
+    else:
+        expected = h0
+    return float(np.max([abs(float(energy(x)) - expected) for x in traj.points]))
+
+
 # ---------------------------------------------------------------------------
 # scenario record
 
@@ -733,6 +748,12 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _check(p: Params) -> None:
+    # integrate_flow steps while t < t_end - _END_SLACK max(1, t_end), which
+    # at t = 0 holds only for t_end above _END_SLACK; below, no step leaves
+    # no flow to diagnose
+    if not p["t_end"] > _END_SLACK:
+        raise ConfigError("params.t_end", f"must exceed {_END_SLACK:g}, the integrator's end "
+                          f"tolerance, or the flow takes no step; got {p['t_end']!r}")
     n = p["t_end"] / p["step"]
     if not n <= _MAX_SAMPLES:
         raise ConfigError("params.step", f"t_end / step = {n:.6g} samples, above the 2^21 a run may store")
@@ -794,14 +815,37 @@ def _trajectory(p: Params) -> ArtifactData:
     return ArtifactData("trajectory", columns, diag)
 
 
-def _check_certificate(epsilon: float, field: str) -> None:
+# The energy pipeline reads the start's squared Casimir radius from its trace
+# energy H as (H - 1) / (2 eps^2) (energy_relations), then the classical
+# energy r^2 / 2, which is at most half of it (asinh x <= x), and doubles that
+# back.  All of them are finite, with a factor 2 to spare for rounding, for
+# eps^2 >= (H - 1) / DBL_MAX.  eps^2 must also not round to 0, which it does
+# below 2^-537 (there even H = 1 divides 0 by 0).  Within that bound a
+# subnormal eps^2 rounds by at most 2^-1075, a relative 2^-1075 DBL_MAX /
+# (H - 1) ~ 4u / (H - 1) (u = 2^-53), which moves the pipeline's expected
+# energy 1 + (H - 1) by at most about 4u.
+def _least_epsilon(energy: float) -> float:
+    """The least |epsilon| != 0 at which the pipeline reads a start of trace
+    energy ``energy``."""
+    return math.sqrt(max((energy - 1.0) / sys.float_info.max, 5e-324))
+
+
+def _certificate_check(p: Params, field: str) -> None:
     """The certificate's domain: the momentum isomorphism's Casimir must not
-    overflow a float anywhere in the sampling cube."""
+    overflow a float anywhere in the sampling cube, and the energy pipeline
+    must read the start's energy."""
+    epsilon = p["epsilon"]
     exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
     if not exponent < LOG_SQRT_DBL_MAX:
         raise ConfigError(field, f"the momentum isomorphism overflows a float: |epsilon| r "
                           f"reaches {exponent:.6g} in the sampling cube, at or above "
                           f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
+    energy = free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
+    least = _least_epsilon(energy)
+    if epsilon != 0.0 and not abs(epsilon) >= least:
+        raise ConfigError(field, f"the energy pipeline reads the start's squared radius "
+                          f"(H - 1) / (2 epsilon^2) at H = {energy:.6g}, which needs "
+                          f"|epsilon| >= {least:.6g} (or epsilon = 0)")
 
 
 # The certificate's flow to t = 1 turns the unitary factor at the rate
@@ -821,37 +865,18 @@ def _certificate_step(epsilon: float, energy: float) -> float:
     return max(_CERT_STEP_MIN, _CERT_TURN / rate)
 
 
-def su2_certificate(
-    epsilon: float,
-    seed: int,
-    n_points: int = CERT_POINTS,
-    rho: float = PARAMS["rho"].default,
-    n_re: float = PARAMS["n_re"].default,
-    n_im: float = PARAMS["n_im"].default,
-) -> list[CertCheck]:
+def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     """Jacobi checks of the three shipped brackets, conservation along the
-    free flow from ``SB2Element(rho, n_re + i n_im)`` to t = 1, the energy
-    pipeline, the dual-path dynamics and the momentum isomorphism.  An
-    epsilon outside :func:`_check_certificate` is a ``ConfigError``, raised
-    before any check runs."""
-    _check_certificate(epsilon, "epsilon")
+    free flow from the configured start to t = 1, the energy pipeline, the
+    dual-path dynamics and the momentum isomorphism."""
+    epsilon = p["epsilon"]
     push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
 
     # conservation along the flow, against the closed-form solution (t = 1)
-    start = _start(rho, n_re, n_im)
+    start = _start(p["rho"], p["n_re"], p["n_im"])
     step = StepControl(h=_certificate_step(epsilon, free_energy(start.matrix)), tol=1e-8)
     traj, _ = free_flow(start, epsilon, 1.0, step=step)
     diag = flow_diagnostics(traj, epsilon)
-
-    # energy pipeline: trace energy stays pinned to its classical conversion
-    energy = free_hamiltonian_field()
-    h0 = float(energy(traj.points[0]))
-    if epsilon != 0.0:
-        target = energy_relations(epsilon, trace=h0)
-        expected = math.cosh(2.0 * epsilon * math.sqrt(2.0 * target.classical))
-    else:
-        expected = h0
-    pipeline = float(np.max([abs(float(energy(x)) - expected) for x in traj.points]))
 
     dual = dual_path_deviation(epsilon, n_points, seed + 3)
     return [
@@ -862,7 +887,7 @@ def su2_certificate(
         threshold_check("flow_momentum_drift", diag["b_factor_drift"], 1e-6),
         threshold_check("flow_body_velocity", diag["omega_deviation"], 1e-5),
         threshold_check("flow_closed_form_endpoint", diag["endpoint_deviation"], 1e-7),
-        threshold_check("energy_pipeline", pipeline, 1e-6),
+        threshold_check("energy_pipeline", energy_pipeline_deviation(traj, epsilon), 1e-6),
         threshold_check("dual_path_dynamics", dual, 1e-6),
         threshold_check("isomorphism_pushforward", push, 1e-5),
         threshold_check("isomorphism_casimir", cas, 1e-12),
@@ -885,9 +910,7 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory},
-    certificate=lambda p, seed, n: su2_certificate(
-        p["epsilon"], seed, n, p["rho"], p["n_re"], p["n_im"]
-    ),
-    certificate_check=lambda p: _check_certificate(p["epsilon"], "params.epsilon"),
+    certificate=_certificate,
+    certificate_check=_certificate_check,
     sweep_row=_sweep_row,
 )

@@ -27,11 +27,11 @@ from poismech.su2 import (
     SB2Element,
     SL2CElement,
     dual_path_deviation,
+    energy_pipeline_deviation,
     energy_relations,
     flow_diagnostics,
     flow_rhs,
     free_flow,
-    free_hamiltonian_field,
     isomorphism_deviation,
     linear_momentum_bivector,
     momentum_bivector,
@@ -104,11 +104,7 @@ def test_criterion_04_energy_relations_and_pipeline(reference_flow):
         for kwargs in ({"trace": er.trace}, {"radius2": er.radius2}):
             assert abs(energy_relations(EPS, **kwargs).classical - h0) < 1e-12
 
-    H = free_hamiltonian_field()
-    h_start = energy_relations(EPS, trace=H(reference_flow.points[0])).classical
-    expected = np.cosh(2.0 * EPS * np.sqrt(2.0 * h_start))
-    worst = max(abs(H(p) - expected) for p in reference_flow.points)
-    assert worst < 1e-6
+    assert energy_pipeline_deviation(reference_flow, EPS) < 1e-6
 
 
 def test_criterion_05_momentum_isomorphism():

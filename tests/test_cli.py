@@ -17,11 +17,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poismech import cli, kappa, su2
+from poismech import cli, kappa, minkowski2d, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
 from poismech.minkowski2d import _T_END_MAX
-from poismech.model import INT, LOG_SQRT_DBL_MAX, ArtifactData
+from poismech.model import CERT_POINTS, INT, LOG_SQRT_DBL_MAX, ArtifactData
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -413,12 +413,23 @@ def test_sweep_over_epsilon_includes_flat_baseline(tmp_path):
     assert devs[2] / devs[1] == pytest.approx(4.0, rel=0.05)
 
 
-def test_sweep_marks_failed_rows_and_continues(tmp_path):
+def test_sweep_marks_failed_rows_and_continues(tmp_path, monkeypatch):
+    """A row whose model fails while it runs (an error injected into the
+    shape read at c_plus 2; validation cannot foresee it) is marked failed,
+    and the other rows are still written."""
+    shape = minkowski2d._shape
+
+    def failing(p):
+        if p["c_plus"] == 2.0:
+            raise ContractViolation("injected failure")
+        return shape(p)
+
+    monkeypatch.setattr(minkowski2d, "_shape", failing)
     cfg = write_cfg(tmp_path, {"model": "minkowski2d",
                                "params": {"epsilon": 0.2}, "outputs": []})
     out = tmp_path / "sweep"
     rc = main(["sweep", str(cfg), "--param", "c_plus",
-               "--values", "1.0,-1.0", "--out", str(out)])
+               "--values", "1.0,2.0", "--out", str(out)])
     assert rc != 0
     lines = (out / "sweep.csv").read_text().splitlines()
     rows = [ln.split(",") for ln in lines[1:]]
@@ -1077,3 +1088,129 @@ def test_run_on_schema_drawn_configs_exits_cleanly(drawn, fmt):
         path = Path(tmp) / "scenario.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert main(["run", str(path), "--out", str(Path(tmp) / "out"), "--format", fmt]) in (0, 1, 2)
+
+
+# --- one certificate path ------------------------------------------------------
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, -0.3])
+def test_certify_gives_the_checks_of_run_at_the_schema_defaults(tmp_path, model, epsilon):
+    """cli.certify at CERT_POINTS and the certificate artifact of run at the
+    schema defaults, with the same epsilon and seed, hold the same checks."""
+    seed = 3
+    checks = cli.certify(model, epsilon, seed, CERT_POINTS)
+    cfg = write_cfg(tmp_path, {"model": model, "params": {"epsilon": epsilon},
+                               "outputs": ["certificate"], "seed": seed})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    artifact = json.loads((out / "certificate.json").read_text())
+    assert artifact["columns"] == ["check", "value", "threshold", "status", "note"]
+    assert artifact["rows"] == [[c.name, c.value, c.threshold, "pass" if c.passed else "fail", c.note]
+                                for c in checks]
+
+
+def test_certify_out_writes_the_manifest_of_run(tmp_path):
+    """certify --out lists its artifact and summary in a manifest of the same
+    layout as run's, recording the certify arguments as its config."""
+    out = tmp_path / "cert"
+    assert main(["certify", "su2", "--epsilon", "0.2", "--points", "3", "--out", str(out),
+                 "--format", "json"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"model": "su2", "epsilon": 0.2, "seed": 0, "points": 3}
+    assert manifest["files"] == ["certificate.json", "manifest.json"]
+    assert manifest["artifacts"]["certificate"]["files"] == ["certificate.json"]
+    assert manifest["certificates_passed"] is True
+    summary = json.loads((out / "certificate.json").read_text())["summary"]
+    assert manifest["artifacts"]["certificate"]["summary"] == summary
+
+
+# the default start's trace energy, and the least |epsilon| its pipeline reads
+_SU2_START_H = su2.free_energy(su2._start(1.4, 0.3, 0.2).matrix)
+_SU2_LEAST_EPS = su2._least_epsilon(_SU2_START_H)
+
+
+@pytest.mark.parametrize("epsilon", [1e-162, 1e-155, -1e-155])
+def test_su2_epsilon_below_the_energy_pipeline_bound_is_config_error(tmp_path, capsys, epsilon):
+    """energy_relations reads the start's squared radius as (H - 1) / (2 eps^2):
+    at 1e-162 eps^2 was 0 and certify exited 1 on a division by zero, at
+    1e-155 the radius overflowed and energy_pipeline FAILed with inf.  Both
+    are config errors naming epsilon (certify) or params.epsilon (run)."""
+    assert 4e-155 < _SU2_LEAST_EPS < 5e-155
+    out = tmp_path / "out"
+    assert main(["certify", "su2", f"--epsilon={epsilon!r}", "--points", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: epsilon: the energy pipeline")
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": epsilon},
+                               "outputs": ["certificate"]})
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.epsilon: the energy pipeline")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start", [(1.4, 0.3, 0.2), (1.0, 0.0, 0.0)])
+def test_su2_certificate_passes_just_inside_the_energy_pipeline_bound(start):
+    """At the least |epsilon| (2^-537 for a unitary start, where H - 1 = 0)
+    and one float below it, the certificate PASSes and refuses."""
+    params = {**cli._DEFAULTS["su2"], **dict(zip(("rho", "n_re", "n_im"), start))}
+    least = su2._least_epsilon(su2.free_energy(su2._start(*start).matrix))
+    for epsilon in (least, -least):
+        checks = su2.MODEL.certificate({**params, "epsilon": epsilon}, 0, 2)
+        assert all(c.passed for c in checks), epsilon
+        with pytest.raises(ConfigError, match=r"^epsilon: "):
+            su2.MODEL.certificate_check({**params, "epsilon": math.nextafter(epsilon, 0.0)}, "epsilon")
+    su2.MODEL.certificate_check({**params, "epsilon": 0.0}, "epsilon")
+
+
+@pytest.mark.parametrize("t_end", [1.0e-15, 5.0e-16, 1.0e-300])
+def test_su2_t_end_at_or_below_the_end_tolerance_is_config_error(tmp_path, capsys, t_end):
+    """integrate_flow ends once t is within 1e-15 max(1, t_end) of t_end, so
+    at t_end <= 1e-15 it took no step and flow_diagnostics raised ValueError
+    on the empty flow; run and sweep name params.t_end and write nothing."""
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "t_end": t_end},
+                               "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.t_end:")
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2}, "outputs": []})
+    assert main(["sweep", str(cfg), "--param", "t_end", "--values", f"0.5,{t_end!r}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.t_end:")
+    assert not out.exists()
+    above = math.nextafter(1e-15, 1.0)
+    p = validate_config({"model": "su2", "params": {"epsilon": 0.2, "t_end": above}}).params
+    assert MODELS["su2"].artifacts["trajectory"](p).columns["t"].tolist() == [0.0, above]
+
+
+@pytest.mark.parametrize("centres", [(1.0, 1.0), (-1.0, -2.0), (0.0, -1.0), (1.0, 0.0)])
+def test_minkowski2d_hyperbola_centres_on_one_side_are_config_error(tmp_path, capsys, centres):
+    """c_plus c_minus >= 0 at epsilon != 0 exited 1 with a contract error from
+    the hyperbola; it names params.c_minus and exits 2.  At epsilon 0 the
+    curve is a line that ignores the centres, and the same config runs."""
+    c_plus, c_minus = centres
+    params = {"epsilon": 0.2, "c_plus": c_plus, "c_minus": c_minus}
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": params, "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.c_minus:")
+    assert not out.exists()
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {**params, "epsilon": 0.0},
+                               "outputs": ["trajectory"]})
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+
+def test_minkowski2d_scattering_at_epsilon_0_is_the_closed_form(tmp_path):
+    """At epsilon 0 the line's velocity tends to tanh(alpha) only like beta / p;
+    read at p = -+(40 + |beta|) it was 0.0222 off.  The run summary and the
+    sweep row now read the limits to rounding."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.0},
+                               "outputs": ["scattering"]})
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    summary = json.loads((out / "scattering.json").read_text())["summary"]
+    assert summary["closed_vs_numeric"] <= 1e-15
+    assert summary["v_in_numeric"] == pytest.approx(math.tanh(0.3), abs=1e-15)
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", "epsilon", "--values", "0,0.2",
+                 "--out", str(sweep), "--format", "json"]) == 0
+    table = json.loads((sweep / "sweep.json").read_text())
+    i_dev = table["columns"].index("scattering_dev")
+    assert table["rows"][0][i_dev] <= 1e-15

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poismech import minkowski2d
+from poismech import cli, minkowski2d
 from poismech.errors import ConfigError, ContractViolation
 from poismech.fitting import collinearity_residual
 from poismech.minkowski2d import (
@@ -188,7 +188,7 @@ def test_nan_in_one_grid_curve_fails_both_scattering_checks(monkeypatch):
         return v
 
     monkeypatch.setattr(minkowski2d, "_velocity", one_nan)
-    checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(0.3, 0, 4)}
+    checks = {c.name: c for c in cli.minkowski2d_certificate(0.3, 0, 4)}
     assert calls[0] == (5, 5, 2)
     for name in ("scattering_match", "scattering_odd"):
         assert math.isnan(checks[name].value) and not checks[name].passed
@@ -216,12 +216,12 @@ def test_certificate_epsilon_bound_is_sharp_to_one_float():
     for eps in (_CERT_EPS_MAX, -_CERT_EPS_MAX):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(eps, 0, 1)}
+            checks = {c.name: c for c in cli.minkowski2d_certificate(eps, 0, 1)}
         assert checks["scattering_match"].value < 1e-15
         assert checks["scattering_odd"].value == 0.0
     for eps in (math.nextafter(_CERT_EPS_MAX, math.inf), math.nextafter(-_CERT_EPS_MAX, -math.inf)):
         with pytest.raises(ConfigError, match=r"^epsilon: "):
-            minkowski2d.minkowski2d_certificate(eps, 0, 1)
+            cli.minkowski2d_certificate(eps, 0, 1)
 
 
 # every epsilon certify accepts at mass 1, with 10 <= |eps| <= 300 drawn on its own
@@ -235,6 +235,6 @@ _CERT_EPSILONS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(eps=_CERT_EPSILONS)
 def test_scattering_checks_pass_across_the_certificate_domain(eps):
-    checks = {c.name: c for c in minkowski2d.minkowski2d_certificate(eps, 0, 1)}
+    checks = {c.name: c for c in cli.minkowski2d_certificate(eps, 0, 1)}
     assert checks["scattering_match"].value < 1e-6
     assert checks["scattering_odd"].value < 1e-12

@@ -11,7 +11,8 @@ from poismech import bracket
 from poismech.bracket import jacobi_certificate
 from poismech.errors import ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
-from poismech import su2
+from poismech import cli, su2
+from poismech.model import CERT_POINTS
 from poismech.su2 import (
     SB2Element,
     SL2CElement,
@@ -353,7 +354,7 @@ def test_body_velocity_fails_a_flow_at_the_wrong_speed(epsilon):
     """A flow integrated at eps (1 + 1e-4) and diagnosed at eps turns 1e-4
     too fast; the body velocity sees that at the certificate's step and at
     1e-3 alike, above the certificate's threshold."""
-    threshold = next(c.threshold for c in su2.su2_certificate(epsilon, 0, 1)
+    threshold = next(c.threshold for c in cli.su2_certificate(epsilon, 0, 1)
                      if c.name == "flow_body_velocity")
     for h in (su2._certificate_step(epsilon, CERT_H), 1e-3):
         traj, _ = free_flow(CERT_START, epsilon * (1 + 1e-4), 1.0, StepControl(h=h, tol=1e-8))
@@ -370,7 +371,7 @@ def _certificate_steps(monkeypatch, epsilon):
         return traj, n_renorm
 
     monkeypatch.setattr(su2, "free_flow", counting)
-    checks = su2.su2_certificate(epsilon, 0, 1)
+    checks = cli.su2_certificate(epsilon, 0, 1)
     (n_steps,) = steps
     return n_steps, {c.name: c for c in checks}
 
@@ -557,7 +558,7 @@ def test_certificate_structure_checks_pass_at_epsilon_5(seed):
     """The complex-step derivative has no step to trade against eps: at
     eps 5 the group bracket's Jacobi check and the momentum isomorphism's
     pushforward PASS."""
-    checks = {c.name: c for c in su2.su2_certificate(5.0, seed)}
+    checks = {c.name: c for c in cli.su2_certificate(5.0, seed, CERT_POINTS)}
     assert checks["jacobi_group"].passed
     assert checks["isomorphism_pushforward"].passed
 
