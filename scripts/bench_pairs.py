@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Paired before/after benchmark runs, written as one BENCH_<tag>.json.
+
+    python scripts/bench_pairs.py --base HEAD~1 --seed 71 --out BENCH_x.json
+
+For each workload that ``BENCHMARK.json`` lists, the script runs
+``perfbench/run.py`` for that file's ``run_seconds`` in ``PAIRS`` pairs, once
+on a copy of the base revision and once on the working tree, and swaps which
+side runs first from one pair to the next, so a drift of the machine falls
+on both sides alike.  The base revision is exported with ``git archive`` into a
+temporary directory, which leaves no worktree registered in the repository.
+
+The file records both revisions, the machine, the Python and numpy versions,
+every run's last JSON line, and per side and workload the median and
+quartiles of each end-to-end metric that ``BENCHMARK.json`` names.  For each
+metric it also counts the pairs the working tree wins and compares the gap
+of the medians with the base's interquartile range.  Nothing under
+``perfbench/`` is changed.
+"""
+import argparse
+import importlib.metadata
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10  # alternating pairs per workload
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of ``rev`` under ``dest``, as ``git archive`` writes them."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as members:
+        members.extractall(dest, filter="data")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run from ``root``; its last line of output, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def compare(base: list[dict], head: list[dict], metric: str, better: str) -> dict:
+    """Per metric: the quartiles of each side, the pairs the working tree
+    wins, and whether its median beats the base's by more than the base's
+    interquartile range."""
+    b = [r["metrics"][metric]["value"] for r in base]
+    h = [r["metrics"][metric]["value"] for r in head]
+    sign = 1.0 if better == "lower" else -1.0
+    qb, qh = quartiles(b), quartiles(h)
+    gain = sign * (qb["median"] - qh["median"])
+    return {
+        "base": qb,
+        "head": qh,
+        "head_wins": sum(sign * (x - y) > 0 for x, y in zip(b, h)),
+        "pairs": len(b),
+        "median_change": qh["median"] / qb["median"] - 1.0 if qb["median"] else None,
+        "beats_base_iqr": gain > qb["q3"] - qb["q1"],
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", default="HEAD", help="revision to compare the working tree with")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", required=True, help="the BENCH_<tag>.json to write")
+    args = ap.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    record = {
+        "base": {"rev": args.base, "sha": git("rev-parse", args.base)},
+        "head": {"sha": git("rev-parse", "HEAD"), "working_tree_changes": dirty},
+        "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                    "processor": platform.processor(), "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "seed": args.seed,
+        "seconds": seconds,
+        "pairs": PAIRS,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base_root = Path(tmp) / "base"
+        export(args.base, base_root)
+        sides = {"base": base_root, "head": ROOT}
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs: dict[str, list] = {"base": [], "head": []}
+            for i in range(PAIRS):
+                for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+                print(f"{workload} pair {i + 1}/{PAIRS}: wall_s base "
+                      f"{runs['base'][-1]['metrics']['wall_s']['value']:.4f} head "
+                      f"{runs['head'][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
+            record["workloads"][workload] = {
+                "first": ["base" if i % 2 == 0 else "head" for i in range(PAIRS)],
+                "runs": runs,
+                "metrics": {m: compare(runs["base"], runs["head"], m, better)
+                            for m, better in metrics.items()},
+            }
+    Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,10 +11,18 @@ with the analytic gradient every scalar field carries.  The Jacobi identity
 
     J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic,
 
-built from one P and one dP per point.  Every derivative a certificate takes
-is the complex step d_l F(x) = Im F(x + i h e_l) / h (Squire-Trapp, SIAM
-Review 1998): it subtracts nothing, so it has no step to tune, and bivectors
-accept complex points for it.  The global dynamical sign convention is
+built from one P and one dP per chunk of points.  Every derivative a
+certificate takes is the complex step d_l F(x) = Im F(x + i h e_l) / h
+(Squire-Trapp, SIAM Review 1998): it subtracts nothing, so it has no step to
+tune, and bivectors accept complex points for it.
+
+P is evaluated on a stack: BivectorSpec.matrix takes real or complex points
+(..., n) and returns (..., n, n), and at one point (n,) it returns (n, n);
+a dense form that returns any other shape is a ContractViolation.  A
+component callable receives the coordinate-leading view
+np.moveaxis(x, -1, 0), so x[a] is coordinate a of every point and a scalar
+return broadcasts; at one point that view is x itself.  The global dynamical
+sign convention is
 
     xdot = {H, x},
 
@@ -22,7 +30,6 @@ which every flow in the package inherits.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -42,6 +49,11 @@ __all__ = [
 ]
 
 _CS_STEP = 1e-30  # far below sqrt(u) |x|: its O(h^2) error is below rounding
+
+# A certificate takes its points in chunks whose complex-step dP, n**3
+# complex128 entries per point, holds at most this many bytes; a chunk has at
+# least one point, so at dim 64 it is one point of 4 MiB.
+_CHUNK_BYTES = 2**22
 
 
 def _complex_step(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
@@ -80,8 +92,13 @@ class BivectorSpec:
 
     ``components`` maps (i, j) with i < j to a callable x -> pi^{ij}(x);
     missing pairs are identically zero.  ``dense`` instead returns the full
-    antisymmetric n x n matrix in one call.  Every reader goes through
-    :meth:`matrix`.
+    antisymmetric matrix in one call.  Every reader goes through
+    :meth:`matrix`, which takes one point (n,) or a stack (..., n), real or
+    complex.  ``dense`` receives that array and must return (..., n, n); any
+    other shape is a ContractViolation.  A component callable receives the
+    coordinate-leading view ``np.moveaxis(x, -1, 0)``, so ``x[a]`` reads
+    coordinate a of every point and a scalar return broadcasts; at one point
+    it receives x itself.
     """
 
     dim: int
@@ -103,15 +120,21 @@ class BivectorSpec:
                 raise ContractViolation(f"component key {(i, j)} must satisfy 0 <= i < j < dim")
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Full antisymmetric matrix P(x), P[i, j] = {x^i, x^j}(x); complex at complex x."""
+        """Full antisymmetric matrices P(x), P[..., i, j] = {x^i, x^j}(x), of
+        the points x (..., n); complex at complex x."""
         x = np.asarray(x)
         if self.dense is not None:
-            return np.asarray(self.dense(x))
-        P = np.zeros((self.dim, self.dim), dtype=np.result_type(x, float))
+            P = np.asarray(self.dense(x))
+            if P.shape != x.shape[:-1] + (self.dim, self.dim):
+                raise ContractViolation(f"dense returned shape {P.shape} for points of shape "
+                                        f"{x.shape}; it must be (..., {self.dim}, {self.dim})")
+            return P
+        P = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=np.result_type(x, float))
+        coords = x if x.ndim == 1 else np.moveaxis(x, -1, 0)
         for (i, j), fn in self.components.items():
-            v = fn(x)
-            P[i, j] = v
-            P[j, i] = -v
+            v = fn(coords)
+            P[..., i, j] = v
+            P[..., j, i] = -v
         return P
 
 
@@ -148,16 +171,20 @@ def hamiltonian_vector_field(biv: BivectorSpec, H: ScalarField, x: np.ndarray) -
 
 
 def _jacobi_terms(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
-    """T[a, b, c] = sum_l pi^{al}(x) d_l pi^{bc}(x) from a complex-step dP, as
-    one contraction over l, so a non-finite P makes T non-finite."""
+    """T[..., a, b, c] = sum_l pi^{al}(x) d_l pi^{bc}(x) at the points x
+    (..., n), from one P and one complex-step dP, whose matrix call takes the
+    n shifted copies of every point at once.  One contraction over l, so a
+    non-finite P makes T non-finite."""
     P = biv.matrix(x)
-    dP = _complex_step(biv.matrix, x)
-    return np.einsum("al,lbc->abc", P, dP)
+    shifted = x[..., None, :] + 1j * _CS_STEP * np.eye(biv.dim)
+    dP = np.imag(biv.matrix(shifted)) / _CS_STEP
+    return np.einsum("...al,...lbc->...abc", P, dP)
 
 
 def _cyclic(T: np.ndarray, i, j, k):
-    """Jacobiator J^{ijk} = T[i,j,k] + T[j,k,i] + T[k,i,j]; indices may be arrays."""
-    return T[i, j, k] + T[j, k, i] + T[k, i, j]
+    """Jacobiator J^{ijk} = T[i,j,k] + T[j,k,i] + T[k,i,j] over the last three
+    axes; indices may be arrays."""
+    return T[..., i, j, k] + T[..., j, k, i] + T[..., k, i, j]
 
 
 @dataclass(frozen=True)
@@ -184,25 +211,28 @@ def jacobi_certificate(
     box: tuple[float, float] = (0.0, 1.0),
 ) -> JacobiCertificate:
     """Check the Jacobi identity at seeded uniform random points of a box,
-    over every coordinate triple, from one P and one dP per point.  A
-    non-finite residual at any point makes ``max_residual`` non-finite and
-    the certificate fail.
+    over every coordinate triple, from one P and one dP per chunk of points
+    (see ``_CHUNK_BYTES``).  A non-finite residual at any point makes
+    ``max_residual`` non-finite and the certificate fail.
 
     Charts of dimension < 3 have no triple and certify vacuously.
     """
-    triples = list(itertools.combinations(range(biv.dim), 3))
-    if not triples:
+    # every triple i < j < k, as three index arrays rather than a list of tuples
+    t = np.arange(biv.dim)
+    i, j, k = np.nonzero((t[:, None, None] < t[:, None]) & (t[:, None] < t))
+    if not i.size:
         return JacobiCertificate(biv.dim, 0, 0, 0.0, threshold, vacuous=True)
     rng = np.random.default_rng(seed)
     lo, hi = box
-    i, j, k = np.array(triples).T
+    chunk = max(1, _CHUNK_BYTES // (16 * biv.dim**3))
     peaks = []
-    for _ in range(n_points):
-        x = rng.uniform(lo, hi, size=biv.dim)
+    for start in range(0, n_points, chunk):
+        # one draw per chunk continues the same stream as one draw per point
+        x = rng.uniform(lo, hi, size=(min(chunk, n_points - start), biv.dim))
         peaks.append(np.max(np.abs(_cyclic(_jacobi_terms(biv, x), i, j, k))))
     # np.max propagates NaN, so one non-finite residual fails the certificate
     worst = float(np.max(peaks, initial=0.0))
-    return JacobiCertificate(biv.dim, n_points, len(triples), worst, threshold, vacuous=False)
+    return JacobiCertificate(biv.dim, n_points, i.size, worst, threshold, vacuous=False)
 
 
 def pushforward_bivector(

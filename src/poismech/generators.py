@@ -107,7 +107,7 @@ def wedge_bivector(
     coord_names: tuple[str, ...],
 ) -> BivectorSpec:
     """The bivector epsilon * X1 ^ X2:
-    pi^{ij}(x) = epsilon * (X1^i X2^j - X1^j X2^i)(x)."""
+    pi^{ij}(x) = epsilon * (X1^i X2^j - X1^j X2^i)(x), at one point or a stack."""
     dim = X1.dim
     if X2.dim != dim or len(coord_names) != dim:
         raise ContractViolation("wedge bivector dims disagree")
@@ -115,7 +115,12 @@ def wedge_bivector(
     def dense(x: np.ndarray) -> np.ndarray:
         v1 = X1.value(x)
         v2 = X2.value(x)
-        return epsilon * (np.outer(v1, v2) - np.outer(v2, v1))
+        # epsilon * (v1 v2^T - v2 v1^T) at each point, built in place so a
+        # stack holds two of its (..., n, n) arrays at once, not four
+        out = v1[..., :, None] * v2[..., None, :]
+        out -= v2[..., :, None] * v1[..., None, :]
+        out *= epsilon
+        return out
 
     return BivectorSpec(dim, coord_names, dense=dense)
 

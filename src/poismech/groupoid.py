@@ -70,13 +70,19 @@ def _phase_names(n: int) -> tuple[str, ...]:
 def canonical_bivector(n: int) -> BivectorSpec:
     """The cotangent-bundle structure on the 2n-chart (x, p):
     {x^i, p_j} = delta^i_j, all other coordinate brackets zero.  P is one
-    constant read-only matrix, returned at every point."""
+    constant read-only matrix, returned itself at one point and as a
+    read-only broadcast over a stack."""
     i = np.arange(n)
     P = np.zeros((2 * n, 2 * n))
     P[i, n + i] = 1.0
     P[n + i, i] = -1.0
     P.setflags(write=False)
-    return BivectorSpec(2 * n, _phase_names(n), dense=lambda x: P)
+
+    def dense(x: np.ndarray) -> np.ndarray:
+        # the flow's one-point calls skip broadcast_to, which costs them time
+        return P if x.ndim == 1 else np.broadcast_to(P, x.shape[:-1] + P.shape)
+
+    return BivectorSpec(2 * n, _phase_names(n), dense=dense)
 
 
 def cotangent_wedge(epsilon: float, gen_a: GeneratorField, gen_b: GeneratorField) -> BivectorSpec:

@@ -67,6 +67,19 @@ _P_SCALE = 40.0
 _EPS_BETA_MAX = math.log(sys.float_info.max) - _P_SCALE / 2.0
 _CERT_BETA = 2.0  # largest |beta| of the certificate's curve grid
 
+# The scattering artifact evaluates q+ = e^alpha g(p) / m and
+# q- = e^-alpha g(p - beta) / m over linspace(p_min, p_max), with
+# g(r) = sinh(eps r / 2) / (eps / 2) (g(r) = r at eps = 0), then q+ - q- and
+# q+ + q- in _velocity.  |g(r)| grows with |r|, so its largest value on the
+# grid is at an end.  Keeping |g| / m within DBL_MAX / 4 keeps |q+-| below
+# DBL_MAX / 2 up to |alpha| = ln 2 (the default 0.3 included), and their sum
+# and difference finite; a larger |alpha| scales the whole curve by
+# e^|alpha| and is left to the writers' check for infinities.
+_CURVE_MAX = sys.float_info.max / 4.0
+
+# The hyperbola trajectory samples x+ = c+ + linspace(0.2, 3.0, n_samples).
+_HYPERBOLA_OFFSETS = (0.2, 3.0)
+
 
 @dataclass(frozen=True)
 class Minkowski2DSpec:
@@ -260,6 +273,27 @@ def _check_epsilon(epsilon: float, mass: float, beta: float, field: str) -> None
                           f"{_EPS_BETA_MAX:.6g}, or the numeric scattering limits overflow")
 
 
+def _check_curve(p: Params) -> None:
+    """Raise a ``ConfigError`` unless the scattering curve stays within
+    ``_CURVE_MAX`` over the p grid at alpha = 0.  It names the field furthest
+    past its scale: |epsilon| against 1, 1/mass against 1, and p_min, p_max
+    and beta against their defaults.  Like ``_check_epsilon`` it bounds
+    every config, whichever outputs it asks for."""
+    ends = np.array([p["p_min"], p["p_max"]])
+    with np.errstate(over="ignore"):
+        r = np.concatenate([ends, ends - p["beta"]])
+        e = p["epsilon"]
+        g = r if e == 0.0 else np.sinh(e * r / 2.0) / (e / 2.0)
+        worst = float(np.max(np.abs(g)) / p["mass"])
+    if not worst <= _CURVE_MAX:
+        factors = {"epsilon": abs(e), "mass": 1.0 / p["mass"],
+                   **{k: abs(p[k] / PARAMS[k].default) for k in ("p_min", "p_max", "beta")}}
+        raise ConfigError(f"params.{max(factors, key=factors.get)}",
+                          f"the scattering curve over [p_min, p_max] reaches |q| = {worst:.6g} "
+                          f"at alpha = 0, above DBL_MAX / 4 = {_CURVE_MAX:.6g}: q+ and q- "
+                          "or their sum in the velocity overflow")
+
+
 def _check(p: Params) -> None:
     if p["p_max"] <= p["p_min"]:
         raise ConfigError("params.p_max", "must exceed p_min")
@@ -267,7 +301,18 @@ def _check(p: Params) -> None:
     if p["epsilon"] != 0.0 and not p["c_plus"] * p["c_minus"] < 0.0:
         raise ConfigError("params.c_minus", f"the hyperbola centres need c_plus * c_minus < 0, "
                           f"got {p['c_plus']!r} * {p['c_minus']!r}")
+    # the floats at the hyperbola's x+ samples must be no coarser than the
+    # grid's spacing or its gap from the asymptote x+ = c+, or samples merge
+    # and the nearest one can round onto the asymptote
+    lo, hi = _HYPERBOLA_OFFSETS
+    spacing = min(lo, (hi - lo) / (p["n_samples"] - 1))
+    if p["epsilon"] != 0.0 and not math.ulp(abs(p["c_plus"]) + hi) <= spacing:
+        raise ConfigError("params.c_plus", f"the floats near c_plus = {p['c_plus']!r} are "
+                          f"{math.ulp(abs(p['c_plus']) + hi):.6g} apart, coarser than the "
+                          f"{spacing:.6g} between the trajectory's samples of x+ - c_plus "
+                          f"in [{lo:g}, {hi:g}]")
     _check_epsilon(p["epsilon"], p["mass"], p["beta"], "params.epsilon")
+    _check_curve(p)
 
 
 def _spec(p: Params) -> Minkowski2DSpec:
@@ -278,7 +323,7 @@ def _shape(p: Params) -> tuple[np.ndarray, str, float]:
     """Configuration-space curve samples + (kind, closed-form residual)."""
     spec = _spec(p)
     if spec.epsilon != 0.0:
-        grid = p["c_plus"] + np.linspace(0.2, 3.0, p["n_samples"])
+        grid = p["c_plus"] + np.linspace(*_HYPERBOLA_OFFSETS, p["n_samples"])
         pts = hyperbola_curve(spec, p["c_plus"], p["c_minus"], grid)
         return pts, "hyperbola", hyperbola_residual(spec, p["c_plus"], p["c_minus"], pts)
     p_grid = np.linspace(p["p_min"], p["p_max"], p["n_samples"])

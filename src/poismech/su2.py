@@ -255,13 +255,14 @@ def _unit_upper(x: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _sl2c_coefficients() -> np.ndarray:
-    """Constant 64x64 matrix ``C`` with ``P(x) = eps * (C @ vec(x x^T))``
-    on the strict upper triangle of ``P`` (lower rows are zero).
+    """Constant 64x64 matrix ``A`` with ``vec(P(x)) = eps * (A @ vec(x x^T))``.
 
-    ``P`` is homogeneous quadratic in ``x`` and linear in ``eps``, so ``C``
-    is the polarization ``(U(e_p + e_q) - U(e_p - e_q)) / 4`` of the table
-    formula ``U`` at ``eps = 1``; the ``+/-`` pairing makes every
-    coefficient an exact multiple of 1/4.
+    ``P`` is homogeneous quadratic in ``x`` and linear in ``eps``, so the
+    strict upper triangle has the coefficients ``C``, the polarization
+    ``(U(e_p + e_q) - U(e_p - e_q)) / 4`` of the table formula ``U`` at
+    ``eps = 1``; the ``+/-`` pairing makes every coefficient an exact
+    multiple of 1/4.  ``A`` is ``C`` minus ``C`` with its two output indices
+    swapped, so ``P`` comes out exactly antisymmetric from one product.
     """
     eye = np.eye(8)
     coeff = np.zeros((8, 8, 8, 8))
@@ -269,7 +270,7 @@ def _sl2c_coefficients() -> np.ndarray:
         for q in range(8):
             plus, minus = _unit_upper(eye[p] + eye[q]), _unit_upper(eye[p] - eye[q])
             coeff[:, :, p, q] = 0.25 * (plus - minus)
-    coeff = coeff.reshape(64, 64)
+    coeff = (coeff - coeff.transpose(1, 0, 2, 3)).reshape(64, 64)
     coeff.setflags(write=False)  # one cached array serves every bivector
     return coeff
 
@@ -279,15 +280,18 @@ def sl2c_bivector(epsilon: float) -> BivectorSpec:
 
     Satisfies the Jacobi identity identically on the ambient chart (not just
     on the unit-determinant slice), so certificates sampled from a box are
-    meaningful.  ``P(x)`` is one product with the polarized coefficient
-    matrix; subtracting the transpose of its upper triangle makes it
-    exactly antisymmetric.
+    meaningful.  ``P(x)`` is one matrix-vector product per point with the
+    polarized, antisymmetrized coefficient matrix, so a point has the same
+    bits alone as in a stack.  The coefficients carry the sign of ``eps``
+    and the product is scaled by ``|eps|``, so the zeros of ``P`` are +0.0
+    at either sign.
     """
-    coeff = _sl2c_coefficients()
+    coeff = _sl2c_coefficients() if epsilon >= 0 else -_sl2c_coefficients()
+    scale = abs(epsilon)
 
     def dense(x: np.ndarray) -> np.ndarray:
-        upper = epsilon * (coeff @ (x[:, None] * x).ravel()).reshape(8, 8)
-        return upper - upper.T
+        quad = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (64, 1))
+        return scale * (coeff @ quad).reshape(x.shape[:-1] + (8, 8))
 
     return BivectorSpec(dim=8, coord_names=GROUP_COORD_NAMES, dense=dense)
 
@@ -329,8 +333,13 @@ def legendre_velocity(b_part: SB2Element, epsilon: float) -> np.ndarray:
 
 
 def _sinhc(u):
-    """``sinh(u) / u`` for real or complex ``u``, continued by its limit 1 at
-    ``u = 0``; ``sinh(eps x) / eps`` is ``x * _sinhc(eps x)`` at every eps."""
+    """``sinh(u) / u`` for a real or complex number or array ``u``, continued
+    by its limit 1 at ``u = 0``; ``sinh(eps x) / eps`` is ``x * _sinhc(eps x)``
+    at every eps."""
+    if np.ndim(u):
+        u = np.asarray(u)
+        out = np.ones(u.shape, np.result_type(u, float))
+        return np.divide(np.sinh(u), u, out=out, where=u != 0)
     if u == 0:
         return 1.0
     return (cmath.sinh(u) if isinstance(u, complex) else math.sinh(u)) / u

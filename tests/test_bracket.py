@@ -167,6 +167,12 @@ def test_jacobi_certificate_fails_on_non_finite_residual(bad_value):
 def _witness_4d(coeff, a, b, c):
     """coeff * (x_a d_a ^ d_b + d_c ^ d_a) on a 4-chart: its Jacobiator is
     coeff**2 on (a, b, c) and zero on every triple holding the fourth index."""
+    return _components_witness(("w", "x", "y", "z"), coeff, a, b, c)
+
+
+def _components_witness(names, coeff, a, b, c):
+    """coeff * (x_a d_a ^ d_b + d_c ^ d_a) in the components form, built the
+    way the benchmark's non-Poisson witnesses are: one-point lambdas."""
     comps = {}
 
     def put(i, j, fn):
@@ -177,7 +183,7 @@ def _witness_4d(coeff, a, b, c):
 
     put(a, b, lambda x: coeff * x[a])
     put(c, a, lambda x: coeff)
-    return BivectorSpec(4, ("w", "x", "y", "z"), comps)
+    return BivectorSpec(len(names), names, comps)
 
 
 @pytest.mark.parametrize("a, b, c", [(0, 1, 2), (2, 0, 3), (3, 1, 0)])
@@ -204,7 +210,8 @@ def test_jacobi_tensor_matches_nested_brackets():
     coarse step keeps its cancellation small."""
     C = np.random.default_rng(5).normal(size=(5, 5, 5, 5))
     C = C - C.transpose(1, 0, 2, 3)
-    biv = BivectorSpec(5, ("a", "b", "c", "d", "e"), dense=lambda y: C @ y @ y)
+    biv = BivectorSpec(5, ("a", "b", "c", "d", "e"),
+                       dense=lambda y: np.einsum("abcd,...c,...d->...ab", C, y, y))
     x = np.array([0.4, -0.9, 1.3, 0.2, -0.6])
     coords = [coordinate_field(m, 5) for m in range(5)]
 
@@ -291,6 +298,7 @@ def test_jacobi_terms_contraction_matches_loop_bit_for_bit(name):
     points of the certificate's box."""
     biv = SHIPPED[name]
     rng = np.random.default_rng(11)
+    stack, loops = [], []
     for _ in range(20):
         x = rng.uniform(0.0, 1.0, size=biv.dim)
         P = biv.matrix(x)
@@ -299,6 +307,11 @@ def test_jacobi_terms_contraction_matches_loop_bit_for_bit(name):
         for l in range(biv.dim):
             T += P[:, l, None, None] * dP[l]
         np.testing.assert_array_equal(bracket._jacobi_terms(biv, x), T)
+        stack.append(x)
+        loops.append(T)
+    # the same points as one stack give each point's tensor
+    _assert_stack_matches_points(name, bracket._jacobi_terms(biv, np.array(stack)),
+                                 np.array(loops))
 
 
 @pytest.mark.parametrize("name", list(SHIPPED))
@@ -313,3 +326,181 @@ def test_complex_step_dP_matches_central_difference(name):
         x = rng.uniform(0.0, 1.0, size=biv.dim)
         np.testing.assert_allclose(bracket._complex_step(biv.matrix, x),
                                    central_difference(biv.matrix, x, 1e-5), rtol=0, atol=1e-9)
+
+
+# Every shipped structure, and each perturbed by a benchmark-style witness in
+# the components form (so the sum mixes a dense and a components operand).
+WITNESSED = {
+    **SHIPPED,
+    **{f"{name}+witness": add_bivectors(biv, _components_witness(biv.coord_names, 0.7, 2, 0, 1))
+       for name, biv in SHIPPED.items() if biv.dim >= 3},
+}
+
+
+def _bits(a):
+    """The raw bits of a real or complex array, so -0.0 differs from +0.0."""
+    a = np.asarray(a)
+    return np.stack([a.real.view(np.uint64), np.imag(a).view(np.uint64)])
+
+
+# The su2 momentum bracket's sinh(2 eps zeta) term goes through numpy's array
+# sinh and array complex product on a stack, and through the C library's sinh
+# and a scalar product at one point; SIMD kernels and fused multiply-adds may
+# round those differently, so these forms match each point to a few ulp.
+ROUNDED = {"su2_momentum", "su2_momentum+witness"}
+
+
+def _assert_stack_matches_points(name, stacked, alone):
+    """Bit for bit, sign bits included; for a ROUNDED form, the real and the
+    imaginary parts each to 4 ulp of their largest entry."""
+    if name not in ROUNDED:
+        np.testing.assert_array_equal(_bits(stacked), _bits(alone))
+        return
+    eps = np.finfo(float).eps
+    for part in (np.real, np.imag):
+        np.testing.assert_allclose(part(stacked), part(alone), rtol=4 * eps,
+                                   atol=4 * eps * np.max(np.abs(part(alone))))
+
+
+@pytest.mark.parametrize("name", list(WITNESSED))
+def test_matrix_of_a_stack_is_each_points_matrix(name):
+    """P of a stack (..., n) is (..., n, n), and slice k is P at point k
+    alone, at real points and at the complex-step points that a
+    certificate's dP reads: bit for bit, except a ROUNDED form."""
+    biv = WITNESSED[name]
+    n = biv.dim
+    X = np.random.default_rng(17).uniform(-1.0, 1.0, size=(64, n))
+    Z = X[:, None, :] + 1j * bracket._CS_STEP * np.eye(n)
+    PX, PZ = biv.matrix(X), biv.matrix(Z)
+    assert PX.shape == (64, n, n) and PZ.shape == (64, n, n, n)
+    assert np.iscomplexobj(PZ) or not np.any(np.imag(PZ))
+    for k in range(64):
+        _assert_stack_matches_points(name, PX[k], biv.matrix(X[k]))
+        for l in range(n):
+            _assert_stack_matches_points(name, PZ[k, l], biv.matrix(Z[k, l]))
+
+
+def _one_point_components(biv, x):
+    """A components bivector at one point, filled pair by pair from each
+    callable at x itself."""
+    P = np.zeros((biv.dim, biv.dim), dtype=np.result_type(x, float))
+    for (i, j), fn in biv.components.items():
+        P[i, j] = fn(x)
+        P[j, i] = -fn(x)
+    return P
+
+
+def _one_point_wedge(epsilon, X1, X2, x):
+    return epsilon * (np.outer(X1.value(x), X2.value(x)) - np.outer(X2.value(x), X1.value(x)))
+
+
+def _one_point_sl2c(epsilon, x):
+    """The group bracket at one point as upper - upper^T, upper from the
+    strict upper triangle of the cached coefficients."""
+    upper_rows = np.triu(np.ones((8, 8), bool), 1).ravel()
+    coeff = np.where(upper_rows[:, None], su2._sl2c_coefficients(), 0.0)
+    upper = epsilon * (coeff @ (x[:, None] * x).ravel()).reshape(8, 8)
+    return upper - upper.T
+
+
+@pytest.mark.parametrize("epsilon", [0.2, -0.7])
+def test_each_form_at_one_point_keeps_its_one_point_formula(epsilon):
+    """At one point every form returns the bits of its plain one-point
+    formula: components filled pair by pair from callables given x itself,
+    a wedge from np.outer, the group bracket as upper - upper^T."""
+    rng = np.random.default_rng(19)
+    spec = kappa.KappaSpec(epsilon, 3)
+    r = kappa.kappa_rspec(spec)
+    lifts = [generators.cotangent_lift(g, spec.dim) for g in (r.X1, r.X2)]
+    for _ in range(10):
+        x3, x4, x8 = (rng.uniform(-1.0, 1.0, size=n) for n in (3, 4, 8))
+        for biv in (su2.momentum_bivector(epsilon), su2.linear_momentum_bivector(),
+                    _witness_4d(0.7, 2, 0, 3)):
+            x = x3 if biv.dim == 3 else x4
+            np.testing.assert_array_equal(_bits(biv.matrix(x)),
+                                          _bits(_one_point_components(biv, x)))
+        np.testing.assert_array_equal(_bits(kappa.kappa_bivector(spec).matrix(x4)),
+                                      _bits(_one_point_wedge(epsilon, r.X1, r.X2, x4)))
+        np.testing.assert_array_equal(
+            _bits(groupoid.cotangent_wedge(epsilon, r.X1, r.X2).matrix(x8)),
+            _bits(_one_point_wedge(epsilon, *lifts, x8)))
+        np.testing.assert_array_equal(_bits(su2.sl2c_bivector(epsilon).matrix(x8)),
+                                      _bits(_one_point_sl2c(epsilon, x8)))
+
+
+def test_one_point_dense_is_a_contract_violation_on_a_stack():
+    """A dense form written for one point reads only point 0 of a stack and
+    returns one (n, n) matrix, which would broadcast over the chunk; matrix
+    rejects that shape, so a certificate raises instead of judging point 0."""
+    A = np.triu(np.ones((3, 3)), 1)
+    biv = BivectorSpec(3, ("a", "b", "c"), dense=lambda x: (A - A.T) * x[0])
+    assert biv.matrix(np.array([0.5, 0.2, 0.1])).shape == (3, 3)
+    with pytest.raises(ContractViolation, match="dense returned shape"):
+        biv.matrix(np.zeros((4, 3)))
+    with pytest.raises(ContractViolation, match="dense returned shape"):
+        jacobi_certificate(biv, n_points=5, seed=0)
+
+
+def test_canonical_bivector_on_a_stack_is_a_read_only_broadcast():
+    can = groupoid.canonical_bivector(2)
+    P = can.matrix(np.zeros(4))
+    S = can.matrix(np.zeros((3, 2, 4)))
+    assert S.shape == (3, 2, 4, 4) and not S.flags.writeable
+    np.testing.assert_array_equal(S, np.broadcast_to(P, S.shape))
+
+
+def _per_point_certificate(biv, n_points, seed, box=(0.0, 1.0)):
+    """Test-local reference: the Jacobi residual one point at a time, each
+    point drawn alone, its dP from one-point matrix calls, its Jacobiator
+    summed over itertools' triples."""
+    rng = np.random.default_rng(seed)
+    triples = np.array(list(itertools.combinations(range(biv.dim), 3))).T
+    worst = 0.0
+    for _ in range(n_points):
+        x = rng.uniform(*box, size=biv.dim)
+        T = np.einsum("al,lbc->abc", biv.matrix(x), bracket._complex_step(biv.matrix, x))
+        worst = max(worst, float(np.max(np.abs(bracket._cyclic(T, *triples)))))
+    return worst
+
+
+PER_POINT_CASES = {
+    **{name: biv for name, biv in WITNESSED.items() if biv.dim >= 3},
+    **{f"witness_4d_{t}": _witness_4d(0.7, *t) for t in [(0, 1, 2), (2, 0, 3), (3, 1, 0)]},
+}
+
+
+@pytest.mark.parametrize("name", list(PER_POINT_CASES))
+def test_certificate_matches_a_per_point_reference(name):
+    """The chunked certificate draws the same points as one draw per point,
+    and gives the per-point verdict and worst residual.  100 points at dim
+    16 span two chunks."""
+    biv = PER_POINT_CASES[name]
+    cert = jacobi_certificate(biv, n_points=100, seed=23)
+    ref = _per_point_certificate(biv, 100, 23)
+    assert cert.max_residual == pytest.approx(ref, rel=1e-14, abs=1e-300)
+    assert cert.passed == (ref < cert.threshold)
+    assert cert.passed == ("witness" not in name)
+
+
+def test_certificate_memory_is_bounded_by_its_chunk():
+    """At dim 32 a chunk is 8 points; 20 points take three chunks.  A chunk
+    holds at most two complex arrays the size of its dP at once (the two
+    outer products of a wedge, or the two terms of a bivector sum), and the
+    rest, at half that size or less, stays below a third; unchunked, the 20
+    points would need about 20 MiB."""
+    import tracemalloc
+
+    spec = kappa.KappaSpec(0.3, 15)
+    r = kappa.kappa_rspec(spec)
+    biv = add_bivectors(groupoid.canonical_bivector(spec.dim),
+                        groupoid.cotangent_wedge(0.3, r.X1, r.X2))
+    assert biv.dim == 32 and bracket._CHUNK_BYTES // (16 * 32**3) < 20
+    jacobi_certificate(biv, n_points=1, seed=29)
+    tracemalloc.start()
+    try:
+        cert = jacobi_certificate(biv, n_points=20, seed=29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.n_points == 20
+    assert peak < 3 * bracket._CHUNK_BYTES

@@ -771,6 +771,65 @@ def test_minkowski2d_epsilon_beta_past_the_scattering_bound_is_config_error(tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, field", [
+    ({"epsilon": 400.0, "beta": 1.0}, "params.epsilon"),  # sinh(400 (-3 - 1) / 2) overflows
+    ({"epsilon": 7.0e-12, "p_max": 2.0e+137}, "params.p_max"),  # sinh(7e-12 2e137 / 2) overflows
+    ({"epsilon": 400.0, "beta": 1.0, "p_min": -2.56}, "params.epsilon"),  # sinh(712)
+    ({"epsilon": 0.0, "p_min": -1.0e+308, "beta": 1.0e+308}, "params.beta"),  # p - beta = -inf
+])
+def test_minkowski2d_scattering_curve_past_its_bound_is_config_error(tmp_path, capsys, params, field):
+    """The scattering curve overflowed on its p grid: run warned of overflow
+    in sinh and exited 1 on an infinite value.  It is a config error naming
+    the field furthest past its scale; run exits 2 and writes nothing."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": params, "outputs": ["scattering"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith(f"config error: {field}: the scattering curve")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"epsilon": 400.0, "beta": 1.0, "p_min": -2.5},  # sinh(700) / 200
+    {"epsilon": 0.0, "p_min": -4.0e+307, "beta": 0.0},  # q+ = e^0.3 p reaches 5.4e307
+])
+def test_minkowski2d_scattering_curve_inside_its_bound_is_finite(tmp_path, params):
+    """Just inside the bound the scattering artifact is finite throughout,
+    with no RuntimeWarning."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": params, "outputs": ["scattering"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    data = json.loads((out / "scattering.json").read_text())
+    cells = [v for row in data["rows"] for v in row] + list(data["summary"].values())
+    assert all(v is not None and math.isfinite(v) for v in cells)
+    assert max(abs(v) for row in data["rows"] for v in row[1:3]) > 1e300
+
+
+def test_minkowski2d_c_plus_coarser_than_the_grid_is_config_error(tmp_path, capsys):
+    """At c_plus 1e17 the grid c_plus + [0.2, 3] rounded onto the asymptote
+    x+ = c_plus and run exited 1; a sweep over c_plus wrote a
+    failed:ContractViolation row.  Floats near c_plus coarser than the grid
+    name params.c_plus: run and sweep exit 2 and write nothing.  c_plus 1e14
+    (floats 1/64 apart, under the 7/120 spacing of 49 samples) still runs."""
+    params = {"epsilon": 0.2, "c_plus": 1.0e+17, "c_minus": -1.0}
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": params, "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.c_plus: ")
+    assert main(["sweep", str(cfg), "--param", "c_plus", "--values", "1,1e17", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.c_plus: ")
+    assert not out.exists()
+
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {**params, "c_plus": 1.0e+14},
+                               "outputs": ["trajectory"]})
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads((out / "trajectory.json").read_text())["rows"]
+    assert len({r[0] for r in rows}) == len(rows) == 49
+
+
 @pytest.mark.parametrize("t_span", [1.0e-320, 1.0e-160])
 def test_kappa_horizon_below_the_normal_range_is_config_error(tmp_path, capsys, t_span):
     """1e-320 exited 1 (the tail fit's abscissa had no spread) and 1e-160
