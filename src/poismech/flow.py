@@ -1,20 +1,26 @@
-"""Hamiltonian flow integration with per-step error estimation.
+"""Hamiltonian flow integration under a tolerance, sampled on a fixed grid.
 
-Each step is one Runge-Kutta-Fehlberg 4(5) step (Fehlberg 1969, NASA TR
-R-315; Hairer-Norsett-Wanner, *Solving ODEs I*, section II.4).  Its six
-stages give an embedded pair of solutions, of orders 4 and 5.  The fourth-
-order solution is the one propagated, and the difference of the two,
-``h * max|sum_i (b5 - b4)_i k_i|``, estimates the local error of that
-accepted state.  A step costs 6 right-hand side evaluations.  Steps whose
-estimate exceeds the tolerance are retried from the same y, and the same
-first slope k1 = f(y), with h halved, so a retry costs 5; h recovers toward
-its nominal value afterwards, which it never exceeds.
+Each step is one Dormand-Prince 5(4) step (Dormand & Prince 1980;
+Hairer-Norsett-Wanner, *Solving ODEs I*, section II.5).  Its seven stages
+give an embedded pair of solutions, of orders 5 and 4.  The fifth-order
+solution is the one propagated, and it is also the seventh stage's state, so
+the last slope of a step is the first of the next (FSAL) and a step costs 6
+right-hand side evaluations.  The difference of the two solutions,
+``h * max|sum_i (b5 - b4)_i k_i|``, estimates the local error of the
+fourth-order one; a step is accepted when it is at most ``tol``, and the
+next step is scaled by ``0.9 (tol / est)^(1/5)``, within [1/5, 5], so the
+tolerance alone sets the step.
+
+The samples do not follow the steps: they lie on the grid ``t += h`` of the
+nominal step ``StepControl.h``, and each one inside a step is read from the
+pair's fourth-order continuous extension (section II.6), which costs no
+right-hand side evaluation.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -26,34 +32,51 @@ from .errors import ContractViolation, DivergenceError, StiffnessError
 __all__ = ["StepControl", "Trajectory", "integrate_flow"]
 
 _MIN_H = 1e-12
-# the run ends once t is within _END_SLACK max(1, t_end) of t_end
+# the sample grid ends once t is within _END_SLACK max(1, t_end) of t_end
 _END_SLACK = 1e-15
+# step scaling: a safety factor on the step the estimate predicts, within
+# [_SHRINK, _GROW] of the last step (no growth right after a rejection)
+_SAFETY, _SHRINK, _GROW = 0.9, 0.2, 5.0
 
-# Fehlberg's 4(5) tableau.  Stage i evaluates the right-hand side at
-# y + h * sum_j A[i][j] k_j; B4 weighs the stages into the fourth-order
-# solution, B5 into the fifth-order one.  Exact, so the order conditions
-# can be checked in rationals.
+# Dormand and Prince's 5(4) tableau.  Stage i evaluates the right-hand side
+# at y + h * sum_j A[i][j] k_j.  The last row is B5, the weights of the
+# fifth-order solution (FSAL); B4 weighs the stages into the fourth-order
+# one.  Exact, so the order conditions can be checked in rationals.
 _A = tuple(tuple(map(Fraction, row)) for row in (
     (),
-    ("1/4",),
-    ("3/32", "9/32"),
-    ("1932/2197", "-7200/2197", "7296/2197"),
-    ("439/216", "-8", "3680/513", "-845/4104"),
-    ("-8/27", "2", "-3544/2565", "1859/4104", "-11/40"),
+    ("1/5",),
+    ("3/40", "9/40"),
+    ("44/45", "-56/15", "32/9"),
+    ("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
+    ("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
+    ("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84"),
 ))
-_B4 = tuple(map(Fraction, ("25/216", "0", "1408/2565", "2197/4104", "-1/5", "0")))
-_B5 = tuple(map(Fraction, ("16/135", "0", "6656/12825", "28561/56430", "-9/50", "2/55")))
+_B5 = _A[-1] + (Fraction(0),)
+_B4 = tuple(map(Fraction, ("5179/57600", "0", "7571/16695", "393/640", "-92097/339200",
+                           "187/2100", "1/40")))
+# The continuous extension y(t + theta h) = y + h sum_i w_i(theta) k_i
+# (Hairer-Norsett-Wanner's dense output for this pair): the quartic that
+# matches y and k1 at theta = 0, the new state and k7 at theta = 1, plus
+# theta^2 (1 - theta)^2 times Shampine's combination D of the stages.
+# _W[p][i] is the coefficient of theta^(p + 1) in w_i.
+_D = tuple(map(Fraction, ("-12715105075/11282082432", "0", "87487479700/32700410799",
+                          "-10690763975/1880347072", "701980252875/199316789632",
+                          "-1453857185/822651844", "69997945/29380423")))
+_E1, _E7 = (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)
+_W = tuple(zip(*((e1, 3 * b - 2 * e1 - e7 + d, -2 * b + e1 + e7 - 2 * d, d)
+                 for b, d, e1, e7 in zip(_B5, _D, _E1, _E7))))
 
-# float forms: one weight row per stage, and the update and error weights
+# float forms: one weight row per stage, the error weights and the extension
 _STAGE_ROWS = tuple(np.array(row, dtype=float) for row in _A)
-_B4_F = np.array(_B4, dtype=float)
 _ERR_F = np.array([b5 - b4 for b4, b5 in zip(_B4, _B5)], dtype=float)
+_W_F = np.array(_W, dtype=float)
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Nominal step size, per-step error tolerance, and an optional
-    constraint-restoration hook applied to each accepted state."""
+    """Sample spacing and first trial step ``h``, per-step error tolerance
+    ``tol``, and an optional constraint-restoration hook applied to each
+    accepted state and each sample."""
 
     h: float
     tol: float
@@ -68,33 +91,57 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Sampled curve: times, points (row per sample), and ``step_stats``, the
-    local error estimate of each accepted step of the run that produced it
-    (the embedded 4(5) difference that the step met against the tolerance).
-    Also reused as a plain curve carrier (zero step_stats) by projection and
-    model utilities."""
+    """Sampled curve: times and points (row per sample).  ``integrate_flow``
+    sets ``h_drift``; projections and model utilities reuse it as a plain
+    curve carrier."""
 
     times: np.ndarray
     points: np.ndarray
-    step_stats: np.ndarray = field(default=None)  # type: ignore[assignment]
     h_drift: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        if self.step_stats is None:
-            self.step_stats = np.zeros(max(0, len(self.times) - 1))
-        self.step_stats = np.asarray(self.step_stats, dtype=float)
         if self.points.shape[0] != self.times.size:
             raise ContractViolation("times and points disagree in sample count")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
             raise ContractViolation("sample times must be strictly increasing")
-        if self.step_stats.size != max(0, self.times.size - 1):
-            raise ContractViolation("step_stats must have one entry per step")
 
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+def _sample_times(t_end: float, h: float) -> np.ndarray:
+    """The grid ``t += h`` from 0 to ``t_end``.  A remainder under a tenth of
+    ``h`` joins the last interval rather than leaving a degenerate one (which
+    would poison finite differences over the sample times)."""
+    times = [0.0]
+    t = 0.0
+    while t < t_end - _END_SLACK * max(1.0, t_end):
+        dt = min(h, t_end - t)
+        if t_end - t - dt < 0.1 * dt:
+            dt = t_end - t
+        t += dt
+        times.append(t)
+    return np.array(times)
+
+
+def _scale(tol: float, est: float) -> float:
+    """The factor by which an estimate ``est`` asks the next step to grow or
+    shrink, within [_SHRINK, _GROW]."""
+    return _GROW if est == 0.0 else min(_GROW, max(_SHRINK, _SAFETY * (tol / est) ** 0.2))
+
+
+def _dp_step(rhs, y: np.ndarray, h: float, k: np.ndarray) -> tuple[np.ndarray, float]:
+    """One Dormand-Prince attempt from ``y`` over ``h``, with ``k[0] =
+    rhs(y)`` given: fills the stage slopes ``k[1:]`` and returns the
+    fifth-order state and the error estimate of the embedded pair."""
+    for i in range(1, len(_STAGE_ROWS)):
+        k[i] = rhs(y + h * (_STAGE_ROWS[i] @ k[:i]))
+    # the last stage's state is the fifth-order solution
+    y_new = y + h * (_STAGE_ROWS[-1] @ k[:-1])
+    return y_new, h * float(np.abs(_ERR_F @ k).max())
 
 
 def integrate_flow(
@@ -104,11 +151,13 @@ def integrate_flow(
     t_end: float,
     step: StepControl,
 ) -> Trajectory:
-    """Integrate xdot = {H, x} from x0 over [0, t_end].
+    """Integrate xdot = {H, x} from x0 over [0, t_end], sampled every
+    ``step.h``.
 
     The hamiltonian drift max_t |H(x(t)) - H(x0)| is checked against the
-    larger of 10 * tol * |t_end| and 2 u |H(x0)| per sample (u = 2^-53), and
-    reported on the returned trajectory; violations warn but do not raise.
+    larger of 10 * tol * |t_end| and 2 u |H(x0)| per sample or step,
+    whichever are more (u = 2^-53), and reported on the returned trajectory;
+    violations warn but do not raise.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (biv.dim,):
@@ -119,54 +168,67 @@ def integrate_flow(
     def rhs(y: np.ndarray) -> np.ndarray:
         return hamiltonian_vector_field(biv, H, y)
 
-    times = [0.0]
-    points = [x0.copy()]
-    stats = []
-    t = 0.0
-    y = x0.copy()
-    h = step.h
+    def restore(y: np.ndarray) -> np.ndarray:
+        return y if step.poststep is None else np.asarray(step.poststep(y), dtype=float)
+
+    times = _sample_times(t_end, step.h)
+    t_last = float(times[-1])  # t_end, or the grid's rounding of it
+    points = np.empty((times.size, x0.size))
+    points[0] = x0
+    n_done = 1  # samples filled
+    t, y, h = 0.0, x0.copy(), step.h
     k = np.empty((len(_STAGE_ROWS), y.size))  # the stage slopes, one row each
-    while t < t_end - _END_SLACK * max(1.0, t_end):
-        h = min(h, t_end - t)
-        # absorb a sliver remainder into this step rather than emitting a
-        # degenerate final interval (which would poison finite differences
-        # over the sample times)
-        if t_end - t - h < 0.1 * h:
-            h = t_end - t
-        k[0] = rhs(y)
+    k[0] = rhs(y)
+    n_steps = 0
+    while t < t_last:
+        grow = _GROW
         while True:
-            for i in range(1, len(_STAGE_ROWS)):
-                k[i] = rhs(y + h * (_STAGE_ROWS[i] @ k[:i]))
-            y_new = y + h * (_B4_F @ k)
-            est = h * float(np.abs(_ERR_F @ k).max())
+            last = t + 1.01 * h >= t_last
+            if last:
+                h = t_last - t
+            y_new, est = _dp_step(rhs, y, h, k)
             if not (np.isfinite(y_new).all() and math.isfinite(est)):
                 raise DivergenceError(
                     f"state left the finite range near t = {t:.6g}", last_good_time=t
                 )
             if est <= step.tol:
                 break
-            h *= 0.5
+            h *= _scale(step.tol, est)
+            grow = 1.0
             if h < _MIN_H:
                 raise StiffnessError(
                     f"step size underflow at t = {t:.6g}: flow too stiff for tol = {step.tol}"
                 )
-        y = y_new
-        if step.poststep is not None:
-            y = np.asarray(step.poststep(y), dtype=float)
-        t += h
-        times.append(t)
-        points.append(y.copy())
-        stats.append(est)
-        if est < step.tol / 50.0:
-            h = min(2.0 * h, step.h)
+        t_new = t_last if last else t + h
+        # the samples inside the step, from the continuous extension; one at
+        # the step's end is its state
+        end = int(np.searchsorted(times, t_new, side="right"))
+        inner = end - (times[end - 1] == t_new)
+        if inner > n_done:
+            theta = ((times[n_done:inner] - t) / h)[:, None]
+            weights = theta * (_W_F[0] + theta * (_W_F[1] + theta * (_W_F[2] + theta * _W_F[3])))
+            dense = y + h * (weights @ k)
+            points[n_done:inner] = dense if step.poststep is None else [restore(p) for p in dense]
+        y_post = restore(y_new)
+        if inner < end:
+            points[inner] = y_post
+        n_done = end
+        # FSAL: the next first slope is this step's last, unless the hook
+        # moved the state
+        k[0] = k[-1] if y_post is y_new else rhs(y_post)
+        t, y = t_new, y_post
+        n_steps += 1
+        h *= min(grow, _scale(step.tol, est))
 
-    traj = Trajectory(np.array(times), np.array(points), np.array(stats))
+    traj = Trajectory(times, points)
     h_vals = np.array([H(p) for p in traj.points])
     traj.h_drift = float(np.max(np.abs(h_vals - h_vals[0])))
     # rounding the state moves H by about u |H| a step at any step size (su2
-    # flows at H 5e5 to 5e17 drift at most 0.31 u |H| a step), so the bound
-    # never falls below 2u = 2^-52 of |H(x0)| per sample
-    bound = max(10.0 * step.tol * abs(t_end), 2.0**-52 * abs(h_vals[0]) * h_vals.size)
+    # flows at H 5e5 to 5e15 drift at most 0.51 u |H| a step), and each
+    # sample carries its own, so the bound never falls below 2u = 2^-52 of
+    # |H(x0)| per step or per sample, whichever are more
+    bound = max(10.0 * step.tol * abs(t_end),
+                2.0**-52 * abs(h_vals[0]) * max(h_vals.size, n_steps + 1))
     if traj.h_drift > bound:
         warnings.warn(
             f"hamiltonian drift {traj.h_drift:.3e} exceeds {bound:.3e}",

@@ -70,12 +70,13 @@ _CERT_BETA = 2.0  # largest |beta| of the certificate's curve grid
 # The scattering artifact evaluates q+ = e^alpha g(p) / m and
 # q- = e^-alpha g(p - beta) / m over linspace(p_min, p_max), with
 # g(r) = sinh(eps r / 2) / (eps / 2) (g(r) = r at eps = 0), then q+ - q- and
-# q+ + q- in _velocity.  |g(r)| grows with |r|, so its largest value on the
-# grid is at an end.  Keeping |g| / m within DBL_MAX / 4 keeps |q+-| below
-# DBL_MAX / 2 up to |alpha| = ln 2 (the default 0.3 included), and their sum
-# and difference finite; a larger |alpha| scales the whole curve by
-# e^|alpha| and is left to the writers' check for infinities.
-_CURVE_MAX = sys.float_info.max / 4.0
+# q+ + q- in _velocity; at eps != 0 the numeric limits read the same curves,
+# for beta and -beta, at p = -+(_P_SCALE / |eps| + |beta|).  |g(r)| grows
+# with |r|, so its largest value over the grid is at an end.  Keeping
+# e^|alpha| |g| / m within DBL_MAX / 2 at those points keeps |q+-| there
+# below DBL_MAX / 2 and their sum and difference finite; |g| / m stays within
+# DBL_MAX / 4 as well, whatever alpha.
+_CURVE_MAX = sys.float_info.max / 2.0
 
 # The hyperbola trajectory samples x+ = c+ + linspace(0.2, 3.0, n_samples).
 _HYPERBOLA_OFFSETS = (0.2, 3.0)
@@ -232,17 +233,19 @@ def scattering_check(spec: Minkowski2DSpec, alphas, betas) -> tuple[float, float
 _PHASE0 = np.array([1.0, 1.0, 0.35, -0.8])  # start of the projection flow
 _PROJECTION_TOL = 1e-8
 # The moment flow scales the chart by e^{+-t}, so the state's largest entry
-# grows like max|phase0| e^t = e^t.  On y' = y, Fehlberg's error estimate is
-# (1/104 - 1/120) h^5 e^t = h^5 e^t / 780 (the z^5 terms of the order-4 and
-# order-5 solutions), so the tolerance admits steps h(t) = (780 tol e^-t)^(1/5)
-# and the run takes about 5 (e^t_end / (780 tol))^(1/5) steps.  The estimate
-# also carries the rounding of the stage slopes, about h u e^t for the unit
-# roundoff u = 2^-53.  At h(t) that floor reaches tol where
-# e^(4t/5) = tol^(4/5) / (780^(1/5) u), at t = 25.8; past it the step has to
-# shrink like e^-t and the work grows like e^t instead of e^(t/5), so t_end
-# stops there.
+# grows like max|phase0| e^t = e^t.  On y' = y, the Dormand-Prince error
+# estimate is 97/120000 h^5 e^t (the z^5 term of the difference of its order-5
+# and order-4 solutions, in exact rationals), so the tolerance admits steps
+# h(t) = (120000/97 tol e^-t)^(1/5) and the run takes about
+# 5 (97 e^t_end / (120000 tol))^(1/5) steps.  The estimate also carries the
+# rounding of the stage slopes, about h u e^t for the unit roundoff
+# u = 2^-53.  At h(t) that floor reaches tol where
+# e^(4t/5) = tol^(4/5) / ((120000/97)^(1/5) u), at t = 25.7; past it the step
+# has to shrink like e^-t and the work grows like e^t instead of e^(t/5), so
+# t_end stops there.  (Fehlberg's 4(5) estimate, h^5 e^t / 780, put the
+# bound at 25.8; the lower one is kept.)
 _T_END_MAX = (math.log(_PROJECTION_TOL) - 1.25 * math.log(2.0**-53)
-              - 0.25 * math.log(780.0))
+              - 0.25 * math.log(120000.0 / 97.0))
 
 PARAMS = {
     "epsilon": Param(REAL),
@@ -275,23 +278,29 @@ def _check_epsilon(epsilon: float, mass: float, beta: float, field: str) -> None
 
 def _check_curve(p: Params) -> None:
     """Raise a ``ConfigError`` unless the scattering curve stays within
-    ``_CURVE_MAX`` over the p grid at alpha = 0.  It names the field furthest
-    past its scale: |epsilon| against 1, 1/mass against 1, and p_min, p_max
-    and beta against their defaults.  Like ``_check_epsilon`` it bounds
-    every config, whichever outputs it asks for."""
-    ends = np.array([p["p_min"], p["p_max"]])
+    ``_CURVE_MAX`` at the ends of the p grid and where the numeric limits
+    are read.  It names the field furthest past its scale: |epsilon|
+    against 1, 1/mass against 1, and alpha, p_min, p_max and beta against
+    their defaults.  Like ``_check_epsilon`` it bounds every config,
+    whichever outputs it asks for."""
+    e, beta = p["epsilon"], p["beta"]
+    r = [p["p_min"], p["p_max"], p["p_min"] - beta, p["p_max"] - beta]
+    if e != 0.0:
+        # q+ and q- of the curves of shift beta and -beta at the limit points
+        p_inf = _P_SCALE / abs(e) + abs(beta)
+        r += [s * p_inf + d for s in (-1.0, 1.0) for d in (0.0, -beta, beta)]
     with np.errstate(over="ignore"):
-        r = np.concatenate([ends, ends - p["beta"]])
-        e = p["epsilon"]
+        r = np.array(r)
         g = r if e == 0.0 else np.sinh(e * r / 2.0) / (e / 2.0)
-        worst = float(np.max(np.abs(g)) / p["mass"])
+        worst = float(max(np.exp(abs(p["alpha"])), 2.0) * np.max(np.abs(g)) / p["mass"])
     if not worst <= _CURVE_MAX:
         factors = {"epsilon": abs(e), "mass": 1.0 / p["mass"],
-                   **{k: abs(p[k] / PARAMS[k].default) for k in ("p_min", "p_max", "beta")}}
+                   **{k: abs(p[k] / PARAMS[k].default) for k in ("alpha", "p_min", "p_max", "beta")}}
         raise ConfigError(f"params.{max(factors, key=factors.get)}",
-                          f"the scattering curve over [p_min, p_max] reaches |q| = {worst:.6g} "
-                          f"at alpha = 0, above DBL_MAX / 4 = {_CURVE_MAX:.6g}: q+ and q- "
-                          "or their sum in the velocity overflow")
+                          f"the scattering curve reaches max(e^|alpha|, 2) |g| / m = {worst:.6g} "
+                          "at the ends of [p_min, p_max] or where its limits are read, above "
+                          f"DBL_MAX / 2 = {_CURVE_MAX:.6g}: q+ and q- or their sum in the "
+                          "velocity overflow")
 
 
 def _check(p: Params) -> None:

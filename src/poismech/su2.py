@@ -407,8 +407,8 @@ def _body_velocities(alpha: np.ndarray, gamma: np.ndarray, times: np.ndarray) ->
     (q - q^H) / 2`` with ``theta = atan2(|Im part|, Re alpha_q)``.  A free
     flow is ``u(t) = u0 exp(t omega)``, so on it every interval reads
     ``omega`` to rounding, at any spacing.  The domain is a turn below pi per
-    interval (a larger one aliases); the su2 configs keep a nominal step
-    within ``_MAX_TURN`` = 1 radian and steps never exceed it.
+    interval (a larger one aliases); the su2 configs sample every ``step``,
+    which turns the state by at most ``_MAX_TURN`` = 1 radian.
     """
     a0, c0, a1, c1 = alpha[:-1], gamma[:-1], alpha[1:], gamma[1:]
     # q = u_k^H u_{k+1} = [[qa, -conj(qc)], [qc, conj(qa)]]
@@ -723,8 +723,8 @@ PARAMS = {
     "step": Param(REAL, 1e-3, positive=True),
 }
 
-# The integrator never steps past ``step``, so a run stores at least
-# t_end / step samples of 8 floats; 2^21 of them keep it within 2^24 floats.
+# A run stores its samples on the grid t += step, t_end / step of them and
+# the start, 8 floats each; 2^21 of them keep it within 2^24 floats.
 _MAX_SAMPLES = 2**21
 
 # The first trial step is the full ``step``.  From g = u B the free flow turns
@@ -733,33 +733,49 @@ _MAX_SAMPLES = 2**21
 # [conj(n)/rho, -a]] with a = (rho^2 - rho^-2 + |n|^2) / 2, whose eigenvalues
 # are +-i theta since a^2 + |n|^2/rho^2 = H^2 - 1.  So one step turns the
 # state by at most step |eps| H radians.  The right-hand side is cubic off
-# the unit-determinant slice, and the Fehlberg stages leave the circle the
+# the unit-determinant slice, and the Runge-Kutta stages leave the circle the
 # flow follows as the turn grows.  Measured over 300 seeded random starts
 # (rho in [e^-3, e^3], n of spread up to e^2, |eps| in [e^-3, e^3]), the
-# largest stage state of the first step was 1.12 |B| at a turn of 1 radian,
-# 2.2 |B| at 1.5, 214 |B| at 2 and 5e12 |B| at 3; from there the stages
-# overflow and the run fails at t = 0.  A start or strength whose nominal
-# step turns the state by more than one radian is a config error.
+# largest stage state of the first Dormand-Prince step was 1.03 |B| at a
+# turn of 1 radian, 1.3 |B| at 1.5, 5.4e4 |B| at 2 and 2.5e25 |B| at 3; from
+# there the stages overflow and the run fails at t = 0.  A start or strength
+# whose nominal step turns the state by more than one radian is a config
+# error.
+# The samples lie every ``step``, so this also keeps the turn between two
+# samples below the pi at which _body_velocities aliases.
 _MAX_TURN = 1.0
 
-# The error control compares an absolute estimate with ``tol``.  The Fehlberg
-# estimate of a step is h times a weighted difference of its stage slopes
-# (weights of absolute sum 0.12), and each stage state carries the rounding
-# of the state's largest entry, u S with u = 2^-53, which the right-hand side
-# (derivative at most 3 |eps| H) passes on to its slope.  So the estimate of
-# the nominal step holds up to about 0.35 turn u S of rounding, where turn =
-# step |eps| H.  With turn u S <= tol that stays within tol, and the control
-# shrinks a step only for its truncation error; past it the control chases
-# rounding, and far past it no step above flow._MIN_H meets tol (rho = 1e50
-# at a turn of 0.95 failed with a step size underflow at t = 0).  At eps = 0
-# nothing moves and any start is valid.
+# Past the first, a step grows until its error estimate meets ``tol``, so tol
+# bounds the turn of every later step.  Measured over 300 seeded random
+# starts as above (a turn of 0.05 to 1 per ``step``, 100 samples), at
+# tol = 0.01 S, S the start's largest entry, no attempted step turned the
+# state by more than its first step did (1 radian) and the largest stage
+# state was 1.39 S; at tol = 0.1 S a step turned by 2.06 radians with a stage
+# of 1.1e5 S, and at tol = S by 3.04 radians with a stage of 2e26 S, on the
+# way to the overflow in the stages that tol 1e10 reached from rho 1.4 at a
+# turn of 0.5 per step.  A run whose horizon turns the state by more than
+# _MAX_TURN, so that a step can grow past that turn, needs
+# tol <= _TOL_PER_ENTRY S.
+_TOL_PER_ENTRY = 1e-2
+
+# The error control compares an absolute estimate with ``tol``.  The
+# Dormand-Prince estimate of a step is h times a weighted difference of its
+# stage slopes (weights of absolute sum 0.160), and each stage state carries
+# the rounding of the state's largest entry, u S with u = 2^-53, which the
+# right-hand side (derivative at most 3 |eps| H) passes on to its slope.  So
+# the estimate of the nominal step holds up to about 0.48 turn u S of
+# rounding, where turn = step |eps| H.  With turn u S <= tol that stays
+# within tol, and the control shrinks a step only for its truncation error;
+# past it the control chases rounding, and far past it no step above
+# flow._MIN_H meets tol (rho = 1e50 at a turn of 0.95 failed with a step size
+# underflow at t = 0).  At eps = 0 nothing moves and any start is valid.
 _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _check(p: Params) -> None:
-    # integrate_flow steps while t < t_end - _END_SLACK max(1, t_end), which
-    # at t = 0 holds only for t_end above _END_SLACK; below, no step leaves
-    # no flow to diagnose
+    # integrate_flow's sample grid steps while t < t_end - _END_SLACK
+    # max(1, t_end), which at t = 0 holds only for t_end above _END_SLACK;
+    # below, the lone sample leaves no flow to diagnose
     if not p["t_end"] > _END_SLACK:
         raise ConfigError("params.t_end", f"must exceed {_END_SLACK:g}, the integrator's end "
                           f"tolerance, or the flow takes no step; got {p['t_end']!r}")
@@ -780,6 +796,15 @@ def _check(p: Params) -> None:
             f"the first step turns the state by up to step * |epsilon| * H = {turn!r} radians "
             f"(H = {energy:.6g} at the start), above {_MAX_TURN:g}: the integrator's stages "
             "leave the flow's circle and its cubic right-hand side can overflow",
+        )
+    horizon = p["t_end"] * abs(p["epsilon"]) * energy
+    if horizon > _MAX_TURN and not p["tol"] <= _TOL_PER_ENTRY * entries[entry]:
+        raise ConfigError(
+            "params.tol",
+            f"a step grows until its error estimate meets tol, and past {_TOL_PER_ENTRY:g} S = "
+            f"{_TOL_PER_ENTRY * entries[entry]:.6g} (S = {entries[entry]:.6g}, the start's largest "
+            f"entry) it can turn the state by more than {_MAX_TURN:g} radian; got {p['tol']!r} "
+            f"over a horizon that turns it by up to t_end * |epsilon| * H = {horizon:.6g}",
         )
     rounding = turn * _UNIT_ROUNDOFF * entries[entry]
     if not rounding <= p["tol"]:

@@ -232,16 +232,19 @@ def test_json_format(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_infinite_cell_is_an_error_in_both_formats(tmp_path, capsys, fmt):
-    """exp(alpha) overflows on the scattering curve, so a q column holds an
-    infinity, which neither format can carry; the run exits 1 naming the
-    artifact and writes no artifact file.  An infinity in a later float
-    column is caught the same way."""
-    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.2, "alpha": 800},
+def test_infinite_cell_is_an_error_in_both_formats(tmp_path, capsys, monkeypatch, fmt):
+    """An artifact whose float column holds an infinity, which neither format
+    can carry, makes the run exit 1 naming the artifact, and no artifact file
+    is written.  An infinity in a later float column is caught the same
+    way."""
+    def infinite(p):
+        return ArtifactData("scattering", {"p": [0.0, 1.0], "q_plus": [1.0, math.inf]}, {})
+
+    monkeypatch.setitem(MODELS["minkowski2d"].artifacts, "scattering", infinite)
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.2},
                                "outputs": ["scattering"]})
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        rc = main(["run", str(cfg), "--out", str(out), "--format", fmt])
+    rc = main(["run", str(cfg), "--out", str(out), "--format", fmt])
     assert rc == 1
     assert capsys.readouterr().out.startswith("error: scattering:")
     assert collect_files(out) == []
@@ -717,7 +720,7 @@ _NAN_FOLDS = {
 
 
 def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
-    """Past t_end 25.8 the projection flow's error estimate meets its rounding
+    """Past t_end 25.7 the projection flow's error estimate meets its rounding
     floor and the step shrinks like e^-t; t_end 1e300 and one float past
     the bound name params.t_end and exit 2, and a run at the bound finishes
     in seconds."""
@@ -806,6 +809,52 @@ def test_minkowski2d_scattering_curve_inside_its_bound_is_finite(tmp_path, param
     cells = [v for row in data["rows"] for v in row] + list(data["summary"].values())
     assert all(v is not None and math.isfinite(v) for v in cells)
     assert max(abs(v) for row in data["rows"] for v in row[1:3]) > 1e300
+
+
+def _largest_valid_alpha(params, guess):
+    """The largest float alpha with which the minkowski2d config validates,
+    bisected between guess / 2 (valid) and 2 guess (not)."""
+    def valid(alpha):
+        try:
+            validate_config({"model": "minkowski2d", "params": {**params, "alpha": alpha}})
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 0.5 * guess, 2.0 * guess
+    assert valid(lo) and not valid(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.0])
+def test_minkowski2d_alpha_at_its_bound_is_finite_and_past_it_names_alpha(tmp_path, capsys, epsilon):
+    """e^|alpha| scales the scattering curve: alpha 800 wrote -inf into the
+    CSV and exited 1.  At the largest valid alpha (about 687 at epsilon 0.2,
+    set by the limit read at p = 202, and 707 at epsilon 0 on the p grid) the
+    artifact and its summary are finite with no RuntimeWarning; one float
+    past it and alpha 800 name params.alpha and exit 2."""
+    params = {"epsilon": epsilon}
+    alpha = _largest_valid_alpha(params, 700.0)
+    assert 680.0 < alpha < 710.0
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {**params, "alpha": alpha},
+                               "outputs": ["scattering"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "at"), "--format", "json"]) == 0
+    capsys.readouterr()
+    data = json.loads((tmp_path / "at" / "scattering.json").read_text())
+    cells = [v for row in data["rows"] for v in row] + list(data["summary"].values())
+    assert all(v is not None and math.isfinite(v) for v in cells)
+    for past in (math.nextafter(alpha, math.inf), 800.0, -800.0):
+        cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {**params, "alpha": past},
+                                   "outputs": ["scattering"]})
+        out = tmp_path / "past"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("config error: params.alpha: the scattering curve")
+        assert not out.exists()
 
 
 def test_minkowski2d_c_plus_coarser_than_the_grid_is_config_error(tmp_path, capsys):
@@ -1035,6 +1084,28 @@ def test_su2_tolerance_below_the_rounding_of_the_start_names_tol():
     with pytest.raises(ConfigError) as exc:
         validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": math.nextafter(tol, 0.0)}})
     assert exc.value.path == "params.tol"
+
+
+def test_su2_tolerance_above_the_step_growth_bound_names_tol(tmp_path, capsys):
+    """A step grows until its estimate meets tol, so over a horizon that
+    turns the state by more than a radian tol is at most 0.01 S (S = 1.4 at
+    the defaults): at the bound the run finishes on the slice, one float
+    past it names params.tol and exits 2.  A horizon of a fifth of a radian
+    (t_end 1 at epsilon 0.2), or epsilon 0, bounds every step's turn, and
+    any tol validates there."""
+    params = {"epsilon": 0.2, "t_end": 10.0, "tol": 0.01 * 1.4}
+    p = validate_config({"model": "su2", "params": params}).params
+    art = su2.MODEL.artifacts["trajectory"](p)
+    assert art.columns["t"].size == 10001
+    assert art.summary["det_residual"] < 1e-8
+    past = {**params, "tol": math.nextafter(0.01 * 1.4, math.inf)}
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": past, "outputs": ["trajectory"]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.tol: a step grows")
+    assert not out.exists()
+    validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": 1.0e30}})
+    validate_config({"model": "su2", "params": {"epsilon": 0.0, "t_end": 10.0, "tol": 1.0e30}})
 
 
 @pytest.mark.parametrize("rho, n", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])

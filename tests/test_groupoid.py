@@ -216,7 +216,8 @@ def test_projected_moment_flow_is_exact_hyperbola():
     """The moment-difference Hamiltonian J1 - J2 keeps both moments constant,
     so its left projection rides a single product level set q+ q- = const."""
     can = canonical_bivector(2)
-    traj = integrate_flow(can, MOMENT_H, START, 6.0, StepControl(h=1e-2, tol=1e-8))
+    # tol sets the accuracy, not the sample spacing h
+    traj = integrate_flow(can, MOMENT_H, START, 6.0, StepControl(h=1e-2, tol=1e-11))
     proj = project_trajectory(R_SCALING, traj, "left")
     prod = proj.points[:, 0] * proj.points[:, 1]
     assert prod.max() - prod.min() < 1e-10

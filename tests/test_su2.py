@@ -11,7 +11,7 @@ from poismech import bracket
 from poismech.bracket import jacobi_certificate
 from poismech.errors import ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
-from poismech import cli, su2
+from poismech import cli, flow, su2
 from poismech.model import CERT_POINTS
 from poismech.su2 import (
     SB2Element,
@@ -250,7 +250,8 @@ def test_dual_route_dynamics_differ_off_shell():
 
 
 def test_free_flow_conserves_its_invariants():
-    traj, n_renorm = free_flow(G0, EPS, 2.0, StepControl(h=1e-3, tol=1e-8))
+    # tol sets the accuracy, not the sample spacing h
+    traj, n_renorm = free_flow(G0, EPS, 2.0, StepControl(h=1e-3, tol=1e-9))
     diag = flow_diagnostics(traj, EPS)
     assert diag["det_residual"] < 1e-10
     assert diag["b_factor_drift"] < 1e-10
@@ -362,7 +363,8 @@ def test_body_velocity_fails_a_flow_at_the_wrong_speed(epsilon):
 
 
 def _certificate_steps(monkeypatch, epsilon):
-    """Accepted steps of the certificate's flow, and its checks."""
+    """Sample intervals of the certificate's flow, one per nominal step, and
+    its checks."""
     steps = []
 
     def counting(*args, **kwargs):
@@ -379,8 +381,8 @@ def _certificate_steps(monkeypatch, epsilon):
 @pytest.mark.parametrize("epsilon", [0.1, 0.15, 0.2, 0.25, 0.3, -0.2])
 def test_certificate_flow_takes_its_step_from_the_turn(monkeypatch, epsilon):
     """At |eps| in [0.1, 0.3] the certificate's flow to t = 1 turns by at
-    most 1/80 radian per nominal step and takes at most 40 steps, and every
-    flow check PASSes."""
+    most 1/80 radian per nominal step and takes at most 40 of them, and
+    every flow check PASSes."""
     n_steps, checks = _certificate_steps(monkeypatch, epsilon)
     assert 20 <= n_steps <= 40
     assert abs(epsilon) * CERT_H * su2._certificate_step(epsilon, CERT_H) <= 1 / 80
@@ -390,13 +392,40 @@ def test_certificate_flow_takes_its_step_from_the_turn(monkeypatch, epsilon):
 @pytest.mark.parametrize("epsilon", [0.0, 5.0, 10.0, 40.0])
 def test_certificate_step_is_between_its_bounds(monkeypatch, epsilon):
     """The nominal step is 0.05 where the flow stands still and never below
-    1e-3, so the flow takes at most 1000 steps; the body velocity PASSes the
-    correct flow at eps 5, 10 and 40."""
+    1e-3, so the flow stores at most 1001 samples; the body velocity PASSes
+    the correct flow at eps 5, 10 and 40."""
     h = su2._certificate_step(epsilon, CERT_H)
     assert h == (0.05 if epsilon == 0.0 else max(1e-3, 1 / 80 / (epsilon * CERT_H)))
     n_steps, checks = _certificate_steps(monkeypatch, epsilon)
     assert n_steps <= 1000
     assert checks["flow_body_velocity"].passed
+
+
+# the one renormalization of this run moves H (4900) by about 1e-10 H, far
+# past the drift bound 10 tol t_end of so short a run, with either stepper
+@pytest.mark.filterwarnings("ignore:hamiltonian drift")
+def test_shrunk_steps_store_exactly_the_grid(monkeypatch):
+    """rho 99 at epsilon 0.2 turns by 0.98 radian per nominal step, too far
+    for tol: the control rejects the nominal step and takes shorter ones.
+    The run still stores one sample per nominal step (the capped stepper
+    stored every shortened step: 64001 samples for t_end 1), and the body
+    velocity read over the grid matches the closed form."""
+    attempts = []
+    dp_step = flow._dp_step
+
+    def spy(rhs, y, h, k):
+        y_new, est = dp_step(rhs, y, h, k)
+        attempts.append(est)
+        return y_new, est
+
+    monkeypatch.setattr(flow, "_dp_step", spy)
+    g0 = SL2CElement.from_matrix(SB2Element(99.0, 0.3 + 0.2j).matrix)
+    traj, _ = free_flow(g0, 0.2, 0.02, StepControl(h=1e-3, tol=1e-8))
+    assert attempts[0] > 1e-8 and len(attempts) > 2 * 20  # rejected, then shorter
+    assert traj.times.shape == (21,) and traj.points.shape == (21, 8)
+    assert np.array_equal(traj.times[:-1], np.cumsum([0.0] + [1e-3] * 19))
+    assert traj.times[-1] == pytest.approx(0.02, abs=1e-17)
+    assert flow_diagnostics(traj, 0.2)["omega_deviation"] < 1e-5
 
 
 @pytest.mark.parametrize("defect", [2e-9, math.nan])
