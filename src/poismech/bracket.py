@@ -13,8 +13,10 @@ with the analytic gradient every scalar field carries.  The Jacobi identity
 
 built from one P and one dP per chunk of points.  Every derivative a
 certificate takes is the complex step d_l F(x) = Im F(x + i h e_l) / h
-(Squire-Trapp, SIAM Review 1998): it subtracts nothing, so it has no step to
-tune, and bivectors accept complex points for it.
+(Squire-Trapp, SIAM Review 1998), one call of F on the n shifted copies of
+each point: it subtracts nothing, so it has no step to tune.  Bivectors, and
+the maps passed to pushforward_bivector, take (..., n) stacks with
+coordinates last, real or complex.
 
 P is evaluated on a stack: BivectorSpec.matrix takes real or complex points
 (..., n) and returns (..., n, n), and at one point (n,) it returns (n, n);
@@ -56,11 +58,11 @@ _CS_STEP = 1e-30  # far below sqrt(u) |x|: its O(h^2) error is below rounding
 _CHUNK_BYTES = 2**22
 
 
-def _complex_step(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
-    """Stacked d_l fn(x) for l = 0..n-1, each Im fn(x + i h e_l) / h; fn may
-    return a scalar or an array, and must be analytic in x."""
-    points = x + 1j * _CS_STEP * np.eye(x.size)
-    return np.array([np.imag(fn(z)) for z in points]) / _CS_STEP
+def _complex_step(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """d_l fn(x) = Im fn(x + i h e_l) / h, l = 0..n-1, at the points x (..., n),
+    shape (..., n, *out): one call of fn, analytic in x, on the stack
+    (..., n, n) of every point's n shifted copies."""
+    return np.imag(fn(x[..., None, :] + 1j * _CS_STEP * np.eye(x.shape[-1]))) / _CS_STEP
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,14 @@ def eval_bracket(biv: BivectorSpec, f: ScalarField, g: ScalarField, x: np.ndarra
 
 
 def hamiltonian_vector_field(biv: BivectorSpec, H: ScalarField, x: np.ndarray) -> np.ndarray:
-    """xdot with xdot^i = {H, x^i}(x).
+    """xdot with xdot^i = {H, x^i}(x) at the points x (..., n); H's gradient
+    must take the same stack.
 
     Computed as the contraction -Pi(x) grad H(x); componentwise this equals
     eval_bracket(biv, H, x^i, x) up to floating-point reassociation.
     """
     x = np.asarray(x, dtype=float)
-    P = biv.matrix(x)
-    return -P @ H.gradient(x)
+    return -(biv.matrix(x) @ H.gradient(x)[..., None])[..., 0]
 
 
 def _jacobi_terms(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
@@ -175,10 +177,7 @@ def _jacobi_terms(biv: BivectorSpec, x: np.ndarray) -> np.ndarray:
     (..., n), from one P and one complex-step dP, whose matrix call takes the
     n shifted copies of every point at once.  One contraction over l, so a
     non-finite P makes T non-finite."""
-    P = biv.matrix(x)
-    shifted = x[..., None, :] + 1j * _CS_STEP * np.eye(biv.dim)
-    dP = np.imag(biv.matrix(shifted)) / _CS_STEP
-    return np.einsum("...al,...lbc->...abc", P, dP)
+    return np.einsum("...al,...lbc->...abc", biv.matrix(x), _complex_step(biv.matrix, x))
 
 
 def _cyclic(T: np.ndarray, i, j, k):
@@ -240,10 +239,11 @@ def pushforward_bivector(
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Pointwise pushforward (dphi) Pi (dphi)^T at x, with a complex-step
-    Jacobian of the analytic map phi; its row count is the size of phi's output."""
+    """Pushforward (dphi) Pi (dphi)^T at the points x (..., n), with a
+    complex-step Jacobian of the analytic map phi of (..., n) stacks; the
+    last two axes have the size of phi's output."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (biv.dim,):
+    if x.shape[-1:] != (biv.dim,):
         raise ContractViolation(f"point shape {x.shape} does not match chart dim {biv.dim}")
-    J = _complex_step(phi, x).T
-    return J @ biv.matrix(x) @ J.T
+    dphi = _complex_step(phi, x)  # (..., n, m), the transposed Jacobian
+    return np.swapaxes(dphi, -1, -2) @ biv.matrix(x) @ dphi

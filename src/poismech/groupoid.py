@@ -28,9 +28,15 @@ __all__ = [
 ]
 
 
-def _project(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """Projected base points of the (..., n) stacks of states (x, p), with
-    every moment and both flows taken over the whole stack at once."""
+def groupoid_projection(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
+    """Left or right projected base points of one state (x, p) or of a stack
+    of them, real or complex: x and p share one shape (..., n), n the
+    generators' dim, and every moment and both flows are taken over the whole
+    stack at once."""
+    x = np.asarray(x)
+    p = np.asarray(p)
+    if x.shape != p.shape or x.shape[-1:] != (r.dim,):
+        raise ContractViolation("projection needs x, p of one shape with last axis the generators' dim")
     if side not in ("left", "right"):
         raise ContractViolation(f"side must be 'left' or 'right', got {side!r}")
     J1 = np.einsum("...j,...j->...", p, r.X1.value(x))
@@ -39,15 +45,6 @@ def _project(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.nda
     t1 = sgn * 0.5 * r.epsilon * J2
     t2 = -sgn * 0.5 * r.epsilon * J1
     return r.X1.flow(t1, r.X2.flow(t2, x))
-
-
-def groupoid_projection(r: AbelianRSpec, x: np.ndarray, p: np.ndarray, side: str) -> np.ndarray:
-    """Left or right projected base point of the state (x, p), real or complex."""
-    x = np.asarray(x)
-    p = np.asarray(p)
-    if x.shape != p.shape or x.shape != (r.dim,):
-        raise ContractViolation("projection needs x, p of the generators' dim")
-    return _project(r, x[None], p[None], side)[0]
 
 
 def project_trajectory(r: AbelianRSpec, traj: Trajectory, side: str) -> Trajectory:
@@ -59,7 +56,7 @@ def project_trajectory(r: AbelianRSpec, traj: Trajectory, side: str) -> Trajecto
             f"trajectory dim {traj.dim} is not twice the base dim {n}"
         )
     x, p = traj.points[:, :n], traj.points[:, n:]
-    return Trajectory(traj.times.copy(), _project(r, x, p, side))
+    return Trajectory(traj.times.copy(), groupoid_projection(r, x, p, side))
 
 
 def _phase_names(n: int) -> tuple[str, ...]:

@@ -28,7 +28,7 @@ from .errors import ConfigError, ContractViolation
 from .fitting import MIN_CURVE_SAMPLES, collinearity_residual, monotonicity_verdict, tail_velocity
 from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
-from .groupoid import _project, canonical_bivector, cotangent_wedge, project_trajectory
+from .groupoid import canonical_bivector, cotangent_wedge, groupoid_projection, project_trajectory
 from .model import (
     INT, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
@@ -172,13 +172,14 @@ def velocity_momentum_profile(
         pvec[:, 0] = p_grid[lo:lo + per_chunk]
         _, shells = _shells(spec, mass, pvec, t_span, n_samples)
         x, p = shells[..., :d], shells[..., d:]
-        base = x if projection == "ordinary" else _project(r, x, p, projection)
+        base = x if projection == "ordinary" else groupoid_projection(r, x, p, projection)
         vs[lo:lo + len(pvec)] = _speed_of_curve(base)
     return {"p": p_grid, "v": vs, "verdict": monotonicity_verdict(vs)}
 
 
-def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, float]:
-    """Exact asymptotic speeds of the left/right projected shell lines.
+def closed_form_speeds(spec: KappaSpec, mass: float, p: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact asymptotic speeds of the left/right projected shell lines, at
+    one momentum or an array of them (two arrays of p's shape).
 
     The projections act on a phase point by a time translation through half
     the deformed spatial moment and a spatial rescaling through half the
@@ -191,24 +192,25 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float) -> tuple[float, f
     with p0 = sqrt(m^2 + p^2).  The right denominator vanishes at
     p0 = (eps/2) p^2 (eps > 0), the left one at p0 = -(eps/2) p^2
     (eps < 0); momenta at or beyond either pole are rejected, and so are
-    momenta whose denominator is not a number (the squares overflowed).
+    momenta whose denominator is not a number (the squares overflowed).  The
+    error names the first such momentum.
     """
     if mass <= 0:
         raise ContractViolation("mass must be positive")
-    if p <= 0:
+    p = np.asarray(p, dtype=float)[()]  # one momentum as a numpy scalar, whose arithmetic is cheaper
+    if (p <= 0).any():
         raise ContractViolation("speed profile momenta must be positive")
     e = spec.epsilon
-    p0 = float(np.sqrt(mass * mass + p * p))
+    p0 = np.sqrt(mass * mass + p * p)
     denom_l = p0 + 0.5 * e * p * p
     denom_r = p0 - 0.5 * e * p * p
     for side, denom in (("left", denom_l), ("right", denom_r)):
-        if not denom > 0:
-            raise ContractViolation(
-                f"{side} projection degenerates at p = {p} for epsilon = {e}"
-            )
+        if not (denom > 0).all():
+            first = np.ravel(p)[np.argmin(denom > 0)]
+            raise ContractViolation(f"{side} projection degenerates at p = {float(first)} for epsilon = {e}")
     v_left = np.exp(0.5 * e * p0) * p / denom_l
     v_right = np.exp(-0.5 * e * p0) * p / denom_r
-    return float(v_left), float(v_right)
+    return v_left, v_right
 
 
 def classical_limit_deviation(epsilon: float, mass: float = 1.0, spatial_dim: int = 3) -> float:
@@ -230,7 +232,7 @@ def classical_limit_deviation(epsilon: float, mass: float = 1.0, spatial_dim: in
 def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, dict]) -> float:
     """Worst |measured - closed form| of the 'left' and 'right' speed
     profiles over their momenta; NaN and inf propagate."""
-    closed = [closed_form_speeds(spec, mass, float(p)) for p in profiles["left"]["p"]]
+    closed = np.column_stack(closed_form_speeds(spec, mass, profiles["left"]["p"]))
     measured = np.column_stack([profiles["left"]["v"], profiles["right"]["v"]])
     return float(np.max(np.abs(measured - closed), initial=0.0))
 
@@ -421,8 +423,7 @@ def _certificate_check(p: Params, field: str) -> None:
     """No momentum of the certificate's speed check may sit at a projection pole."""
     spec = _spec(p)
     try:
-        for q in _CERT_MOMENTA:
-            closed_form_speeds(spec, p["mass"], q)
+        closed_form_speeds(spec, p["mass"], _CERT_MOMENTA)
     except ContractViolation as exc:
         raise ConfigError(field, f"{exc}; the speed check needs momenta {_CERT_MOMENTA}") from exc
 

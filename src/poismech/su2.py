@@ -300,25 +300,33 @@ def sl2c_bivector(epsilon: float) -> BivectorSpec:
 # hamiltonians on the group chart
 
 
-def free_energy(m: np.ndarray) -> float:
-    """Half the squared Frobenius norm of the matrix."""
+def free_energy(m: np.ndarray) -> np.ndarray:
+    """Half the squared Frobenius norm of each matrix of a stack ``(..., 2, 2)``."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * float(np.sum(np.abs(m) ** 2))
+    return 0.5 * np.sum(np.abs(m) ** 2, axis=(-2, -1))
+
+
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """``x . x`` of each point of a stack ``(..., n)``, rounded as ``np.dot``
+    rounds one point, so half of it on group-chart points is, row by row,
+    the bits of :func:`free_hamiltonian_field`."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def free_hamiltonian_field() -> ScalarField:
     """The trace energy on the group chart: half the squared Frobenius norm,
-    the generator of the deformed free flow."""
-    return ScalarField(
-        fn=lambda x: 0.5 * float(np.dot(x, x)),
-        grad=lambda x: np.asarray(x, dtype=float).copy(),
-    )
+    the generator of the deformed free flow.  The flow reads ``fn`` at every
+    sample, so it stays np.dot of one point; ``0.5 * _squared_norm`` gives
+    its bits on a stack.  The gradient is the float point itself, which its
+    readers never write."""
+    return ScalarField(fn=lambda x: 0.5 * float(np.dot(x, x)), grad=lambda x: x)
 
 
 def flow_rhs(m: np.ndarray, epsilon: float) -> np.ndarray:
-    """Right-hand side of the free flow: ``i eps (H m + Y conj(m) Y)``."""
+    """Right-hand side of the free flow, ``i eps (H m + Y conj(m) Y)``, at
+    each matrix of a stack ``(..., 2, 2)``."""
     m = np.asarray(m, dtype=complex)
-    return 1j * epsilon * (free_energy(m) * m + _Y @ np.conj(m) @ _Y)
+    return 1j * epsilon * (free_energy(m)[..., None, None] * m + _Y @ np.conj(m) @ _Y)
 
 
 def legendre_velocity(b_part: SB2Element, epsilon: float) -> np.ndarray:
@@ -333,16 +341,12 @@ def legendre_velocity(b_part: SB2Element, epsilon: float) -> np.ndarray:
 
 
 def _sinhc(u):
-    """``sinh(u) / u`` for a real or complex number or array ``u``, continued
-    by its limit 1 at ``u = 0``; ``sinh(eps x) / eps`` is ``x * _sinhc(eps x)``
-    at every eps."""
-    if np.ndim(u):
-        u = np.asarray(u)
-        out = np.ones(u.shape, np.result_type(u, float))
-        return np.divide(np.sinh(u), u, out=out, where=u != 0)
-    if u == 0:
-        return 1.0
-    return (cmath.sinh(u) if isinstance(u, complex) else math.sinh(u)) / u
+    """``sinh(u) / u`` for a real or complex array ``u``, continued by its
+    limit 1 at ``u = 0``; ``sinh(eps x) / eps`` is ``x * _sinhc(eps x)`` at
+    every eps."""
+    u = np.asarray(u)
+    out = np.ones(u.shape, np.result_type(u, float))
+    return np.divide(np.sinh(u), u, out=out, where=u != 0)
 
 
 def expm2(m: np.ndarray) -> np.ndarray:
@@ -486,7 +490,7 @@ def linear_momentum_bivector() -> BivectorSpec:
     )
 
 
-def _chart_factor(s2: float, z: float, epsilon: float) -> float:
+def _chart_factor(s2: np.ndarray, z: np.ndarray, epsilon: float) -> np.ndarray:
     """The factor by which :func:`momentum_isomorphism` rescales ``x + i y``,
     from ``s2 = x^2 + y^2``: the square root of
     ``(sinh^2(eps r) - sinh^2(eps z)) / (eps^2 (r^2 - z^2))``, written as
@@ -495,13 +499,14 @@ def _chart_factor(s2: float, z: float, epsilon: float) -> float:
     one formula holds on and near the axis and at every ``eps``, 0 included.
     ``|z|`` continues analytically as ``+-z`` by the sign of ``Re z``.
     """
-    s = np.sqrt(s2 + z * z) + (z if z.real >= 0 else -z)
-    d = s2 / s if s else 0.0  # both vanish only at the origin
+    s = np.sqrt(s2 + z * z) + np.where(np.real(z) >= 0, z, -z)
+    d = np.divide(s2, s, out=np.zeros_like(s), where=s != 0)  # both vanish only at the origin
     return np.sqrt(_sinhc(epsilon * s) * _sinhc(epsilon * d))
 
 
 def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
-    """Map the linear chart ``(x, y, z)`` onto the deformed chart.
+    """Map the linear chart ``(x, y, z)`` onto the deformed chart, at one
+    point or a stack ``(..., 3)``.
 
     ``zeta = z`` and ``w`` rescales ``x + i y`` so that the squared-radius
     functions correspond: ``|w|^2 + (sinh(eps zeta)/eps)^2 = (sinh(eps r)/eps)^2``
@@ -509,22 +514,23 @@ def momentum_isomorphism(xyz: np.ndarray, epsilon: float) -> np.ndarray:
     smooth through the axis ``x = y = 0`` and equal to 1 at ``eps = 0``.
     """
     p = np.asarray(xyz)
-    if p.shape != (3,):
+    if p.shape[-1:] != (3,):
         raise ContractViolation(f"linear chart points have 3 components, got {p.shape}")
-    x, y, z = p
+    x, y, z = np.moveaxis(p, -1, 0)
     factor = _chart_factor(x * x + y * y, z, epsilon)
-    return np.array([z, factor * x, factor * y])
+    return np.stack([z, factor * x, factor * y], axis=-1)
 
 
-def casimir_radius_squared(zw: np.ndarray, epsilon: float) -> float:
-    """Central function ``|w|^2 + (sinh(eps zeta)/eps)^2`` of the deformed chart.
+def casimir_radius_squared(zw: np.ndarray, epsilon: float) -> np.ndarray:
+    """Central function ``|w|^2 + (sinh(eps zeta)/eps)^2`` of the deformed
+    chart, at one point or a stack ``(..., 3)``.
 
     Pulls back to ``(sinh(eps r)/eps)^2`` under the isomorphism; at
     ``eps = 0`` it is the plain squared radius.
     """
-    zeta, wx, wy = np.asarray(zw, dtype=float)
+    zeta, wx, wy = np.moveaxis(np.asarray(zw, dtype=float), -1, 0)
     sz = zeta * _sinhc(epsilon * zeta)
-    return float(wx * wx + wy * wy + sz * sz)
+    return wx * wx + wy * wy + sz * sz
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +657,10 @@ def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
     seeded unimodular points: the bracket-table Hamiltonian vector field of
     the trace energy against the matrix form :func:`flow_rhs`.  A non-finite
     gap at any point makes the result non-finite."""
-    biv = sl2c_bivector(epsilon)
-    energy = free_hamiltonian_field()
-    gaps = [
-        np.max(np.abs(
-            hamiltonian_vector_field(biv, energy, g.real8)
-            - real8_from_matrix(flow_rhs(g.matrix, epsilon))
-        ))
-        for g in sample_unimodular(n_points, seed=seed)
-    ]
+    mats = np.array([g.matrix for g in sample_unimodular(n_points, seed=seed)]).reshape(-1, 2, 2)
+    via_bracket = hamiltonian_vector_field(sl2c_bivector(epsilon), free_hamiltonian_field(),
+                                           real8_from_matrix(mats))
+    gaps = np.abs(via_bracket - real8_from_matrix(flow_rhs(mats, epsilon)))
     return float(np.max(gaps, initial=0.0))
 
 
@@ -673,18 +674,15 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
     Casimirs (``R = r`` at ``eps = 0``).  Returns the worst of each; NaN and
     inf propagate.
     """
-    rng = np.random.default_rng(seed)
-    lin = linear_momentum_bivector()
-    mom = momentum_bivector(epsilon)
-    push, cas = [], []
-    for _ in range(n_points):
-        p = rng.uniform(-_CUBE, _CUBE, size=3)
-        r = float(np.linalg.norm(p))
-        img = momentum_isomorphism(p, epsilon)
-        got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p)
-        push.append(np.max(np.abs(got - mom.matrix(img))))
-        big_r = math.sqrt(casimir_radius_squared(img, epsilon))
-        cas.append(abs(epsilon * big_r - math.sinh(epsilon * r)) if epsilon else abs(big_r - r))
+    # one draw of (n_points, 3) continues the same stream as one per point
+    p = np.random.default_rng(seed).uniform(-_CUBE, _CUBE, size=(n_points, 3))
+    img = momentum_isomorphism(p, epsilon)
+    phi = functools.partial(momentum_isomorphism, epsilon=epsilon)
+    got = pushforward_bivector(linear_momentum_bivector(), phi, p)
+    push = np.abs(got - momentum_bivector(epsilon).matrix(img))
+    r = np.sqrt(_squared_norm(p))
+    big_r = np.sqrt(casimir_radius_squared(img, epsilon))
+    cas = np.abs(epsilon * big_r - np.sinh(epsilon * r)) if epsilon else np.abs(big_r - r)
     return float(np.max(push, initial=0.0)), float(np.max(cas, initial=0.0))
 
 
@@ -693,14 +691,14 @@ def energy_pipeline_deviation(traj: Trajectory, epsilon: float) -> float:
     ``cosh(2 eps sqrt(2 h))`` of the classical energy ``h`` that
     :func:`energy_relations` gives for the start's trace energy (the start's
     own trace energy at ``eps = 0``); NaN and inf propagate."""
-    energy = free_hamiltonian_field()
-    h0 = float(energy(traj.points[0]))
+    energy = 0.5 * _squared_norm(traj.points)
+    h0 = float(energy[0])
     if epsilon != 0.0:
         target = energy_relations(epsilon, trace=h0)
         expected = math.cosh(2.0 * epsilon * math.sqrt(2.0 * target.classical))
     else:
         expected = h0
-    return float(np.max([abs(float(energy(x)) - expected) for x in traj.points]))
+    return float(np.max(np.abs(energy - expected)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +782,7 @@ def _check(p: Params) -> None:
         raise ConfigError("params.step", f"t_end / step = {n:.6g} samples, above the 2^21 a run may store")
     entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
     entry = max(entries, key=entries.get)
-    energy = free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
+    energy = float(free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
     turn = p["step"] * abs(p["epsilon"]) * energy
     # an error names the factor furthest above its scale: step against its
     # default, |epsilon| against 1, and the start entry that dominates H
@@ -834,7 +832,6 @@ def _trajectory(p: Params) -> ArtifactData:
     diag = flow_diagnostics(traj, p["epsilon"])
     diag["renormalizations"] = n_renorm
     diag["h_drift"] = traj.h_drift
-    energy = free_hamiltonian_field()
     mats = matrix_from_real8(traj.points)
     _, _, rho, n = iwasawa(mats)
     columns = {
@@ -843,7 +840,7 @@ def _trajectory(p: Params) -> ArtifactData:
         "rho": rho,
         "n_re": n.real,
         "n_im": n.imag,
-        "H": [energy(pt) for pt in traj.points],
+        "H": 0.5 * _squared_norm(traj.points),
         "det_residual": np.abs(_det(mats) - 1.0),
     }
     return ArtifactData("trajectory", columns, diag)
@@ -908,7 +905,7 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
 
     # conservation along the flow, against the closed-form solution (t = 1)
     start = _start(p["rho"], p["n_re"], p["n_im"])
-    step = StepControl(h=_certificate_step(epsilon, free_energy(start.matrix)), tol=1e-8)
+    step = StepControl(h=_certificate_step(epsilon, float(free_energy(start.matrix))), tol=1e-8)
     traj, _ = free_flow(start, epsilon, 1.0, step=step)
     diag = flow_diagnostics(traj, epsilon)
 

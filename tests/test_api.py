@@ -12,9 +12,8 @@ SRC = ROOT / "src" / "poismech"
 PERFBENCH = ROOT / "perfbench"
 
 # Deliberate user-facing entry points that the engine does not call itself:
-# the coordinate function x^i, for evaluating {x^i, g} with eval_bracket, and
-# the projection of one state, the one-row case of project_trajectory.
-ENTRY_POINTS = {"bracket.coordinate_field", "groupoid.groupoid_projection"}
+# the coordinate function x^i, for evaluating {x^i, g} with eval_bracket.
+ENTRY_POINTS = {"bracket.coordinate_field"}
 
 
 def test_benchmark_api_is_present_and_its_first_jobs_pass(tmp_path, monkeypatch):

@@ -118,7 +118,7 @@ def test_complex_step_gradient_matches_analytic():
     """The complex-step derivative subtracts nothing, so it agrees with the
     analytic gradient to rounding."""
     x = np.array([0.6, -1.1])
-    cs = bracket._complex_step(lambda q: np.sin(q[0]) * q[1], x)
+    cs = bracket._complex_step(lambda q: np.sin(q[..., 0]) * q[..., 1], x)
     np.testing.assert_allclose(cs, [np.cos(0.6) * -1.1, np.sin(0.6)], rtol=1e-15, atol=0)
 
 
@@ -257,11 +257,11 @@ def test_pushforward_through_linear_map():
     biv = so3_biv()
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     x = np.array([0.3, -0.5, 0.9])
-    got = pushforward_bivector(biv, lambda q: A @ q, x)
+    got = pushforward_bivector(biv, lambda q: q @ A.T, x)
     want = A @ biv.matrix(x) @ A.T
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     with pytest.raises(ContractViolation):
-        pushforward_bivector(biv, lambda q: A[:, :2] @ q, x[:2])
+        pushforward_bivector(biv, lambda q: q @ A[:, :2].T, x[:2])
 
 
 def test_constant_field_bracket_vanishes():
@@ -310,8 +310,7 @@ def test_jacobi_terms_contraction_matches_loop_bit_for_bit(name):
         stack.append(x)
         loops.append(T)
     # the same points as one stack give each point's tensor
-    _assert_stack_matches_points(name, bracket._jacobi_terms(biv, np.array(stack)),
-                                 np.array(loops))
+    _assert_same_bits(bracket._jacobi_terms(biv, np.array(stack)), np.array(loops))
 
 
 @pytest.mark.parametrize("name", list(SHIPPED))
@@ -343,30 +342,16 @@ def _bits(a):
     return np.stack([a.real.view(np.uint64), np.imag(a).view(np.uint64)])
 
 
-# The su2 momentum bracket's sinh(2 eps zeta) term goes through numpy's array
-# sinh and array complex product on a stack, and through the C library's sinh
-# and a scalar product at one point; SIMD kernels and fused multiply-adds may
-# round those differently, so these forms match each point to a few ulp.
-ROUNDED = {"su2_momentum", "su2_momentum+witness"}
-
-
-def _assert_stack_matches_points(name, stacked, alone):
-    """Bit for bit, sign bits included; for a ROUNDED form, the real and the
-    imaginary parts each to 4 ulp of their largest entry."""
-    if name not in ROUNDED:
-        np.testing.assert_array_equal(_bits(stacked), _bits(alone))
-        return
-    eps = np.finfo(float).eps
-    for part in (np.real, np.imag):
-        np.testing.assert_allclose(part(stacked), part(alone), rtol=4 * eps,
-                                   atol=4 * eps * np.max(np.abs(part(alone))))
+def _assert_same_bits(stacked, alone):
+    """Bit for bit, sign bits included."""
+    np.testing.assert_array_equal(_bits(stacked), _bits(alone))
 
 
 @pytest.mark.parametrize("name", list(WITNESSED))
 def test_matrix_of_a_stack_is_each_points_matrix(name):
     """P of a stack (..., n) is (..., n, n), and slice k is P at point k
     alone, at real points and at the complex-step points that a
-    certificate's dP reads: bit for bit, except a ROUNDED form."""
+    certificate's dP reads: bit for bit."""
     biv = WITNESSED[name]
     n = biv.dim
     X = np.random.default_rng(17).uniform(-1.0, 1.0, size=(64, n))
@@ -375,9 +360,33 @@ def test_matrix_of_a_stack_is_each_points_matrix(name):
     assert PX.shape == (64, n, n) and PZ.shape == (64, n, n, n)
     assert np.iscomplexobj(PZ) or not np.any(np.imag(PZ))
     for k in range(64):
-        _assert_stack_matches_points(name, PX[k], biv.matrix(X[k]))
+        _assert_same_bits(PX[k], biv.matrix(X[k]))
         for l in range(n):
-            _assert_stack_matches_points(name, PZ[k, l], biv.matrix(Z[k, l]))
+            _assert_same_bits(PZ[k, l], biv.matrix(Z[k, l]))
+
+
+def _stack_map(q):
+    """An analytic map of (..., n) stacks onto three coordinates."""
+    return np.stack([np.sin(q[..., 0]) * q[..., -1], q[..., 1] * q[..., 1], np.exp(q[..., -1])],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("name", list(SHIPPED))
+def test_stacked_vector_field_and_pushforward_are_each_points_alone(name):
+    """hamiltonian_vector_field and pushforward_bivector of a stack (..., n)
+    are, bit for bit, each point's value alone; at one point the vector
+    field keeps the bits of the plain contraction -P @ grad H."""
+    biv = SHIPPED[name]
+    H = ScalarField(fn=lambda x: np.sum(np.cos(x), axis=-1), grad=lambda x: -np.sin(x))
+    X = np.random.default_rng(23).uniform(-1.0, 1.0, size=(4, 8, biv.dim))
+    field = hamiltonian_vector_field(biv, H, X)
+    push = pushforward_bivector(biv, _stack_map, X)
+    assert field.shape == X.shape and push.shape == (4, 8, 3, 3)
+    for k in np.ndindex(X.shape[:-1]):
+        alone = hamiltonian_vector_field(biv, H, X[k])
+        _assert_same_bits(alone, -biv.matrix(X[k]) @ H.gradient(X[k]))
+        _assert_same_bits(field[k], alone)
+        _assert_same_bits(push[k], pushforward_bivector(biv, _stack_map, X[k]))
 
 
 def _one_point_components(biv, x):

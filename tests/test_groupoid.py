@@ -10,7 +10,6 @@ from poismech.fitting import collinearity_residual
 from poismech.flow import StepControl, Trajectory, integrate_flow
 from poismech.generators import AbelianRSpec, scaling, translation
 from poismech.groupoid import (
-    _project,
     canonical_bivector,
     cotangent_wedge,
     groupoid_projection,
@@ -102,7 +101,7 @@ def test_pushforward_of_canonical_is_deformed_product_bracket():
     can = canonical_bivector(2)
 
     def phi(s):
-        return groupoid_projection(R_SCALING, s[:2], s[2:], "left")
+        return groupoid_projection(R_SCALING, s[..., :2], s[..., 2:], "left")
 
     P = pushforward_bivector(can, phi, state)
     q = phi(state)
@@ -177,16 +176,16 @@ def test_project_trajectory_matches_per_point_loop_on_kappa_shells(spatial_dim, 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_project_on_a_stack_equals_it_row_by_row(side):
-    """_project of an (m, N, n) stack of states is, bit for bit, the stack of
-    its (N, n) rows' projections."""
+    """groupoid_projection of an (m, N, n) stack of states is, bit for bit,
+    the stack of its (N, n) rows' projections."""
     spec = KappaSpec(-0.35, 3)
     r = kappa_rspec(spec)
     rng = np.random.default_rng(4)
     x, p = rng.normal(size=(2, 5, 33, spec.dim))
-    got = _project(r, x, p, side)
+    got = groupoid_projection(r, x, p, side)
     assert got.shape == (5, 33, spec.dim)
     for i in range(5):
-        np.testing.assert_array_equal(got[i], _project(r, x[i], p[i], side))
+        np.testing.assert_array_equal(got[i], groupoid_projection(r, x[i], p[i], side))
 
 
 def test_project_trajectory_matches_per_point_loop_on_minkowski2d_flow():

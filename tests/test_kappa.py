@@ -91,6 +91,22 @@ def test_left_speed_pole_is_guarded():
     assert vl == pytest.approx(vr_pos, rel=1e-15) and vr == pytest.approx(vl_pos, rel=1e-15)
 
 
+@pytest.mark.parametrize("epsilon", [0.5, -0.5, 0.0])
+def test_speeds_of_an_array_of_momenta_are_each_momentum_alone(epsilon):
+    """closed_form_speeds of an array of momenta gives, bit for bit, the
+    speeds of each momentum alone, and a pole error names the first momentum
+    of the array at or past the pole (near p = 4.12 at |eps| = 0.5)."""
+    spec = KappaSpec(epsilon)
+    grid = np.linspace(0.2, 4.0, 40)
+    vl, vr = closed_form_speeds(spec, 1.0, grid)
+    for k, p in enumerate(grid):
+        assert (vl[k], vr[k]) == closed_form_speeds(spec, 1.0, float(p))
+    if epsilon:
+        side = "right" if epsilon > 0 else "left"
+        with pytest.raises(ContractViolation, match=f"^{side} projection degenerates at p = 4.5 "):
+            closed_form_speeds(spec, 1.0, [1.0, 4.5, 5.0, 4.2])
+
+
 def test_profiles_are_increasing_below_the_pole():
     grid = np.linspace(0.3, 3.0, 12)
     for proj in ("ordinary", "left", "right"):

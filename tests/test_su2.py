@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from poismech import bracket
-from poismech.bracket import jacobi_certificate
+from poismech.bracket import hamiltonian_vector_field, jacobi_certificate, pushforward_bivector
 from poismech.errors import ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
 from poismech import cli, flow, su2
@@ -228,7 +228,6 @@ def test_dual_route_dynamics_agree_on_shell():
     of motion coincide on the unit-determinant slice..."""
     biv = sl2c_bivector(EPS)
     H = free_hamiltonian_field()
-    from poismech.bracket import hamiltonian_vector_field
     worst = 0.0
     for g in sample_unimodular(20, seed=3):
         via_bracket = hamiltonian_vector_field(biv, H, g.real8)
@@ -240,7 +239,6 @@ def test_dual_route_dynamics_agree_on_shell():
 def test_dual_route_dynamics_differ_off_shell():
     """... and genuinely differ once the state leaves the slice, so the two
     routes are independent checks rather than one computation twice."""
-    from poismech.bracket import hamiltonian_vector_field
     g = next(iter(sample_unimodular(1, seed=3)))
     off = real8_from_matrix(1.05 * g.matrix)  # det = 1.1025
     via_bracket = hamiltonian_vector_field(sl2c_bivector(EPS),
@@ -600,6 +598,91 @@ def test_casimir_pulls_back_to_radius_function():
         zw = momentum_isomorphism(xyz, 0.35)
         want = (np.sinh(0.35 * r) / 0.35) ** 2
         assert casimir_radius_squared(zw, 0.35) == pytest.approx(want, rel=1e-12)
+
+
+def _bits(a):
+    """The raw bits of a real or complex array, so -0.0 differs from +0.0."""
+    a = np.asarray(a)
+    return np.stack([a.real.view(np.uint64), np.imag(a).view(np.uint64)])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.35, -0.7, 10.0])
+def test_stacked_chart_maps_and_flow_rhs_are_each_points_alone(epsilon):
+    """momentum_isomorphism, casimir_radius_squared, flow_rhs and the trace
+    energy of a stack are, bit for bit, each point's value alone, on the
+    axis, at the origin and at the complex-step points a pushforward reads."""
+    p = np.random.default_rng(29).uniform(-su2._CUBE, su2._CUBE, size=(40, 3))
+    p[0, :2] = 0.0
+    p[1] = 0.0
+    z = p[:, None, :] + 1j * bracket._CS_STEP * np.eye(3)
+    img = momentum_isomorphism(p, epsilon)
+    shifted = momentum_isomorphism(z, epsilon)
+    cas = casimir_radius_squared(img, epsilon)
+    mats = np.array([g.matrix for g in sample_unimodular(40, seed=5)])
+    rhs = flow_rhs(mats, epsilon)
+    g8, H = real8_from_matrix(mats), free_hamiltonian_field()
+    energy = 0.5 * su2._squared_norm(g8)
+    assert img.shape == (40, 3) and shifted.shape == (40, 3, 3) and cas.shape == (40,)
+    for k in range(40):
+        np.testing.assert_array_equal(_bits(img[k]), _bits(momentum_isomorphism(p[k], epsilon)))
+        np.testing.assert_array_equal(_bits(shifted[k]), _bits(momentum_isomorphism(z[k], epsilon)))
+        np.testing.assert_array_equal(_bits(cas[k]), _bits(casimir_radius_squared(img[k], epsilon)))
+        np.testing.assert_array_equal(_bits(rhs[k]), _bits(flow_rhs(mats[k], epsilon)))
+        np.testing.assert_array_equal(_bits(energy[k]), _bits(H(g8[k])))
+
+
+def _per_point_isomorphism_deviation(epsilon, n_points, seed):
+    """Test-local reference: the isomorphism checks one point at a time, each
+    drawn alone, with the math module's sinh and sqrt for the Casimir.
+    Returns the worst pushforward and Casimir defects and the largest entry
+    each is measured against."""
+    rng = np.random.default_rng(seed)
+    lin, mom = linear_momentum_bivector(), momentum_bivector(epsilon)
+    push, cas, push_scale, cas_scale = [], [], 0.0, 0.0
+    for _ in range(n_points):
+        p = rng.uniform(-su2._CUBE, su2._CUBE, size=3)
+        r = float(np.linalg.norm(p))
+        img = momentum_isomorphism(p, epsilon)
+        got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p)
+        want = mom.matrix(img)
+        push.append(np.max(np.abs(got - want)))
+        big_r = math.sqrt(casimir_radius_squared(img, epsilon))
+        exact = math.sinh(epsilon * r) if epsilon else r
+        cas.append(abs(epsilon * big_r - exact) if epsilon else abs(big_r - r))
+        push_scale = max(push_scale, float(np.max(np.abs(want))))
+        cas_scale = max(cas_scale, abs(exact))
+    return max(push), max(cas), push_scale, cas_scale
+
+
+def _per_point_dual_path_deviation(epsilon, n_points, seed):
+    """Test-local reference: the two routes to the free dynamics one
+    unimodular point at a time.  Returns the worst gap and the largest
+    entry of the matrix route."""
+    biv, energy = sl2c_bivector(epsilon), free_hamiltonian_field()
+    gaps, scale = [], 0.0
+    for g in sample_unimodular(n_points, seed=seed):
+        via_matrix = real8_from_matrix(flow_rhs(g.matrix, epsilon))
+        gaps.append(np.max(np.abs(hamiltonian_vector_field(biv, energy, g.real8) - via_matrix)))
+        scale = max(scale, float(np.max(np.abs(via_matrix))))
+    return max(gaps), scale
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, -0.1, 1.0, 5.0, 10.0])
+def test_stacked_certificate_checks_match_their_per_point_references(epsilon):
+    """The isomorphism and dual-path checks of the certificate agree with
+    their per-point references to 1e-15 of the largest entry they measure,
+    and the reference values give the certificate's verdicts."""
+    seed = 7
+    checks = {c.name: c for c in cli.su2_certificate(epsilon, seed, CERT_POINTS)}
+    push, cas, push_scale, cas_scale = _per_point_isomorphism_deviation(epsilon, CERT_POINTS,
+                                                                        seed + 4)
+    dual, dual_scale = _per_point_dual_path_deviation(epsilon, CERT_POINTS, seed + 3)
+    for name, ref, scale in (("isomorphism_pushforward", push, push_scale),
+                             ("isomorphism_casimir", cas, cas_scale),
+                             ("dual_path_dynamics", dual, dual_scale)):
+        check = checks[name]
+        assert abs(check.value - ref) <= 1e-15 * scale, name
+        assert check.passed == (ref < check.threshold), name
 
 
 # --- energy normalizations -------------------------------------------------
