@@ -14,7 +14,8 @@ tolerance alone sets the step.
 The samples do not follow the steps: they lie on the grid ``t += h`` of the
 nominal step ``StepControl.h``, and each one inside a step is read from the
 pair's fourth-order continuous extension (section II.6), which costs no
-right-hand side evaluation.
+right-hand side evaluation.  A step's samples are read, and restored by the
+constraint hook, as one stack: the hook runs at most twice a step.
 """
 from __future__ import annotations
 
@@ -75,8 +76,11 @@ _W_F = np.array(_W, dtype=float)
 @dataclass(frozen=True)
 class StepControl:
     """Sample spacing and first trial step ``h``, per-step error tolerance
-    ``tol``, and an optional constraint-restoration hook applied to each
-    accepted state and each sample."""
+    ``tol``, and an optional constraint-restoration hook.  The hook takes one
+    state, shape ``(n,)``, or a stack of them, ``(m, n)``, and returns the
+    same shape: it runs on each accepted state and, once per step, on the
+    stack of that step's samples.  A state it returns as the same object
+    counts as unmoved."""
 
     h: float
     tol: float
@@ -116,15 +120,23 @@ def _sample_times(t_end: float, h: float) -> np.ndarray:
     """The grid ``t += h`` from 0 to ``t_end``.  A remainder under a tenth of
     ``h`` joins the last interval rather than leaving a degenerate one (which
     would poison finite differences over the sample times)."""
-    times = [0.0]
-    t = 0.0
-    while t < t_end - _END_SLACK * max(1.0, t_end):
+    stop = t_end - _END_SLACK * max(1.0, t_end)
+    # the regular part, one cumulative sum: numpy accumulates in sequence, so
+    # these are the additions t += h of the scalar rule below.  It runs while
+    # a full step leaves at least h/10 before t_end (a condition monotone in
+    # t, so the grid's regular points are a prefix of the sum).
+    grid = np.concatenate(([0.0], np.cumsum(np.full(int(t_end / h), h))))
+    regular = (grid < stop) & (t_end - grid - h >= 0.1 * h)
+    k = min(int(np.count_nonzero(regular)), grid.size - 1)
+    tail = []
+    t = float(grid[k])
+    while t < stop:
         dt = min(h, t_end - t)
         if t_end - t - dt < 0.1 * dt:
             dt = t_end - t
         t += dt
-        times.append(t)
-    return np.array(times)
+        tail.append(t)
+    return np.concatenate((grid[:k + 1], tail))
 
 
 def _scale(tol: float, est: float) -> float:
@@ -208,7 +220,7 @@ def integrate_flow(
             theta = ((times[n_done:inner] - t) / h)[:, None]
             weights = theta * (_W_F[0] + theta * (_W_F[1] + theta * (_W_F[2] + theta * _W_F[3])))
             dense = y + h * (weights @ k)
-            points[n_done:inner] = dense if step.poststep is None else [restore(p) for p in dense]
+            points[n_done:inner] = restore(dense)
         y_post = restore(y_new)
         if inner < end:
             points[inner] = y_post

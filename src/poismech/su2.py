@@ -360,12 +360,17 @@ def expm2(m: np.ndarray) -> np.ndarray:
     return cmath.exp(lam) * (cmath.cosh(theta) * np.eye(2) + _sinhc(theta) * n)
 
 
+def _rotated(u0: SU2Element, omega: np.ndarray, b_part: SB2Element, t: float) -> np.ndarray:
+    """``u0 exp(t omega) B``: the free trajectory through ``u0 * B`` whose
+    body velocity ``omega`` is already known."""
+    return u0.matrix @ expm2(t * omega) @ b_part.matrix
+
+
 def closed_form_flow(
     u0: SU2Element, b_part: SB2Element, epsilon: float, t: float
 ) -> np.ndarray:
     """Exact free trajectory through ``u0 * B``: rotate the unitary factor."""
-    omega = legendre_velocity(b_part, epsilon)
-    return u0.matrix @ expm2(t * omega) @ b_part.matrix
+    return _rotated(u0, legendre_velocity(b_part, epsilon), b_part, t)
 
 
 def free_flow(
@@ -384,11 +389,17 @@ def free_flow(
     events = [0]
 
     def renorm(x: np.ndarray) -> np.ndarray:
+        # one state (8,) or a stack (m, 8); with none off the slice, x
+        # itself comes back, which the integrator reads as unmoved
         m = matrix_from_real8(x)
         det = _det(m)
-        if abs(det - 1.0) > _RENORM_TRIGGER:
-            events[0] += 1
-            return real8_from_matrix(m / cmath.sqrt(det))
+        off = np.abs(det - 1.0) > _RENORM_TRIGGER
+        if not off.any():
+            return x
+        roots = np.array([cmath.sqrt(d) for d in det[off]])
+        events[0] += roots.size
+        x = x.copy()
+        x[off] = real8_from_matrix(m[off] / roots[:, None, None])
         return x
 
     ctrl = StepControl(h=step.h, tol=step.tol, poststep=renorm)
@@ -446,7 +457,7 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     omega = legendre_velocity(b0, epsilon)
     est = _body_velocities(alpha, gamma, traj.times)
 
-    end = closed_form_flow(u0, b0, epsilon, float(traj.times[-1]))
+    end = _rotated(u0, omega, b0, float(traj.times[-1]))
     return {
         "det_residual": float(np.max(det_residual)),
         "b_factor_drift": float(max(np.max(np.abs(rho - rho[0])), np.max(np.abs(n - n[0])))),

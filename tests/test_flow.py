@@ -1,10 +1,12 @@
 """Adaptive Dormand-Prince 5(4) flow integration sampled on a fixed grid:
 accuracy, order, cost, the tableau and its continuous extension, the error
 estimate, and failure modes."""
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poismech import flow
 from poismech.bracket import ScalarField, hamiltonian_vector_field
@@ -355,7 +357,7 @@ def test_poststep_hook_is_applied_each_step():
     can = canonical_bivector(1)
 
     def renorm(y):
-        return y / np.linalg.norm(y)
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     traj = integrate_flow(can, OSC, np.array([1.0, 0.0]), 2.0,
                           StepControl(h=5e-2, tol=1e-8, poststep=renorm))
@@ -364,14 +366,14 @@ def test_poststep_hook_is_applied_each_step():
 
 
 def test_poststep_that_moves_the_state_costs_one_evaluation(monkeypatch):
-    """The hook runs on every accepted state and every sample.  A state it
-    returns unchanged keeps the step's last slope as the next first one; a
-    state it moves takes one more evaluation."""
+    """The hook runs on every accepted state and on each step's samples as
+    one stack.  A state it returns unchanged keeps the step's last slope as
+    the next first one; a state it moves takes one more evaluation."""
     can = canonical_bivector(1)
     seen = []
 
     def keep(y):
-        seen.append(y.copy())
+        seen.extend(np.atleast_2d(y))
         return y
 
     def move(y):
@@ -388,6 +390,75 @@ def test_poststep_that_moves_the_state_costs_one_evaluation(monkeypatch):
             hooked = {tuple(y) for y in seen}
             assert all(tuple(y) in hooked for y in traj.points[1:])
             assert all(tuple(a[2]) in hooked for a in attempts)
+
+
+def test_poststep_runs_at_most_twice_per_step_on_stacks(monkeypatch):
+    """Per step, not per sample: the hook takes one call on the stack of a
+    step's samples and one on its end state, and what it returns is what is
+    stored."""
+    can = canonical_bivector(1)
+    shapes, returned = [], set()
+
+    def hook(y):
+        shapes.append(y.shape)
+        out = y * (1.0 - 1e-12) if y.ndim == 2 else y
+        returned.update(map(tuple, np.atleast_2d(out)))
+        return out
+
+    attempts = _spy_on_steps(monkeypatch)
+    traj = integrate_flow(can, OSC, np.array([1.0, 0.0]), 6.0,
+                          StepControl(h=1e-2, tol=1e-6, poststep=hook))
+    accepted = sum(a[3] <= 1e-6 for a in attempts)
+    assert len(shapes) <= 2 * accepted
+    assert shapes.count((2,)) == accepted
+    stacks = [s for s in shapes if len(s) == 2]
+    assert all(s[0] >= 1 and s[1] == 2 for s in stacks)
+    assert max(s[0] for s in stacks) > 10  # many samples per call
+    assert sum(s[0] for s in stacks) < traj.times.size - 1
+    assert all(tuple(p) in returned for p in traj.points[1:])
+
+
+def _scalar_sample_times(t_end, h):
+    """The grid as a scalar loop, one addition t += h per sample: the
+    reference the cumulative sum must reproduce bit for bit."""
+    times = [0.0]
+    t = 0.0
+    while t < t_end - flow._END_SLACK * max(1.0, t_end):
+        dt = min(h, t_end - t)
+        if t_end - t - dt < 0.1 * dt:
+            dt = t_end - t
+        t += dt
+        times.append(t)
+    return np.array(times)
+
+
+@st.composite
+def _grid_ends(draw):
+    """(t_end, h): h in 1e-4..1, and t_end either anywhere up to 2000 steps,
+    within a few ulps of a multiple of h, or a multiple plus a remainder
+    just under, at or just over h/10."""
+    h = 10.0 ** draw(st.floats(-4.0, 0.0))
+    n = draw(st.integers(1, 2000))
+    kind = draw(st.sampled_from(["any", "ulps", "tenth"]))
+    if kind == "any":
+        t_end = draw(st.floats(1e-12, n * h))
+    elif kind == "ulps":
+        t_end, ulps = n * h, draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            t_end = np.nextafter(t_end, math.inf if ulps > 0 else 0.0)
+    else:
+        t_end = (n + 0.1 + draw(st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 1e-9]))) * h
+    return float(t_end), h
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_grid_ends())
+def test_sample_grid_is_the_scalar_loop_bit_for_bit(case):
+    t_end, h = case
+    expected = _scalar_sample_times(t_end, h)
+    got = flow._sample_times(t_end, h)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_hamiltonian_drift_warns():

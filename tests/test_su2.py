@@ -1,5 +1,6 @@
 """Group-chart model: factorization, bracket tables, free flow, and the two
 momentum charts."""
+import cmath
 import math
 
 import numpy as np
@@ -470,6 +471,45 @@ def test_renormalization_rescues_off_slice_start():
     assert n_renorm >= 1
     m_end = matrix_from_real8(traj.points[-1])
     assert abs(np.linalg.det(m_end) - 1.0) < 1e-12
+
+
+def _with_renorm(monkeypatch, use):
+    """``use(renorm)`` on free_flow's determinant hook, run in place of the
+    integration; its result and the rescalings free_flow counts."""
+    out = []
+
+    def stub(biv, H, x0, t_end, step):
+        out.append(use(step.poststep))
+        return Trajectory([0.0], x0[None])
+
+    monkeypatch.setattr(su2, "integrate_flow", stub)
+    _, n_renorm = free_flow(G0, EPS, 1.0, StepControl(h=1e-3, tol=1e-8))
+    return out[0], n_renorm
+
+
+def test_renormalization_of_a_stack_is_each_row_alone(monkeypatch):
+    """The hook rescales only the states of a stack that are off the slice,
+    each to the bits it gets alone, and counts one event per rescaled state;
+    with none off, it returns its input as the same object."""
+    on = real8_from_matrix([g.matrix for g in sample_unimodular(12, 5)])
+    stack = on.copy()
+    off = np.array([1, 4, 5, 11])
+    stack[off] *= 1.0 + np.array([3e-10, -2e-9, 1e-6, 5e-11])[:, None]
+    stacked, n_stacked = _with_renorm(monkeypatch, lambda renorm: renorm(stack))
+    alone, n_alone = _with_renorm(monkeypatch, lambda renorm: [renorm(x) for x in stack])
+    assert n_stacked == n_alone == off.size
+    assert stacked.shape == stack.shape
+    for x, row, single in zip(stack, stacked, alone):
+        assert row.tobytes() == single.tobytes()
+        m = matrix_from_real8(x)
+        rescaled = real8_from_matrix(m / cmath.sqrt(su2._det(m)))  # the one-state rule
+        assert row.tobytes() == (rescaled if abs(su2._det(m) - 1.0) > 1e-10 else x).tobytes()
+    assert np.array_equal(np.flatnonzero(np.any(stacked != stack, axis=1)), off)
+    dets = su2._det(matrix_from_real8(stacked))
+    assert np.all(np.abs(dets - 1.0) <= 1e-12)
+    one = on[3]
+    same, n_same = _with_renorm(monkeypatch, lambda renorm: (renorm(on) is on, renorm(one) is one))
+    assert same == (True, True) and n_same == 0
 
 
 def test_expm2_agrees_with_scipy():
