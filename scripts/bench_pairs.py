@@ -7,8 +7,11 @@ For each workload that ``BENCHMARK.json`` lists, the script runs
 ``perfbench/run.py`` for that file's ``run_seconds`` in ``PAIRS`` pairs, once
 on a copy of the base revision and once on the working tree, and swaps which
 side runs first from one pair to the next, so a drift of the machine falls
-on both sides alike.  The base revision is exported with ``git archive`` into a
-temporary directory, which leaves no worktree registered in the repository.
+on both sides alike.  Both sides run from fresh temporary directories: the
+base revision is exported with ``git archive``, which leaves no worktree
+registered in the repository, and the working tree's tracked and untracked,
+unignored files are copied, so neither side reads caches or outputs that
+earlier runs left in the repository.
 
 The file records both revisions, the machine, the Python and numpy versions,
 every run's last JSON line, and per side and workload the median and
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +49,16 @@ def export(rev: str, dest: Path) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as members:
         members.extractall(dest, filter="data")
+
+
+def copy_worktree(dest: Path) -> None:
+    """The working tree's tracked and untracked, unignored files under
+    ``dest``; a tracked file deleted from the working tree is left out."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -104,9 +118,9 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_root = Path(tmp) / "base"
-        export(args.base, base_root)
-        sides = {"base": base_root, "head": ROOT}
+        sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        export(args.base, sides["base"])
+        copy_worktree(sides["head"])
         for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list] = {"base": [], "head": []}
             for i in range(PAIRS):

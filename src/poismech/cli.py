@@ -34,13 +34,13 @@ worker-pool size (default 1, sequential).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -185,24 +185,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
 # artifacts
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays to plain python; NaN -> None."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    return obj
-
-
 def _certificate_artifact(checks: list[CertCheck]) -> ArtifactData:
     columns = {
         "check": [c.name for c in checks],
@@ -263,93 +245,156 @@ def su2_certificate(epsilon: float, seed: int, n_points: int) -> list[CertCheck]
 # writers
 
 
-def _fmt_cell(name: str, value: Any) -> str:
-    """One cell of a column that is not a float array."""
+_CHUNK_ROWS = 256  # rows rendered and written at a time, which bounds a writer's memory
+_JSON_RANGE = "Out of range float values are not JSON compliant: "  # the stdlib encoder's text
+
+
+def _first_infinity(columns: Mapping[str, Any]) -> float | None:
+    """The first infinite cell in row order, as a row-by-row writer meets it,
+    or None."""
+    first = None  # (row, value)
+    for col in columns.values():
+        if isinstance(col, np.ndarray):
+            rows = np.flatnonzero(np.isinf(col))
+            hit = (rows[0], float(col[rows[0]])) if rows.size else None
+        else:
+            hit = next(((i, float(v)) for i, v in enumerate(col)
+                        if isinstance(v, (float, np.floating)) and math.isinf(v)), None)
+        if hit is not None and (first is None or hit[0] < first[0]):
+            first = hit
+    return None if first is None else first[1]
+
+
+def _fmt_cell(value: Any) -> str:
+    """One CSV cell of a column that is not a float array; never infinite."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isinf(value):  # NaN is written as nan, as JSON writes it as null
-        raise ContractViolation(f"{name}: infinite value {value}; CSV, like JSON, has no infinity")
-    return format(value, ".17g")
+    return format(float(value), ".17g")
 
 
-def _csv_text(data: ArtifactData) -> str:
-    """A float column is checked for infinities once and written by
-    ``%.17g``, which gives the bytes of ``format(v, ".17g")``; any other
-    column goes through :func:`_fmt_cell`."""
-    cells, fields = [], []
-    for col in data.columns.values():
-        if isinstance(col, np.ndarray):
-            inf = np.isinf(col)
-            if inf.any():  # NaN is written as nan, as JSON writes it as null
-                value = col[inf][0]
-                raise ContractViolation(
-                    f"{data.name}: infinite value {value}; CSV, like JSON, has no infinity"
-                )
-            cells.append(col.tolist())
-            fields.append("%.17g")
-        else:
-            cells.append([_fmt_cell(data.name, v) for v in col])
-            fields.append("%s")
-    row = ",".join(fields)
-    lines = [",".join(data.columns)]
-    lines.extend(row % cell for cell in zip(*cells))
-    return "\n".join(lines) + "\n"
+def _json_value(obj: Any, indent: str = "") -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
+    writes it at the nesting ``indent``, taking numpy scalars and arrays as
+    their python values, a tuple as a list, a key as its ``str`` and NaN as
+    null.  An infinity is a ``ValueError`` with the stdlib's text."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if math.isinf(value):
+            raise ValueError(f"{_JSON_RANGE}{value!r}")
+        return "null" if value != value else float.__repr__(value)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = [f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in items]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        body = [_json_value(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(body) + f"\n{indent}{brackets[1]}"
 
 
-def _json_rows(data: ArtifactData) -> list[tuple]:
-    """Rows of plain python values (the encoder writes a tuple as a list);
-    NaN becomes None, as in :func:`_py`."""
-    cells = []
-    for col in data.columns.values():
-        if isinstance(col, np.ndarray):
-            values = col.tolist()
-            for i in np.flatnonzero(np.isnan(col)).tolist():
-                values[i] = None
-        else:
-            values = [_py(v) for v in col]
-        cells.append(values)
-    return list(zip(*cells))
-
-
-def _json_text(name: str, obj: Any) -> str:
-    """``obj`` holds only plain python values (see :func:`_py`)."""
+def _json_text(name: str, obj: Any, indent: str = "") -> str:
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json_value(obj, indent)
     except ValueError as exc:  # JSON has no infinity
         raise ContractViolation(f"{name}: {exc}") from exc
 
 
+def _write_rows(path: Path, head: str, row: str, sep: str, cells: list, null: str | None,
+                tail: str) -> None:
+    """Write ``head``, then ``row % (one row's cells)`` for every row, joined
+    by ``sep``, then ``tail``.  A float column's NaN is the text ``null`` when
+    that is given.  Rows are rendered a column at a time and written
+    ``_CHUNK_ROWS`` at a time; no value can make this raise."""
+    n = len(cells[0]) if cells else 0
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(head)
+        for start in range(0, n, _CHUNK_ROWS):
+            chunk = []
+            for col in cells:
+                part = col[start:start + _CHUNK_ROWS]
+                if isinstance(part, np.ndarray):
+                    nan = np.flatnonzero(np.isnan(part)).tolist() if null else ()
+                    part = part.tolist()
+                    for i in nan:
+                        part[i] = null
+                chunk.append(part)
+            if start:
+                f.write(sep)
+            f.write(sep.join([row % values for values in zip(*chunk)]))
+        f.write(tail)
+
+
 def write_artifact(data: ArtifactData, out_dir: Path, fmt: str) -> list[str]:
-    """Write one artifact; returns the filenames created."""
-    if fmt == "csv":
-        fname = f"{data.name}.csv"
-        text = _csv_text(data)
-    elif fmt == "json":
-        fname = f"{data.name}.json"
-        payload = {"columns": list(data.columns), "rows": _json_rows(data),
-                   "summary": _py(data.summary)}
-        text = _json_text(data.name, payload)
-    else:
+    """Write one artifact; returns the filenames created.  Whatever can fail
+    (an infinity in a cell or in the summary, which the manifest carries in
+    either format) fails before the file is opened, so it writes nothing.
+
+    CSV writes a float column through ``%.17g``, the text of
+    ``format(v, ".17g")``, and NaN as ``nan``; JSON writes the layout of
+    ``json.dumps(..., sort_keys=True, indent=2)``, a float by its ``repr``
+    and NaN as null."""
+    if fmt not in ("csv", "json"):
         raise ContractViolation(f"format must be 'csv' or 'json', got {fmt!r}")
-    (out_dir / fname).write_text(text, encoding="utf-8")
+    inf = _first_infinity(data.columns)
+    if inf is not None:
+        detail = (f"infinite value {inf}; CSV, like JSON, has no infinity" if fmt == "csv"
+                  else f"{_JSON_RANGE}{inf!r}")
+        raise ContractViolation(f"{data.name}: {detail}")
+    summary = _json_text(data.name, data.summary, "  ")
+    fname = f"{data.name}.{fmt}"
+    if fmt == "csv":
+        cells = [col if isinstance(col, np.ndarray) else [_fmt_cell(v) for v in col]
+                 for col in data.columns.values()]
+        row = "\n" + ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in cells)
+        _write_rows(out_dir / fname, ",".join(data.columns), row, "", cells, None, "\n")
+    else:
+        cells = [col if isinstance(col, np.ndarray) else [_json_value(v, "      ") for v in col]
+                 for col in data.columns.values()]
+        row = "    [\n      " + ",\n      ".join(["%s"] * len(cells)) + "\n    ]"
+        rows = bool(cells) and len(cells[0]) > 0
+        head = '{\n  "columns": ' + _json_value(list(data.columns), "  ") + ',\n  "rows": ['
+        tail = '],\n  "summary": ' + summary + "\n}\n"
+        _write_rows(out_dir / fname, head + "\n" * rows, row, ",\n", cells, "null",
+                    "\n  " * rows + tail)
     return [fname]
 
 
+def _files_under(root: str | Path) -> Iterator[str]:
+    """Every regular file under ``root`` as ``sub/dir/name``; symlinked
+    directories are not entered."""
+    with os.scandir(root) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                yield from (f"{entry.name}/{name}" for name in _files_under(entry.path))
+            elif entry.is_file():
+                yield entry.name
+
+
 def write_manifest(out_dir: Path, manifest: dict) -> None:
-    listed = set(manifest["files"])
-    on_disk = {
-        str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()
-    }
-    stray = on_disk - listed - {"manifest.json"}
+    stray = set(_files_under(out_dir)) - set(manifest["files"]) - {"manifest.json"}
     if stray:
-        manifest = dict(manifest)
-        manifest["unmanaged_files"] = sorted(stray)
-    (out_dir / "manifest.json").write_text(_json_text("manifest", _py(manifest)), encoding="utf-8")
+        manifest = {**manifest, "unmanaged_files": sorted(stray)}
+    (out_dir / "manifest.json").write_text(_json_text("manifest", manifest) + "\n",
+                                           encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +412,7 @@ def _write_outputs(out_dir: Path, fmt: str, config: dict,
     for data in artifacts:
         written = write_artifact(data, out_dir, fmt)
         files.extend(written)
-        entries[data.name] = {"files": written, "summary": _py(data.summary)}
+        entries[data.name] = {"files": written, "summary": data.summary}
         if data.checks is not None:
             all_passed = all_passed and all(c.passed for c in data.checks)
     manifest = {

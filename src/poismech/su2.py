@@ -445,6 +445,13 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     A sample off the unit-determinant slice by more than 1e-9, or NaN, is a
     ``ContractViolation``.
     """
+    return _diagnostics(traj, epsilon)[0]
+
+
+def _diagnostics(traj: Trajectory, epsilon: float) -> tuple[dict, np.ndarray, np.ndarray,
+                                                             np.ndarray]:
+    """:func:`flow_diagnostics`' report, with the per-sample arrays it reads:
+    the determinant residual and the triangular factor's ``rho`` and ``n``."""
     mats = matrix_from_real8(traj.points)
     det_residual = np.abs(_det(mats) - 1.0)
     off = np.flatnonzero(~(det_residual <= _UNIMODULAR_TOL))
@@ -458,12 +465,13 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     est = _body_velocities(alpha, gamma, traj.times)
 
     end = _rotated(u0, omega, b0, float(traj.times[-1]))
-    return {
+    report = {
         "det_residual": float(np.max(det_residual)),
         "b_factor_drift": float(max(np.max(np.abs(rho - rho[0])), np.max(np.abs(n - n[0])))),
         "omega_deviation": float(np.max(np.abs(est - omega))),
         "endpoint_deviation": float(np.max(np.abs(mats[-1] - end))),
     }
+    return report, det_residual, rho, n
 
 
 # ---------------------------------------------------------------------------
@@ -840,11 +848,9 @@ def _flow(p: Params) -> tuple[Trajectory, int]:
 
 def _trajectory(p: Params) -> ArtifactData:
     traj, n_renorm = _flow(p)
-    diag = flow_diagnostics(traj, p["epsilon"])
+    diag, det_residual, rho, n = _diagnostics(traj, p["epsilon"])
     diag["renormalizations"] = n_renorm
     diag["h_drift"] = traj.h_drift
-    mats = matrix_from_real8(traj.points)
-    _, _, rho, n = iwasawa(mats)
     columns = {
         "t": traj.times,
         **dict(zip(GROUP_COORD_NAMES, traj.points.T)),
@@ -852,7 +858,7 @@ def _trajectory(p: Params) -> ArtifactData:
         "n_re": n.real,
         "n_im": n.imag,
         "H": 0.5 * _squared_norm(traj.points),
-        "det_residual": np.abs(_det(mats) - 1.0),
+        "det_residual": det_residual,
     }
     return ArtifactData("trajectory", columns, diag)
 

@@ -233,28 +233,50 @@ def test_json_format(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_infinite_cell_is_an_error_in_both_formats(tmp_path, capsys, monkeypatch, fmt):
-    """An artifact whose float column holds an infinity, which neither format
-    can carry, makes the run exit 1 naming the artifact, and no artifact file
-    is written.  An infinity in a later float column is caught the same
-    way."""
-    def infinite(p):
-        return ArtifactData("scattering", {"p": [0.0, 1.0], "q_plus": [1.0, math.inf]}, {})
-
-    monkeypatch.setitem(MODELS["minkowski2d"].artifacts, "scattering", infinite)
+    """An artifact whose float column or summary holds an infinity, which
+    neither format can carry (CSV's summary goes into the JSON manifest),
+    makes the run exit 1 naming the artifact, and no file is written.  An
+    infinity in a later float column, or in a row past the first chunk the
+    writers render, is caught the same way."""
     cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.2},
                                "outputs": ["scattering"]})
-    out = tmp_path / "out"
-    rc = main(["run", str(cfg), "--out", str(out), "--format", fmt])
-    assert rc == 1
-    assert capsys.readouterr().out.startswith("error: scattering:")
-    assert collect_files(out) == []
+    for where, data in [
+        ("cell", ArtifactData("scattering", {"p": [0.0, 1.0], "q_plus": [1.0, math.inf]}, {})),
+        ("summary", ArtifactData("scattering", {"p": [0.0, 1.0]}, {"fit": {"slope": math.inf}})),
+    ]:
+        monkeypatch.setitem(MODELS["minkowski2d"].artifacts, "scattering", lambda p: data)
+        out = tmp_path / where
+        rc = main(["run", str(cfg), "--out", str(out), "--format", fmt])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("error: scattering:")
+        assert collect_files(out) == []
 
     probe = tmp_path / "probe"
     probe.mkdir()
-    data = ArtifactData("probe", {"k": [1, 2], "a": [1.0, 2.0], "b": [0.5, -math.inf]}, {})
-    with pytest.raises(ContractViolation, match="^probe: "):
-        cli.write_artifact(data, probe, fmt)
-    assert collect_files(probe) == []
+    n = cli._CHUNK_ROWS + 2
+    late = np.zeros(n)
+    late[-1] = math.inf
+    for columns, summary in [({"k": [1, 2], "a": [1.0, 2.0], "b": [0.5, -math.inf]}, {}),
+                             ({"k": list(range(n)), "late": late}, {}),
+                             ({"k": ["x"] * n, "late": np.zeros(n)}, {"x": [0.0, -math.inf]})]:
+        with pytest.raises(ContractViolation, match="^probe: ") as raised:
+            cli.write_artifact(ArtifactData("probe", columns, summary), probe, fmt)
+        assert collect_files(probe) == []
+        if fmt == "json" or summary:  # the stdlib encoder's text
+            assert "Out of range float values are not JSON compliant: " in str(raised.value)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_first_infinity_in_row_order_is_the_one_reported(tmp_path, fmt):
+    """The row-by-row reference meets the infinity of the earliest row first,
+    whatever its column, and the error quotes that one."""
+    data = ArtifactData("probe", {"a": [0.0, -math.inf], "s": ["x", -math.inf],
+                                  "b": [math.inf, 0.0]}, {})
+    with pytest.raises(ContractViolation) as raised:
+        cli.write_artifact(data, tmp_path, fmt)
+    with pytest.raises((ContractViolation, ValueError)) as reference:
+        _ref_text(data, fmt)
+    assert str(raised.value) == ("probe: " if fmt == "json" else "") + str(reference.value)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -339,21 +361,31 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
                 max_size=6)
 
 
+# row counts on both sides of the writers' chunk boundaries
+_CHUNK = cli._CHUNK_ROWS
+_ROW_COUNTS = st.one_of(st.integers(0, 8),
+                        st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]))
+
+
 @st.composite
 def _columnar_artifacts(draw):
-    n = draw(st.integers(0, 8))
+    n = draw(_ROW_COUNTS)
     kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "str", "int_nan", "str_nan"]),
                           min_size=1, max_size=6))
     columns = {}
     for i, kind in enumerate(kinds):
         if kind == "float":
-            col = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=np.float64)
+            values = _FLOATS
         else:
             base = {"int": st.integers(-2**70, 2**70), "bool": st.booleans(), "str": _TEXT,
                     "int_nan": st.integers(-10**6, 10**6), "str_nan": _TEXT}[kind]
             values = base if not kind.endswith("_nan") else st.one_of(base, st.just(math.nan))
-            col = draw(st.lists(values, min_size=n, max_size=n))
-        columns[f"{kind}{i}"] = col
+        # a long column repeats a drawn run of up to 9 values from its own
+        # drawn offset, so any value can land on either side of a boundary
+        run = draw(st.lists(values, min_size=min(n, 1), max_size=min(n, 9)))
+        shift = draw(st.integers(0, max(n - 1, 0)))
+        col = [run[(r + shift) % len(run)] for r in range(n)]
+        columns[f"{kind}{i}"] = np.array(col, dtype=np.float64) if kind == "float" else col
     summary = {"x": np.float64(draw(_FLOATS)), "n": draw(st.integers()), "ok": np.bool_(True),
                "words": draw(st.lists(_TEXT, max_size=2))}
     return ArtifactData("probe", columns, summary)
@@ -363,6 +395,41 @@ def _columnar_artifacts(draw):
 @given(_columnar_artifacts(), st.sampled_from(["csv", "json"]))
 def test_columnar_writers_match_the_per_cell_reference(data, fmt):
     assert _written_text(data, fmt) == _ref_text(data, fmt)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), _FLOATS, st.text(max_size=6),
+    _FLOATS.map(np.float64), st.floats(width=32, allow_infinity=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.sampled_from([math.inf, -math.inf]) | st.just(np.float64(-math.inf)),
+)
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3))
+_MANIFEST_LIKE = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.lists(_FLOATS, max_size=3).map(np.array),
+                           st.dictionaries(_JSON_KEYS, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _text_or_error(render):
+    try:
+        return render()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_MANIFEST_LIKE)
+def test_json_renderer_matches_the_stdlib_layout(obj):
+    """The writers' renderer gives the text of the stdlib encoder at
+    ``sort_keys=True, indent=2`` on manifest-like values (non-ASCII and
+    control characters, empty containers, numpy scalars, ints past 2^63 and
+    edge floats included), and an infinity anywhere raises its message."""
+    expected = _text_or_error(lambda: json.dumps(_ref_py(obj), sort_keys=True, indent=2,
+                                           allow_nan=False) + "\n")
+    assert _text_or_error(lambda: cli._json_value(obj) + "\n") == expected
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +448,24 @@ def test_shipped_artifacts_match_the_per_cell_reference(shipped_artifacts, fmt):
         a.name for a in shipped_artifacts}
     for data in shipped_artifacts:
         assert _written_text(data, fmt) == _ref_text(data, fmt), data.name
+
+
+def test_manifest_lists_stray_files_in_nested_directories(tmp_path):
+    """A file the manifest does not list, at any depth, is named in
+    ``unmanaged_files`` by its path under the output directory; a directory
+    alone, a listed file and the manifest itself are not."""
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "empty" / "dir").mkdir(parents=True)
+    for rel in ["a/b/x.txt", "top.txt", "listed.csv", "manifest.json"]:
+        (tmp_path / rel).write_text("x")
+    cli.write_manifest(tmp_path, {"files": ["listed.csv", "manifest.json"]})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["unmanaged_files"] == ["a/b/x.txt", "top.txt"]
+
+    (tmp_path / "a" / "b" / "x.txt").unlink()
+    (tmp_path / "top.txt").unlink()
+    cli.write_manifest(tmp_path, {"files": ["listed.csv", "manifest.json"]})
+    assert "unmanaged_files" not in json.loads((tmp_path / "manifest.json").read_text())
 
 
 def test_empty_outputs_allowed(tmp_path):
