@@ -7,11 +7,17 @@ For each workload that ``BENCHMARK.json`` lists, the script runs
 ``perfbench/run.py`` for that file's ``run_seconds`` in ``PAIRS`` pairs, once
 on a copy of the base revision and once on the working tree, and swaps which
 side runs first from one pair to the next, so a drift of the machine falls
-on both sides alike.  Both sides run from fresh temporary directories: the
-base revision is exported with ``git archive``, which leaves no worktree
+on both sides alike.  Both sides run from temporary directories: the base
+revision is exported with ``git archive``, which leaves no worktree
 registered in the repository, and the working tree's tracked and untracked,
 unignored files are copied, so neither side reads caches or outputs that
-earlier runs left in the repository.
+earlier runs left in the repository.  Each run gets a fresh copy of its
+side, made from that side's one snapshot, with its bytecode compiled before
+the timed run.  ``peak_rss_mb``
+carries an offset of a few tenths of a MB that belongs to the copy, not to
+the revision; with one copy per side, that offset would count in all ten
+runs of the side and read as a 0/10 or 10/10 gap, while a copy per run
+spreads it over the runs like any other noise.
 
 The file records both revisions, the machine, the Python and numpy versions,
 every run's last JSON line, and per side and workload the median and
@@ -61,11 +67,19 @@ def copy_worktree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run from ``root``; its last line of output, parsed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+def run_once(source: Path, root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run from ``root``, a fresh copy of ``source`` whose
+    bytecode is compiled first and which is removed after; the run's last
+    line of output, parsed."""
+    shutil.copytree(source, root)
+    try:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "."], cwd=root, check=True,
+                       capture_output=True)
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+        done = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    finally:
+        shutil.rmtree(root)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -125,7 +139,8 @@ def main() -> int:
             runs: dict[str, list] = {"base": [], "head": []}
             for i in range(PAIRS):
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+                    root = Path(tmp) / f"run-{side}"
+                    runs[side].append(run_once(sides[side], root, workload, args.seed, seconds))
                 print(f"{workload} pair {i + 1}/{PAIRS}: wall_s base "
                       f"{runs['base'][-1]['metrics']['wall_s']['value']:.4f} head "
                       f"{runs['head'][-1]['metrics']['wall_s']['value']:.4f}", flush=True)

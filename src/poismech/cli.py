@@ -28,15 +28,13 @@ Subcommands: ``run <config> --out <dir>`` builds the requested artifacts;
 ``sweep <config> --param <name> --values <v1,v2,...> --out <dir>`` writes
 one row of the record's sweep scalars per value; ``certify <model>
 --epsilon <e> --seed <s>`` runs the record's certificate at the schema
-defaults.  The environment variable ``POISMECH_WORKERS`` sets the sweep
-worker-pool size (default 1, sequential).
+defaults.  A sweep runs its rows in this process, one after another.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -53,8 +51,6 @@ from .model import CERT_POINTS, INT, ArtifactData, CertCheck, Model
 from .su2 import MODEL as SU2
 
 MODELS: dict[str, Model] = {m.name: m for m in (MINKOWSKI2D, KAPPA, SU2)}
-
-_WORKERS_ENV = "POISMECH_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -215,15 +211,24 @@ def scalar_summaries(config: ScenarioConfig) -> dict[str, Any]:
 # the schema defaults of every model, which certify runs at
 _DEFAULTS = {name: {k: p.default for k, p in m.params.items()} for name, m in MODELS.items()}
 
+# As the schemas' size bounds do for a run, this keeps every array a
+# certificate builds at once within 2^24 floats.  The most per point is su2's
+# stack of 8x8 bivector matrices on the group chart, 64 floats, so 2^18
+# points (the Jacobi tensors go in chunks of bounded size).
+_MAX_POINTS = 2**18
+
 
 def certify(model: str, epsilon: float, seed: int, n_points: int) -> list[CertCheck]:
     """Every check of the model's certificate at ``epsilon`` and the schema
     defaults of its other parameters.  A non-finite epsilon, a negative seed,
-    fewer than one point or an epsilon outside the certificate's domain is a
-    ``ConfigError`` naming ``epsilon``, ``seed`` or ``points``."""
+    fewer than one point or more than ``_MAX_POINTS``, or an epsilon outside
+    the certificate's domain is a ``ConfigError`` naming ``epsilon``,
+    ``seed`` or ``points``."""
     params = {**_DEFAULTS[model], "epsilon": _check_real("epsilon", epsilon)}
     _check_at_least("seed", seed, 0)
     _check_at_least("points", n_points, 1)
+    if n_points > _MAX_POINTS:
+        raise ConfigError("points", f"need at most {_MAX_POINTS}, got {n_points}")
     record = MODELS[model]
     record.certificate_check(params, "epsilon")
     return record.certificate(params, seed, n_points)
@@ -434,42 +439,34 @@ def run_scenario(config: ScenarioConfig, out_dir: Path, fmt: str = "csv") -> tup
     return _write_outputs(out_dir, fmt, config.as_dict(), built)
 
 
-def _sweep_worker(config: ScenarioConfig) -> tuple[dict | None, str]:
-    try:
-        return scalar_summaries(config), "ok"
-    except Exception as exc:  # noqa: BLE001 — a failed row must not kill the sweep
-        return None, f"failed:{type(exc).__name__}"
-
-
 def sweep_scenario(
     config: ScenarioConfig,
     param: str,
     values: Sequence[Any],
     out_dir: Path,
     fmt: str = "csv",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[dict, bool]:
-    """One scenario row per parameter value.  Returns (manifest, all_ok)."""
+    """One scenario row per parameter value, computed in this process one
+    after another.  Returns (manifest, all_ok)."""
+    # workers stays only for the benchmark's workers=1 call (ROADMAP item 1)
+    if workers != 1:
+        raise ContractViolation(f"sweeps run in-process, so workers must be 1, got {workers!r}")
     model = MODELS[config.model]
     if param not in model.params:
         raise ConfigError(f"params.{param}", f"unknown parameter for model {config.model!r}")
     if not values:
         raise ConfigError("values", "need at least one value")
-    if workers is None:
-        raw = os.environ.get(_WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigError(_WORKERS_ENV, f"expected an integer, got {raw!r}") from exc
     tasks = [
         replace(config, params=_validate_params(model, {**config.params, param: v}))
         for v in values
     ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
+    results: list[tuple[dict | None, str]] = []
+    for task in tasks:
+        try:
+            results.append((scalar_summaries(task), "ok"))
+        except Exception as exc:  # noqa: BLE001 — a failed row must not kill the sweep
+            results.append((None, f"failed:{type(exc).__name__}"))
 
     keys: list[str] = []
     for row, status in results:

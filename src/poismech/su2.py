@@ -29,7 +29,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -97,10 +96,6 @@ class SL2CElement:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-    @property
-    def real8(self) -> np.ndarray:
-        return real8_from_matrix(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -406,7 +401,7 @@ def free_flow(
     traj = integrate_flow(
         sl2c_bivector(epsilon),
         free_hamiltonian_field(),
-        g0.real8,
+        real8_from_matrix(g0.matrix),
         t_end,
         step=ctrl,
     )
@@ -640,31 +635,25 @@ def classical_limit_deviation(epsilon: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# samplers for certificates and tests
+# the certificate's sample points
 
 
-def random_su2(rng: np.random.Generator) -> SU2Element:
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
-
-
-def random_sb2(rng: np.random.Generator) -> SB2Element:
-    rho = math.exp(_SAMPLE_SPREAD * rng.normal())
-    n = complex(_SAMPLE_SPREAD * rng.normal(), _SAMPLE_SPREAD * rng.normal())
-    return SB2Element(rho, n)
-
-
-def random_sl2c(rng: np.random.Generator) -> SL2CElement:
-    u = random_su2(rng)
-    b = random_sb2(rng)
-    return SL2CElement.from_matrix(u.matrix @ b.matrix)
-
-
-def sample_unimodular(n: int, seed: int) -> Iterator[SL2CElement]:
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        yield random_sl2c(rng)
+def sample_unimodular(n: int, seed: int) -> np.ndarray:
+    """``n`` seeded unimodular points ``u B``, shape ``(n, 2, 2)``.  ``u`` is
+    a Gaussian 4-vector normalized onto the special unitaries, and ``B =
+    [[rho, m], [0, 1/rho]]`` has ``log rho``, ``Re m`` and ``Im m`` normal
+    of spread ``_SAMPLE_SPREAD``.  Row ``k`` of the one ``(n, 7)`` draw is
+    point ``k``, bit for bit the point drawn ``k``-th one at a time from the
+    same generator: the norm rounds as ``np.dot`` of one row, ``rho`` comes
+    from ``math.exp`` (numpy's ``exp`` differs in the last bit on some rows),
+    and ``u B`` is numpy's batched product (``einsum`` rounds differently)."""
+    z = np.random.default_rng(seed).normal(size=(n, 7))
+    alpha, gamma = (z[:, :4] / np.sqrt(z[:, None, :4] @ z[:, :4, None])[:, 0]).view(complex).T
+    rho = np.array([math.exp(t) for t in (_SAMPLE_SPREAD * z[:, 4]).tolist()])
+    m = (_SAMPLE_SPREAD * z[:, 5:]).view(complex)[:, 0]
+    u = np.stack([alpha, -np.conj(gamma), gamma, np.conj(alpha)], axis=-1)
+    b = np.stack([rho, m, np.zeros(n), 1.0 / rho], axis=-1)
+    return u.reshape(n, 2, 2) @ b.reshape(n, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +665,7 @@ def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
     seeded unimodular points: the bracket-table Hamiltonian vector field of
     the trace energy against the matrix form :func:`flow_rhs`.  A non-finite
     gap at any point makes the result non-finite."""
-    mats = np.array([g.matrix for g in sample_unimodular(n_points, seed=seed)]).reshape(-1, 2, 2)
+    mats = sample_unimodular(n_points, seed)
     via_bracket = hamiltonian_vector_field(sl2c_bivector(epsilon), free_hamiltonian_field(),
                                            real8_from_matrix(mats))
     gaps = np.abs(via_bracket - real8_from_matrix(flow_rhs(mats, epsilon)))

@@ -90,7 +90,9 @@ def test_criterion_03_unitary_states_are_equilibria():
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(100):
-        u = su2_model.random_su2(rng)
+        v = rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        u = su2_model.SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
         worst = max(worst, float(np.max(np.abs(flow_rhs(u.matrix, EPS)))))
     assert worst < 1e-12
 

@@ -93,11 +93,11 @@ def test_no_public_name_serves_only_the_tests():
 # Defaulted values that no call in src/, scripts/ or perfbench/ sets, kept on
 # purpose:
 DEFAULTS_KEPT = {
-    # ROADMAP item 2 redefines the sampling box with relative thresholds
+    # ROADMAP item 3 redefines the sampling box with relative thresholds
     "bracket.jacobi_certificate.box",
     # acceptance criterion 4 round-trips the energies through the Casimir
     "su2.energy_relations.radius2",
-    # set after construction; a frozen run report (ROADMAP item 6) replaces it
+    # set after construction; a frozen run report (ROADMAP item 9) replaces it
     "flow.Trajectory.h_drift",
 }
 

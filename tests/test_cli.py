@@ -588,29 +588,14 @@ def test_su2_run_that_cannot_finish_is_config_error(tmp_path, capsys, params):
         validate_config({"model": "su2", "params": {**at_bound, "t_end": 2.0**20 + 1}})
 
 
-def test_sweep_rejects_non_integer_worker_count(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
-                               "params": {"epsilon": 0.2}, "outputs": []})
-    monkeypatch.setenv("POISMECH_WORKERS", "abc")
-    rc = main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.1",
-               "--out", str(tmp_path / "sweep")])
-    assert rc == 2
-    assert "POISMECH_WORKERS" in capsys.readouterr().out
-
-
-def test_parallel_sweep_matches_sequential(tmp_path):
-    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.1},
-                               "outputs": []})
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(["sweep", str(cfg), "--param", "epsilon",
-                 "--values", "0.05,0.1", "--out", str(seq)]) == 0
-    os.environ["POISMECH_WORKERS"] = "2"
-    try:
-        assert main(["sweep", str(cfg), "--param", "epsilon",
-                     "--values", "0.05,0.1", "--out", str(par)]) == 0
-    finally:
-        del os.environ["POISMECH_WORKERS"]
-    assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
+def test_sweep_runs_in_process_only(tmp_path):
+    """A sweep computes its rows in this process; any worker count but 1 is
+    refused before a row is computed or a file written."""
+    config = validate_config({"model": "minkowski2d", "params": {"epsilon": 0.2}})
+    out = tmp_path / "sweep"
+    with pytest.raises(ContractViolation, match="workers"):
+        cli.sweep_scenario(config, "epsilon", [0.1, 0.2], out, workers=2)
+    assert not out.exists()
 
 
 # --- certify ---------------------------------------------------------------
@@ -722,6 +707,26 @@ def test_certify_negative_seed_or_no_points_is_config_error(model, flag, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_certify_past_the_point_bound_is_config_error(model, monkeypatch, tmp_path, capsys):
+    """One point past the bound that keeps every certificate array within
+    2^24 floats is a config error naming points, refused before the
+    certificate starts; at the bound, the certificate would run."""
+    started = []
+
+    def record(*args):
+        started.append(args)
+        return []
+
+    monkeypatch.setitem(MODELS, model, MODELS[model]._replace(certificate=record))
+    out = tmp_path / "cert"
+    rc = main(["certify", model, "--epsilon", "0.2", "--points", str(2**18 + 1), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().out.startswith("config error: points: need at most 262144,")
+    assert not started and not out.exists()
+    assert cli.certify(model, 0.2, 0, 2**18) == [] and started[0][2] == 2**18
+
+
 def test_certify_kappa_ignores_config_momenta_poles(capsys):
     """At epsilon 1.2 the default config momentum p_max = 2 sits past the
     right pole, but certify checks momenta 0.5, 1.0, 1.5 only."""
@@ -759,8 +764,9 @@ def test_run_checks_the_certificate_domain_before_writing(name, tmp_path, capsys
 
 
 def test_cli_import_is_lean():
-    """Importing the CLI loads no scipy and builds no bracket coefficients,
-    and no module of the package imports scipy at all."""
+    """Importing the CLI loads no scipy, no process pool and no
+    multiprocessing, and builds no bracket coefficients; no module of the
+    package imports scipy at all."""
     src = Path(__file__).resolve().parents[1] / "src"
     for path in sorted((src / "poismech").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -770,10 +776,11 @@ def test_cli_import_is_lean():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     probe = ("import sys, poismech.cli; from poismech import su2; "
-             "print('scipy' in sys.modules, su2._sl2c_coefficients.cache_info().currsize)")
+             "print('scipy' in sys.modules, su2._sl2c_coefficients.cache_info().currsize, "
+             "'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", "0"]
+    assert done.stdout.split() == ["False", "0", "False", "False"]
 
 
 def test_load_config_missing_file(tmp_path):

@@ -43,6 +43,36 @@ B0 = SB2Element(1.4, 0.3 + 0.2j)
 G0 = SL2CElement.from_matrix(B0.matrix)
 
 
+def _random_su2(rng):
+    """Test-local copy of the per-point sampler that the stacked
+    :func:`sample_unimodular` replaced: a normalized Gaussian 4-vector."""
+    v = rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def _random_sb2(rng):
+    rho = math.exp(su2._SAMPLE_SPREAD * rng.normal())
+    return SB2Element(rho, complex(su2._SAMPLE_SPREAD * rng.normal(),
+                                   su2._SAMPLE_SPREAD * rng.normal()))
+
+
+def _random_sl2c(rng):
+    return SL2CElement.from_matrix(_random_su2(rng).matrix @ _random_sb2(rng).matrix)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_stacked_sample_is_the_per_point_chain_bit_for_bit(n):
+    """One (n, 7) draw gives, row by row, the bits of n points drawn one at a
+    time on one generator, at every seed tried."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        want = np.array([_random_sl2c(rng).matrix for _ in range(n)])
+        got = sample_unimodular(n, seed)
+        assert got.shape == (n, 2, 2) and got.dtype == complex
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # --- elements and factorization -------------------------------------------
 
 def test_unimodular_constraint_enforced():
@@ -71,7 +101,7 @@ def test_iwasawa_factorization_roundtrip():
     """One call splits a stack: 20 random unimodular matrices and one with
     c = 0, which is triangular up to the phase of its diagonal."""
     rng = np.random.default_rng(5)
-    stack = np.array([su2.random_sl2c(rng).matrix for _ in range(20)]
+    stack = np.array([_random_sl2c(rng).matrix for _ in range(20)]
                      + [[[1.4j, 0.3 - 0.2j], [0.0, -1j / 1.4]]])
     alpha, gamma, rho, n = iwasawa(stack)
     assert alpha.shape == gamma.shape == rho.shape == n.shape == (21,)
@@ -89,7 +119,7 @@ def test_iwasawa_factorization_roundtrip():
 
 
 def test_real8_roundtrip():
-    x = G0.real8
+    x = real8_from_matrix(G0.matrix)
     np.testing.assert_array_equal(real8_from_matrix(matrix_from_real8(x)), x)
 
 
@@ -141,7 +171,7 @@ def test_entry_brackets_at_identity():
 
 
 def test_entry_brackets_scale_linearly_in_epsilon():
-    g = su2.random_sl2c(np.random.default_rng(2))
+    g = _random_sl2c(np.random.default_rng(2))
     t1 = sl2c_bracket_table(g, 0.1)
     t2 = sl2c_bracket_table(g, 0.2)
     for key, v in t1.items():
@@ -178,8 +208,9 @@ def test_realified_matrix_matches_complex_table():
     rng = np.random.default_rng(9)
     biv = sl2c_bivector(EPS)
     for _ in range(5):
-        g = su2.random_sl2c(rng)
-        np.testing.assert_allclose(biv.matrix(g.real8), _realified_table(g, EPS), atol=1e-13)
+        g = _random_sl2c(rng)
+        np.testing.assert_allclose(biv.matrix(real8_from_matrix(g.matrix)),
+                                   _realified_table(g, EPS), atol=1e-13)
 
 
 @pytest.mark.parametrize("epsilon", [EPS, -1.7, 1e-3])
@@ -190,10 +221,10 @@ def test_polarized_matrix_matches_table_and_is_exactly_antisymmetric(epsilon):
     biv = sl2c_bivector(epsilon)
     for _ in range(20):
         # a unitary times a triangular factor of spread 1, not the samplers' 0.4
-        u = su2.random_su2(rng)
+        u = _random_su2(rng)
         b = su2.SB2Element(math.exp(rng.normal()), complex(rng.normal(), rng.normal()))
         g = SL2CElement.from_matrix(u.matrix @ b.matrix)
-        got = biv.matrix(g.real8)
+        got = biv.matrix(real8_from_matrix(g.matrix))
         want = _realified_table(g, epsilon)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got, -got.T)
@@ -231,8 +262,8 @@ def test_dual_route_dynamics_agree_on_shell():
     H = free_hamiltonian_field()
     worst = 0.0
     for g in sample_unimodular(20, seed=3):
-        via_bracket = hamiltonian_vector_field(biv, H, g.real8)
-        via_matrix = real8_from_matrix(flow_rhs(g.matrix, EPS))
+        via_bracket = hamiltonian_vector_field(biv, H, real8_from_matrix(g))
+        via_matrix = real8_from_matrix(flow_rhs(g, EPS))
         worst = max(worst, float(np.max(np.abs(via_bracket - via_matrix))))
     assert worst < 1e-12
 
@@ -240,8 +271,8 @@ def test_dual_route_dynamics_agree_on_shell():
 def test_dual_route_dynamics_differ_off_shell():
     """... and genuinely differ once the state leaves the slice, so the two
     routes are independent checks rather than one computation twice."""
-    g = next(iter(sample_unimodular(1, seed=3)))
-    off = real8_from_matrix(1.05 * g.matrix)  # det = 1.1025
+    g = sample_unimodular(1, seed=3)[0]
+    off = real8_from_matrix(1.05 * g)  # det = 1.1025
     via_bracket = hamiltonian_vector_field(sl2c_bivector(EPS),
                                            free_hamiltonian_field(), off)
     via_matrix = real8_from_matrix(flow_rhs(matrix_from_real8(off), EPS))
@@ -320,7 +351,7 @@ def _reference_diagnostics(traj, epsilon):
 def test_flow_diagnostics_match_the_per_sample_reference(epsilon, t_end):
     """The stacked read-out rounds differently from the per-sample one, but
     every diagnostic stays within 1e-12 of it."""
-    g0 = su2.random_sl2c(np.random.default_rng(31))
+    g0 = _random_sl2c(np.random.default_rng(31))
     traj, _ = free_flow(g0, epsilon, t_end, StepControl(h=1e-3, tol=1e-8))
     got, want = flow_diagnostics(traj, epsilon), _reference_diagnostics(traj, epsilon)
     assert got.keys() == want.keys()
@@ -336,8 +367,8 @@ def test_body_velocity_is_exact_at_any_spacing(epsilon, spacing):
     spacing.  What is left is the samples' own rounding, a few 1e-16,
     divided by the spacing: within 1e-13 from spacing 0.05 up, and within
     1e-12 at 1e-3."""
-    b0 = su2.random_sb2(np.random.default_rng(5))
-    u0 = su2.random_su2(np.random.default_rng(6))
+    b0 = _random_sb2(np.random.default_rng(5))
+    u0 = _random_su2(np.random.default_rng(6))
     times = np.linspace(0.0, 1.0, round(1.0 / spacing) + 1)
     mats = np.array([closed_form_flow(u0, b0, epsilon, t) for t in times])
     diag = flow_diagnostics(Trajectory(times, real8_from_matrix(mats)), epsilon)
@@ -455,7 +486,7 @@ def test_random_unimodular_starts_conserve_det_and_b_factor(rho, n_re, n_im, eps
 def test_body_velocity_is_tracefree_and_flow_closed_form_unimodular():
     rng = np.random.default_rng(13)
     for _ in range(5):
-        b = su2.random_sb2(rng)
+        b = _random_sb2(rng)
         om = legendre_velocity(b, EPS)
         assert abs(om[0, 0] + om[1, 1]) < 1e-14
         m = closed_form_flow(SU2Element(1.0, 0.0), b, EPS, 1.7)
@@ -491,7 +522,7 @@ def test_renormalization_of_a_stack_is_each_row_alone(monkeypatch):
     """The hook rescales only the states of a stack that are off the slice,
     each to the bits it gets alone, and counts one event per rescaled state;
     with none off, it returns its input as the same object."""
-    on = real8_from_matrix([g.matrix for g in sample_unimodular(12, 5)])
+    on = real8_from_matrix(sample_unimodular(12, 5))
     stack = on.copy()
     off = np.array([1, 4, 5, 11])
     stack[off] *= 1.0 + np.array([3e-10, -2e-9, 1e-6, 5e-11])[:, None]
@@ -658,7 +689,7 @@ def test_stacked_chart_maps_and_flow_rhs_are_each_points_alone(epsilon):
     img = momentum_isomorphism(p, epsilon)
     shifted = momentum_isomorphism(z, epsilon)
     cas = casimir_radius_squared(img, epsilon)
-    mats = np.array([g.matrix for g in sample_unimodular(40, seed=5)])
+    mats = sample_unimodular(40, seed=5)
     rhs = flow_rhs(mats, epsilon)
     g8, H = real8_from_matrix(mats), free_hamiltonian_field()
     energy = 0.5 * su2._squared_norm(g8)
@@ -700,9 +731,12 @@ def _per_point_dual_path_deviation(epsilon, n_points, seed):
     entry of the matrix route."""
     biv, energy = sl2c_bivector(epsilon), free_hamiltonian_field()
     gaps, scale = [], 0.0
-    for g in sample_unimodular(n_points, seed=seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(n_points):
+        g = _random_sl2c(rng)
         via_matrix = real8_from_matrix(flow_rhs(g.matrix, epsilon))
-        gaps.append(np.max(np.abs(hamiltonian_vector_field(biv, energy, g.real8) - via_matrix)))
+        x = real8_from_matrix(g.matrix)
+        gaps.append(np.max(np.abs(hamiltonian_vector_field(biv, energy, x) - via_matrix)))
         scale = max(scale, float(np.max(np.abs(via_matrix))))
     return max(gaps), scale
 
@@ -771,7 +805,7 @@ def test_classical_limit_deviation_frozen_value():
 def test_hamiltonian_field_is_trace_energy():
     """The flow generator is half the squared Frobenius norm of the matrix,
     with its exact gradient."""
-    x = G0.real8
+    x = real8_from_matrix(G0.matrix)
     H = free_hamiltonian_field()
     assert H(x) == pytest.approx(free_energy(G0.matrix), abs=1e-15)
     np.testing.assert_array_equal(H.gradient(x), x)
