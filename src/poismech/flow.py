@@ -8,11 +8,13 @@ the last slope of a step is the first of the next (FSAL) and a step costs 6
 right-hand side evaluations.  The difference of the two solutions,
 ``h * max|sum_i (b5 - b4)_i k_i|``, estimates the local error of the
 fourth-order one; a step is accepted when it is at most ``tol``, and the
-next step is scaled by ``0.9 (tol / est)^(1/5)``, within [1/5, 5], so the
-tolerance alone sets the step.
+next step is scaled by ``0.9 (tol / est)^(1/5)``, within [1/5, 5].  The
+first trial step comes from ``tol`` too, by the starting rule of section
+II.4, which costs one more evaluation, so the tolerance alone sets every
+step.
 
 The samples do not follow the steps: they lie on the grid ``t += h`` of the
-nominal step ``StepControl.h``, and each one inside a step is read from the
+sample spacing ``StepControl.h``, and each one inside a step is read from the
 pair's fourth-order continuous extension (section II.6), which costs no
 right-hand side evaluation.  A step's samples are read, and restored by the
 constraint hook, as one stack: the hook runs at most twice a step.
@@ -75,12 +77,12 @@ _W_F = np.array(_W, dtype=float)
 
 @dataclass(frozen=True)
 class StepControl:
-    """Sample spacing and first trial step ``h``, per-step error tolerance
-    ``tol``, and an optional constraint-restoration hook.  The hook takes one
-    state, shape ``(n,)``, or a stack of them, ``(m, n)``, and returns the
-    same shape: it runs on each accepted state and, once per step, on the
-    stack of that step's samples.  A state it returns as the same object
-    counts as unmoved."""
+    """Sample spacing ``h``, per-step error tolerance ``tol``, which alone
+    sets the steps, and an optional constraint-restoration hook.  The hook
+    takes one state, shape ``(n,)``, or a stack of them, ``(m, n)``, and
+    returns the same shape: it runs on each accepted state and, once per
+    step, on the stack of that step's samples.  A state it returns as the
+    same object counts as unmoved."""
 
     h: float
     tol: float
@@ -156,6 +158,28 @@ def _dp_step(rhs, y: np.ndarray, h: float, k: np.ndarray) -> tuple[np.ndarray, f
     return y_new, h * float(np.abs(_ERR_F @ k).max())
 
 
+def _first_step(rhs, y: np.ndarray, f: np.ndarray, tol: float) -> float:
+    """The first trial step from the tolerance, by Hairer-Norsett-Wanner's
+    starting rule (section II.4) in the max norm against the absolute
+    ``tol``: an explicit Euler guess ``h0 = 0.01 |y| / |f|``, one probe
+    evaluation there for the size of the second derivative ``d2``, then
+    ``min(100 h0, (0.01 tol / max(|f|, d2))^(1/5))``.  ``f = rhs(y)`` is
+    given; the probe is one more evaluation."""
+    d0, d1 = float(np.abs(y).max()), float(np.abs(f).max())
+    h0 = 1e-6 if d0 < 1e-5 * tol or d1 < 1e-5 * tol else 0.01 * d0 / d1
+    probe = rhs(y + h0 * f)
+    if not np.isfinite(probe).all():
+        raise DivergenceError("the starting step's probe left the finite range at t = 0",
+                              last_good_time=0.0)
+    d2 = float(np.abs(probe - f).max()) / h0
+    scale = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if scale == 0.0 else (0.01 * tol / scale) ** 0.2
+    h = min(100.0 * h0, h1)
+    if not 0.0 < h < math.inf:
+        raise DivergenceError(f"no finite positive starting step (got {h!r})", last_good_time=0.0)
+    return h
+
+
 def integrate_flow(
     biv: BivectorSpec,
     H: ScalarField,
@@ -188,9 +212,10 @@ def integrate_flow(
     points = np.empty((times.size, x0.size))
     points[0] = x0
     n_done = 1  # samples filled
-    t, y, h = 0.0, x0.copy(), step.h
+    t, y = 0.0, x0.copy()
     k = np.empty((len(_STAGE_ROWS), y.size))  # the stage slopes, one row each
     k[0] = rhs(y)
+    h = _first_step(rhs, y, k[0], step.tol)
     n_steps = 0
     while t < t_last:
         grow = _GROW

@@ -733,35 +733,44 @@ PARAMS = {
 # the start, 8 floats each; 2^21 of them keep it within 2^24 floats.
 _MAX_SAMPLES = 2**21
 
-# The first trial step is the full ``step``.  From g = u B the free flow turns
-# the unitary factor at the constant rate theta = |eps| sqrt(H^2 - 1), where
-# H = free_energy(B) >= 1: legendre_velocity(B) = i eps [[a, n/rho],
-# [conj(n)/rho, -a]] with a = (rho^2 - rho^-2 + |n|^2) / 2, whose eigenvalues
-# are +-i theta since a^2 + |n|^2/rho^2 = H^2 - 1.  So one step turns the
-# state by at most step |eps| H radians.  The right-hand side is cubic off
-# the unit-determinant slice, and the Runge-Kutta stages leave the circle the
-# flow follows as the turn grows.  Measured over 300 seeded random starts
-# (rho in [e^-3, e^3], n of spread up to e^2, |eps| in [e^-3, e^3]), the
-# largest stage state of the first Dormand-Prince step was 1.03 |B| at a
-# turn of 1 radian, 1.3 |B| at 1.5, 5.4e4 |B| at 2 and 2.5e25 |B| at 3; from
-# there the stages overflow and the run fails at t = 0.  A start or strength
-# whose nominal step turns the state by more than one radian is a config
-# error.
-# The samples lie every ``step``, so this also keeps the turn between two
-# samples below the pi at which _body_velocities aliases.
+# The integrator picks its first trial step from ``tol`` (flow._first_step),
+# not from ``step``: at most 100 h0 = |y0| / |f0| in the max norm, with f0 the
+# start's velocity, and never past t_end but for the 1% stretch onto it.
+# From g = u B the free flow turns the unitary factor at the constant rate
+# theta = |eps| sqrt(H^2 - 1), where H = free_energy(B) >= 1:
+# legendre_velocity(B) = omega = i eps [[a, n/rho], [conj(n)/rho, -a]] with
+# a = (rho^2 - rho^-2 + |n|^2) / 2, and omega^2 = -theta^2 since
+# a^2 + |n|^2/rho^2 = H^2 - 1.  So omega / theta is unitary, f0 = omega B has
+# the Frobenius norm theta |B|, and over the 8 real entries |y0| <= |B| and
+# |f0| >= theta |B| / sqrt(8): the first trial step turns the state by at
+# most 1.01 theta min(t_end, |y0| / |f0|) <= 1.01 sqrt(8), about 2.86
+# radians.  The right-hand side is cubic off the unit-determinant slice, and
+# the Runge-Kutta stages leave the circle the flow follows as the turn grows.
+# Measured over 300 seeded random starts (rho in [e^-3, e^3], n of spread up
+# to e^2, |eps| in [e^-3, e^3]), the largest stage state of a first
+# Dormand-Prince step was 1.03 |B| at a turn of 1 radian, 1.3 |B| at 1.5,
+# 5.4e4 |B| at 2 and 2.5e25 |B| at 3; from there the stages overflow and the
+# run fails at t = 0.  The rule stays far from that: over 3000 seeded starts
+# in those ranges, at a turn of 0.05 to 1 per ``step`` over 100 samples and
+# at tol 1e-8 and 0.01 S, S the start's largest entry, theta |y0| / |f0| was
+# at most 1.59, the first trial step turned the state by at most 1.07
+# radians (99th percentile 1.002), and its largest stage state was 1.44 S.
+# The samples lie every ``step``, which turns the state by at most
+# step |eps| H radians; a start or strength for which that passes one radian
+# is a config error, which keeps the turn between two samples far below the
+# pi at which _body_velocities aliases.
 _MAX_TURN = 1.0
 
-# Past the first, a step grows until its error estimate meets ``tol``, so tol
-# bounds the turn of every later step.  Measured over 300 seeded random
-# starts as above (a turn of 0.05 to 1 per ``step``, 100 samples), at
-# tol = 0.01 S, S the start's largest entry, no attempted step turned the
-# state by more than its first step did (1 radian) and the largest stage
-# state was 1.39 S; at tol = 0.1 S a step turned by 2.06 radians with a stage
-# of 1.1e5 S, and at tol = S by 3.04 radians with a stage of 2e26 S, on the
-# way to the overflow in the stages that tol 1e10 reached from rho 1.4 at a
-# turn of 0.5 per step.  A run whose horizon turns the state by more than
-# _MAX_TURN, so that a step can grow past that turn, needs
-# tol <= _TOL_PER_ENTRY S.
+# A step grows until its error estimate meets ``tol``, so tol bounds the turn
+# of every step past the first.  Measured over 300 seeded random starts as
+# above (a turn of 0.05 to 1 per ``step``, 100 samples), at tol = 0.01 S no
+# attempted step turned the state by more than 1.03 radians and the largest
+# stage state was 1.40 S; at tol = 0.1 S a step turned by 2.06 radians with a
+# stage of 9.7e4 S, and at tol = S by 2.98 radians with a stage of 5.5e24 S,
+# on the way to the overflow in the stages that tol 1e10 reached from rho 1.4
+# at a turn of 0.5 per step.  No step is longer than t_end, but for the 1%
+# stretch onto it, so only a run whose horizon turns the state by more than
+# _MAX_TURN needs tol <= _TOL_PER_ENTRY S.
 _TOL_PER_ENTRY = 1e-2
 
 # The error control compares an absolute estimate with ``tol``.  The
@@ -769,12 +778,13 @@ _TOL_PER_ENTRY = 1e-2
 # stage slopes (weights of absolute sum 0.160), and each stage state carries
 # the rounding of the state's largest entry, u S with u = 2^-53, which the
 # right-hand side (derivative at most 3 |eps| H) passes on to its slope.  So
-# the estimate of the nominal step holds up to about 0.48 turn u S of
-# rounding, where turn = step |eps| H.  With turn u S <= tol that stays
-# within tol, and the control shrinks a step only for its truncation error;
-# past it the control chases rounding, and far past it no step above
-# flow._MIN_H meets tol (rho = 1e50 at a turn of 0.95 failed with a step size
-# underflow at t = 0).  At eps = 0 nothing moves and any start is valid.
+# the estimate of a step as long as the sample spacing holds up to about
+# 0.48 turn u S of rounding, where turn = step |eps| H, and a shorter step's
+# less.  With turn u S <= tol every step up to that length can meet tol, and
+# the control shrinks a step below it only for its truncation error; past it
+# the control chases rounding, and far past it no step above flow._MIN_H
+# meets tol (rho = 1e50 at a turn of 0.95 failed with a step size underflow
+# at t = 0).  At eps = 0 nothing moves and any start is valid.
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -799,9 +809,9 @@ def _check(p: Params) -> None:
     if not turn <= _MAX_TURN:
         raise ConfigError(
             f"params.{max(factors, key=factors.get)}",
-            f"the first step turns the state by up to step * |epsilon| * H = {turn!r} radians "
-            f"(H = {energy:.6g} at the start), above {_MAX_TURN:g}: the integrator's stages "
-            "leave the flow's circle and its cubic right-hand side can overflow",
+            f"the sample spacing turns the state by up to step * |epsilon| * H = {turn!r} radians "
+            f"(H = {energy:.6g} at the start), above {_MAX_TURN:g}, the bound that keeps "
+            "the body velocity read between two samples clear of its aliasing at pi",
         )
     horizon = p["t_end"] * abs(p["epsilon"]) * energy
     if horizon > _MAX_TURN and not p["tol"] <= _TOL_PER_ENTRY * entries[entry]:
@@ -819,7 +829,7 @@ def _check(p: Params) -> None:
         factors.update({entry: energy * entries[entry], "tol": PARAMS["tol"].default / p["tol"]})
         raise ConfigError(
             f"params.{max(factors, key=factors.get)}",
-            f"the first step's error estimate carries about step * |epsilon| * H * u * S = "
+            f"a step as long as the sample spacing carries about step * |epsilon| * H * u * S = "
             f"{rounding:.6g} of rounding (S = {entries[entry]:.6g}, the start's largest entry, "
             f"u = 2^-53), above tol = {p['tol']!r}: the absolute error control cannot "
             "resolve a state of that size",
@@ -887,15 +897,16 @@ def _certificate_check(p: Params, field: str) -> None:
 
 # The certificate's flow to t = 1 turns the unitary factor at the rate
 # |eps| sqrt(H^2 - 1) < |eps| H (see _MAX_TURN), and the body velocity it is
-# checked against is read exactly at any spacing, so its nominal step is set
-# by the turn: at most 1/80 radian, between 1e-3 (the fixed step it replaces,
-# so never more steps) and 0.05 (at least 20 samples; eps = 0 stands still).
+# checked against is read exactly at any spacing, so its sample spacing is
+# set by the turn: at most 1/80 radian, between 1e-3 (the fixed spacing it
+# replaced, so never more samples) and 0.05 (at least 20 samples; eps = 0
+# stands still).  The steps come from tol alone.
 _CERT_TURN = 1.0 / 80.0
 _CERT_STEP_MIN, _CERT_STEP_MAX = 1e-3, 0.05
 
 
 def _certificate_step(epsilon: float, energy: float) -> float:
-    """Nominal step of the certificate's flow from a start of energy H."""
+    """Sample spacing of the certificate's flow from a start of energy H."""
     rate = abs(epsilon) * energy
     if rate * _CERT_STEP_MAX <= _CERT_TURN:
         return _CERT_STEP_MAX

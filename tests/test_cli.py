@@ -1080,7 +1080,7 @@ def _largest_valid(params, field, guess):
 ])
 def test_su2_turn_bound_is_one_radian_and_names_the_factor(field, guess):
     """step * |epsilon| * H(start) <= 1: at the largest valid value of each
-    factor the nominal step turns the state by one radian to rounding, and
+    factor the state turns by one radian between samples to rounding, and
     one float past it is a config error naming that factor."""
     params = {"epsilon": 0.2}
     value = _largest_valid(params, field, guess)
@@ -1093,8 +1093,8 @@ def test_su2_turn_bound_is_one_radian_and_names_the_factor(field, guess):
 
 
 def test_su2_run_at_the_turn_bound_finishes():
-    """At one radian per nominal step the error control shrinks the step
-    and the run finishes with a conserved determinant, for both signs."""
+    """At one radian between samples the run finishes with a conserved
+    determinant, for both signs."""
     bound = _largest_valid({"epsilon": 0.2}, "epsilon", 769.0)
     for epsilon in (bound, -bound):
         params = validate_config({"model": "su2", "params": {"epsilon": epsilon, "t_end": 0.05}}).params
@@ -1204,8 +1204,8 @@ def test_su2_tolerance_above_the_step_growth_bound_names_tol(tmp_path, capsys):
 def test_su2_start_at_the_bounds_has_a_finite_energy_and_rhs(rho, n):
     """At the bounds (rho = S or 1/S, n_re and n_im = +-S) the config
     validates at epsilon 0, where the flow stands still, and free_energy and
-    flow_rhs at unit epsilon are finite.  At unit epsilon the first step
-    would turn the state by about 1e202 radians, a config error naming a
+    flow_rhs at unit epsilon are finite.  At unit epsilon the state would
+    turn by about 1e202 radians between two samples, a config error naming a
     start entry."""
     s = su2._MAX_ENTRY
     params = {"epsilon": 0.0, "rho": s ** rho, "n_re": n * s, "n_im": -n * s}

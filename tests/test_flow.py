@@ -17,6 +17,12 @@ from poismech.groupoid import canonical_bivector
 OSC = ScalarField(fn=lambda s: 0.5 * (s[0] ** 2 + s[1] ** 2), grad=lambda s: s.copy())
 
 
+# H = -p e^x drives xdot = e^x: from x(0) = 0 the solution -log(1 - t)
+# leaves every compact set as t -> 1, and e^x overflows past x = 709.8.
+EXP_BLOWUP = ScalarField(fn=lambda s: -s[1] * np.exp(s[0]),
+                         grad=lambda s: np.array([-s[1] * np.exp(s[0]), -np.exp(s[0])]))
+
+
 def rotation_exact(y0, t):
     # xdot = {H, x} = -p, pdot = x  for H = (x^2 + p^2)/2
     c, s = np.cos(t), np.sin(t)
@@ -67,16 +73,16 @@ def test_fourth_order_convergence():
     assert 32.0 * 0.7 < r_half < 32.0 * 1.3
 
 
-def _counting_oscillator():
-    """OSC with a gradient that counts its calls; every right-hand side
-    evaluation of the flow takes exactly one gradient."""
+def _counting(field):
+    """``field`` with a gradient that counts its calls; every right-hand
+    side evaluation of the flow takes exactly one gradient."""
     calls = [0]
 
     def grad(s):
         calls[0] += 1
-        return s.copy()
+        return field.grad(s)
 
-    return ScalarField(fn=OSC.fn, grad=grad), calls
+    return ScalarField(fn=field.fn, grad=grad), calls
 
 
 def _spy_on_steps(monkeypatch):
@@ -94,22 +100,40 @@ def _spy_on_steps(monkeypatch):
     return attempts
 
 
+# Two oscillators on the canonical 4-chart (x1, x2, p1, p2), of frequencies
+# 1 and 100.  From FAST_START the fast one has amplitude 1e-4: its second
+# derivative, 1, is no larger than the slow one's, so the starting rule's
+# probe does not see it, but its fifth derivative, 1e6, is what sets the step.
+FAST_W = np.array([1.0, 100.0, 1.0, 100.0])
+FAST = ScalarField(fn=lambda s: 0.5 * float(FAST_W @ (s * s)), grad=lambda s: FAST_W * s)
+FAST_START = np.array([0.0, 0.0, 1.0, 1e-4])
+
+
+def fast_exact(y0, t):
+    # each pair (x_i, p_i) turns at its own frequency
+    c, s = np.cos(FAST_W[:2] * t), np.sin(FAST_W[:2] * t)
+    return np.concatenate([c * y0[:2] - s * y0[2:], s * y0[:2] + c * y0[2:]])
+
+
 def test_adaptive_halving_recovers_accuracy(monkeypatch):
-    """The nominal step is far too coarse for the tolerance: the control
-    rejects it and shrinks the step, each attempt costing 6 evaluations
-    after the first slope, and every accepted step meets tol; the samples
-    stay on the nominal grid."""
-    can = canonical_bivector(1)
-    y0 = np.array([0.0, 1.0])
-    H, calls = _counting_oscillator()
+    """The starting rule reads the first two derivatives only, so on a fast
+    mode of small amplitude its step is too long for the tolerance: the
+    control rejects it and shrinks the step from the same state, each
+    attempt costing 6 evaluations after the first slope and the starting
+    probe, and every accepted step meets tol; the samples stay on the grid
+    of the sample spacing, which is far coarser than the steps."""
+    can = canonical_bivector(2)
+    H, calls = _counting(FAST)
     attempts = _spy_on_steps(monkeypatch)
-    traj = integrate_flow(can, H, y0, 3.0, StepControl(h=0.5, tol=1e-12))
-    assert calls[0] == 1 + 6 * len(attempts)
-    # a mean step under a quarter of the nominal one
+    traj = integrate_flow(can, H, FAST_START, 3.0, StepControl(h=0.5, tol=1e-12))
+    assert calls[0] == 2 + 6 * len(attempts)
+    # a mean step under a quarter of the sample spacing
     assert len(attempts) > 4 * 6
-    assert attempts[0][3] > 1e-12  # the nominal first step is rejected
+    assert attempts[0][3] > 1e-12  # the starting step is rejected
+    assert np.array_equal(attempts[1][0], FAST_START) and attempts[1][1] < attempts[0][1]
+    assert all(est <= 1e-12 for _, _, _, est, _ in attempts[2:])
     assert np.array_equal(traj.times, np.arange(7) * 0.5)
-    np.testing.assert_allclose(traj.points[-1], rotation_exact(y0, 3.0), atol=1e-9)
+    np.testing.assert_allclose(traj.points[-1], fast_exact(FAST_START, 3.0), atol=1e-9)
 
 
 # The tableau of Dormand and Prince written out stage by stage, with the
@@ -154,12 +178,30 @@ def _grid(t_end, h):
     return np.array(times)
 
 
+def _reference_start(f, y0, k1, tol):
+    """Hairer, Norsett and Wanner's starting step (their hinit) in the max
+    norm with the absolute tolerance tol, for a method of order 5."""
+    d0, d1 = np.max(np.abs(y0)), np.max(np.abs(k1))
+    if d0 < 1e-5 * tol or d1 < 1e-5 * tol:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    d2 = np.max(np.abs(f(y0 + h0 * k1) - k1)) / h0
+    if max(d1, d2) == 0.0:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 * tol / max(d1, d2)) ** (1 / 5)
+    return float(min(100 * h0, h1))
+
+
 def _reference_flow(biv, H, y0, t_end, h_nom, tol):
-    """The same controller around the stage-by-stage step: an accepted step
-    scales h by 0.9 (tol / est)^(1/5) within [1/5, 5] (at most 1 right after
-    a rejection), a rejected one by the same factor within [1/5, 1), and a
-    step within 1% of the end is stretched onto it.  Returns the grid, the
-    samples, the number of attempts and the number of rejections."""
+    """The same controller around the stage-by-stage step: the first trial
+    step from the starting rule, then an accepted step scales h by 0.9
+    (tol / est)^(1/5) within [1/5, 5] (at most 1 right after a rejection), a
+    rejected one by the same factor within [1/5, 1), and a step within 1% of
+    the end is stretched onto it; the samples lie every h_nom.  Returns the
+    grid, the samples, the number of attempts and the number of
+    rejections."""
 
     def f(y):
         return hamiltonian_vector_field(biv, H, y)
@@ -167,7 +209,8 @@ def _reference_flow(biv, H, y0, t_end, h_nom, tol):
     times = _grid(t_end, h_nom)
     end = times[-1]
     points = [y0.copy()]
-    t, y, h, k1 = 0.0, y0.copy(), h_nom, f(y0)
+    t, y, k1 = 0.0, y0.copy(), f(y0)
+    h = _reference_start(f, y0, k1, tol)
     attempts = rejected = 0
     while t < end:
         grow = 5.0
@@ -193,10 +236,10 @@ def _reference_flow(biv, H, y0, t_end, h_nom, tol):
 
 
 def test_step_costs_six_rhs_evaluations(monkeypatch):
-    """The first slope, then six stages per attempt, is the whole cost of a
-    run: the last stage of a step is the next step's first.  The samples,
-    every 0.05, outnumber the steps."""
-    H, calls = _counting_oscillator()
+    """The first slope and the starting rule's probe, then six stages per
+    attempt, is the whole cost of a run: the last stage of a step is the
+    next step's first.  The samples, every 0.05, outnumber the steps."""
+    H, calls = _counting(OSC)
     attempts = _spy_on_steps(monkeypatch)
     traj = integrate_flow(canonical_bivector(1), H, np.array([1.0, 0.25]), 2.0,
                           StepControl(h=0.05, tol=1e-8))
@@ -204,24 +247,29 @@ def test_step_costs_six_rhs_evaluations(monkeypatch):
     assert len(traj.times) - 1 == 40
     assert all(a[3] <= 1e-8 for a in attempts)  # no rejection
     assert len(attempts) < 40
-    assert calls[0] == 1 + 6 * len(attempts)
+    assert calls[0] == 2 + 6 * len(attempts)
 
 
-@pytest.mark.parametrize("h, tol", [(0.05, 1e-8), (0.5, 1e-12)])
-def test_trajectory_matches_the_stage_by_stage_dormand_prince_stepper(h, tol):
+@pytest.mark.parametrize("h, tol, H, y0, t_end, rejects", [
+    pytest.param(0.05, 1e-8, OSC, np.array([1.0, 0.25]), 3.0, False, id="0.05-1e-08"),
+    pytest.param(0.5, 1e-12, OSC, np.array([1.0, 0.25]), 3.0, False, id="0.5-1e-12"),
+    # xdot = e^x nears its blow-up at t = 1: the derivatives grow faster
+    # than the control predicts, and it rejects steps on the way
+    pytest.param(0.05, 1e-8, EXP_BLOWUP, np.array([0.0, 1.0]), 0.9, True, id="blowup-0.05-1e-08"),
+])
+def test_trajectory_matches_the_stage_by_stage_dormand_prince_stepper(h, tol, H, y0, t_end, rejects):
     """The tableau and extension held as module data compute the textbook
-    step: the same grid, samples equal to rounding, and the same number of
-    attempts, each of 6 evaluations after the first slope."""
+    step, and the starting rule the textbook start: the same grid, samples
+    equal to rounding, and the same number of attempts, each of 6
+    evaluations after the first slope and the starting probe."""
     can = canonical_bivector(1)
-    y0 = np.array([1.0, 0.25])
-    H, calls = _counting_oscillator()
-    traj = integrate_flow(can, H, y0, 3.0, StepControl(h=h, tol=tol))
-    times, points, attempts, rejected = _reference_flow(can, OSC, y0, 3.0, h, tol)
+    counted, calls = _counting(H)
+    traj = integrate_flow(can, counted, y0, t_end, StepControl(h=h, tol=tol))
+    times, points, attempts, rejected = _reference_flow(can, H, y0, t_end, h, tol)
     assert np.array_equal(traj.times, times)
     assert np.max(np.abs(traj.points - points)) <= 1e-15 * np.max(np.abs(points))
-    assert calls[0] == 1 + 6 * attempts
-    if h == 0.5:
-        assert rejected > 0
+    assert calls[0] == 2 + 6 * attempts
+    assert (rejected > 0) == rejects
 
 
 def _rooted_trees(order):
@@ -324,22 +372,62 @@ def test_finite_time_blowup_stiffness():
                        StepControl(h=1e-2, tol=1e-8))
 
 
-# H = -p e^x drives xdot = e^x: from x(0) = 0 the solution -log(1 - t)
-# leaves every compact set as t -> 1, and e^x overflows past x = 709.8.
-EXP_BLOWUP = ScalarField(fn=lambda s: -s[1] * np.exp(s[0]),
-                         grad=lambda s: np.array([-s[1] * np.exp(s[0]), -np.exp(s[0])]))
-
-
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_reports_last_good_time():
     can = canonical_bivector(1)
     with pytest.raises(DivergenceError) as info:
-        # tol so loose that nothing is rejected: the first step, to t = 0.5,
-        # is accepted, and the next one grows to the end and overflows in
-        # its stages
+        # tol so loose that nothing is rejected: from the starting rule's
+        # floor of 1e-4 each step grows fivefold, until the one from
+        # t = 0.39 reaches past the blow-up and overflows in its stages
         integrate_flow(can, EXP_BLOWUP, np.array([0.0, 1.0]), 2.0,
                        StepControl(h=0.5, tol=1e30))
     assert 0.0 < info.value.last_good_time < 1.0
+
+
+# BLOWUP from x(0) = -S with S^2 = 0.995 DBL_MAX: the start's velocity -S^2
+# is finite, but the starting rule's probe, 1% of |x| further out, squares to
+# 1.015 DBL_MAX.
+EDGE_OF_RANGE = np.array([-math.sqrt(0.995 * np.finfo(float).max), 1.0])
+
+
+def _flip(x):
+    # a speed of 1e308 at x <= 0 and of -1e308 past it
+    return 1e308 if x <= 0.0 else -1e308
+
+
+# H = -p g(x) drives xdot = g(x): from x = p = 0 the starting rule's probe
+# lands past the flip, and the difference of the two slopes overflows.
+FLIP = ScalarField(fn=lambda s: -s[1] * _flip(s[0]), grad=lambda s: np.array([0.0, -_flip(s[0])]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("H, y0", [(BLOWUP, EDGE_OF_RANGE), (FLIP, np.zeros(2))],
+                         ids=["probe-overflows", "no-finite-start"])
+def test_starting_rule_that_finds_no_step_is_a_divergence_at_t_0(H, y0):
+    """A probe that leaves the finite range, or a start that is not a
+    positive finite step, ends the run at t = 0 rather than stepping by 0 or
+    NaN, which would never advance t."""
+    with pytest.raises(DivergenceError) as info:
+        integrate_flow(canonical_bivector(1), H, y0, 1.0, StepControl(h=0.1, tol=1e-8))
+    assert info.value.last_good_time == 0.0
+
+
+def test_steps_do_not_depend_on_the_sample_spacing(monkeypatch):
+    """The first trial step comes from the tolerance, so at every sample
+    spacing that divides t_end the run takes the same accepted steps to the
+    same step-end states; only the samples read between them differ."""
+    can = canonical_bivector(1)
+    attempts = _spy_on_steps(monkeypatch)
+    runs = []
+    for h in (1e-3, 1e-2, 5e-2):
+        attempts.clear()
+        traj = integrate_flow(can, OSC, np.array([1.0, 0.25]), 2.0, StepControl(h=h, tol=1e-8))
+        assert traj.times[-1] == 2.0
+        runs.append([(a[1], a[2]) for a in attempts if a[3] <= 1e-8])
+    assert len(runs[0]) > 5
+    for run in runs[1:]:
+        assert [h for h, _ in run] == [h for h, _ in runs[0]]
+        assert all(np.array_equal(y, y_ref) for (_, y), (_, y_ref) in zip(run, runs[0]))
 
 
 def test_no_degenerate_final_interval():
@@ -380,12 +468,12 @@ def test_poststep_that_moves_the_state_costs_one_evaluation(monkeypatch):
         return y * (1.0 - 1e-12)
 
     for hook, extra in ((keep, 0), (move, 1)):
-        H, calls = _counting_oscillator()
+        H, calls = _counting(OSC)
         attempts = _spy_on_steps(monkeypatch)
         traj = integrate_flow(can, H, np.array([1.0, 0.0]), 2.0,
                               StepControl(h=5e-2, tol=1e-8, poststep=hook))
         assert all(a[3] <= 1e-8 for a in attempts)  # each attempt accepted
-        assert calls[0] == 1 + (6 + extra) * len(attempts)
+        assert calls[0] == 2 + (6 + extra) * len(attempts)
         if hook is keep:
             hooked = {tuple(y) for y in seen}
             assert all(tuple(y) in hooked for y in traj.points[1:])

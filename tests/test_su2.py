@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from poismech import bracket
 from poismech.bracket import hamiltonian_vector_field, jacobi_certificate, pushforward_bivector
-from poismech.errors import ContractViolation, NumericDomainError
+from poismech.errors import ConfigError, ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
 from poismech import cli, flow, su2
 from poismech.model import CERT_POINTS
@@ -393,8 +393,8 @@ def test_body_velocity_fails_a_flow_at_the_wrong_speed(epsilon):
 
 
 def _certificate_steps(monkeypatch, epsilon):
-    """Sample intervals of the certificate's flow, one per nominal step, and
-    its checks."""
+    """Sample intervals of the certificate's flow, one per sample spacing,
+    and its checks."""
     steps = []
 
     def counting(*args, **kwargs):
@@ -411,7 +411,7 @@ def _certificate_steps(monkeypatch, epsilon):
 @pytest.mark.parametrize("epsilon", [0.1, 0.15, 0.2, 0.25, 0.3, -0.2])
 def test_certificate_flow_takes_its_step_from_the_turn(monkeypatch, epsilon):
     """At |eps| in [0.1, 0.3] the certificate's flow to t = 1 turns by at
-    most 1/80 radian per nominal step and takes at most 40 of them, and
+    most 1/80 radian per sample interval and stores at most 40 of them, and
     every flow check PASSes."""
     n_steps, checks = _certificate_steps(monkeypatch, epsilon)
     assert 20 <= n_steps <= 40
@@ -421,9 +421,9 @@ def test_certificate_flow_takes_its_step_from_the_turn(monkeypatch, epsilon):
 
 @pytest.mark.parametrize("epsilon", [0.0, 5.0, 10.0, 40.0])
 def test_certificate_step_is_between_its_bounds(monkeypatch, epsilon):
-    """The nominal step is 0.05 where the flow stands still and never below
-    1e-3, so the flow stores at most 1001 samples; the body velocity PASSes
-    the correct flow at eps 5, 10 and 40."""
+    """The sample spacing is 0.05 where the flow stands still and never
+    below 1e-3, so the flow stores at most 1001 samples; the body velocity
+    PASSes the correct flow at eps 5, 10 and 40."""
     h = su2._certificate_step(epsilon, CERT_H)
     assert h == (0.05 if epsilon == 0.0 else max(1e-3, 1 / 80 / (epsilon * CERT_H)))
     n_steps, checks = _certificate_steps(monkeypatch, epsilon)
@@ -435,11 +435,11 @@ def test_certificate_step_is_between_its_bounds(monkeypatch, epsilon):
 # past the drift bound 10 tol t_end of so short a run, with either stepper
 @pytest.mark.filterwarnings("ignore:hamiltonian drift")
 def test_shrunk_steps_store_exactly_the_grid(monkeypatch):
-    """rho 99 at epsilon 0.2 turns by 0.98 radian per nominal step, too far
-    for tol: the control rejects the nominal step and takes shorter ones.
-    The run still stores one sample per nominal step (the capped stepper
-    stored every shortened step: 64001 samples for t_end 1), and the body
-    velocity read over the grid matches the closed form."""
+    """rho 99 at epsilon 0.2 turns by 0.98 radian per sample spacing, and
+    its starting step is too long for tol: the control rejects it and takes
+    shorter ones.  The run still stores one sample per spacing (the capped
+    stepper stored every shortened step: 64001 samples for t_end 1), and the
+    body velocity read over the grid matches the closed form."""
     attempts = []
     dp_step = flow._dp_step
 
@@ -456,6 +456,71 @@ def test_shrunk_steps_store_exactly_the_grid(monkeypatch):
     assert np.array_equal(traj.times[:-1], np.cumsum([0.0] + [1e-3] * 19))
     assert traj.times[-1] == pytest.approx(0.02, abs=1e-17)
     assert flow_diagnostics(traj, 0.2)["omega_deviation"] < 1e-5
+
+
+def test_free_flow_at_the_defaults_takes_at_most_two_steps(monkeypatch):
+    """The first trial step comes from tol, not from the sample spacing: at
+    the default start, tol and step and epsilon 0.2, the flow to t_end 0.05
+    takes at most 2 Dormand-Prince attempts (4 when it started from the
+    spacing 1e-3 and grew fivefold a step)."""
+    attempts = []
+    dp_step = flow._dp_step
+
+    def spy(rhs, y, h, k):
+        attempts.append(h)
+        return dp_step(rhs, y, h, k)
+
+    monkeypatch.setattr(flow, "_dp_step", spy)
+    p = {name: param.default for name, param in su2.PARAMS.items()}
+    traj, _ = free_flow(su2._start(p["rho"], p["n_re"], p["n_im"]), 0.2, 0.05,
+                        StepControl(h=p["step"], tol=p["tol"]))
+    assert traj.times.size == 51
+    assert len(attempts) <= 2
+
+
+class _FirstAttempt(Exception):
+    """Raised by a spy to stop a flow after its first Dormand-Prince attempt."""
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 2.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0), st.booleans())
+def test_first_trial_step_turns_the_state_within_the_stated_bound(
+        log_rho, log_spread, n_re, n_im, log_eps, sign, turn_per_sample, tol_per_entry):
+    """Over starts that su2's config check accepts, drawn in the ranges of
+    the comment above su2._MAX_TURN (at 100 samples, tol 1e-8 or 0.01 S),
+    the first trial step turns the state by at most 1.01 theta min(t_end,
+    |y0| / |f0|), which is at most 1.01 sqrt(8) radians, and its stage
+    states stay within 1.5 S, S the start's largest entry."""
+    rho, spread, epsilon = math.exp(log_rho), math.exp(log_spread), sign * math.exp(log_eps)
+    b = SB2Element(rho, complex(spread * n_re, spread * n_im))
+    energy = float(free_energy(b.matrix))
+    entry = max(rho, 1.0 / rho, abs(b.n.real), abs(b.n.imag))
+    step = turn_per_sample / (abs(epsilon) * energy)
+    params = {"epsilon": epsilon, "rho": rho, "n_re": b.n.real, "n_im": b.n.imag,
+              "step": step, "t_end": 100 * step, "tol": 0.01 * entry if tol_per_entry else 1e-8}
+    try:
+        p = cli.validate_config({"model": "su2", "params": params}).params
+    except ConfigError:
+        assume(False)
+    dp_step = flow._dp_step
+
+    def stop(rhs, y, h, k):
+        dp_step(rhs, y, h, k)
+        raise _FirstAttempt(y, h, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_dp_step", stop)
+        with pytest.raises(_FirstAttempt) as first:
+            su2._flow(p)
+    y0, h, k = first.value.args
+    theta = abs(epsilon) * math.sqrt(max(energy * energy - 1.0, 0.0))
+    # the identity start stands still: no velocity, no turn
+    cap = theta and theta * np.max(np.abs(y0)) / np.max(np.abs(k[0]))
+    assert cap <= math.sqrt(8.0) * (1 + 1e-12)
+    assert h * theta <= min(theta * p["t_end"], 1.01 * cap) * (1 + 1e-12)
+    stages = [y0 + h * (row @ k[:len(row)]) for row in flow._STAGE_ROWS[1:]]
+    assert max(np.max(np.abs(y)) for y in stages) <= 1.5 * entry
 
 
 @pytest.mark.parametrize("defect", [2e-9, math.nan])
