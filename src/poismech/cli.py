@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -323,6 +323,12 @@ def _json_text(name: str, obj: Any, indent: str = "") -> str:
         raise ContractViolation(f"{name}: {exc}") from exc
 
 
+def _create(path: Path) -> IO[str]:
+    """``path`` as a new file; ext4 flushes a truncated one at close (auto_da_alloc)."""
+    path.unlink(missing_ok=True)
+    return open(path, "x", encoding="utf-8")
+
+
 def _write_rows(path: Path, head: str, row: str, sep: str, cells: list, null: str | None,
                 tail: str) -> None:
     """Write ``head``, then ``row % (one row's cells)`` for every row, joined
@@ -330,7 +336,7 @@ def _write_rows(path: Path, head: str, row: str, sep: str, cells: list, null: st
     that is given.  Rows are rendered a column at a time and written
     ``_CHUNK_ROWS`` at a time; no value can make this raise."""
     n = len(cells[0]) if cells else 0
-    with open(path, "w", encoding="utf-8") as f:
+    with _create(path) as f:
         f.write(head)
         for start in range(0, n, _CHUNK_ROWS):
             chunk = []
@@ -351,7 +357,7 @@ def _write_rows(path: Path, head: str, row: str, sep: str, cells: list, null: st
 def write_artifact(data: ArtifactData, out_dir: Path, fmt: str) -> list[str]:
     """Write one artifact; returns the filenames created.  Whatever can fail
     (an infinity in a cell or in the summary, which the manifest carries in
-    either format) fails before the file is opened, so it writes nothing.
+    either format) fails before the file is created, so an old file stays.
 
     CSV writes a float column through ``%.17g``, the text of
     ``format(v, ".17g")``, and NaN as ``nan``; JSON writes the layout of
@@ -395,11 +401,10 @@ def _files_under(root: str | Path) -> Iterator[str]:
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> None:
-    stray = set(_files_under(out_dir)) - set(manifest["files"]) - {"manifest.json"}
-    if stray:
-        manifest = {**manifest, "unmanaged_files": sorted(stray)}
-    (out_dir / "manifest.json").write_text(_json_text("manifest", manifest) + "\n",
-                                           encoding="utf-8")
+    stray = sorted(set(_files_under(out_dir)) - set(manifest["files"]) - {"manifest.json"})
+    text = _json_text("manifest", {**manifest, "unmanaged_files": stray} if stray else manifest)
+    with _create(out_dir / "manifest.json") as f:
+        f.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

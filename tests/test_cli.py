@@ -478,6 +478,81 @@ def test_empty_outputs_allowed(tmp_path):
     assert collect_files(out) == ["manifest.json"]
 
 
+def test_run_replaces_a_symlink_at_an_output_path(tmp_path):
+    """A symlink at an artifact's or the manifest's path becomes a regular
+    file; the file it pointed to, outside the output tree, keeps its bytes."""
+    cfg = write_cfg(tmp_path, SU2_CFG)
+    out, outside = tmp_path / "out", tmp_path / "outside"
+    out.mkdir()
+    outside.mkdir()
+    names = ["trajectory.csv", "trajectory.json", "manifest.json"]
+    for name in names:
+        (outside / name).write_text(f"keep {name}\n")
+        (out / name).symlink_to(outside / name)
+    for fmt in ("csv", "json"):
+        assert main(["run", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    for name in names:
+        assert (outside / name).read_text() == f"keep {name}\n"
+        assert (out / name).is_file() and not (out / name).is_symlink(), name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_into_one_directory_matches_a_fresh_one(tmp_path, monkeypatch, fmt):
+    """Every writer creates its file anew, with mode "x" once the old file is
+    gone, and never truncates one, which ext4 flushes at close.  A second
+    run, sweep or certificate into one directory leaves the bytes a fresh
+    directory gets, and no unmanaged files."""
+    modes = []
+
+    def spy(path, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    cfg = write_cfg(tmp_path, MINK_CFG)
+    commands = {
+        "run": ["run", str(cfg)],
+        "sweep": ["sweep", str(cfg), "--param", "epsilon", "--values", "0,0.1"],
+        "certify": ["certify", "kappa", "--epsilon", "0.3", "--points", "5"],
+    }
+    for command, argv in commands.items():
+        trees = {}
+        for where, runs in [("fresh", 1), ("again", 2)]:
+            out = tmp_path / command / where
+            for _ in range(runs):
+                modes.clear()
+                assert main([*argv, "--out", str(out), "--format", fmt]) == 0
+            files = collect_files(out)
+            assert "unmanaged_files" not in json.loads((out / "manifest.json").read_text())
+            assert modes == ["x"] * len(files), command  # the manifest's open too
+            trees[where] = {rel: (out / rel).read_bytes() for rel in files}
+        assert trees["again"] == trees["fresh"], command
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_artifact_write_leaves_the_old_file(tmp_path, fmt):
+    """An infinity in a float column or in the summary fails before the old
+    file is removed, so the last good write stays byte for byte."""
+    written = cli.write_artifact(ArtifactData("probe", {"a": [1.0, 2.0]}, {"n": 2}), tmp_path,
+                                 fmt)
+    old = (tmp_path / written[0]).read_bytes()
+    for columns, summary in [({"a": [1.0, math.inf]}, {"n": 2}),
+                             ({"a": [1.0, 2.0]}, {"fit": -math.inf})]:
+        with pytest.raises(ContractViolation, match="^probe: "):
+            cli.write_artifact(ArtifactData("probe", columns, summary), tmp_path, fmt)
+        assert collect_files(tmp_path) == written
+        assert (tmp_path / written[0]).read_bytes() == old
+
+
+def test_a_failed_manifest_write_leaves_the_old_manifest(tmp_path):
+    manifest = {"files": ["manifest.json"], "config": {"epsilon": 0.2}}
+    cli.write_manifest(tmp_path, manifest)
+    old = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(ContractViolation, match="^manifest: "):
+        cli.write_manifest(tmp_path, {**manifest, "config": {"epsilon": math.inf}})
+    assert (tmp_path / "manifest.json").read_bytes() == old
+
+
 # --- sweep -----------------------------------------------------------------
 
 def test_sweep_over_epsilon_includes_flat_baseline(tmp_path):
