@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _CS_STEP = 1e-30  # far below sqrt(u) |x|: its O(h^2) error is below rounding
+_JACOBI_THRESHOLD = 1e-6  # largest Jacobiator entry a Poisson bivector may show
 
 # A certificate takes its points in chunks whose complex-step dP, n**3
 # complex128 entries per point, holds at most this many bytes; a chunk has at
@@ -206,13 +207,12 @@ def jacobi_certificate(
     biv: BivectorSpec,
     n_points: int = 100,
     seed: int = 0,
-    threshold: float = 1e-6,
     box: tuple[float, float] = (0.0, 1.0),
 ) -> JacobiCertificate:
-    """Check the Jacobi identity at seeded uniform random points of a box,
-    over every coordinate triple, from one P and one dP per chunk of points
-    (see ``_CHUNK_BYTES``).  A non-finite residual at any point makes
-    ``max_residual`` non-finite and the certificate fail.
+    """Check the Jacobi identity to ``_JACOBI_THRESHOLD`` at seeded uniform
+    random points of a box, over every coordinate triple, from one P and one
+    dP per chunk of points (see ``_CHUNK_BYTES``).  A non-finite residual at
+    any point makes ``max_residual`` non-finite and the certificate fail.
 
     Charts of dimension < 3 have no triple and certify vacuously.
     """
@@ -220,7 +220,7 @@ def jacobi_certificate(
     t = np.arange(biv.dim)
     i, j, k = np.nonzero((t[:, None, None] < t[:, None]) & (t[:, None] < t))
     if not i.size:
-        return JacobiCertificate(biv.dim, 0, 0, 0.0, threshold, vacuous=True)
+        return JacobiCertificate(biv.dim, 0, 0, 0.0, _JACOBI_THRESHOLD, vacuous=True)
     rng = np.random.default_rng(seed)
     lo, hi = box
     chunk = max(1, _CHUNK_BYTES // (16 * biv.dim**3))
@@ -231,7 +231,7 @@ def jacobi_certificate(
         peaks.append(np.max(np.abs(_cyclic(_jacobi_terms(biv, x), i, j, k))))
     # np.max propagates NaN, so one non-finite residual fails the certificate
     worst = float(np.max(peaks, initial=0.0))
-    return JacobiCertificate(biv.dim, n_points, i.size, worst, threshold, vacuous=False)
+    return JacobiCertificate(biv.dim, n_points, i.size, worst, _JACOBI_THRESHOLD, vacuous=False)
 
 
 def pushforward_bivector(

@@ -390,13 +390,13 @@ def write_artifact(data: ArtifactData, out_dir: Path, fmt: str) -> list[str]:
 
 
 def _files_under(root: str | Path) -> Iterator[str]:
-    """Every regular file under ``root`` as ``sub/dir/name``; symlinked
-    directories are not entered."""
+    """Every entry under ``root`` but a directory, as ``sub/dir/name``; a
+    symlink is listed, not followed, whether to a file, a directory or none."""
     with os.scandir(root) as entries:
         for entry in entries:
             if entry.is_dir(follow_symlinks=False):
                 yield from (f"{entry.name}/{name}" for name in _files_under(entry.path))
-            elif entry.is_file():
+            else:
                 yield entry.name
 
 

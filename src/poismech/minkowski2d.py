@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import BivectorSpec, ScalarField, add_bivectors
+from .bracket import BivectorSpec, add_bivectors
 from .errors import ConfigError, ContractViolation
 from .fitting import collinearity_residual
-from .flow import StepControl, Trajectory, integrate_flow
-from .generators import AbelianRSpec, scaling, wedge_bivector
+from .flow import Trajectory, _sample_times
+from .generators import AbelianRSpec, GeneratorField, cotangent_lift, scaling, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
 from .model import (
     INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
@@ -230,22 +230,27 @@ def scattering_check(spec: Minkowski2DSpec, alphas, betas) -> tuple[float, float
 # ---------------------------------------------------------------------------
 # scenario record
 
-_PHASE0 = np.array([1.0, 1.0, 0.35, -0.8])  # start of the projection flow
-_PROJECTION_TOL = 1e-8
-# The moment flow scales the chart by e^{+-t}, so the state's largest entry
-# grows like max|phase0| e^t = e^t.  On y' = y, the Dormand-Prince error
-# estimate is 97/120000 h^5 e^t (the z^5 term of the difference of its order-5
-# and order-4 solutions, in exact rationals), so the tolerance admits steps
-# h(t) = (120000/97 tol e^-t)^(1/5) and the run takes about
-# 5 (97 e^t_end / (120000 tol))^(1/5) steps.  The estimate also carries the
-# rounding of the stage slopes, about h u e^t for the unit roundoff
-# u = 2^-53.  At h(t) that floor reaches tol where
-# e^(4t/5) = tol^(4/5) / ((120000/97)^(1/5) u), at t = 25.7; past it the step
-# has to shrink like e^-t and the work grows like e^t instead of e^(t/5), so
-# t_end stops there.  (Fehlberg's 4(5) estimate, h^5 e^t / 780, put the
-# bound at 25.8; the lower one is kept.)
-_T_END_MAX = (math.log(_PROJECTION_TOL) - 1.25 * math.log(2.0**-53)
-              - 0.25 * math.log(120000.0 / 97.0))
+_PHASE0 = np.array([1.0, 1.0, 0.35, -0.8])  # (x+, x-, p+, p-) at t = 0
+# The projection flow is the moment flow of H = J1 - J2, J1 = p+ x+ = 0.35 and
+# J2 = p- x- = -0.8 (both constant): the lift of the scaling with rates
+# (-1, +1), so the state is (e^-t, e^t, 0.35 e^t, -0.8 e^-t).  The left
+# projection is (e^{-t - (eps/2) J2}, e^{t + (eps/2) J1}), the right one that
+# at -eps; their products are e^{+-(eps/2)(J1 - J2)}.  Each e^z stays a normal
+# float, with a factor 2 to spare for rounding (about 1e-12 relative), while
+# |z| <= -ln(2 DBL_MIN) = 707.70.  The largest |z| is t_end + ln(1/0.8) (the
+# state's p-) or t_end + (|eps|/2) |J2| (a projected x+).  A spread, a
+# difference of products, is 0 or normal while the smaller product has a
+# normal ulp: (|eps|/2) |J1 - J2| + 52 ln 2 <= 707.70 as well.
+_PROJECTION_FLOW = cotangent_lift(GeneratorField("scaling", 2, rates=np.array([-1.0, 1.0])), 2)
+_J1, _J2 = _PHASE0[2] * _PHASE0[0], _PHASE0[3] * _PHASE0[1]
+_LOG_NORMAL = -math.log(2.0 * sys.float_info.min)
+
+
+def _projection_reach(t_end: float, epsilon: float) -> float:
+    """The largest |z| above; it must not pass ``_LOG_NORMAL``."""
+    a = abs(epsilon) / 2.0
+    return max(t_end - math.log(-_PHASE0[3]), t_end + a * abs(_J2), a * abs(_J1 - _J2) + 52 * math.log(2.0))
+
 
 PARAMS = {
     "epsilon": Param(REAL),
@@ -258,7 +263,7 @@ PARAMS = {
     "p_max": Param(REAL, 3.0),
     # the scattering artifact has 4 columns of n_samples: 2^24 cells at most
     "n_samples": Param(INT, 49, minimum=2, maximum=2**22),
-    "t_end": Param(REAL, 4.0, positive=True, maximum=_T_END_MAX),
+    "t_end": Param(REAL, 4.0, positive=True),
 }
 
 
@@ -322,6 +327,12 @@ def _check(p: Params) -> None:
                           f"in [{lo:g}, {hi:g}]")
     _check_epsilon(p["epsilon"], p["mass"], p["beta"], "params.epsilon")
     _check_curve(p)
+    reach = _projection_reach(p["t_end"], p["epsilon"])
+    if not reach <= _LOG_NORMAL:
+        field = "t_end" if p["t_end"] >= abs(p["epsilon"]) / 2.0 * abs(_J2) else "epsilon"
+        raise ConfigError(f"params.{field}", f"the projection at t_end = {p['t_end']:g}, epsilon = "
+                          f"{p['epsilon']:g} needs e^-{reach:.6g} >= 2 DBL_MIN = e^-{_LOG_NORMAL:.6g} "
+                          "to keep its shrinking values, and the ulps of its products, normal floats")
 
 
 def _spec(p: Params) -> Minkowski2DSpec:
@@ -362,18 +373,10 @@ def _scattering(p: Params) -> ArtifactData:
     return ArtifactData("scattering", columns, summary)
 
 
-def _moment_hamiltonian() -> ScalarField:
-    # difference of the two generator moments on the (x+, x-, p+, p-) chart
-    return ScalarField(
-        fn=lambda s: s[2] * s[0] - s[3] * s[1],
-        grad=lambda s: np.array([s[2], -s[3], s[0], -s[1]]),
-    )
-
-
 def _projection(p: Params) -> ArtifactData:
     r = minkowski2d_rspec(_spec(p))
-    step = StepControl(h=1e-2, tol=_PROJECTION_TOL)
-    traj = integrate_flow(canonical_bivector(2), _moment_hamiltonian(), _PHASE0, p["t_end"], step)
+    times = _sample_times(p["t_end"], 1e-2)
+    traj = Trajectory(times, _PROJECTION_FLOW.flow(times, np.broadcast_to(_PHASE0, (times.size, 4))))
     left = project_trajectory(r, traj, "left")
     right = project_trajectory(r, traj, "right")
 
@@ -381,11 +384,7 @@ def _projection(p: Params) -> ArtifactData:
         prod = curve.points[:, 0] * curve.points[:, 1]
         return float(np.max(np.abs(prod - prod[0])))
 
-    summary = {
-        "product_spread_left": spread(left),
-        "product_spread_right": spread(right),
-        "h_drift": traj.h_drift,
-    }
+    summary = {"product_spread_left": spread(left), "product_spread_right": spread(right)}
     columns = {
         "t": traj.times,
         "left_x_plus": left.points[:, 0],

@@ -20,7 +20,6 @@ REAL = "real"
 INT = "int"
 
 CERT_POINTS = 100  # sample points per randomized certificate check
-_JACOBI_THRESHOLD = 1e-6  # largest Jacobiator entry a Poisson bivector may show
 # largest exponent x whose exp(x) still squares to a finite float
 LOG_SQRT_DBL_MAX = 0.5 * math.log(sys.float_info.max)
 
@@ -98,7 +97,7 @@ class Model(NamedTuple):
     certificate: Callable[[Params, int, int], list[CertCheck]]
     certificate_check: Callable[[Params, str], None]
     sweep_row: Callable[[Params], dict[str, Any]]
-    check: Callable[[Params], None] = lambda p: None
+    check: Callable[[Params], None]
 
     @property
     def outputs(self) -> tuple[str, ...]:
@@ -113,6 +112,6 @@ def threshold_check(name: str, value: float, threshold: float) -> CertCheck:
 
 def jacobi_check(name: str, biv: BivectorSpec, n_points: int, seed: int) -> CertCheck:
     """The randomized Jacobi certificate of ``biv`` as a check."""
-    cert = jacobi_certificate(biv, n_points=n_points, seed=seed, threshold=_JACOBI_THRESHOLD)
+    cert = jacobi_certificate(biv, n_points=n_points, seed=seed)
     note = "vacuous below dim 3" if cert.vacuous else ""
     return CertCheck(name, cert.max_residual, cert.threshold, cert.passed, note)

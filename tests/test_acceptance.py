@@ -61,8 +61,7 @@ def test_criterion_01_jacobi_certificates():
         momentum_bivector(EPS),
         linear_momentum_bivector(),
     ]
-    certs = [jacobi_certificate(biv, n_points=100, seed=k, threshold=1e-6,
-                                box=(0.0, 1.0))
+    certs = [jacobi_certificate(biv, n_points=100, seed=k, box=(0.0, 1.0))
              for k, biv in enumerate(shipped)]
     assert all(c.passed for c in certs)
     earnest = [c for c in certs if not c.vacuous]

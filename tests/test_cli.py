@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from poismech import cli, kappa, minkowski2d, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
-from poismech.minkowski2d import _T_END_MAX
 from poismech.model import CERT_POINTS, INT, LOG_SQRT_DBL_MAX, ArtifactData
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
@@ -468,6 +467,25 @@ def test_manifest_lists_stray_files_in_nested_directories(tmp_path):
     assert "unmanaged_files" not in json.loads((tmp_path / "manifest.json").read_text())
 
 
+def test_manifest_lists_every_symlink_without_following_it(tmp_path):
+    """A symlink in the output tree is an entry of the tree, whatever it
+    points at: one to a file outside the tree, a dangling one and one to a
+    directory are each listed as an unmanaged file, and the directory behind
+    the last is not entered."""
+    outside = tmp_path / "outside"
+    (outside / "dir").mkdir(parents=True)
+    (outside / "file.txt").write_text("x")
+    (outside / "dir" / "inner.txt").write_text("x")
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "to_file").symlink_to(outside / "file.txt")
+    (out / "sub" / "dangling").symlink_to(outside / "missing.txt")
+    (out / "to_dir").symlink_to(outside / "dir", target_is_directory=True)
+    cli.write_manifest(out, {"files": ["manifest.json"]})
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["unmanaged_files"] == ["sub/dangling", "to_dir", "to_file"]
+
+
 def test_empty_outputs_allowed(tmp_path):
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2},
                                "outputs": []})
@@ -886,28 +904,81 @@ _NAN_FOLDS = {
 }
 
 
+def _projection_edge(reach, guess):
+    """The largest float x with ``reach(x) <= minkowski2d._LOG_NORMAL``,
+    searched one float at a time from ``guess``, which must lie within four
+    floats of it."""
+    x = guess
+    while reach(x) > minkowski2d._LOG_NORMAL:
+        x = math.nextafter(x, -math.inf)
+    while reach(math.nextafter(x, math.inf)) <= minkowski2d._LOG_NORMAL:
+        x = math.nextafter(x, math.inf)
+    assert abs(x - guess) <= 4 * math.ulp(guess)
+    return x
+
+
+def _run_projection_finite(tmp_path, params, name):
+    """Run the projection alone with RuntimeWarning as an error; every
+    coordinate is a normal float, each spread is 0 or one, and the t column
+    ends at t_end."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": params, "outputs": ["projection"]},
+                    f"{name}.yaml")
+    out = tmp_path / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads((out / "projection.json").read_text())
+    rows = np.array(doc["rows"], dtype=float)
+    assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[:, 1:]) >= sys.float_info.min)
+    assert rows[-1, 0] == pytest.approx(params.get("t_end", 4.0), abs=1e-12)
+    assert set(doc["summary"]) == {"product_spread_left", "product_spread_right"}
+    assert all(v == 0.0 or sys.float_info.min <= v < math.inf for v in doc["summary"].values())
+
+
 def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
-    """Past t_end 25.7 the projection flow's error estimate meets its rounding
-    floor and the step shrinks like e^-t; t_end 1e300 and one float past
-    the bound name params.t_end and exit 2, and a run at the bound finishes
-    in seconds."""
-    assert 20.0 < _T_END_MAX < 26.0
-    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
-                               "params": {"epsilon": 0.2, "t_end": 1.0e300},
+    """The projection's shrinking values -0.8 e^-t and e^{-t - 0.4 |eps|}
+    stay normal floats, above 2 DBL_MIN, up to t_end = -ln(2 DBL_MIN) = 707.70
+    less the larger of ln(1/0.8) and 0.4 |eps|.  t_end 1e300 names
+    params.t_end; one float past the bound names the larger of t_end and
+    0.4 |eps|, and a run at the bound is finite."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d", "params": {"epsilon": 0.2, "t_end": 1.0e300},
                                "outputs": ["projection"]})
     assert main(["run", str(cfg), "--out", str(tmp_path / "far")]) == 2
     assert "params.t_end" in capsys.readouterr().out
-    with pytest.raises(ConfigError, match=r"params\.t_end"):
+    params = {"p_min": -0.001, "p_max": 0.001, "beta": 0.001}
+    for epsilon, field in ((0.2, "t_end"), (-100.0, "t_end"), (1000.0, "epsilon")):
+        guess = minkowski2d._LOG_NORMAL - max(math.log(1.25), 0.4 * abs(epsilon))
+        t_max = _projection_edge(lambda t: minkowski2d._projection_reach(t, epsilon), guess)
+        with pytest.raises(ConfigError, match=rf"^params\.{field}: "):
+            validate_config({"model": "minkowski2d", "params": {
+                **params, "epsilon": epsilon, "t_end": math.nextafter(t_max, math.inf)}})
+        _run_projection_finite(tmp_path, {**params, "epsilon": epsilon, "t_end": t_max}, f"at_{epsilon:g}")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_minkowski2d_projection_epsilon_is_bounded(tmp_path, capsys, sign):
+    """At |epsilon| 1500 the projection's products overflowed (and the right
+    side underflowed to a spread of 0.0) while the run exited 0 with a null
+    spread; at 5000 it exited 1 on an infinite value.  Both exit 2 naming
+    params.epsilon now, without a numpy warning.  The products
+    e^{+-(eps/2)(J1 - J2)} = e^{+-0.575 eps} keep a normal ulp, with a
+    factor 2 to spare, up to |eps| = 2 (707.70 - 52 ln 2) / 1.15: one float
+    past exits 2, and a run at the bound is finite."""
+    params = {"p_min": -0.001, "p_max": 0.001, "beta": 0.001, "alpha": 0.0}
+    for epsilon in (1500.0, 5000.0):
+        cfg = write_cfg(tmp_path, {"model": "minkowski2d",
+                                   "params": {**params, "epsilon": sign * epsilon},
+                                   "outputs": ["projection"]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "far")]) == 2
+        assert "params.epsilon" in capsys.readouterr().out
+    guess = 2.0 * (minkowski2d._LOG_NORMAL - 52.0 * math.log(2.0)) / 1.15
+    eps_max = _projection_edge(lambda e: minkowski2d._projection_reach(4.0, e), guess)
+    with pytest.raises(ConfigError, match=r"^params\.epsilon: "):
         validate_config({"model": "minkowski2d",
-                         "params": {"epsilon": 0.2, "t_end": math.nextafter(_T_END_MAX, math.inf)}})
-    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
-                               "params": {"epsilon": 0.2, "t_end": _T_END_MAX},
-                               "outputs": ["projection"]})
-    start = time.perf_counter()
-    assert main(["run", str(cfg), "--out", str(tmp_path / "at")]) == 0
-    assert time.perf_counter() - start < 5.0
-    t = np.loadtxt(tmp_path / "at" / "projection.csv", delimiter=",", skiprows=1, usecols=0)
-    assert t[-1] == pytest.approx(_T_END_MAX, abs=1e-12)
+                         "params": {**params, "epsilon": sign * math.nextafter(eps_max, math.inf)}})
+    _run_projection_finite(tmp_path, {**params, "epsilon": sign * eps_max}, "at")
 
 
 def test_minkowski2d_scattering_reads_its_limits_past_both_waists(tmp_path):
