@@ -98,6 +98,21 @@ class SL2CElement:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
 
+def _unitary_contract(alpha: complex, gamma: complex) -> None:
+    """The first column ``(alpha, gamma)`` of a special unitary is a unit vector."""
+    norm = abs(alpha) ** 2 + abs(gamma) ** 2
+    if not abs(norm - 1.0) <= _UNITARY_TOL:  # NaN fails too
+        raise ContractViolation(f"|alpha|^2 + |gamma|^2 = {norm} deviates from 1 beyond {_UNITARY_TOL}")
+
+
+def _triangular_contract(rho: float, n: complex) -> None:
+    """``[[rho, n], [0, 1/rho]]`` has a positive, finite ``rho`` and a finite ``n``."""
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise ContractViolation(f"diagonal scale must be positive, got {rho}")
+    if not cmath.isfinite(n):
+        raise ContractViolation(f"off-diagonal entry must be finite, got {n}")
+
+
 @dataclass(frozen=True)
 class SU2Element:
     """Special unitary ``[[alpha, -conj(gamma)], [gamma, conj(alpha)]]``."""
@@ -106,11 +121,7 @@ class SU2Element:
     gamma: complex
 
     def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.gamma) ** 2
-        if not abs(norm - 1.0) <= _UNITARY_TOL:  # NaN fails too
-            raise ContractViolation(
-                f"|alpha|^2 + |gamma|^2 = {norm} deviates from 1 beyond {_UNITARY_TOL}"
-            )
+        _unitary_contract(self.alpha, self.gamma)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -131,10 +142,7 @@ class SB2Element:
     n: complex
 
     def __post_init__(self):
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ContractViolation(f"diagonal scale must be positive, got {self.rho}")
-        if not cmath.isfinite(self.n):
-            raise ContractViolation(f"off-diagonal entry must be finite, got {self.n}")
+        _triangular_contract(self.rho, self.n)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -324,17 +332,6 @@ def flow_rhs(m: np.ndarray, epsilon: float) -> np.ndarray:
     return 1j * epsilon * (free_energy(m)[..., None, None] * m + _Y @ np.conj(m) @ _Y)
 
 
-def legendre_velocity(b_part: SB2Element, epsilon: float) -> np.ndarray:
-    """Body-frame angular velocity of the unitary factor along the free flow.
-
-    Anti-hermitian and traceless; constant along a free trajectory because the
-    triangular factor is.
-    """
-    bm = b_part.matrix
-    binv = np.array([[1.0 / b_part.rho, -b_part.n], [0.0, b_part.rho]], dtype=complex)
-    return 1j * epsilon * (free_energy(bm) * np.eye(2) + _Y @ np.conj(bm) @ _Y @ binv)
-
-
 def _sinhc(u):
     """``sinh(u) / u`` for a real or complex array ``u``, continued by its
     limit 1 at ``u = 0``; ``sinh(eps x) / eps`` is ``x * _sinhc(eps x)`` at
@@ -344,28 +341,34 @@ def _sinhc(u):
     return np.divide(np.sinh(u), u, out=out, where=u != 0)
 
 
-def expm2(m: np.ndarray) -> np.ndarray:
-    """Exponential of a complex 2x2 matrix in closed form:
-    ``exp(lam) (cosh(theta) I + sinh(theta)/theta N)`` for ``m = lam I + N``
-    with ``N`` traceless and ``theta^2 = -det N``."""
-    m = np.asarray(m, dtype=complex)
-    lam = 0.5 * (m[0, 0] + m[1, 1])
-    n = m - lam * np.eye(2)
-    theta = cmath.sqrt(n[0, 1] * n[1, 0] - n[0, 0] * n[1, 1])
-    return cmath.exp(lam) * (cmath.cosh(theta) * np.eye(2) + _sinhc(theta) * n)
+def _free_motion(alpha: complex, gamma: complex, rho: float, n: complex, epsilon: float,
+                 t: float) -> tuple[tuple, tuple, tuple]:
+    """The free motion through ``u0 B`` in closed form, in Python complex
+    scalars, for ``u0 = [[alpha, -conj(gamma)], [gamma, conj(alpha)]]`` and
+    ``B = [[rho, n], [0, 1/rho]]``: the constant body velocity ``omega = i eps
+    [[a, n/rho], [conj(n)/rho, -a]]``, ``a = (rho^2 - rho^-2 + |n|^2) / 2``;
+    ``exp(t omega) = cos(theta t) I + sin(theta t)/theta omega`` (``t`` at
+    ``theta t = 0``), as ``omega^2 = -theta^2 I`` with ``theta = |eps|
+    sqrt(a^2 + |n|^2/rho^2)``; and ``u0 exp(t omega) B``.  Each is a nested
+    2x2 tuple; ``omega`` is traceless and anti-Hermitian, and ``exp(t omega)``
+    of the special unitary form, exactly, not to rounding."""
+    r2, m = rho * rho, abs(n)
+    w, v = complex(0.0, epsilon * 0.5 * (r2 - 1.0 / r2 + m * m)), 1j * epsilon * n / rho
+    x = math.hypot(w.imag, abs(v)) * t  # theta t
+    if not math.isfinite(x):
+        raise NumericDomainError(f"the closed form turns the unitary factor by theta t = {x}")
+    s = t * (math.sin(x) / x) if x else t
+    e, f = complex(math.cos(x), s * w.imag), -s * v.conjugate()
+    # u0 exp(t omega) is special unitary with the first column (al, ga)
+    al, ga = alpha * e - gamma.conjugate() * f, gamma * e + alpha.conjugate() * f
+    return (((w, v), (-v.conjugate(), -w)), ((e, -f.conjugate()), (f, e.conjugate())),
+            ((al * rho, al * n - ga.conjugate() / rho), (ga * rho, ga * n + al.conjugate() / rho)))
 
 
-def _rotated(u0: SU2Element, omega: np.ndarray, b_part: SB2Element, t: float) -> np.ndarray:
-    """``u0 exp(t omega) B``: the free trajectory through ``u0 * B`` whose
-    body velocity ``omega`` is already known."""
-    return u0.matrix @ expm2(t * omega) @ b_part.matrix
-
-
-def closed_form_flow(
-    u0: SU2Element, b_part: SB2Element, epsilon: float, t: float
-) -> np.ndarray:
-    """Exact free trajectory through ``u0 * B``: rotate the unitary factor."""
-    return _rotated(u0, legendre_velocity(b_part, epsilon), b_part, t)
+def closed_form_flow(u0: SU2Element, b_part: SB2Element, epsilon: float, t: float) -> np.ndarray:
+    """Exact free trajectory through ``u0 * B`` at ``t``: rotate the unitary
+    factor (:func:`_free_motion`)."""
+    return np.array(_free_motion(u0.alpha, u0.gamma, b_part.rho, b_part.n, epsilon, t)[2])
 
 
 def free_flow(
@@ -408,37 +411,15 @@ def free_flow(
     return traj, events[0]
 
 
-def _body_velocities(alpha: np.ndarray, gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Body-frame angular velocity ``log(u_k^H u_{k+1}) / (t_{k+1} - t_k)``
-    on every interval of a sampled unitary path ``u_k = [[alpha_k,
-    -conj(gamma_k)], [gamma_k, conj(alpha_k)]]``, shape ``(N - 1, 2, 2)``.
-
-    The logarithm of a special unitary ``q`` is ``theta / sin(theta) *
-    (q - q^H) / 2`` with ``theta = atan2(|Im part|, Re alpha_q)``.  A free
-    flow is ``u(t) = u0 exp(t omega)``, so on it every interval reads
-    ``omega`` to rounding, at any spacing.  The domain is a turn below pi per
-    interval (a larger one aliases); the su2 configs sample every ``step``,
-    which turns the state by at most ``_MAX_TURN`` = 1 radian.
-    """
-    a0, c0, a1, c1 = alpha[:-1], gamma[:-1], alpha[1:], gamma[1:]
-    # q = u_k^H u_{k+1} = [[qa, -conj(qc)], [qc, conj(qa)]]
-    qa = np.conj(a0) * a1 + np.conj(c0) * c1
-    qc = a0 * c1 - c0 * a1
-    theta = np.arctan2(np.hypot(qa.imag, np.abs(qc)), qa.real)
-    scale = 1.0 / (np.sinc(theta / np.pi) * np.diff(times))  # theta / sin(theta) / dt
-    half = np.array([[1j * qa.imag, -np.conj(qc)], [qc, -1j * qa.imag]])  # (q - q^H) / 2
-    return np.moveaxis(scale * half, -1, 0)
-
-
 def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     """Conservation and factorization report for a free-flow trajectory.
 
     Returns max determinant residual, drift of the triangular factor, the
-    worst deviation of the measured unitary body velocity
-    (:func:`_body_velocities`, exact at any sample spacing) from its
-    closed-form value, and the endpoint distance to the closed-form flow.
-    A sample off the unit-determinant slice by more than 1e-9, or NaN, is a
-    ``ContractViolation``.
+    worst deviation of the measured unitary body velocity (exact at any
+    sample spacing) from its closed-form value, and the endpoint distance to
+    the closed-form flow, both from :func:`_free_motion` at the first sample.
+    Fewer than two samples, or one off the unit-determinant slice by more
+    than 1e-9 or NaN, is a ``ContractViolation``.
     """
     return _diagnostics(traj, epsilon)[0]
 
@@ -446,7 +427,18 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
 def _diagnostics(traj: Trajectory, epsilon: float) -> tuple[dict, np.ndarray, np.ndarray,
                                                              np.ndarray]:
     """:func:`flow_diagnostics`' report, with the per-sample arrays it reads:
-    the determinant residual and the triangular factor's ``rho`` and ``n``."""
+    the determinant residual and the triangular factor's ``rho`` and ``n``.
+
+    The body velocity of an interval is ``log(q) / (t_{k+1} - t_k)``, and the
+    logarithm of the special unitary ``q = u_k^H u_{k+1} = [[qa, -conj(qc)],
+    [qc, conj(qa)]]`` is ``theta / sin(theta) (q - q^H) / 2``, ``theta =
+    atan2(|Im part|, Re qa)``.  A free flow is ``u(t) = u0 exp(t omega)``, so
+    every interval reads ``omega`` to rounding, at any spacing.  The domain is
+    a turn below pi per interval (a larger one aliases); the su2 configs
+    sample every ``step``, a turn of at most ``_MAX_TURN`` = 1 radian.
+    """
+    if traj.times.size < 2:
+        raise ContractViolation(f"a flow to diagnose needs at least two samples, got {traj.times.size}")
     mats = matrix_from_real8(traj.points)
     det_residual = np.abs(_det(mats) - 1.0)
     off = np.flatnonzero(~(det_residual <= _UNIMODULAR_TOL))
@@ -454,17 +446,26 @@ def _diagnostics(traj: Trajectory, epsilon: float) -> tuple[dict, np.ndarray, np
         raise ContractViolation(f"sample {off[0]}: determinant deviates from 1 by "
                                 f"{det_residual[off[0]]}, more than {_UNIMODULAR_TOL}")
     alpha, gamma, rho, n = iwasawa(mats)
-    u0, b0 = SU2Element(alpha[0], gamma[0]), SB2Element(rho[0], n[0])
+    a0, c0, r0, n0 = alpha[0].item(), gamma[0].item(), rho[0].item(), n[0].item()
+    _unitary_contract(a0, c0)
+    _triangular_contract(r0, n0)
+    ((w, v), _), _, end = _free_motion(a0, c0, r0, n0, epsilon, traj.times[-1].item())
 
-    omega = legendre_velocity(b0, epsilon)
-    est = _body_velocities(alpha, gamma, traj.times)
-
-    end = _rotated(u0, omega, b0, float(traj.times[-1]))
+    qa = np.conj(alpha[:-1]) * alpha[1:] + np.conj(gamma[:-1]) * gamma[1:]
+    qc = alpha[:-1] * gamma[1:] - gamma[:-1] * alpha[1:]
+    theta = np.arctan2(np.hypot(qa.imag, np.abs(qc)), qa.real)
+    scale = 1.0 / (np.sinc(theta / np.pi) * np.diff(traj.times))  # theta / sin(theta) / dt
+    # scale (q - q^H) / 2 = scale [[i Im qa, -conj(qc)], [qc, -i Im qa]] against omega =
+    # [[w, v], [-conj(v), -w]]: the diagonal entries differ by +-i (scale Im qa - Im w),
+    # the lower one by scale qc + conj(v) and the upper one by minus its conjugate
+    omega_deviation = max(np.abs(scale * qa.imag - w.imag).max(),
+                          np.abs(scale * qc + v.conjugate()).max())
+    endpoint = zip(mats[-1].ravel().tolist(), end[0] + end[1])
     report = {
-        "det_residual": float(np.max(det_residual)),
-        "b_factor_drift": float(max(np.max(np.abs(rho - rho[0])), np.max(np.abs(n - n[0])))),
-        "omega_deviation": float(np.max(np.abs(est - omega))),
-        "endpoint_deviation": float(np.max(np.abs(mats[-1] - end))),
+        "det_residual": float(det_residual.max()),
+        "b_factor_drift": float(max(np.abs(rho - rho[0]).max(), np.abs(n - n[0]).max())),
+        "omega_deviation": float(omega_deviation),
+        "endpoint_deviation": max(abs(g - e) for g, e in endpoint),
     }
     return report, det_residual, rho, n
 
@@ -737,15 +738,14 @@ _MAX_SAMPLES = 2**21
 # not from ``step``: at most 100 h0 = |y0| / |f0| in the max norm, with f0 the
 # start's velocity, and never past t_end but for the 1% stretch onto it.
 # From g = u B the free flow turns the unitary factor at the constant rate
-# theta = |eps| sqrt(H^2 - 1), where H = free_energy(B) >= 1:
-# legendre_velocity(B) = omega = i eps [[a, n/rho], [conj(n)/rho, -a]] with
-# a = (rho^2 - rho^-2 + |n|^2) / 2, and omega^2 = -theta^2 since
-# a^2 + |n|^2/rho^2 = H^2 - 1.  So omega / theta is unitary, f0 = omega B has
-# the Frobenius norm theta |B|, and over the 8 real entries |y0| <= |B| and
-# |f0| >= theta |B| / sqrt(8): the first trial step turns the state by at
-# most 1.01 theta min(t_end, |y0| / |f0|) <= 1.01 sqrt(8), about 2.86
-# radians.  The right-hand side is cubic off the unit-determinant slice, and
-# the Runge-Kutta stages leave the circle the flow follows as the turn grows.
+# theta = |eps| sqrt(H^2 - 1), where H = free_energy(B) >= 1: _free_motion's
+# omega has omega^2 = -theta^2 and a^2 + |n|^2/rho^2 = H^2 - 1.  So omega /
+# theta is unitary, f0 = omega B has the Frobenius norm theta |B|, and over
+# the 8 real entries |y0| <= |B| and |f0| >= theta |B| / sqrt(8): the first
+# trial step turns the state by at most 1.01 theta min(t_end, |y0| / |f0|)
+# <= 1.01 sqrt(8), about 2.86 radians.  The right-hand side is cubic off the
+# unit-determinant slice, and the Runge-Kutta stages leave the circle the flow
+# follows as the turn grows.
 # Measured over 300 seeded random starts (rho in [e^-3, e^3], n of spread up
 # to e^2, |eps| in [e^-3, e^3]), the largest stage state of a first
 # Dormand-Prince step was 1.03 |B| at a turn of 1 radian, 1.3 |B| at 1.5,

@@ -21,14 +21,12 @@ from poismech.su2 import (
     casimir_radius_squared,
     closed_form_flow,
     energy_relations,
-    expm2,
     flow_diagnostics,
     flow_rhs,
     free_energy,
     free_flow,
     free_hamiltonian_field,
     iwasawa,
-    legendre_velocity,
     linear_momentum_bivector,
     matrix_from_real8,
     momentum_bivector,
@@ -317,11 +315,20 @@ def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
     assert per_run[0] == per_run[1]
 
 
+def _legendre_velocity(b, epsilon):
+    """The body velocity of the free flow through ``B`` from the matrix form
+    of its right-hand side: ``g' = omega g`` at ``g = B``, so ``omega =
+    flow_rhs(B) B^-1``."""
+    b_inv = np.array([[1.0 / b.rho, -b.n], [0.0, b.rho]])
+    return flow_rhs(b.matrix, epsilon) @ b_inv
+
+
 def _reference_diagnostics(traj, epsilon):
     """flow_diagnostics read out one sample at a time: an SL2CElement per
     sample (whose constructor checks the determinant), split into an
-    SU2Element and an SB2Element, and scipy's matrix logarithm of
-    u_k^H u_{k+1} per interval for the body velocity."""
+    SU2Element and an SB2Element, scipy's matrix logarithm of u_k^H u_{k+1}
+    per interval for the body velocity, and scipy's matrix exponential for
+    the endpoint, both against the matrix form of omega."""
     def split(g):
         rho = math.hypot(abs(g.a), abs(g.c))
         alpha, gamma = g.a / rho, g.c / rho
@@ -331,12 +338,12 @@ def _reference_diagnostics(traj, epsilon):
     factors = [split(SL2CElement.from_matrix(m)) for m in mats]
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     u0, b0 = factors[0]
-    omega = legendre_velocity(b0, epsilon)
+    omega = _legendre_velocity(b0, epsilon)
     us = [u.matrix for u, _ in factors]
     dts = np.diff(traj.times)
     omega_dev = max(float(np.max(np.abs(logm(us[i].conj().T @ us[i + 1]) / dt - omega)))
                     for i, dt in enumerate(dts))
-    end = closed_form_flow(u0, b0, epsilon, float(traj.times[-1]))
+    end = u0.matrix @ expm(traj.times[-1] * omega) @ b0.matrix
     return {
         "det_residual": float(np.max(np.abs(dets - 1.0))),
         "b_factor_drift": max(max(abs(b.rho - b0.rho) for _, b in factors),
@@ -375,6 +382,21 @@ def test_body_velocity_is_exact_at_any_spacing(epsilon, spacing):
     assert diag["omega_deviation"] <= max(1e-13, 1e-15 / spacing)
 
 
+@pytest.mark.parametrize("direction", [np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]]),
+                                       np.array([[0, 1j], [1j, 0]])],
+                         ids=["diagonal", "off_diagonal_real", "off_diagonal_imag"])
+def test_body_velocity_deviation_reads_every_entry(direction):
+    """A unitary factor that turns at omega + 1e-3 D, with D anti-Hermitian
+    and traceless with unit entries on the diagonal or off it, reads an
+    omega_deviation of 1e-3: every entry of the body velocity counts."""
+    u0 = _random_su2(np.random.default_rng(6))
+    omega = _legendre_velocity(B0, EPS) + 1e-3 * direction
+    times = np.linspace(0.0, 1.0, 21)
+    mats = np.array([u0.matrix @ expm(t * omega) @ B0.matrix for t in times])
+    diag = flow_diagnostics(Trajectory(times, real8_from_matrix(mats)), EPS)
+    assert diag["omega_deviation"] == pytest.approx(1e-3, rel=1e-9)
+
+
 # the certificate's default start and its energy
 CERT_START = su2._start(*(su2.PARAMS[k].default for k in ("rho", "n_re", "n_im")))
 CERT_H = free_energy(CERT_START.matrix)
@@ -390,6 +412,65 @@ def test_body_velocity_fails_a_flow_at_the_wrong_speed(epsilon):
     for h in (su2._certificate_step(epsilon, CERT_H), 1e-3):
         traj, _ = free_flow(CERT_START, epsilon * (1 + 1e-4), 1.0, StepControl(h=h, tol=1e-8))
         assert flow_diagnostics(traj, epsilon)["omega_deviation"] > threshold, h
+
+
+def _certificate_checks(epsilon):
+    """The su2 certificate's checks at its defaults and seed 0, one point, by name."""
+    return {c.name: c for c in cli.su2_certificate(epsilon, 0, 1)}
+
+
+@pytest.mark.parametrize("epsilon", [-0.7, 0.2, 0.3])
+def test_closed_form_endpoint_fails_a_flow_at_the_wrong_speed(monkeypatch, epsilon):
+    """The certificate's t = 1 flow integrated at eps (1 + 1e-4) and
+    diagnosed at eps ends about 1e-4 theta |B| away from the closed form,
+    and flow_closed_form_endpoint FAILs it; the genuine flow PASSes."""
+    assert _certificate_checks(epsilon)["flow_closed_form_endpoint"].passed
+    monkeypatch.setattr(su2, "free_flow", lambda g0, eps, t_end, step:
+                        free_flow(g0, eps * (1 + 1e-4), t_end, step))
+    assert not _certificate_checks(epsilon)["flow_closed_form_endpoint"].passed
+
+
+@pytest.mark.parametrize("epsilon", [-0.7, 0.2, 0.3])
+def test_momentum_drift_fails_a_flow_whose_triangular_factor_moves(monkeypatch, epsilon):
+    """Right-multiplying every sample after the first by the unit-determinant
+    diag(1 + 1e-5, 1 / (1 + 1e-5)) scales the triangular factor's rho by
+    1 + 1e-5 and leaves the unitary factor alone: flow_momentum_drift FAILs,
+    while flow_det_drift and flow_body_velocity still PASS.  The genuine flow
+    PASSes all three."""
+    names = ("flow_momentum_drift", "flow_det_drift", "flow_body_velocity")
+    assert all(_certificate_checks(epsilon)[name].passed for name in names)
+
+    def drifting(g0, eps, t_end, step):
+        traj, n_renorm = free_flow(g0, eps, t_end, step)
+        mats = matrix_from_real8(traj.points)
+        mats[1:] = mats[1:] @ np.diag([1 + 1e-5, 1 / (1 + 1e-5)])
+        return Trajectory(traj.times, real8_from_matrix(mats)), n_renorm
+
+    monkeypatch.setattr(su2, "free_flow", drifting)
+    checks = _certificate_checks(epsilon)
+    assert [checks[name].passed for name in names] == [False, True, True]
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_flow_diagnostics_need_two_samples(n_samples):
+    """A trajectory of fewer than two samples has no interval to read a body
+    velocity from: a ContractViolation that names the sample count, not
+    numpy's error for an empty reduction."""
+    points = np.repeat(real8_from_matrix(G0.matrix)[None], n_samples, axis=0)
+    with pytest.raises(ContractViolation, match=f"got {n_samples}$"):
+        flow_diagnostics(Trajectory(np.arange(n_samples, dtype=float), points), EPS)
+
+
+def test_flow_diagnostics_reject_a_start_with_no_unitary_factor():
+    """A first sample [[a, 0], [a, 1/a]] at a = 1.5e308 has determinant 1,
+    but rho = hypot(a, a) overflows, so alpha = gamma = 0: the unitary
+    check that SU2Element made rejects it."""
+    a = 1.5e308
+    g = np.array([[a, 0.0], [a, 1.0 / a]])
+    traj = Trajectory([0.0, 1.0], real8_from_matrix(np.array([g, g])))
+    with pytest.raises(ContractViolation, match=r"\|alpha\|\^2 \+ \|gamma\|\^2 = 0.0"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in hypot"):
+            flow_diagnostics(traj, EPS)
 
 
 def _certificate_steps(monkeypatch, epsilon):
@@ -549,11 +630,15 @@ def test_random_unimodular_starts_conserve_det_and_b_factor(rho, n_re, n_im, eps
 
 
 def test_body_velocity_is_tracefree_and_flow_closed_form_unimodular():
+    """omega is built from two entries, so it is traceless and
+    anti-Hermitian exactly, and it is the matrix form's omega to rounding."""
     rng = np.random.default_rng(13)
     for _ in range(5):
         b = _random_sb2(rng)
-        om = legendre_velocity(b, EPS)
-        assert abs(om[0, 0] + om[1, 1]) < 1e-14
+        om = np.array(su2._free_motion(1.0, 0.0, b.rho, b.n, EPS, 1.7)[0])
+        assert om[0, 0] + om[1, 1] == 0
+        assert om[1, 0] == -np.conj(om[0, 1])
+        np.testing.assert_allclose(om, _legendre_velocity(b, EPS), rtol=0, atol=1e-15)
         m = closed_form_flow(SU2Element(1.0, 0.0), b, EPS, 1.7)
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
@@ -608,17 +693,30 @@ def test_renormalization_of_a_stack_is_each_row_alone(monkeypatch):
     assert same == (True, True) and n_same == 0
 
 
-def test_expm2_agrees_with_scipy():
-    m = np.array([[0.3 + 0.1j, -0.2j], [0.5, -0.1 + 0.4j]])
-    np.testing.assert_allclose(expm2(m), expm(m), atol=1e-14)
-    # nilpotent: theta = 0 exactly, where sinh(theta)/theta is its limit 1
-    n = np.array([[1e-6, 1e-6], [-1e-6, -1e-6]])
-    np.testing.assert_allclose(expm2(n), expm(n), atol=1e-18)
-    # small complex theta, entry by entry relative to scipy
-    p = np.array([[0.6, 0.8], [0.8, -0.6]])  # traceless, -det p = 1
-    for scale in (1e-9, 1e-5, 1e-4):
-        m = (0.2 + 0.3j) * np.eye(2) + scale * (0.6 + 0.8j) * p
-        np.testing.assert_allclose(expm2(m), expm(m), rtol=1e-14, atol=0)
+def test_closed_form_exponential_agrees_with_scipy():
+    """exp(t omega) of the closed form against scipy's expm of t omega: at
+    turns of order one entry by entry within 1e-14; at eps = 0, where theta t
+    = 0 and sin(theta t)/theta is its limit t, exactly the identity; and at
+    theta t from 1e-4 down to 1e-9, entry by entry relative to scipy."""
+    for eps, t in ((EPS, 1.7), (-2.0, 3.1), (0.7, 0.4)):
+        om, ex, _ = su2._free_motion(1.0, 0.0, B0.rho, B0.n, eps, t)
+        np.testing.assert_allclose(np.array(ex), expm(t * np.array(om)), atol=1e-14)
+    om, ex, _ = su2._free_motion(1.0, 0.0, B0.rho, B0.n, 0.0, 1.7)
+    assert np.array_equal(np.array(ex), expm(1.7 * np.array(om))) and np.array_equal(ex, np.eye(2))
+    om, _, _ = su2._free_motion(1.0, 0.0, B0.rho, B0.n, EPS, 0.0)
+    theta = math.hypot(abs(om[0][0]), abs(om[0][1]))
+    for turn in (1e-9, 1e-7, 1e-5, 1e-4):
+        t = turn / theta
+        om, ex, _ = su2._free_motion(1.0, 0.0, B0.rho, B0.n, EPS, t)
+        np.testing.assert_allclose(np.array(ex), expm(t * np.array(om)), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("rho, n", [(1e160, 0.0), (1.0, 1e200j)])
+def test_closed_form_rejects_a_turn_past_the_floats(rho, n):
+    """At rho 1e160, or |n| 1e200, the body velocity overflows, and the
+    closed form raises NumericDomainError instead of returning NaN."""
+    with pytest.raises(NumericDomainError, match="theta t = inf"):
+        closed_form_flow(SU2Element(1.0, 0.0), SB2Element(rho, n), 1.0, 1.0)
 
 
 # --- momentum charts -------------------------------------------------------
