@@ -126,8 +126,10 @@ def _sample_times(t_end: float, h: float) -> np.ndarray:
     # the regular part, one cumulative sum: numpy accumulates in sequence, so
     # these are the additions t += h of the scalar rule below.  It runs while
     # a full step leaves at least h/10 before t_end (a condition monotone in
-    # t, so the grid's regular points are a prefix of the sum).
-    grid = np.concatenate(([0.0], np.cumsum(np.full(int(t_end / h), h))))
+    # t, so the grid's regular points are a prefix of the sum).  Only the
+    # first int(t_end / h) points can be regular; the sum stops there, as
+    # the next one can pass DBL_MAX when t_end is near it.
+    grid = np.concatenate(([0.0], np.cumsum(np.full(max(int(t_end / h) - 1, 0), h))))
     regular = (grid < stop) & (t_end - grid - h >= 0.1 * h)
     k = min(int(np.count_nonzero(regular)), grid.size - 1)
     tail = []

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
+from .bracket import _CHUNK_BYTES, BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
 from .errors import ConfigError, ContractViolation, NumericDomainError
-from .flow import _END_SLACK, StepControl, Trajectory, integrate_flow
+from .flow import _END_SLACK, StepControl, Trajectory, _sample_times, integrate_flow
 from .model import (
     LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
     jacobi_check, threshold_check,
@@ -174,11 +174,14 @@ def iwasawa(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     the arrays ``alpha, gamma`` of :class:`SU2Element` and ``rho, n`` of
     :class:`SB2Element`.  The first column (a, c) fixes the unitary factor;
     the triangular one is whatever is left.  Exact for unit-determinant input
-    up to rounding."""
+    up to rounding.  A first column whose norm ``rho`` is 0 or not a float
+    (as at ``a = c = 1.5e308``) is a ``NumericDomainError``."""
     g = np.asarray(g, dtype=complex)
-    rho = np.hypot(np.abs(g[..., 0, 0]), np.abs(g[..., 1, 0]))
-    if np.any(rho == 0.0):
-        raise NumericDomainError("first column vanishes, no triangular factor")
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        rho = np.hypot(np.abs(g[..., 0, 0]), np.abs(g[..., 1, 0]))
+    if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):  # NaN fails too
+        raise NumericDomainError("first column vanishes, no triangular factor" if rho.min() == 0.0
+                                 else "the first column's norm is not a finite float")
     alpha = g[..., 0, 0] / rho
     gamma = g[..., 1, 0] / rho
     n = np.conj(alpha) * g[..., 0, 1] + np.conj(gamma) * g[..., 1, 1]
@@ -420,22 +423,14 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     the closed-form flow, both from :func:`_free_motion` at the first sample.
     Fewer than two samples, or one off the unit-determinant slice by more
     than 1e-9 or NaN, is a ``ContractViolation``.
-    """
-    return _diagnostics(traj, epsilon)[0]
-
-
-def _diagnostics(traj: Trajectory, epsilon: float) -> tuple[dict, np.ndarray, np.ndarray,
-                                                             np.ndarray]:
-    """:func:`flow_diagnostics`' report, with the per-sample arrays it reads:
-    the determinant residual and the triangular factor's ``rho`` and ``n``.
 
     The body velocity of an interval is ``log(q) / (t_{k+1} - t_k)``, and the
     logarithm of the special unitary ``q = u_k^H u_{k+1} = [[qa, -conj(qc)],
     [qc, conj(qa)]]`` is ``theta / sin(theta) (q - q^H) / 2``, ``theta =
     atan2(|Im part|, Re qa)``.  A free flow is ``u(t) = u0 exp(t omega)``, so
     every interval reads ``omega`` to rounding, at any spacing.  The domain is
-    a turn below pi per interval (a larger one aliases); the su2 configs
-    sample every ``step``, a turn of at most ``_MAX_TURN`` = 1 radian.
+    a turn below pi per interval (a larger one aliases); the certificate's
+    flow turns by at most ``_MAX_TURN`` = 1 radian between samples.
     """
     if traj.times.size < 2:
         raise ContractViolation(f"a flow to diagnose needs at least two samples, got {traj.times.size}")
@@ -461,13 +456,12 @@ def _diagnostics(traj: Trajectory, epsilon: float) -> tuple[dict, np.ndarray, np
     omega_deviation = max(np.abs(scale * qa.imag - w.imag).max(),
                           np.abs(scale * qc + v.conjugate()).max())
     endpoint = zip(mats[-1].ravel().tolist(), end[0] + end[1])
-    report = {
+    return {
         "det_residual": float(det_residual.max()),
         "b_factor_drift": float(max(np.abs(rho - rho[0]).max(), np.abs(n - n[0]).max())),
         "omega_deviation": float(omega_deviation),
         "endpoint_deviation": max(abs(g - e) for g, e in endpoint),
     }
-    return report, det_residual, rho, n
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +720,6 @@ PARAMS = {
     "rho": Param(REAL, 1.4, positive=True, minimum=1.0 / _MAX_ENTRY, maximum=_MAX_ENTRY),
     "n_re": Param(REAL, 0.3, minimum=-_MAX_ENTRY, maximum=_MAX_ENTRY),
     "n_im": Param(REAL, 0.2, minimum=-_MAX_ENTRY, maximum=_MAX_ENTRY),
-    "tol": Param(REAL, 1e-8, positive=True),
     "step": Param(REAL, 1e-3, positive=True),
 }
 
@@ -734,132 +727,94 @@ PARAMS = {
 # the start, 8 floats each; 2^21 of them keep it within 2^24 floats.
 _MAX_SAMPLES = 2**21
 
-# The integrator picks its first trial step from ``tol`` (flow._first_step),
-# not from ``step``: at most 100 h0 = |y0| / |f0| in the max norm, with f0 the
-# start's velocity, and never past t_end but for the 1% stretch onto it.
-# From g = u B the free flow turns the unitary factor at the constant rate
-# theta = |eps| sqrt(H^2 - 1), where H = free_energy(B) >= 1: _free_motion's
-# omega has omega^2 = -theta^2 and a^2 + |n|^2/rho^2 = H^2 - 1.  So omega /
-# theta is unitary, f0 = omega B has the Frobenius norm theta |B|, and over
-# the 8 real entries |y0| <= |B| and |f0| >= theta |B| / sqrt(8): the first
-# trial step turns the state by at most 1.01 theta min(t_end, |y0| / |f0|)
-# <= 1.01 sqrt(8), about 2.86 radians.  The right-hand side is cubic off the
-# unit-determinant slice, and the Runge-Kutta stages leave the circle the flow
-# follows as the turn grows.
-# Measured over 300 seeded random starts (rho in [e^-3, e^3], n of spread up
-# to e^2, |eps| in [e^-3, e^3]), the largest stage state of a first
-# Dormand-Prince step was 1.03 |B| at a turn of 1 radian, 1.3 |B| at 1.5,
-# 5.4e4 |B| at 2 and 2.5e25 |B| at 3; from there the stages overflow and the
-# run fails at t = 0.  The rule stays far from that: over 3000 seeded starts
-# in those ranges, at a turn of 0.05 to 1 per ``step`` over 100 samples and
-# at tol 1e-8 and 0.01 S, S the start's largest entry, theta |y0| / |f0| was
-# at most 1.59, the first trial step turned the state by at most 1.07
-# radians (99th percentile 1.002), and its largest stage state was 1.44 S.
-# The samples lie every ``step``, which turns the state by at most
-# step |eps| H radians; a start or strength for which that passes one radian
-# is a config error, which keeps the turn between two samples far below the
-# pi at which _body_velocities aliases.
-_MAX_TURN = 1.0
-
-# A step grows until its error estimate meets ``tol``, so tol bounds the turn
-# of every step past the first.  Measured over 300 seeded random starts as
-# above (a turn of 0.05 to 1 per ``step``, 100 samples), at tol = 0.01 S no
-# attempted step turned the state by more than 1.03 radians and the largest
-# stage state was 1.40 S; at tol = 0.1 S a step turned by 2.06 radians with a
-# stage of 9.7e4 S, and at tol = S by 2.98 radians with a stage of 5.5e24 S,
-# on the way to the overflow in the stages that tol 1e10 reached from rho 1.4
-# at a turn of 0.5 per step.  No step is longer than t_end, but for the 1%
-# stretch onto it, so only a run whose horizon turns the state by more than
-# _MAX_TURN needs tol <= _TOL_PER_ENTRY S.
-_TOL_PER_ENTRY = 1e-2
-
-# The error control compares an absolute estimate with ``tol``.  The
-# Dormand-Prince estimate of a step is h times a weighted difference of its
-# stage slopes (weights of absolute sum 0.160), and each stage state carries
-# the rounding of the state's largest entry, u S with u = 2^-53, which the
-# right-hand side (derivative at most 3 |eps| H) passes on to its slope.  So
-# the estimate of a step as long as the sample spacing holds up to about
-# 0.48 turn u S of rounding, where turn = step |eps| H, and a shorter step's
-# less.  With turn u S <= tol every step up to that length can meet tol, and
-# the control shrinks a step below it only for its truncation error; past it
-# the control chases rounding, and far past it no step above flow._MIN_H
-# meets tol (rho = 1e50 at a turn of 0.95 failed with a step size underflow
-# at t = 0).  At eps = 0 nothing moves and any start is valid.
-_UNIT_ROUNDOFF = 2.0**-53
+# At a sample x = g of energy H, every entry at most |x| = sqrt(2 H), P(x) is
+# eps times _sl2c_coefficients (rows of absolute sum 5) applied to x x^T, so
+# the field's terms sum_j |P_ij| |x_j| <= 10 |eps| H |x|_1 <= 40 |eps|
+# H^(3/2); omega's entries are at most theta < |eps| H, so the velocity's
+# terms sum_k |omega_ik| |g_kj| <= 2 |eps| H^(3/2).  No float of the field
+# residual passes their sum.  It takes P on _CHUNK_BYTES of samples at a time.
+_FIELD_TERMS = 42.0
+_FIELD_CHUNK = _CHUNK_BYTES // (64 * 8)
 
 
 def _check(p: Params) -> None:
-    # integrate_flow's sample grid steps while t < t_end - _END_SLACK
-    # max(1, t_end), which at t = 0 holds only for t_end above _END_SLACK;
-    # below, the lone sample leaves no flow to diagnose
     if not p["t_end"] > _END_SLACK:
-        raise ConfigError("params.t_end", f"must exceed {_END_SLACK:g}, the integrator's end "
-                          f"tolerance, or the flow takes no step; got {p['t_end']!r}")
+        raise ConfigError("params.t_end", f"must exceed {_END_SLACK:g}, the sample grid's end "
+                          f"tolerance (it ends within that of t_end), or the grid has one "
+                          f"sample; got {p['t_end']!r}")
     n = p["t_end"] / p["step"]
     if not n <= _MAX_SAMPLES:
         raise ConfigError("params.step", f"t_end / step = {n:.6g} samples, above the 2^21 a run may store")
-    entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
-    entry = max(entries, key=entries.get)
+    # every float the run writes is finite while |eps| H t_end > theta t_end
+    # and the field residual's terms are; the samples' entries are at most 2 S
     energy = float(free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
-    turn = p["step"] * abs(p["epsilon"]) * energy
-    # an error names the factor furthest above its scale: step against its
-    # default, |epsilon| against 1, and the start entry that dominates H
-    # against 1, H's least value
-    factors = {"step": p["step"] / PARAMS["step"].default, "epsilon": abs(p["epsilon"]), entry: energy}
-    if not turn <= _MAX_TURN:
-        raise ConfigError(
-            f"params.{max(factors, key=factors.get)}",
-            f"the sample spacing turns the state by up to step * |epsilon| * H = {turn!r} radians "
-            f"(H = {energy:.6g} at the start), above {_MAX_TURN:g}, the bound that keeps "
-            "the body velocity read between two samples clear of its aliasing at pi",
-        )
-    horizon = p["t_end"] * abs(p["epsilon"]) * energy
-    if horizon > _MAX_TURN and not p["tol"] <= _TOL_PER_ENTRY * entries[entry]:
-        raise ConfigError(
-            "params.tol",
-            f"a step grows until its error estimate meets tol, and past {_TOL_PER_ENTRY:g} S = "
-            f"{_TOL_PER_ENTRY * entries[entry]:.6g} (S = {entries[entry]:.6g}, the start's largest "
-            f"entry) it can turn the state by more than {_MAX_TURN:g} radian; got {p['tol']!r} "
-            f"over a horizon that turns it by up to t_end * |epsilon| * H = {horizon:.6g}",
-        )
-    rounding = turn * _UNIT_ROUNDOFF * entries[entry]
-    if not rounding <= p["tol"]:
-        # the entry enters through H and through its own rounding; tol
-        # against its default
-        factors.update({entry: energy * entries[entry], "tol": PARAMS["tol"].default / p["tol"]})
-        raise ConfigError(
-            f"params.{max(factors, key=factors.get)}",
-            f"a step as long as the sample spacing carries about step * |epsilon| * H * u * S = "
-            f"{rounding:.6g} of rounding (S = {entries[entry]:.6g}, the start's largest entry, "
-            f"u = 2^-53), above tol = {p['tol']!r}: the absolute error control cannot "
-            "resolve a state of that size",
-        )
+    rate = abs(p["epsilon"]) * energy
+    turn, terms = rate * p["t_end"], _FIELD_TERMS * rate * math.sqrt(energy)
+    if not max(turn, terms) <= sys.float_info.max:
+        # name the factor with the largest share of the overflow, in orders of magnitude
+        entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
+        shares = {"epsilon": math.log(abs(p["epsilon"])), max(entries, key=entries.get):
+                  math.log(energy) * (1.0 if turn > sys.float_info.max else 1.5)}
+        if turn > sys.float_info.max:
+            shares["t_end"] = math.log(p["t_end"])
+        raise ConfigError(f"params.{max(shares, key=shares.get)}", f"the run's floats overflow: "
+                          f"|epsilon| H t_end = {turn:.6g} bounds the turn, and {_FIELD_TERMS:g} "
+                          f"|epsilon| H^(3/2) = {terms:.6g} the field residual's terms (H = "
+                          f"{energy:.6g} at the start); neither may pass DBL_MAX")
 
 
 def _start(rho: float, n_re: float, n_im: float) -> SL2CElement:
     return SL2CElement.from_matrix(SB2Element(rho, complex(n_re, n_im)).matrix)
 
 
-def _flow(p: Params) -> tuple[Trajectory, int]:
-    step = StepControl(h=p["step"], tol=p["tol"])
-    return free_flow(_start(p["rho"], p["n_re"], p["n_im"]), p["epsilon"], p["t_end"], step=step)
+def _field_residual(epsilon: float, mats: np.ndarray, omega: np.ndarray) -> float:
+    """The largest gap, entry by entry over the samples ``mats`` of the free
+    motion of body velocity ``omega``, between the bracket's field of the
+    trace energy, hamiltonian_vector_field's ``-P(x) grad H``, and the exact
+    velocity ``exp(t omega) omega B = omega g``, over the sizes of their
+    terms; 0/0 reads 0, as everywhere at ``eps = 0``."""
+    biv, H = sl2c_bivector(epsilon), free_hamiltonian_field()
+    worst = []
+    for k in range(0, len(mats), _FIELD_CHUNK):
+        g = mats[k:k + _FIELD_CHUNK]
+        x = real8_from_matrix(g)
+        P, grad = biv.matrix(x), H.gradient(x)[..., None]
+        # omega g as its two terms; an entry's term sizes serve its real and imaginary part
+        velocity = omega[:, :1] * g[:, :1] + omega[:, 1:] * g[:, 1:]
+        gap = np.abs(-(P @ grad)[..., 0] - real8_from_matrix(velocity))
+        terms = (np.abs(P) @ np.abs(grad))[..., 0] + np.repeat(
+            (np.abs(omega) @ np.abs(g)).reshape(-1, 4), 2, axis=-1)
+        worst.append(np.max(np.divide(gap, terms, out=np.zeros_like(gap), where=terms != 0)))
+    return float(np.max(worst))
 
 
 def _trajectory(p: Params) -> ArtifactData:
-    traj, n_renorm = _flow(p)
-    diag, det_residual, rho, n = _diagnostics(traj, p["epsilon"])
-    diag["renormalizations"] = n_renorm
-    diag["h_drift"] = traj.h_drift
+    """The exact free motion from ``B`` on the grid ``t += step``,
+    :func:`_free_motion` at ``u0 = I`` from one stacked cos and sin, with its
+    determinant residual and the bracket's field residual along it."""
+    rho, n, times = p["rho"], complex(p["n_re"], p["n_im"]), _sample_times(p["t_end"], p["step"])
+    (w, v), _ = _free_motion(1.0, 0.0, rho, n, p["epsilon"], 0.0)[0]
+    x = math.hypot(w.imag, abs(v)) * times  # theta t
+    s = times * np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)  # sin(theta t) / theta
+    e, f = np.cos(x) + 1j * (s * w.imag), -s * v.conjugate()
+    mats = np.stack([e * rho, e * n - np.conj(f) / rho, f * rho, f * n + np.conj(e) / rho], axis=-1)
+    mats = mats.reshape(-1, 2, 2)
+    points = real8_from_matrix(mats)
+    det_residual = np.abs(_det(mats) - 1.0)
+    _, _, b_rho, b_n = iwasawa(mats)
     columns = {
-        "t": traj.times,
-        **dict(zip(GROUP_COORD_NAMES, traj.points.T)),
-        "rho": rho,
-        "n_re": n.real,
-        "n_im": n.imag,
-        "H": 0.5 * _squared_norm(traj.points),
+        "t": times,
+        **dict(zip(GROUP_COORD_NAMES, points.T)),
+        "rho": b_rho,
+        "n_re": b_n.real,
+        "n_im": b_n.imag,
+        "H": 0.5 * _squared_norm(points),
         "det_residual": det_residual,
     }
-    return ArtifactData("trajectory", columns, diag)
+    omega = np.array([[w, v], [-v.conjugate(), -w]])
+    summary = {"det_residual": float(det_residual.max()),
+               "field_residual": _field_residual(p["epsilon"], mats, omega)}
+    return ArtifactData("trajectory", columns, summary)
 
 
 # The energy pipeline reads the start's squared Casimir radius from its trace
@@ -877,32 +832,39 @@ def _least_epsilon(energy: float) -> float:
     return math.sqrt(max((energy - 1.0) / sys.float_info.max, 5e-324))
 
 
-def _certificate_check(p: Params, field: str) -> None:
-    """The certificate's domain: the momentum isomorphism's Casimir must not
-    overflow a float anywhere in the sampling cube, and the energy pipeline
-    must read the start's energy."""
-    epsilon = p["epsilon"]
-    exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
-    if not exponent < LOG_SQRT_DBL_MAX:
-        raise ConfigError(field, f"the momentum isomorphism overflows a float: |epsilon| r "
-                          f"reaches {exponent:.6g} in the sampling cube, at or above "
-                          f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
-    energy = free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
-    least = _least_epsilon(energy)
-    if epsilon != 0.0 and not abs(epsilon) >= least:
-        raise ConfigError(field, f"the energy pipeline reads the start's squared radius "
-                          f"(H - 1) / (2 epsilon^2) at H = {energy:.6g}, which needs "
-                          f"|epsilon| >= {least:.6g} (or epsilon = 0)")
-
-
 # The certificate's flow to t = 1 turns the unitary factor at the rate
 # |eps| sqrt(H^2 - 1) < |eps| H (see _MAX_TURN), and the body velocity it is
 # checked against is read exactly at any spacing, so its sample spacing is
 # set by the turn: at most 1/80 radian, between 1e-3 (the fixed spacing it
 # replaced, so never more samples) and 0.05 (at least 20 samples; eps = 0
-# stands still).  The steps come from tol alone.
+# stands still).  The steps come from _CERT_TOL alone.
 _CERT_TURN = 1.0 / 80.0
 _CERT_STEP_MIN, _CERT_STEP_MAX = 1e-3, 0.05
+_CERT_TOL = 1e-8
+
+# The first trial step (flow._first_step) is at most 100 h0 = |y0| / |f0| in
+# the max norm, f0 = omega B the start's velocity, of Frobenius norm theta |B|
+# (theta = |eps| sqrt(H^2 - 1), H = free_energy(B) >= 1): a turn of at most
+# 1.01 sqrt(8), about 2.86 radians.  Off the unit-determinant slice the
+# right-hand side is cubic: over 300 seeded starts (rho in [e^-3, e^3], n of
+# spread up to e^2, |eps| in [e^-3, e^3]) a first step's largest stage state
+# was 1.03 |B| at a turn of 1 radian, 5.4e4 |B| at 2 and 2.5e25 |B| at 3.
+# Over 3000 such starts at 0.05 to 1 radian per sample spacing and tol 1e-8
+# or 0.01 S, S the start's largest entry, the first trial step turned by at
+# most 1.07, its stages within 1.44 S, and no later step (each grows until its
+# estimate meets tol) by more than 1.03; at 0.1 S one turned by 2.06.
+# _CERT_TOL is below 0.01 S, as S >= 1.  A turn per _certificate_step past one
+# radian is a config error, far below the pi where the body velocity aliases.
+_MAX_TURN = 1.0
+
+# The error control compares an absolute estimate with tol.  A step's
+# estimate is h times stage slopes weighted by an absolute sum of 0.160, and
+# each stage state carries a rounding of u S (u = 2^-53), which the
+# right-hand side (derivative at most 3 |eps| H) passes on: a step as long as
+# the sample spacing holds up to 0.48 turn u S of rounding.  With turn u S <=
+# tol every such step can meet tol; far past it none above flow._MIN_H does
+# (rho = 1e50 at a turn of 0.95 failed with a step size underflow at t = 0).
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _certificate_step(epsilon: float, energy: float) -> float:
@@ -913,19 +875,52 @@ def _certificate_step(epsilon: float, energy: float) -> float:
     return max(_CERT_STEP_MIN, _CERT_TURN / rate)
 
 
+def _certificate_check(p: Params, field: str) -> None:
+    """The certificate's domain: the momentum isomorphism's Casimir must not
+    overflow a float anywhere in the sampling cube, the energy pipeline must
+    read the start's energy, and the flow to t = 1 must turn by at most
+    ``_MAX_TURN`` between samples and resolve the start at ``_CERT_TOL``."""
+    epsilon = p["epsilon"]
+    exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
+    if not exponent < LOG_SQRT_DBL_MAX:
+        raise ConfigError(field, f"the momentum isomorphism overflows a float: |epsilon| r "
+                          f"reaches {exponent:.6g} in the sampling cube, at or above "
+                          f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
+    energy = float(free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
+    least = _least_epsilon(energy)
+    if epsilon != 0.0 and not abs(epsilon) >= least:
+        raise ConfigError(field, f"the energy pipeline reads the start's squared radius "
+                          f"(H - 1) / (2 epsilon^2) at H = {energy:.6g}, which needs "
+                          f"|epsilon| >= {least:.6g} (or epsilon = 0)")
+    turn = _certificate_step(epsilon, energy) * abs(epsilon) * energy
+    if not turn <= _MAX_TURN:
+        raise ConfigError(field, f"the certificate's flow turns the state by up to spacing * "
+                          f"|epsilon| * H = {turn!r} radians between samples (H = {energy:.6g}), "
+                          f"above {_MAX_TURN:g}, where its body velocity read nears aliasing")
+    entry = max(p["rho"], 1.0 / p["rho"], abs(p["n_re"]), abs(p["n_im"]))
+    if not turn * _UNIT_ROUNDOFF * entry <= _CERT_TOL:
+        raise ConfigError(field, f"a step of the certificate's flow carries about turn * u * S = "
+                          f"{turn * _UNIT_ROUNDOFF * entry:.6g} of rounding (S = {entry:.6g}, the "
+                          f"start's largest entry, u = 2^-53), above its tol {_CERT_TOL:g}")
+
+
+def _certificate_flow(p: Params) -> tuple[Trajectory, dict]:
+    """The certificate's flow from the start to t = 1 and its diagnostics."""
+    start = _start(p["rho"], p["n_re"], p["n_im"])
+    step = StepControl(h=_certificate_step(p["epsilon"], float(free_energy(start.matrix))),
+                       tol=_CERT_TOL)
+    traj, _ = free_flow(start, p["epsilon"], 1.0, step=step)
+    return traj, flow_diagnostics(traj, p["epsilon"])
+
+
 def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     """Jacobi checks of the three shipped brackets, conservation along the
     free flow from the configured start to t = 1, the energy pipeline, the
     dual-path dynamics and the momentum isomorphism."""
     epsilon = p["epsilon"]
     push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
-
     # conservation along the flow, against the closed-form solution (t = 1)
-    start = _start(p["rho"], p["n_re"], p["n_im"])
-    step = StepControl(h=_certificate_step(epsilon, float(free_energy(start.matrix))), tol=1e-8)
-    traj, _ = free_flow(start, epsilon, 1.0, step=step)
-    diag = flow_diagnostics(traj, epsilon)
-
+    traj, diag = _certificate_flow(p)
     dual = dual_path_deviation(epsilon, n_points, seed + 3)
     return [
         jacobi_check("jacobi_group", sl2c_bivector(epsilon), n_points, seed),
@@ -943,8 +938,9 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
 
 
 def _sweep_row(p: Params) -> dict:
-    traj, _ = _flow(p)
-    diag = flow_diagnostics(traj, p["epsilon"])
+    """The classical-limit gap and the certificate flow's diagnostics."""
+    _certificate_check(p, "params.epsilon")
+    _, diag = _certificate_flow(p)
     return {
         "classical_limit_dev": classical_limit_deviation(p["epsilon"]),
         "det_residual": diag["det_residual"],

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 from poismech import cli, kappa, minkowski2d, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
+from poismech.flow import StepControl
 from poismech.model import CERT_POINTS, INT, LOG_SQRT_DBL_MAX, ArtifactData
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 SU2_CFG = {
     "model": "su2",
-    "params": {"epsilon": 0.2, "t_end": 0.2, "step": 1e-2, "tol": 1e-8},
+    "params": {"epsilon": 0.2, "t_end": 0.2, "step": 1e-2},
     "outputs": ["trajectory"],
     "seed": 3,
 }
@@ -663,9 +664,9 @@ def test_sweep_values_pass_validation_before_any_row(tmp_path, capsys, model, pa
 
 @pytest.mark.parametrize("params", [{"step": 1e-9}, {"t_end": 1e9}])
 def test_su2_run_that_cannot_finish_is_config_error(tmp_path, capsys, params):
-    """The integrator never steps past ``step``, so t_end / step samples is
-    the least a run stores; above 2^21 the config names params.step and the
-    run exits 2 before the flow starts, writing nothing."""
+    """A run stores a sample every ``step``, t_end / step of them; above
+    2^21 the config names params.step and the run exits 2 before any
+    sample, writing nothing."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, **params},
                                "outputs": ["trajectory"]})
     out = tmp_path / "out"
@@ -679,6 +680,28 @@ def test_su2_run_that_cannot_finish_is_config_error(tmp_path, capsys, params):
     validate_config({"model": "su2", "params": at_bound})
     with pytest.raises(ConfigError, match=r"params\.step"):
         validate_config({"model": "su2", "params": {**at_bound, "t_end": 2.0**20 + 1}})
+
+
+def test_su2_sweep_row_reads_the_certificate_flow(tmp_path):
+    """An su2 sweep row reads the certificate's integrated flow to t = 1,
+    whatever the config's t_end and step: its drift and endpoint columns are
+    the certificate's flow checks at that epsilon.  A row past the
+    certificate flow's bounds (rho 180 turns it 3.24 radians between
+    samples) reads failed:ConfigError, and the other rows are still written."""
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "t_end": 0.02},
+                               "outputs": []})
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.2,-0.7", "--out", str(out),
+                 "--format", "json"]) == 0
+    table = json.loads((out / "sweep.json").read_text())
+    for row in table["rows"]:
+        checks = {c.name: c.value for c in cli.su2_certificate(row[0], 0, 1)}
+        got = dict(zip(table["columns"], row))
+        assert [got["det_residual"], got["b_factor_drift"], got["endpoint_deviation"]] == [
+            checks["flow_det_drift"], checks["flow_momentum_drift"], checks["flow_closed_form_endpoint"]]
+    assert main(["sweep", str(cfg), "--param", "rho", "--values", "1.4,180", "--out", str(out)]) == 1
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[-1] for r in rows] == ["ok", "failed:ConfigError"]
 
 
 def test_sweep_runs_in_process_only(tmp_path):
@@ -1189,23 +1212,49 @@ def test_kappa_horizon_is_bounded(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [("epsilon", 1.0e10), ("rho", 1000.0)])
 def test_su2_first_step_past_one_radian_is_config_error(tmp_path, capsys, field, value):
-    """With the other defaults these starts failed at t = 0 (the first
-    step's stages overflowed); they name the field and exit 2, writing
-    nothing."""
+    """With the other defaults these starts failed at t = 0 when the run
+    integrated (the first step's stages overflowed).  The run now reads the
+    exact motion and finishes; the certificate, whose flow still integrates,
+    names params.epsilon and exits 2, writing nothing (at epsilon 1e10 the
+    momentum isomorphism's bound comes first)."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, field: value},
+                               "outputs": ["certificate"]})
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("config error: params.epsilon:")
+    assert not out.exists()
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, field: value},
                                "outputs": ["trajectory"]})
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    rows = np.array(json.loads((out / "trajectory.json").read_text())["rows"], dtype=float)
+    assert np.all(np.isfinite(rows))
+
+
+def test_su2_certificate_flow_past_one_radian_is_config_error(tmp_path, capsys):
+    """The run's step 1e-6 is no bound on the certificate's flow, which
+    samples at its own spacing, at its floor 1e-3 from rho 180 at epsilon
+    0.2: a turn of 3.24 radians between samples, where its body velocity
+    read aliases (the certificate integrated for seconds and FAILed with a
+    body velocity 2 pi 1000 off).  It names params.epsilon, the field run
+    passes to the certificate check, and exits 2 before any integration."""
+    params = {"epsilon": 0.2, "rho": 180.0, "n_re": 0.0, "n_im": 0.0, "t_end": 1e-3, "step": 1e-6}
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": params, "outputs": ["certificate"]})
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert f"params.{field}" in capsys.readouterr().out
+    assert time.perf_counter() - start < 0.5
+    text = capsys.readouterr().out
+    assert text.startswith("config error: params.epsilon: the certificate's flow turns the state by up to")
+    assert "3.24" in text
     assert not out.exists()
 
 
-def _largest_valid(params, field, guess):
-    """The largest float value of ``field`` with which the su2 config
-    validates, bisected between guess / 2 (valid) and 2 guess (not)."""
+def _largest_certified(params, field, guess):
+    """The largest float value of ``field`` that su2's certificate check
+    accepts, bisected between guess / 2 (accepted) and 2 guess (not)."""
     def valid(value):
         try:
-            validate_config({"model": "su2", "params": {**params, field: value}})
+            su2._certificate_check({**params, field: value}, "params.epsilon")
         except ConfigError:
             return False
         return True
@@ -1218,35 +1267,50 @@ def _largest_valid(params, field, guess):
     return lo
 
 
+def _su2_energy(p):
+    return float(su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
+
+
+# the certificate's sample spacing is at its floor 1e-3 there, so the turn
+# bound is |epsilon| H = 1000; epsilon reaches it from rho 10 (H = 50.07),
+# before the momentum isomorphism's bound 170.8
+_SU2_RHO_10 = {**cli._DEFAULTS["su2"], "rho": 10.0, "epsilon": 0.2}
+
+
 @pytest.mark.parametrize("field, guess", [
-    ("epsilon", 1.0 / (1e-3 * su2.free_energy(su2.SB2Element(1.4, 0.3 + 0.2j).matrix))),
-    ("step", 1.0 / (0.2 * su2.free_energy(su2.SB2Element(1.4, 0.3 + 0.2j).matrix))),
+    ("epsilon", 1.0 / (1e-3 * _su2_energy(_SU2_RHO_10))),
     ("rho", 100.0),
     ("n_im", 100.0),
 ])
 def test_su2_turn_bound_is_one_radian_and_names_the_factor(field, guess):
-    """step * |epsilon| * H(start) <= 1: at the largest valid value of each
-    factor the state turns by one radian between samples to rounding, and
-    one float past it is a config error naming that factor."""
-    params = {"epsilon": 0.2}
-    value = _largest_valid(params, field, guess)
-    p = validate_config({"model": "su2", "params": {**params, field: value}}).params
-    energy = su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
-    assert p["step"] * abs(p["epsilon"]) * energy == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ConfigError) as exc:
-        validate_config({"model": "su2", "params": {**params, field: math.nextafter(value, math.inf)}})
-    assert exc.value.path == f"params.{field}"
+    """The certificate's flow turns by at most one radian between samples:
+    at the largest value of each factor its check accepts, spacing *
+    |epsilon| * H(start) is 1 to rounding, and one float past it is a config
+    error naming the field the check is given."""
+    params = _SU2_RHO_10 if field == "epsilon" else {**cli._DEFAULTS["su2"], "epsilon": 0.2}
+    value = _largest_certified(params, field, guess)
+    p = {**params, field: value}
+    energy = _su2_energy(p)
+    turn = su2._certificate_step(p["epsilon"], energy) * abs(p["epsilon"]) * energy
+    assert turn == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ConfigError, match="turns the state") as exc:
+        su2._certificate_check({**params, field: math.nextafter(value, math.inf)}, "params.epsilon")
+    assert exc.value.path == "params.epsilon"
 
 
 def test_su2_run_at_the_turn_bound_finishes():
-    """At one radian between samples the run finishes with a conserved
-    determinant, for both signs."""
-    bound = _largest_valid({"epsilon": 0.2}, "epsilon", 769.0)
+    """At one radian between samples, the certificate's flow at its spacing
+    and tol keeps the determinant on the slice and reads the body velocity
+    within the certificate's threshold, for both signs."""
+    bound = _largest_certified(_SU2_RHO_10, "epsilon", 20.0)
+    start = su2._start(10.0, 0.3, 0.2)
     for epsilon in (bound, -bound):
-        params = validate_config({"model": "su2", "params": {"epsilon": epsilon, "t_end": 0.05}}).params
-        art = su2.MODEL.artifacts["trajectory"](params)
-        assert art.summary["det_residual"] < 1e-8
-        assert np.all(np.isfinite(art.columns["H"]))
+        spacing = su2._certificate_step(epsilon, _su2_energy(_SU2_RHO_10))
+        traj, _ = su2.free_flow(start, epsilon, 0.05, StepControl(h=spacing, tol=su2._CERT_TOL))
+        assert traj.times.size == 51
+        diag = su2.flow_diagnostics(traj, epsilon)
+        assert diag["det_residual"] < 1e-8
+        assert diag["omega_deviation"] < 1e-5
 
 
 @pytest.mark.parametrize("field, past", [
@@ -1274,85 +1338,67 @@ def test_su2_start_past_the_finite_range_is_config_error(tmp_path, capsys, field
 
 def test_su2_start_past_the_tolerance_is_config_error(tmp_path, capsys):
     """rho 1e50 at a turn of 0.95 exited 1 with a step size underflow at
-    t = 0: one rounding of its entries, about 1e34, is far above tol.  It
-    names params.rho and exits 2, writing nothing."""
-    cfg = write_cfg(tmp_path, {"model": "su2",
-                               "params": {"rho": 1.0e50, "epsilon": 1.9e-97, "t_end": 0.01},
-                               "outputs": ["trajectory"]})
+    t = 0 when the run integrated: one rounding of its entries, about 1e34,
+    is far above tol.  The run now reads the exact motion and finishes; the
+    certificate's flow still integrates, and its check names params.epsilon
+    and exits 2, writing nothing."""
+    params = {"rho": 1.0e50, "epsilon": 1.9e-97, "t_end": 0.01}
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": params, "outputs": ["certificate"]})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "params.rho" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert text.startswith("config error: params.epsilon: a step of the certificate's flow")
     assert not out.exists()
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": params, "outputs": ["trajectory"]})
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
 
 
 def _rounding(p):
-    """step |epsilon| H u S of a validated su2 config, as its check forms it."""
+    """spacing |epsilon| H u S of su2's certificate flow, as its check forms it."""
     s = max(p["rho"], 1.0 / p["rho"], abs(p["n_re"]), abs(p["n_im"]))
-    energy = su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix)
-    return p["step"] * abs(p["epsilon"]) * energy * 2.0**-53 * s
+    energy = _su2_energy(p)
+    return su2._certificate_step(p["epsilon"], energy) * abs(p["epsilon"]) * energy * 2.0**-53 * s
 
 
-def test_su2_tolerance_bound_names_the_start_entry_and_runs_at_the_bound():
-    """step |epsilon| H u S <= tol: at the largest valid rho (epsilon 1e-20,
-    where the turn is 3e-3) the rounding meets tol to rounding, one float
-    past names params.rho, and a run at the bound finishes on the slice."""
-    params = {"epsilon": 1e-20, "t_end": 0.01}
-    guess = (2e-8 / (1e-3 * 1e-20 * 2.0**-53)) ** (1.0 / 3.0)
-    rho = _largest_valid(params, "rho", guess)
-    p = validate_config({"model": "su2", "params": {**params, "rho": rho}}).params
-    assert _rounding(p) == pytest.approx(p["tol"], rel=1e-12)
-    with pytest.raises(ConfigError) as exc:
-        validate_config({"model": "su2", "params": {**params, "rho": math.nextafter(rho, math.inf)}})
-    assert exc.value.path == "params.rho"
+def test_su2_certificate_rounding_bound_runs_at_the_bound():
+    """spacing |epsilon| H u S <= tol = 1e-8 for the certificate's flow: at
+    the largest rho its check accepts at epsilon 1e-20 (where the spacing is
+    0.05 and the turn about 1/80) the rounding meets tol to rounding, one
+    float past is a config error, and the flow at the bound finishes on the
+    slice."""
+    params = {**cli._DEFAULTS["su2"], "epsilon": 1e-20}
+    rho = _largest_certified(params, "rho", 7e9)
+    p = {**params, "rho": rho}
+    assert _rounding(p) == pytest.approx(su2._CERT_TOL, rel=1e-12)
+    with pytest.raises(ConfigError, match="rounding"):
+        su2._certificate_check({**params, "rho": math.nextafter(rho, math.inf)}, "params.epsilon")
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # H is 3e20: the drift bound's rounding floor holds
-        art = su2.MODEL.artifacts["trajectory"](p)
+        warnings.simplefilter("always")
+        traj, diag = su2._certificate_flow(p)
     assert not caught, [str(w.message) for w in caught]
-    assert art.columns["t"][-1] == pytest.approx(0.01, abs=1e-15)
-    assert art.summary["det_residual"] < 1e-8
+    assert traj.times[-1] == 1.0
+    assert diag["det_residual"] < 1e-8
 
 
-def test_su2_tolerance_below_the_rounding_of_the_start_names_tol():
-    """At the defaults the bound on tol is about 4e-20: that tol validates,
-    one float below it names params.tol."""
-    p = validate_config({"model": "su2", "params": {"epsilon": 0.2}}).params
-    tol = _rounding(p)
-    assert 1e-20 < tol < 1e-19
-    validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": tol}})
-    with pytest.raises(ConfigError) as exc:
-        validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": math.nextafter(tol, 0.0)}})
-    assert exc.value.path == "params.tol"
-
-
-def test_su2_tolerance_above_the_step_growth_bound_names_tol(tmp_path, capsys):
-    """A step grows until its estimate meets tol, so over a horizon that
-    turns the state by more than a radian tol is at most 0.01 S (S = 1.4 at
-    the defaults): at the bound the run finishes on the slice, one float
-    past it names params.tol and exits 2.  A horizon of a fifth of a radian
-    (t_end 1 at epsilon 0.2), or epsilon 0, bounds every step's turn, and
-    any tol validates there."""
-    params = {"epsilon": 0.2, "t_end": 10.0, "tol": 0.01 * 1.4}
-    p = validate_config({"model": "su2", "params": params}).params
-    art = su2.MODEL.artifacts["trajectory"](p)
-    assert art.columns["t"].size == 10001
-    assert art.summary["det_residual"] < 1e-8
-    past = {**params, "tol": math.nextafter(0.01 * 1.4, math.inf)}
-    cfg = write_cfg(tmp_path, {"model": "su2", "params": past, "outputs": ["trajectory"]})
+def test_su2_tolerance_is_not_a_parameter(tmp_path, capsys):
+    """The run reads the exact motion and the certificate's flow fixes its
+    tol, so su2 has no tol: a config that sets it exits 2 naming params.tol."""
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "tol": 1e-8},
+                               "outputs": ["trajectory"]})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().out.startswith("config error: params.tol: a step grows")
+    assert capsys.readouterr().out.startswith("config error: params.tol: unknown parameter")
     assert not out.exists()
-    validate_config({"model": "su2", "params": {"epsilon": 0.2, "tol": 1.0e30}})
-    validate_config({"model": "su2", "params": {"epsilon": 0.0, "t_end": 10.0, "tol": 1.0e30}})
+    assert "tol" not in su2.PARAMS and len(su2.PARAMS) == 6
 
 
 @pytest.mark.parametrize("rho, n", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
 def test_su2_start_at_the_bounds_has_a_finite_energy_and_rhs(rho, n):
     """At the bounds (rho = S or 1/S, n_re and n_im = +-S) the config
     validates at epsilon 0, where the flow stands still, and free_energy and
-    flow_rhs at unit epsilon are finite.  At unit epsilon the state would
-    turn by about 1e202 radians between two samples, a config error naming a
-    start entry."""
+    flow_rhs at unit epsilon are finite.  At unit epsilon the field
+    residual's terms, up to 42 |epsilon| H^(3/2), would pass DBL_MAX, a
+    config error naming a start entry."""
     s = su2._MAX_ENTRY
     params = {"epsilon": 0.0, "rho": s ** rho, "n_re": n * s, "n_im": -n * s}
     validate_config({"model": "su2", "params": params})
@@ -1530,9 +1576,10 @@ def test_su2_certificate_passes_just_inside_the_energy_pipeline_bound(start):
 
 @pytest.mark.parametrize("t_end", [1.0e-15, 5.0e-16, 1.0e-300])
 def test_su2_t_end_at_or_below_the_end_tolerance_is_config_error(tmp_path, capsys, t_end):
-    """integrate_flow ends once t is within 1e-15 max(1, t_end) of t_end, so
-    at t_end <= 1e-15 it took no step and flow_diagnostics raised ValueError
-    on the empty flow; run and sweep name params.t_end and write nothing."""
+    """The sample grid ends once t is within 1e-15 max(1, t_end) of t_end,
+    so at t_end <= 1e-15 it has the start alone (when the run integrated,
+    flow_diagnostics raised ValueError on the empty flow); run and sweep
+    name params.t_end and write nothing."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "t_end": t_end},
                                "outputs": ["trajectory"]})
     out = tmp_path / "out"

@@ -2,6 +2,7 @@
 accuracy, order, cost, the tableau and its continuous extension, the error
 estimate, and failure modes."""
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -547,6 +548,18 @@ def test_sample_grid_is_the_scalar_loop_bit_for_bit(case):
     got = flow._sample_times(t_end, h)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 256])
+def test_sample_grid_up_to_the_largest_float_is_finite(k):
+    """At t_end = DBL_MAX and h = t_end / k the cumulative sum stops before
+    a point that would pass DBL_MAX (at k = 3 it overflowed, with a warning
+    that pytest makes an error): the grid is the scalar loop's, finite and
+    ending at t_end."""
+    t_end = sys.float_info.max
+    got = flow._sample_times(t_end, t_end / k)
+    assert got.tobytes() == _scalar_sample_times(t_end, t_end / k).tobytes()
+    assert np.all(np.isfinite(got)) and got[-1] == t_end
 
 
 def test_hamiltonian_drift_warns():

@@ -1,15 +1,23 @@
 """Group-chart model: factorization, bracket tables, free flow, and the two
 momentum charts."""
 import cmath
+import contextlib
+import io
+import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import yaml
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from poismech import bracket
-from poismech.bracket import hamiltonian_vector_field, jacobi_certificate, pushforward_bivector
+from poismech.bracket import (BivectorSpec, hamiltonian_vector_field, jacobi_certificate,
+                              pushforward_bivector)
 from poismech.errors import ConfigError, ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
 from poismech import cli, flow, su2
@@ -290,9 +298,9 @@ def test_free_flow_conserves_its_invariants():
 
 
 def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
-    """The rho/n columns and the flow diagnostics each split the whole
-    trajectory in one stacked call, so the number of Iwasawa calls does not
-    grow with the sample count, and the summary is flow_diagnostics."""
+    """The rho/n columns split the whole trajectory in one stacked Iwasawa
+    call, so the number of calls does not grow with the sample count, and
+    the summary holds the determinant and field residuals."""
     calls = []
 
     def counting(g):
@@ -300,19 +308,174 @@ def test_trajectory_artifact_splits_each_sample_once(monkeypatch):
         return iwasawa(g)
 
     monkeypatch.setattr(su2, "iwasawa", counting)
-    per_run = []
     for t_end, n_rows in ((0.1, 101), (0.2, 201)):
         params = {name: p.default for name, p in su2.PARAMS.items()}
         params.update(epsilon=0.2, t_end=t_end)
         calls.clear()
         data = su2.MODEL.artifacts["trajectory"](params)
         assert len(data.columns["t"]) == n_rows
-        assert set(calls) == {n_rows}
-        per_run.append(len(calls))
-        traj, _ = su2._flow(params)
-        want = flow_diagnostics(traj, 0.2)
-        assert {k: data.summary[k] for k in want} == want
-    assert per_run[0] == per_run[1]
+        assert calls == [n_rows]
+        assert data.summary.keys() == {"det_residual", "field_residual"}
+        assert data.summary["det_residual"] == np.max(data.columns["det_residual"])
+
+
+def _run_params(**kw):
+    return cli.validate_config({"model": "su2", "params": {"epsilon": 0.2, **kw}}).params
+
+
+def test_run_integrates_nothing(monkeypatch):
+    """The run reads the exact motion: a trajectory makes no integrate_flow
+    call, while the certificate's flow still makes one."""
+    calls = []
+    monkeypatch.setattr(su2, "integrate_flow", lambda *args, **kwargs: calls.append(args))
+    su2.MODEL.artifacts["trajectory"](_run_params())
+    assert calls == []
+    with pytest.raises(AttributeError):  # the stub returns no trajectory
+        su2.MODEL.certificate(_run_params(), 0, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("epsilon, t_end", [(0.2, 1.0), (-0.7, 1.0), (3.0, 1.0), (0.0, 1.0)])
+def test_run_samples_are_the_exact_motion(epsilon, t_end):
+    """Every sample against scipy's expm of t omega, with omega from the
+    matrix form of the equations of motion (shares no code with the closed
+    form): within 2e-15 of the sample's largest entry, at turns theta t of
+    order one."""
+    p = _run_params(epsilon=epsilon, t_end=t_end)
+    data = su2.MODEL.artifacts["trajectory"](p)
+    b = SB2Element(p["rho"], complex(p["n_re"], p["n_im"]))
+    omega = _legendre_velocity(b, epsilon)
+    want = np.array([expm(t * omega) @ b.matrix for t in data.columns["t"]])
+    got = matrix_from_real8(np.stack([data.columns[c] for c in su2.GROUP_COORD_NAMES], axis=-1))
+    assert np.array_equal(data.columns["t"], flow._sample_times(t_end, p["step"]))
+    scale = np.max(np.abs(want), axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(got - want) / scale) <= 2e-15
+
+
+_U = 2.0**-53
+
+
+@pytest.mark.parametrize("rho, epsilon, t_end", [(1.4, 0.2, 1.0), (99.0, 0.2, 1.0), (1.4, 5.0, 1.0),
+                                                 (1.4, -0.7, 20.0)])
+def test_field_residual_reads_rounding_on_the_bracket_and_fails_a_flipped_one(
+        monkeypatch, rho, epsilon, t_end):
+    """Along the exact motion, the bracket's field of the trace energy meets
+    the exact velocity to a few u of the size of their terms; with the
+    bracket's sign flipped it reads O(1): this is the bracket checked along
+    the motion, and the witness that the check can fail."""
+    p = _run_params(rho=rho, epsilon=epsilon, t_end=t_end)
+    assert su2.MODEL.artifacts["trajectory"](p).summary["field_residual"] <= 8 * _U
+    genuine = su2.sl2c_bivector
+    monkeypatch.setattr(su2, "sl2c_bivector", lambda eps: genuine(-eps))
+    assert su2.MODEL.artifacts["trajectory"](p).summary["field_residual"] >= 0.5
+
+
+def test_field_residual_reads_0_at_epsilon_0():
+    """At epsilon 0 the field and the velocity vanish with all their terms:
+    0/0 reads 0, and nothing warns."""
+    summary = su2.MODEL.artifacts["trajectory"](_run_params(epsilon=0.0)).summary
+    assert summary["field_residual"] == 0.0
+
+
+def test_field_residual_chunks_the_bivector_stack(monkeypatch):
+    """The field residual evaluates P on at most su2._FIELD_CHUNK samples at
+    a time, and reads the same value as in one stack."""
+    p = _run_params(t_end=5.0)
+    whole = su2.MODEL.artifacts["trajectory"](p).summary["field_residual"]
+    sizes = []
+    genuine = su2.sl2c_bivector
+
+    def counting(eps):
+        biv = genuine(eps)
+        return BivectorSpec(8, biv.coord_names, dense=lambda x: sizes.append(len(x)) or biv.matrix(x))
+
+    monkeypatch.setattr(su2, "sl2c_bivector", counting)
+    monkeypatch.setattr(su2, "_FIELD_CHUNK", 1000)
+    assert su2.MODEL.artifacts["trajectory"](p).summary["field_residual"] == whole
+    assert sizes == [1000] * 5 + [1]
+    assert su2._FIELD_CHUNK * 64 * 8 <= bracket._CHUNK_BYTES
+
+
+def test_field_terms_bound_holds_for_the_coefficients():
+    """su2._FIELD_TERMS = 8 c + 2 rests on c = 5, the largest absolute row sum
+    of the bracket's coefficient matrix."""
+    c = np.max(np.sum(np.abs(su2._sl2c_coefficients()), axis=1))
+    assert c == 5.0 and su2._FIELD_TERMS == 8 * c + 2
+
+
+def _largest_valid(make, guess):
+    """The largest float value whose config ``make(value)`` validates,
+    bisected between guess / 2 (valid) and 2 guess (not)."""
+    def valid(value):
+        try:
+            cli.validate_config({"model": "su2", "params": make(value)})
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 0.5 * guess, 2.0 * guess
+    assert valid(lo) and not valid(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+    return lo
+
+
+_DBL_MAX = 1.7976931348623157e308
+_DEFAULT_H = float(free_energy(B0.matrix))
+
+
+@pytest.mark.parametrize("field, make, guess", [
+    ("epsilon", lambda v: {"epsilon": v, "t_end": 1.0, "step": 0.25},
+     _DBL_MAX / (42 * _DEFAULT_H ** 1.5)),
+    ("t_end", lambda v: {"epsilon": 2.0, "t_end": v, "step": v / 4}, _DBL_MAX / (2.0 * _DEFAULT_H)),
+    ("rho", lambda v: {"epsilon": 1e10, "rho": v, "t_end": 1.0, "step": 0.25},
+     math.sqrt(2.0) * (_DBL_MAX / 42e10) ** (1.0 / 3.0)),
+], ids=["epsilon", "t_end", "rho"])
+def test_run_at_the_overflow_bound_writes_finite_floats(field, make, guess):
+    """At the largest value of each factor that su2's config check accepts,
+    the run's columns and summary are finite floats (and nothing warns);
+    one float past is a config error naming that factor."""
+    value = _largest_valid(make, guess)
+    params = cli.validate_config({"model": "su2", "params": make(value)}).params
+    data = su2.MODEL.artifacts["trajectory"](params)
+    assert all(np.all(np.isfinite(col)) for col in data.columns.values())
+    assert all(math.isfinite(v) for v in data.summary.values())
+    with pytest.raises(ConfigError) as exc:
+        cli.validate_config({"model": "su2", "params": make(math.nextafter(value, math.inf))})
+    assert exc.value.path == f"params.{field}"
+
+
+_MAX = su2._MAX_ENTRY
+
+
+# Each draw samples the motion at most 256 times (step = t_end / k, k <= 256),
+# so a draw costs milliseconds whatever t_end is.
+@settings(max_examples=120, derandomize=True, deadline=None)
+@example(0.0, 1.4, 0.3, 0.2, _DBL_MAX, 3)  # the grid's sum passed DBL_MAX here
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(1.0 / _MAX, _MAX),
+       st.floats(-_MAX, _MAX), st.floats(-_MAX, _MAX),
+       st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(1, 256))
+def test_run_over_the_schema_exits_0_or_names_a_field(epsilon, rho, n_re, n_im, t_end, k):
+    """su2's run with its trajectory, over the schema's full ranges of
+    epsilon, rho, n_re, n_im and t_end, exits 0 and writes finite floats
+    only, or exits 2 naming a params field; nothing warns."""
+    params = {"epsilon": epsilon, "rho": rho, "n_re": n_re, "n_im": n_im, "t_end": t_end,
+              "step": t_end / k}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump({"model": "su2", "params": params, "outputs": ["trajectory"]}))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            rc = cli.main(["run", str(path), "--out", str(Path(tmp) / "out"), "--format", "json"])
+        if rc == 2:
+            field = printed.getvalue().removeprefix("config error: params.").split(":")[0]
+            assert field in su2.PARAMS, printed.getvalue()
+            return
+        assert rc == 0, printed.getvalue()
+        doc = json.loads((Path(tmp) / "out" / "trajectory.json").read_text())
+        assert np.all(np.isfinite(np.array(doc["rows"], dtype=float)))
+        assert all(math.isfinite(v) for v in doc["summary"].values())
 
 
 def _legendre_velocity(b, epsilon):
@@ -463,14 +626,29 @@ def test_flow_diagnostics_need_two_samples(n_samples):
 
 def test_flow_diagnostics_reject_a_start_with_no_unitary_factor():
     """A first sample [[a, 0], [a, 1/a]] at a = 1.5e308 has determinant 1,
-    but rho = hypot(a, a) overflows, so alpha = gamma = 0: the unitary
-    check that SU2Element made rejects it."""
+    but its first column's norm rho = hypot(a, a) is not a float, so it has
+    no unitary factor: a NumericDomainError, with no numpy warning (which
+    pytest makes an error)."""
     a = 1.5e308
     g = np.array([[a, 0.0], [a, 1.0 / a]])
     traj = Trajectory([0.0, 1.0], real8_from_matrix(np.array([g, g])))
-    with pytest.raises(ContractViolation, match=r"\|alpha\|\^2 \+ \|gamma\|\^2 = 0.0"):
-        with pytest.warns(RuntimeWarning, match="overflow encountered in hypot"):
-            flow_diagnostics(traj, EPS)
+    with pytest.raises(NumericDomainError, match="norm is not a finite float"):
+        flow_diagnostics(traj, EPS)
+
+
+@pytest.mark.parametrize("column", [(1.5e308, 1.5e308), (1.5e308j, 1e308 + 1e308j), (math.nan, 1.0)],
+                         ids=["hypot", "abs", "nan"])
+def test_iwasawa_rejects_a_column_norm_past_the_floats(column):
+    """Finite first columns whose norm overflows (in the hypot of the two
+    moduli, or already in a complex modulus), and a NaN one, are a
+    NumericDomainError raised without a numpy warning, even where warnings
+    are errors; the rest of a stack does not hide one."""
+    stack = sample_unimodular(3, 4)
+    stack[1, :, 0] = column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDomainError, match="norm is not a finite float"):
+            iwasawa(stack)
 
 
 def _certificate_steps(monkeypatch, epsilon):
@@ -541,7 +719,8 @@ def test_shrunk_steps_store_exactly_the_grid(monkeypatch):
 
 def test_free_flow_at_the_defaults_takes_at_most_two_steps(monkeypatch):
     """The first trial step comes from tol, not from the sample spacing: at
-    the default start, tol and step and epsilon 0.2, the flow to t_end 0.05
+    the default start and step, the certificate's tol and epsilon 0.2, the
+    flow to t_end 0.05
     takes at most 2 Dormand-Prince attempts (4 when it started from the
     spacing 1e-3 and grew fivefold a step)."""
     attempts = []
@@ -554,7 +733,7 @@ def test_free_flow_at_the_defaults_takes_at_most_two_steps(monkeypatch):
     monkeypatch.setattr(flow, "_dp_step", spy)
     p = {name: param.default for name, param in su2.PARAMS.items()}
     traj, _ = free_flow(su2._start(p["rho"], p["n_re"], p["n_im"]), 0.2, 0.05,
-                        StepControl(h=p["step"], tol=p["tol"]))
+                        StepControl(h=p["step"], tol=su2._CERT_TOL))
     assert traj.times.size == 51
     assert len(attempts) <= 2
 
@@ -568,22 +747,18 @@ class _FirstAttempt(Exception):
        st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0), st.booleans())
 def test_first_trial_step_turns_the_state_within_the_stated_bound(
         log_rho, log_spread, n_re, n_im, log_eps, sign, turn_per_sample, tol_per_entry):
-    """Over starts that su2's config check accepts, drawn in the ranges of
-    the comment above su2._MAX_TURN (at 100 samples, tol 1e-8 or 0.01 S),
-    the first trial step turns the state by at most 1.01 theta min(t_end,
-    |y0| / |f0|), which is at most 1.01 sqrt(8) radians, and its stage
-    states stay within 1.5 S, S the start's largest entry."""
+    """Over starts drawn in the ranges of the comment above su2._MAX_TURN, at
+    a turn of at most one radian per sample spacing (su2._certificate_check's
+    bound) over 100 samples and at tol 1e-8 or 0.01 S, the first trial step
+    turns the state by at most 1.01 theta min(t_end, |y0| / |f0|), which is
+    at most 1.01 sqrt(8) radians, and its stage states stay within 1.5 S, S
+    the start's largest entry."""
     rho, spread, epsilon = math.exp(log_rho), math.exp(log_spread), sign * math.exp(log_eps)
     b = SB2Element(rho, complex(spread * n_re, spread * n_im))
     energy = float(free_energy(b.matrix))
     entry = max(rho, 1.0 / rho, abs(b.n.real), abs(b.n.imag))
     step = turn_per_sample / (abs(epsilon) * energy)
-    params = {"epsilon": epsilon, "rho": rho, "n_re": b.n.real, "n_im": b.n.imag,
-              "step": step, "t_end": 100 * step, "tol": 0.01 * entry if tol_per_entry else 1e-8}
-    try:
-        p = cli.validate_config({"model": "su2", "params": params}).params
-    except ConfigError:
-        assume(False)
+    tol = 0.01 * entry if tol_per_entry else 1e-8
     dp_step = flow._dp_step
 
     def stop(rhs, y, h, k):
@@ -593,13 +768,13 @@ def test_first_trial_step_turns_the_state_within_the_stated_bound(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_dp_step", stop)
         with pytest.raises(_FirstAttempt) as first:
-            su2._flow(p)
+            free_flow(SL2CElement.from_matrix(b.matrix), epsilon, 100 * step, StepControl(h=step, tol=tol))
     y0, h, k = first.value.args
     theta = abs(epsilon) * math.sqrt(max(energy * energy - 1.0, 0.0))
     # the identity start stands still: no velocity, no turn
     cap = theta and theta * np.max(np.abs(y0)) / np.max(np.abs(k[0]))
     assert cap <= math.sqrt(8.0) * (1 + 1e-12)
-    assert h * theta <= min(theta * p["t_end"], 1.01 * cap) * (1 + 1e-12)
+    assert h * theta <= min(theta * 100 * step, 1.01 * cap) * (1 + 1e-12)
     stages = [y0 + h * (row @ k[:len(row)]) for row in flow._STAGE_ROWS[1:]]
     assert max(np.max(np.abs(y)) for y in stages) <= 1.5 * entry
 
