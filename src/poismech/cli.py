@@ -172,7 +172,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(str(path), f"not parseable: {exc}") from exc
     return validate_config(raw)
 

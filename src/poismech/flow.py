@@ -16,8 +16,10 @@ step.
 The samples do not follow the steps: they lie on the grid ``t += h`` of the
 sample spacing ``StepControl.h``, and each one inside a step is read from the
 pair's fourth-order continuous extension (section II.6), which costs no
-right-hand side evaluation.  A step's samples are read, and restored by the
-constraint hook, as one stack: the hook runs at most twice a step.
+right-hand side evaluation.  The constraint hook, if any, acts on each
+accepted state alone (a projection method, Hairer-Lubich-Wanner, *Geometric
+Numerical Integration*, section IV.4); the samples inside a step are stored
+as the extension reads them.
 """
 from __future__ import annotations
 
@@ -79,10 +81,8 @@ _W_F = np.array(_W, dtype=float)
 class StepControl:
     """Sample spacing ``h``, per-step error tolerance ``tol``, which alone
     sets the steps, and an optional constraint-restoration hook.  The hook
-    takes one state, shape ``(n,)``, or a stack of them, ``(m, n)``, and
-    returns the same shape: it runs on each accepted state and, once per
-    step, on the stack of that step's samples.  A state it returns as the
-    same object counts as unmoved."""
+    takes one accepted state, shape ``(n,)``, and returns the state the next
+    step starts from; one it returns as the same object counts as unmoved."""
 
     h: float
     tol: float
@@ -206,9 +206,6 @@ def integrate_flow(
     def rhs(y: np.ndarray) -> np.ndarray:
         return hamiltonian_vector_field(biv, H, y)
 
-    def restore(y: np.ndarray) -> np.ndarray:
-        return y if step.poststep is None else np.asarray(step.poststep(y), dtype=float)
-
     times = _sample_times(t_end, step.h)
     t_last = float(times[-1])  # t_end, or the grid's rounding of it
     points = np.empty((times.size, x0.size))
@@ -246,9 +243,8 @@ def integrate_flow(
         if inner > n_done:
             theta = ((times[n_done:inner] - t) / h)[:, None]
             weights = theta * (_W_F[0] + theta * (_W_F[1] + theta * (_W_F[2] + theta * _W_F[3])))
-            dense = y + h * (weights @ k)
-            points[n_done:inner] = restore(dense)
-        y_post = restore(y_new)
+            points[n_done:inner] = y + h * (weights @ k)
+        y_post = y_new if step.poststep is None else np.asarray(step.poststep(y_new), dtype=float)
         if inner < end:
             points[inner] = y_post
         n_done = end
@@ -259,9 +255,8 @@ def integrate_flow(
         n_steps += 1
         h *= min(grow, _scale(step.tol, est))
 
-    traj = Trajectory(times, points)
-    h_vals = np.array([H(p) for p in traj.points])
-    traj.h_drift = float(np.max(np.abs(h_vals - h_vals[0])))
+    h_vals = np.array([H(p) for p in points])
+    traj = Trajectory(times, points, h_drift=float(np.max(np.abs(h_vals - h_vals[0]))))
     # rounding the state moves H by about u |H| a step at any step size (su2
     # flows at H 5e5 to 5e15 drift at most 0.51 u |H| a step), and each
     # sample carries its own, so the bound never falls below 2u = 2^-52 of

@@ -55,7 +55,9 @@ LINEAR_COORD_NAMES = ("x", "y", "z")
 
 _UNIMODULAR_TOL = 1e-9
 _UNITARY_TOL = 1e-10
-_RENORM_TRIGGER = 1e-10
+# free_flow rescales accepted states off by more; the margin keeps the samples
+# between them, which it does not rescale, inside _UNIMODULAR_TOL
+_RENORM_TRIGGER = _UNIMODULAR_TOL / 10
 # half-width of the linear-chart cube the isomorphism certificate samples
 _CUBE = 1.2
 # standard deviation of the random triangular factors
@@ -383,24 +385,22 @@ def free_flow(
     """Integrate the free flow on the group chart with the step size and
     tolerance of ``step``.
 
-    The determinant is conserved by the exact flow; whenever the numerical
+    The determinant is conserved by the exact flow; whenever an accepted
     state drifts off the unit-determinant slice by more than 1e-10 it is
-    rescaled back.  Returns the trajectory and the number of rescalings.
+    rescaled back, and the next step starts from it; the samples inside a
+    step are not rescaled.  Returns the trajectory and the number of
+    rescaled accepted states.
     """
     events = [0]
 
     def renorm(x: np.ndarray) -> np.ndarray:
-        # one state (8,) or a stack (m, 8); with none off the slice, x
-        # itself comes back, which the integrator reads as unmoved
+        # one accepted state (8,); on the slice, x itself comes back, which
+        # the integrator reads as unmoved
         m = matrix_from_real8(x)
         det = _det(m)
-        off = np.abs(det - 1.0) > _RENORM_TRIGGER
-        if not off.any():
-            return x
-        roots = np.array([cmath.sqrt(d) for d in det[off]])
-        events[0] += roots.size
-        x = x.copy()
-        x[off] = real8_from_matrix(m[off] / roots[:, None, None])
+        if abs(det - 1.0) > _RENORM_TRIGGER:
+            events[0] += 1
+            x = real8_from_matrix(m / cmath.sqrt(det))
         return x
 
     ctrl = StepControl(h=step.h, tol=step.tol, poststep=renorm)

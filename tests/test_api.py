@@ -97,8 +97,6 @@ DEFAULTS_KEPT = {
     "bracket.jacobi_certificate.box",
     # acceptance criterion 4 round-trips the energies through the Casimir
     "su2.energy_relations.radius2",
-    # set after construction; a frozen run report (ROADMAP item 9) replaces it
-    "flow.Trajectory.h_drift",
 }
 
 

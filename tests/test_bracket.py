@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poismech import bracket, generators, groupoid, kappa, minkowski2d, su2
+from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
 from poismech.bracket import (
     BivectorSpec,
     ScalarField,
@@ -184,6 +184,47 @@ def _components_witness(names, coeff, a, b, c):
     put(a, b, lambda x: coeff * x[a])
     put(c, a, lambda x: coeff)
     return BivectorSpec(len(names), names, comps)
+
+
+# Each Jacobi check a model's certificate emits, with the module whose
+# jacobi_check builds it: under a witness it FAILs, so it is not vacuous.
+JACOBI_CHECKS = [
+    (su2, "jacobi_group"), (su2, "jacobi_momentum"), (su2, "jacobi_linear"),
+    (kappa, "jacobi_base"), (kappa, "jacobi_shifted"),
+    (minkowski2d, "jacobi_shifted"),
+]
+
+
+def _certify_with_witness(monkeypatch, module, target):
+    """The model's checks at eps 0.3, seed 0 and 10 points, with the witness
+    coeff 0.7 (x_0 d_0^d_1 + d_2^d_0) added to the bivector of ``target``
+    alone (none when ``target`` is None); the checks by name."""
+    genuine = module.jacobi_check
+
+    def check(name, biv, n_points, seed):
+        if name == target:
+            biv = add_bivectors(biv, _components_witness(biv.coord_names, 0.7, 0, 1, 2))
+        return genuine(name, biv, n_points, seed)
+
+    monkeypatch.setattr(module, "jacobi_check", check)
+    return {c.name: c for c in cli.certify(module.MODEL.name, 0.3, 0, 10)}
+
+
+@pytest.mark.parametrize("module, name", JACOBI_CHECKS, ids=lambda v: getattr(v, "__name__", v))
+def test_jacobi_check_fails_under_a_witness(monkeypatch, module, name):
+    genuine = _certify_with_witness(monkeypatch, module, None)[name]
+    assert genuine.passed and genuine.note == ""
+    witnessed = _certify_with_witness(monkeypatch, module, name)
+    assert not witnessed[name].passed and witnessed[name].value > witnessed[name].threshold
+    # only the named check sees the witness
+    assert all(c.passed for n, c in witnessed.items() if n != name)
+
+
+def test_minkowski2d_base_jacobi_check_is_vacuous_on_its_plane():
+    """The plane's chart has dimension 2, which holds no triple of distinct
+    coordinates, so no witness can fail its Jacobi check; the check says so."""
+    base = {c.name: c for c in cli.certify("minkowski2d", 0.3, 0, 10)}["jacobi_base"]
+    assert base.passed and base.note == "vacuous below dim 3"
 
 
 @pytest.mark.parametrize("a, b, c", [(0, 1, 2), (2, 0, 3), (3, 1, 0)])

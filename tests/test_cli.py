@@ -148,6 +148,19 @@ def test_malformed_yaml_is_a_config_error_naming_the_path(tmp_path, text):
     assert info.value.path == str(bad)
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "epsilon", "--values", "0.1"]])
+def test_config_that_is_not_utf8_exits_with_usage_error(tmp_path, capsys, command):
+    """A byte that does not decode is a config error naming the file, not a
+    traceback from the decoder."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"model: su2\n\xff\n")
+    argv = [command[0], str(bad), *command[1:], "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"config error: {bad}: not parseable: 'utf-8' codec can't decode")
+    assert not (tmp_path / "out").exists()
+
+
 def _reference_load(path):
     """PyYAML's pure-Python safe loader, then the same validation."""
     text = Path(path).read_text(encoding="utf-8")

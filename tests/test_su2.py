@@ -829,43 +829,32 @@ def test_renormalization_rescues_off_slice_start():
     assert abs(np.linalg.det(m_end) - 1.0) < 1e-12
 
 
-def _with_renorm(monkeypatch, use):
-    """``use(renorm)`` on free_flow's determinant hook, run in place of the
-    integration; its result and the rescalings free_flow counts."""
-    out = []
+def test_renormalization_rescales_each_off_slice_state_alone(monkeypatch):
+    """Along a run from the off-slice start above, the hook gets one state at
+    a time: one within 1e-10 of the slice comes back as the same object (so
+    the integrator reads it as unmoved), one beyond it as m / sqrt(det m),
+    and free_flow counts the rescaled ones."""
+    calls = []
 
-    def stub(biv, H, x0, t_end, step):
-        out.append(use(step.poststep))
-        return Trajectory([0.0], x0[None])
+    def spy(biv, H, x0, t_end, step):
+        def hook(x):
+            calls.append((x, step.poststep(x)))
+            return calls[-1][1]
+        return flow.integrate_flow(biv, H, x0, t_end, StepControl(step.h, step.tol, hook))
 
-    monkeypatch.setattr(su2, "integrate_flow", stub)
-    _, n_renorm = free_flow(G0, EPS, 1.0, StepControl(h=1e-3, tol=1e-8))
-    return out[0], n_renorm
-
-
-def test_renormalization_of_a_stack_is_each_row_alone(monkeypatch):
-    """The hook rescales only the states of a stack that are off the slice,
-    each to the bits it gets alone, and counts one event per rescaled state;
-    with none off, it returns its input as the same object."""
-    on = real8_from_matrix(sample_unimodular(12, 5))
-    stack = on.copy()
-    off = np.array([1, 4, 5, 11])
-    stack[off] *= 1.0 + np.array([3e-10, -2e-9, 1e-6, 5e-11])[:, None]
-    stacked, n_stacked = _with_renorm(monkeypatch, lambda renorm: renorm(stack))
-    alone, n_alone = _with_renorm(monkeypatch, lambda renorm: [renorm(x) for x in stack])
-    assert n_stacked == n_alone == off.size
-    assert stacked.shape == stack.shape
-    for x, row, single in zip(stack, stacked, alone):
-        assert row.tobytes() == single.tobytes()
+    monkeypatch.setattr(su2, "integrate_flow", spy)
+    g = SL2CElement(1.4 * (1 + 2.5e-10), 0.3 + 0.2j, 0.0, 1 / 1.4)
+    _, n_renorm = free_flow(g, 0.2, 0.05, StepControl(h=1e-2, tol=1e-8))
+    rescaled = 0
+    for x, out in calls:
         m = matrix_from_real8(x)
-        rescaled = real8_from_matrix(m / cmath.sqrt(su2._det(m)))  # the one-state rule
-        assert row.tobytes() == (rescaled if abs(su2._det(m) - 1.0) > 1e-10 else x).tobytes()
-    assert np.array_equal(np.flatnonzero(np.any(stacked != stack, axis=1)), off)
-    dets = su2._det(matrix_from_real8(stacked))
-    assert np.all(np.abs(dets - 1.0) <= 1e-12)
-    one = on[3]
-    same, n_same = _with_renorm(monkeypatch, lambda renorm: (renorm(on) is on, renorm(one) is one))
-    assert same == (True, True) and n_same == 0
+        det = su2._det(m)
+        if abs(det - 1.0) > 1e-10:
+            rescaled += 1
+            assert out.tobytes() == real8_from_matrix(m / cmath.sqrt(det)).tobytes()
+        else:
+            assert out is x
+    assert 1 <= rescaled == n_renorm < len(calls)
 
 
 def test_closed_form_exponential_agrees_with_scipy():
