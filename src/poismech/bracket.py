@@ -68,13 +68,11 @@ def _complex_step(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A real scalar function on the chart and its analytic gradient."""
+    """A real scalar function on the chart and its analytic gradient.  The
+    brackets and the flow read only the gradient."""
 
     fn: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)

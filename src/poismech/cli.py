@@ -551,12 +551,25 @@ def _parse_values(raw: str, integer: bool) -> list:
     return out
 
 
+def _out_dir(raw: str) -> Path:
+    """``--out`` as a path, checked before any work: the nearest part of it
+    that exists (a dangling symlink counts) must be a directory."""
+    out = Path(raw)
+    for part in (out, *out.parents):
+        if os.path.lexists(part):
+            if not part.is_dir():
+                raise ConfigError("out", f"{str(part)!r} exists and is not a directory")
+            break
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        out = None if args.out is None else _out_dir(args.out)
         if args.command == "run":
             config = load_config(args.config)
-            manifest, ok = run_scenario(config, Path(args.out), args.format)
+            manifest, ok = run_scenario(config, out, args.format)
             for name, entry in manifest["artifacts"].items():
                 print(f"wrote {', '.join(entry['files'])} [{name}]")
             if any(n == "certificate" for n in config.outputs):
@@ -568,7 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             param = MODELS[config.model].params.get(args.param)
             values = _parse_values(args.values, param is not None and param.kind == INT)
             manifest, ok = sweep_scenario(
-                config, args.param, values, Path(args.out), args.format
+                config, args.param, values, out, args.format
             )
             print(f"wrote {', '.join(manifest['sweep']['files'])} ({len(values)} rows)")
             if not ok:
@@ -581,10 +594,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             note = f"  ({c.note})" if c.note else ""
             print(f"{status}  {c.name}: {c.value:.3e} (threshold {c.threshold:.1e}){note}")
         ok = all(c.passed for c in checks)
-        if args.out is not None:
+        if out is not None:
             config = {"model": args.model, "epsilon": args.epsilon, "seed": args.seed,
                       "points": args.points}
-            _write_outputs(Path(args.out), args.format, config, [_certificate_artifact(checks)])
+            _write_outputs(out, args.format, config, [_certificate_artifact(checks)])
         print(f"certificates: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     except ConfigError as exc:

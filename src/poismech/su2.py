@@ -323,10 +323,9 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
 
 def free_hamiltonian_field() -> ScalarField:
     """The trace energy on the group chart: half the squared Frobenius norm,
-    the generator of the deformed free flow.  The flow reads ``fn`` at every
-    sample, so it stays np.dot of one point; ``0.5 * _squared_norm`` gives
-    its bits on a stack.  The gradient is the float point itself, which its
-    readers never write."""
+    the generator of the deformed free flow, which reads only the gradient:
+    the float point itself, which its readers never write.  ``fn`` takes one
+    point; ``0.5 * _squared_norm`` gives its bits on a stack."""
     return ScalarField(fn=lambda x: 0.5 * float(np.dot(x, x)), grad=lambda x: x)
 
 

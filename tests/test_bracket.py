@@ -110,7 +110,7 @@ def test_leibniz_rule(pt):
     gh = ScalarField(fn=lambda q: g.fn(q) * h.fn(q),
                      grad=lambda q: g.fn(q) * h.grad(q) + h.fn(q) * g.grad(q))
     lhs = eval_bracket(biv, f, gh, x)
-    rhs = g(x) * eval_bracket(biv, f, h, x) + h(x) * eval_bracket(biv, f, g, x)
+    rhs = g.fn(x) * eval_bracket(biv, f, h, x) + h.fn(x) * eval_bracket(biv, f, g, x)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 

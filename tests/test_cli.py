@@ -1551,6 +1551,55 @@ def test_certify_out_writes_the_manifest_of_run(tmp_path):
     assert manifest["artifacts"]["certificate"]["summary"] == summary
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before --out was checked")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("argv", [
+    ["run", "{cfg}"],
+    ["sweep", "{cfg}", "--param", "rho", "--values", "1.4,2"],
+    ["certify", "su2", "--epsilon", "0.2"],
+], ids=["run", "sweep", "certify"])
+def test_out_at_or_under_a_file_is_config_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                argv, under):
+    """An --out that names an existing file, or a path under one, is a config
+    error naming out before any artifact is built or any check run; the
+    file is left as it was."""
+    for name in ("run_scenario", "sweep_scenario", "certify"):
+        monkeypatch.setattr(cli, name, _no_work)
+    cfg = write_cfg(tmp_path, SU2_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    args = [a.format(cfg=cfg) for a in argv] + ["--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().out == f"config error: out: {str(blocker)!r} exists and is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+
+
+def test_genuine_su2_certificate_runs_clean_with_warnings_as_errors(tmp_path, capsys):
+    """At rho 99 and eps 1e-3 the certificate flow's energy drift, 2.2e-7,
+    PASSes energy_pipeline's 1e-6; with every RuntimeWarning an error the
+    run exits 0 with every check PASS, and a sweep over rho has no failed
+    row: energy_pipeline is the one check of the energy along the flow."""
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 1e-3, "rho": 99.0},
+                               "outputs": ["certificate"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run"), "--format", "json"]) == 0
+        assert main(["sweep", str(cfg), "--param", "rho", "--values", "1.4,99",
+                     "--out", str(tmp_path / "sweep"), "--format", "json"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "certificates: PASS"
+    cert = json.loads((tmp_path / "run" / "certificate.json").read_text())
+    assert cert["columns"][:4] == ["check", "value", "threshold", "status"]
+    rows = {r[0]: r for r in cert["rows"]}
+    assert len(rows) == 11 and all(r[3] == "pass" for r in rows.values())
+    assert 1e-7 < rows["energy_pipeline"][1] < rows["energy_pipeline"][2]
+    sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert sweep["columns"][-1] == "status" and [r[-1] for r in sweep["rows"]] == ["ok", "ok"]
+
+
 # the default start's trace energy, and the least |epsilon| its pipeline reads
 _SU2_START_H = su2.free_energy(su2._start(1.4, 0.3, 0.2).matrix)
 _SU2_LEAST_EPS = su2._least_epsilon(_SU2_START_H)

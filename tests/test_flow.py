@@ -36,7 +36,7 @@ def test_oscillator_endpoint_accuracy():
     traj = integrate_flow(can, OSC, y0, 7.0, StepControl(h=1e-2, tol=1e-10))
     np.testing.assert_allclose(traj.points[-1], rotation_exact(y0, 7.0), atol=1e-8)
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(7.0, abs=1e-12)
-    assert max(abs(OSC(p) - OSC(traj.points[0])) for p in traj.points) < 1e-9
+    assert max(abs(OSC.fn(p) - OSC.fn(traj.points[0])) for p in traj.points) < 1e-9
 
 
 def _one_step(y, h):
@@ -558,15 +558,19 @@ def test_sample_grid_up_to_the_largest_float_is_finite(k):
     assert np.all(np.isfinite(got)) and got[-1] == t_end
 
 
-def test_hamiltonian_drift_warns():
-    """A poststep that pushes the state off the level set accumulates energy
-    drift far beyond the tolerance budget, which is reported as a warning."""
+def _no_value(s):
+    raise AssertionError("the flow evaluated H itself")
+
+
+def test_flow_reads_h_through_its_gradient_alone():
+    """integrate_flow never evaluates H, only its gradient: with an ``fn``
+    that raises, the run is the real field's run, bit for bit."""
     can = canonical_bivector(1)
-    with pytest.warns(RuntimeWarning, match="hamiltonian drift"):
-        traj = integrate_flow(can, OSC, np.array([1.0, 0.0]), 1.0,
-                              StepControl(h=1e-2, tol=1e-8,
-                                          poststep=lambda y: y + 1e-4))
-    assert traj.h_drift > 1e-3
+    y0, step = np.array([1.0, 0.25]), StepControl(h=1e-2, tol=1e-10)
+    real = integrate_flow(can, OSC, y0, 7.0, step)
+    blind = integrate_flow(can, ScalarField(fn=_no_value, grad=OSC.grad), y0, 7.0, step)
+    assert blind.times.tobytes() == real.times.tobytes()
+    assert blind.points.tobytes() == real.points.tobytes()
 
 
 def test_input_validation():
@@ -581,3 +585,19 @@ def test_input_validation():
         StepControl(h=1e-2, tol=-1e-8)
     with pytest.raises(ContractViolation):
         Trajectory(np.zeros(3), np.zeros((2, 2)))
+    # NaN fails every "> 0" test, so it is named, not passed on to the grid
+    # or the step control
+    with pytest.raises(ContractViolation, match="^h "):
+        StepControl(h=math.nan, tol=1e-8)
+    with pytest.raises(ContractViolation, match="^tol "):
+        StepControl(h=1e-2, tol=math.nan)
+    # a non-finite t_end or start is named before any evaluation of H
+    field, calls = _counting(OSC)
+    step = StepControl(h=1e-2, tol=1e-8)
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="^t_end "):
+            integrate_flow(can, field, np.zeros(2), t_end, step)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolation, match="^x0 "):
+            integrate_flow(can, field, np.array([1.0, bad]), 1.0, step)
+    assert calls[0] == 0
