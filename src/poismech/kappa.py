@@ -25,7 +25,10 @@ import numpy as np
 
 from .bracket import BivectorSpec, add_bivectors
 from .errors import ConfigError, ContractViolation
-from .fitting import MIN_CURVE_SAMPLES, collinearity_residual, monotonicity_verdict, tail_velocity
+from .fitting import (
+    MIN_CURVE_SAMPLES, collinearity_residual, line_slope, monotonicity_verdict, tail_samples,
+    tail_velocity,
+)
 from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, groupoid_projection, project_trajectory
@@ -85,21 +88,17 @@ def kappa_rspec(spec: KappaSpec) -> AbelianRSpec:
     return AbelianRSpec(spec.epsilon, X1, X2)
 
 
-# the profile builds its shells in chunks of momenta whose stacked states
-# hold at most this many floats, the bound every array of a run keeps
+# the profile works through its momenta in chunks, and every array a chunk
+# builds (the shell tails and the three stacked base curves) holds at most
+# this many floats, the bound every array of a run keeps
 _CHUNK_FLOATS = 2**24
 
 
-def _shells(
-    spec: KappaSpec,
-    mass: float,
-    p_spatial: np.ndarray,
-    t_span: float,
-    n_samples: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times (n_samples,) and phase states (m, n_samples, 2(1+d)) of
-    the straight shell lines p^2 = m^2 from the origin, one per row of the
-    (m, d) spatial momenta.
+def _shells(spec: KappaSpec, mass: float, p_spatial: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Phase states (m, n, 2(1+d)) at the n sample times ``ts`` of the
+    straight shell lines p^2 = m^2 from the origin, one per row of the (m, d)
+    spatial momenta.  A row at time t depends on t alone, so the states at a
+    slice of a time grid are that slice of the states on the whole grid.
 
     With H = p^2 = p_0^2 - sum_k p_k^2 and xdot = {H, x} under the canonical
     bracket {x^i, p_j} = delta, the velocity is (-2 p_0, +2 p_vec).
@@ -109,12 +108,11 @@ def _shells(
     d = spec.dim
     # (1, d) @ (d, 1) per row: the dot product p_vec @ p_vec, rounded alike
     p0 = np.sqrt(mass * mass + p_spatial[:, None, :] @ p_spatial[:, :, None])[:, 0]
-    ts = np.linspace(0.0, t_span, n_samples)
-    pts = np.empty((len(p_spatial), n_samples, 2 * d))
+    pts = np.empty((len(p_spatial), len(ts), 2 * d))
     vel = np.concatenate([-2.0 * p0, 2.0 * p_spatial], axis=1)
     pts[..., :d] = ts[:, None] * vel[:, None, :] + 0.0  # + 0.0: the t = 0 row is +0.0, not -0.0
     pts[..., d:] = np.concatenate([p0, p_spatial], axis=1)[:, None, :]
-    return ts, pts
+    return pts
 
 
 def free_shell_trajectory(
@@ -130,8 +128,8 @@ def free_shell_trajectory(
     p_spatial = np.asarray(p_spatial, dtype=float)
     if p_spatial.shape != (spec.spatial_dim,):
         raise ContractViolation("spatial momentum has wrong dimension")
-    ts, pts = _shells(spec, mass, p_spatial[None], t_span, n_samples)
-    return Trajectory(ts, pts[0])
+    ts = np.linspace(0.0, t_span, n_samples)
+    return Trajectory(ts, _shells(spec, mass, p_spatial[None], ts)[0])
 
 
 def _speed_of_curve(points: np.ndarray) -> np.ndarray:
@@ -140,41 +138,52 @@ def _speed_of_curve(points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(tail_velocity(points[..., 0], points[..., 1:]), axis=-1)
 
 
+_FAMILIES = ("ordinary", "left", "right")
+
+
 def velocity_momentum_profile(
     spec: KappaSpec,
     mass: float,
-    projection: str,
     p_grid: np.ndarray,
     t_span: float = 3.0,
     n_samples: int = 64,
-) -> dict:
-    """Table of asymptotic speeds v(p) for one projection family.
+) -> dict[str, dict]:
+    """Tables of asymptotic speeds v(p) of the three families: the ordinary
+    shell lines and their left and right groupoid projections.
 
-    projection is one of 'ordinary', 'left', 'right'.  Momenta point along
-    the first spatial axis with magnitude p.  Returns a dict with sorted
-    arrays 'p', 'v' and the 'verdict' of monotonicity in p.
+    Momenta point along the first spatial axis with magnitude p.  Returns
+    {'ordinary', 'left', 'right'}, each a dict with the sorted momenta 'p',
+    the speeds 'v' and the 'verdict' of monotonicity in p.
 
-    The shells of all momenta are one stacked array, projected and fitted at
-    once; momenta go in chunks whose shells hold at most 2^24 floats, so the
-    memory is bounded whatever the number of momenta.
+    A speed is the tail fit of a curve sampled n_samples times over
+    [0, t_span], which reads only the trailing ``tail_samples(n_samples)``
+    samples, so the shells are built at those times alone.  The shell tails
+    of all momenta are one stacked array, projected once per side; the
+    ordinary, left and right base curves are stacked and fitted in one call.
+    Momenta go in chunks in which every array holds at most 2^24 floats, so
+    the memory is bounded whatever the number of momenta.
     """
-    if projection not in ("ordinary", "left", "right"):
-        raise ContractViolation(f"unknown projection {projection!r}")
     p_grid = np.sort(np.asarray(p_grid, dtype=float))
     if np.any(p_grid <= 0):
         raise ContractViolation("profile momenta must be positive")
     r = kappa_rspec(spec)
     d = spec.dim
-    per_chunk = max(1, _CHUNK_FLOATS // (n_samples * 2 * d))
-    vs = np.empty_like(p_grid)
+    ts = np.linspace(0.0, t_span, n_samples)[-tail_samples(n_samples):]
+    # the three stacked base curves, 3 n d floats a momentum, are the largest array
+    per_chunk = max(1, _CHUNK_FLOATS // (3 * ts.size * d))
+    vs = np.empty((len(_FAMILIES), p_grid.size))
     for lo in range(0, p_grid.size, per_chunk):
         pvec = np.zeros((min(per_chunk, p_grid.size - lo), spec.spatial_dim))
         pvec[:, 0] = p_grid[lo:lo + per_chunk]
-        _, shells = _shells(spec, mass, pvec, t_span, n_samples)
+        shells = _shells(spec, mass, pvec, ts)
         x, p = shells[..., :d], shells[..., d:]
-        base = x if projection == "ordinary" else groupoid_projection(r, x, p, projection)
-        vs[lo:lo + len(pvec)] = _speed_of_curve(base)
-    return {"p": p_grid, "v": vs, "verdict": monotonicity_verdict(vs)}
+        left, right = (groupoid_projection(r, x, p, side) for side in ("left", "right"))
+        base = np.stack([x, left, right])
+        vs[:, lo:lo + len(pvec)] = np.linalg.norm(line_slope(base[..., 0], base[..., 1:]), axis=-1)
+    return {
+        kind: {"p": p_grid, "v": v, "verdict": monotonicity_verdict(v)}
+        for kind, v in zip(_FAMILIES, vs)
+    }
 
 
 def closed_form_speeds(spec: KappaSpec, mass: float, p: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,14 +228,15 @@ def classical_limit_deviation(epsilon: float, mass: float = 1.0, spatial_dim: in
     The symmetric mean of the two groupoid-projected speeds is even in
     epsilon (left at epsilon is right at -epsilon), so the deviation from the
     undeformed p / sqrt(p^2 + m^2) closes at O(eps^2); either side alone
-    deviates at O(eps).
+    deviates at O(eps).  A grid momentum at or past a projection pole is a
+    ``ContractViolation``, as in ``closed_form_speeds``.
     """
     p_grid = np.linspace(0.2, 2.0, 10)
     spec = KappaSpec(epsilon, spatial_dim)
-    left = velocity_momentum_profile(spec, mass, "left", p_grid)["v"]
-    right = velocity_momentum_profile(spec, mass, "right", p_grid)["v"]
+    closed_form_speeds(spec, mass, p_grid)  # raises past a pole: a speed measured there is garbage
+    prof = velocity_momentum_profile(spec, mass, p_grid)
     v0 = p_grid / np.sqrt(p_grid**2 + mass * mass)
-    return float(np.max(np.abs(0.5 * (left + right) - v0)))
+    return float(np.max(np.abs(0.5 * (prof["left"]["v"] + prof["right"]["v"]) - v0)))
 
 
 def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, dict]) -> float:
@@ -244,9 +254,12 @@ def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, 
 # (128 MiB) and every artifact near 2^24 cells (a few hundred MB of text):
 # the shifted certificate bracket lives on 2(1+d) <= 256 coordinates, so its
 # Jacobi tensor has (2(1+d))^3 <= 2^24 entries, and the trajectory holds
-# n_samples x 2(1+d) <= 2^24 values.  The profile stacks the shells of its
-# momenta in chunks of at most 2^24 floats (at least one shell each), so n_p
-# bounds the run time, not the memory; it shares the bound.
+# n_samples x 2(1+d) <= 2^24 values.  The profile builds only the shell
+# tails its fit reads, ceil(n_samples / 4) samples each, and works in chunks
+# of momenta whose largest array, the three stacked base curves of
+# 3 ceil(n_samples / 4) (1+d) <= 3 x 2^21 floats a momentum, holds at most
+# 2^24 floats (at least one momentum each), so n_p bounds the run time, not
+# the memory; it shares the bound.
 PARAMS = {
     "epsilon": Param(REAL),
     "mass": Param(REAL, 1.0, positive=True),
@@ -391,7 +404,7 @@ def _projection(p: Params) -> ArtifactData:
         **{f"left_{n}": col for n, col in zip(spec.coord_names, left.points.T)},
         **{f"right_{n}": col for n, col in zip(spec.coord_names, right.points.T)},
     }
-    measured = (float(_speed_of_curve(left.points)), float(_speed_of_curve(right.points)))
+    measured = _speed_of_curve(np.stack([left.points, right.points])).tolist()
     closed = closed_form_speeds(spec, p["mass"], p["p"])
     summary = {
         "collinearity_left": collinearity_residual(left.points),
@@ -403,14 +416,9 @@ def _projection(p: Params) -> ArtifactData:
     return ArtifactData("projection", columns, summary)
 
 
-def _profiles(p: Params, spec: KappaSpec, kinds: tuple[str, ...]) -> dict[str, dict]:
-    p_grid = np.linspace(p["p_min"], p["p_max"], p["n_p"])
-    kw = dict(t_span=p["t_span"], n_samples=p["n_samples"])
-    return {kind: velocity_momentum_profile(spec, p["mass"], kind, p_grid, **kw) for kind in kinds}
-
-
 def _profile(p: Params) -> ArtifactData:
-    prof = _profiles(p, _spec(p), ("ordinary", "left", "right"))
+    p_grid = np.linspace(p["p_min"], p["p_max"], p["n_p"])
+    prof = velocity_momentum_profile(_spec(p), p["mass"], p_grid, p["t_span"], p["n_samples"])
     columns = {"p": prof["ordinary"]["p"], **{f"v_{k}": prof[k]["v"] for k in prof}}
     summary = {f"verdict_{k}": prof[k]["verdict"] for k in prof}
     return ArtifactData("profile", columns, summary)
@@ -432,10 +440,7 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     """Jacobi checks of the kappa and shifted brackets, and the projected
     shell speeds against their closed forms at three momenta."""
     spec, mass = _spec(p), p["mass"]
-    profiles = {
-        side: velocity_momentum_profile(spec, mass, side, _CERT_MOMENTA)
-        for side in ("left", "right")
-    }
+    profiles = velocity_momentum_profile(spec, mass, _CERT_MOMENTA)
     X1, X2 = _generators(spec)
     shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(spec.epsilon, X1, X2))
     return [
@@ -449,7 +454,8 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
 
 def _sweep_row(p: Params) -> dict:
     spec = _spec(p)
-    prof = _profiles(p, spec, ("left", "right"))
+    p_grid = np.linspace(p["p_min"], p["p_max"], p["n_p"])
+    prof = velocity_momentum_profile(spec, p["mass"], p_grid, p["t_span"], p["n_samples"])
     return {
         "classical_limit_dev": classical_limit_deviation(
             p["epsilon"], p["mass"], spatial_dim=p["spatial_dim"]

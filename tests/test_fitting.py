@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from poismech.errors import EstimationError
-from poismech.fitting import MIN_CURVE_SAMPLES, tail_velocity
+from poismech.fitting import MIN_CURVE_SAMPLES, line_slope, tail_samples, tail_velocity
 
 
 def _noisy_lines(rng, shape, n, k):
@@ -58,3 +58,22 @@ def test_zero_spread_abscissa_is_an_estimation_error():
         tail_velocity(flat, t[:, None])
     with pytest.raises(EstimationError, match="no spread"):
         tail_velocity(np.stack([t, flat]), np.stack([t, t])[..., None])
+
+
+@pytest.mark.parametrize("n", [MIN_CURVE_SAMPLES, 64, 101])
+def test_tail_fit_is_the_line_slope_over_the_tail_window(n):
+    """tail_velocity is line_slope over the last tail_samples(n) samples, bit
+    for bit, and the window is the trailing quarter rounded up."""
+    rng = np.random.default_rng(n)
+    t, y = _noisy_lines(rng, (3,), n, 2)
+    n_tail = tail_samples(n)
+    assert n_tail == -(-n // 4)
+    np.testing.assert_array_equal(tail_velocity(t, y), line_slope(t[:, -n_tail:], y[:, -n_tail:]))
+
+
+def test_tail_window_under_8_samples_is_an_estimation_error():
+    assert tail_samples(MIN_CURVE_SAMPLES) == 8
+    with pytest.raises(EstimationError, match="needs >= 8 samples, window has 7"):
+        tail_samples(MIN_CURVE_SAMPLES - 1)
+    with pytest.raises(EstimationError, match="no spread"):
+        line_slope(np.ones(3), np.arange(3.0)[:, None])

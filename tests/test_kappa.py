@@ -5,8 +5,8 @@ import pytest
 
 from poismech.errors import ContractViolation
 from poismech import kappa
-from poismech.fitting import monotonicity_verdict
-from poismech.groupoid import project_trajectory
+from poismech.fitting import monotonicity_verdict, tail_velocity
+from poismech.groupoid import groupoid_projection, project_trajectory
 from poismech.kappa import (
     KappaSpec,
     classical_limit_deviation,
@@ -46,9 +46,8 @@ def test_shell_trajectory_is_affine_with_constant_momenta():
 def test_closed_form_speeds_match_projected_measurement():
     for p in (0.5, 1.5, 3.0):
         vl, vr = closed_form_speeds(SPEC, 1.0, p)
-        grid = np.array([p])
-        ml = velocity_momentum_profile(SPEC, 1.0, "left", grid)["v"][0]
-        mr = velocity_momentum_profile(SPEC, 1.0, "right", grid)["v"][0]
+        prof = velocity_momentum_profile(SPEC, 1.0, np.array([p]))
+        ml, mr = prof["left"]["v"][0], prof["right"]["v"][0]
         assert abs(vl - ml) < 1e-12
         assert abs(vr - mr) < 1e-12
 
@@ -109,12 +108,12 @@ def test_speeds_of_an_array_of_momenta_are_each_momentum_alone(epsilon):
 
 def test_profiles_are_increasing_below_the_pole():
     grid = np.linspace(0.3, 3.0, 12)
-    for proj in ("ordinary", "left", "right"):
-        prof = velocity_momentum_profile(SPEC, 1.0, proj, grid)
+    profiles = velocity_momentum_profile(SPEC, 1.0, grid)
+    assert sorted(profiles) == ["left", "ordinary", "right"]
+    for prof in profiles.values():
+        np.testing.assert_array_equal(prof["p"], grid)
         assert prof["verdict"] == "increasing"
         assert monotonicity_verdict(prof["v"]) == "increasing"
-    with pytest.raises(ContractViolation):
-        velocity_momentum_profile(SPEC, 1.0, "sideways", grid)
 
 
 def test_symmetric_mean_restores_second_order_limit():
@@ -168,30 +167,93 @@ def _per_momentum_profile(spec, mass, projection, p_grid, t_span, n_samples):
 def test_stacked_profile_matches_the_per_momentum_reference(projection, spatial_dim, eps):
     spec = KappaSpec(eps, spatial_dim)
     grid = np.linspace(0.2, 2.0, 10)
-    prof = velocity_momentum_profile(spec, 1.1, projection, grid, t_span=2.5, n_samples=48)
+    prof = velocity_momentum_profile(spec, 1.1, grid, t_span=2.5, n_samples=48)[projection]
     want = _per_momentum_profile(spec, 1.1, projection, grid, 2.5, 48)
     np.testing.assert_array_equal(prof["p"], grid)
     np.testing.assert_allclose(prof["v"], want, rtol=1e-14, atol=0.0)
 
 
 def test_profile_in_chunks_equals_one_chunk(monkeypatch):
-    """Forced into chunks of three shells, the profile gives the values of
-    one stacked pass, and no stack it builds holds more floats than a chunk."""
+    """Forced into chunks of three momenta, the profile gives the values of
+    one stacked pass, and its largest array, the three stacked base curves,
+    holds at most _CHUNK_FLOATS floats."""
     spec = KappaSpec(0.3, 2)
     grid = np.linspace(0.2, 2.0, 10)
-    whole = {side: velocity_momentum_profile(spec, 1.0, side, grid)["v"]
-             for side in ("ordinary", "left", "right")}
+    whole = velocity_momentum_profile(spec, 1.0, grid)
+    n_tail = 16  # the fit's window of the default 64 samples
     sizes = []
     shells = kappa._shells
 
     def recording(*args):
-        ts, pts = shells(*args)
+        pts = shells(*args)
         sizes.append(pts.size)
-        return ts, pts
+        return pts
 
     monkeypatch.setattr(kappa, "_shells", recording)
-    monkeypatch.setattr(kappa, "_CHUNK_FLOATS", 3 * 64 * 2 * spec.dim)
-    for side, v in whole.items():
-        sizes.clear()
-        np.testing.assert_array_equal(velocity_momentum_profile(spec, 1.0, side, grid)["v"], v)
-        assert sizes == [3 * 64 * 2 * spec.dim] * 3 + [64 * 2 * spec.dim]
+    monkeypatch.setattr(kappa, "_CHUNK_FLOATS", 3 * n_tail * spec.dim * 3 + 1)
+    chunked = velocity_momentum_profile(spec, 1.0, grid)
+    for kind, prof in whole.items():
+        np.testing.assert_array_equal(chunked[kind]["v"], prof["v"])
+    assert sizes == [3 * n_tail * 2 * spec.dim] * 3 + [n_tail * 2 * spec.dim]
+    # per momentum the base curves hold 3 n_tail d floats, the shells 2 n_tail d
+    assert 3 * 3 * n_tail * spec.dim <= kappa._CHUNK_FLOATS
+
+
+def _full_curve_speeds(spec, mass, p_grid, t_span, n_samples):
+    """Reference: every family fitted on its own from the full-length shells,
+    all n_samples rows built, projected and passed to tail_velocity."""
+    d = spec.dim
+    pvec = np.zeros((len(p_grid), spec.spatial_dim))
+    pvec[:, 0] = np.sort(p_grid)
+    shells = kappa._shells(spec, mass, pvec, np.linspace(0.0, t_span, n_samples))
+    x, p = shells[..., :d], shells[..., d:]
+    r = kappa_rspec(spec)
+    bases = {"ordinary": x, "left": groupoid_projection(r, x, p, "left"),
+             "right": groupoid_projection(r, x, p, "right")}
+    return {kind: np.linalg.norm(tail_velocity(b[..., 0], b[..., 1:]), axis=-1)
+            for kind, b in bases.items()}
+
+
+@pytest.mark.parametrize("chunk_floats", [None, 200])
+@pytest.mark.parametrize("eps", [0.4, -0.4])
+@pytest.mark.parametrize("spatial_dim", [1, 3, 7, 31])
+def test_tail_profile_is_the_full_curve_fit_bit_for_bit(monkeypatch, spatial_dim, eps, chunk_floats):
+    """Shells built at the tail's sample times alone and fitted in one stack
+    of the three families give the speeds of the full-length curves fitted
+    one family at a time, bit for bit, in one chunk or in chunks of one
+    momentum."""
+    if chunk_floats is not None:
+        monkeypatch.setattr(kappa, "_CHUNK_FLOATS", chunk_floats)
+    grid = np.linspace(0.2, 2.0, 10)[::-1]
+    for n_samples in (29, 48, 64):
+        prof = velocity_momentum_profile(KappaSpec(eps, spatial_dim), 1.1, grid, 2.5, n_samples)
+        want = _full_curve_speeds(KappaSpec(eps, spatial_dim), 1.1, grid, 2.5, n_samples)
+        for kind, v in want.items():
+            np.testing.assert_array_equal(prof[kind]["v"], v, err_msg=f"{kind}, {n_samples} samples")
+
+
+@pytest.mark.parametrize("chunk_floats", [None, 3 * 16 * SPEC.dim * 4])
+def test_profile_projects_only_the_tail_and_builds_shells_once_per_chunk(monkeypatch, chunk_floats):
+    """A profile of n_p momenta projects n_p ceil(n_samples / 4) points per
+    side, the window its fit reads, and builds its shells once per chunk of
+    momenta (one chunk, or chunks of four), not once per family."""
+    if chunk_floats is not None:
+        monkeypatch.setattr(kappa, "_CHUNK_FLOATS", chunk_floats)
+    projected = {"left": 0, "right": 0}
+    shell_stacks = []
+    project, shells = kappa.groupoid_projection, kappa._shells
+
+    def counting_projection(r, x, p, side):
+        projected[side] += int(np.prod(x.shape[:-1]))
+        return project(r, x, p, side)
+
+    def counting_shells(*args):
+        pts = shells(*args)
+        shell_stacks.append(pts.shape[:2])
+        return pts
+
+    monkeypatch.setattr(kappa, "groupoid_projection", counting_projection)
+    monkeypatch.setattr(kappa, "_shells", counting_shells)
+    velocity_momentum_profile(SPEC, 1.0, np.linspace(0.2, 2.0, 10), n_samples=64)
+    assert projected == {"left": 160, "right": 160}
+    assert shell_stacks == ([(10, 16)] if chunk_floats is None else [(4, 16), (4, 16), (2, 16)])
