@@ -1,10 +1,9 @@
-"""Curve diagnostics: line fits, tail slopes, central derivatives.
+"""Curve diagnostics: collinearity, tail slopes, central derivatives.
 
 Used by the models to turn sampled curves into scalar verdicts
-(collinearity residuals, asymptotic velocities, monotonicity).  A tail fit
-is two parts: ``tail_samples`` is the length of the trailing window and
-``line_slope`` the closed-form slope over the samples it is given, so a
-caller that builds only the window fits it without building the rest.
+(collinearity residuals, monotonicity).  ``tail_velocity`` and
+``central_derivative`` have no caller in the package; the benchmark's
+tracer looks them up by name.
 """
 from __future__ import annotations
 
@@ -15,20 +14,13 @@ import numpy as np
 from .errors import EstimationError
 
 __all__ = [
-    "MIN_CURVE_SAMPLES",
     "collinearity_residual",
-    "tail_samples",
-    "line_slope",
     "tail_velocity",
     "central_derivative",
     "monotonicity_verdict",
     "fit_loglog_slope",
 ]
 
-# the tail fit reads the trailing quarter of a curve and needs 8 samples there,
-# so MIN_CURVE_SAMPLES is the shortest curve it can fit
-_TAIL_FRACTION, _TAIL_MIN_SAMPLES = 0.25, 8
-MIN_CURVE_SAMPLES = int((_TAIL_MIN_SAMPLES - 1) / _TAIL_FRACTION) + 1
 _MONOTONE_SLACK = 1e-12  # steps within rounding of zero keep a sequence monotone
 
 
@@ -46,45 +38,26 @@ def collinearity_residual(points: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(perp, axis=1)))
 
 
-def tail_samples(n: int) -> int:
-    """Length of the trailing quarter of n samples, the window a tail fit
-    reads; under 8 samples there is an ``EstimationError`` (a curve needs at
-    least ``MIN_CURVE_SAMPLES``)."""
-    n_tail = math.ceil(_TAIL_FRACTION * n)
-    if n_tail < _TAIL_MIN_SAMPLES:
-        raise EstimationError(
-            f"tail fit needs >= {_TAIL_MIN_SAMPLES} samples, window has {n_tail}"
-        )
-    return n_tail
-
-
-def line_slope(times: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """Least-squares slope d(curve)/d(times) over every given sample.
-
-    ``times`` (..., n) is the abscissa (may itself be a curve coordinate) and
-    ``curve`` (..., n, k) the ordinates; returns the (..., k) slopes, one fit
-    per curve of the stack.  The slope of the straight line y = a t + b is
-    taken in closed form on the centred samples, sum (t - t_mean)(y - y_mean)
-    / sum (t - t_mean)^2; an abscissa with no spread is an
-    ``EstimationError``.
-    """
+def tail_velocity(times: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Least-squares slopes d(curve)/d(times) over the trailing quarter of
+    each curve's N samples: ``times`` (..., N) is the abscissa (may itself be
+    a curve coordinate) and ``curve`` (..., N, k) the ordinates; returns the
+    (..., k) slopes, one fit per curve of the stack, in closed form on the
+    centred tail, sum (t - t_mean)(y - y_mean) / sum (t - t_mean)^2.  A tail
+    of ceil(N/4) < 8 samples, or one whose abscissa has no spread, is an
+    ``EstimationError``."""
     t = np.asarray(times, dtype=float)
-    y = np.asarray(curve, dtype=float)
+    n_tail = math.ceil(0.25 * t.shape[-1])
+    if n_tail < 8:
+        raise EstimationError(f"tail fit needs >= 8 samples, window has {n_tail}")
+    t = t[..., -n_tail:]
+    y = np.asarray(curve, dtype=float)[..., -n_tail:, :]
     dt = t - t.mean(axis=-1, keepdims=True)
     dy = y - y.mean(axis=-2, keepdims=True)
     spread = np.einsum("...i,...i->...", dt, dt)
     if np.any(spread == 0.0):
         raise EstimationError("tail fit abscissa has no spread: every tail sample is at one value")
     return np.einsum("...i,...ik->...k", dt, dy) / spread[..., None]
-
-
-def tail_velocity(times: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """``line_slope`` over the trailing ``tail_samples(N)`` of the N samples
-    of each curve: ``times`` (..., N) and ``curve`` (..., N, k) give the
-    (..., k) slopes."""
-    t = np.asarray(times, dtype=float)
-    n_tail = tail_samples(t.shape[-1])
-    return line_slope(t[..., -n_tail:], np.asarray(curve, dtype=float)[..., -n_tail:, :])
 
 
 def central_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:

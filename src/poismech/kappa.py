@@ -8,8 +8,8 @@ i.e. pi = epsilon d_0 ^ (sum_k x^k d_k).  Velocity-momentum profiles compare
 free motion seen through the ordinary cotangent projection against the two
 groupoid projections: the trajectory on the mass shell p^2 = m^2 (metric
 signature +,-,...,-) is an ordinary straight line, and each projection maps
-it to another straight line whose coordinate speed |dx_vec / dx^0| is
-extracted by a least-squares tail fit.
+it to another straight line, so each coordinate speed |dx_vec / dx^0| is
+read as the chord between a curve's first and last sample.
 
 ``MODEL`` is the scenario record: parameters (with the projection-pole and
 horizon checks), the trajectory, projection and profile artifacts, the
@@ -25,10 +25,7 @@ import numpy as np
 
 from .bracket import BivectorSpec, add_bivectors
 from .errors import ConfigError, ContractViolation
-from .fitting import (
-    MIN_CURVE_SAMPLES, collinearity_residual, line_slope, monotonicity_verdict, tail_samples,
-    tail_velocity,
-)
+from .fitting import collinearity_residual, monotonicity_verdict
 from .flow import Trajectory
 from .generators import AbelianRSpec, scaling, translation, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, groupoid_projection, project_trajectory
@@ -89,7 +86,7 @@ def kappa_rspec(spec: KappaSpec) -> AbelianRSpec:
 
 
 # the profile works through its momenta in chunks, and every array a chunk
-# builds (the shell tails and the three stacked base curves) holds at most
+# builds (the shell ends and the three stacked base curves) holds at most
 # this many floats, the bound every array of a run keeps
 _CHUNK_FLOATS = 2**24
 
@@ -132,10 +129,13 @@ def free_shell_trajectory(
     return Trajectory(ts, _shells(spec, mass, p_spatial[None], ts)[0])
 
 
-def _speed_of_curve(points: np.ndarray) -> np.ndarray:
-    """|dx_vec / dx^0| of sampled base curves (..., N, 1+d) via the tail fit,
-    one speed per curve."""
-    return np.linalg.norm(tail_velocity(points[..., 0], points[..., 1:]), axis=-1)
+def _chord_speed(points: np.ndarray) -> np.ndarray:
+    """|dx_vec / dx^0| of sampled base curves (..., N, 1+d), one speed per
+    curve, read from the chord between the first and last sample: every
+    curve is affine in t (see ``closed_form_speeds``), so its chord is its
+    speed."""
+    dx = points[..., -1, :] - points[..., 0, :]
+    return np.linalg.norm(dx[..., 1:] / np.abs(dx[..., :1]), axis=-1)
 
 
 _FAMILIES = ("ordinary", "left", "right")
@@ -146,29 +146,27 @@ def velocity_momentum_profile(
     mass: float,
     p_grid: np.ndarray,
     t_span: float = 3.0,
-    n_samples: int = 64,
 ) -> dict[str, dict]:
-    """Tables of asymptotic speeds v(p) of the three families: the ordinary
-    shell lines and their left and right groupoid projections.
+    """Tables of the speeds v(p) of the three families: the ordinary shell
+    lines and their left and right groupoid projections.
 
     Momenta point along the first spatial axis with magnitude p.  Returns
     {'ordinary', 'left', 'right'}, each a dict with the sorted momenta 'p',
     the speeds 'v' and the 'verdict' of monotonicity in p.
 
-    A speed is the tail fit of a curve sampled n_samples times over
-    [0, t_span], which reads only the trailing ``tail_samples(n_samples)``
-    samples, so the shells are built at those times alone.  The shell tails
-    of all momenta are one stacked array, projected once per side; the
-    ordinary, left and right base curves are stacked and fitted in one call.
-    Momenta go in chunks in which every array holds at most 2^24 floats, so
-    the memory is bounded whatever the number of momenta.
+    A speed is the chord of its curve over [0, t_span], so the shells are
+    built at t = 0 and t_span alone.  The shell ends of all momenta are one
+    stacked array, projected once per side; the chords of the ordinary, left
+    and right base curves are read from one stack of the three.  Momenta go
+    in chunks in which every array holds at most 2^24 floats, so the memory
+    is bounded whatever the number of momenta.
     """
     p_grid = np.sort(np.asarray(p_grid, dtype=float))
     if np.any(p_grid <= 0):
         raise ContractViolation("profile momenta must be positive")
     r = kappa_rspec(spec)
     d = spec.dim
-    ts = np.linspace(0.0, t_span, n_samples)[-tail_samples(n_samples):]
+    ts = np.array([0.0, t_span])
     # the three stacked base curves, 3 n d floats a momentum, are the largest array
     per_chunk = max(1, _CHUNK_FLOATS // (3 * ts.size * d))
     vs = np.empty((len(_FAMILIES), p_grid.size))
@@ -178,8 +176,7 @@ def velocity_momentum_profile(
         shells = _shells(spec, mass, pvec, ts)
         x, p = shells[..., :d], shells[..., d:]
         left, right = (groupoid_projection(r, x, p, side) for side in ("left", "right"))
-        base = np.stack([x, left, right])
-        vs[:, lo:lo + len(pvec)] = np.linalg.norm(line_slope(base[..., 0], base[..., 1:]), axis=-1)
+        vs[:, lo:lo + len(pvec)] = _chord_speed(np.stack([x, left, right]))
     return {
         kind: {"p": p_grid, "v": v, "verdict": monotonicity_verdict(v)}
         for kind, v in zip(_FAMILIES, vs)
@@ -222,21 +219,30 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float | np.ndarray) -> t
     return v_left, v_right
 
 
-def classical_limit_deviation(epsilon: float, mass: float = 1.0, spatial_dim: int = 3) -> float:
-    """max_p |(v_left + v_right)/2 - v_classical| over p in [0.2, 2].
+def _mean_deviation(mass: float, profiles: dict[str, dict]) -> float:
+    """max_p |(v_left + v_right)/2 - p / sqrt(p^2 + m^2)| over the momenta
+    of a profile.
 
     The symmetric mean of the two groupoid-projected speeds is even in
-    epsilon (left at epsilon is right at -epsilon), so the deviation from the
-    undeformed p / sqrt(p^2 + m^2) closes at O(eps^2); either side alone
-    deviates at O(eps).  A grid momentum at or past a projection pole is a
-    ``ContractViolation``, as in ``closed_form_speeds``.
+    epsilon (left at epsilon is right at -epsilon), so its deviation from
+    the undeformed speed closes at O(eps^2); either side alone deviates at
+    O(eps).
+    """
+    p = profiles["left"]["p"]
+    v0 = p / np.sqrt(p**2 + mass * mass)
+    return float(np.max(np.abs(0.5 * (profiles["left"]["v"] + profiles["right"]["v"]) - v0)))
+
+
+def classical_limit_deviation(epsilon: float) -> float:
+    """The symmetric mean's deviation from the undeformed speed (see
+    ``_mean_deviation``) at mass 1 on the fixed grid p in [0.2, 2].  A grid
+    momentum at or past a projection pole is a ``ContractViolation``, as in
+    ``closed_form_speeds``.
     """
     p_grid = np.linspace(0.2, 2.0, 10)
-    spec = KappaSpec(epsilon, spatial_dim)
-    closed_form_speeds(spec, mass, p_grid)  # raises past a pole: a speed measured there is garbage
-    prof = velocity_momentum_profile(spec, mass, p_grid)
-    v0 = p_grid / np.sqrt(p_grid**2 + mass * mass)
-    return float(np.max(np.abs(0.5 * (prof["left"]["v"] + prof["right"]["v"]) - v0)))
+    spec = KappaSpec(epsilon)
+    closed_form_speeds(spec, 1.0, p_grid)  # raises past a pole: a speed measured there is garbage
+    return _mean_deviation(1.0, velocity_momentum_profile(spec, 1.0, p_grid))
 
 
 def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, dict]) -> float:
@@ -254,19 +260,18 @@ def projected_speed_deviation(spec: KappaSpec, mass: float, profiles: dict[str, 
 # (128 MiB) and every artifact near 2^24 cells (a few hundred MB of text):
 # the shifted certificate bracket lives on 2(1+d) <= 256 coordinates, so its
 # Jacobi tensor has (2(1+d))^3 <= 2^24 entries, and the trajectory holds
-# n_samples x 2(1+d) <= 2^24 values.  The profile builds only the shell
-# tails its fit reads, ceil(n_samples / 4) samples each, and works in chunks
-# of momenta whose largest array, the three stacked base curves of
-# 3 ceil(n_samples / 4) (1+d) <= 3 x 2^21 floats a momentum, holds at most
-# 2^24 floats (at least one momentum each), so n_p bounds the run time, not
-# the memory; it shares the bound.
+# n_samples x 2(1+d) <= 2^24 values.  The profile builds each shell at
+# t = 0 and t_span alone and works in chunks of momenta whose largest array,
+# the three stacked base curves of 3 x 2 (1+d) floats a momentum, holds at
+# most 2^24 floats, so n_p bounds the run time, not the memory; it shares
+# the bound.  A chord needs two samples.
 PARAMS = {
     "epsilon": Param(REAL),
     "mass": Param(REAL, 1.0, positive=True),
     "p": Param(REAL, 1.0, positive=True),
     "spatial_dim": Param(INT, 3, minimum=1, maximum=127),
     "t_span": Param(REAL, 3.0, positive=True),
-    "n_samples": Param(INT, 64, minimum=MIN_CURVE_SAMPLES, maximum=2**16),
+    "n_samples": Param(INT, 64, minimum=2, maximum=2**16),
     "p_min": Param(REAL, 0.2, positive=True),
     "p_max": Param(REAL, 2.0),
     "n_p": Param(INT, 10, minimum=2, maximum=2**16),
@@ -277,45 +282,51 @@ def _spec(p: Params) -> KappaSpec:
     return KappaSpec(p["epsilon"], p["spatial_dim"])
 
 
-# The largest coordinates a run computes.  The shell with momentum p along
-# x^1 is x^0 = -2 p0 t, x^1 = 2 p t.  The projections move x^0 by
-# -+(eps/2) J2 = -+eps p^2 t and scale x^1 by exp(-+(eps/2) p0).  So on the
-# trajectory, its projections and the profile's curves (p up to the largest
-# momentum), |x^0| <= A = t_span (2 p0 + |eps| p^2), and no coordinate
-# exceeds C = t_span max(2 p0 + |eps| p^2, 2 p exp(|eps| p0 / 2)).
-# * The tail fit sums at most n_samples products of a centred x^0 value (at
-#   most A in size) with a centred value of x^0 or of another coordinate (at
-#   most C): n_samples A C <= DBL_MAX / 2 keeps every sum finite, with a
-#   factor 2 to spare for rounding.
-# * The collinearity residual of a straight line is rounding, about u C in
-#   each of the 1 + d coordinates (u = 2^-53), and is measured through their
-#   squares: (1 + d) u C <= sqrt(DBL_MAX) keeps it finite (on the shipped
-#   config it overflows from about C = 7e170).
+# The largest values a run computes.  The shell with momentum p along x^1
+# is x^0 = -2 p0 t, x^1 = 2 p t.  The projections take the moment
+# J2 = p x^1 = 2 p^2 t, move x^0 by -+(eps/2) J2 = -+eps p^2 t and scale x^1
+# by exp(-+(eps/2) p0).  So on the trajectory, its projections and the
+# profile's curves (p up to the largest momentum q), no coordinate exceeds
+# C = t_span max(2 p0 + |eps| q^2, 2 q exp(|eps| p0 / 2)).
+# * The collinearity residual of a straight line is rounding in each of the
+#   1 + d coordinates: its centring sums n_samples values, which rounds by at
+#   most n_samples u C (u = 2^-53), and it is measured through the squares,
+#   so (1 + d) n_samples u C <= sqrt(DBL_MAX) keeps it finite (measured, the
+#   residual reached 18 sqrt(1 + d) u C at 65536 samples, and at 64 samples
+#   and spatial_dim 1 it overflowed from about C = 6e169).
+# * The moment is at most 2 q^2 t_span, far above every coordinate at small
+#   |eps|: 2 q^2 t_span <= DBL_MAX / 2 keeps it finite, with a factor 2 to
+#   spare for rounding (at epsilon 0 and p 1e150 it overflowed, and 0 times
+#   inf made x^0 NaN).
+# A chord's differences are then at most C, and its quotients are the speeds
+# that ``_check`` bounds.
 def _t_span_max(p: Params) -> float:
     """The largest t_span within both bounds above."""
     q = max(p["p"], p["p_max"])
     p0 = math.hypot(p["mass"], q)
     e = abs(p["epsilon"])
-    a = 2.0 * p0 + e * q * q
-    c = max(a, 2.0 * q * math.exp(0.5 * e * p0))
-    fit = math.sqrt(sys.float_info.max / (2.0 * p["n_samples"] * a * c))
-    line = math.sqrt(sys.float_info.max) / ((1 + p["spatial_dim"]) * 2.0**-53 * c)
-    return min(fit, line)
+    c = max(2.0 * p0 + e * q * q, 2.0 * q * math.exp(0.5 * e * p0))
+    n = (1 + p["spatial_dim"]) * p["n_samples"]
+    line = math.sqrt(sys.float_info.max) / (n * 2.0**-53 * c)
+    return min(line, sys.float_info.max / (4.0 * q * q))
 
 
 # The smallest coordinate speeds on the same curves, at momenta q from
 # min(p, p_min) to max(p, p_max): |dx^0/dt| >= a = 2 p0 - |eps| q^2 and
 # |dx^1/dt| >= c = 2 q exp(-|eps| p0 / 2).  Both rise and then fall in q, so
 # their least values are at the two end momenta; a > 0 there once neither
-# end is at a projection pole.  The tail fit sums n >= 8 products of centred
-# values of x^0 with centred values of x^0 and x^1, spaced delta apart with
-# n delta >= t_span / 4; the sums are a^2 or a c times delta^2 n (n^2 - 1) / 12,
-# at least t_span^2 a min(a, c) / 195.  A product below DBL_MIN is subnormal
-# and rounds by up to 2^-1075 (at t_span = 1e-160 each one is, and the speeds
-# came out 0.3 % off); t_span^2 a min(a, c) >= 256 DBL_MIN keeps the n
-# roundings within u = 2^-53 of either sum.
+# end is at a projection pole.  A speed is the chord x(t_span) - x(0) of its
+# curve, whose differences in x^0 and x^1 are at least t_span a and
+# t_span c in size.  A difference below DBL_MIN is subnormal and rounds by
+# up to 2^-1075, no longer a relative u = 2^-53 (at t_span = 1e-320 the
+# speeds came out 9e-4 off); t_span min(a, c) >= 2 DBL_MIN keeps both
+# differences normal, with a factor 2 to spare for rounding.  The
+# trajectory's times are t_span / (n_samples - 1) apart, and
+# t_span >= (n_samples - 1) DBL_MIN keeps that spacing normal, so they
+# increase strictly (on fast curves the chord bound alone falls near
+# 1e-322, where they do not).
 def _t_span_min(p: Params) -> float:
-    """The smallest t_span within the bound above."""
+    """The smallest t_span within both bounds above."""
     e = abs(p["epsilon"])
     a = c = math.inf
     for q in (min(p["p"], p["p_min"]), max(p["p"], p["p_max"])):
@@ -324,7 +335,7 @@ def _t_span_min(p: Params) -> float:
         c = min(c, 2.0 * q * math.exp(-0.5 * e * p0))
     if not (a > 0.0 and c > 0.0):
         return math.inf
-    return 16.0 * math.sqrt(sys.float_info.min / a / min(a, c))
+    return sys.float_info.min * max(2.0 / min(a, c), p["n_samples"] - 1)
 
 
 def _check(p: Params) -> None:
@@ -347,8 +358,9 @@ def _check(p: Params) -> None:
         raise ConfigError(
             "params.t_span",
             "the shell and its projections reach coordinates of size t_span * max(2 p0 + "
-            "|epsilon| p^2, 2 p exp(|epsilon| p0 / 2)) at the largest momentum; the tail fit's "
-            f"sums and the collinearity residual stay finite for t_span <= {t_max:.6g}",
+            "|epsilon| p^2, 2 p exp(|epsilon| p0 / 2)) and a moment 2 t_span p^2 at the largest "
+            "momentum; the collinearity residual and the moment stay finite for "
+            f"t_span <= {t_max:.6g}",
         )
     # one projection's speed has a pole where the shell energy
     # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)
@@ -366,9 +378,10 @@ def _check(p: Params) -> None:
     if not p["t_span"] >= t_min:
         raise ConfigError(
             "params.t_span",
-            "the tail fit sums products of coordinate differences of size t_span times the "
-            "slowest speeds 2 p0 - |epsilon| p^2 and 2 p exp(-|epsilon| p0 / 2), which fall "
-            f"below the normal float range and lose precision for t_span < {t_min:.6g}",
+            "a speed is the chord of its curve, whose coordinate differences of size t_span "
+            "times the slowest speeds 2 p0 - |epsilon| p^2 and 2 p exp(-|epsilon| p0 / 2), and "
+            "the sample spacing t_span / (n_samples - 1), fall below the normal float range "
+            f"and lose precision for t_span < {t_min:.6g}",
         )
 
 
@@ -387,7 +400,7 @@ def _trajectory(p: Params) -> ArtifactData:
     mom = traj.points[0, d:]
     energy = mom[0] ** 2 - float(mom[1:] @ mom[1:])
     summary = {
-        "speed_ordinary": float(_speed_of_curve(traj.points[:, :d])),
+        "speed_ordinary": float(_chord_speed(traj.points[:, :d])),
         "mass_shell_residual": abs(energy - p["mass"] ** 2),
     }
     return ArtifactData("trajectory", columns, summary)
@@ -404,7 +417,7 @@ def _projection(p: Params) -> ArtifactData:
         **{f"left_{n}": col for n, col in zip(spec.coord_names, left.points.T)},
         **{f"right_{n}": col for n, col in zip(spec.coord_names, right.points.T)},
     }
-    measured = _speed_of_curve(np.stack([left.points, right.points])).tolist()
+    measured = _chord_speed(np.stack([left.points, right.points])).tolist()
     closed = closed_form_speeds(spec, p["mass"], p["p"])
     summary = {
         "collinearity_left": collinearity_residual(left.points),
@@ -418,7 +431,7 @@ def _projection(p: Params) -> ArtifactData:
 
 def _profile(p: Params) -> ArtifactData:
     p_grid = np.linspace(p["p_min"], p["p_max"], p["n_p"])
-    prof = velocity_momentum_profile(_spec(p), p["mass"], p_grid, p["t_span"], p["n_samples"])
+    prof = velocity_momentum_profile(_spec(p), p["mass"], p_grid, p["t_span"])
     columns = {"p": prof["ordinary"]["p"], **{f"v_{k}": prof[k]["v"] for k in prof}}
     summary = {f"verdict_{k}": prof[k]["verdict"] for k in prof}
     return ArtifactData("profile", columns, summary)
@@ -455,11 +468,9 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
 def _sweep_row(p: Params) -> dict:
     spec = _spec(p)
     p_grid = np.linspace(p["p_min"], p["p_max"], p["n_p"])
-    prof = velocity_momentum_profile(spec, p["mass"], p_grid, p["t_span"], p["n_samples"])
+    prof = velocity_momentum_profile(spec, p["mass"], p_grid, p["t_span"])
     return {
-        "classical_limit_dev": classical_limit_deviation(
-            p["epsilon"], p["mass"], spatial_dim=p["spatial_dim"]
-        ),
+        "classical_limit_dev": _mean_deviation(p["mass"], prof),
         "closed_speed_dev": projected_speed_deviation(spec, p["mass"], prof),
         "v_left_verdict": prof["left"]["verdict"],
         "v_right_verdict": prof["right"]["verdict"],

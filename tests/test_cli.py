@@ -634,23 +634,31 @@ def test_sweep_marks_failed_rows_and_continues(tmp_path, monkeypatch):
     assert status[1].startswith("failed")
 
 
-def test_kappa_sweep_rows_past_a_projection_pole_fail(tmp_path):
-    """The classical-limit deviation is measured on p in [0.2, 2] whatever
-    p_max is; at mass 1 and |epsilon| >= 1.118 a pole lies on that grid, and
-    such a row fails with NaN values instead of reading a measured speed past
-    the pole."""
+def test_kappa_sweep_rows_read_the_classical_limit_on_their_own_grid(tmp_path):
+    """A row's classical-limit deviation is the symmetric mean of its own
+    profile on [p_min, p_max]: at mass 1 and |epsilon| >= 1.118 a pole lies
+    on the fixed grid p in [0.2, 2] of classical_limit_deviation, but not
+    below p_max 1, so those rows are ok with finite values; on the fixed
+    grid's own bounds a row reads classical_limit_deviation exactly."""
     cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.3, "p_max": 1.0},
                                "outputs": []})
     out = tmp_path / "sweep"
     rc = main(["sweep", str(cfg), "--param", "epsilon", "--values", "2.0,1.5,0.3",
                "--out", str(out), "--format", "json"])
-    assert rc == 1
+    assert rc == 0
     columns, rows = (json.loads((out / "sweep.json").read_text())[k] for k in ("columns", "rows"))
-    status = [row[columns.index("status")] for row in rows]
-    assert status == ["failed:ContractViolation", "failed:ContractViolation", "ok"]
-    dev = [row[columns.index("classical_limit_dev")] for row in rows]
-    assert dev[0] is None and dev[1] is None  # NaN is written as null
-    assert dev[2] == kappa.classical_limit_deviation(0.3)
+    assert [row[columns.index("status")] for row in rows] == ["ok", "ok", "ok"]
+    for name in ("classical_limit_dev", "closed_speed_dev"):
+        values = [row[columns.index(name)] for row in rows]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values), name
+    with pytest.raises(ContractViolation, match="right projection"):
+        kappa.classical_limit_deviation(2.0)
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.3}, "outputs": []})
+    assert main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.3",
+                 "--out", str(tmp_path / "fixed"), "--format", "json"]) == 0
+    columns, rows = (json.loads((tmp_path / "fixed" / "sweep.json").read_text())[k]
+                     for k in ("columns", "rows"))
+    assert rows[0][columns.index("classical_limit_dev")] == kappa.classical_limit_deviation(0.3)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -679,8 +687,7 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
 @pytest.mark.parametrize("model, param, values", [
     ("minkowski2d", "epsilon", "nan,inf"),
     ("minkowski2d", "epsilon", "0.1,1e-200"),  # shape constant -1/(eps m)^2 overflows
-    ("kappa", "n_samples", "4"),
-    ("kappa", "n_samples", "28"),  # 7 samples in the tail window, the fit needs 8
+    ("kappa", "n_samples", "1"),  # a chord needs two samples
     ("kappa", "spatial_dim", "41252435"),  # would allocate tens of GiB
 ])
 def test_sweep_values_pass_validation_before_any_row(tmp_path, capsys, model, param, values):
@@ -1174,10 +1181,12 @@ def test_minkowski2d_c_plus_coarser_than_the_grid_is_config_error(tmp_path, caps
 
 @pytest.mark.parametrize("t_span", [1.0e-320, 1.0e-160])
 def test_kappa_horizon_below_the_normal_range_is_config_error(tmp_path, capsys, t_span):
-    """1e-320 exited 1 (the tail fit's abscissa had no spread) and 1e-160
-    wrote v_ordinary 0.196676 for the exact 0.196116 (its products were
-    subnormal); both name params.t_span and exit 2, writing nothing."""
-    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.5, "t_span": t_span},
+    """At p_min 1e-150 the slowest chord difference, x^1 = 2 p_min t_span,
+    is subnormal at t_span 1e-160 and 0 at 1e-320: read unchecked, the
+    speeds at p_min came out up to 9e-15 off, relative, and 0; both name
+    params.t_span and exit 2, writing nothing."""
+    cfg = write_cfg(tmp_path, {"model": "kappa",
+                               "params": {"epsilon": 0.5, "p_min": 1e-150, "t_span": t_span},
                                "outputs": ["profile"]})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
@@ -1188,7 +1197,7 @@ def test_kappa_horizon_below_the_normal_range_is_config_error(tmp_path, capsys, 
 @pytest.mark.parametrize("params", [
     {"epsilon": 0.5},
     {"epsilon": 0.5, "p_max": 4.1},  # near the right pole, x^0 is the slowest coordinate
-    {"epsilon": -0.3, "spatial_dim": 1, "n_samples": 29},
+    {"epsilon": -0.3, "spatial_dim": 1, "n_samples": 2},
     {"epsilon": 2.0, "p": 0.5, "p_min": 0.01, "p_max": 1.2, "n_samples": 4096},
 ])
 def test_kappa_runs_at_the_lower_horizon_bound_give_the_closed_form_speeds(params):
@@ -1196,7 +1205,7 @@ def test_kappa_runs_at_the_lower_horizon_bound_give_the_closed_form_speeds(param
     trajectory) is within 1e-12 of its closed form, relative; one float
     below names params.t_span."""
     t_min = kappa._t_span_min(validate_config({"model": "kappa", "params": params}).params)
-    assert 1e-155 < t_min < 1e-150
+    assert 1e-308 < t_min < 1e-303
     with pytest.raises(ConfigError, match=r"params\.t_span"):
         validate_config({"model": "kappa", "params": {**params, "t_span": math.nextafter(t_min, 0.0)}})
     p = validate_config({"model": "kappa", "params": {**params, "t_span": t_min}}).params
@@ -1219,7 +1228,7 @@ def test_kappa_horizon_is_bounded(tmp_path, capsys):
     three artifacts is finite."""
     params = {"epsilon": 0.5}
     t_max = kappa._t_span_max(validate_config({"model": "kappa", "params": params}).params)
-    assert 1e150 < t_max < 1e154
+    assert 1e166 < t_max < 1e167
     cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": 1.0e300},
                                "outputs": ["profile"]})
     out = tmp_path / "far"
@@ -1240,6 +1249,30 @@ def test_kappa_horizon_is_bounded(tmp_path, capsys):
         floats = [v for v in doc["summary"].values() if isinstance(v, float)]
         assert all(math.isfinite(v) for v in floats), name
     assert np.array(json.loads((out / "trajectory.json").read_text())["rows"])[-1, 0] == t_max
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-300])
+def test_kappa_horizon_keeps_the_projection_moment_finite(tmp_path, epsilon):
+    """The projections take the moment 2 p^2 t, far above every coordinate
+    at small |epsilon|: at p 1e150 it overflowed within the other bounds and
+    0 times inf made x^0 NaN.  t_span is bounded by 2 p^2 t_span <=
+    DBL_MAX / 2; one float past names params.t_span, and at the bound all
+    three artifacts are finite with no numpy warning."""
+    params = {"epsilon": epsilon, "p": 1e150}
+    t_max = kappa._t_span_max(validate_config({"model": "kappa", "params": params}).params)
+    assert t_max == sys.float_info.max / (4.0 * 1e150 * 1e150)
+    with pytest.raises(ConfigError, match=r"params\.t_span"):
+        validate_config({"model": "kappa",
+                         "params": {**params, "t_span": math.nextafter(t_max, math.inf)}})
+    outputs = ["trajectory", "projection", "profile"]
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": t_max},
+                               "outputs": outputs})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "at"), "--format", "json"]) == 0
+    for name in outputs:
+        doc = json.loads((tmp_path / "at" / f"{name}.json").read_text())
+        assert np.all(np.isfinite(np.array(doc["rows"], dtype=float))), name
 
 
 @pytest.mark.parametrize("field, value", [("epsilon", 1.0e10), ("rho", 1000.0)])

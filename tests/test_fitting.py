@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from poismech.errors import EstimationError
-from poismech.fitting import MIN_CURVE_SAMPLES, line_slope, tail_samples, tail_velocity
+from poismech.fitting import tail_velocity
+
+MIN_CURVE_SAMPLES = 29  # the shortest curve whose trailing quarter holds the fit's 8 samples
 
 
 def _noisy_lines(rng, shape, n, k):
@@ -62,18 +64,25 @@ def test_zero_spread_abscissa_is_an_estimation_error():
 
 @pytest.mark.parametrize("n", [MIN_CURVE_SAMPLES, 64, 101])
 def test_tail_fit_is_the_line_slope_over_the_tail_window(n):
-    """tail_velocity is line_slope over the last tail_samples(n) samples, bit
-    for bit, and the window is the trailing quarter rounded up."""
+    """tail_velocity reads the trailing quarter of the samples, rounded up,
+    and nothing before it: changing the samples before the window keeps
+    every bit, changing the window's first sample moves the slope."""
     rng = np.random.default_rng(n)
     t, y = _noisy_lines(rng, (3,), n, 2)
-    n_tail = tail_samples(n)
-    assert n_tail == -(-n // 4)
-    np.testing.assert_array_equal(tail_velocity(t, y), line_slope(t[:, -n_tail:], y[:, -n_tail:]))
+    n_tail = -(-n // 4)
+    got = tail_velocity(t, y)
+    before = y.copy()
+    before[:, :-n_tail] += 1.0
+    np.testing.assert_array_equal(tail_velocity(t, before), got)
+    inside = y.copy()
+    inside[:, -n_tail] += 1.0
+    assert np.all(tail_velocity(t, inside) != got)
 
 
 def test_tail_window_under_8_samples_is_an_estimation_error():
-    assert tail_samples(MIN_CURVE_SAMPLES) == 8
+    t = np.linspace(0.0, 1.0, MIN_CURVE_SAMPLES)
+    np.testing.assert_allclose(tail_velocity(t, 2.0 * t[:, None]), [2.0], rtol=1e-14)
     with pytest.raises(EstimationError, match="needs >= 8 samples, window has 7"):
-        tail_samples(MIN_CURVE_SAMPLES - 1)
+        tail_velocity(t[1:], t[1:, None])
     with pytest.raises(EstimationError, match="no spread"):
-        line_slope(np.ones(3), np.arange(3.0)[:, None])
+        tail_velocity(np.ones(32), np.arange(32.0)[:, None])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from poismech.errors import ContractViolation
-from poismech import kappa
-from poismech.fitting import monotonicity_verdict, tail_velocity
+from poismech import cli, groupoid, kappa
+from poismech.fitting import monotonicity_verdict
 from poismech.groupoid import groupoid_projection, project_trajectory
 from poismech.kappa import (
     KappaSpec,
@@ -167,7 +167,7 @@ def _per_momentum_profile(spec, mass, projection, p_grid, t_span, n_samples):
 def test_stacked_profile_matches_the_per_momentum_reference(projection, spatial_dim, eps):
     spec = KappaSpec(eps, spatial_dim)
     grid = np.linspace(0.2, 2.0, 10)
-    prof = velocity_momentum_profile(spec, 1.1, grid, t_span=2.5, n_samples=48)[projection]
+    prof = velocity_momentum_profile(spec, 1.1, grid, t_span=2.5)[projection]
     want = _per_momentum_profile(spec, 1.1, projection, grid, 2.5, 48)
     np.testing.assert_array_equal(prof["p"], grid)
     np.testing.assert_allclose(prof["v"], want, rtol=1e-14, atol=0.0)
@@ -180,7 +180,7 @@ def test_profile_in_chunks_equals_one_chunk(monkeypatch):
     spec = KappaSpec(0.3, 2)
     grid = np.linspace(0.2, 2.0, 10)
     whole = velocity_momentum_profile(spec, 1.0, grid)
-    n_tail = 16  # the fit's window of the default 64 samples
+    n_ends = 2  # a chord reads each curve at t = 0 and t_span
     sizes = []
     shells = kappa._shells
 
@@ -190,18 +190,18 @@ def test_profile_in_chunks_equals_one_chunk(monkeypatch):
         return pts
 
     monkeypatch.setattr(kappa, "_shells", recording)
-    monkeypatch.setattr(kappa, "_CHUNK_FLOATS", 3 * n_tail * spec.dim * 3 + 1)
+    monkeypatch.setattr(kappa, "_CHUNK_FLOATS", 3 * n_ends * spec.dim * 3 + 1)
     chunked = velocity_momentum_profile(spec, 1.0, grid)
     for kind, prof in whole.items():
         np.testing.assert_array_equal(chunked[kind]["v"], prof["v"])
-    assert sizes == [3 * n_tail * 2 * spec.dim] * 3 + [n_tail * 2 * spec.dim]
-    # per momentum the base curves hold 3 n_tail d floats, the shells 2 n_tail d
-    assert 3 * 3 * n_tail * spec.dim <= kappa._CHUNK_FLOATS
+    assert sizes == [3 * n_ends * 2 * spec.dim] * 3 + [n_ends * 2 * spec.dim]
+    # per momentum the base curves hold 3 n_ends d floats, the shells 2 n_ends d
+    assert 3 * 3 * n_ends * spec.dim <= kappa._CHUNK_FLOATS
 
 
-def _full_curve_speeds(spec, mass, p_grid, t_span, n_samples):
-    """Reference: every family fitted on its own from the full-length shells,
-    all n_samples rows built, projected and passed to tail_velocity."""
+def _full_curve_chords(spec, mass, p_grid, t_span, n_samples):
+    """Reference: the chord of every family's full-length curves, all
+    n_samples rows of the shells built and projected, one family at a time."""
     d = spec.dim
     pvec = np.zeros((len(p_grid), spec.spatial_dim))
     pvec[:, 0] = np.sort(p_grid)
@@ -210,33 +210,47 @@ def _full_curve_speeds(spec, mass, p_grid, t_span, n_samples):
     r = kappa_rspec(spec)
     bases = {"ordinary": x, "left": groupoid_projection(r, x, p, "left"),
              "right": groupoid_projection(r, x, p, "right")}
-    return {kind: np.linalg.norm(tail_velocity(b[..., 0], b[..., 1:]), axis=-1)
-            for kind, b in bases.items()}
+    return {kind: kappa._chord_speed(b) for kind, b in bases.items()}
 
 
 @pytest.mark.parametrize("chunk_floats", [None, 200])
 @pytest.mark.parametrize("eps", [0.4, -0.4])
 @pytest.mark.parametrize("spatial_dim", [1, 3, 7, 31])
 def test_tail_profile_is_the_full_curve_fit_bit_for_bit(monkeypatch, spatial_dim, eps, chunk_floats):
-    """Shells built at the tail's sample times alone and fitted in one stack
-    of the three families give the speeds of the full-length curves fitted
-    one family at a time, bit for bit, in one chunk or in chunks of one
-    momentum."""
+    """Shells built at t = 0 and t_span alone, projected and read in one
+    stack of the three families, give the chords of the full-length curves
+    read one family at a time, bit for bit, in one chunk or in chunks of
+    one momentum."""
     if chunk_floats is not None:
         monkeypatch.setattr(kappa, "_CHUNK_FLOATS", chunk_floats)
     grid = np.linspace(0.2, 2.0, 10)[::-1]
-    for n_samples in (29, 48, 64):
-        prof = velocity_momentum_profile(KappaSpec(eps, spatial_dim), 1.1, grid, 2.5, n_samples)
-        want = _full_curve_speeds(KappaSpec(eps, spatial_dim), 1.1, grid, 2.5, n_samples)
+    prof = velocity_momentum_profile(KappaSpec(eps, spatial_dim), 1.1, grid, 2.5)
+    for n_samples in (2, 29, 64):
+        want = _full_curve_chords(KappaSpec(eps, spatial_dim), 1.1, grid, 2.5, n_samples)
         for kind, v in want.items():
             np.testing.assert_array_equal(prof[kind]["v"], v, err_msg=f"{kind}, {n_samples} samples")
 
 
-@pytest.mark.parametrize("chunk_floats", [None, 3 * 16 * SPEC.dim * 4])
+@pytest.mark.parametrize("eps", [0.4, -0.4, 0.1, 1.0])
+@pytest.mark.parametrize("spatial_dim", [1, 3, 31])
+def test_profile_speeds_are_their_closed_forms_to_rounding(spatial_dim, eps):
+    """Each profile speed is the chord of an exactly affine curve, so it is
+    within 8 u (u = 2^-53) of its closed form, relative: p / sqrt(m^2 + p^2)
+    for the ordinary shell, closed_form_speeds for the projections."""
+    spec = KappaSpec(eps, spatial_dim)
+    grid = np.linspace(0.2, 2.0, 10)
+    prof = velocity_momentum_profile(spec, 1.1, grid, 2.5)
+    closed = {"ordinary": grid / np.hypot(1.1, grid)}
+    closed["left"], closed["right"] = closed_form_speeds(spec, 1.1, grid)
+    for kind, v in closed.items():
+        np.testing.assert_allclose(prof[kind]["v"], v, rtol=8 * 2.0**-53, atol=0.0, err_msg=kind)
+
+
+@pytest.mark.parametrize("chunk_floats", [None, 3 * 2 * SPEC.dim * 32])
 def test_profile_projects_only_the_tail_and_builds_shells_once_per_chunk(monkeypatch, chunk_floats):
-    """A profile of n_p momenta projects n_p ceil(n_samples / 4) points per
-    side, the window its fit reads, and builds its shells once per chunk of
-    momenta (one chunk, or chunks of four), not once per family."""
+    """A profile of n_p momenta projects 2 n_p points per side, the two ends
+    of each shell that its chords read, and builds its shells once per chunk
+    of momenta (one chunk, or chunks of 32), not once per family."""
     if chunk_floats is not None:
         monkeypatch.setattr(kappa, "_CHUNK_FLOATS", chunk_floats)
     projected = {"left": 0, "right": 0}
@@ -254,6 +268,35 @@ def test_profile_projects_only_the_tail_and_builds_shells_once_per_chunk(monkeyp
 
     monkeypatch.setattr(kappa, "groupoid_projection", counting_projection)
     monkeypatch.setattr(kappa, "_shells", counting_shells)
-    velocity_momentum_profile(SPEC, 1.0, np.linspace(0.2, 2.0, 10), n_samples=64)
+    velocity_momentum_profile(SPEC, 1.0, np.linspace(0.2, 2.0, 80))
     assert projected == {"left": 160, "right": 160}
-    assert shell_stacks == ([(10, 16)] if chunk_floats is None else [(4, 16), (4, 16), (2, 16)])
+    assert shell_stacks == ([(80, 2)] if chunk_floats is None else [(32, 2), (32, 2), (16, 2)])
+
+
+def test_a_bent_projection_fails_the_speed_check(monkeypatch):
+    """A chord is a speed only on an affine curve, so the speed check must
+    see a bend: with 1e-6 (x^0)^2 added to x^1 of every projected point,
+    projected_speed_closed_form FAILs and the projection summary's
+    collinearity_left rises far above rounding.  On the genuine projection
+    the check PASSes and the curve is straight to rounding."""
+    p = cli.validate_config({"model": "kappa", "params": {"epsilon": 0.3}}).params
+
+    def read():
+        checks = {c.name: c for c in cli.certify("kappa", 0.3, 0, 2)}
+        summary = kappa.MODEL.artifacts["projection"](p).summary
+        return checks["projected_speed_closed_form"], summary["collinearity_left"]
+
+    genuine, straight = read()
+    assert genuine.passed and genuine.value < 1e-14
+    assert straight < 1e-13
+
+    def bent(r, x, p, side):
+        base = groupoid_projection(r, x, p, side)
+        base[..., 1] += 1e-6 * base[..., 0] ** 2
+        return base
+
+    monkeypatch.setattr(kappa, "groupoid_projection", bent)
+    monkeypatch.setattr(groupoid, "groupoid_projection", bent)
+    check, residual = read()
+    assert not check.passed and check.value > 1e3 * check.threshold
+    assert residual > 1e-7
