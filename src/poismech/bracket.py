@@ -32,6 +32,7 @@ which every flow in the package inherits.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -185,6 +186,20 @@ def _cyclic(T: np.ndarray, i, j, k):
     return T[..., i, j, k] + T[..., j, k, i] + T[..., k, i, j]
 
 
+# eight dims cover every chart a default certificate reads (3, 4 and 8) and
+# bound what large charts leave behind: kappa's shifted chart at spatial_dim
+# 127 has 2.8e6 triples, 66 MB of indices
+@functools.lru_cache(maxsize=8)
+def _triples(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triple i < j < k of a chart of ``dim`` coordinates, as three
+    read-only index arrays rather than a list of tuples, built once per dim."""
+    t = np.arange(dim)
+    triples = np.nonzero((t[:, None, None] < t[:, None]) & (t[:, None] < t))
+    for a in triples:
+        a.setflags(write=False)
+    return triples
+
+
 @dataclass(frozen=True)
 class JacobiCertificate:
     """Result of a randomized Jacobi check of one bivector."""
@@ -214,11 +229,9 @@ def jacobi_certificate(
 
     Charts of dimension < 3 have no triple and certify vacuously.
     """
-    # every triple i < j < k, as three index arrays rather than a list of tuples
-    t = np.arange(biv.dim)
-    i, j, k = np.nonzero((t[:, None, None] < t[:, None]) & (t[:, None] < t))
-    if not i.size:
+    if biv.dim < 3:
         return JacobiCertificate(biv.dim, 0, 0, 0.0, _JACOBI_THRESHOLD, vacuous=True)
+    i, j, k = _triples(biv.dim)
     rng = np.random.default_rng(seed)
     lo, hi = box
     chunk = max(1, _CHUNK_BYTES // (16 * biv.dim**3))

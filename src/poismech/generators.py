@@ -37,11 +37,31 @@ class GeneratorField:
     vector: np.ndarray | None = None   # translation direction
     rates: np.ndarray | None = None    # scaling rate of each coordinate
 
+    def __post_init__(self):
+        # generators are shared (module constants, per-dim caches and their
+        # cached lifts), so each holds a read-only copy of its array
+        for name in ("vector", "rates"):
+            a = getattr(self, name)
+            if a is not None:
+                a = np.array(a, dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+
     @functools.cached_property
     def _moves(self) -> np.ndarray:
         """Mask of the coordinates with a nonzero rate.  The others keep
         their value exactly: a zero rate times x would turn inf into NaN."""
-        return self.rates != 0
+        moves = self.rates != 0
+        moves.setflags(write=False)
+        return moves
+
+    @functools.cached_property
+    def _lift(self) -> GeneratorField:
+        """The cotangent lift (see ``cotangent_lift``), built once per generator."""
+        n = self.dim
+        if self.kind == "translation":
+            return translation(np.concatenate([self.vector, np.zeros(n)]))
+        return GeneratorField(kind="scaling", dim=2 * n, rates=np.concatenate([self.rates, -self.rates]))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """The field at one point (n,) or at each point of a stack (..., n)."""
@@ -129,10 +149,9 @@ def cotangent_lift(gen: GeneratorField, n: int) -> GeneratorField:
     """Lift a base generator to the 2n-chart (x, p).
 
     Translations lift to translations; a scaling with rates w lifts to the
-    scaling with rates (w, -w), which preserves the pairing <p, x>.
+    scaling with rates (w, -w), which preserves the pairing <p, x>.  Each
+    generator builds its lift once and returns that same lift after.
     """
     if gen.dim != n:
         raise ContractViolation("generator dim does not match base dim")
-    if gen.kind == "translation":
-        return translation(np.concatenate([gen.vector, np.zeros(n)]))
-    return GeneratorField(kind="scaling", dim=2 * n, rates=np.concatenate([gen.rates, -gen.rates]))
+    return gen._lift

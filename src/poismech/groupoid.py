@@ -13,6 +13,8 @@ path.  Because the generators commute, the composition order is immaterial.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bracket import BivectorSpec
@@ -64,11 +66,12 @@ def _phase_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_bivector(n: int) -> BivectorSpec:
     """The cotangent-bundle structure on the 2n-chart (x, p):
     {x^i, p_j} = delta^i_j, all other coordinate brackets zero.  P is one
     constant read-only matrix, returned itself at one point and as a
-    read-only broadcast over a stack."""
+    read-only broadcast over a stack.  Built once per n and shared."""
     i = np.arange(n)
     P = np.zeros((2 * n, 2 * n))
     P[i, n + i] = 1.0

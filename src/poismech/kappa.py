@@ -17,6 +17,7 @@ certificate and the sweep row.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .bracket import BivectorSpec, add_bivectors
 from .errors import ConfigError, ContractViolation
 from .fitting import collinearity_residual, monotonicity_verdict
 from .flow import Trajectory
-from .generators import AbelianRSpec, scaling, translation, wedge_bivector
+from .generators import AbelianRSpec, GeneratorField, scaling, translation, wedge_bivector
 from .groupoid import canonical_bivector, cotangent_wedge, groupoid_projection, project_trajectory
 from .model import (
     INT, LOG_SQRT_DBL_MAX, REAL, ArtifactData, CertCheck, Model, Param, Params,
@@ -67,21 +68,22 @@ class KappaSpec:
         return ("x0",) + tuple(f"x{k}" for k in range(1, self.dim))
 
 
-def _generators(spec: KappaSpec):
-    e0 = np.zeros(spec.dim)
+@functools.lru_cache(maxsize=None)
+def _generators(dim: int) -> tuple[GeneratorField, GeneratorField]:
+    """The time translation d_0 and the spatial dilation sum_k x^k d_k on
+    the (1+d)-chart, built once per chart dim and shared."""
+    e0 = np.zeros(dim)
     e0[0] = 1.0
-    X1 = translation(e0)
-    X2 = scaling(range(1, spec.dim), spec.dim)
-    return X1, X2
+    return translation(e0), scaling(range(1, dim), dim)
 
 
 def kappa_bivector(spec: KappaSpec) -> BivectorSpec:
-    X1, X2 = _generators(spec)
+    X1, X2 = _generators(spec.dim)
     return wedge_bivector(spec.epsilon, X1, X2, spec.coord_names)
 
 
 def kappa_rspec(spec: KappaSpec) -> AbelianRSpec:
-    X1, X2 = _generators(spec)
+    X1, X2 = _generators(spec.dim)
     return AbelianRSpec(spec.epsilon, X1, X2)
 
 
@@ -133,9 +135,14 @@ def _chord_speed(points: np.ndarray) -> np.ndarray:
     """|dx_vec / dx^0| of sampled base curves (..., N, 1+d), one speed per
     curve, read from the chord between the first and last sample: every
     curve is affine in t (see ``closed_form_speeds``), so its chord is its
-    speed."""
+    speed.  The norm is taken of each quotient row scaled by the power of
+    two of its largest entry and scaled back, so a speed below
+    sqrt(DBL_MIN) squares to no subnormal; a power of two scales exactly, so
+    every other speed keeps its bits."""
     dx = points[..., -1, :] - points[..., 0, :]
-    return np.linalg.norm(dx[..., 1:] / np.abs(dx[..., :1]), axis=-1)
+    q = dx[..., 1:] / np.abs(dx[..., :1])
+    _, e = np.frexp(np.max(np.abs(q), axis=-1))
+    return np.ldexp(np.linalg.norm(np.ldexp(q, -e[..., None]), axis=-1), e)
 
 
 _FAMILIES = ("ordinary", "left", "right")
@@ -454,7 +461,7 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     shell speeds against their closed forms at three momenta."""
     spec, mass = _spec(p), p["mass"]
     profiles = velocity_momentum_profile(spec, mass, _CERT_MOMENTA)
-    X1, X2 = _generators(spec)
+    X1, X2 = _generators(spec.dim)
     shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(spec.epsilon, X1, X2))
     return [
         jacobi_check("jacobi_base", kappa_bivector(spec), n_points, seed),

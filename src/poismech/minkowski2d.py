@@ -94,16 +94,21 @@ class Minkowski2DSpec:
             raise ContractViolation("mass must be positive")
 
 
+# the two single-coordinate scalings x+ d+ and x- d-, built once and shared,
+# together with the cotangent lifts each of them caches, and the canonical
+# structure of the phase chart (x+, x-, p+, p-)
+_X_PLUS, _X_MINUS = scaling([0], 2), scaling([1], 2)
+_CANONICAL = canonical_bivector(2)
+
+
 def minkowski2d_bivector(spec: Minkowski2DSpec) -> BivectorSpec:
     """pi = epsilon x+ x- d+ ^ d- on the light-cone chart."""
-    X1 = scaling([0], 2)
-    X2 = scaling([1], 2)
-    return wedge_bivector(spec.epsilon, X1, X2, COORD_NAMES)
+    return wedge_bivector(spec.epsilon, _X_PLUS, _X_MINUS, COORD_NAMES)
 
 
 def minkowski2d_rspec(spec: Minkowski2DSpec) -> AbelianRSpec:
     """The commuting-generator pair (x+ d+, x- d-) with strength epsilon."""
-    return AbelianRSpec(spec.epsilon, scaling([0], 2), scaling([1], 2))
+    return AbelianRSpec(spec.epsilon, _X_PLUS, _X_MINUS)
 
 
 def hyperbola_curve(
@@ -398,6 +403,18 @@ def _projection(p: Params) -> ArtifactData:
 _CERT_THRESHOLDS = {"hyperbola_shape": 1e-12, "scattering_match": 1e-6, "scattering_odd": 1e-12}
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the certificate's fixed grids, shared by every call: the hyperbola's x+
+# samples (centres 1 and -1) and the 5x5 grid of curves (alpha, beta)
+_CERT_HYPERBOLA_GRID = _frozen(1.0 + np.linspace(0.2, 3.0, 64))
+_CERT_ALPHAS = _frozen(np.linspace(-0.6, 0.6, 5))
+_CERT_BETAS = _frozen(np.linspace(-_CERT_BETA, _CERT_BETA, 5))
+
+
 def _certificate_check(p: Params, field: str) -> None:
     """The range ``run`` accepts, for the certificate grid's largest |beta|
     (|epsilon| up to 344.9 at mass 1)."""
@@ -409,8 +426,7 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     law, and the scattering match/odd checks over a 5x5 curve grid."""
     spec = _spec(p)
     epsilon = spec.epsilon
-    X1, X2 = scaling([0], 2), scaling([1], 2)
-    shifted = add_bivectors(canonical_bivector(2), cotangent_wedge(epsilon, X1, X2))
+    shifted = add_bivectors(_CANONICAL, cotangent_wedge(epsilon, _X_PLUS, _X_MINUS))
     checks = [
         jacobi_check("jacobi_base", minkowski2d_bivector(spec), n_points, seed),
         jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
@@ -418,12 +434,11 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     if epsilon == 0.0:
         note = "vacuous at epsilon = 0"
         return checks + [CertCheck(n, 0.0, t, True, note) for n, t in _CERT_THRESHOLDS.items()]
-    grid = 1.0 + np.linspace(0.2, 3.0, 64)
-    pts = hyperbola_curve(spec, 1.0, -1.0, grid)
+    pts = hyperbola_curve(spec, 1.0, -1.0, _CERT_HYPERBOLA_GRID)
     res = hyperbola_residual(spec, 1.0, -1.0, pts)
     # relative to the shape constant, which grows like epsilon^-2
     res /= max(1.0, 1.0 / (epsilon * spec.mass) ** 2)
-    match, odd = scattering_check(spec, np.linspace(-0.6, 0.6, 5), np.linspace(-_CERT_BETA, _CERT_BETA, 5))
+    match, odd = scattering_check(spec, _CERT_ALPHAS, _CERT_BETAS)
     values = {"hyperbola_shape": res, "scattering_match": match, "scattering_odd": odd}
     return checks + [threshold_check(n, v, _CERT_THRESHOLDS[n]) for n, v in values.items()]
 

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poismech import cli, kappa, minkowski2d, su2
+from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
 from poismech.flow import StepControl
@@ -892,6 +892,76 @@ def test_certify_kappa_ignores_config_momenta_poles(capsys):
     assert capsys.readouterr().out.endswith("certificates: PASS\n")
 
 
+# --- shared certificate structures -----------------------------------------
+
+# every array a certificate builds once and shares between calls
+_SHARED_ARRAYS = {
+    "minkowski2d hyperbola grid": lambda: minkowski2d._CERT_HYPERBOLA_GRID,
+    "minkowski2d alphas": lambda: minkowski2d._CERT_ALPHAS,
+    "minkowski2d betas": lambda: minkowski2d._CERT_BETAS,
+    "minkowski2d x+ rates": lambda: minkowski2d._X_PLUS.rates,
+    "minkowski2d x- moving mask": lambda: minkowski2d._X_MINUS._moves,
+    "minkowski2d x+ lift rates": lambda: minkowski2d._X_PLUS._lift.rates,
+    "minkowski2d x- lift rates": lambda: minkowski2d._X_MINUS._lift.rates,
+    "minkowski2d canonical P": lambda: minkowski2d._CANONICAL.matrix(np.zeros(4)),
+    "kappa translation": lambda: kappa._generators(4)[0].vector,
+    "kappa dilation": lambda: kappa._generators(4)[1].rates,
+    "kappa translation lift": lambda: kappa._generators(4)[0]._lift.vector,
+    "kappa dilation lift": lambda: kappa._generators(4)[1]._lift.rates,
+    "kappa canonical P": lambda: groupoid.canonical_bivector(4).matrix(np.zeros(8)),
+    **{f"triples {axis}": lambda axis=axis: bracket._triples(8)[axis] for axis in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_ARRAYS))
+def test_shared_certificate_arrays_are_read_only(name):
+    """An array that every call of a certificate reads cannot be written,
+    so no caller can change what the next call sees."""
+    cli.certify("kappa", 0.3, 0, 2)  # the per-dim caches are filled
+    array = _SHARED_ARRAYS[name]()
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+
+
+def _bits(checks):
+    return [(c.name, float(c.value).hex(), c.threshold, c.passed, c.note) for c in checks]
+
+
+def test_certify_repeats_bit_for_bit_between_other_models_and_epsilons():
+    """A certificate reads its shared structures only: each model's checks
+    are the same bits when certify runs again, after the other models and
+    other epsilons have run in the same process."""
+    calls = [(model, epsilon) for epsilon in (0.3, -0.3, 0.0) for model in sorted(MODELS)]
+    first = [_bits(cli.certify(model, epsilon, 7, 8)) for model, epsilon in calls]
+    again = [_bits(cli.certify(model, epsilon, 7, 8)) for model, epsilon in reversed(calls)]
+    assert again[::-1] == first
+
+
+def test_minkowski2d_certificate_builds_no_structure_and_reads_p_only_on_its_4_dim_chart(monkeypatch):
+    """Counts, not times.  One minkowski2d certificate builds no generator
+    and no canonical structure (both are built once), its base Jacobi check
+    on the 2-dim chart evaluates no P, and its shifted check on the 4-dim
+    chart evaluates P six times, as it always has: the sum and its two terms,
+    on the points and on their complex-step copies."""
+    built, canonical, matrices = [], [], []
+    post_init, matrix = generators.GeneratorField.__post_init__, bracket.BivectorSpec.matrix
+    monkeypatch.setattr(generators.GeneratorField, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    for module in (groupoid, minkowski2d):
+        monkeypatch.setattr(module, "canonical_bivector",
+                            lambda n, build=module.canonical_bivector: canonical.append(n) or build(n))
+    monkeypatch.setattr(bracket.BivectorSpec, "matrix",
+                        lambda self, x: matrices.append((self.dim, x.shape)) or matrix(self, x))
+    checks = cli.minkowski2d_certificate(0.3, 5, 8)
+    assert built == [] and canonical == []
+    assert matrices == [(4, (8, 4))] * 3 + [(4, (8, 4, 4))] * 3
+    assert checks[0].name == "jacobi_base" and checks[0].note == "vacuous below dim 3"
+    matrices.clear()
+    base = minkowski2d.minkowski2d_bivector(minkowski2d.Minkowski2DSpec(0.3, 1.0))
+    assert bracket.jacobi_certificate(base, 8, 5).vacuous
+    assert matrices == []
+
+
 _OUTSIDE_CERTIFICATE_DOMAIN = {
     # |epsilon| 1.2 sqrt(3) is past log(DBL_MAX) / 2: the isomorphism check overflows
     "su2_isomorphism_overflow": {"model": "su2", "params": {"epsilon": 200.0, "t_end": 0.01}},
@@ -1495,24 +1565,50 @@ _ODD_VALUES = [None, True, False, math.nan, math.inf, -math.inf, "x", [1.0], {"a
                0, -1, 0.0, -0.5, 1e300, -1e300]
 
 
-def _raw_value(kind, bounded):
+def _inside(param):
+    """Numbers within the declared bounds of ``param`` (``positive``,
+    ``minimum`` and ``maximum``), on the scale of its default: the default
+    times 1/4 to 4 (rounded for an int), or a float in [-1, 1] for a
+    required parameter."""
+    if param.default is None:
+        lo, hi = -1.0, 1.0
+    else:
+        lo, hi = sorted((param.default / 4, param.default * 4))
+    if param.minimum is not None:
+        lo, hi = max(lo, param.minimum), max(hi, param.minimum)
+    if param.maximum is not None:
+        lo, hi = min(lo, param.maximum), min(hi, param.maximum)
+    if param.kind == INT:
+        return st.integers(math.ceil(lo), math.floor(hi))
+    return st.floats(lo, hi, exclude_min=param.positive and lo <= 0.0)
+
+
+def _raw_value(param, bounded):
     """Valid and out-of-range numbers, wrong types, bools, None, nan and +-inf.
 
     ``bounded`` keeps drawn ints small, since a run allocates arrays of that
-    size; the odd values, 1e300 among them, are drawn either way."""
+    size, and draws numbers within the parameter's declared bounds most of
+    the time, so that most drawn configs pass validation and run; the odd
+    values, 1e300 among them, are drawn either way."""
     if bounded:
-        number = st.integers(-2, 70) if kind == INT else st.floats(-6.0, 6.0)
-    else:
-        number = st.one_of(st.integers(), st.floats())
+        loose = st.integers(-2, 70) if param.kind == INT else st.floats(-6.0, 6.0)
+        # one of ten draws is a loose number and one an odd value
+        return st.sampled_from([_inside(param)] * 8 + [loose, st.sampled_from(_ODD_VALUES)]).flatmap(
+            lambda values: values)
+    number = st.one_of(st.integers(), st.floats())
     return st.one_of(number, st.sampled_from(_ODD_VALUES))
 
 
 @st.composite
 def _raw_params(draw, bounded):
+    """A model and a subset of its params; a bounded draw always sets the
+    required params (a missing one is drawn unbounded)."""
     name = draw(st.sampled_from(sorted(MODELS)))
     schema = MODELS[name].params
     keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
-    return name, {key: draw(_raw_value(schema[key].kind, bounded)) for key in keys}
+    if bounded:
+        keys = [key for key, param in schema.items() if param.default is None and key not in keys] + keys
+    return name, {key: draw(_raw_value(schema[key], bounded)) for key in keys}
 
 
 @settings(max_examples=80, deadline=None)

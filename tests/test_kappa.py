@@ -246,6 +246,22 @@ def test_profile_speeds_are_their_closed_forms_to_rounding(spatial_dim, eps):
         np.testing.assert_allclose(prof[kind]["v"], v, rtol=8 * 2.0**-53, atol=0.0, err_msg=kind)
 
 
+def test_speeds_below_sqrt_dbl_min_are_their_closed_forms_to_rounding():
+    """A chord's speed vector is scaled by a power of two before its norm,
+    so speeds near 1e-160, whose squares are subnormal, keep every bit of
+    precision: each v_ordinary of the profile and the trajectory's
+    speed_ordinary are within 4 u of p / sqrt(m^2 + p^2), relative (an
+    unscaled norm read them 5.6e-6 low)."""
+    config = cli.validate_config({"model": "kappa", "params": {
+        "epsilon": 0.5, "p": 1e-160, "p_min": 1e-160, "p_max": 1e-159}})
+    profile = kappa.MODEL.artifacts["profile"](config.params)
+    grid = profile.columns["p"]
+    np.testing.assert_allclose(profile.columns["v_ordinary"], grid / np.hypot(1.0, grid),
+                               rtol=4 * 2.0**-53, atol=0.0)
+    speed = kappa.MODEL.artifacts["trajectory"](config.params).summary["speed_ordinary"]
+    assert abs(speed - 1e-160 / np.hypot(1.0, 1e-160)) <= 4 * 2.0**-53 * 1e-160
+
+
 @pytest.mark.parametrize("chunk_floats", [None, 3 * 2 * SPEC.dim * 32])
 def test_profile_projects_only_the_tail_and_builds_shells_once_per_chunk(monkeypatch, chunk_floats):
     """A profile of n_p momenta projects 2 n_p points per side, the two ends
