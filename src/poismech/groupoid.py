@@ -66,12 +66,13 @@ def _phase_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
 
 
-@functools.lru_cache(maxsize=None)
+# bounded like bracket._triples: kappa's chart runs to n = 128, a 512 KiB P
+@functools.lru_cache(maxsize=8)
 def canonical_bivector(n: int) -> BivectorSpec:
     """The cotangent-bundle structure on the 2n-chart (x, p):
     {x^i, p_j} = delta^i_j, all other coordinate brackets zero.  P is one
     constant read-only matrix, returned itself at one point and as a
-    read-only broadcast over a stack.  Built once per n and shared."""
+    read-only broadcast over a stack.  Cached per n and shared."""
     i = np.arange(n)
     P = np.zeros((2 * n, 2 * n))
     P[i, n + i] = 1.0
