@@ -428,8 +428,7 @@ def flow_diagnostics(traj: Trajectory, epsilon: float) -> dict:
     [qc, conj(qa)]]`` is ``theta / sin(theta) (q - q^H) / 2``, ``theta =
     atan2(|Im part|, Re qa)``.  A free flow is ``u(t) = u0 exp(t omega)``, so
     every interval reads ``omega`` to rounding, at any spacing.  The domain is
-    a turn below pi per interval (a larger one aliases); the certificate's
-    flow turns by at most ``_MAX_TURN`` = 1 radian between samples.
+    a turn below pi per interval (a larger one aliases).
     """
     if traj.times.size < 2:
         raise ContractViolation(f"a flow to diagnose needs at least two samples, got {traj.times.size}")
@@ -688,12 +687,13 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
     return float(np.max(push, initial=0.0)), float(np.max(cas, initial=0.0))
 
 
-def energy_pipeline_deviation(traj: Trajectory, epsilon: float) -> float:
-    """Worst gap along a free-flow trajectory between the trace energy and
-    ``cosh(2 eps sqrt(2 h))`` of the classical energy ``h`` that
-    :func:`energy_relations` gives for the start's trace energy (the start's
-    own trace energy at ``eps = 0``); NaN and inf propagate."""
-    energy = 0.5 * _squared_norm(traj.points)
+def energy_pipeline_deviation(points: np.ndarray, epsilon: float) -> float:
+    """Worst gap along the group-chart samples ``points``, shape ``(n, 8)``,
+    of a free motion between the trace energy and ``cosh(2 eps sqrt(2 h))``
+    of the classical energy ``h`` that :func:`energy_relations` gives for
+    the first sample's trace energy (its own trace energy at ``eps = 0``);
+    NaN and inf propagate."""
+    energy = 0.5 * _squared_norm(points)
     h0 = float(energy[0])
     if epsilon != 0.0:
         target = energy_relations(epsilon, trace=h0)
@@ -736,6 +736,14 @@ _FIELD_TERMS = 42.0
 _FIELD_CHUNK = _CHUNK_BYTES // (64 * 8)
 
 
+def _start_energy(p: Params) -> tuple[float, str]:
+    """The start's trace energy ``H`` and the start field that drives it:
+    the one of the largest entry among rho, 1/rho, |n_re| and |n_im|."""
+    entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
+    energy = float(free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
+    return energy, max(entries, key=entries.get)
+
+
 def _check(p: Params) -> None:
     if not p["t_end"] > _END_SLACK:
         raise ConfigError("params.t_end", f"must exceed {_END_SLACK:g}, the sample grid's end "
@@ -746,14 +754,13 @@ def _check(p: Params) -> None:
         raise ConfigError("params.step", f"t_end / step = {n:.6g} samples, above the 2^21 a run may store")
     # every float the run writes is finite while |eps| H t_end > theta t_end
     # and the field residual's terms are; the samples' entries are at most 2 S
-    energy = float(free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
+    energy, entry = _start_energy(p)
     rate = abs(p["epsilon"]) * energy
     turn, terms = rate * p["t_end"], _FIELD_TERMS * rate * math.sqrt(energy)
     if not max(turn, terms) <= sys.float_info.max:
         # name the factor with the largest share of the overflow, in orders of magnitude
-        entries = {"rho": max(p["rho"], 1.0 / p["rho"]), "n_re": abs(p["n_re"]), "n_im": abs(p["n_im"])}
-        shares = {"epsilon": math.log(abs(p["epsilon"])), max(entries, key=entries.get):
-                  math.log(energy) * (1.0 if turn > sys.float_info.max else 1.5)}
+        shares = {"epsilon": math.log(abs(p["epsilon"])),
+                  entry: math.log(energy) * (1.0 if turn > sys.float_info.max else 1.5)}
         if turn > sys.float_info.max:
             shares["t_end"] = math.log(p["t_end"])
         raise ConfigError(f"params.{max(shares, key=shares.get)}", f"the run's floats overflow: "
@@ -762,8 +769,17 @@ def _check(p: Params) -> None:
                           f"{energy:.6g} at the start); neither may pass DBL_MAX")
 
 
-def _start(rho: float, n_re: float, n_im: float) -> SL2CElement:
-    return SL2CElement.from_matrix(SB2Element(rho, complex(n_re, n_im)).matrix)
+def _exact_motion(p: Params, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact free motion from ``B`` at ``times``, :func:`_free_motion`
+    at ``u0 = I`` from one stacked cos and sin: the samples, shape
+    ``(len(times), 2, 2)``, and the body velocity ``omega``."""
+    rho, n = p["rho"], complex(p["n_re"], p["n_im"])
+    (w, v), _ = _free_motion(1.0, 0.0, rho, n, p["epsilon"], 0.0)[0]
+    x = math.hypot(w.imag, abs(v)) * times  # theta t
+    s = times * np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)  # sin(theta t) / theta
+    e, f = np.cos(x) + 1j * (s * w.imag), -s * v.conjugate()
+    mats = np.stack([e * rho, e * n - np.conj(f) / rho, f * rho, f * n + np.conj(e) / rho], axis=-1)
+    return mats.reshape(-1, 2, 2), np.array([[w, v], [-v.conjugate(), -w]])
 
 
 def _field_residual(epsilon: float, mats: np.ndarray, omega: np.ndarray) -> float:
@@ -788,16 +804,10 @@ def _field_residual(epsilon: float, mats: np.ndarray, omega: np.ndarray) -> floa
 
 
 def _trajectory(p: Params) -> ArtifactData:
-    """The exact free motion from ``B`` on the grid ``t += step``,
-    :func:`_free_motion` at ``u0 = I`` from one stacked cos and sin, with its
+    """The exact free motion from ``B`` on the grid ``t += step``, with its
     determinant residual and the bracket's field residual along it."""
-    rho, n, times = p["rho"], complex(p["n_re"], p["n_im"]), _sample_times(p["t_end"], p["step"])
-    (w, v), _ = _free_motion(1.0, 0.0, rho, n, p["epsilon"], 0.0)[0]
-    x = math.hypot(w.imag, abs(v)) * times  # theta t
-    s = times * np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)  # sin(theta t) / theta
-    e, f = np.cos(x) + 1j * (s * w.imag), -s * v.conjugate()
-    mats = np.stack([e * rho, e * n - np.conj(f) / rho, f * rho, f * n + np.conj(e) / rho], axis=-1)
-    mats = mats.reshape(-1, 2, 2)
+    times = _sample_times(p["t_end"], p["step"])
+    mats, omega = _exact_motion(p, times)
     points = real8_from_matrix(mats)
     det_residual = np.abs(_det(mats) - 1.0)
     _, _, b_rho, b_n = iwasawa(mats)
@@ -810,7 +820,6 @@ def _trajectory(p: Params) -> ArtifactData:
         "H": 0.5 * _squared_norm(points),
         "det_residual": det_residual,
     }
-    omega = np.array([[w, v], [-v.conjugate(), -w]])
     summary = {"det_residual": float(det_residual.max()),
                "field_residual": _field_residual(p["epsilon"], mats, omega)}
     return ArtifactData("trajectory", columns, summary)
@@ -831,105 +840,85 @@ def _least_epsilon(energy: float) -> float:
     return math.sqrt(max((energy - 1.0) / sys.float_info.max, 5e-324))
 
 
-# The certificate's flow to t = 1 turns the unitary factor at the rate
-# |eps| sqrt(H^2 - 1) < |eps| H (see _MAX_TURN), and the body velocity it is
-# checked against is read exactly at any spacing, so its sample spacing is
-# set by the turn: at most 1/80 radian, between 1e-3 (the fixed spacing it
-# replaced, so never more samples) and 0.05 (at least 20 samples; eps = 0
-# stands still).  The steps come from _CERT_TOL alone.
-_CERT_TURN = 1.0 / 80.0
-_CERT_STEP_MIN, _CERT_STEP_MAX = 1e-3, 0.05
-_CERT_TOL = 1e-8
+# The certificate reads the exact motion to t = 1 at 21 samples, t += 0.05.
+# Its checks are pointwise, so the spacing sets only how many points of the
+# motion they read, at any turn rate.
+_CERT_TIMES = _sample_times(1.0, 0.05)
+_CERT_TIMES.setflags(write=False)
 
-# The first trial step (flow._first_step) is at most 100 h0 = |y0| / |f0| in
-# the max norm, f0 = omega B the start's velocity, of Frobenius norm theta |B|
-# (theta = |eps| sqrt(H^2 - 1), H = free_energy(B) >= 1): a turn of at most
-# 1.01 sqrt(8), about 2.86 radians.  Off the unit-determinant slice the
-# right-hand side is cubic: over 300 seeded starts (rho in [e^-3, e^3], n of
-# spread up to e^2, |eps| in [e^-3, e^3]) a first step's largest stage state
-# was 1.03 |B| at a turn of 1 radian, 5.4e4 |B| at 2 and 2.5e25 |B| at 3.
-# Over 3000 such starts at 0.05 to 1 radian per sample spacing and tol 1e-8
-# or 0.01 S, S the start's largest entry, the first trial step turned by at
-# most 1.07, its stages within 1.44 S, and no later step (each grows until its
-# estimate meets tol) by more than 1.03; at 0.1 S one turned by 2.06.
-# _CERT_TOL is below 0.01 S, as S >= 1.  A turn per _certificate_step past one
-# radian is a config error, far below the pi where the body velocity aliases.
-_MAX_TURN = 1.0
+# flow_field_residual's threshold, in units of u = 2^-53.  On the genuine
+# bracket the gap is rounding: to first order each float the check forms is
+# off by u times the terms it sums, which are the ones the residual divides
+# by (|P| |grad H| and |omega| |g|) or, inside P's entries, which cancel in
+# part, at most c = 4 times those along an orbit (3.95 at most over 2e5
+# random orbit points, rho and |n| in [1e-5, 1e5]).  P x counts 9 roundings
+# of P's terms (x_p x_q, at most 7 sums of 8 terms with power-of-two
+# coefficients, and |eps|) and 8 of its own; omega g counts 3; the sample is
+# off the orbit by 9 (cos, sin, the divisions and products that build e, f
+# and u B), which moves the cubic field 3 times and the velocity once; omega
+# is off by 6.  That is (9 + 27) c + 8 + 3 + 9 + 6 = 170 at c = 4, below
+# 256; 14000 random genuine starts read at most 6.2 u.
+_FIELD_TOL = 256 * 2.0**-53
 
-# The error control compares an absolute estimate with tol.  A step's
-# estimate is h times stage slopes weighted by an absolute sum of 0.160, and
-# each stage state carries a rounding of u S (u = 2^-53), which the
-# right-hand side (derivative at most 3 |eps| H) passes on: a step as long as
-# the sample spacing holds up to 0.48 turn u S of rounding.  With turn u S <=
-# tol every such step can meet tol; far past it none above flow._MIN_H does
-# (rho = 1e50 at a turn of 0.95 failed with a step size underflow at t = 0).
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _certificate_step(epsilon: float, energy: float) -> float:
-    """Sample spacing of the certificate's flow from a start of energy H."""
-    rate = abs(epsilon) * energy
-    if rate * _CERT_STEP_MAX <= _CERT_TURN:
-        return _CERT_STEP_MAX
-    return max(_CERT_STEP_MIN, _CERT_TURN / rate)
+# energy_pipeline's threshold, and the largest start energy it holds at.
+# Along the exact motion the deviation is rounding, in units of u H.  Each
+# sample's energy is within 25 u H of H: the unitary factor is unit to 8 u,
+# each entry of u B rounds by 3 u of its terms, whose squares sum to at most
+# 2 |B|^2 (8.5 u H), and the dot product adds 8 u H.  The expected cosh(z),
+# z = acosh(H) <= L = log(2 H), is within (5.5 L + 9) u H of the first
+# sample's energy: energy_relations carries 3.5 u into asinh, whose value
+# z / 2 is then off by u z + 3.5 u, and the rest of the chain adds 3.5 u of
+# z, so z is off by (5.5 z + 7) u, which cosh passes on relatively, adding
+# 2 u of its own; a subnormal eps^2 adds 4 u (_least_epsilon).  So k = 2 *
+# 25 + 13 + 5.5 L bounds the deviation in u H, and below H = 1e-6 / (k u),
+# L < 19 and k = 168 hold.  14000 random starts inside read at most 51 u H.
+_PIPELINE_TOL = 1e-6
+_PIPELINE_ROUNDING = 168.0
+_MAX_PIPELINE_ENERGY = _PIPELINE_TOL / (_PIPELINE_ROUNDING * 2.0**-53)
 
 
 def _certificate_check(p: Params, field: str) -> None:
     """The certificate's domain: the momentum isomorphism's Casimir must not
-    overflow a float anywhere in the sampling cube, the energy pipeline must
-    read the start's energy, and the flow to t = 1 must turn by at most
-    ``_MAX_TURN`` between samples and resolve the start at ``_CERT_TOL``."""
+    overflow a float anywhere in the sampling cube, and the energy pipeline
+    must read the start's energy and hold it to its threshold.  The last
+    bound names the start field that drives the energy, as :func:`_check`
+    does; at ``epsilon = 0`` the motion stands still, and the pipeline reads
+    the energy exactly."""
     epsilon = p["epsilon"]
     exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
     if not exponent < LOG_SQRT_DBL_MAX:
         raise ConfigError(field, f"the momentum isomorphism overflows a float: |epsilon| r "
                           f"reaches {exponent:.6g} in the sampling cube, at or above "
                           f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
-    energy = float(free_energy(SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
+    if epsilon == 0.0:
+        return
+    energy, entry = _start_energy(p)
     least = _least_epsilon(energy)
-    if epsilon != 0.0 and not abs(epsilon) >= least:
+    if not abs(epsilon) >= least:
         raise ConfigError(field, f"the energy pipeline reads the start's squared radius "
                           f"(H - 1) / (2 epsilon^2) at H = {energy:.6g}, which needs "
                           f"|epsilon| >= {least:.6g} (or epsilon = 0)")
-    turn = _certificate_step(epsilon, energy) * abs(epsilon) * energy
-    if not turn <= _MAX_TURN:
-        raise ConfigError(field, f"the certificate's flow turns the state by up to spacing * "
-                          f"|epsilon| * H = {turn!r} radians between samples (H = {energy:.6g}), "
-                          f"above {_MAX_TURN:g}, where its body velocity read nears aliasing")
-    entry = max(p["rho"], 1.0 / p["rho"], abs(p["n_re"]), abs(p["n_im"]))
-    if not turn * _UNIT_ROUNDOFF * entry <= _CERT_TOL:
-        raise ConfigError(field, f"a step of the certificate's flow carries about turn * u * S = "
-                          f"{turn * _UNIT_ROUNDOFF * entry:.6g} of rounding (S = {entry:.6g}, the "
-                          f"start's largest entry, u = 2^-53), above its tol {_CERT_TOL:g}")
-
-
-def _certificate_flow(p: Params) -> tuple[Trajectory, dict]:
-    """The certificate's flow from the start to t = 1 and its diagnostics."""
-    start = _start(p["rho"], p["n_re"], p["n_im"])
-    step = StepControl(h=_certificate_step(p["epsilon"], float(free_energy(start.matrix))),
-                       tol=_CERT_TOL)
-    traj, _ = free_flow(start, p["epsilon"], 1.0, step=step)
-    return traj, flow_diagnostics(traj, p["epsilon"])
+    if not energy <= _MAX_PIPELINE_ENERGY:
+        raise ConfigError(f"params.{entry}", f"the energy pipeline reads the start's H = "
+                          f"{energy:.6g} to {_PIPELINE_ROUNDING:g} u H of rounding (u = 2^-53), "
+                          f"within its {_PIPELINE_TOL:g} for H <= {_MAX_PIPELINE_ENERGY:.6g} only")
 
 
 def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
-    """Jacobi checks of the three shipped brackets, conservation along the
-    free flow from the configured start to t = 1, the energy pipeline, the
-    dual-path dynamics and the momentum isomorphism."""
+    """Jacobi checks of the three shipped brackets, the bracket's field and
+    the energy pipeline along the exact motion from the configured start to
+    t = 1, the dual-path dynamics and the momentum isomorphism."""
     epsilon = p["epsilon"]
     push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
-    # conservation along the flow, against the closed-form solution (t = 1)
-    traj, diag = _certificate_flow(p)
+    mats, omega = _exact_motion(p, _CERT_TIMES)
     dual = dual_path_deviation(epsilon, n_points, seed + 3)
+    pipeline = energy_pipeline_deviation(real8_from_matrix(mats), epsilon)
     return [
         jacobi_check("jacobi_group", sl2c_bivector(epsilon), n_points, seed),
         jacobi_check("jacobi_momentum", momentum_bivector(epsilon), n_points, seed + 1),
         jacobi_check("jacobi_linear", linear_momentum_bivector(), n_points, seed + 2),
-        threshold_check("flow_det_drift", diag["det_residual"], 1e-8),
-        threshold_check("flow_momentum_drift", diag["b_factor_drift"], 1e-6),
-        threshold_check("flow_body_velocity", diag["omega_deviation"], 1e-5),
-        threshold_check("flow_closed_form_endpoint", diag["endpoint_deviation"], 1e-7),
-        threshold_check("energy_pipeline", energy_pipeline_deviation(traj, epsilon), 1e-6),
+        threshold_check("flow_field_residual", _field_residual(epsilon, mats, omega), _FIELD_TOL),
+        threshold_check("energy_pipeline", pipeline, _PIPELINE_TOL),
         threshold_check("dual_path_dynamics", dual, 1e-6),
         threshold_check("isomorphism_pushforward", push, 1e-5),
         threshold_check("isomorphism_casimir", cas, 1e-12),
@@ -937,14 +926,14 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
 
 
 def _sweep_row(p: Params) -> dict:
-    """The classical-limit gap and the certificate flow's diagnostics."""
+    """The classical-limit gap, and the determinant and field residuals of
+    the certificate's motion, in the certificate's domain."""
     _certificate_check(p, "params.epsilon")
-    _, diag = _certificate_flow(p)
+    mats, omega = _exact_motion(p, _CERT_TIMES)
     return {
         "classical_limit_dev": classical_limit_deviation(p["epsilon"]),
-        "det_residual": diag["det_residual"],
-        "b_factor_drift": diag["b_factor_drift"],
-        "endpoint_deviation": diag["endpoint_deviation"],
+        "det_residual": float(np.abs(_det(mats) - 1.0).max()),
+        "field_residual": _field_residual(p["epsilon"], mats, omega),
     }
 
 

@@ -105,7 +105,7 @@ def test_criterion_04_energy_relations_and_pipeline(reference_flow):
         for kwargs in ({"trace": er.trace}, {"radius2": er.radius2}):
             assert abs(energy_relations(EPS, **kwargs).classical - h0) < 1e-12
 
-    assert energy_pipeline_deviation(reference_flow, EPS) < 1e-6
+    assert energy_pipeline_deviation(reference_flow.points, EPS) < 1e-6
 
 
 def test_criterion_05_momentum_isomorphism():

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
-from poismech.flow import StepControl
 from poismech.model import CERT_POINTS, INT, LOG_SQRT_DBL_MAX, ArtifactData
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
@@ -722,25 +721,28 @@ def test_su2_run_that_cannot_finish_is_config_error(tmp_path, capsys, params):
 
 
 def test_su2_sweep_row_reads_the_certificate_flow(tmp_path):
-    """An su2 sweep row reads the certificate's integrated flow to t = 1,
-    whatever the config's t_end and step: its drift and endpoint columns are
-    the certificate's flow checks at that epsilon.  A row past the
-    certificate flow's bounds (rho 180 turns it 3.24 radians between
-    samples) reads failed:ConfigError, and the other rows are still written."""
+    """An su2 sweep row reads the certificate's exact motion to t = 1,
+    whatever the config's t_end and step: its field_residual column is the
+    certificate's flow_field_residual at that epsilon, and its det_residual
+    that motion's.  A row past the certificate's energy bound (rho 1e5, H
+    5e9) reads failed:ConfigError, and the other rows are still written."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "t_end": 0.02},
                                "outputs": []})
     out = tmp_path / "sweep"
     assert main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.2,-0.7", "--out", str(out),
                  "--format", "json"]) == 0
     table = json.loads((out / "sweep.json").read_text())
+    assert table["columns"] == ["epsilon", "classical_limit_dev", "det_residual", "field_residual",
+                                "status"]
     for row in table["rows"]:
         checks = {c.name: c.value for c in cli.su2_certificate(row[0], 0, 1)}
         got = dict(zip(table["columns"], row))
-        assert [got["det_residual"], got["b_factor_drift"], got["endpoint_deviation"]] == [
-            checks["flow_det_drift"], checks["flow_momentum_drift"], checks["flow_closed_form_endpoint"]]
-    assert main(["sweep", str(cfg), "--param", "rho", "--values", "1.4,180", "--out", str(out)]) == 1
+        assert got["field_residual"] == checks["flow_field_residual"]
+        mats, _ = su2._exact_motion({**cli._DEFAULTS["su2"], "epsilon": row[0]}, su2._CERT_TIMES)
+        assert got["det_residual"] == float(np.max(np.abs(su2._det(mats) - 1.0)))
+    assert main(["sweep", str(cfg), "--param", "rho", "--values", "1.4,180,1e5", "--out", str(out)]) == 1
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
-    assert [r[-1] for r in rows] == ["ok", "failed:ConfigError"]
+    assert [r[-1] for r in rows] == ["ok", "ok", "failed:ConfigError"]
 
 
 def test_sweep_runs_in_process_only(tmp_path):
@@ -761,14 +763,6 @@ def test_certify_reports_and_passes(capsys):
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
     assert "jacobi_shifted" in out
-
-
-def test_certify_su2_at_epsilon_5_passes_the_body_velocity(capsys):
-    """The central difference over the samples FAILed the correct flow here
-    (1.1e-5); the group logarithm of consecutive samples reads it to 4e-10."""
-    main(["certify", "su2", "--epsilon", "5", "--points", "2"])
-    lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("PASS") and "flow_body_velocity" in line for line in lines)
 
 
 def test_certify_writes_artifact_when_asked(tmp_path):
@@ -1348,40 +1342,27 @@ def test_kappa_horizon_keeps_the_projection_moment_finite(tmp_path, epsilon):
 @pytest.mark.parametrize("field, value", [("epsilon", 1.0e10), ("rho", 1000.0)])
 def test_su2_first_step_past_one_radian_is_config_error(tmp_path, capsys, field, value):
     """With the other defaults these starts failed at t = 0 when the run
-    integrated (the first step's stages overflowed).  The run now reads the
-    exact motion and finishes; the certificate, whose flow still integrates,
-    names params.epsilon and exits 2, writing nothing (at epsilon 1e10 the
-    momentum isomorphism's bound comes first)."""
+    integrated (the first step's stages overflowed), and the certificate's
+    integrated flow refused them.  The run and the certificate now read the
+    exact motion: the trajectory finishes at both, and at rho 1000 the
+    certificate PASSes, while at epsilon 1e10 it is past the momentum
+    isomorphism's bound, names params.epsilon and exits 2, writing
+    nothing."""
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, field: value},
                                "outputs": ["certificate"]})
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().out.startswith("config error: params.epsilon:")
-    assert not out.exists()
+    if field == "epsilon":
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("config error: params.epsilon: the momentum isomorphism")
+        assert not out.exists()
+    else:
+        assert main(["run", str(cfg), "--out", str(tmp_path / "cert")]) == 0
+        assert "certificates: PASS" in capsys.readouterr().out
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, field: value},
                                "outputs": ["trajectory"]})
     assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
     rows = np.array(json.loads((out / "trajectory.json").read_text())["rows"], dtype=float)
     assert np.all(np.isfinite(rows))
-
-
-def test_su2_certificate_flow_past_one_radian_is_config_error(tmp_path, capsys):
-    """The run's step 1e-6 is no bound on the certificate's flow, which
-    samples at its own spacing, at its floor 1e-3 from rho 180 at epsilon
-    0.2: a turn of 3.24 radians between samples, where its body velocity
-    read aliases (the certificate integrated for seconds and FAILed with a
-    body velocity 2 pi 1000 off).  It names params.epsilon, the field run
-    passes to the certificate check, and exits 2 before any integration."""
-    params = {"epsilon": 0.2, "rho": 180.0, "n_re": 0.0, "n_im": 0.0, "t_end": 1e-3, "step": 1e-6}
-    cfg = write_cfg(tmp_path, {"model": "su2", "params": params, "outputs": ["certificate"]})
-    out = tmp_path / "out"
-    start = time.perf_counter()
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert time.perf_counter() - start < 0.5
-    text = capsys.readouterr().out
-    assert text.startswith("config error: params.epsilon: the certificate's flow turns the state by up to")
-    assert "3.24" in text
-    assert not out.exists()
 
 
 def _largest_certified(params, field, guess):
@@ -1406,46 +1387,22 @@ def _su2_energy(p):
     return float(su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
 
 
-# the certificate's sample spacing is at its floor 1e-3 there, so the turn
-# bound is |epsilon| H = 1000; epsilon reaches it from rho 10 (H = 50.07),
-# before the momentum isomorphism's bound 170.8
-_SU2_RHO_10 = {**cli._DEFAULTS["su2"], "rho": 10.0, "epsilon": 0.2}
-
-
-@pytest.mark.parametrize("field, guess", [
-    ("epsilon", 1.0 / (1e-3 * _su2_energy(_SU2_RHO_10))),
-    ("rho", 100.0),
-    ("n_im", 100.0),
-])
-def test_su2_turn_bound_is_one_radian_and_names_the_factor(field, guess):
-    """The certificate's flow turns by at most one radian between samples:
-    at the largest value of each factor its check accepts, spacing *
-    |epsilon| * H(start) is 1 to rounding, and one float past it is a config
-    error naming the field the check is given."""
-    params = _SU2_RHO_10 if field == "epsilon" else {**cli._DEFAULTS["su2"], "epsilon": 0.2}
+@pytest.mark.parametrize("field, guess", [("rho", 1e4), ("n_im", 1e4)])
+def test_su2_energy_bound_holds_at_its_edge_and_names_the_start_field(field, guess):
+    """The energy pipeline holds its 1e-6 to rounding for H <= 1e-6 /
+    (168 u): at the largest rho, and the largest n_im, that the
+    certificate's check accepts, H meets that bound and the genuine
+    certificate PASSes every check; one float past, the check is a config
+    error naming the start field that drives H, as su2's run check names
+    it."""
+    params = {**cli._DEFAULTS["su2"], "epsilon": 0.2}
     value = _largest_certified(params, field, guess)
     p = {**params, field: value}
-    energy = _su2_energy(p)
-    turn = su2._certificate_step(p["epsilon"], energy) * abs(p["epsilon"]) * energy
-    assert turn == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ConfigError, match="turns the state") as exc:
+    assert _su2_energy(p) == pytest.approx(1e-6 / (168 * 2.0**-53), rel=1e-12)
+    assert all(c.passed for c in su2.MODEL.certificate(p, 0, 2))
+    with pytest.raises(ConfigError, match="energy pipeline") as exc:
         su2._certificate_check({**params, field: math.nextafter(value, math.inf)}, "params.epsilon")
-    assert exc.value.path == "params.epsilon"
-
-
-def test_su2_run_at_the_turn_bound_finishes():
-    """At one radian between samples, the certificate's flow at its spacing
-    and tol keeps the determinant on the slice and reads the body velocity
-    within the certificate's threshold, for both signs."""
-    bound = _largest_certified(_SU2_RHO_10, "epsilon", 20.0)
-    start = su2._start(10.0, 0.3, 0.2)
-    for epsilon in (bound, -bound):
-        spacing = su2._certificate_step(epsilon, _su2_energy(_SU2_RHO_10))
-        traj, _ = su2.free_flow(start, epsilon, 0.05, StepControl(h=spacing, tol=su2._CERT_TOL))
-        assert traj.times.size == 51
-        diag = su2.flow_diagnostics(traj, epsilon)
-        assert diag["det_residual"] < 1e-8
-        assert diag["omega_deviation"] < 1e-5
+    assert exc.value.path == f"params.{field}"
 
 
 @pytest.mark.parametrize("field, past", [
@@ -1471,53 +1428,9 @@ def test_su2_start_past_the_finite_range_is_config_error(tmp_path, capsys, field
     assert not out.exists()
 
 
-def test_su2_start_past_the_tolerance_is_config_error(tmp_path, capsys):
-    """rho 1e50 at a turn of 0.95 exited 1 with a step size underflow at
-    t = 0 when the run integrated: one rounding of its entries, about 1e34,
-    is far above tol.  The run now reads the exact motion and finishes; the
-    certificate's flow still integrates, and its check names params.epsilon
-    and exits 2, writing nothing."""
-    params = {"rho": 1.0e50, "epsilon": 1.9e-97, "t_end": 0.01}
-    cfg = write_cfg(tmp_path, {"model": "su2", "params": params, "outputs": ["certificate"]})
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    text = capsys.readouterr().out
-    assert text.startswith("config error: params.epsilon: a step of the certificate's flow")
-    assert not out.exists()
-    cfg = write_cfg(tmp_path, {"model": "su2", "params": params, "outputs": ["trajectory"]})
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
-
-
-def _rounding(p):
-    """spacing |epsilon| H u S of su2's certificate flow, as its check forms it."""
-    s = max(p["rho"], 1.0 / p["rho"], abs(p["n_re"]), abs(p["n_im"]))
-    energy = _su2_energy(p)
-    return su2._certificate_step(p["epsilon"], energy) * abs(p["epsilon"]) * energy * 2.0**-53 * s
-
-
-def test_su2_certificate_rounding_bound_runs_at_the_bound():
-    """spacing |epsilon| H u S <= tol = 1e-8 for the certificate's flow: at
-    the largest rho its check accepts at epsilon 1e-20 (where the spacing is
-    0.05 and the turn about 1/80) the rounding meets tol to rounding, one
-    float past is a config error, and the flow at the bound finishes on the
-    slice."""
-    params = {**cli._DEFAULTS["su2"], "epsilon": 1e-20}
-    rho = _largest_certified(params, "rho", 7e9)
-    p = {**params, "rho": rho}
-    assert _rounding(p) == pytest.approx(su2._CERT_TOL, rel=1e-12)
-    with pytest.raises(ConfigError, match="rounding"):
-        su2._certificate_check({**params, "rho": math.nextafter(rho, math.inf)}, "params.epsilon")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        traj, diag = su2._certificate_flow(p)
-    assert not caught, [str(w.message) for w in caught]
-    assert traj.times[-1] == 1.0
-    assert diag["det_residual"] < 1e-8
-
-
 def test_su2_tolerance_is_not_a_parameter(tmp_path, capsys):
-    """The run reads the exact motion and the certificate's flow fixes its
-    tol, so su2 has no tol: a config that sets it exits 2 naming params.tol."""
+    """The run and the certificate read the exact motion, so su2 has no
+    tol: a config that sets it exits 2 naming params.tol."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "tol": 1e-8},
                                "outputs": ["trajectory"]})
     out = tmp_path / "out"
@@ -1730,10 +1643,9 @@ def test_out_at_or_under_a_file_is_config_error_before_any_work(tmp_path, capsys
 
 
 def test_genuine_su2_certificate_runs_clean_with_warnings_as_errors(tmp_path, capsys):
-    """At rho 99 and eps 1e-3 the certificate flow's energy drift, 2.2e-7,
-    PASSes energy_pipeline's 1e-6; with every RuntimeWarning an error the
-    run exits 0 with every check PASS, and a sweep over rho has no failed
-    row: energy_pipeline is the one check of the energy along the flow."""
+    """At rho 99 and eps 1e-3 the energy pipeline reads the exact motion to
+    rounding, within 168 u H; with every RuntimeWarning an error the run
+    exits 0 with every check PASS, and a sweep over rho has no failed row."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 1e-3, "rho": 99.0},
                                "outputs": ["certificate"]})
     with warnings.catch_warnings():
@@ -1745,14 +1657,15 @@ def test_genuine_su2_certificate_runs_clean_with_warnings_as_errors(tmp_path, ca
     cert = json.loads((tmp_path / "run" / "certificate.json").read_text())
     assert cert["columns"][:4] == ["check", "value", "threshold", "status"]
     rows = {r[0]: r for r in cert["rows"]}
-    assert len(rows) == 11 and all(r[3] == "pass" for r in rows.values())
-    assert 1e-7 < rows["energy_pipeline"][1] < rows["energy_pipeline"][2]
+    assert len(rows) == 8 and all(r[3] == "pass" for r in rows.values())
+    energy = _su2_energy({"rho": 99.0, "n_re": 0.3, "n_im": 0.2})
+    assert rows["energy_pipeline"][1] <= 168 * 2.0**-53 * energy
     sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert sweep["columns"][-1] == "status" and [r[-1] for r in sweep["rows"]] == ["ok", "ok"]
 
 
 # the default start's trace energy, and the least |epsilon| its pipeline reads
-_SU2_START_H = su2.free_energy(su2._start(1.4, 0.3, 0.2).matrix)
+_SU2_START_H = su2.free_energy(su2.SB2Element(1.4, 0.3 + 0.2j).matrix)
 _SU2_LEAST_EPS = su2._least_epsilon(_SU2_START_H)
 
 
@@ -1778,7 +1691,7 @@ def test_su2_certificate_passes_just_inside_the_energy_pipeline_bound(start):
     """At the least |epsilon| (2^-537 for a unitary start, where H - 1 = 0)
     and one float below it, the certificate PASSes and refuses."""
     params = {**cli._DEFAULTS["su2"], **dict(zip(("rho", "n_re", "n_im"), start))}
-    least = su2._least_epsilon(su2.free_energy(su2._start(*start).matrix))
+    least = su2._least_epsilon(su2.free_energy(su2.SB2Element(start[0], complex(*start[1:])).matrix))
     for epsilon in (least, -least):
         checks = su2.MODEL.certificate({**params, "epsilon": epsilon}, 0, 2)
         assert all(c.passed for c in checks), epsilon

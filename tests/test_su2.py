@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from poismech import bracket
-from poismech.bracket import (BivectorSpec, hamiltonian_vector_field, jacobi_certificate,
-                              pushforward_bivector)
+from poismech.bracket import (BivectorSpec, ScalarField, hamiltonian_vector_field,
+                              jacobi_certificate, pushforward_bivector)
 from poismech.errors import ConfigError, ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
 from poismech import cli, flow, su2
@@ -325,16 +325,30 @@ def _run_params(**kw):
     return cli.validate_config({"model": "su2", "params": {"epsilon": 0.2, **kw}}).params
 
 
+def _refuse_integration(monkeypatch):
+    """Make every su2 path into the integrator raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a flow")
+
+    monkeypatch.setattr(su2, "free_flow", refuse)
+    monkeypatch.setattr(su2, "integrate_flow", refuse)
+
+
 def test_run_integrates_nothing(monkeypatch):
-    """The run reads the exact motion: a trajectory makes no integrate_flow
-    call, while the certificate's flow still makes one."""
-    calls = []
-    monkeypatch.setattr(su2, "integrate_flow", lambda *args, **kwargs: calls.append(args))
+    """The run reads the exact motion: a trajectory reaches neither
+    free_flow nor integrate_flow."""
+    _refuse_integration(monkeypatch)
     su2.MODEL.artifacts["trajectory"](_run_params())
-    assert calls == []
-    with pytest.raises(AttributeError):  # the stub returns no trajectory
-        su2.MODEL.certificate(_run_params(), 0, 1)
-    assert len(calls) == 1
+
+
+def test_certificate_and_sweep_row_integrate_nothing(monkeypatch):
+    """The certificate and the sweep row read the exact motion too: with
+    free_flow and integrate_flow raising, both finish and every check
+    PASSes."""
+    _refuse_integration(monkeypatch)
+    assert all(c.passed for c in su2.MODEL.certificate(_run_params(), 0, 1))
+    assert su2.MODEL.sweep_row(_run_params()).keys() == {"classical_limit_dev", "det_residual",
+                                                          "field_residual"}
 
 
 @pytest.mark.parametrize("epsilon, t_end", [(0.2, 1.0), (-0.7, 1.0), (3.0, 1.0), (0.0, 1.0)])
@@ -403,6 +417,84 @@ def test_field_terms_bound_holds_for_the_coefficients():
     of the bracket's coefficient matrix."""
     c = np.max(np.sum(np.abs(su2._sl2c_coefficients()), axis=1))
     assert c == 5.0 and su2._FIELD_TERMS == 8 * c + 2
+
+
+def _cert_params(epsilon=0.2, **start):
+    return {**cli._DEFAULTS["su2"], "epsilon": epsilon, **start}
+
+
+def _plus_wedges(c):
+    """sl2c_bivector plus c (x_0 d_0 ^ d_1 + d_2 ^ d_0), which is not Poisson."""
+    def witness(eps):
+        biv = sl2c_bivector(eps)
+
+        def dense(x):
+            w = np.zeros(x.shape[:-1] + (8, 8), dtype=x.dtype)
+            w[..., 0, 1], w[..., 1, 0] = x[..., 0], -x[..., 0]
+            w[..., 2, 0], w[..., 0, 2] = 1.0, -1.0
+            return biv.matrix(x) + c * w
+        return BivectorSpec(8, biv.coord_names, dense=dense)
+    return witness
+
+
+def _energy_plus_x0_squared(c):
+    """The trace energy plus c x_0^2 / 2."""
+    genuine, e0 = free_hamiltonian_field(), np.eye(8)[0]
+    return lambda: ScalarField(fn=lambda x: genuine.fn(x) + 0.5 * c * x[0] ** 2,
+                               grad=lambda x: genuine.gradient(x) + c * x[..., :1] * e0)
+
+
+# name -> (the su2 name it replaces, its stand-in, its relative size)
+_WITNESSES = {
+    "bracket_at_eps_1e-7_off": ("sl2c_bivector", lambda eps: sl2c_bivector(eps * (1 + 1e-7)), 1e-7),
+    "bracket_at_eps_1e-4_off": ("sl2c_bivector", lambda eps: sl2c_bivector(eps * (1 + 1e-4)), 1e-4),
+    "bracket_at_minus_eps": ("sl2c_bivector", lambda eps: sl2c_bivector(-eps), 1.0),
+    "bracket_plus_1e-3_wedges": ("sl2c_bivector", _plus_wedges(1e-3), 1e-3),
+    "bracket_plus_1e-6_wedges": ("sl2c_bivector", _plus_wedges(1e-6), 1e-6),
+    "energy_plus_1e-4_x0_squared": ("free_hamiltonian_field", _energy_plus_x0_squared(1e-4), 1e-4),
+}
+
+
+@pytest.mark.parametrize("rho", [1.4, 20.0, 99.0])
+@pytest.mark.parametrize("witness", sorted(_WITNESSES))
+def test_field_residual_fails_every_witness_through_the_certificate(monkeypatch, witness, rho):
+    """The certificate's flow_field_residual PASSes the genuine bracket and
+    energy, at rounding, and FAILs each witness by orders of magnitude: the
+    bracket at eps (1 + 1e-7), at eps (1 + 1e-4) and at -eps, the bracket
+    plus c (x_0 d_0 ^ d_1 + d_2 ^ d_0) at c 1e-3 and 1e-6, and the energy
+    plus 1e-4 x_0^2 / 2, from rho 1.4, 20 and 99 at epsilon 0.2.  Each
+    reads at least a hundredth of its own relative size."""
+    p = _cert_params(rho=rho)
+    genuine = {c.name: c for c in su2.MODEL.certificate(p, 0, 1)}["flow_field_residual"]
+    assert genuine.passed and genuine.value <= 8 * _U
+    name, stand_in, size = _WITNESSES[witness]
+    monkeypatch.setattr(su2, name, stand_in)
+    check = {c.name: c for c in su2.MODEL.certificate(p, 0, 1)}["flow_field_residual"]
+    assert not check.passed and check.value >= size / 100
+
+
+@pytest.mark.parametrize("epsilon, rho", [(0.2, 20.0), (0.2, 30.0), (0.2, 50.0), (0.2, 99.0),
+                                          (1e-3, 99.0)])
+def test_certificate_passes_far_from_the_identity(epsilon, rho):
+    """From rho 30 on the integrated certificate flow FAILed its absolute
+    endpoint rule on the genuine bracket (2.1e-7 at rho 30, 5.5e-6 at rho
+    99, against 1e-7).  On the exact motion every check PASSes."""
+    checks = su2.MODEL.certificate(cli.validate_config(
+        {"model": "su2", "params": {"epsilon": epsilon, "rho": rho}, "outputs": ["certificate"]}).params,
+        0, CERT_POINTS)
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0, -3.0])
+def test_certificate_passes_at_the_default_start(epsilon):
+    """certify su2 PASSes every check at epsilon 0, +-0.3 and +-3, with
+    eight checks: three Jacobi, the field residual, the energy pipeline,
+    the dual-path dynamics and the momentum isomorphism's two."""
+    checks = cli.su2_certificate(epsilon, 0, CERT_POINTS)
+    assert [c.name for c in checks] == [
+        "jacobi_group", "jacobi_momentum", "jacobi_linear", "flow_field_residual", "energy_pipeline",
+        "dual_path_dynamics", "isomorphism_pushforward", "isomorphism_casimir"]
+    assert all(c.passed for c in checks)
 
 
 def _largest_valid(make, guess):
@@ -562,58 +654,43 @@ def test_body_velocity_deviation_reads_every_entry(direction):
     assert diag["omega_deviation"] == pytest.approx(1e-3, rel=1e-9)
 
 
-# the certificate's default start and its energy
-CERT_START = su2._start(*(su2.PARAMS[k].default for k in ("rho", "n_re", "n_im")))
-CERT_H = free_energy(CERT_START.matrix)
-
-
 @pytest.mark.parametrize("epsilon", [-0.7, 0.2, 0.3])
 def test_body_velocity_fails_a_flow_at_the_wrong_speed(epsilon):
     """A flow integrated at eps (1 + 1e-4) and diagnosed at eps turns 1e-4
-    too fast; the body velocity sees that at the certificate's step and at
-    1e-3 alike, above the certificate's threshold."""
-    threshold = next(c.threshold for c in cli.su2_certificate(epsilon, 0, 1)
-                     if c.name == "flow_body_velocity")
-    for h in (su2._certificate_step(epsilon, CERT_H), 1e-3):
-        traj, _ = free_flow(CERT_START, epsilon * (1 + 1e-4), 1.0, StepControl(h=h, tol=1e-8))
-        assert flow_diagnostics(traj, epsilon)["omega_deviation"] > threshold, h
-
-
-def _certificate_checks(epsilon):
-    """The su2 certificate's checks at its defaults and seed 0, one point, by name."""
-    return {c.name: c for c in cli.su2_certificate(epsilon, 0, 1)}
+    too fast; the body velocity sees that at spacing 0.05 and 1e-3 alike,
+    above 1e-5."""
+    for h in (0.05, 1e-3):
+        traj, _ = free_flow(G0, epsilon * (1 + 1e-4), 1.0, StepControl(h=h, tol=1e-8))
+        assert flow_diagnostics(traj, epsilon)["omega_deviation"] > 1e-5, h
 
 
 @pytest.mark.parametrize("epsilon", [-0.7, 0.2, 0.3])
-def test_closed_form_endpoint_fails_a_flow_at_the_wrong_speed(monkeypatch, epsilon):
-    """The certificate's t = 1 flow integrated at eps (1 + 1e-4) and
-    diagnosed at eps ends about 1e-4 theta |B| away from the closed form,
-    and flow_closed_form_endpoint FAILs it; the genuine flow PASSes."""
-    assert _certificate_checks(epsilon)["flow_closed_form_endpoint"].passed
-    monkeypatch.setattr(su2, "free_flow", lambda g0, eps, t_end, step:
-                        free_flow(g0, eps * (1 + 1e-4), t_end, step))
-    assert not _certificate_checks(epsilon)["flow_closed_form_endpoint"].passed
+def test_closed_form_endpoint_fails_a_flow_at_the_wrong_speed(epsilon):
+    """A t = 1 flow integrated at eps (1 + 1e-4) and diagnosed at eps ends
+    about 1e-4 theta |B| away from the closed form, above 1e-7; the genuine
+    flow ends within it."""
+    def endpoint(eps):
+        traj, _ = free_flow(G0, eps, 1.0, StepControl(h=0.05, tol=1e-8))
+        return flow_diagnostics(traj, epsilon)["endpoint_deviation"]
+
+    assert endpoint(epsilon) <= 1e-7 < endpoint(epsilon * (1 + 1e-4))
 
 
 @pytest.mark.parametrize("epsilon", [-0.7, 0.2, 0.3])
-def test_momentum_drift_fails_a_flow_whose_triangular_factor_moves(monkeypatch, epsilon):
+def test_momentum_drift_fails_a_flow_whose_triangular_factor_moves(epsilon):
     """Right-multiplying every sample after the first by the unit-determinant
     diag(1 + 1e-5, 1 / (1 + 1e-5)) scales the triangular factor's rho by
-    1 + 1e-5 and leaves the unitary factor alone: flow_momentum_drift FAILs,
-    while flow_det_drift and flow_body_velocity still PASS.  The genuine flow
-    PASSes all three."""
-    names = ("flow_momentum_drift", "flow_det_drift", "flow_body_velocity")
-    assert all(_certificate_checks(epsilon)[name].passed for name in names)
-
-    def drifting(g0, eps, t_end, step):
-        traj, n_renorm = free_flow(g0, eps, t_end, step)
-        mats = matrix_from_real8(traj.points)
-        mats[1:] = mats[1:] @ np.diag([1 + 1e-5, 1 / (1 + 1e-5)])
-        return Trajectory(traj.times, real8_from_matrix(mats)), n_renorm
-
-    monkeypatch.setattr(su2, "free_flow", drifting)
-    checks = _certificate_checks(epsilon)
-    assert [checks[name].passed for name in names] == [False, True, True]
+    1 + 1e-5 and leaves the unitary factor alone: the B factor drifts past
+    1e-6, while the determinant stays within 1e-8 and the body velocity
+    within 1e-5.  The genuine flow keeps all three."""
+    traj, _ = free_flow(G0, epsilon, 1.0, StepControl(h=0.05, tol=1e-8))
+    mats = matrix_from_real8(traj.points)
+    mats[1:] = mats[1:] @ np.diag([1 + 1e-5, 1 / (1 + 1e-5)])
+    drifting = Trajectory(traj.times, real8_from_matrix(mats))
+    within = (("b_factor_drift", 1e-6), ("det_residual", 1e-8), ("omega_deviation", 1e-5))
+    for t, passes in ((traj, [True, True, True]), (drifting, [False, True, True])):
+        diag = flow_diagnostics(t, epsilon)
+        assert [diag[key] <= bound for key, bound in within] == passes
 
 
 @pytest.mark.parametrize("n_samples", [0, 1])
@@ -653,45 +730,6 @@ def test_iwasawa_rejects_a_column_norm_past_the_floats(column):
             iwasawa(stack)
 
 
-def _certificate_steps(monkeypatch, epsilon):
-    """Sample intervals of the certificate's flow, one per sample spacing,
-    and its checks."""
-    steps = []
-
-    def counting(*args, **kwargs):
-        traj, n_renorm = free_flow(*args, **kwargs)
-        steps.append(len(traj.times) - 1)
-        return traj, n_renorm
-
-    monkeypatch.setattr(su2, "free_flow", counting)
-    checks = cli.su2_certificate(epsilon, 0, 1)
-    (n_steps,) = steps
-    return n_steps, {c.name: c for c in checks}
-
-
-@pytest.mark.parametrize("epsilon", [0.1, 0.15, 0.2, 0.25, 0.3, -0.2])
-def test_certificate_flow_takes_its_step_from_the_turn(monkeypatch, epsilon):
-    """At |eps| in [0.1, 0.3] the certificate's flow to t = 1 turns by at
-    most 1/80 radian per sample interval and stores at most 40 of them, and
-    every flow check PASSes."""
-    n_steps, checks = _certificate_steps(monkeypatch, epsilon)
-    assert 20 <= n_steps <= 40
-    assert abs(epsilon) * CERT_H * su2._certificate_step(epsilon, CERT_H) <= 1 / 80
-    assert all(c.passed for name, c in checks.items() if name.startswith("flow_"))
-
-
-@pytest.mark.parametrize("epsilon", [0.0, 5.0, 10.0, 40.0])
-def test_certificate_step_is_between_its_bounds(monkeypatch, epsilon):
-    """The sample spacing is 0.05 where the flow stands still and never
-    below 1e-3, so the flow stores at most 1001 samples; the body velocity
-    PASSes the correct flow at eps 5, 10 and 40."""
-    h = su2._certificate_step(epsilon, CERT_H)
-    assert h == (0.05 if epsilon == 0.0 else max(1e-3, 1 / 80 / (epsilon * CERT_H)))
-    n_steps, checks = _certificate_steps(monkeypatch, epsilon)
-    assert n_steps <= 1000
-    assert checks["flow_body_velocity"].passed
-
-
 def test_shrunk_steps_store_exactly_the_grid(monkeypatch):
     """rho 99 at epsilon 0.2 turns by 0.98 radian per sample spacing, and
     its starting step is too long for tol: the control rejects it and takes
@@ -718,9 +756,8 @@ def test_shrunk_steps_store_exactly_the_grid(monkeypatch):
 
 def test_free_flow_at_the_defaults_takes_at_most_two_steps(monkeypatch):
     """The first trial step comes from tol, not from the sample spacing: at
-    the default start and step, the certificate's tol and epsilon 0.2, the
-    flow to t_end 0.05
-    takes at most 2 Dormand-Prince attempts (4 when it started from the
+    the default start and step, tol 1e-8 and epsilon 0.2, the flow to t_end
+    0.05 takes at most 2 Dormand-Prince attempts (4 when it started from the
     spacing 1e-3 and grew fivefold a step)."""
     attempts = []
     dp_step = flow._dp_step
@@ -731,51 +768,9 @@ def test_free_flow_at_the_defaults_takes_at_most_two_steps(monkeypatch):
 
     monkeypatch.setattr(flow, "_dp_step", spy)
     p = {name: param.default for name, param in su2.PARAMS.items()}
-    traj, _ = free_flow(su2._start(p["rho"], p["n_re"], p["n_im"]), 0.2, 0.05,
-                        StepControl(h=p["step"], tol=su2._CERT_TOL))
+    traj, _ = free_flow(G0, 0.2, 0.05, StepControl(h=p["step"], tol=1e-8))
     assert traj.times.size == 51
     assert len(attempts) <= 2
-
-
-class _FirstAttempt(Exception):
-    """Raised by a spy to stop a flow after its first Dormand-Prince attempt."""
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.floats(-3.0, 3.0), st.floats(-3.0, 2.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-       st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0), st.booleans())
-def test_first_trial_step_turns_the_state_within_the_stated_bound(
-        log_rho, log_spread, n_re, n_im, log_eps, sign, turn_per_sample, tol_per_entry):
-    """Over starts drawn in the ranges of the comment above su2._MAX_TURN, at
-    a turn of at most one radian per sample spacing (su2._certificate_check's
-    bound) over 100 samples and at tol 1e-8 or 0.01 S, the first trial step
-    turns the state by at most 1.01 theta min(t_end, |y0| / |f0|), which is
-    at most 1.01 sqrt(8) radians, and its stage states stay within 1.5 S, S
-    the start's largest entry."""
-    rho, spread, epsilon = math.exp(log_rho), math.exp(log_spread), sign * math.exp(log_eps)
-    b = SB2Element(rho, complex(spread * n_re, spread * n_im))
-    energy = float(free_energy(b.matrix))
-    entry = max(rho, 1.0 / rho, abs(b.n.real), abs(b.n.imag))
-    step = turn_per_sample / (abs(epsilon) * energy)
-    tol = 0.01 * entry if tol_per_entry else 1e-8
-    dp_step = flow._dp_step
-
-    def stop(rhs, y, h, k):
-        dp_step(rhs, y, h, k)
-        raise _FirstAttempt(y, h, k)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_dp_step", stop)
-        with pytest.raises(_FirstAttempt) as first:
-            free_flow(SL2CElement.from_matrix(b.matrix), epsilon, 100 * step, StepControl(h=step, tol=tol))
-    y0, h, k = first.value.args
-    theta = abs(epsilon) * math.sqrt(max(energy * energy - 1.0, 0.0))
-    # the identity start stands still: no velocity, no turn
-    cap = theta and theta * np.max(np.abs(y0)) / np.max(np.abs(k[0]))
-    assert cap <= math.sqrt(8.0) * (1 + 1e-12)
-    assert h * theta <= min(theta * 100 * step, 1.01 * cap) * (1 + 1e-12)
-    stages = [y0 + h * (row @ k[:len(row)]) for row in flow._STAGE_ROWS[1:]]
-    assert max(np.max(np.abs(y)) for y in stages) <= 1.5 * entry
 
 
 @pytest.mark.parametrize("defect", [2e-9, math.nan])
