@@ -1,7 +1,9 @@
 """Free motion on a compact group with a deformed momentum space.
 
 The configuration space is the unit-determinant complex 2x2 group carrying a
-multiplicative Poisson structure with deformation strength ``epsilon``.  Points
+multiplicative Poisson structure with deformation strength ``epsilon``: the
+Heisenberg double ``-(epsilon / 2) (r^L + r^R)`` of the Iwasawa Manin triple
+sl(2, C) = su(2) + sb(2), whose ``r`` pairs su(2) with its dual in sb(2).  Points
 factor as ``A = u * B`` with ``u`` special unitary and ``B`` upper triangular
 with positive diagonal; the ``B`` part plays the role of momentum.  Everything
 here works in the real chart obtained by splitting the four entries into real
@@ -193,103 +195,55 @@ def iwasawa(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 # the multiplicative bracket in the real chart
 
-# Holomorphic brackets {z_k, z_l} / (i*eps) for letters (a, b, c, d) -> 0..3,
-# and mixed brackets {z_k, conj(z_l)} / (i*eps).  Everything else follows by
-# antisymmetry and by {conj f, conj g} = conj {f, g}.
-
-
-def _uv_tables(a, b, c, d):
-    ac, bc_, cc, dc = np.conj(a), np.conj(b), np.conj(c), np.conj(d)
-    u = {
-        (0, 1): -a * b,
-        (0, 2): a * c,
-        (0, 3): 0.0,
-        (1, 2): 2.0 * a * d,
-        (1, 3): b * d,
-        (2, 3): -c * d,
-    }
-    v = {
-        (0, 0): -(abs(a) ** 2 + 2.0 * abs(c) ** 2),
-        (0, 1): -2.0 * c * dc,
-        (0, 2): 0.0,
-        (0, 3): a * dc,
-        (1, 0): -2.0 * cc * d,
-        (1, 1): -(abs(b) ** 2 + 2.0 * abs(a) ** 2 + 2.0 * abs(d) ** 2),
-        (1, 2): b * cc,
-        (1, 3): -2.0 * a * cc,
-        (2, 0): 0.0,
-        (2, 1): bc_ * c,
-        (2, 2): -(abs(c) ** 2),
-        (2, 3): 0.0,
-        (3, 0): ac * d,
-        (3, 1): -2.0 * ac * c,
-        (3, 2): 0.0,
-        (3, 3): -(abs(d) ** 2 + 2.0 * abs(c) ** 2),
-    }
-    return u, v
-
-
-def _real_blocks(u_kl, v_kl):
-    """Real brackets among (re_k, im_k, re_l, im_l) from complex ones.
-
-    ``u_kl = {z_k, z_l}`` and ``v_kl = {z_k, conj z_l}``; conjugates follow
-    from ``{conj f, conj g} = conj {f, g}``, which collapses the four real
-    components to combinations of just these two values.
-    """
-    rr = 0.5 * (u_kl.real + v_kl.real)
-    ri = 0.5 * (u_kl.imag - v_kl.imag)
-    ir = 0.5 * (u_kl.imag + v_kl.imag)
-    ii = 0.5 * (v_kl.real - u_kl.real)
-    return rr, ri, ir, ii
-
-
-def _unit_upper(x: np.ndarray) -> np.ndarray:
-    """Strict upper triangle of the real 8x8 bracket matrix at
-    ``epsilon = 1``, straight from the tables (zeros elsewhere)."""
-    a, b, c, d = (x[0::2] + 1j * x[1::2]).tolist()
-    u, v = _uv_tables(a, b, c, d)
-    p = np.zeros((8, 8))
-    for k in range(4):
-        # {re_k, im_k} = -(1/2) Im {z_k, conj z_k}
-        p[2 * k, 2 * k + 1] = -0.5 * (1j * v[(k, k)]).imag
-        for l in range(k + 1, 4):
-            rr, ri, ir, ii = _real_blocks(1j * u[(k, l)], 1j * v[(k, l)])
-            p[2 * k, 2 * l] = rr
-            p[2 * k, 2 * l + 1] = ri
-            p[2 * k + 1, 2 * l] = ir
-            p[2 * k + 1, 2 * l + 1] = ii
-    return p
+# The group chart carries the Heisenberg double of the Iwasawa Manin triple
+# sl(2, C) = su(2) + sb(2), paired by Im tr (Semenov-Tian-Shansky 1985;
+# Lu-Weinstein 1990): a basis of su(2), (iH, E12 - E21, i (E12 + E21)), and
+# its dual basis in sb(2), (H / 2, -i E12, E12), with Im tr(_SU2[i] _SB2[j])
+# = delta_ij and Im tr vanishing within each; r = sum_k _SU2[k] ^ _SB2[k].
+_SU2 = np.array([[[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+_SB2 = np.array([[[0.5, 0], [0, -0.5]], [[0, -1j], [0, 0]], [[0, 1], [0, 0]]])
 
 
 @functools.cache
 def _sl2c_coefficients() -> np.ndarray:
-    """Constant 64x64 matrix ``A`` with ``vec(P(x)) = eps * (A @ vec(x x^T))``.
+    """Constant 64x64 matrix ``A`` with ``vec(P(x)) = eps * (A @ vec(x x^T))``
+    for the bracket ``P = -(eps / 2) (r^L + r^R)`` of the Manin triple's
+    ``r = sum_k su2_k ^ sb2_k``.
 
-    ``P`` is homogeneous quadratic in ``x`` and linear in ``eps``, so the
-    strict upper triangle has the coefficients ``C``, the polarization
-    ``(U(e_p + e_q) - U(e_p - e_q)) / 4`` of the table formula ``U`` at
-    ``eps = 1``; the ``+/-`` pairing makes every coefficient an exact
-    multiple of 1/4.  ``A`` is ``C`` minus ``C`` with its two output indices
-    swapped, so ``P`` comes out exactly antisymmetric from one product.
+    The left field of ``X`` at ``g`` is ``g X`` and the right field ``X g``,
+    both linear in the chart point ``x``, so ``P`` is a quadratic form.  Its
+    coefficients, antisymmetric in the two output indices and symmetrized in
+    the two ``x`` indices, are exact multiples of 1/4, so ``P`` comes out
+    exactly antisymmetric from one product.
     """
-    eye = np.eye(8)
-    coeff = np.zeros((8, 8, 8, 8))
-    for p in range(8):
-        for q in range(8):
-            plus, minus = _unit_upper(eye[p] + eye[q]), _unit_upper(eye[p] - eye[q])
-            coeff[:, :, p, q] = 0.25 * (plus - minus)
-    coeff = (coeff - coeff.transpose(1, 0, 2, 3)).reshape(64, 64)
+    def times(a, b):
+        # 2x2 products as broadcast sums: a process's first complex matmul
+        # or einsum adds about 0.5 MB to its peak memory
+        return (a[..., :, :, None] * b[..., None, :, :]).sum(-2)
+
+    g = matrix_from_real8(np.eye(8))[:, None]  # the chart's unit vectors e_p
+    # su[p, k, i]: entry i of the k-th field at e_p, left fields then right
+    su = real8_from_matrix(np.concatenate([times(g, _SU2), times(_SU2, g)], axis=1))
+    sb = real8_from_matrix(np.concatenate([times(g, _SB2), times(_SB2, g)], axis=1))
+    # sum_pq x_p x_q r[p, q, i, j] = sum_k su_k^i(x) sb_k^j(x), half of r's wedge
+    r = (su[:, None, :, :, None] * sb[None, :, :, None, :]).sum(2)
+    minus_r = r.transpose(0, 1, 3, 2) - r
+    coeff = 0.25 * (minus_r + minus_r.transpose(1, 0, 2, 3))
+    # in C order, since the product's order of summation, and so the bits of
+    # P, follow the layout
+    coeff = np.ascontiguousarray(coeff.transpose(2, 3, 0, 1).reshape(64, 64))
     coeff.setflags(write=False)  # one cached array serves every bivector
     return coeff
 
 
 def sl2c_bivector(epsilon: float) -> BivectorSpec:
-    """Multiplicative bracket on the 8-dimensional real group chart.
+    """Multiplicative bracket on the 8-dimensional real group chart,
+    ``-(eps / 2) (r^L + r^R)`` of the Iwasawa Manin triple's ``r``.
 
     Satisfies the Jacobi identity identically on the ambient chart (not just
     on the unit-determinant slice), so certificates sampled from a box are
-    meaningful.  ``P(x)`` is one matrix-vector product per point with the
-    polarized, antisymmetrized coefficient matrix, so a point has the same
+    meaningful.  ``P(x)`` is one matrix-vector product per point with
+    :func:`_sl2c_coefficients`' quadratic form, so a point has the same
     bits alone as in a stack.  The coefficients carry the sign of ``eps``
     and the product is scaled by ``|eps|``, so the zeros of ``P`` are +0.0
     at either sign.
@@ -655,7 +609,7 @@ def sample_unimodular(n: int, seed: int) -> np.ndarray:
 
 def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
     """Worst gap between the two routes to the free dynamics at ``n_points``
-    seeded unimodular points: the bracket-table Hamiltonian vector field of
+    seeded unimodular points: the bracket's Hamiltonian vector field of
     the trace energy against the matrix form :func:`flow_rhs`.  A non-finite
     gap at any point makes the result non-finite."""
     mats = sample_unimodular(n_points, seed)
@@ -877,19 +831,25 @@ _PIPELINE_ROUNDING = 168.0
 _MAX_PIPELINE_ENERGY = _PIPELINE_TOL / (_PIPELINE_ROUNDING * 2.0**-53)
 
 
-def _certificate_check(p: Params, field: str) -> None:
-    """The certificate's domain: the momentum isomorphism's Casimir must not
-    overflow a float anywhere in the sampling cube, and the energy pipeline
-    must read the start's energy and hold it to its threshold.  The last
-    bound names the start field that drives the energy, as :func:`_check`
-    does; at ``epsilon = 0`` the motion stands still, and the pipeline reads
-    the energy exactly."""
-    epsilon = p["epsilon"]
+def _epsilon_check(epsilon: float, field: str) -> None:
+    """The momentum isomorphism's Casimir must not overflow a float anywhere
+    in the sampling cube.  Below this bound classical_limit_deviation's sinh
+    is finite too, so it is a sweep row's one bound."""
     exponent = abs(epsilon) * _CUBE * math.sqrt(3.0)  # |eps| r at the cube's corners
     if not exponent < LOG_SQRT_DBL_MAX:
         raise ConfigError(field, f"the momentum isomorphism overflows a float: |epsilon| r "
                           f"reaches {exponent:.6g} in the sampling cube, at or above "
                           f"log(DBL_MAX) / 2 = {LOG_SQRT_DBL_MAX:.6g}")
+
+
+def _certificate_check(p: Params, field: str) -> None:
+    """The certificate's domain: :func:`_epsilon_check`, and the energy
+    pipeline must read the start's energy and hold it to its threshold.  The
+    last bound names the start field that drives the energy, as
+    :func:`_check` does; at ``epsilon = 0`` the motion stands still, and the
+    pipeline reads the energy exactly."""
+    epsilon = p["epsilon"]
+    _epsilon_check(epsilon, field)
     if epsilon == 0.0:
         return
     energy, entry = _start_energy(p)
@@ -927,8 +887,9 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
 
 def _sweep_row(p: Params) -> dict:
     """The classical-limit gap, and the determinant and field residuals of
-    the certificate's motion, in the certificate's domain."""
-    _certificate_check(p, "params.epsilon")
+    the certificate's motion.  The row reads no energy pipeline, so it
+    needs none of the pipeline's bounds on the start."""
+    _epsilon_check(p["epsilon"], "params.epsilon")
     mats, omega = _exact_motion(p, _CERT_TIMES)
     return {
         "classical_limit_dev": classical_limit_deviation(p["epsilon"]),

@@ -181,7 +181,7 @@ def test_criterion_08_classical_limits_are_second_order():
 
 def test_criterion_09_dual_path_dynamics():
     """The matrix form of the equations of motion agrees with the
-    bracket-table Hamiltonian vector field at 100 random unimodular points
+    bracket's Hamiltonian vector field at 100 random unimodular points
     within 1e-6."""
     assert dual_path_deviation(EPS, n_points=100, seed=31) < 1e-6
 

@@ -724,8 +724,10 @@ def test_su2_sweep_row_reads_the_certificate_flow(tmp_path):
     """An su2 sweep row reads the certificate's exact motion to t = 1,
     whatever the config's t_end and step: its field_residual column is the
     certificate's flow_field_residual at that epsilon, and its det_residual
-    that motion's.  A row past the certificate's energy bound (rho 1e5, H
-    5e9) reads failed:ConfigError, and the other rows are still written."""
+    that motion's.  The row reads no energy pipeline, so starts past the
+    pipeline's bounds (rho 1e5, H 5e9; epsilon -1e-300) are ok rows; a row
+    past the momentum isomorphism's epsilon bound (epsilon 200) reads
+    failed:ConfigError, and the other rows are still written."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "t_end": 0.02},
                                "outputs": []})
     out = tmp_path / "sweep"
@@ -740,9 +742,17 @@ def test_su2_sweep_row_reads_the_certificate_flow(tmp_path):
         assert got["field_residual"] == checks["flow_field_residual"]
         mats, _ = su2._exact_motion({**cli._DEFAULTS["su2"], "epsilon": row[0]}, su2._CERT_TIMES)
         assert got["det_residual"] == float(np.max(np.abs(su2._det(mats) - 1.0)))
-    assert main(["sweep", str(cfg), "--param", "rho", "--values", "1.4,180,1e5", "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", str(cfg), "--param", "rho", "--values", "1.4,180,1e5,1e7,1e100",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[-1] for r in rows] == ["ok"] * 5
+        assert all(float(r[-2]) <= 4 * 2.0**-53 for r in rows)  # field_residual
+        assert main(["sweep", str(cfg), "--param", "epsilon", "--values=-1e-300,200,0.2",
+                     "--out", str(out)]) == 1
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
-    assert [r[-1] for r in rows] == ["ok", "ok", "failed:ConfigError"]
+    assert [r[-1] for r in rows] == ["ok", "failed:ConfigError", "ok"]
 
 
 def test_sweep_runs_in_process_only(tmp_path):

@@ -1,5 +1,5 @@
-"""Group-chart model: factorization, bracket tables, free flow, and the two
-momentum charts."""
+"""Group-chart model: factorization, the r-matrix bracket against the entry
+tables, free flow, and the two momentum charts."""
 import cmath
 import contextlib
 import io
@@ -146,15 +146,84 @@ def test_chart_conversions_take_stacks_and_match_single_points():
         matrix_from_real8(np.zeros((4, 7)))
 
 
-# --- bracket tables and realification -------------------------------------
+# --- the r-matrix bracket against the paper's entry tables ----------------
+
+def _uv_tables(a, b, c, d):
+    """The paper's entry brackets at ``[[a, b], [c, d]]``, the oracle the
+    r-matrix bracket is checked against: holomorphic ``u = {z_k, z_l}`` and
+    mixed ``v = {z_k, conj z_l}`` over ``i eps``, letters (a, b, c, d) ->
+    0..3.  Everything else follows by antisymmetry and by ``{conj f, conj
+    g} = conj {f, g}``."""
+    ac, bc_, cc, dc = np.conj(a), np.conj(b), np.conj(c), np.conj(d)
+    u = {
+        (0, 1): -a * b,
+        (0, 2): a * c,
+        (0, 3): 0.0,
+        (1, 2): 2.0 * a * d,
+        (1, 3): b * d,
+        (2, 3): -c * d,
+    }
+    v = {
+        (0, 0): -(abs(a) ** 2 + 2.0 * abs(c) ** 2),
+        (0, 1): -2.0 * c * dc,
+        (0, 2): 0.0,
+        (0, 3): a * dc,
+        (1, 0): -2.0 * cc * d,
+        (1, 1): -(abs(b) ** 2 + 2.0 * abs(a) ** 2 + 2.0 * abs(d) ** 2),
+        (1, 2): b * cc,
+        (1, 3): -2.0 * a * cc,
+        (2, 0): 0.0,
+        (2, 1): bc_ * c,
+        (2, 2): -(abs(c) ** 2),
+        (2, 3): 0.0,
+        (3, 0): ac * d,
+        (3, 1): -2.0 * ac * c,
+        (3, 2): 0.0,
+        (3, 3): -(abs(d) ** 2 + 2.0 * abs(c) ** 2),
+    }
+    return u, v
+
+
+def _table_upper(x):
+    """Strict upper triangle of the real 8x8 bracket matrix at ``eps = 1``
+    and chart point ``x``, straight from the entry tables (zeros elsewhere).
+    With ``U = {z_k, z_l}`` and ``V = {z_k, conj z_l}``, the brackets among
+    (re_k, im_k, re_l, im_l) are combinations of these two values."""
+    a, b, c, d = (x[0::2] + 1j * x[1::2]).tolist()
+    u, v = _uv_tables(a, b, c, d)
+    p = np.zeros((8, 8))
+    for k in range(4):
+        # {re_k, im_k} = -(1/2) Im {z_k, conj z_k}
+        p[2 * k, 2 * k + 1] = -0.5 * (1j * v[(k, k)]).imag
+        for l in range(k + 1, 4):
+            U, V = 1j * u[(k, l)], 1j * v[(k, l)]
+            p[2 * k, 2 * l] = 0.5 * (U.real + V.real)
+            p[2 * k, 2 * l + 1] = 0.5 * (U.imag - V.imag)
+            p[2 * k + 1, 2 * l] = 0.5 * (U.imag + V.imag)
+            p[2 * k + 1, 2 * l + 1] = 0.5 * (V.real - U.real)
+    return p
+
+
+def _polarized_table():
+    """The 64x64 coefficients of the entry tables' quadratic form: the
+    polarization ``(U(e_p + e_q) - U(e_p - e_q)) / 4`` of the upper triangle
+    ``U``, minus itself with its two output indices swapped."""
+    eye = np.eye(8)
+    coeff = np.zeros((8, 8, 8, 8))
+    for p in range(8):
+        for q in range(8):
+            plus, minus = _table_upper(eye[p] + eye[q]), _table_upper(eye[p] - eye[q])
+            coeff[:, :, p, q] = 0.25 * (plus - minus)
+    return (coeff - coeff.transpose(1, 0, 2, 3)).reshape(64, 64)
+
 
 def sl2c_bracket_table(g, epsilon):
     """All pairwise brackets among entries and conjugate entries at ``g``,
-    from the package's tables ``u = {z_k, z_l}`` and ``v = {z_k, conj z_l}``
+    from the entry tables ``u = {z_k, z_l}`` and ``v = {z_k, conj z_l}``
     (over ``i eps``).  Keys are pairs of labels from ``a, b, c, d, a*, b*,
     c*, d*`` (star marks conjugation), ordered as listed."""
     letters = ("a", "b", "c", "d")
-    u, v = su2._uv_tables(g.a, g.b, g.c, g.d)
+    u, v = _uv_tables(g.a, g.b, g.c, g.d)
     ie = 1j * epsilon
     out = {}
     for k in range(4):
@@ -167,21 +236,51 @@ def sl2c_bracket_table(g, epsilon):
     return out
 
 
+def _entry_brackets(g, epsilon):
+    """The same brackets, keyed as :func:`sl2c_bracket_table`, read from the
+    r-matrix bracket ``sl2c_bivector(epsilon)``'s real matrix at ``g``: with
+    ``z_k = re_k + i im_k``, ``{z_k, z_l}`` and ``{z_k, conj z_l}`` are
+    combinations of the four real brackets among (re_k, im_k, re_l, im_l)."""
+    P = sl2c_bivector(epsilon).matrix(real8_from_matrix(g.matrix))
+    letters = ("a", "b", "c", "d")
+    out = {}
+    for k in range(4):
+        for l in range(4):
+            rr, ri = P[2 * k, 2 * l], P[2 * k, 2 * l + 1]
+            ir, ii = P[2 * k + 1, 2 * l], P[2 * k + 1, 2 * l + 1]
+            hol = complex(rr - ii, ri + ir)
+            if k < l:
+                out[(letters[k], letters[l])] = hol
+                out[(letters[k] + "*", letters[l] + "*")] = np.conj(hol)
+            out[(letters[k], letters[l] + "*")] = complex(rr + ii, ir - ri)
+    return out
+
+
 def test_entry_brackets_at_identity():
-    tab = sl2c_bracket_table(SL2CElement(1, 0, 0, 1), EPS)
-    assert tab[("b", "c")] == pytest.approx(2j * EPS, abs=1e-16)
-    assert tab[("a", "a*")] == pytest.approx(-1j * EPS, abs=1e-16)
-    assert tab[("b", "b*")] == pytest.approx(-4j * EPS, abs=1e-16)
-    assert tab[("a", "d")] == 0.0
-    assert tab[("a", "c*")] == 0.0
+    """At the identity the r-matrix bracket's entry brackets are the entry
+    table's, and the table's values are the paper's."""
+    g = SL2CElement(1, 0, 0, 1)
+    got, tab = _entry_brackets(g, EPS), sl2c_bracket_table(g, EPS)
+    assert got.keys() == tab.keys()
+    for key, want in tab.items():
+        assert got[key] == pytest.approx(want, abs=1e-16), key
+    assert got[("b", "c")] == pytest.approx(2j * EPS, abs=1e-16)
+    assert got[("a", "a*")] == pytest.approx(-1j * EPS, abs=1e-16)
+    assert got[("b", "b*")] == pytest.approx(-4j * EPS, abs=1e-16)
+    assert got[("a", "d")] == 0.0
+    assert got[("a", "c*")] == 0.0
 
 
 def test_entry_brackets_scale_linearly_in_epsilon():
+    """At a random group point the r-matrix bracket's entry brackets scale
+    linearly in eps and match the entry table's at both eps."""
     g = _random_sl2c(np.random.default_rng(2))
-    t1 = sl2c_bracket_table(g, 0.1)
-    t2 = sl2c_bracket_table(g, 0.2)
+    t1, t2 = _entry_brackets(g, 0.1), _entry_brackets(g, 0.2)
     for key, v in t1.items():
         assert t2[key] == pytest.approx(2.0 * v, abs=1e-15)
+    for epsilon, got in ((0.1, t1), (0.2, t2)):
+        for key, want in sl2c_bracket_table(g, epsilon).items():
+            assert got[key] == pytest.approx(want, abs=1e-15), key
 
 
 def _realified_table(g, epsilon):
@@ -210,7 +309,7 @@ def _realified_table(g, epsilon):
 
 
 def test_realified_matrix_matches_complex_table():
-    """Compare the packaged realification against the complex entry tables."""
+    """Compare the r-matrix bracket against the realified entry tables."""
     rng = np.random.default_rng(9)
     biv = sl2c_bivector(EPS)
     for _ in range(5):
@@ -221,8 +320,8 @@ def test_realified_matrix_matches_complex_table():
 
 @pytest.mark.parametrize("epsilon", [EPS, -1.7, 1e-3])
 def test_polarized_matrix_matches_table_and_is_exactly_antisymmetric(epsilon):
-    """P(x) comes from the polarized coefficient matrix; it must agree with
-    the table formula to rounding and be antisymmetric bit for bit."""
+    """P(x) comes from the r-matrix's coefficient matrix; it must agree with
+    the entry tables to rounding and be antisymmetric bit for bit."""
     rng = np.random.default_rng(17)
     biv = sl2c_bivector(epsilon)
     for _ in range(20):
@@ -238,9 +337,65 @@ def test_polarized_matrix_matches_table_and_is_exactly_antisymmetric(epsilon):
     for _ in range(5):
         x = rng.uniform(-2.0, 2.0, size=8)
         got = biv.matrix(x)
-        want = epsilon * su2._unit_upper(x)
+        want = epsilon * _table_upper(x)
         assert np.max(np.abs(np.triu(got, 1) - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got, -got.T)
+
+
+def _im_tr(xs, ys):
+    """``Im tr(x y)`` for every pair of a stack ``xs`` and a stack ``ys``."""
+    return np.trace(xs[:, None] @ ys[None], axis1=-2, axis2=-1).imag
+
+
+def test_manin_triple_bases_are_dual_and_isotropic():
+    """The su(2) basis and the sb(2) basis are dual under Im tr, exactly,
+    and each spans an isotropic subalgebra; the coefficients built from
+    their r equal the polarized entry tables value for value, in C order
+    and read-only."""
+    assert np.array_equal(_im_tr(su2._SU2, su2._SB2), np.eye(3))
+    assert np.array_equal(_im_tr(su2._SU2, su2._SU2), np.zeros((3, 3)))
+    assert np.array_equal(_im_tr(su2._SB2, su2._SB2), np.zeros((3, 3)))
+    # closed under the commutator: su(2) antihermitian traceless, sb(2)
+    # upper triangular with a real diagonal
+    for basis, inside in ((su2._SU2, lambda m: np.array_equal(m, -m.conj().T)),
+                          (su2._SB2, lambda m: m[1, 0] == 0 and m[0, 0].imag == m[1, 1].imag == 0)):
+        for x in basis:
+            for y in basis:
+                bracket = x @ y - y @ x
+                assert inside(bracket) and np.trace(bracket) == 0
+    coeff = su2._sl2c_coefficients()
+    assert np.array_equal(coeff, _polarized_table())
+    assert coeff.flags.c_contiguous and not coeff.flags.writeable
+
+
+def _det_gradients(x):
+    """The gradients of Re det and Im det on the group chart, shape ``(..., 8,
+    2)``: ``d det = d da + a dd - c db - b dc`` with ``dz = d re + i d im``."""
+    m = matrix_from_real8(x)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    grad = np.stack([d, 1j * d, -c, -1j * c, -b, -1j * b, a, 1j * a], axis=-1)
+    return np.stack([grad.real, grad.imag], axis=-1)
+
+
+@pytest.mark.parametrize("epsilon", [EPS, -1.7, 1e-3, 5.0])
+def test_determinant_is_a_casimir_on_the_whole_chart(epsilon):
+    """Re det and Im det are Casimirs of the group bracket on the whole
+    8-dim chart, not only on the unit-determinant slice, which is why the
+    exact motion stays unimodular: P grad det reads a few u of the size of
+    its terms, |P| |grad det|, at 20000 points spread log-normally in
+    scale (2.70 u at most, measured), and under the additive non-Poisson
+    witness c (x_0 d_0 ^ d_1 + d_2 ^ d_0) it reads at least c."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(20000, 8)) * np.exp(2.0 * rng.normal(size=(20000, 1)))
+    grads = _det_gradients(x)
+
+    def worst(biv):
+        P = biv.matrix(x)
+        return np.max(np.abs(P @ grads) / (np.abs(P) @ np.abs(grads)))
+
+    assert worst(sl2c_bivector(epsilon)) <= 4 * _U
+    for c in (0.7, 1e-6):
+        assert worst(_plus_wedges(c)(epsilon)) >= c
 
 
 def test_bracket_table_jacobi_off_shell():
