@@ -6,8 +6,8 @@ flag where the projected speeds cross 1.
 Each profile is one ``velocity_momentum_profile`` call.  The script exits 1
 if a measured speed differs from its closed form (``p / sqrt(m^2 + p^2)``
 for the ordinary shell, ``closed_form_speeds`` for the projections) by more
-than 1e-9, the threshold of the certificate's ``projected_speed_closed_form``
-check.
+than 1e-9, absolute; the certificate's ``projected_speed_closed_form`` reads
+the same gaps over the scale of their rounding (``kappa._SPEED_TOL``).
 """
 import sys
 

@@ -26,16 +26,19 @@ _MONOTONE_SLACK = 1e-12  # steps within rounding of zero keep a sequence monoton
 
 def collinearity_residual(points: np.ndarray) -> float:
     """Largest orthogonal distance from the samples to their best-fit line
-    (total least squares via SVD)."""
+    (total least squares via SVD), read at the power of two of their largest
+    entry, which scales exactly, so no square overflows at any size."""
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 2:
         raise EstimationError("collinearity needs at least two points")
-    C = P - P.mean(axis=0)
+    _, e = math.frexp(np.abs(P).max())
+    C = np.ldexp(P, -e)
+    C -= C.mean(axis=0)
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
     if s[0] == 0.0:
         return 0.0
     perp = C - np.outer(C @ Vt[0], Vt[0])
-    return float(np.max(np.linalg.norm(perp, axis=1)))
+    return math.ldexp(float(np.max(np.linalg.norm(perp, axis=1))), e)
 
 
 def tail_velocity(times: np.ndarray, curve: np.ndarray) -> np.ndarray:

@@ -291,31 +291,19 @@ def _spec(p: Params) -> KappaSpec:
 
 # The largest values a run computes.  The shell with momentum p along x^1
 # is x^0 = -2 p0 t, x^1 = 2 p t.  The projections take the moment
-# J2 = p x^1 = 2 p^2 t, move x^0 by -+(eps/2) J2 = -+eps p^2 t and scale x^1
-# by exp(-+(eps/2) p0).  So on the trajectory, its projections and the
-# profile's curves (p up to the largest momentum q), no coordinate exceeds
-# C = t_span max(2 p0 + |eps| q^2, 2 q exp(|eps| p0 / 2)).
-# * The collinearity residual of a straight line is rounding in each of the
-#   1 + d coordinates: its centring sums n_samples values, which rounds by at
-#   most n_samples u C (u = 2^-53), and it is measured through the squares,
-#   so (1 + d) n_samples u C <= sqrt(DBL_MAX) keeps it finite (measured, the
-#   residual reached 18 sqrt(1 + d) u C at 65536 samples, and at 64 samples
-#   and spatial_dim 1 it overflowed from about C = 6e169).
-# * The moment is at most 2 q^2 t_span, far above every coordinate at small
-#   |eps|: 2 q^2 t_span <= DBL_MAX / 2 keeps it finite, with a factor 2 to
-#   spare for rounding (at epsilon 0 and p 1e150 it overflowed, and 0 times
-#   inf made x^0 NaN).
-# A chord's differences are then at most C, and its quotients are the speeds
-# that ``_check`` bounds.
+# J2 = 2 p^2 t, move x^0 by -+eps p^2 t and scale x^1 by exp(-+(eps/2) p0),
+# so at the largest momentum q no coordinate exceeds C = t_span max(2 p0 +
+# |eps| q^2, 2 q exp(|eps| p0 / 2)).  C <= DBL_MAX / 2 and 2 q^2 t_span <=
+# DBL_MAX / 2 keep the coordinates and the moment finite, with a factor 2 to
+# spare (the moment overflowed at epsilon 0 and p 1e150, making x^0 NaN).
+# The collinearity residual and the chords scale before they square.
 def _t_span_max(p: Params) -> float:
     """The largest t_span within both bounds above."""
     q = max(p["p"], p["p_max"])
     p0 = math.hypot(p["mass"], q)
     e = abs(p["epsilon"])
     c = max(2.0 * p0 + e * q * q, 2.0 * q * math.exp(0.5 * e * p0))
-    n = (1 + p["spatial_dim"]) * p["n_samples"]
-    line = math.sqrt(sys.float_info.max) / (n * 2.0**-53 * c)
-    return min(line, sys.float_info.max / (4.0 * q * q))
+    return min(sys.float_info.max / (2.0 * c), sys.float_info.max / (4.0 * q * q))
 
 
 # The smallest coordinate speeds on the same curves, at momenta q from
@@ -366,8 +354,7 @@ def _check(p: Params) -> None:
             "params.t_span",
             "the shell and its projections reach coordinates of size t_span * max(2 p0 + "
             "|epsilon| p^2, 2 p exp(|epsilon| p0 / 2)) and a moment 2 t_span p^2 at the largest "
-            "momentum; the collinearity residual and the moment stay finite for "
-            f"t_span <= {t_max:.6g}",
+            f"momentum; both stay finite for t_span <= {t_max:.6g}",
         )
     # one projection's speed has a pole where the shell energy
     # sqrt(m^2 + p^2) meets |eps| p^2 / 2 (right for eps > 0, left for eps < 0)
@@ -446,6 +433,17 @@ def _profile(p: Params) -> ArtifactData:
 
 _CERT_MOMENTA = (0.5, 1.0, 1.5)  # the certificate's speed check runs at these momenta
 
+# projected_speed_closed_form's threshold, in u = 2^-53 of (1 + p0 / |D|) times
+# the speed, D = p0 -+ A its denominator, A = |eps| p^2 / 2: both speeds cancel
+# in D, so near a pole they round like p0 / |D|.  The chord's x^0 sums 2 p0 t
+# and 2 A t (1 and 3 roundings) into 2 |D| t (1 more), so it is off by
+# u (p0 + 3 A + |D|) / |D|, and x^1, the quotient and the norm add 5.5 u; the
+# closed form's D is off by u (2 A + |D|) / |D|, and exp, product and quotient
+# add 3 u.  As A <= p0 + |D|, the gap is at most (6 p0 / |D| + 15.5) u of the
+# speed.  4200 epsilons at masses 0.25, 1 and 3, to within 1e-12 of both
+# poles, read at most 2.9 u.
+_SPEED_TOL = 16 * 2.0**-53
+
 
 def _certificate_check(p: Params, field: str) -> None:
     """No momentum of the certificate's speed check may sit at a projection pole."""
@@ -458,17 +456,21 @@ def _certificate_check(p: Params, field: str) -> None:
 
 def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     """Jacobi checks of the kappa and shifted brackets, and the projected
-    shell speeds against their closed forms at three momenta."""
+    shell speeds against their closed forms at three momenta, each gap over
+    (1 + p0 / |D|) times its speed (see ``_SPEED_TOL``)."""
     spec, mass = _spec(p), p["mass"]
     profiles = velocity_momentum_profile(spec, mass, _CERT_MOMENTA)
+    q = profiles["left"]["p"][:, None]
+    p0 = np.sqrt(mass * mass + q * q)
+    closed = np.column_stack(closed_form_speeds(spec, mass, q[:, 0]))
+    gap = np.abs(np.column_stack([profiles["left"]["v"], profiles["right"]["v"]]) - closed)
+    scale = (1.0 + p0 / np.abs(p0 + np.array([0.5, -0.5]) * spec.epsilon * q * q)) * closed  # D: left, right
     X1, X2 = _generators(spec.dim)
     shifted = add_bivectors(canonical_bivector(spec.dim), cotangent_wedge(spec.epsilon, X1, X2))
     return [
         jacobi_check("jacobi_base", kappa_bivector(spec), n_points, seed),
         jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
-        threshold_check(
-            "projected_speed_closed_form", projected_speed_deviation(spec, mass, profiles), 1e-9
-        ),
+        threshold_check("projected_speed_closed_form", float(np.max(gap / scale)), _SPEED_TOL),
     ]
 
 

@@ -724,8 +724,9 @@ def test_su2_sweep_row_reads_the_certificate_flow(tmp_path):
     """An su2 sweep row reads the certificate's exact motion to t = 1,
     whatever the config's t_end and step: its field_residual column is the
     certificate's flow_field_residual at that epsilon, and its det_residual
-    that motion's.  The row reads no energy pipeline, so starts past the
-    pipeline's bounds (rho 1e5, H 5e9; epsilon -1e-300) are ok rows; a row
+    that motion's.  The row reads no energy pipeline, so a start past the
+    pipeline's epsilon bound (epsilon -1e-300) is an ok row, and so are
+    starts up to rho 1e100; a row
     past the momentum isomorphism's epsilon bound (epsilon 200) reads
     failed:ConfigError, and the other rows are still written."""
     cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, "t_end": 0.02},
@@ -1091,6 +1092,25 @@ def test_minkowski2d_projection_horizon_is_bounded(tmp_path, capsys):
         _run_projection_finite(tmp_path, {**params, "epsilon": epsilon, "t_end": t_max}, f"at_{epsilon:g}")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_minkowski2d_line_near_dbl_max_has_a_finite_shape_residual(tmp_path, capsys, fmt):
+    """At epsilon 0 the trajectory is the line over p in [-1e200, 1e200];
+    the collinearity residual scales its samples by a power of two before it
+    squares them, so it reads about 1e-16 of the line's size.  Squared
+    unscaled they overflowed, and the run stopped on an infinite value
+    (exit 1)."""
+    cfg = write_cfg(tmp_path, {"model": "minkowski2d",
+                               "params": {"epsilon": 0.0, "p_min": -1.0e200, "p_max": 1.0e200},
+                               "outputs": ["trajectory"]})
+    out = tmp_path / fmt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["artifacts"]["trajectory"]["summary"]
+    assert summary["kind"] == "line"
+    assert 0.0 < summary["shape_residual"] < 1e-14 * 1e200
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_minkowski2d_projection_epsilon_is_bounded(tmp_path, capsys, sign):
     """At |epsilon| 1500 the projection's products overflowed (and the right
@@ -1297,32 +1317,44 @@ def test_kappa_runs_at_the_lower_horizon_bound_give_the_closed_form_speeds(param
 
 
 def test_kappa_horizon_is_bounded(tmp_path, capsys):
-    """t_span 1e300 and one float past the bound name params.t_span and exit
-    2, writing nothing; at the bound every column and summary value of the
-    three artifacts is finite."""
+    """The coordinates reach C = t_span max(2 p0 + |eps| q^2,
+    2 q exp(|eps| p0 / 2)) and the moment 2 q^2 t_span at the largest
+    momentum q; t_span is bounded by C <= DBL_MAX / 2 and the moment by
+    DBL_MAX / 2 alone, since the collinearity residual and the chords scale
+    before they square.  t_span 1e300 and the bound itself run every artifact
+    to finite values with no numpy warning (1e300 was past the old bound,
+    about 6.7e166, that squared coordinates needed); one float past the bound
+    names params.t_span and exits 2, writing nothing."""
     params = {"epsilon": 0.5}
     t_max = kappa._t_span_max(validate_config({"model": "kappa", "params": params}).params)
-    assert 1e166 < t_max < 1e167
-    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": 1.0e300},
+    q, p0 = 2.0, math.hypot(1.0, 2.0)
+    c = max(2.0 * p0 + 0.5 * q * q, 2.0 * q * math.exp(0.25 * p0))
+    assert t_max == min(sys.float_info.max / (2.0 * c), sys.float_info.max / (4.0 * q * q))
+    assert 1e307 < t_max < 2e307
+    outputs = ["trajectory", "projection", "profile"]
+    for t_span in (1.0e300, t_max):
+        cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": t_span},
+                                   "outputs": outputs})
+        out = tmp_path / f"at_{t_span!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        for name in outputs:
+            doc = json.loads((out / f"{name}.json").read_text())
+            assert np.all(np.isfinite(np.array(doc["rows"], dtype=float))), name
+            floats = [v for v in doc["summary"].values() if isinstance(v, float)]
+            assert all(math.isfinite(v) for v in floats), name
+        assert np.array(json.loads((out / "trajectory.json").read_text())["rows"])[-1, 0] == t_span
+    past = math.nextafter(t_max, math.inf)
+    with pytest.raises(ConfigError, match=r"params\.t_span"):
+        validate_config({"model": "kappa", "params": {**params, "t_span": past}})
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": past},
                                "outputs": ["profile"]})
     out = tmp_path / "far"
+    capsys.readouterr()
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "params.t_span" in capsys.readouterr().out
     assert not out.exists()
-    with pytest.raises(ConfigError, match=r"params\.t_span"):
-        validate_config({"model": "kappa",
-                         "params": {**params, "t_span": math.nextafter(t_max, math.inf)}})
-    outputs = ["trajectory", "projection", "profile"]
-    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {**params, "t_span": t_max},
-                               "outputs": outputs})
-    out = tmp_path / "at"
-    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
-    for name in outputs:
-        doc = json.loads((out / f"{name}.json").read_text())
-        assert np.all(np.isfinite(np.array(doc["rows"], dtype=float))), name
-        floats = [v for v in doc["summary"].values() if isinstance(v, float)]
-        assert all(math.isfinite(v) for v in floats), name
-    assert np.array(json.loads((out / "trajectory.json").read_text())["rows"])[-1, 0] == t_max
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1e-300])
@@ -1375,44 +1407,55 @@ def test_su2_first_step_past_one_radian_is_config_error(tmp_path, capsys, field,
     assert np.all(np.isfinite(rows))
 
 
-def _largest_certified(params, field, guess):
-    """The largest float value of ``field`` that su2's certificate check
-    accepts, bisected between guess / 2 (accepted) and 2 guess (not)."""
-    def valid(value):
-        try:
-            su2._certificate_check({**params, field: value}, "params.epsilon")
-        except ConfigError:
-            return False
-        return True
-
-    lo, hi = 0.5 * guess, 2.0 * guess
-    assert valid(lo) and not valid(hi)
-    while math.nextafter(lo, math.inf) < hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if valid(mid) else (lo, mid)
-    return lo
-
-
 def _su2_energy(p):
     return float(su2.free_energy(su2.SB2Element(p["rho"], complex(p["n_re"], p["n_im"])).matrix))
 
 
-@pytest.mark.parametrize("field, guess", [("rho", 1e4), ("n_im", 1e4)])
-def test_su2_energy_bound_holds_at_its_edge_and_names_the_start_field(field, guess):
-    """The energy pipeline holds its 1e-6 to rounding for H <= 1e-6 /
-    (168 u): at the largest rho, and the largest n_im, that the
-    certificate's check accepts, H meets that bound and the genuine
-    certificate PASSes every check; one float past, the check is a config
-    error naming the start field that drives H, as su2's run check names
-    it."""
-    params = {**cli._DEFAULTS["su2"], "epsilon": 0.2}
-    value = _largest_certified(params, field, guess)
-    p = {**params, field: value}
-    assert _su2_energy(p) == pytest.approx(1e-6 / (168 * 2.0**-53), rel=1e-12)
-    assert all(c.passed for c in su2.MODEL.certificate(p, 0, 2))
-    with pytest.raises(ConfigError, match="energy pipeline") as exc:
-        su2._certificate_check({**params, field: math.nextafter(value, math.inf)}, "params.epsilon")
-    assert exc.value.path == f"params.{field}"
+@pytest.mark.parametrize("field, value", [(f, v) for f in ("rho", "n_im") for v in (1e4, 1e5, 1e100)])
+def test_su2_certificate_passes_far_past_the_old_energy_bound(field, value):
+    """energy_pipeline's threshold is its rounding model, (63 + 5.5 log 2H) u H
+    at the first sample's energy H, so it holds at any start: at rho and
+    n_im 1e4 (near the old edge H = 1e-6 / (168 u), where an absolute 1e-6
+    ran out), 1e5 and 1e100 the certificate check accepts the start and the
+    genuine certificate PASSes every check, under warnings as errors."""
+    p = {**cli._DEFAULTS["su2"], "epsilon": 0.2, field: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        su2._certificate_check(p, "params.epsilon")
+        checks = {c.name: c for c in su2.MODEL.certificate(p, 0, 2)}
+    assert all(c.passed for c in checks.values()), checks
+    energy = _su2_energy(p)
+    assert checks["energy_pipeline"].threshold == pytest.approx(
+        (63.0 + 5.5 * math.log(2.0 * energy)) * 2.0**-53 * energy, rel=1e-12)
+
+
+def test_su2_energy_pipeline_threshold_is_never_looser_than_the_old_rule():
+    """The old rule read an absolute 1e-6 up to H = 1e-6 / (168 u), about
+    5.36e7, and refused larger starts; the rounding model's threshold is at
+    most 1e-6 everywhere in that range, and it is 9.9e-15 at the default
+    start."""
+    edge = 1e-6 / (168 * 2.0**-53)
+    energies = np.append(np.geomspace(1.0, edge, 2001), [edge, math.nextafter(edge, 0.0)])
+    assert max(su2._pipeline_tol(float(h)) for h in energies) <= 1e-6
+    assert su2._pipeline_tol(_SU2_START_H) == pytest.approx(9.85e-15, rel=1e-3)
+
+
+@pytest.mark.parametrize("rho", [1.4, 1e5])
+def test_su2_energy_pipeline_fails_a_pipeline_read_off_epsilon(monkeypatch, rho):
+    """With the pipeline's classical energy read at eps (1 + 1e-9), its
+    expected cosh moves by about 1e-9 relatively: energy_pipeline FAILs at
+    the default start and at rho 1e5, and every other check PASSes.  The old
+    absolute 1e-6 held that witness at the default start."""
+    p = {**cli._DEFAULTS["su2"], "epsilon": 0.2, "rho": rho}
+    relations = su2.energy_relations
+    monkeypatch.setattr(su2, "energy_relations",
+                        lambda epsilon, **kw: relations(epsilon * (1 + 1e-9), **kw))
+    checks = {c.name: c for c in su2.MODEL.certificate(p, 0, 2)}
+    assert not checks["energy_pipeline"].passed
+    assert checks["energy_pipeline"].value > 1e3 * checks["energy_pipeline"].threshold
+    assert all(c.passed for name, c in checks.items() if name != "energy_pipeline")
+    if rho == 1.4:
+        assert checks["energy_pipeline"].value < 1e-6
 
 
 @pytest.mark.parametrize("field, past", [

@@ -1,9 +1,13 @@
-"""The stacked tail fit: one closed-form least-squares slope per curve."""
+"""The stacked tail fit: one closed-form least-squares slope per curve; the
+collinearity residual at any scale."""
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from poismech.errors import EstimationError
-from poismech.fitting import tail_velocity
+from poismech.fitting import collinearity_residual, tail_velocity
 
 MIN_CURVE_SAMPLES = 29  # the shortest curve whose trailing quarter holds the fit's 8 samples
 
@@ -86,3 +90,25 @@ def test_tail_window_under_8_samples_is_an_estimation_error():
         tail_velocity(t[1:], t[1:, None])
     with pytest.raises(EstimationError, match="no spread"):
         tail_velocity(np.ones(32), np.arange(32.0)[:, None])
+
+
+@pytest.mark.parametrize("k", [-900, -1, 1, 900])
+def test_collinearity_residual_scales_by_a_power_of_two_bit_for_bit(k):
+    """The residual scales its samples by the power of two of their largest
+    entry, so a curve scaled by 2^k reads the curve's residual times 2^k,
+    bit for bit, on straight and on bent seeded curves."""
+    rng = np.random.default_rng(900 + k)
+    for n, dim in [(2, 2), (5, 3), (64, 4), (49, 2)]:
+        t, y = _noisy_lines(rng, (), n, dim)
+        for curve in (y, np.column_stack([t, 3.0 * t - 1.0]), y * np.exp(t)[:, None]):
+            assert collinearity_residual(np.ldexp(curve, k)) == math.ldexp(collinearity_residual(curve), k)
+
+
+def test_collinearity_residual_of_a_line_near_dbl_max_is_finite():
+    """A line whose samples reach 1e300 reads a residual at rounding
+    relative to its size; squared unscaled, its centred samples overflowed
+    and the residual read inf."""
+    t = np.linspace(-1.0, 1.0, 64)
+    line = 1e300 * np.column_stack([t, -0.75 * t + 0.1, 0.5 * t])
+    residual = collinearity_residual(line)
+    assert math.isfinite(residual) and residual <= 64 * sys.float_info.epsilon * 1e300

@@ -14,6 +14,7 @@ from poismech.kappa import (
     free_shell_trajectory,
     kappa_bivector,
     kappa_rspec,
+    projected_speed_deviation,
     velocity_momentum_profile,
 )
 
@@ -316,3 +317,30 @@ def test_a_bent_projection_fails_the_speed_check(monkeypatch):
     check, residual = read()
     assert not check.passed and check.value > 1e3 * check.threshold
     assert residual > 1e-7
+
+
+@pytest.mark.parametrize("epsilon", [1.6024, -1.6024, 1.60246, -1.60246])
+def test_speed_check_passes_the_genuine_speeds_near_a_projection_pole(epsilon):
+    """Momentum 1.5 has a projection pole at |epsilon| 1.60247 (right side
+    for epsilon > 0, left for epsilon < 0), where the chord and the closed
+    form both cancel in p0 -+ (eps/2) p^2 and round like p0 / |denominator|:
+    the absolute gap reached 9.2e-9 at 1.6024 and 7.9e-7 at 1.60246, past
+    the old absolute 1e-9.  Read over (1 + p0 / |denominator|) times the
+    speed, the gap stays within a few u of its 16 u threshold, so every check
+    PASSes; the sweep's absolute gap is unchanged."""
+    checks = {c.name: c for c in cli.certify("kappa", epsilon, 0, 2)}
+    assert all(c.passed for c in checks.values()), checks
+    speed = checks["projected_speed_closed_form"]
+    assert speed.threshold == 16 * 2.0**-53 and speed.value <= 4 * 2.0**-53
+    spec = KappaSpec(epsilon)
+    profiles = velocity_momentum_profile(spec, 1.0, kappa._CERT_MOMENTA)
+    assert projected_speed_deviation(spec, 1.0, profiles) > 1e-9
+
+
+def test_speed_check_run_near_a_pole_exits_0(tmp_path):
+    """A run whose certificate sits just below the pole, at epsilon 1.6024
+    with p_max 1.0, writes a PASSing certificate and exits 0 (it FAILed, exit
+    1, on the absolute 1e-9)."""
+    cfg = tmp_path / "kappa.yaml"
+    cfg.write_text("model: kappa\nparams: {epsilon: 1.6024, p_max: 1.0}\noutputs: [certificate]\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
