@@ -199,7 +199,7 @@ def _certificate_artifact(checks: list[CertCheck]) -> ArtifactData:
 def build_artifact(config: ScenarioConfig, name: str) -> ArtifactData:
     model = MODELS[config.model]
     if name == "certificate":
-        return _certificate_artifact(model.certificate(config.params, config.seed, CERT_POINTS))
+        return _certificate_artifact(model.certify(config.params, config.seed, CERT_POINTS))
     return model.artifacts[name](config.params)
 
 
@@ -231,7 +231,7 @@ def certify(model: str, epsilon: float, seed: int, n_points: int) -> list[CertCh
         raise ConfigError("points", f"need at most {_MAX_POINTS}, got {n_points}")
     record = MODELS[model]
     record.certificate_check(params, "epsilon")
-    return record.certificate(params, seed, n_points)
+    return record.certify(params, seed, n_points)
 
 
 def minkowski2d_certificate(epsilon: float, seed: int, n_points: int) -> list[CertCheck]:

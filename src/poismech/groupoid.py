@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .bracket import BivectorSpec
+from .bracket import BivectorSpec, add_bivectors
 from .errors import ContractViolation
 from .flow import Trajectory
 from .generators import AbelianRSpec, GeneratorField, cotangent_lift, wedge_bivector
@@ -27,6 +27,7 @@ __all__ = [
     "project_trajectory",
     "canonical_bivector",
     "cotangent_wedge",
+    "shifted_bivector",
 ]
 
 
@@ -91,3 +92,9 @@ def cotangent_wedge(epsilon: float, gen_a: GeneratorField, gen_b: GeneratorField
     r-part of a shifted cotangent structure."""
     n = gen_a.dim
     return wedge_bivector(epsilon, cotangent_lift(gen_a, n), cotangent_lift(gen_b, n), _phase_names(n))
+
+
+def shifted_bivector(r: AbelianRSpec) -> BivectorSpec:
+    """The shifted cotangent structure Pi_can + epsilon (lift of X1) ^ (lift
+    of X2) of ``r`` on the 2n-chart, the canonical part shared per n."""
+    return add_bivectors(canonical_bivector(r.dim), cotangent_wedge(r.epsilon, r.X1, r.X2))

@@ -31,20 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import BivectorSpec, add_bivectors
 from .errors import ConfigError, ContractViolation
 from .fitting import collinearity_residual
 from .flow import Trajectory, _sample_times
 from .generators import AbelianRSpec, GeneratorField, cotangent_lift, scaling, wedge_bivector
-from .groupoid import canonical_bivector, cotangent_wedge, project_trajectory
-from .model import (
-    INT, REAL, ArtifactData, CertCheck, Model, Param, Params,
-    jacobi_check, threshold_check,
-)
+from .groupoid import project_trajectory, shifted_bivector
+from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params, threshold_check
 
 __all__ = [
     "Minkowski2DSpec",
-    "minkowski2d_bivector",
     "minkowski2d_rspec",
     "hyperbola_curve",
     "hyperbola_residual",
@@ -95,15 +90,8 @@ class Minkowski2DSpec:
 
 
 # the two single-coordinate scalings x+ d+ and x- d-, built once and shared,
-# together with the cotangent lifts each of them caches, and the canonical
-# structure of the phase chart (x+, x-, p+, p-)
+# together with the cotangent lifts each of them caches
 _X_PLUS, _X_MINUS = scaling([0], 2), scaling([1], 2)
-_CANONICAL = canonical_bivector(2)
-
-
-def minkowski2d_bivector(spec: Minkowski2DSpec) -> BivectorSpec:
-    """pi = epsilon x+ x- d+ ^ d- on the light-cone chart."""
-    return wedge_bivector(spec.epsilon, _X_PLUS, _X_MINUS, COORD_NAMES)
 
 
 def minkowski2d_rspec(spec: Minkowski2DSpec) -> AbelianRSpec:
@@ -422,25 +410,20 @@ def _certificate_check(p: Params, field: str) -> None:
 
 
 def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
-    """Jacobi checks of the plane and shifted brackets, the hyperbola shape
-    law, and the scattering match/odd checks over a 5x5 curve grid."""
+    """The hyperbola shape law, and the scattering match/odd checks over a
+    5x5 curve grid."""
     spec = _spec(p)
     epsilon = spec.epsilon
-    shifted = add_bivectors(_CANONICAL, cotangent_wedge(epsilon, _X_PLUS, _X_MINUS))
-    checks = [
-        jacobi_check("jacobi_base", minkowski2d_bivector(spec), n_points, seed),
-        jacobi_check("jacobi_shifted", shifted, n_points, seed + 1),
-    ]
     if epsilon == 0.0:
         note = "vacuous at epsilon = 0"
-        return checks + [CertCheck(n, 0.0, t, True, note) for n, t in _CERT_THRESHOLDS.items()]
+        return [CertCheck(n, 0.0, t, True, note) for n, t in _CERT_THRESHOLDS.items()]
     pts = hyperbola_curve(spec, 1.0, -1.0, _CERT_HYPERBOLA_GRID)
     res = hyperbola_residual(spec, 1.0, -1.0, pts)
     # relative to the shape constant, which grows like epsilon^-2
     res /= max(1.0, 1.0 / (epsilon * spec.mass) ** 2)
     match, odd = scattering_check(spec, _CERT_ALPHAS, _CERT_BETAS)
     values = {"hyperbola_shape": res, "scattering_match": match, "scattering_odd": odd}
-    return checks + [threshold_check(n, v, _CERT_THRESHOLDS[n]) for n, v in values.items()]
+    return [threshold_check(n, v, _CERT_THRESHOLDS[n]) for n, v in values.items()]
 
 
 def _sweep_row(p: Params) -> dict:
@@ -462,6 +445,9 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
+    # pi = epsilon x+ x- d+ ^ d-, and its shifted structure on (x+, x-, p+, p-)
+    brackets={"base": lambda p: wedge_bivector(p["epsilon"], _X_PLUS, _X_MINUS, COORD_NAMES),
+              "shifted": lambda p: shifted_bivector(minkowski2d_rspec(_spec(p)))},
     certificate=_certificate,
     certificate_check=_certificate_check,
     sweep_row=_sweep_row,

@@ -83,10 +83,11 @@ class Model(NamedTuple):
     """One model as data.
 
     ``params`` is the schema; ``artifacts`` maps each output name to its
-    builder; ``certificate`` takes (params, seed, n_points) and returns every
-    check of the model, on params that have passed ``certificate_check``,
-    which takes (params, field) and raises the certificate's precondition as
-    a ``ConfigError`` naming ``field``; ``sweep_row`` gives one row of scalar
+    builder; ``brackets`` maps each shipped bracket's name to its builder;
+    ``certificate`` takes (params, seed, n_points) and returns the model's
+    own checks, on params that have passed ``certificate_check``, which takes
+    (params, field) and raises the certificate's precondition as a
+    ``ConfigError`` naming ``field``; ``sweep_row`` gives one row of scalar
     observables for a sweep; ``check`` runs on fully defaulted, per-field
     valid params and raises ``ConfigError`` for a bad combination.
     """
@@ -94,6 +95,7 @@ class Model(NamedTuple):
     name: str
     params: Mapping[str, Param]
     artifacts: Mapping[str, Callable[[Params], ArtifactData]]
+    brackets: Mapping[str, Callable[[Params], BivectorSpec]]
     certificate: Callable[[Params, int, int], list[CertCheck]]
     certificate_check: Callable[[Params, str], None]
     sweep_row: Callable[[Params], dict[str, Any]]
@@ -104,14 +106,19 @@ class Model(NamedTuple):
         """Every artifact a config may request; the certificate comes last."""
         return (*self.artifacts, "certificate")
 
+    def certify(self, params: Params, seed: int, n_points: int) -> list[CertCheck]:
+        """Every check of the certificate: ``jacobi_<name>`` of each declared
+        bracket in declaration order, the k-th at ``seed + k``, then the
+        model's own checks."""
+        checks = []
+        for k, (name, build) in enumerate(self.brackets.items()):
+            cert = jacobi_certificate(build(params), n_points=n_points, seed=seed + k)
+            note = "vacuous below dim 3" if cert.vacuous else ""
+            checks.append(CertCheck(f"jacobi_{name}", cert.max_residual, cert.threshold, cert.passed, note))
+        return checks + self.certificate(params, seed, n_points)
+
 
 def threshold_check(name: str, value: float, threshold: float) -> CertCheck:
     """A check that passes when ``value <= threshold``; NaN fails."""
     return CertCheck(name, value, threshold, value <= threshold)
 
-
-def jacobi_check(name: str, biv: BivectorSpec, n_points: int, seed: int) -> CertCheck:
-    """The randomized Jacobi certificate of ``biv`` as a check."""
-    cert = jacobi_certificate(biv, n_points=n_points, seed=seed)
-    note = "vacuous below dim 3" if cert.vacuous else ""
-    return CertCheck(name, cert.max_residual, cert.threshold, cert.passed, note)

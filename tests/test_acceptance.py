@@ -15,7 +15,7 @@ from poismech.bracket import (
     eval_bracket,
     jacobi_certificate,
 )
-from poismech.cli import main as cli_main
+from poismech.cli import MODELS, main as cli_main
 from poismech.fitting import collinearity_residual, fit_loglog_slope
 from poismech.flow import StepControl, integrate_flow
 from poismech.generators import AbelianRSpec, translation
@@ -33,9 +33,6 @@ from poismech.su2 import (
     flow_rhs,
     free_flow,
     isomorphism_deviation,
-    linear_momentum_bivector,
-    momentum_bivector,
-    sl2c_bivector,
 )
 
 EPS = 0.2
@@ -50,22 +47,18 @@ def reference_flow():
 
 
 def test_criterion_01_jacobi_certificates():
-    """Every shipped bivector passes a randomized Jacobi check: max residual
-    below 1e-6 over 100 seeded points of the unit box, all coordinate
-    triples.  The planar product deformation has no triple and certifies
-    vacuously; the other four structures are checked in earnest."""
-    shipped = [
-        mink_model.minkowski2d_bivector(mink_model.Minkowski2DSpec(EPS, 1.0)),
-        kappa_model.kappa_bivector(kappa_model.KappaSpec(EPS)),
-        sl2c_bivector(EPS),
-        momentum_bivector(EPS),
-        linear_momentum_bivector(),
-    ]
+    """Every bracket a model declares passes a randomized Jacobi check at
+    epsilon 0.2 and its model's defaults: max residual below 1e-6 over 100
+    seeded points of the unit box, all coordinate triples.  The planar
+    product deformation has no triple and certifies vacuously; the other six
+    structures (both shifted ones among them) are checked in earnest."""
+    shipped = [build({**{k: p.default for k, p in model.params.items()}, "epsilon": EPS})
+               for model in MODELS.values() for build in model.brackets.values()]
     certs = [jacobi_certificate(biv, n_points=100, seed=k, box=(0.0, 1.0))
              for k, biv in enumerate(shipped)]
     assert all(c.passed for c in certs)
     earnest = [c for c in certs if not c.vacuous]
-    assert len(earnest) == 4
+    assert len(shipped) == 7 and len(earnest) == 6
     assert max(c.max_residual for c in earnest) < 1e-6
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
+from poismech import bracket, cli, generators, groupoid, kappa, su2
 from poismech.bracket import (
     BivectorSpec,
     ScalarField,
@@ -186,38 +186,57 @@ def _components_witness(names, coeff, a, b, c):
     return BivectorSpec(len(names), names, comps)
 
 
-# Each Jacobi check a model's certificate emits, with the module whose
-# jacobi_check builds it: under a witness it FAILs, so it is not vacuous.
-JACOBI_CHECKS = [
-    (su2, "jacobi_group"), (su2, "jacobi_momentum"), (su2, "jacobi_linear"),
-    (kappa, "jacobi_base"), (kappa, "jacobi_shifted"),
-    (minkowski2d, "jacobi_shifted"),
-]
+# Every bracket a model declares, as (model, Jacobi check name): read from
+# the records, so a bracket declared later gets a witness with no edit here.
+DECLARED = [pytest.param(model, f"jacobi_{name}", id=f"poismech.{model}-jacobi_{name}")
+            for model, record in sorted(cli.MODELS.items()) for name in record.brackets]
 
 
-def _certify_with_witness(monkeypatch, module, target):
+def _certify_with_witness(monkeypatch, model, target):
     """The model's checks at eps 0.3, seed 0 and 10 points, with the witness
-    coeff 0.7 (x_0 d_0^d_1 + d_2^d_0) added to the bivector of ``target``
-    alone (none when ``target`` is None); the checks by name."""
-    genuine = module.jacobi_check
+    coeff 0.7 (x_0 d_0^d_1 + d_2^d_0) added to the declared bracket whose
+    check is ``target`` alone, by replacing its entry in the record's
+    brackets (none when ``target`` is None); the checks by name."""
+    record = cli.MODELS[model]
+    brackets = dict(record.brackets)
+    for name, build in record.brackets.items():
+        if f"jacobi_{name}" == target:
+            brackets[name] = lambda p, build=build: add_bivectors(
+                build(p), _components_witness(build(p).coord_names, 0.7, 0, 1, 2))
+    monkeypatch.setitem(cli.MODELS, model, record._replace(brackets=brackets))
+    return {c.name: c for c in cli.certify(model, 0.3, 0, 10)}
 
-    def check(name, biv, n_points, seed):
-        if name == target:
-            biv = add_bivectors(biv, _components_witness(biv.coord_names, 0.7, 0, 1, 2))
-        return genuine(name, biv, n_points, seed)
 
-    monkeypatch.setattr(module, "jacobi_check", check)
-    return {c.name: c for c in cli.certify(module.MODEL.name, 0.3, 0, 10)}
-
-
-@pytest.mark.parametrize("module, name", JACOBI_CHECKS, ids=lambda v: getattr(v, "__name__", v))
-def test_jacobi_check_fails_under_a_witness(monkeypatch, module, name):
-    genuine = _certify_with_witness(monkeypatch, module, None)[name]
+@pytest.mark.parametrize("model, name", DECLARED)
+def test_jacobi_check_fails_under_a_witness(monkeypatch, model, name):
+    """Under the witness only its bracket's check FAILs; a bracket on a chart
+    below dim 3 holds no triple, so its check is vacuous and says so."""
+    genuine = _certify_with_witness(monkeypatch, model, None)[name]
+    if genuine.note == "vacuous below dim 3":
+        build = cli.MODELS[model].brackets[name.removeprefix("jacobi_")]
+        assert genuine.passed and build({**cli._DEFAULTS[model], "epsilon": 0.3}).dim < 3
+        return
     assert genuine.passed and genuine.note == ""
-    witnessed = _certify_with_witness(monkeypatch, module, name)
+    witnessed = _certify_with_witness(monkeypatch, model, name)
     assert not witnessed[name].passed and witnessed[name].value > witnessed[name].threshold
     # only the named check sees the witness
     assert all(c.passed for n, c in witnessed.items() if n != name)
+
+
+@pytest.mark.parametrize("model", sorted(cli.MODELS))
+def test_certify_opens_with_each_declared_brackets_jacobi_at_its_seed(model):
+    """The certificate opens with jacobi_<name> of each declared bracket in
+    declaration order, the k-th the value of jacobi_certificate at seed + k,
+    bit for bit; the model's own checks follow."""
+    record = cli.MODELS[model]
+    params = {**cli._DEFAULTS[model], "epsilon": 0.3}
+    checks = cli.certify(model, 0.3, 5, 8)
+    assert [c.name for c in checks[:len(record.brackets)]] == [f"jacobi_{n}" for n in record.brackets]
+    for k, (check, build) in enumerate(zip(checks, record.brackets.values())):
+        cert = jacobi_certificate(build(params), 8, 5 + k)
+        assert float(check.value).hex() == float(cert.max_residual).hex()
+    assert [c.name for c in checks[len(record.brackets):]] == [
+        c.name for c in record.certificate(params, 5, 8)]
 
 
 def test_minkowski2d_base_jacobi_check_is_vacuous_on_its_plane():
@@ -322,8 +341,8 @@ def _shipped_structures():
         r = kappa.kappa_rspec(spec)
         yield f"kappa_shifted_{d}", add_bivectors(groupoid.canonical_bivector(spec.dim),
                                                   groupoid.cotangent_wedge(0.3, r.X1, r.X2))
-    mink = minkowski2d.Minkowski2DSpec(0.3, 1.0)
-    yield "minkowski2d", minkowski2d.minkowski2d_bivector(mink)
+    yield "minkowski2d", cli.MODELS["minkowski2d"].brackets["base"]({**cli._DEFAULTS["minkowski2d"],
+                                                                     "epsilon": 0.3})
     X1, X2 = generators.scaling([0], 2), generators.scaling([1], 2)
     yield "minkowski2d_shifted", add_bivectors(groupoid.canonical_bivector(2),
                                                groupoid.cotangent_wedge(0.3, X1, X2))
@@ -440,6 +459,17 @@ def _one_point_components(biv, x):
     return P
 
 
+def _one_point_rotation(epsilon, x):
+    """su2's rotation brackets at one point, filled pair by pair from the
+    component formulas {x0, x1} = x2, {x0, x2} = -x1 and {x1, x2} = x0
+    sinhc(2 eps x0) at x itself."""
+    P = np.zeros((3, 3), dtype=np.result_type(x, float))
+    for (i, j), v in (((0, 1), x[2]), ((0, 2), -x[1]), ((1, 2), x[0] * su2._sinhc(2.0 * epsilon * x[0]))):
+        P[i, j] = v
+        P[j, i] = -v
+    return P
+
+
 def _one_point_wedge(epsilon, X1, X2, x):
     return epsilon * (np.outer(X1.value(x), X2.value(x)) - np.outer(X2.value(x), X1.value(x)))
 
@@ -456,19 +486,21 @@ def _one_point_sl2c(epsilon, x):
 @pytest.mark.parametrize("epsilon", [0.2, -0.7])
 def test_each_form_at_one_point_keeps_its_one_point_formula(epsilon):
     """At one point every form returns the bits of its plain one-point
-    formula: components filled pair by pair from callables given x itself,
-    a wedge from np.outer, the group bracket as upper - upper^T."""
+    formula: components, and su2's rotation brackets, filled pair by pair
+    from their formulas at x itself, a wedge from np.outer, the group
+    bracket as upper - upper^T."""
     rng = np.random.default_rng(19)
     spec = kappa.KappaSpec(epsilon, 3)
     r = kappa.kappa_rspec(spec)
     lifts = [generators.cotangent_lift(g, spec.dim) for g in (r.X1, r.X2)]
     for _ in range(10):
         x3, x4, x8 = (rng.uniform(-1.0, 1.0, size=n) for n in (3, 4, 8))
-        for biv in (su2.momentum_bivector(epsilon), su2.linear_momentum_bivector(),
-                    _witness_4d(0.7, 2, 0, 3)):
-            x = x3 if biv.dim == 3 else x4
-            np.testing.assert_array_equal(_bits(biv.matrix(x)),
-                                          _bits(_one_point_components(biv, x)))
+        np.testing.assert_array_equal(_bits(su2.momentum_bivector(epsilon).matrix(x3)),
+                                      _bits(_one_point_rotation(epsilon, x3)))
+        np.testing.assert_array_equal(_bits(su2.linear_momentum_bivector().matrix(x3)),
+                                      _bits(_one_point_rotation(0.0, x3)))
+        witness = _witness_4d(0.7, 2, 0, 3)
+        np.testing.assert_array_equal(_bits(witness.matrix(x4)), _bits(_one_point_components(witness, x4)))
         np.testing.assert_array_equal(_bits(kappa.kappa_bivector(spec).matrix(x4)),
                                       _bits(_one_point_wedge(epsilon, r.X1, r.X2, x4)))
         np.testing.assert_array_equal(

@@ -92,26 +92,75 @@ def test_kappa_momenta_past_projection_pole_rejected(epsilon):
 @pytest.mark.parametrize("params, field", [
     ({"mass": 1.0e4}, "params.mass"),
     ({"mass": 1.0e200}, "params.mass"),
-    ({"p_max": 4.0e3}, "params.p_max"),
-    ({"p": 4.0e3, "p_max": 5.0}, "params.p"),
+    ({"p_max": 7.2e3}, "params.p_max"),
+    ({"p": 7.2e3, "p_max": 5.0}, "params.p"),
 ], ids=["mass_1e4", "mass_1e200", "p_max", "p"])
 def test_kappa_projection_flow_overflow_rejected(params, field):
-    """The projections scale the shell by exp(-+(eps/2) sqrt(mass^2 + p^2)),
-    and a speed is measured through its square: past log(DBL_MAX) / 2 in the
-    exponent that square overflows.  The larger of mass and momentum is named."""
+    """The projections scale the shell by exp(-+(eps/2) p0), p0 = sqrt(mass^2
+    + p^2): past log(DBL_MAX) in the exponent (720 here, or 1000 and more)
+    exp overflows, and past DBL_MAX so does mass^2 + p^2 (mass 1e200).  The
+    larger of mass and momentum is named."""
     with pytest.raises(ConfigError, match=rf"{field}\b.*overflows"):
         validate_config({"model": "kappa", "params": {"epsilon": 0.2, **params}})
 
 
 def test_kappa_config_just_inside_the_overflow_bound_runs(tmp_path):
-    exponent = 0.995 * 0.5 * math.log(sys.float_info.max)  # |eps| p0 / 2, just inside
-    mass = math.sqrt((exponent / 0.1) ** 2 - 2.0**2)  # at epsilon 0.2 and p_max 2
+    """An exponent |eps| p0 / 2 just inside log(DBL_MAX), at epsilon 0.2 and
+    p_max 2, runs at the default t_span with finite, positive speeds."""
+    exponent = 0.995 * math.log(sys.float_info.max)
+    mass = math.sqrt((exponent / 0.1) ** 2 - 2.0**2)
     cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.2, "mass": mass},
                                "outputs": ["trajectory", "projection", "profile"]})
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
     profile = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(profile)) and np.all(profile > 0)
+
+
+@pytest.mark.parametrize("epsilon, mass", [(1.0, 720.0), (-1.0, 1000.0)])
+def test_kappa_runs_past_the_old_squared_speed_bound(epsilon, mass, tmp_path):
+    """Exponents 360 and -500, past the log(DBL_MAX) / 2 that squared speeds
+    once needed, run all four outputs to finite values under warnings as
+    errors, and the certificate PASSes."""
+    outputs = ["trajectory", "projection", "profile", "certificate"]
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": epsilon, "mass": mass},
+                               "outputs": outputs})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    for name in outputs:
+        rows = json.loads((out / f"{name}.json").read_text())["rows"]
+        assert all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)), name
+
+
+def test_kappa_exponent_edge_names_the_mass_unless_a_smaller_t_span_fits():
+    """At epsilon 1 the coordinates grow like exp(p0 / 2) and the chords
+    shrink like exp(-p0 / 2).  At mass 1414 (exponent 707) t_span must lie
+    in [1.24, 2.02]: the default 3 names params.t_span, and 2 fits.  From
+    mass 1415 no t_span fits, and from 1420 exp itself overflows: the mass
+    is named at any t_span, with no warning."""
+    def config(**params):
+        return validate_config({"model": "kappa", "params": {"epsilon": 1.0, **params}})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"params\.t_span\b.*t_span <= 2\.01"):
+            config(mass=1414.0)
+        config(mass=1414.0, t_span=2.0)
+        for mass in (1415.0, 1416.0, 1418.0, 1420.0, 1.0e5):
+            for t_span in (3.0, 1.0, 1e-3):
+                with pytest.raises(ConfigError, match=r"params\.mass\b"):
+                    config(mass=mass, t_span=t_span)
+
+
+def test_kappa_subnormal_smallest_momentum_names_its_field():
+    """A smallest momentum of 1e-320 makes its chord's speed subnormal at
+    any t_span, so no t_span fits; the momentum is named, not the mass."""
+    with pytest.raises(ConfigError, match=r"params\.p_min\b.*no t_span fits"):
+        validate_config({"model": "kappa", "params": {"epsilon": 0.5, "p": 1e-320, "p_min": 1e-320}})
 
 
 def test_unknown_output_and_duplicates_rejected():
@@ -878,7 +927,7 @@ def test_certify_past_the_point_bound_is_config_error(model, monkeypatch, tmp_pa
         started.append(args)
         return []
 
-    monkeypatch.setitem(MODELS, model, MODELS[model]._replace(certificate=record))
+    monkeypatch.setitem(MODELS, model, MODELS[model]._replace(brackets={}, certificate=record))
     out = tmp_path / "cert"
     rc = main(["certify", model, "--epsilon", "0.2", "--points", str(2**18 + 1), "--out", str(out)])
     assert rc == 2
@@ -908,7 +957,7 @@ _SHARED_ARRAYS = {
     "minkowski2d x- moving mask": lambda: minkowski2d._X_MINUS._moves,
     "minkowski2d x+ lift rates": lambda: minkowski2d._X_PLUS._lift.rates,
     "minkowski2d x- lift rates": lambda: minkowski2d._X_MINUS._lift.rates,
-    "minkowski2d canonical P": lambda: minkowski2d._CANONICAL.matrix(np.zeros(4)),
+    "minkowski2d canonical P": lambda: groupoid.canonical_bivector(2).matrix(np.zeros(4)),
     "kappa translation": lambda: kappa._generators(4)[0].vector,
     "kappa dilation": lambda: kappa._generators(4)[1].rates,
     "kappa translation lift": lambda: kappa._generators(4)[0]._lift.vector,
@@ -943,26 +992,26 @@ def test_certify_repeats_bit_for_bit_between_other_models_and_epsilons():
 
 
 def test_minkowski2d_certificate_builds_no_structure_and_reads_p_only_on_its_4_dim_chart(monkeypatch):
-    """Counts, not times.  One minkowski2d certificate builds no generator
-    and no canonical structure (both are built once), its base Jacobi check
-    on the 2-dim chart evaluates no P, and its shifted check on the 4-dim
-    chart evaluates P six times, as it always has: the sum and its two terms,
-    on the points and on their complex-step copies."""
-    built, canonical, matrices = [], [], []
+    """Counts, not times.  After its first call, a minkowski2d certificate
+    builds no generator and no canonical structure (both are built once and
+    shared), its base Jacobi check on the 2-dim chart evaluates no P, and its
+    shifted check on the 4-dim chart evaluates P six times, as it always has:
+    the sum and its two terms, on the points and on their complex-step
+    copies."""
+    cli.minkowski2d_certificate(0.3, 5, 8)  # the lifts and the canonical structure are built
+    built, matrices = [], []
     post_init, matrix = generators.GeneratorField.__post_init__, bracket.BivectorSpec.matrix
     monkeypatch.setattr(generators.GeneratorField, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
-    for module in (groupoid, minkowski2d):
-        monkeypatch.setattr(module, "canonical_bivector",
-                            lambda n, build=module.canonical_bivector: canonical.append(n) or build(n))
     monkeypatch.setattr(bracket.BivectorSpec, "matrix",
                         lambda self, x: matrices.append((self.dim, x.shape)) or matrix(self, x))
+    canonical_built = groupoid.canonical_bivector.cache_info().misses
     checks = cli.minkowski2d_certificate(0.3, 5, 8)
-    assert built == [] and canonical == []
+    assert built == [] and groupoid.canonical_bivector.cache_info().misses == canonical_built
     assert matrices == [(4, (8, 4))] * 3 + [(4, (8, 4, 4))] * 3
     assert checks[0].name == "jacobi_base" and checks[0].note == "vacuous below dim 3"
     matrices.clear()
-    base = minkowski2d.minkowski2d_bivector(minkowski2d.Minkowski2DSpec(0.3, 1.0))
+    base = minkowski2d.MODEL.brackets["base"]({**cli._DEFAULTS["minkowski2d"], "epsilon": 0.3})
     assert bracket.jacobi_certificate(base, 8, 5).vacuous
     assert matrices == []
 

@@ -1055,6 +1055,37 @@ def test_linear_momentum_bivector_is_rotation_algebra():
     assert jacobi_certificate(biv, n_points=25, seed=6).passed
 
 
+def _rotation_components(epsilon, x, linear=False):
+    """Test-local copy of the rotation brackets' former component formulas,
+    each pair filled from the coordinate-leading view of a stack (..., 3):
+    {0, 1} = x2, {0, 2} = -x1 and {1, 2} = x0 sinhc(2 eps x0), or x0 itself
+    for the linear bracket."""
+    c = np.moveaxis(x, -1, 0)
+    top = c[0] if linear else c[0] * su2._sinhc(2.0 * epsilon * c[0])
+    P = np.zeros(x.shape[:-1] + (3, 3), dtype=np.result_type(x, float))
+    for (i, j), v in {(0, 1): c[2], (0, 2): -c[1], (1, 2): top}.items():
+        P[..., i, j] = v
+        P[..., j, i] = -v
+    return P
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0])
+def test_rotation_brackets_are_one_so3_form(epsilon):
+    """Both rotation brackets are the one so(3) form {x_i, x_j} = e_ijk v_k:
+    value for value the former component formulas, on a real stack and on
+    its complex-step copies; the linear bracket is the epsilon 0 momentum
+    bracket under its own coordinate names."""
+    X = np.random.default_rng(31).uniform(-su2._CUBE, su2._CUBE, size=(16, 3))
+    Z = X[:, None, :] + 1j * bracket._CS_STEP * np.eye(3)
+    mom, lin = momentum_bivector(epsilon), linear_momentum_bivector()
+    assert mom.coord_names == su2.MOMENTUM_COORD_NAMES
+    assert lin.coord_names == su2.LINEAR_COORD_NAMES
+    for x in (X, Z):
+        np.testing.assert_array_equal(mom.matrix(x), _rotation_components(epsilon, x))
+        np.testing.assert_array_equal(lin.matrix(x), _rotation_components(0.0, x, linear=True))
+        np.testing.assert_array_equal(lin.matrix(x), momentum_bivector(0.0).matrix(x))
+
+
 def test_momentum_structures_satisfy_jacobi():
     for eps in (0.0, 0.4):
         cert = jacobi_certificate(momentum_bivector(eps), n_points=25, seed=7,
