@@ -85,11 +85,12 @@ class Model(NamedTuple):
     ``params`` is the schema; ``artifacts`` maps each output name to its
     builder; ``brackets`` maps each shipped bracket's name to its builder;
     ``certificate`` takes (params, seed, n_points) and returns the model's
-    own checks, on params that have passed ``certificate_check``, which takes
-    (params, field) and raises the certificate's precondition as a
-    ``ConfigError`` naming ``field``; ``sweep_row`` gives one row of scalar
-    observables for a sweep; ``check`` runs on fully defaulted, per-field
-    valid params and raises ``ConfigError`` for a bad combination.
+    own checks, not the brackets' (``certify`` gives all), on params that
+    have passed ``certificate_check``, which takes (params, field) and raises
+    the certificate's precondition as a ``ConfigError`` naming ``field``;
+    ``sweep_row`` gives one row of scalar observables for a sweep; ``check``
+    runs on fully defaulted, per-field valid params and raises
+    ``ConfigError`` for a bad combination.
     """
 
     name: str
@@ -109,13 +110,13 @@ class Model(NamedTuple):
     def certify(self, params: Params, seed: int, n_points: int) -> list[CertCheck]:
         """Every check of the certificate: ``jacobi_<name>`` of each declared
         bracket in declaration order, the k-th at ``seed + k``, then the
-        model's own checks."""
+        model's own checks at the first seed past the brackets'."""
         checks = []
         for k, (name, build) in enumerate(self.brackets.items()):
             cert = jacobi_certificate(build(params), n_points=n_points, seed=seed + k)
             note = "vacuous below dim 3" if cert.vacuous else ""
             checks.append(CertCheck(f"jacobi_{name}", cert.max_residual, cert.threshold, cert.passed, note))
-        return checks + self.certificate(params, seed, n_points)
+        return checks + self.certificate(params, seed + len(self.brackets), n_points)
 
 
 def threshold_check(name: str, value: float, threshold: float) -> CertCheck:

@@ -850,9 +850,9 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     from the configured start to t = 1, the dual-path dynamics and the
     momentum isomorphism."""
     epsilon = p["epsilon"]
-    push, cas = isomorphism_deviation(epsilon, n_points, seed + 4)
+    push, cas = isomorphism_deviation(epsilon, n_points, seed + 1)
     mats, omega = _exact_motion(p, _CERT_TIMES)
-    dual = dual_path_deviation(epsilon, n_points, seed + 3)
+    dual = dual_path_deviation(epsilon, n_points, seed)
     pipeline = energy_pipeline_deviation(real8_from_matrix(mats), epsilon)
     return [
         threshold_check("flow_field_residual", _field_residual(epsilon, mats, omega), _FIELD_TOL),

@@ -10,7 +10,6 @@ import pytest
 
 from poismech.bracket import (
     ScalarField,
-    add_bivectors,
     coordinate_field,
     eval_bracket,
     jacobi_certificate,
@@ -19,7 +18,7 @@ from poismech.cli import MODELS, main as cli_main
 from poismech.fitting import collinearity_residual, fit_loglog_slope
 from poismech.flow import StepControl, integrate_flow
 from poismech.generators import AbelianRSpec, translation
-from poismech.groupoid import canonical_bivector, cotangent_wedge, project_trajectory
+from poismech.groupoid import canonical_bivector, project_trajectory, shifted_bivector
 from poismech import kappa as kappa_model
 from poismech import minkowski2d as mink_model
 from poismech import su2 as su2_model
@@ -149,7 +148,7 @@ def test_criterion_07_translation_deformation_witness():
     for side in ("left", "right"):
         assert collinearity_residual(project_trajectory(r, traj, side).points) < 1e-9
 
-    shifted = add_bivectors(can, cotangent_wedge(0.3, X1, X2))
+    shifted = shifted_bivector(r)
     rng = np.random.default_rng(29)
     worst = 0.0
     for _ in range(100):

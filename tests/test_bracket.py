@@ -338,14 +338,10 @@ def _shipped_structures():
     for d in (1, 2, 3, 7):
         spec = kappa.KappaSpec(0.3, d)
         yield f"kappa_{d}", kappa.kappa_bivector(spec)
-        r = kappa.kappa_rspec(spec)
-        yield f"kappa_shifted_{d}", add_bivectors(groupoid.canonical_bivector(spec.dim),
-                                                  groupoid.cotangent_wedge(0.3, r.X1, r.X2))
-    yield "minkowski2d", cli.MODELS["minkowski2d"].brackets["base"]({**cli._DEFAULTS["minkowski2d"],
-                                                                     "epsilon": 0.3})
-    X1, X2 = generators.scaling([0], 2), generators.scaling([1], 2)
-    yield "minkowski2d_shifted", add_bivectors(groupoid.canonical_bivector(2),
-                                               groupoid.cotangent_wedge(0.3, X1, X2))
+        yield f"kappa_shifted_{d}", groupoid.shifted_bivector(kappa.kappa_rspec(spec))
+    brackets, params = cli.MODELS["minkowski2d"].brackets, {**cli._DEFAULTS["minkowski2d"], "epsilon": 0.3}
+    yield "minkowski2d", brackets["base"](params)
+    yield "minkowski2d_shifted", brackets["shifted"](params)
 
 
 SHIPPED = dict(_shipped_structures())
@@ -573,9 +569,7 @@ def test_certificate_memory_is_bounded_by_its_chunk():
     import tracemalloc
 
     spec = kappa.KappaSpec(0.3, 15)
-    r = kappa.kappa_rspec(spec)
-    biv = add_bivectors(groupoid.canonical_bivector(spec.dim),
-                        groupoid.cotangent_wedge(0.3, r.X1, r.X2))
+    biv = groupoid.shifted_bivector(kappa.kappa_rspec(spec))
     assert biv.dim == 32 and bracket._CHUNK_BYTES // (16 * 32**3) < 20
     jacobi_certificate(biv, n_points=1, seed=29)
     tracemalloc.start()

@@ -1471,7 +1471,7 @@ def test_su2_certificate_passes_far_past_the_old_energy_bound(field, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         su2._certificate_check(p, "params.epsilon")
-        checks = {c.name: c for c in su2.MODEL.certificate(p, 0, 2)}
+        checks = {c.name: c for c in su2.MODEL.certify(p, 0, 2)}
     assert all(c.passed for c in checks.values()), checks
     energy = _su2_energy(p)
     assert checks["energy_pipeline"].threshold == pytest.approx(
@@ -1499,7 +1499,7 @@ def test_su2_energy_pipeline_fails_a_pipeline_read_off_epsilon(monkeypatch, rho)
     relations = su2.energy_relations
     monkeypatch.setattr(su2, "energy_relations",
                         lambda epsilon, **kw: relations(epsilon * (1 + 1e-9), **kw))
-    checks = {c.name: c for c in su2.MODEL.certificate(p, 0, 2)}
+    checks = {c.name: c for c in su2.MODEL.certify(p, 0, 2)}
     assert not checks["energy_pipeline"].passed
     assert checks["energy_pipeline"].value > 1e3 * checks["energy_pipeline"].threshold
     assert all(c.passed for name, c in checks.items() if name != "energy_pipeline")
@@ -1795,7 +1795,7 @@ def test_su2_certificate_passes_just_inside_the_energy_pipeline_bound(start):
     params = {**cli._DEFAULTS["su2"], **dict(zip(("rho", "n_re", "n_im"), start))}
     least = su2._least_epsilon(su2.free_energy(su2.SB2Element(start[0], complex(*start[1:])).matrix))
     for epsilon in (least, -least):
-        checks = su2.MODEL.certificate({**params, "epsilon": epsilon}, 0, 2)
+        checks = su2.MODEL.certify({**params, "epsilon": epsilon}, 0, 2)
         assert all(c.passed for c in checks), epsilon
         with pytest.raises(ConfigError, match=r"^epsilon: "):
             su2.MODEL.certificate_check({**params, "epsilon": math.nextafter(epsilon, 0.0)}, "epsilon")

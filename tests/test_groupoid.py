@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from poismech.bracket import ScalarField, add_bivectors, coordinate_field, eval_bracket, pushforward_bivector
+from poismech.bracket import ScalarField, coordinate_field, eval_bracket, pushforward_bivector
 from poismech.errors import ContractViolation
 from poismech.fitting import collinearity_residual
 from poismech.flow import StepControl, Trajectory, integrate_flow
 from poismech.generators import AbelianRSpec, scaling, translation
 from poismech.groupoid import (
     canonical_bivector,
-    cotangent_wedge,
     groupoid_projection,
     project_trajectory,
+    shifted_bivector,
 )
 from poismech.kappa import KappaSpec, free_shell_trajectory, kappa_rspec
 from poismech.minkowski2d import Minkowski2DSpec, minkowski2d_rspec
@@ -110,8 +110,7 @@ def test_pushforward_of_canonical_is_deformed_product_bracket():
 
 def test_shifted_bracket_matrix():
     state = np.array([1.4, 0.7, 0.5, -0.3])
-    r_part = cotangent_wedge(EPS, R_SCALING.X1, R_SCALING.X2)
-    M = add_bivectors(canonical_bivector(2), r_part).matrix(state)
+    M = shifted_bivector(R_SCALING).matrix(state)
     # position block picks up the product deformation ...
     assert M[0, 1] == pytest.approx(EPS * state[0] * state[1], abs=1e-15)
     # ... the momentum block its mirror image ...
@@ -122,8 +121,8 @@ def test_shifted_bracket_matrix():
     assert M[0, 3] == pytest.approx(-EPS * state[0] * state[3], abs=1e-15)
     assert M[1, 2] == pytest.approx(EPS * state[1] * state[2], abs=1e-15)
     # eps = 0 reduces to the canonical matrix exactly
-    flat = cotangent_wedge(0.0, R_SCALING.X1, R_SCALING.X2)
-    np.testing.assert_array_equal(add_bivectors(canonical_bivector(2), flat).matrix(state),
+    flat = AbelianRSpec(0.0, R_SCALING.X1, R_SCALING.X2)
+    np.testing.assert_array_equal(shifted_bivector(flat).matrix(state),
                                   canonical_bivector(2).matrix(state))
 
 
@@ -243,8 +242,7 @@ def test_translation_projections_stay_affine():
 def test_momenta_central_for_translation_shift():
     """For commuting translations the shifted bracket keeps every momentum
     function central with respect to kinetic hamiltonians."""
-    r_part = cotangent_wedge(0.3, translation([1.0, 0.0]), translation([0.0, 1.0]))
-    shifted = add_bivectors(canonical_bivector(2), r_part)
+    shifted = shifted_bivector(AbelianRSpec(0.3, translation([1.0, 0.0]), translation([0.0, 1.0])))
     H = ScalarField(fn=lambda s: s[2] ** 2 + s[3] ** 2,
                     grad=lambda s: np.array([0.0, 0.0, 2.0 * s[2], 2.0 * s[3]]))
     rng = np.random.default_rng(7)

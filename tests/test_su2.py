@@ -501,7 +501,7 @@ def test_certificate_and_sweep_row_integrate_nothing(monkeypatch):
     free_flow and integrate_flow raising, both finish and every check
     PASSes."""
     _refuse_integration(monkeypatch)
-    assert all(c.passed for c in su2.MODEL.certificate(_run_params(), 0, 1))
+    assert all(c.passed for c in su2.MODEL.certify(_run_params(), 0, 1))
     assert su2.MODEL.sweep_row(_run_params()).keys() == {"classical_limit_dev", "det_residual",
                                                           "field_residual"}
 
@@ -634,7 +634,7 @@ def test_certificate_passes_far_from_the_identity(epsilon, rho):
     """From rho 30 on the integrated certificate flow FAILed its absolute
     endpoint rule on the genuine bracket (2.1e-7 at rho 30, 5.5e-6 at rho
     99, against 1e-7).  On the exact motion every check PASSes."""
-    checks = su2.MODEL.certificate(cli.validate_config(
+    checks = su2.MODEL.certify(cli.validate_config(
         {"model": "su2", "params": {"epsilon": epsilon, "rho": rho}, "outputs": ["certificate"]}).params,
         0, CERT_POINTS)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
