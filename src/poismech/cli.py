@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .errors import ConfigError, ContractViolation, DivergenceError, EstimationError, StiffnessError
@@ -161,15 +160,15 @@ def validate_config(raw: Any) -> ScenarioConfig:
     return ScenarioConfig(model=name, params=params, outputs=tuple(outputs), seed=seed)
 
 
-# libyaml's parser where it is installed; the resolver and the safe
-# constructor are PyYAML's own either way, so both give equal objects
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
+    # PyYAML loads only here, where a config is read; libyaml's parser where
+    # installed, PyYAML's own resolver and constructor either way: equal configs
+    import yaml
+
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     except (UnicodeDecodeError, yaml.YAMLError) as exc:

@@ -30,7 +30,7 @@ from .fitting import collinearity_residual, monotonicity_verdict
 from .flow import Trajectory
 from .generators import AbelianRSpec, GeneratorField, scaling, translation, wedge_bivector
 from .groupoid import groupoid_projection, project_trajectory, shifted_bivector
-from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params, threshold_check
+from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params
 
 __all__ = [
     "KappaSpec",
@@ -90,6 +90,16 @@ def kappa_rspec(spec: KappaSpec) -> AbelianRSpec:
 _CHUNK_FLOATS = 2**24
 
 
+def _shell_energy(mass: float, p_spatial: np.ndarray) -> np.ndarray:
+    """p0 = sqrt(mass^2 + p_vec @ p_vec) per row of spatial momenta (..., d),
+    taken of mass and momenta scaled by the power of two of the larger, so
+    tiny ones square to no subnormal; a power of two scales exactly, so p0
+    keeps its bits wherever the plain squares are normal."""
+    _, e = np.frexp(np.maximum(mass, np.max(np.abs(p_spatial), axis=-1)))
+    m, q = np.ldexp(mass, -e), np.ldexp(p_spatial, -e[..., None])
+    return np.ldexp(np.sqrt(m * m + (q[..., None, :] @ q[..., :, None])[..., 0, 0]), e)
+
+
 def _shells(spec: KappaSpec, mass: float, p_spatial: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Phase states (m, n, 2(1+d)) at the n sample times ``ts`` of the
     straight shell lines p^2 = m^2 from the origin, one per row of the (m, d)
@@ -102,8 +112,7 @@ def _shells(spec: KappaSpec, mass: float, p_spatial: np.ndarray, ts: np.ndarray)
     if mass <= 0:
         raise ContractViolation("mass must be positive")
     d = spec.dim
-    # (1, d) @ (d, 1) per row: the dot product p_vec @ p_vec, rounded alike
-    p0 = np.sqrt(mass * mass + p_spatial[:, None, :] @ p_spatial[:, :, None])[:, 0]
+    p0 = _shell_energy(mass, p_spatial)[:, None]
     pts = np.empty((len(p_spatial), len(ts), 2 * d))
     vel = np.concatenate([-2.0 * p0, 2.0 * p_spatial], axis=1)
     pts[..., :d] = ts[:, None] * vel[:, None, :] + 0.0  # + 0.0: the t = 0 row is +0.0, not -0.0
@@ -211,7 +220,7 @@ def closed_form_speeds(spec: KappaSpec, mass: float, p: float | np.ndarray) -> t
     if (p <= 0).any():
         raise ContractViolation("speed profile momenta must be positive")
     e = spec.epsilon
-    p0 = np.sqrt(mass * mass + p * p)
+    p0 = _shell_energy(mass, p[..., None])
     denom_l = p0 + 0.5 * e * p * p
     denom_r = p0 - 0.5 * e * p * p
     for side, denom in (("left", denom_l), ("right", denom_r)):
@@ -233,7 +242,7 @@ def _mean_deviation(mass: float, profiles: dict[str, dict]) -> float:
     O(eps).
     """
     p = profiles["left"]["p"]
-    v0 = p / np.sqrt(p**2 + mass * mass)
+    v0 = p / _shell_energy(mass, p[:, None])
     return float(np.max(np.abs(0.5 * (profiles["left"]["v"] + profiles["right"]["v"]) - v0)))
 
 
@@ -474,11 +483,11 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     spec, mass = _spec(p), p["mass"]
     profiles = velocity_momentum_profile(spec, mass, _CERT_MOMENTA)
     q = profiles["left"]["p"][:, None]
-    p0 = np.sqrt(mass * mass + q * q)
+    p0 = _shell_energy(mass, q)[:, None]
     closed = np.column_stack(closed_form_speeds(spec, mass, q[:, 0]))
     gap = np.abs(np.column_stack([profiles["left"]["v"], profiles["right"]["v"]]) - closed)
     scale = (1.0 + p0 / np.abs(p0 + np.array([0.5, -0.5]) * spec.epsilon * q * q)) * closed  # D: left, right
-    return [threshold_check("projected_speed_closed_form", float(np.max(gap / scale)), _SPEED_TOL)]
+    return [CertCheck("projected_speed_closed_form", float(np.max(gap / scale)), _SPEED_TOL)]
 
 
 def _sweep_row(p: Params) -> dict:

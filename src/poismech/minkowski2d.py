@@ -36,7 +36,7 @@ from .fitting import collinearity_residual
 from .flow import Trajectory, _sample_times
 from .generators import AbelianRSpec, GeneratorField, cotangent_lift, scaling, wedge_bivector
 from .groupoid import project_trajectory, shifted_bivector
-from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params, threshold_check
+from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params
 
 __all__ = [
     "Minkowski2DSpec",
@@ -416,14 +416,14 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     epsilon = spec.epsilon
     if epsilon == 0.0:
         note = "vacuous at epsilon = 0"
-        return [CertCheck(n, 0.0, t, True, note) for n, t in _CERT_THRESHOLDS.items()]
+        return [CertCheck(n, 0.0, t, note) for n, t in _CERT_THRESHOLDS.items()]
     pts = hyperbola_curve(spec, 1.0, -1.0, _CERT_HYPERBOLA_GRID)
     res = hyperbola_residual(spec, 1.0, -1.0, pts)
     # relative to the shape constant, which grows like epsilon^-2
     res /= max(1.0, 1.0 / (epsilon * spec.mass) ** 2)
     match, odd = scattering_check(spec, _CERT_ALPHAS, _CERT_BETAS)
     values = {"hyperbola_shape": res, "scattering_match": match, "scattering_odd": odd}
-    return [threshold_check(n, v, _CERT_THRESHOLDS[n]) for n, v in values.items()]
+    return [CertCheck(n, v, _CERT_THRESHOLDS[n]) for n, v in values.items()]
 
 
 def _sweep_row(p: Params) -> dict:

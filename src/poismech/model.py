@@ -6,8 +6,6 @@ of its own.
 """
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -20,8 +18,6 @@ REAL = "real"
 INT = "int"
 
 CERT_POINTS = 100  # sample points per randomized certificate check
-# largest exponent x whose exp(x) still squares to a finite float
-LOG_SQRT_DBL_MAX = 0.5 * math.log(sys.float_info.max)
 
 Params = Mapping[str, Any]
 
@@ -43,8 +39,12 @@ class CertCheck:
     name: str
     value: float
     threshold: float
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """A check passes strictly below its threshold; NaN fails."""
+        return self.value < self.threshold
 
 
 @dataclass
@@ -115,11 +115,6 @@ class Model(NamedTuple):
         for k, (name, build) in enumerate(self.brackets.items()):
             cert = jacobi_certificate(build(params), n_points=n_points, seed=seed + k)
             note = "vacuous below dim 3" if cert.vacuous else ""
-            checks.append(CertCheck(f"jacobi_{name}", cert.max_residual, cert.threshold, cert.passed, note))
+            checks.append(CertCheck(f"jacobi_{name}", cert.max_residual, cert.threshold, note))
         return checks + self.certificate(params, seed + len(self.brackets), n_points)
-
-
-def threshold_check(name: str, value: float, threshold: float) -> CertCheck:
-    """A check that passes when ``value <= threshold``; NaN fails."""
-    return CertCheck(name, value, threshold, value <= threshold)
 

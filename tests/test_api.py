@@ -4,8 +4,13 @@ tests."""
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "poismech"
@@ -35,6 +40,53 @@ def test_benchmark_api_is_present_and_its_first_jobs_pass(tmp_path, monkeypatch)
             first.setdefault(spec["kind"], job)
         for kind, job in first.items():
             assert job.check(job.run()) is None, f"{workload}: first {kind} job"
+
+
+# every public name of the package, under the module that defines it, in an
+# order in which no module imports a later one
+PACKAGE_EXPORTS = {
+    "errors": ("ConfigError", "ContractViolation", "DivergenceError", "EstimationError",
+               "NumericDomainError", "StiffnessError"),
+    "bracket": ("BivectorSpec", "JacobiCertificate", "ScalarField", "add_bivectors",
+                "coordinate_field", "eval_bracket", "hamiltonian_vector_field",
+                "jacobi_certificate", "pushforward_bivector"),
+    "generators": ("AbelianRSpec", "GeneratorField", "cotangent_lift", "scaling", "translation",
+                   "wedge_bivector"),
+    "flow": ("StepControl", "Trajectory", "integrate_flow"),
+    "groupoid": ("canonical_bivector", "cotangent_wedge", "groupoid_projection",
+                 "project_trajectory"),
+}
+
+
+def test_package_exports_each_name_from_its_module_on_first_use():
+    """Each public name and each of the five modules that define them
+    resolves from ``poismech`` to the defining module's object, ``__all__``
+    and ``dir`` list exactly those names, and an unknown name raises
+    AttributeError.  In a fresh interpreter a module loads when the first of
+    its names is read, not before."""
+    import poismech
+
+    names = {"__version__", *(n for ns in PACKAGE_EXPORTS.values() for n in ns)}
+    assert len(names) == 29 and set(poismech.__all__) == names
+    assert names <= set(dir(poismech)) and set(PACKAGE_EXPORTS) <= set(dir(poismech))
+    for module, exported in PACKAGE_EXPORTS.items():
+        home = importlib.import_module(f"poismech.{module}")
+        assert getattr(poismech, module) is home
+        for name in exported:
+            assert getattr(poismech, name) is getattr(home, name), name
+    assert poismech.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        poismech.no_such_name
+    probe = ("import json, sys, poismech\n"
+             "for module, names in json.loads(sys.argv[1]).items():\n"
+             "    before = f'poismech.{module}' in sys.modules\n"
+             "    getattr(poismech, names[0])\n"
+             "    print(module, before, f'poismech.{module}' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(PACKAGE_EXPORTS)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [f"{m} False True" for m in PACKAGE_EXPORTS]
 
 
 def _public_defs(tree):

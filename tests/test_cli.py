@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
-from poismech.model import CERT_POINTS, INT, LOG_SQRT_DBL_MAX, ArtifactData
+from poismech.model import CERT_POINTS, INT, ArtifactData, CertCheck
+from poismech.su2 import LOG_SQRT_DBL_MAX
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
@@ -707,6 +708,10 @@ def test_kappa_sweep_rows_read_the_classical_limit_on_their_own_grid(tmp_path):
     columns, rows = (json.loads((tmp_path / "fixed" / "sweep.json").read_text())[k]
                      for k in ("columns", "rows"))
     assert rows[0][columns.index("classical_limit_dev")] == kappa.classical_limit_deviation(0.3)
+    # a chord reads only a curve's first and last sample, so two samples run every output
+    cfg = write_cfg(tmp_path, {"model": "kappa", "params": {"epsilon": 0.5, "n_samples": 2},
+                               "outputs": ["trajectory", "projection", "profile"]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "n2")]) == 0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1043,9 +1048,11 @@ def test_run_checks_the_certificate_domain_before_writing(name, tmp_path, capsys
 
 
 def test_cli_import_is_lean():
-    """Importing the CLI loads no scipy, no process pool and no
-    multiprocessing, and builds no bracket coefficients; no module of the
-    package imports scipy at all."""
+    """Importing the CLI loads no scipy, no process pool, no multiprocessing
+    and no PyYAML (only ``load_config`` reads with it), and builds no bracket
+    coefficients; no module of the package imports scipy at all.
+    ``import poismech`` alone loads no submodule of the package and no numpy,
+    since each public name loads its module on first use."""
     src = Path(__file__).resolve().parents[1] / "src"
     for path in sorted((src / "poismech").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1054,12 +1061,14 @@ def test_cli_import_is_lean():
             assert not any(n.split(".")[0] == "scipy" for n in names), f"{path.name} imports scipy"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = ("import sys, poismech.cli; from poismech import su2; "
+    probe = ("import sys, poismech; "
+             "print(sorted(m for m in sys.modules if m.startswith('poismech.')), 'numpy' in sys.modules); "
+             "import poismech.cli; from poismech import su2; "
              "print('scipy' in sys.modules, su2._sl2c_coefficients.cache_info().currsize, "
-             "'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+             "'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules, 'yaml' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", "0", "False", "False"]
+    assert done.stdout.splitlines() == ["[] False", "False 0 False False False"]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -1068,6 +1077,15 @@ def test_load_config_missing_file(tmp_path):
 
 
 # --- certificate folds --------------------------------------------------------
+
+def test_a_check_passes_strictly_below_its_threshold():
+    """One pass rule for every check: value < threshold, so a value on its
+    threshold FAILs, one float below PASSes, and NaN FAILs."""
+    assert not CertCheck("c", 1e-6, 1e-6).passed
+    assert CertCheck("c", math.nextafter(1e-6, 0.0), 1e-6).passed
+    assert not CertCheck("c", math.nan, 1e-6).passed
+    assert cli._certificate_artifact([CertCheck("c", 1e-6, 1e-6)]).columns["status"] == ["fail"]
+
 
 def _nan_pair(*_args):
     return (math.nan, math.nan)
@@ -1461,12 +1479,14 @@ def _su2_energy(p):
 
 
 @pytest.mark.parametrize("field, value", [(f, v) for f in ("rho", "n_im") for v in (1e4, 1e5, 1e100)])
-def test_su2_certificate_passes_far_past_the_old_energy_bound(field, value):
+def test_su2_certificate_passes_far_past_the_old_energy_bound(field, value, tmp_path):
     """energy_pipeline's threshold is its rounding model, (63 + 5.5 log 2H) u H
     at the first sample's energy H, so it holds at any start: at rho and
     n_im 1e4 (near the old edge H = 1e-6 / (168 u), where an absolute 1e-6
     ran out), 1e5 and 1e100 the certificate check accepts the start and the
-    genuine certificate PASSes every check, under warnings as errors."""
+    genuine certificate PASSes every check, under warnings as errors; a run
+    of the trajectory and the certificate from that start exits 0 with a
+    finite trajectory."""
     p = {**cli._DEFAULTS["su2"], "epsilon": 0.2, field: value}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1476,6 +1496,13 @@ def test_su2_certificate_passes_far_past_the_old_energy_bound(field, value):
     energy = _su2_energy(p)
     assert checks["energy_pipeline"].threshold == pytest.approx(
         (63.0 + 5.5 * math.log(2.0 * energy)) * 2.0**-53 * energy, rel=1e-12)
+    cfg = write_cfg(tmp_path, {"model": "su2", "params": {"epsilon": 0.2, field: value},
+                               "outputs": ["trajectory", "certificate"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.size and np.all(np.isfinite(rows))
 
 
 def test_su2_energy_pipeline_threshold_is_never_looser_than_the_old_rule():

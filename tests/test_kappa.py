@@ -1,7 +1,11 @@
 """Scaling-deformed (3+1)-dimensional model: shell trajectories and the two
 projected velocity laws."""
+import json
+import math
+
 import numpy as np
 import pytest
+import yaml
 
 from poismech.errors import ContractViolation
 from poismech import cli, groupoid, kappa
@@ -247,20 +251,61 @@ def test_profile_speeds_are_their_closed_forms_to_rounding(spatial_dim, eps):
         np.testing.assert_allclose(prof[kind]["v"], v, rtol=8 * 2.0**-53, atol=0.0, err_msg=kind)
 
 
-def test_speeds_below_sqrt_dbl_min_are_their_closed_forms_to_rounding():
+def test_speeds_below_sqrt_dbl_min_are_their_closed_forms_to_rounding(tmp_path):
     """A chord's speed vector is scaled by a power of two before its norm,
     so speeds near 1e-160, whose squares are subnormal, keep every bit of
     precision: each v_ordinary of the profile and the trajectory's
     speed_ordinary are within 4 u of p / sqrt(m^2 + p^2), relative (an
-    unscaled norm read them 5.6e-6 low)."""
-    config = cli.validate_config({"model": "kappa", "params": {
-        "epsilon": 0.5, "p": 1e-160, "p_min": 1e-160, "p_max": 1e-159}})
+    unscaled norm read them 5.6e-6 low); a run writes those values."""
+    raw = {"model": "kappa", "params": {"epsilon": 0.5, "p": 1e-160, "p_min": 1e-160, "p_max": 1e-159},
+           "outputs": ["trajectory", "profile"]}
+    config = cli.validate_config(raw)
     profile = kappa.MODEL.artifacts["profile"](config.params)
     grid = profile.columns["p"]
     np.testing.assert_allclose(profile.columns["v_ordinary"], grid / np.hypot(1.0, grid),
                                rtol=4 * 2.0**-53, atol=0.0)
     speed = kappa.MODEL.artifacts["trajectory"](config.params).summary["speed_ordinary"]
     assert abs(speed - 1e-160 / np.hypot(1.0, 1e-160)) <= 4 * 2.0**-53 * 1e-160
+    cfg = tmp_path / "kappa.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    written = np.loadtxt(tmp_path / "out" / "profile.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(written[:, 1], profile.columns["v_ordinary"])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["artifacts"]["trajectory"]["summary"]["speed_ordinary"] == speed
+
+
+@pytest.mark.parametrize("params, outputs", [
+    ({"epsilon": 0, "mass": 2.2e-164, "p": 4.0e12, "p_min": 7.0e-204, "p_max": 2.3e21, "n_p": 3},
+     ["profile"]),
+    ({"epsilon": 0, "mass": 1e-170, "p": 1e-170, "p_min": 1e-170},
+     ["trajectory", "projection", "profile", "certificate"]),
+], ids=["mass_2.2e-164", "mass_1e-170"])
+def test_tiny_masses_and_momenta_give_their_closed_form_speeds(tmp_path, params, outputs):
+    """The shell energy p0 = sqrt(m^2 + p^2) is taken of mass and momentum
+    scaled by a power of two, so at m and p far below sqrt(DBL_MIN) it is
+    normal: both runs exit 0 and every written speed is within 4 u of
+    p / sqrt(m^2 + p^2).  Unscaled, p0 underflowed to 0: the first run wrote
+    NaN speeds at p 7e-204, and the second named params.p as past a
+    projection pole, which epsilon 0 does not have."""
+    cfg = tmp_path / "kappa.yaml"
+    cfg.write_text(yaml.safe_dump({"model": "kappa", "params": params, "outputs": outputs}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    mass = params["mass"]
+    columns, rows = (json.loads((out / "profile.json").read_text())[k] for k in ("columns", "rows"))
+    speeds = [(row[0], v) for row in rows for v in row[1:]]
+    if "trajectory" in outputs:
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        projection = artifacts["projection"]["summary"]
+        speeds += [(params["p"], artifacts["trajectory"]["summary"]["speed_ordinary"]),
+                   (params["p"], projection["v_left"]), (params["p"], projection["v_right"])]
+    assert columns == ["p", "v_ordinary", "v_left", "v_right"]
+    for p, v in speeds:
+        closed = p / math.hypot(mass, p)
+        assert abs(v - closed) <= 4 * 2.0**-53 * closed, (p, v, closed)
+    v_left, v_right = closed_form_speeds(KappaSpec(0.0), 1e-170, 1e-170)
+    assert v_left == v_right == 1.0 / math.sqrt(2.0)
 
 
 @pytest.mark.parametrize("chunk_floats", [None, 3 * 2 * SPEC.dim * 32])
@@ -330,6 +375,7 @@ def test_speed_check_passes_the_genuine_speeds_near_a_projection_pole(epsilon):
     PASSes; the sweep's absolute gap is unchanged."""
     checks = {c.name: c for c in cli.certify("kappa", epsilon, 0, 2)}
     assert all(c.passed for c in checks.values()), checks
+    assert cli.main(["certify", "kappa", f"--epsilon={epsilon}"]) == 0
     speed = checks["projected_speed_closed_form"]
     assert speed.threshold == 16 * 2.0**-53 and speed.value <= 4 * 2.0**-53
     spec = KappaSpec(epsilon)

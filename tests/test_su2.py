@@ -630,14 +630,22 @@ def test_field_residual_fails_every_witness_through_the_certificate(monkeypatch,
 
 @pytest.mark.parametrize("epsilon, rho", [(0.2, 20.0), (0.2, 30.0), (0.2, 50.0), (0.2, 99.0),
                                           (1e-3, 99.0)])
-def test_certificate_passes_far_from_the_identity(epsilon, rho):
+def test_certificate_passes_far_from_the_identity(epsilon, rho, tmp_path):
     """From rho 30 on the integrated certificate flow FAILed its absolute
     endpoint rule on the genuine bracket (2.1e-7 at rho 30, 5.5e-6 at rho
-    99, against 1e-7).  On the exact motion every check PASSes."""
+    99, against 1e-7).  On the exact motion every check PASSes, and a run of
+    the trajectory to t_end 1 and 5 and the certificate exits 0 (integrated,
+    rho 99 to t_end 1 took seconds)."""
     checks = su2.MODEL.certify(cli.validate_config(
         {"model": "su2", "params": {"epsilon": epsilon, "rho": rho}, "outputs": ["certificate"]}).params,
         0, CERT_POINTS)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+    for t_end in (1.0, 5.0):
+        path = tmp_path / f"t_end_{t_end}.yaml"
+        params = {"epsilon": epsilon, "rho": rho, "t_end": t_end}
+        path.write_text(yaml.safe_dump({"model": "su2", "params": params,
+                                        "outputs": ["trajectory", "certificate"]}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / path.stem)]) == 0
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0, -3.0])
