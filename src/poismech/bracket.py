@@ -6,12 +6,18 @@ antisymmetric matrix  P(x) = (pi^{ij}(x)).  Brackets of scalar fields are
     {f, g}(x) = grad f . P(x) . grad g
               = sum_{i<j} P_ij(x) * (d_i f d_j g - d_j f d_i g),
 
-with the analytic gradient every scalar field carries.  The Jacobi identity
-[pi, pi] = 0 is checked through the Jacobiator tensor
+with the analytic gradient every scalar field carries.  jacobi_certificate
+samples the Jacobi identity [pi, pi] = 0 through the Jacobiator tensor
 
     J^{ijk} = sum_l pi^{il} d_l pi^{jk} + cyclic,
 
-built from one P and one dP per chunk of points.  Every derivative a
+built from one P and one dP per chunk of points.  Of the seven shipped
+brackets, the model certificates sample it only for su2's momentum
+bracket: the other six (kappa's and minkowski2d's base and shifted
+brackets, su2's group and linear ones) are declared with the Lie-algebraic
+data they are built from, which proves them Poisson exactly, and their
+certificates compare P with that data's bracket (model.Bracket).  Every
+derivative a
 certificate takes is the complex step d_l F(x) = Im F(x + i h e_l) / h
 (Squire-Trapp, SIAM Review 1998), one call of F on the n shifted copies of
 each point: it subtracts nothing, so it has no step to tune.  Bivectors, and

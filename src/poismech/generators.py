@@ -26,11 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorField:
     """A translation along ``vector`` or a scaling with one rate per
     coordinate, ``rates`` (zero leaves a coordinate fixed), on an n-chart.
-    Points and times may be complex."""
+    Points and times may be complex.  A generator equals only itself, so
+    the caches of its proofs hold it by identity."""
 
     kind: str
     dim: int
@@ -54,6 +55,20 @@ class GeneratorField:
         moves = self.rates != 0
         moves.setflags(write=False)
         return moves
+
+    @functools.cached_property
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The field as the affine map x -> A x + a, built once, read-only:
+        (0, vector) for a translation, (diag(rates), 0) for a scaling.  Each
+        row of A holds at most one nonzero entry."""
+        n = self.dim
+        if self.kind == "translation":
+            A, a = np.zeros((n, n)), self.vector
+        else:
+            A, a = np.diag(self.rates), np.zeros(n)
+        A.setflags(write=False)
+        a.setflags(write=False)
+        return A, a
 
     @functools.cached_property
     def _lift(self) -> GeneratorField:
@@ -118,6 +133,50 @@ class AbelianRSpec:
     @property
     def dim(self) -> int:
         return self.X1.dim
+
+    proof = "the generators commute"
+
+    def jacobi_defect(self) -> float:
+        """[eps X1^X2, eps X1^X2] = 2 eps^2 [X1, X2]^X1^X2, so eps X1^X2 is
+        Poisson when [X1, X2] = 0: the largest entry of that affine field
+        (see ``affine_commutator``), computed once per pair of generators."""
+        return _commutator_defect(self.X1, self.X2)
+
+    def pi_r(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """eps X1^X2 at the real points x (m, n), from the generators'
+        affine forms, and its term sizes (see ``affine_wedge``)."""
+        return affine_wedge(self.epsilon, self.X1.affine, self.X2.affine, x)
+
+
+def affine_commutator(f: tuple[np.ndarray, np.ndarray], g: tuple[np.ndarray, np.ndarray]) -> float:
+    """The largest entry of the Lie bracket of the affine fields X = A x + a
+    and Y = B x + b, which is [X, Y](x) = (BA - AB) x + (Ba - Ab).  For
+    entries 0 and +-1, as every shipped generator and lift has, each sum and
+    product is an integer, so the value is exact and 0 means commuting."""
+    (A, a), (B, b) = f, g
+    return float(max(np.max(np.abs(B @ A - A @ B), initial=0.0),
+                     np.max(np.abs(B @ a - A @ b), initial=0.0)))
+
+
+# bounded like bracket._triples: kappa's generators come one pair per chart dim
+@functools.lru_cache(maxsize=8)
+def _commutator_defect(X1: GeneratorField, X2: GeneratorField) -> float:
+    return affine_commutator(X1.affine, X2.affine)
+
+
+def affine_wedge(epsilon: float, f: tuple[np.ndarray, np.ndarray], g: tuple[np.ndarray, np.ndarray],
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eps (v w^T - w v^T) for v = A x + a and w = B x + b at the real
+    points x (m, n), and its term sizes |eps| (|v| |w|^T + |w| |v|^T): no
+    row of (A | a) of a generator or of a lift holds two nonzero entries, so
+    each entry of v is one term."""
+    (A, a), (B, b) = f, g
+    v, w = x @ A.T + a, x @ B.T + b
+    P = v[..., :, None] * w[..., None, :]
+    P -= w[..., :, None] * v[..., None, :]
+    P *= epsilon
+    T = np.abs(v)[..., :, None] * np.abs(w)[..., None, :]
+    return P, abs(epsilon) * (T + np.swapaxes(T, -1, -2))
 
 
 def wedge_bivector(

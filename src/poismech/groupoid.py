@@ -14,13 +14,15 @@ path.  Because the generators commute, the composition order is immaterial.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from .bracket import BivectorSpec, add_bivectors
 from .errors import ContractViolation
 from .flow import Trajectory
-from .generators import AbelianRSpec, GeneratorField, cotangent_lift, wedge_bivector
+from .generators import (AbelianRSpec, GeneratorField, affine_commutator, affine_wedge, cotangent_lift,
+                         wedge_bivector)
 
 __all__ = [
     "groupoid_projection",
@@ -98,3 +100,63 @@ def shifted_bivector(r: AbelianRSpec) -> BivectorSpec:
     """The shifted cotangent structure Pi_can + epsilon (lift of X1) ^ (lift
     of X2) of ``r`` on the 2n-chart, the canonical part shared per n."""
     return add_bivectors(canonical_bivector(r.dim), cotangent_wedge(r.epsilon, r.X1, r.X2))
+
+
+@functools.lru_cache(maxsize=16)
+def _cotangent_affine(gen: GeneratorField) -> tuple[np.ndarray, np.ndarray]:
+    """The cotangent lift of the affine field x -> A x + a as an affine field
+    of (x, p): (x, p) -> (A x + a, -A^T p), read-only and built once per
+    generator; made from ``gen.affine`` alone, not from ``cotangent_lift``."""
+    A, a = gen.affine
+    n = gen.dim
+    L = np.zeros((2 * n, 2 * n))
+    L[:n, :n], L[n:, n:] = A, -A.T
+    c = np.concatenate([a, np.zeros(n)])
+    L.setflags(write=False)
+    c.setflags(write=False)
+    return L, c
+
+
+@functools.lru_cache(maxsize=8)
+def _symplectic(n: int) -> np.ndarray:
+    """Pi_can of the 2n-chart as one read-only matrix, built from its
+    definition, apart from canonical_bivector."""
+    i = np.arange(n)
+    Pi = np.zeros((2 * n, 2 * n))
+    Pi[i, n + i], Pi[n + i, i] = 1.0, -1.0
+    Pi.setflags(write=False)
+    return Pi
+
+
+@functools.lru_cache(maxsize=8)
+def _shifted_defect(X1: GeneratorField, X2: GeneratorField) -> float:
+    Pi = _symplectic(X1.dim)
+    lifts = _cotangent_affine(X1), _cotangent_affine(X2)
+    # a constant Pi is invariant under the affine field L y + c when
+    # L Pi + Pi L^T = 0; the entries are integers, so the sums are exact
+    return max(affine_commutator(*lifts), *(float(np.max(np.abs(L @ Pi + Pi @ L.T))) for L, _ in lifts))
+
+
+class ShiftedRSpec(NamedTuple):
+    """The declared data of ``shifted_bivector(r)``: Pi_can + eps X1~ ^ X2~
+    on the 2n-chart, with X~ the cotangent lift of the generator X."""
+
+    r: AbelianRSpec
+
+    proof = "the lifts commute and preserve Pi_can"
+
+    def jacobi_defect(self) -> float:
+        """The Jacobiator of Pi_can + eps W, W = X1~ ^ X2~, is 2 eps [Pi_can,
+        W] + eps^2 [W, W]; both vanish when the lifts commute and each lift
+        preserves Pi_can.  The largest entry of [X1~, X2~] and of each lift's
+        L Pi_can + Pi_can L^T, exact for entries 0 and +-1, computed once
+        per pair of generators."""
+        return _shifted_defect(self.r.X1, self.r.X2)
+
+    def pi_r(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pi_can + eps X1~ ^ X2~ at the real points y (m, 2n), from the
+        lifts' affine forms, and its term sizes, each entry of Pi_can
+        counting as one term."""
+        P, T = affine_wedge(self.r.epsilon, _cotangent_affine(self.r.X1), _cotangent_affine(self.r.X2), y)
+        Pi = _symplectic(self.r.dim)
+        return P + Pi, T + np.abs(Pi)

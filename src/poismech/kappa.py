@@ -29,8 +29,8 @@ from .errors import ConfigError, ContractViolation
 from .fitting import collinearity_residual, monotonicity_verdict
 from .flow import Trajectory
 from .generators import AbelianRSpec, GeneratorField, scaling, translation, wedge_bivector
-from .groupoid import groupoid_projection, project_trajectory, shifted_bivector
-from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params
+from .groupoid import ShiftedRSpec, groupoid_projection, project_trajectory, shifted_bivector
+from .model import INT, REAL, ArtifactData, Bracket, CertCheck, Model, Param, Params
 
 __all__ = [
     "KappaSpec",
@@ -507,8 +507,10 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "profile": _profile},
-    brackets={"base": lambda p: kappa_bivector(_spec(p)),
-              "shifted": lambda p: shifted_bivector(kappa_rspec(_spec(p)))},
+    # each bracket with the data the certificate proves it from
+    brackets={"base": Bracket(lambda p: kappa_bivector(_spec(p)), r=lambda p: kappa_rspec(_spec(p))),
+              "shifted": Bracket(lambda p: shifted_bivector(kappa_rspec(_spec(p))),
+                                 r=lambda p: ShiftedRSpec(kappa_rspec(_spec(p))))},
     certificate=_certificate,
     certificate_check=_certificate_check,
     sweep_row=_sweep_row,

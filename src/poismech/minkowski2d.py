@@ -35,8 +35,8 @@ from .errors import ConfigError, ContractViolation
 from .fitting import collinearity_residual
 from .flow import Trajectory, _sample_times
 from .generators import AbelianRSpec, GeneratorField, cotangent_lift, scaling, wedge_bivector
-from .groupoid import project_trajectory, shifted_bivector
-from .model import INT, REAL, ArtifactData, CertCheck, Model, Param, Params
+from .groupoid import ShiftedRSpec, project_trajectory, shifted_bivector
+from .model import INT, REAL, ArtifactData, Bracket, CertCheck, Model, Param, Params
 
 __all__ = [
     "Minkowski2DSpec",
@@ -445,9 +445,12 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory, "projection": _projection, "scattering": _scattering},
-    # pi = epsilon x+ x- d+ ^ d-, and its shifted structure on (x+, x-, p+, p-)
-    brackets={"base": lambda p: wedge_bivector(p["epsilon"], _X_PLUS, _X_MINUS, COORD_NAMES),
-              "shifted": lambda p: shifted_bivector(minkowski2d_rspec(_spec(p)))},
+    # pi = epsilon x+ x- d+ ^ d-, and its shifted structure on (x+, x-, p+,
+    # p-), each with the data the certificate proves it from
+    brackets={"base": Bracket(lambda p: wedge_bivector(p["epsilon"], _X_PLUS, _X_MINUS, COORD_NAMES),
+                              r=lambda p: minkowski2d_rspec(_spec(p))),
+              "shifted": Bracket(lambda p: shifted_bivector(minkowski2d_rspec(_spec(p))),
+                                 r=lambda p: ShiftedRSpec(minkowski2d_rspec(_spec(p))))},
     certificate=_certificate,
     certificate_check=_certificate_check,
     sweep_row=_sweep_row,

@@ -51,8 +51,8 @@ def test_criterion_01_jacobi_certificates():
     seeded points of the unit box, all coordinate triples.  The planar
     product deformation has no triple and certifies vacuously; the other six
     structures (both shifted ones among them) are checked in earnest."""
-    shipped = [build({**{k: p.default for k, p in model.params.items()}, "epsilon": EPS})
-               for model in MODELS.values() for build in model.brackets.values()]
+    shipped = [b.build({**{k: p.default for k, p in model.params.items()}, "epsilon": EPS})
+               for model in MODELS.values() for b in model.brackets.values()]
     certs = [jacobi_certificate(biv, n_points=100, seed=k, box=(0.0, 1.0))
              for k, biv in enumerate(shipped)]
     assert all(c.passed for c in certs)

@@ -1,11 +1,14 @@
 """Bracket engine: evaluation, antisymmetry, Leibniz, Jacobi residuals."""
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poismech import bracket, cli, generators, groupoid, kappa, su2
+from poismech import model as model_module
 from poismech.bracket import (
     BivectorSpec,
     ScalarField,
@@ -17,6 +20,7 @@ from poismech.bracket import (
     pushforward_bivector,
 )
 from poismech.errors import ContractViolation
+from poismech.model import Bracket
 
 
 def central_difference(fn, x, h):
@@ -194,31 +198,36 @@ DECLARED = [pytest.param(model, f"jacobi_{name}", id=f"poismech.{model}-jacobi_{
 
 def _certify_with_witness(monkeypatch, model, target):
     """The model's checks at eps 0.3, seed 0 and 10 points, with the witness
-    coeff 0.7 (x_0 d_0^d_1 + d_2^d_0) added to the declared bracket whose
-    check is ``target`` alone, by replacing its entry in the record's
-    brackets (none when ``target`` is None); the checks by name."""
+    coeff 0.7 (x_0 d_0^d_1 + d_2^d_0) added to the P of the declared bracket
+    whose check is ``target`` alone, by replacing the builder of its entry
+    in the record's brackets and keeping its declared data (none when
+    ``target`` is None); the checks by name."""
     record = cli.MODELS[model]
     brackets = dict(record.brackets)
-    for name, build in record.brackets.items():
+    for name, entry in record.brackets.items():
         if f"jacobi_{name}" == target:
-            brackets[name] = lambda p, build=build: add_bivectors(
-                build(p), _components_witness(build(p).coord_names, 0.7, 0, 1, 2))
+            brackets[name] = entry._replace(build=lambda p, build=entry.build: add_bivectors(
+                build(p), _components_witness(build(p).coord_names, 0.7, 0, 1, 2)))
     monkeypatch.setitem(cli.MODELS, model, record._replace(brackets=brackets))
     return {c.name: c for c in cli.certify(model, 0.3, 0, 10)}
 
 
 @pytest.mark.parametrize("model, name", DECLARED)
 def test_jacobi_check_fails_under_a_witness(monkeypatch, model, name):
-    """Under the witness only its bracket's check FAILs; a bracket on a chart
-    below dim 3 holds no triple, so its check is vacuous and says so."""
+    """Under the witness only its bracket's check FAILs: a bracket declared
+    with its data still proves that data Poisson, and its P no longer equals
+    pi_r; a sampled bracket's Jacobiator sees the witness.  A bracket on a
+    chart below dim 3 holds no triple, so its check is vacuous and says so."""
     genuine = _certify_with_witness(monkeypatch, model, None)[name]
+    entry = cli.MODELS[model].brackets[name.removeprefix("jacobi_")]
+    params = {**cli._DEFAULTS[model], "epsilon": 0.3}
     if genuine.note == "vacuous below dim 3":
-        build = cli.MODELS[model].brackets[name.removeprefix("jacobi_")]
-        assert genuine.passed and build({**cli._DEFAULTS[model], "epsilon": 0.3}).dim < 3
+        assert genuine.passed and entry.build(params).dim < 3
         return
-    assert genuine.passed and genuine.note == ""
+    assert genuine.passed and genuine.note == ("" if entry.r is None else f"proved: {entry.r(params).proof}")
     witnessed = _certify_with_witness(monkeypatch, model, name)
     assert not witnessed[name].passed and witnessed[name].value > witnessed[name].threshold
+    assert witnessed[name].note == genuine.note
     # only the named check sees the witness
     assert all(c.passed for n, c in witnessed.items() if n != name)
 
@@ -226,17 +235,100 @@ def test_jacobi_check_fails_under_a_witness(monkeypatch, model, name):
 @pytest.mark.parametrize("model", sorted(cli.MODELS))
 def test_certify_opens_with_each_declared_brackets_jacobi_at_its_seed(model):
     """The certificate opens with jacobi_<name> of each declared bracket in
-    declaration order, the k-th the value of jacobi_certificate at seed + k,
-    bit for bit; the model's own checks follow."""
+    declaration order, the k-th read at seed + k.  A bracket declared with
+    its data r names r's proof, which holds exactly, and reads bit for bit
+    the largest gap between P and r's pi_r over pi_r's term sizes plus
+    DBL_MIN, at the points jacobi_certificate draws (vacuous below dim 3);
+    a bracket without data reads jacobi_certificate bit for bit.  The
+    model's own checks follow."""
     record = cli.MODELS[model]
     params = {**cli._DEFAULTS[model], "epsilon": 0.3}
     checks = cli.certify(model, 0.3, 5, 8)
     assert [c.name for c in checks[:len(record.brackets)]] == [f"jacobi_{n}" for n in record.brackets]
-    for k, (check, build) in enumerate(zip(checks, record.brackets.values())):
-        cert = jacobi_certificate(build(params), 8, 5 + k)
-        assert float(check.value).hex() == float(cert.max_residual).hex()
+    for k, (check, entry) in enumerate(zip(checks, record.brackets.values())):
+        biv = entry.build(params)
+        if entry.r is None:
+            cert = jacobi_certificate(biv, 8, 5 + k)
+            want, threshold, note = cert.max_residual, cert.threshold, ""
+        elif biv.dim < 3:
+            want, threshold, note = 0.0, model_module._DECLARED_TOL, "vacuous below dim 3"
+        else:
+            r = entry.r(params)
+            assert r.jacobi_defect() == 0.0
+            x = np.random.default_rng(5 + k).uniform(0.0, 1.0, size=(8, biv.dim))
+            pi, terms = r.pi_r(x)
+            want = np.max(np.abs(biv.matrix(x) - pi) / (terms + sys.float_info.min))
+            threshold, note = model_module._DECLARED_TOL, f"proved: {r.proof}"
+        assert float(check.value).hex() == float(want).hex()
+        assert (check.threshold, check.note) == (threshold, note)
     assert [c.name for c in checks[len(record.brackets):]] == [
         c.name for c in record.certificate(params, 5, 8)]
+
+
+def _polarized(r):
+    """The quadratic bracket pi_r of su2 declared data r as a BivectorSpec
+    that takes complex points too, so jacobi_certificate can read it: its
+    coefficients come from pi_r at the unit vectors and at their pairwise
+    sums, exactly for dyadic r."""
+    e = np.eye(8)
+    at_e, at_sums = r.pi_r(e)[0], r.pi_r(e[:, None] + e[None])[0]
+    coeff = 0.5 * (at_sums - at_e[:, None] - at_e[None])
+    return BivectorSpec(8, su2.GROUP_COORD_NAMES,
+                        dense=lambda x: np.einsum("...p,...q,pqij->...ij", x, x, coeff))
+
+
+def test_a_perturbed_r_fails_the_group_proof_that_the_sampled_jacobi_misses(monkeypatch):
+    """r + 2^-20 su2_0 ^ sb2_0 is not Poisson: its Schouten square is not
+    ad-invariant, so jacobi_group FAILs it through cli.certify, with P built
+    from that r.  jacobi_certificate reads its bivector below 1e-6 at 100
+    points and PASSes it: the gap the proof closes."""
+    X = su2._SU2.copy()
+    X[0] = X[0] * (1.0 + 2.0**-20)
+
+    def witness(p):
+        return su2.ManinR(p["epsilon"], X, su2._SB2)
+
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(5, 8))
+    np.testing.assert_allclose(_polarized(witness({"epsilon": 0.3})).matrix(x),
+                               witness({"epsilon": 0.3}).pi_r(x)[0], rtol=0, atol=1e-15)
+    record = cli.MODELS["su2"]
+    brackets = {**record.brackets, "group": Bracket(lambda p: _polarized(witness(p)), r=witness)}
+    monkeypatch.setitem(cli.MODELS, "su2", record._replace(brackets=brackets))
+    checks = {c.name: c for c in cli.certify("su2", 0.3, 0, 100)}
+    group = checks.pop("jacobi_group")
+    assert not group.passed and math.isnan(group.value)
+    assert group.note == f"proof failed: {su2.ManinR.proof} (off by 7.63e-06)"
+    assert all(c.passed for c in checks.values())
+    sampled = jacobi_certificate(_polarized(witness({"epsilon": 0.3})), n_points=100, seed=0)
+    assert sampled.passed and 1e-7 < sampled.max_residual < sampled.threshold
+
+
+@pytest.mark.parametrize("vector, poisson", [((0.0, 1.0, 0.0, 0.0), True), ((1.0, 1.0, 0.0, 0.0), False)])
+def test_a_non_commuting_generator_pair_fails_both_kappa_proofs(monkeypatch, vector, poisson):
+    """kappa's brackets declared with a translation along the scaled x1 in
+    place of the time translation: [X1, X2] = d_1, so jacobi_base and
+    jacobi_shifted FAIL, whatever P reads.  The proofs ask for commuting
+    generators, a sufficient condition: along x1 alone [X1, X2] is parallel
+    to X1, the bracket is Poisson and the sampled Jacobi PASSes it; along
+    x0 + x1 it is not, and the sampled Jacobi FAILs it too."""
+    X1, X2 = generators.translation(vector), kappa._generators(4)[1]
+
+    def r(p):
+        return generators.AbelianRSpec(p["epsilon"], X1, X2)
+
+    brackets = {"base": Bracket(lambda p: generators.wedge_bivector(p["epsilon"], X1, X2, tuple("wxyz")), r=r),
+                "shifted": Bracket(lambda p: groupoid.shifted_bivector(r(p)),
+                                   r=lambda p: groupoid.ShiftedRSpec(r(p)))}
+    monkeypatch.setitem(cli.MODELS, "kappa", cli.MODELS["kappa"]._replace(brackets=brackets))
+    checks = {c.name: c for c in cli.certify("kappa", 0.3, 0, 10)}
+    for name, proof in (("jacobi_base", generators.AbelianRSpec.proof),
+                        ("jacobi_shifted", groupoid.ShiftedRSpec.proof)):
+        assert not checks[name].passed and math.isnan(checks[name].value)
+        assert checks[name].note == f"proof failed: {proof} (off by 1)"
+    assert checks["projected_speed_closed_form"].passed
+    params = {**cli._DEFAULTS["kappa"], "epsilon": 0.3}
+    for entry in brackets.values():
+        assert jacobi_certificate(entry.build(params), n_points=10, seed=0).passed == poisson
 
 
 def test_minkowski2d_base_jacobi_check_is_vacuous_on_its_plane():
@@ -340,8 +432,8 @@ def _shipped_structures():
         yield f"kappa_{d}", kappa.kappa_bivector(spec)
         yield f"kappa_shifted_{d}", groupoid.shifted_bivector(kappa.kappa_rspec(spec))
     brackets, params = cli.MODELS["minkowski2d"].brackets, {**cli._DEFAULTS["minkowski2d"], "epsilon": 0.3}
-    yield "minkowski2d", brackets["base"](params)
-    yield "minkowski2d_shifted", brackets["shifted"](params)
+    yield "minkowski2d", brackets["base"].build(params)
+    yield "minkowski2d_shifted", brackets["shifted"].build(params)
 
 
 SHIPPED = dict(_shipped_structures())

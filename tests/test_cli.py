@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
+from poismech import model as model_module
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
 from poismech.model import CERT_POINTS, INT, ArtifactData, CertCheck
@@ -1000,9 +1001,9 @@ def test_minkowski2d_certificate_builds_no_structure_and_reads_p_only_on_its_4_d
     """Counts, not times.  After its first call, a minkowski2d certificate
     builds no generator and no canonical structure (both are built once and
     shared), its base Jacobi check on the 2-dim chart evaluates no P, and its
-    shifted check on the 4-dim chart evaluates P six times, as it always has:
-    the sum and its two terms, on the points and on their complex-step
-    copies."""
+    shifted check on the 4-dim chart evaluates P three times, the sum and
+    its two terms, on the points alone: it compares P with the declared
+    pi_r, and the proof that pi_r is Poisson reads no point."""
     cli.minkowski2d_certificate(0.3, 5, 8)  # the lifts and the canonical structure are built
     built, matrices = [], []
     post_init, matrix = generators.GeneratorField.__post_init__, bracket.BivectorSpec.matrix
@@ -1013,12 +1014,58 @@ def test_minkowski2d_certificate_builds_no_structure_and_reads_p_only_on_its_4_d
     canonical_built = groupoid.canonical_bivector.cache_info().misses
     checks = cli.minkowski2d_certificate(0.3, 5, 8)
     assert built == [] and groupoid.canonical_bivector.cache_info().misses == canonical_built
-    assert matrices == [(4, (8, 4))] * 3 + [(4, (8, 4, 4))] * 3
+    assert matrices == [(4, (8, 4))] * 3
     assert checks[0].name == "jacobi_base" and checks[0].note == "vacuous below dim 3"
     matrices.clear()
-    base = minkowski2d.MODEL.brackets["base"]({**cli._DEFAULTS["minkowski2d"], "epsilon": 0.3})
+    base = minkowski2d.MODEL.brackets["base"].build({**cli._DEFAULTS["minkowski2d"], "epsilon": 0.3})
     assert bracket.jacobi_certificate(base, 8, 5).vacuous
     assert matrices == []
+
+
+# certify(model, 0.3, 5, 8) after a first call: (chart dim, points' shape) of
+# each P evaluation, in order, and the charts jacobi_certificate samples
+_CERTIFY_COUNTS = {
+    # base P; the shifted sum and its two terms
+    "kappa": ([(4, (8, 4))] + [(8, (8, 8))] * 3, []),
+    "minkowski2d": ([(4, (8, 4))] * 3, []),
+    # group P; the sampled momentum Jacobi's P and complex-step dP; linear P;
+    # the isomorphism's two; the dual path's; the field residual's 21 samples
+    "su2": ([(8, (8, 8)), (3, (8, 3)), (3, (8, 3, 3))] + [(3, (8, 3))] * 3 + [(8, (8, 8)), (8, (21, 8))],
+            [3]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_CERTIFY_COUNTS))
+def test_certify_samples_only_the_momentum_jacobi(monkeypatch, model):
+    """Counts, not times.  cli.certify proves each bracket declared with its
+    data and samples the Jacobi identity only of su2's momentum bracket, the
+    one declared by its P alone; the P evaluations of every check are
+    pinned.  A count that falls is updated here; one that rises needs its
+    reason."""
+    cli.certify(model, 0.3, 5, 8)  # the proofs and shared structures are built
+    matrices, sampled = [], []
+    matrix, sample = bracket.BivectorSpec.matrix, model_module.jacobi_certificate
+    monkeypatch.setattr(bracket.BivectorSpec, "matrix",
+                        lambda self, x: matrices.append((self.dim, x.shape)) or matrix(self, x))
+    monkeypatch.setattr(model_module, "jacobi_certificate",
+                        lambda biv, **kw: sampled.append(biv.dim) or sample(biv, **kw))
+    checks = cli.certify(model, 0.3, 5, 8)
+    assert (matrices, sampled) == _CERTIFY_COUNTS[model]
+    assert all(c.passed for c in checks)
+
+
+def test_kappa_certificate_at_the_largest_spatial_dim_runs(tmp_path, capsys):
+    """A kappa run with a certificate at spatial_dim 127, the schema's
+    maximum, exits 0 and PASSes: both brackets are proved on their 128- and
+    256-dim charts from their generators, with no Jacobi tensor."""
+    cfg = {"model": "kappa", "params": {"epsilon": 0.5, "spatial_dim": 127}, "outputs": ["certificate"]}
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("certificates: PASS\n")
+    rows = (out / "certificate.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["jacobi_base", "jacobi_shifted",
+                                                    "projected_speed_closed_form"]
+    assert all(row.split(",")[3] == "pass" for row in rows)
 
 
 _OUTSIDE_CERTIFICATE_DOMAIN = {

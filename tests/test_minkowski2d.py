@@ -24,7 +24,7 @@ CURVE = (0.3, 2.0)  # (alpha, beta)
 
 
 def test_bivector_is_product_deformation():
-    biv = minkowski2d.MODEL.brackets["base"]({**cli._DEFAULTS["minkowski2d"], "epsilon": 0.2})
+    biv = minkowski2d.MODEL.brackets["base"].build({**cli._DEFAULTS["minkowski2d"], "epsilon": 0.2})
     x = np.array([1.5, -0.4])
     assert biv.matrix(x)[0, 1] == pytest.approx(0.2 * 1.5 * (-0.4), abs=1e-16)
 

@@ -648,9 +648,9 @@ def test_certificate_passes_far_from_the_identity(epsilon, rho, tmp_path):
         assert cli.main(["run", str(path), "--out", str(tmp_path / path.stem)]) == 0
 
 
-@pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0, -3.0])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0, -3.0, 5.0, -5.0])
 def test_certificate_passes_at_the_default_start(epsilon):
-    """certify su2 PASSes every check at epsilon 0, +-0.3 and +-3, with
+    """certify su2 PASSes every check at epsilon 0, +-0.3, +-3 and +-5, with
     eight checks: three Jacobi, the field residual, the energy pipeline,
     the dual-path dynamics and the momentum isomorphism's two."""
     checks = cli.su2_certificate(epsilon, 0, CERT_POINTS)
@@ -658,6 +658,20 @@ def test_certificate_passes_at_the_default_start(epsilon):
         "jacobi_group", "jacobi_momentum", "jacobi_linear", "flow_field_residual", "energy_pipeline",
         "dual_path_dynamics", "isomorphism_pushforward", "isomorphism_casimir"]
     assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 5.0, -5.0])
+def test_isomorphism_casimir_fails_the_map_at_a_nearby_epsilon(monkeypatch, epsilon):
+    """The isomorphism read at eps (1 + 1e-9) does not carry the radius
+    Casimir onto the one at eps: isomorphism_casimir, relative to its
+    sizes, FAILs it, and reads the genuine map below its threshold."""
+    genuine = {c.name: c for c in cli.su2_certificate(epsilon, 0, CERT_POINTS)}["isomorphism_casimir"]
+    iso = su2.momentum_isomorphism
+    monkeypatch.setattr(su2, "momentum_isomorphism",
+                        lambda xyz, epsilon: iso(xyz, epsilon * (1.0 + 1e-9)))
+    witnessed = {c.name: c for c in cli.su2_certificate(epsilon, 0, CERT_POINTS)}["isomorphism_casimir"]
+    assert genuine.passed and genuine.threshold == 16 * 2.0**-53
+    assert not witnessed.passed and witnessed.value > 100 * witnessed.threshold
 
 
 def _largest_valid(make, guess):
@@ -1221,10 +1235,11 @@ def _per_point_isomorphism_deviation(epsilon, n_points, seed):
     """Test-local reference: the isomorphism checks one point at a time, each
     drawn alone, with the math module's sinh and sqrt for the Casimir.
     Returns the worst pushforward and Casimir defects and the largest entry
-    each is measured against."""
+    each is measured against; the Casimir defect is relative, so its scale
+    is 1."""
     rng = np.random.default_rng(seed)
     lin, mom = linear_momentum_bivector(), momentum_bivector(epsilon)
-    push, cas, push_scale, cas_scale = [], [], 0.0, 0.0
+    push, cas, push_scale = [], [], 0.0
     for _ in range(n_points):
         p = rng.uniform(-su2._CUBE, su2._CUBE, size=3)
         r = float(np.linalg.norm(p))
@@ -1233,11 +1248,13 @@ def _per_point_isomorphism_deviation(epsilon, n_points, seed):
         want = mom.matrix(img)
         push.append(np.max(np.abs(got - want)))
         big_r = math.sqrt(casimir_radius_squared(img, epsilon))
-        exact = math.sinh(epsilon * r) if epsilon else r
-        cas.append(abs(epsilon * big_r - exact) if epsilon else abs(big_r - r))
+        if epsilon:
+            exact = math.sinh(epsilon * r)
+            cas.append(abs(epsilon * big_r - exact) / (abs(exact) * (1.0 + abs(epsilon) * r)))
+        else:
+            cas.append(abs(big_r - r) / r)
         push_scale = max(push_scale, float(np.max(np.abs(want))))
-        cas_scale = max(cas_scale, abs(exact))
-    return max(push), max(cas), push_scale, cas_scale
+    return max(push), max(cas), push_scale, 1.0
 
 
 def _per_point_dual_path_deviation(epsilon, n_points, seed):
