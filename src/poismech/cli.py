@@ -251,6 +251,7 @@ def su2_certificate(epsilon: float, seed: int, n_points: int) -> list[CertCheck]
 
 _CHUNK_ROWS = 256  # rows rendered and written at a time, which bounds a writer's memory
 _JSON_RANGE = "Out of range float values are not JSON compliant: "  # the stdlib encoder's text
+_CSV_SPECIAL = frozenset(',"\r\n')  # what a CSV string cell must not hold unquoted
 
 
 def _first_infinity(columns: Mapping[str, Any]) -> float | None:
@@ -270,9 +271,10 @@ def _first_infinity(columns: Mapping[str, Any]) -> float | None:
 
 
 def _fmt_cell(value: Any) -> str:
-    """One CSV cell of a column that is not a float array; never infinite."""
+    """One CSV cell of a column that is not a float array, or a header name; never
+    infinite.  A string with a separator, a quote or a line break is quoted (RFC 4180)."""
     if isinstance(value, str):
-        return value
+        return value if _CSV_SPECIAL.isdisjoint(value) else '"' + value.replace('"', '""') + '"'
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -375,7 +377,7 @@ def write_artifact(data: ArtifactData, out_dir: Path, fmt: str) -> list[str]:
         cells = [col if isinstance(col, np.ndarray) else [_fmt_cell(v) for v in col]
                  for col in data.columns.values()]
         row = "\n" + ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in cells)
-        _write_rows(out_dir / fname, ",".join(data.columns), row, "", cells, None, "\n")
+        _write_rows(out_dir / fname, ",".join(map(_fmt_cell, data.columns)), row, "", cells, None, "\n")
     else:
         cells = [col if isinstance(col, np.ndarray) else [_json_value(v, "      ") for v in col]
                  for col in data.columns.values()]

@@ -64,8 +64,9 @@ def project_trajectory(r: AbelianRSpec, traj: Trajectory, side: str) -> Trajecto
     return Trajectory(traj.times.copy(), groupoid_projection(r, x, p, side))
 
 
+@functools.lru_cache(maxsize=8)
 def _phase_names(n: int) -> tuple[str, ...]:
-    """Coordinate names (x0, ..., p0, ...) of the 2n-chart."""
+    """Coordinate names (x0, ..., p0, ...) of the 2n-chart, cached per n."""
     return tuple(f"x{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
 
 

@@ -161,7 +161,8 @@ def _velocity(q: np.ndarray) -> np.ndarray:
     (..., 3) of (p, q+, q-), with q0 = (q+ + q-)/2 and q1 = (q+ - q-)/2; NaN
     where q+ + q- = 0."""
     qp, qm = q[..., 1], q[..., 2]
-    return np.divide(qp - qm, qp + qm, out=np.full(qp.shape, math.nan), where=qp + qm != 0)
+    s = qp + qm
+    return np.divide(qp - qm, s, out=np.full(qp.shape, math.nan), where=s != 0)
 
 
 def scattering_data(spec: Minkowski2DSpec, alpha, beta):
@@ -206,8 +207,9 @@ def _scattering_defects(spec: Minkowski2DSpec, alpha, beta):
     the odd defect |shift(beta) + shift(-beta)| of the numeric velocity shift
     v_out - v_in, which is zero when the shift is odd in beta."""
     closed = scattering_data(spec, alpha, beta)
-    v_in, v_out = scattering_limits_numeric(spec, alpha, beta)
-    f_in, f_out = scattering_limits_numeric(spec, alpha, -beta)
+    beta_pm = np.multiply.outer(beta, (1.0, -1.0))  # beta and -beta on a trailing axis: one evaluation
+    limits = scattering_limits_numeric(spec, np.asarray(alpha)[..., None], beta_pm)
+    (v_in, f_in), (v_out, f_out) = (np.moveaxis(v, -1, 0) for v in limits)
     mismatch = np.maximum(np.abs(closed[0] - v_in), np.abs(closed[1] - v_out))
     return closed, (v_in, v_out), mismatch, np.abs((v_out - v_in) + (f_out - f_in))
 
@@ -397,8 +399,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 # the certificate's fixed grids, shared by every call: the hyperbola's x+
-# samples (centres 1 and -1) and the 5x5 grid of curves (alpha, beta)
-_CERT_HYPERBOLA_GRID = _frozen(1.0 + np.linspace(0.2, 3.0, 64))
+# samples about its centres and the 5x5 grid of curves (alpha, beta)
+_CERT_C_PLUS, _CERT_C_MINUS = 1.0, -1.0
+_CERT_HYPERBOLA_GRID = _frozen(_CERT_C_PLUS + np.linspace(0.2, 3.0, 64))
 _CERT_ALPHAS = _frozen(np.linspace(-0.6, 0.6, 5))
 _CERT_BETAS = _frozen(np.linspace(-_CERT_BETA, _CERT_BETA, 5))
 
@@ -417,8 +420,9 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     if epsilon == 0.0:
         note = "vacuous at epsilon = 0"
         return [CertCheck(n, 0.0, t, note) for n, t in _CERT_THRESHOLDS.items()]
-    pts = hyperbola_curve(spec, 1.0, -1.0, _CERT_HYPERBOLA_GRID)
-    res = hyperbola_residual(spec, 1.0, -1.0, pts)
+    # hyperbola_residual(hyperbola_curve(...)) op for op; the grid avoids x+ = c+
+    K, dx = -1.0 / (epsilon**2 * spec.mass**2), _CERT_HYPERBOLA_GRID - _CERT_C_PLUS
+    res = float(np.max(np.abs(dx * ((_CERT_C_MINUS + K / dx) - _CERT_C_MINUS) - K)))
     # relative to the shape constant, which grows like epsilon^-2
     res /= max(1.0, 1.0 / (epsilon * spec.mass) ** 2)
     match, odd = scattering_check(spec, _CERT_ALPHAS, _CERT_BETAS)

@@ -1,6 +1,8 @@
 """Scenario CLI: config validation, artifact writing, determinism, sweeps."""
 import ast
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -354,6 +356,26 @@ def test_nan_cell_is_written(tmp_path, fmt):
         assert json.loads(text)["rows"] == [[1.0, None]]
 
 
+def test_csv_quotes_a_cell_holding_a_separator_quote_or_newline(tmp_path):
+    """A note with a comma, quotes and a newline is one quoted CSV cell, its
+    quotes doubled: the row reads back through csv.reader as 5 cells with
+    the note intact, and a header name is quoted alike.  The JSON artifact
+    of the same check is the stdlib encoder's text, as before."""
+    note = 'a, "b"\nc'
+    data = cli._certificate_artifact([CertCheck("c", 0.0, 1.0, note)])
+    (name,) = cli.write_artifact(data, tmp_path, "csv")
+    text = (tmp_path / name).read_bytes().decode("utf-8")
+    assert text == 'check,value,threshold,status,note\nc,0,1,pass,"a, ""b""\nc"\n'
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [["check", "value", "threshold", "status", "note"], ["c", "0", "1", "pass", note]]
+    (name,) = cli.write_artifact(ArtifactData("probe", {"a,b": ["x\ry"]}, {}), tmp_path, "csv")
+    assert list(csv.reader(io.StringIO((tmp_path / name).read_bytes().decode("utf-8"), newline=""))) == [
+        ["a,b"], ["x\ry"]]
+    (name,) = cli.write_artifact(data, tmp_path, "json")
+    text = (tmp_path / name).read_text(encoding="utf-8")
+    assert text == _ref_text(data, "json") and json.loads(text)["rows"][0][4] == note
+
+
 def test_columns_must_share_one_length():
     with pytest.raises(ContractViolation, match="probe: columns differ in length"):
         ArtifactData("probe", {"a": np.zeros(3), "b": ["x", "y"]}, {})
@@ -366,8 +388,11 @@ def test_columns_must_share_one_length():
 # --- writers against the per-cell reference ----------------------------------
 
 def _ref_cell(name, value):
-    """One CSV cell as the row-wise writer formatted it."""
+    """One CSV cell as the row-wise writer formatted it; a string holding a
+    comma, a quote, CR or LF is quoted by RFC 4180, its quotes doubled."""
     if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):
+            return '"%s"' % value.replace('"', '""')
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -401,7 +426,7 @@ def _ref_text(data, fmt):
     """The row-wise writer: every cell formatted on its own."""
     rows = list(zip(*data.columns.values()))
     if fmt == "csv":
-        lines = [",".join(data.columns)]
+        lines = [",".join(_ref_cell(data.name, c) for c in data.columns)]
         lines.extend(",".join(_ref_cell(data.name, c) for c in row) for row in rows)
         return "\n".join(lines) + "\n"
     payload = {"columns": list(data.columns), "rows": [list(r) for r in rows],
@@ -410,9 +435,10 @@ def _ref_text(data, fmt):
 
 
 def _written_text(data, fmt):
+    """The file's text as written: a CR inside a quoted cell stays a CR."""
     with tempfile.TemporaryDirectory() as tmp:
         (name,) = cli.write_artifact(data, Path(tmp), fmt)
-        return (Path(tmp) / name).read_text(encoding="utf-8")
+        return (Path(tmp) / name).read_bytes().decode("utf-8")
 
 
 _EDGE_FLOATS = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -420,8 +446,7 @@ _EDGE_FLOATS = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                 0.1, 1 / 3, 2 / 3, 0.99999999999999989, 9.9999999999999992e22, 1e23,
                 9007199254740993.0, 123456789.12345678, -1.5e-7, 1e16, 1e17]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_infinity=False))
-_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"),
-                max_size=6)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 
 
 # row counts on both sides of the writers' chunk boundaries
@@ -1022,6 +1047,24 @@ def test_minkowski2d_certificate_builds_no_structure_and_reads_p_only_on_its_4_d
     assert matrices == []
 
 
+def test_minkowski2d_certificate_evaluates_its_curve_grid_once(monkeypatch):
+    """Counts, not times.  After its first call, a minkowski2d certificate
+    reads the scattering limits of its 5x5 curve grid, at beta and at -beta,
+    from one parametric_trajectory_2d call and one _velocity call, and its
+    shifted build takes the chart's coordinate names from the cache."""
+    cli.minkowski2d_certificate(0.3, 5, 8)  # the names of the 4-dim chart are cached
+    calls = []
+    for name in ("parametric_trajectory_2d", "_velocity"):
+        real = getattr(minkowski2d, name)
+        monkeypatch.setattr(minkowski2d, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    names = groupoid._phase_names.cache_info()
+    cli.minkowski2d_certificate(0.3, 5, 8)
+    assert calls == ["parametric_trajectory_2d", "_velocity"]
+    after = groupoid._phase_names.cache_info()
+    assert after.misses == names.misses and after.hits > names.hits
+
+
 # certify(model, 0.3, 5, 8) after a first call: (chart dim, points' shape) of
 # each P evaluation, in order, and the charts jacobi_certificate samples
 _CERTIFY_COUNTS = {
@@ -1138,6 +1181,14 @@ def _nan_pair(*_args):
     return (math.nan, math.nan)
 
 
+def _nan_limits(_spec, alpha, beta):
+    """NaN (v_in, v_out) of the stacked grid of curves, the curves at beta
+    and -beta on its trailing sign axis, which must have length 2."""
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta))
+    assert shape[-1] == 2
+    return np.full(shape, math.nan), np.full(shape, math.nan)
+
+
 # certificate -> (NaN-returning stand-ins for module attributes, checks folding them)
 _NAN_FOLDS = {
     "su2_certificate": (
@@ -1150,7 +1201,7 @@ _NAN_FOLDS = {
         {"kappa.closed_form_speeds": _nan_pair}, ("projected_speed_closed_form",),
     ),
     "minkowski2d_certificate": (
-        {"minkowski2d.scattering_limits_numeric": _nan_pair}, ("scattering_match", "scattering_odd"),
+        {"minkowski2d.scattering_limits_numeric": _nan_limits}, ("scattering_match", "scattering_odd"),
     ),
 }
 

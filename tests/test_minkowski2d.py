@@ -176,22 +176,65 @@ def test_scattering_grid_equals_per_curve_reference_bit_for_bit(eps, mass, grid)
 
 def test_nan_in_one_grid_curve_fails_both_scattering_checks(monkeypatch):
     """One NaN velocity, on one curve of the grid at +beta, reaches both the
-    closed-vs-numeric match and the odd defect, and FAILs both."""
+    closed-vs-numeric match and the odd defect, and FAILs both.  The grid's
+    velocities are one array, (alpha, beta, sign of beta, end): the curves at
+    beta and at -beta are one evaluation."""
     velocity, calls = minkowski2d._velocity, []
 
     def one_nan(q):
         v = velocity(q)
         if not calls:
-            v[1, 3, 0] = math.nan
+            v[1, 3, 0, 0] = math.nan
         calls.append(v.shape)
         return v
 
     monkeypatch.setattr(minkowski2d, "_velocity", one_nan)
     checks = {c.name: c for c in cli.minkowski2d_certificate(0.3, 0, 4)}
-    assert calls[0] == (5, 5, 2)
+    assert calls == [(5, 5, 2, 2)]
     for name in ("scattering_match", "scattering_odd"):
         assert math.isnan(checks[name].value) and not checks[name].passed
     assert checks["hyperbola_shape"].passed
+
+
+_PIN_EPS = [0.0, 0.2, -0.2, 3.0, 1e-150, 100.0]
+
+
+@pytest.mark.parametrize("alpha, beta", [CURVE, (-0.45, -1.3)])
+@pytest.mark.parametrize("eps", _PIN_EPS)
+def test_one_curves_scattering_defects_equal_two_per_sign_evaluations_bit_for_bit(eps, alpha, beta):
+    """The scattering artifact's and the sweep row's one curve: the stacked
+    evaluation at beta and -beta gives the values of one numeric-limit call
+    per sign, bit for bit, as np.float64 scalars, not 0-d arrays (an
+    ArtifactData float is a float)."""
+    spec = Minkowski2DSpec(eps, 1.0)
+    closed, numeric, mismatch, odd = minkowski2d._scattering_defects(spec, alpha, beta)
+    v_in, v_out = scattering_limits_numeric(spec, alpha, beta)
+    f_in, f_out = scattering_limits_numeric(spec, alpha, -beta)
+    expected = (v_in, v_out, max(abs(closed[0] - v_in), abs(closed[1] - v_out)),
+                abs((v_out - v_in) + (f_out - f_in)))
+    got = (*numeric, mismatch, odd)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+    assert [type(v) for v in got] == [np.float64] * 4
+
+
+def test_certificate_hyperbola_grid_avoids_the_asymptote():
+    """The certificate reads its hyperbola residual without hyperbola_curve's
+    checks, on a fixed grid with fixed centres; they hold, once, here."""
+    assert (minkowski2d._CERT_C_PLUS, minkowski2d._CERT_C_MINUS) == (1.0, -1.0)
+    np.testing.assert_array_equal(minkowski2d._CERT_HYPERBOLA_GRID, 1.0 + np.linspace(0.2, 3.0, 64))
+    hyperbola_curve(SPEC, 1.0, -1.0, minkowski2d._CERT_HYPERBOLA_GRID)  # raises on x+ = c+
+
+
+@pytest.mark.parametrize("eps", [e for e in _PIN_EPS if e != 0.0])
+def test_certificate_hyperbola_residual_equals_the_sampled_curves_bit_for_bit(eps):
+    """The certificate's one pass gives the residual of the sampled curve,
+    hyperbola_residual(hyperbola_curve(...)), bit for bit (epsilon 0 has no
+    hyperbola, and its check is vacuous)."""
+    spec = Minkowski2DSpec(eps, 1.0)
+    pts = hyperbola_curve(spec, 1.0, -1.0, 1.0 + np.linspace(0.2, 3.0, 64))
+    res = hyperbola_residual(spec, 1.0, -1.0, pts) / max(1.0, 1.0 / (eps * spec.mass) ** 2)
+    checks = {c.name: c for c in cli.minkowski2d_certificate(eps, 0, 2)}
+    assert checks["hyperbola_shape"].value.hex() == res.hex()
 
 
 @pytest.mark.parametrize("eps", [10.0, 100.0, 300.0, -100.0])
