@@ -13,7 +13,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bracket import _CHUNK_BYTES, BivectorSpec, jacobi_certificate
+from .bracket import _CHUNK_BYTES, BivectorSpec
 from .errors import ContractViolation
 
 REAL = "real"
@@ -82,16 +82,14 @@ class ArtifactData:
 
 
 class Bracket(NamedTuple):
-    """One declared bracket: ``build`` takes params to its bivector, and
-    ``r``, when given, to the data the bivector is built from.  That data
-    proves exactly, once, that the bracket pi_r it declares is Poisson
-    (``jacobi_defect()``, 0 when it is), names that proof (``proof``), and
-    builds pi_r a second way, with the sizes of the terms each entry sums
-    (``pi_r(x)`` at real points (m, n)).  A bracket without ``r`` has its
-    Jacobi identity sampled by ``jacobi_certificate``."""
+    """One declared bracket: ``build`` takes params to its bivector, ``r`` to
+    the data it is built from, which proves exactly, once, that the bracket
+    pi_r it declares is Poisson (``jacobi_defect()``, 0 when it is), names
+    that proof (``proof``), and builds pi_r a second way with the sizes of
+    the terms each entry sums (``pi_r(x)`` at real points (m, n))."""
 
     build: Callable[[Params], BivectorSpec]
-    r: Callable[[Params], Any] | None = None
+    r: Callable[[Params], Any]
 
 
 # The threshold of a declared bracket's check, in units of u = 2^-53: the
@@ -105,21 +103,23 @@ class Bracket(NamedTuple):
 # side.  su2's group P rounds x_p x_q, then sums at most 8 nonzero terms with
 # power-of-two coefficients and scales by |eps|: 9 u; pi_r sums two exact
 # products per entry of g X, then three products u_k^i v_k^j, the
-# difference, the left and right halves and eps / 2: 9 u.  The linear
-# bracket is exact on both sides.  So the gap is at most 18 u of the terms
-# and at most 20 subnormal roundings, below 32 u (T + DBL_MIN).  Genuine
-# brackets read 0 but for su2's group: at most 2.4 u at eps 0.3 to 150,
-# 1e-300 and 1e300 over 50 seeds of 100 points, and 8 u at subnormal eps.
+# difference, the left and right halves and eps / 2: 9 u.  The rotation
+# brackets are exact but {w_re, w_im}: both take sinh of one rounded
+# v = 2 eps zeta (1 u); P divides by v and multiplies by zeta, pi_r divides
+# by 2 eps: 4 u, more only if sinh's two calls round apart.  So the gap is
+# at most 18 u of the terms and at most 20 subnormal roundings, below 32 u
+# (T + DBL_MIN).  Genuine brackets read 0 but su2's group (2.4 u at most at
+# eps 0.3 to 150, 1e-300 and 1e300 over 50 seeds of 100 points, 8 u at
+# subnormal eps) and momentum (2.9 u at eps 0 to +-170 and 1e-150, 50 seeds).
 _DECLARED_TOL = 32 * 2.0**-53
 
 
-def _declared_check(name: str, biv: BivectorSpec, r: Any, n_points: int, seed: int) -> CertCheck:
+def _jacobi_check(name: str, biv: BivectorSpec, r: Any, n_points: int, seed: int) -> CertCheck:
     """The Jacobi check of a bracket declared with its data ``r``: (a) r's
     exact proof that pi_r is Poisson, then (b) the code's P against pi_r at
-    the ``n_points`` points ``jacobi_certificate`` draws at ``seed``, in
-    chunks of ``_CHUNK_BYTES`` of P, read against ``_DECLARED_TOL``.  A
-    nonzero defect of (a) FAILs with value NaN whatever (b) would read; a
-    chart below dim 3 holds no triple, and the check is vacuous."""
+    ``n_points`` points uniform in (0, 1) at ``seed``, in chunks of
+    ``_CHUNK_BYTES`` of P, against ``_DECLARED_TOL``.  A nonzero defect of
+    (a) FAILs with value NaN whatever (b) reads; below dim 3 it is vacuous."""
     if biv.dim < 3:
         return CertCheck(name, 0.0, _DECLARED_TOL, "vacuous below dim 3")
     defect = r.jacobi_defect()
@@ -129,7 +129,6 @@ def _declared_check(name: str, biv: BivectorSpec, r: Any, n_points: int, seed: i
     chunk = max(1, _CHUNK_BYTES // (8 * biv.dim**2))
     worst = 0.0
     for start in range(0, n_points, chunk):
-        # the stream of jacobi_certificate's draws, its box (0, 1) included
         x = rng.uniform(0.0, 1.0, size=(min(chunk, n_points - start), biv.dim))
         pi, terms = r.pi_r(x)
         # np.max and np.maximum propagate NaN, so one non-finite gap fails the check
@@ -167,18 +166,9 @@ class Model(NamedTuple):
         return (*self.artifacts, "certificate")
 
     def certify(self, params: Params, seed: int, n_points: int) -> list[CertCheck]:
-        """Every check of the certificate: ``jacobi_<name>`` of each declared
-        bracket in declaration order, the k-th at ``seed + k``, proved from
-        its data (``_declared_check``) or, without data, sampled; then the
-        model's own checks at the first seed past the brackets'."""
-        checks = []
-        for k, (name, bracket) in enumerate(self.brackets.items()):
-            biv = bracket.build(params)
-            if bracket.r is not None:
-                checks.append(_declared_check(f"jacobi_{name}", biv, bracket.r(params), n_points, seed + k))
-                continue
-            cert = jacobi_certificate(biv, n_points=n_points, seed=seed + k)
-            note = "vacuous below dim 3" if cert.vacuous else ""
-            checks.append(CertCheck(f"jacobi_{name}", cert.max_residual, cert.threshold, note))
+        """Every check: ``jacobi_<name>`` of each declared bracket in order,
+        the k-th by ``_jacobi_check`` at ``seed + k``, then the model's own
+        checks at the first seed past the brackets'."""
+        checks = [_jacobi_check(f"jacobi_{name}", bracket.build(params), bracket.r(params), n_points, seed + k)
+                  for k, (name, bracket) in enumerate(self.brackets.items())]
         return checks + self.certificate(params, seed + len(self.brackets), n_points)
-

@@ -31,7 +31,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -333,39 +333,53 @@ class ManinR(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _lie_jacobi_defect(c_bytes: bytes, n: int) -> float:
-    """The largest entry of sum_m c_ijm c_mkl + cyclic in (i, j, k) for the
+    """The largest entry of c_ilm c_jkl + cyclic in (i, j, k), for the
     structure constants given by their bytes; cached per algebra."""
     c = np.frombuffer(c_bytes).reshape(n, n, n)
-    jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
-           + np.einsum("kim,mjl->ijkl", c, c))
+    jac = sum(np.einsum(terms, c, c) for terms in ("ilm,jkl->ijklm", "jlm,kil->ijklm", "klm,ijl->ijklm"))
     return float(np.max(np.abs(jac)))
 
 
 class LiePoisson(NamedTuple):
-    """The declared data of a linear bracket ``{x_i, x_j} = sum_k c[i, j, k]
-    x_k``: the structure constants ``c`` (n, n, n) of its Lie algebra."""
+    """The declared data of a bracket ``{x_i, x_j} = sum_k c[i, j, k]
+    f_k(x_k)``: structure constants ``c`` (n, n, n) and a map ``f`` of
+    points (m, n) whose k-th entry reads x_k alone."""
 
     c: np.ndarray
+    f: Callable[[np.ndarray], np.ndarray]
 
-    proof = "the structure constants satisfy Jacobi"
+    proof = "the cyclic sums of c_ilm c_jkl vanish"
 
     def jacobi_defect(self) -> float:
-        """A Lie-Poisson bracket is Poisson when its structure constants
-        satisfy the Jacobi identity; for integer constants every sum is
-        exact and 0 means they do."""
+        """The Jacobiator is ``sum_{l, m} f_m f_l' (c_ilm c_jkl + cyclic in
+        (i, j, k))``, so the bracket is Poisson for every such f when each
+        cyclic sum vanishes (then c satisfies Jacobi too); for integer
+        constants every sum is exact and 0 means they vanish."""
         return _lie_jacobi_defect(np.asarray(self.c, float).tobytes(), len(self.c))
 
     def pi_r(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``sum_k c[i, j, k] x_k`` at the real points x (m, n), and its
-        term sizes ``sum_k |c[i, j, k]| |x_k|``."""
-        return np.einsum("ijk,...k->...ij", self.c, x), np.einsum("ijk,...k->...ij", np.abs(self.c), np.abs(x))
+        """``sum_k c[i, j, k] f_k(x_k)`` at the real points x (m, n), and
+        its term sizes ``sum_k |c[i, j, k]| |f_k(x_k)|``."""
+        f = self.f(x)
+        return np.einsum("ijk,...k->...ij", self.c, f), np.einsum("ijk,...k->...ij", np.abs(self.c), np.abs(f))
 
 
-# so(3): {x, y} = z, {y, z} = x, {z, x} = y, the linear bracket's constants
+# so(3): {x, y} = z, {y, z} = x, {z, x} = y, the rotation brackets' constants
 _SO3 = np.zeros((3, 3, 3))
 _SO3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
 _SO3[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0
 _SO3.setflags(write=False)
+
+
+def _rotation(epsilon: float) -> LiePoisson:
+    """so(3) and the gradient ``(sinh(2 eps zeta) / (2 eps), w_re, w_im)`` of
+    ``casimir_radius_squared(., eps) / 2``, ``zeta`` at ``eps = 0``: the data
+    of :func:`momentum_bivector`, whose P reads ``zeta sinhc(2 eps zeta)``."""
+    def grad(x: np.ndarray) -> np.ndarray:
+        f0 = np.sinh(2.0 * epsilon * x[..., 0]) / (2.0 * epsilon) if epsilon else x[..., 0]
+        return np.stack([f0, x[..., 1], x[..., 2]], axis=-1)
+
+    return LiePoisson(_SO3, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,12 +1028,11 @@ MODEL = Model(
     params=PARAMS,
     check=_check,
     artifacts={"trajectory": _trajectory},
-    # the group and linear brackets with the data the certificate proves
-    # them from; the momentum bracket's Jacobi is sampled
+    # each bracket with the data the certificate proves it from
     brackets={"group": Bracket(lambda p: sl2c_bivector(p["epsilon"]),
                                r=lambda p: ManinR(p["epsilon"], _SU2, _SB2)),
-              "momentum": Bracket(lambda p: momentum_bivector(p["epsilon"])),
-              "linear": Bracket(lambda p: linear_momentum_bivector(), r=lambda p: LiePoisson(_SO3))},
+              "momentum": Bracket(lambda p: momentum_bivector(p["epsilon"]), r=lambda p: _rotation(p["epsilon"])),
+              "linear": Bracket(lambda p: linear_momentum_bivector(), r=lambda p: _rotation(0.0))},
     certificate=_certificate,
     certificate_check=_certificate_check,
     sweep_row=_sweep_row,

@@ -145,7 +145,8 @@ def test_no_public_name_serves_only_the_tests():
 # Defaulted values that no call in src/, scripts/ or perfbench/ sets, kept on
 # purpose:
 DEFAULTS_KEPT = {
-    # ROADMAP item 3 redefines the sampling box with relative thresholds
+    # no certificate samples a Jacobiator any more; the benchmark's witness
+    # jobs sample at the default box, and tests set it
     "bracket.jacobi_certificate.box",
     # acceptance criterion 4 round-trips the energies through the Casimir
     "su2.energy_relations.radius2",

@@ -214,17 +214,17 @@ def _certify_with_witness(monkeypatch, model, target):
 
 @pytest.mark.parametrize("model, name", DECLARED)
 def test_jacobi_check_fails_under_a_witness(monkeypatch, model, name):
-    """Under the witness only its bracket's check FAILs: a bracket declared
-    with its data still proves that data Poisson, and its P no longer equals
-    pi_r; a sampled bracket's Jacobiator sees the witness.  A bracket on a
-    chart below dim 3 holds no triple, so its check is vacuous and says so."""
+    """Under the witness only its bracket's check FAILs: the bracket's
+    declared data still proves itself Poisson, and its P no longer equals
+    pi_r.  A bracket on a chart below dim 3 holds no triple, so its check is
+    vacuous and says so."""
     genuine = _certify_with_witness(monkeypatch, model, None)[name]
     entry = cli.MODELS[model].brackets[name.removeprefix("jacobi_")]
     params = {**cli._DEFAULTS[model], "epsilon": 0.3}
     if genuine.note == "vacuous below dim 3":
         assert genuine.passed and entry.build(params).dim < 3
         return
-    assert genuine.passed and genuine.note == ("" if entry.r is None else f"proved: {entry.r(params).proof}")
+    assert genuine.passed and genuine.note == f"proved: {entry.r(params).proof}"
     witnessed = _certify_with_witness(monkeypatch, model, name)
     assert not witnessed[name].passed and witnessed[name].value > witnessed[name].threshold
     assert witnessed[name].note == genuine.note
@@ -235,22 +235,18 @@ def test_jacobi_check_fails_under_a_witness(monkeypatch, model, name):
 @pytest.mark.parametrize("model", sorted(cli.MODELS))
 def test_certify_opens_with_each_declared_brackets_jacobi_at_its_seed(model):
     """The certificate opens with jacobi_<name> of each declared bracket in
-    declaration order, the k-th read at seed + k.  A bracket declared with
-    its data r names r's proof, which holds exactly, and reads bit for bit
-    the largest gap between P and r's pi_r over pi_r's term sizes plus
-    DBL_MIN, at the points jacobi_certificate draws (vacuous below dim 3);
-    a bracket without data reads jacobi_certificate bit for bit.  The
-    model's own checks follow."""
+    declaration order, the k-th read at seed + k.  Each names its data r's
+    proof, which holds exactly, and reads bit for bit the largest gap
+    between P and r's pi_r over pi_r's term sizes plus DBL_MIN, at points
+    drawn uniform in (0, 1) (vacuous below dim 3).  The model's own checks
+    follow."""
     record = cli.MODELS[model]
     params = {**cli._DEFAULTS[model], "epsilon": 0.3}
     checks = cli.certify(model, 0.3, 5, 8)
     assert [c.name for c in checks[:len(record.brackets)]] == [f"jacobi_{n}" for n in record.brackets]
     for k, (check, entry) in enumerate(zip(checks, record.brackets.values())):
         biv = entry.build(params)
-        if entry.r is None:
-            cert = jacobi_certificate(biv, 8, 5 + k)
-            want, threshold, note = cert.max_residual, cert.threshold, ""
-        elif biv.dim < 3:
+        if biv.dim < 3:
             want, threshold, note = 0.0, model_module._DECLARED_TOL, "vacuous below dim 3"
         else:
             r = entry.r(params)
@@ -301,6 +297,58 @@ def test_a_perturbed_r_fails_the_group_proof_that_the_sampled_jacobi_misses(monk
     assert all(c.passed for c in checks.values())
     sampled = jacobi_certificate(_polarized(witness({"epsilon": 0.3})), n_points=100, seed=0)
     assert sampled.passed and 1e-7 < sampled.max_residual < sampled.threshold
+
+
+def _tilted_momentum(epsilon):
+    """momentum_bivector(epsilon) with 2^-20 x_1 added to {w_re, w_im}: not
+    Poisson, as its Jacobiator is 2^-20 x_2 in size."""
+    def dense(x):
+        P = su2.momentum_bivector(epsilon).matrix(x)
+        P[..., 1, 2] += 2.0**-20 * x[..., 1]
+        P[..., 2, 1] -= 2.0**-20 * x[..., 1]
+        return P
+
+    return BivectorSpec(3, su2.MOMENTUM_COORD_NAMES, dense=dense)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_tilted_momentum_bracket_fails_the_check_that_the_sampled_jacobi_misses(monkeypatch, seed):
+    """{w_re, w_im} + 2^-20 x_1 is not Poisson.  Built in place of su2's
+    momentum bracket, with its declared data kept, it FAILs jacobi_momentum
+    through cli.certify: P no longer equals the data's pi_r.  Every other
+    check PASSes.  jacobi_certificate reads its Jacobiator below 1e-6 at 100
+    points and PASSes it: the gap the declared data closes."""
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(5, 3))
+    tilt = _tilted_momentum(0.3).matrix(x) - su2.momentum_bivector(0.3).matrix(x)
+    np.testing.assert_allclose(tilt[..., 1, 2], 2.0**-20 * x[..., 1], rtol=0, atol=1e-15)
+    assert np.count_nonzero(tilt[..., [0, 0, 1, 2, 2, 1], [0, 1, 1, 2, 0, 0]]) == 0
+    record = cli.MODELS["su2"]
+    brackets = {**record.brackets, "momentum": record.brackets["momentum"]._replace(
+        build=lambda p: _tilted_momentum(p["epsilon"]))}
+    monkeypatch.setitem(cli.MODELS, "su2", record._replace(brackets=brackets))
+    checks = {c.name: c for c in cli.certify("su2", 0.3, seed, 100)}
+    momentum = checks.pop("jacobi_momentum")
+    assert not momentum.passed and momentum.value > 1e3 * momentum.threshold
+    assert momentum.note == f"proved: {su2.LiePoisson.proof}"
+    assert all(c.passed for c in checks.values())
+    sampled = jacobi_certificate(_tilted_momentum(0.3), n_points=100, seed=seed)
+    assert sampled.passed and 1e-7 < sampled.max_residual < sampled.threshold
+
+
+def test_structure_constants_with_a_nonzero_cyclic_sum_fail_both_rotation_proofs(monkeypatch):
+    """so(3) with c[0, 1, 2] = 2 in place of 1 (no longer antisymmetric): a
+    cyclic sum of c_ilm c_jkl is 1, so jacobi_momentum and jacobi_linear,
+    declared by those constants, FAIL with value NaN whatever P reads, and
+    the note names the proof that failed.  The other checks PASS."""
+    broken = su2._SO3.copy()
+    broken[0, 1, 2] = 2.0
+    monkeypatch.setattr(su2, "_SO3", broken)
+    checks = {c.name: c for c in cli.certify("su2", 0.3, 0, 10)}
+    for name in ("jacobi_momentum", "jacobi_linear"):
+        check = checks.pop(name)
+        assert not check.passed and math.isnan(check.value)
+        assert check.note == f"proof failed: {su2.LiePoisson.proof} (off by 1)"
+    assert all(c.passed for c in checks.values())
 
 
 @pytest.mark.parametrize("vector, poisson", [((0.0, 1.0, 0.0, 0.0), True), ((1.0, 1.0, 0.0, 0.0), False)])

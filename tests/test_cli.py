@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poismech import bracket, cli, generators, groupoid, kappa, minkowski2d, su2
-from poismech import model as model_module
 from poismech.cli import MODELS, load_config, main, validate_config
 from poismech.errors import ConfigError, ContractViolation
 from poismech.model import CERT_POINTS, INT, ArtifactData, CertCheck
@@ -878,6 +877,20 @@ def test_certify_kappa_past_projection_pole_is_config_error(epsilon, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", [1.6e308, -1.6e308, sys.float_info.max, -sys.float_info.max])
+def test_certify_kappa_at_a_huge_epsilon_is_config_error_without_a_warning(epsilon, capsys):
+    """From |epsilon| ~ 1.6e308 the speed check's epsilon p^2 / 2 overflows a
+    float, which puts its momenta past a pole: a config error naming
+    epsilon, exit 2, with no numpy warning (an error here)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["certify", "kappa", f"--epsilon={epsilon!r}", "--points", "2"])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert text.startswith("config error: epsilon:")
+    assert "FAIL" not in text
+
+
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
 def test_certify_non_finite_epsilon_is_config_error(model, epsilon, capsys):
@@ -1066,34 +1079,35 @@ def test_minkowski2d_certificate_evaluates_its_curve_grid_once(monkeypatch):
 
 
 # certify(model, 0.3, 5, 8) after a first call: (chart dim, points' shape) of
-# each P evaluation, in order, and the charts jacobi_certificate samples
+# each P evaluation, in order
 _CERTIFY_COUNTS = {
     # base P; the shifted sum and its two terms
-    "kappa": ([(4, (8, 4))] + [(8, (8, 8))] * 3, []),
-    "minkowski2d": ([(4, (8, 4))] * 3, []),
-    # group P; the sampled momentum Jacobi's P and complex-step dP; linear P;
-    # the isomorphism's two; the dual path's; the field residual's 21 samples
-    "su2": ([(8, (8, 8)), (3, (8, 3)), (3, (8, 3, 3))] + [(3, (8, 3))] * 3 + [(8, (8, 8)), (8, (21, 8))],
-            [3]),
+    "kappa": [(4, (8, 4))] + [(8, (8, 8))] * 3,
+    "minkowski2d": [(4, (8, 4))] * 3,
+    # group P; momentum P; linear P; the isomorphism's two; the dual path's;
+    # the field residual's 21 samples
+    "su2": [(8, (8, 8))] + [(3, (8, 3))] * 4 + [(8, (8, 8)), (8, (21, 8))],
 }
 
 
 @pytest.mark.parametrize("model", sorted(_CERTIFY_COUNTS))
-def test_certify_samples_only_the_momentum_jacobi(monkeypatch, model):
-    """Counts, not times.  cli.certify proves each bracket declared with its
-    data and samples the Jacobi identity only of su2's momentum bracket, the
-    one declared by its P alone; the P evaluations of every check are
-    pinned.  A count that falls is updated here; one that rises needs its
-    reason."""
+def test_certify_samples_no_jacobi(monkeypatch, model):
+    """Counts, not times.  cli.certify proves every declared bracket from
+    its data and samples no Jacobi identity: jacobi_certificate runs for no
+    model, and no other module holds it to call past the wrapper; the P
+    evaluations of every check are pinned.  A count that falls is updated
+    here; one that rises needs its reason."""
     cli.certify(model, 0.3, 5, 8)  # the proofs and shared structures are built
+    assert [name for name, module in sys.modules.items() if name.startswith("poismech.")
+            and name != "poismech.bracket" and hasattr(module, "jacobi_certificate")] == []
     matrices, sampled = [], []
-    matrix, sample = bracket.BivectorSpec.matrix, model_module.jacobi_certificate
+    matrix, sample = bracket.BivectorSpec.matrix, bracket.jacobi_certificate
     monkeypatch.setattr(bracket.BivectorSpec, "matrix",
                         lambda self, x: matrices.append((self.dim, x.shape)) or matrix(self, x))
-    monkeypatch.setattr(model_module, "jacobi_certificate",
-                        lambda biv, **kw: sampled.append(biv.dim) or sample(biv, **kw))
+    monkeypatch.setattr(bracket, "jacobi_certificate",
+                        lambda biv, *args, **kw: sampled.append(biv.dim) or sample(biv, *args, **kw))
     checks = cli.certify(model, 0.3, 5, 8)
-    assert (matrices, sampled) == _CERTIFY_COUNTS[model]
+    assert (matrices, sampled) == (_CERTIFY_COUNTS[model], [])
     assert all(c.passed for c in checks)
 
 
