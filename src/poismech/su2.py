@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bracket import _CHUNK_BYTES, BivectorSpec, ScalarField, hamiltonian_vector_field, pushforward_bivector
+from .bracket import _CHUNK_BYTES, BivectorSpec, ScalarField, _complex_step, hamiltonian_vector_field
 from .errors import ConfigError, ContractViolation, NumericDomainError
 from .flow import _END_SLACK, StepControl, Trajectory, _sample_times, integrate_flow
 from .model import REAL, ArtifactData, Bracket, CertCheck, Model, Param, Params
@@ -736,24 +736,31 @@ def dual_path_deviation(epsilon: float, n_points: int, seed: int) -> float:
 
 
 def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[float, float]:
-    """Pushforward and Casimir defects of :func:`momentum_isomorphism`.
+    """Volume and Casimir defects of :func:`momentum_isomorphism`.
 
-    At ``n_points`` seeded points of the linear chart, uniform in the cube of
-    half-width :data:`_CUBE` (the axis and the origin included), the
-    complex-step pushforward of the linear bivector should equal the
-    deformed one, and ``eps R = sinh(eps r)`` should hold for the radius
-    Casimirs (``R = r`` at ``eps = 0``), read relative to its sizes as
-    ``|eps R - sinh(eps r)| / (|sinh(eps r)| (1 + |eps| r))`` (``|R - r| /
-    r`` at ``eps = 0``; at ``r = 0`` the gap itself).  Returns the worst of
-    each; NaN and inf propagate.
+    Both rotation brackets are Nambu brackets ``{f, g} = grad C . (grad f x
+    grad g)`` of their Casimirs (:func:`_rotation`), and ``(A^T a) . (A^T b
+    x A^T c) = det A a . (b x c)``.  So a map that carries ``r^2`` to
+    ``h(r^2) = (sinh(eps r) / eps)^2`` under ``casimir_radius_squared`` is
+    Poisson exactly where its Jacobian determinant is ``h'(r^2) = sinhc(2
+    eps r)``.  At ``n_points`` seeded points of the linear chart, uniform in
+    the cube of half-width :data:`_CUBE` (the axis and the origin included),
+    the complex-step Jacobian's determinant, a triple product in a fixed
+    order, is read as ``|det - sinhc(2 eps r)| / (sinhc(2 eps r) (1 + |eps|
+    r))``, and ``eps R = sinh(eps r)`` should hold for the radius Casimirs
+    (``R = r`` at ``eps = 0``), read relative to its sizes as ``|eps R -
+    sinh(eps r)| / (|sinh(eps r)| (1 + |eps| r))`` (``|R - r| / r`` at ``eps
+    = 0``; at ``r = 0`` the gap itself).  Returns the worst of each; NaN and
+    inf propagate.
     """
     # one draw of (n_points, 3) continues the same stream as one per point
     p = np.random.default_rng(seed).uniform(-_CUBE, _CUBE, size=(n_points, 3))
     img = momentum_isomorphism(p, epsilon)
-    phi = functools.partial(momentum_isomorphism, epsilon=epsilon)
-    got = pushforward_bivector(linear_momentum_bivector(), phi, p)
-    push = np.abs(got - momentum_bivector(epsilon).matrix(img))
+    d = _complex_step(functools.partial(momentum_isomorphism, epsilon=epsilon), p)  # row l: d_l phi
+    det = np.sum(d[:, 0] * np.cross(d[:, 1], d[:, 2]), axis=-1)
     r = np.sqrt(_squared_norm(p))
+    dh = _sinhc(2.0 * epsilon * r)
+    volume = np.abs(det - dh) / (dh * (1.0 + abs(epsilon) * r))
     big_r = np.sqrt(casimir_radius_squared(img, epsilon))
     if epsilon:
         sinh = np.sinh(epsilon * r)
@@ -761,7 +768,7 @@ def isomorphism_deviation(epsilon: float, n_points: int, seed: int) -> tuple[flo
     else:
         gap, size = np.abs(big_r - r), r
     cas = np.divide(gap, size, out=gap.copy(), where=size != 0)
-    return float(np.max(push, initial=0.0)), float(np.max(cas, initial=0.0))
+    return float(np.max(volume, initial=0.0)), float(np.max(cas, initial=0.0))
 
 
 def energy_pipeline_deviation(points: np.ndarray, epsilon: float) -> float:
@@ -967,6 +974,27 @@ def _pipeline_tol(energy: float) -> float:
 # at eps 0, +-0.2, +-0.3, 1, 3, +-5, 10, 40, 100 and 150 read at most 4.3 u.
 _CASIMIR_TOL = 16 * 2.0**-53
 
+# isomorphism_volume's threshold, in units of u = 2^-53, on the gap of det
+# dphi against sinhc(2 eps r) over sinhc(2 eps r) (1 + |eps| r).  As for
+# _CASIMIR_TOL, 2 eps r is off by 3.5 u, which sinhc, of condition below 2
+# |eps| r, passes on, adding 2 u of its own: (2 + 7 |eps| r) u.  For phi =
+# (z, f x, f y), the shift of x carries one derivative d_x f into both
+# entries it touches, f + x d_x f and y d_x f, and that of y likewise, so
+# the triple product's two terms x y d_x f d_y f cancel to first order; as
+# they are below |eps| r / 4 of det, its three roundings add (2 + |eps| r /
+# 2) u.  What is left, f^2 + f (x d_x f + y d_y f), is the derivative in
+# s2 = x^2 + y^2 of sinh(eps s) sinh(eps d) / eps^2, s = r + |z| and d = s2
+# / s, a sum of two positive terms.  The chart factor's s and d are off by
+# 3.5 u and 6.5 u, which those terms pass on at a condition below 1 + |eps|
+# (s + d) = 1 + 2 |eps| r; sinh, the quotients, the product and the root add
+# about 6 u, and the complex step's derivatives 3 u of their own: (15.5 +
+# 13 |eps| r) u.  To first order the gap is below (19.5 + 20.5 |eps| r) u
+# of sinhc(2 eps r), so below 21 u of the scale; 50 seeds of 100 points at
+# eps 0, 0.3, 1, 5, +-10, 40, 100, 150, 170, 1e-150 and 1e-300 read at most
+# 7.5 u, and 3.2e6 points biased toward the axis, the plane z = 0 and the
+# origin, at eps log-uniform in +-(1e-8, 170), at most 10 u.
+_VOLUME_TOL = 32 * 2.0**-53
+
 
 def _epsilon_check(epsilon: float, field: str) -> None:
     """The momentum isomorphism's Casimir must not overflow a float anywhere
@@ -997,7 +1025,7 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
     from the configured start to t = 1, the dual-path dynamics and the
     momentum isomorphism."""
     epsilon = p["epsilon"]
-    push, cas = isomorphism_deviation(epsilon, n_points, seed + 1)
+    volume, cas = isomorphism_deviation(epsilon, n_points, seed + 1)
     mats, omega = _exact_motion(p, _CERT_TIMES)
     dual = dual_path_deviation(epsilon, n_points, seed)
     pipeline = energy_pipeline_deviation(real8_from_matrix(mats), epsilon)
@@ -1005,7 +1033,7 @@ def _certificate(p: Params, seed: int, n_points: int) -> list[CertCheck]:
         CertCheck("flow_field_residual", _field_residual(epsilon, mats, omega), _FIELD_TOL),
         CertCheck("energy_pipeline", pipeline, _pipeline_tol(_start_energy(p)[0])),
         CertCheck("dual_path_dynamics", dual, 1e-6),
-        CertCheck("isomorphism_pushforward", push, 1e-5),
+        CertCheck("isomorphism_volume", volume, _VOLUME_TOL),
         CertCheck("isomorphism_casimir", cas, _CASIMIR_TOL),
     ]
 

@@ -3,6 +3,7 @@
 Each test is a single pass/fail gate with its tolerance written next to the
 assertion; run with -v to get one line per criterion.
 """
+import functools
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from poismech.bracket import (
     coordinate_field,
     eval_bracket,
     jacobi_certificate,
+    pushforward_bivector,
 )
 from poismech.cli import MODELS, main as cli_main
 from poismech.fitting import collinearity_residual, fit_loglog_slope
@@ -32,6 +34,9 @@ from poismech.su2 import (
     flow_rhs,
     free_flow,
     isomorphism_deviation,
+    linear_momentum_bivector,
+    momentum_bivector,
+    momentum_isomorphism,
 )
 
 EPS = 0.2
@@ -104,10 +109,16 @@ def test_criterion_05_momentum_isomorphism():
     """The chart map from the linear momentum space to the deformed one
     intertwines the two bivectors to 1e-5 (complex-step pushforward at
     100 seeded points of the whole cube, axis and origin included: the chart
-    factor is one closed formula), and the radius Casimirs correspond
-    exactly: eps R = sinh(eps r) to 1e-12."""
-    worst_push, worst_cas = isomorphism_deviation(EPS, n_points=100, seed=23)
+    factor is one closed formula), its Jacobian determinant is the deformed
+    volume sinhc(2 eps r) to the certificate's rule, and the radius Casimirs
+    correspond exactly: eps R = sinh(eps r) to 1e-12."""
+    p = np.random.default_rng(23).uniform(-su2_model._CUBE, su2_model._CUBE, size=(100, 3))
+    phi = functools.partial(momentum_isomorphism, epsilon=EPS)
+    push = pushforward_bivector(linear_momentum_bivector(), phi, p)
+    worst_push = np.max(np.abs(push - momentum_bivector(EPS).matrix(phi(p))))
+    worst_volume, worst_cas = isomorphism_deviation(EPS, n_points=100, seed=23)
     assert worst_push < 1e-5
+    assert worst_volume < su2_model._VOLUME_TOL
     assert worst_cas < 1e-12
 
 

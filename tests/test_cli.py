@@ -12,6 +12,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -928,11 +929,18 @@ def test_certify_su2_overflowing_isomorphism_is_config_error(tmp_path, capsys):
 _SU2_EPSILON_BOUND = LOG_SQRT_DBL_MAX / (su2._CUBE * math.sqrt(3.0))
 
 
+# the eight corners of the sampling cube, where |epsilon| r is largest
+_CUBE_CORNERS = su2._CUBE * np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                                      for c in (-1.0, 1.0)])
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_certify_su2_epsilon_bound_does_not_depend_on_the_seed(seed, capsys):
+def test_certify_su2_epsilon_bound_does_not_depend_on_the_seed(seed, monkeypatch, capsys):
     """At and above the bound, certify su2 is a config error naming epsilon
-    whatever the seed; just below it the isomorphism checks are finite and
-    raise no overflow and no warning."""
+    whatever the seed; just below it the isomorphism's volume and Casimir
+    checks are finite and raise no overflow and no warning, at the seed's
+    draw and at the cube's eight corners, where the Jacobian determinant
+    reaches 1.3e305, and there both read below their thresholds."""
     for epsilon in (_SU2_EPSILON_BOUND * (1 + 1e-12), -_SU2_EPSILON_BOUND * (1 + 1e-12), 300.0):
         rc = main(["certify", "su2", f"--epsilon={epsilon!r}", "--seed", str(seed), "--points", "2"])
         text = capsys.readouterr().out
@@ -944,6 +952,12 @@ def test_certify_su2_epsilon_bound_does_not_depend_on_the_seed(seed, capsys):
         for epsilon in (below, -below):
             values = su2.isomorphism_deviation(epsilon, 100, seed + 4)
             assert np.all(np.isfinite(values))
+        # a draw of the corners in place of the seeded one
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: SimpleNamespace(uniform=lambda lo, hi, size: _CUBE_CORNERS))
+        for epsilon in (below, -below):
+            volume, casimir = su2.isomorphism_deviation(epsilon, 8, seed)
+            assert volume < su2._VOLUME_TOL and casimir < su2._CASIMIR_TOL
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -1084,9 +1098,9 @@ _CERTIFY_COUNTS = {
     # base P; the shifted sum and its two terms
     "kappa": [(4, (8, 4))] + [(8, (8, 8))] * 3,
     "minkowski2d": [(4, (8, 4))] * 3,
-    # group P; momentum P; linear P; the isomorphism's two; the dual path's;
-    # the field residual's 21 samples
-    "su2": [(8, (8, 8))] + [(3, (8, 3))] * 4 + [(8, (8, 8)), (8, (21, 8))],
+    # group P; momentum P; linear P; the dual path's; the field residual's
+    # 21 samples
+    "su2": [(8, (8, 8))] + [(3, (8, 3))] * 2 + [(8, (8, 8)), (8, (21, 8))],
 }
 
 
@@ -1207,9 +1221,9 @@ def _nan_limits(_spec, alpha, beta):
 _NAN_FOLDS = {
     "su2_certificate": (
         {"su2.flow_rhs": lambda m, eps: np.full((2, 2), np.nan),
-         "su2.pushforward_bivector": lambda *args: np.full((3, 3), np.nan),
+         "su2._complex_step": lambda fn, x: np.full(x.shape + x.shape[-1:], np.nan),
          "su2.casimir_radius_squared": lambda *args: math.nan},
-        ("dual_path_dynamics", "isomorphism_pushforward", "isomorphism_casimir"),
+        ("dual_path_dynamics", "isomorphism_volume", "isomorphism_casimir"),
     ),
     "kappa_certificate": (
         {"kappa.closed_form_speeds": _nan_pair}, ("projected_speed_closed_form",),

@@ -16,8 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from poismech import bracket
-from poismech.bracket import (BivectorSpec, ScalarField, hamiltonian_vector_field,
-                              jacobi_certificate, pushforward_bivector)
+from poismech.bracket import BivectorSpec, ScalarField, hamiltonian_vector_field, jacobi_certificate
 from poismech.errors import ConfigError, ContractViolation, NumericDomainError
 from poismech.flow import StepControl, Trajectory
 from poismech import cli, flow, su2
@@ -648,30 +647,64 @@ def test_certificate_passes_far_from_the_identity(epsilon, rho, tmp_path):
         assert cli.main(["run", str(path), "--out", str(tmp_path / path.stem)]) == 0
 
 
-@pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0, -3.0, 5.0, -5.0])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, -0.3, 3.0, -3.0, 5.0, -5.0, 10.0, -10.0, 40.0, 100.0,
+                                     150.0, 170.0])
 def test_certificate_passes_at_the_default_start(epsilon):
-    """certify su2 PASSes every check at epsilon 0, +-0.3, +-3 and +-5, with
-    eight checks: three Jacobi, the field residual, the energy pipeline,
-    the dual-path dynamics and the momentum isomorphism's two."""
+    """certify su2 PASSes every check at epsilon 0, +-0.3, +-3, +-5, +-10,
+    40, 100, 150 and 170 (the sampling cube's bound is 170.7), with eight
+    checks: three Jacobi, the field residual, the energy pipeline, the
+    dual-path dynamics and the momentum isomorphism's two."""
     checks = cli.su2_certificate(epsilon, 0, CERT_POINTS)
     assert [c.name for c in checks] == [
         "jacobi_group", "jacobi_momentum", "jacobi_linear", "flow_field_residual", "energy_pipeline",
-        "dual_path_dynamics", "isomorphism_pushforward", "isomorphism_casimir"]
-    assert all(c.passed for c in checks)
+        "dual_path_dynamics", "isomorphism_volume", "isomorphism_casimir"]
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def _isomorphism_checks(epsilon):
+    """The momentum isomorphism's two checks of cli.su2_certificate at seed 0."""
+    checks = {c.name: c for c in cli.su2_certificate(epsilon, 0, CERT_POINTS)}
+    return checks["isomorphism_volume"], checks["isomorphism_casimir"]
 
 
 @pytest.mark.parametrize("epsilon", [0.3, 5.0, -5.0])
 def test_isomorphism_casimir_fails_the_map_at_a_nearby_epsilon(monkeypatch, epsilon):
     """The isomorphism read at eps (1 + 1e-9) does not carry the radius
-    Casimir onto the one at eps: isomorphism_casimir, relative to its
-    sizes, FAILs it, and reads the genuine map below its threshold."""
-    genuine = {c.name: c for c in cli.su2_certificate(epsilon, 0, CERT_POINTS)}["isomorphism_casimir"]
+    Casimir onto the one at eps, nor the volume of the linear bracket onto
+    the deformed one's: isomorphism_casimir and isomorphism_volume, each
+    relative to its sizes, FAIL it, and read the genuine map below their
+    thresholds."""
+    genuine = _isomorphism_checks(epsilon)
     iso = su2.momentum_isomorphism
     monkeypatch.setattr(su2, "momentum_isomorphism",
                         lambda xyz, epsilon: iso(xyz, epsilon * (1.0 + 1e-9)))
-    witnessed = {c.name: c for c in cli.su2_certificate(epsilon, 0, CERT_POINTS)}["isomorphism_casimir"]
-    assert genuine.passed and genuine.threshold == 16 * 2.0**-53
-    assert not witnessed.passed and witnessed.value > 100 * witnessed.threshold
+    witnessed = _isomorphism_checks(epsilon)
+    assert [c.threshold for c in genuine] == [32 * 2.0**-53, 16 * 2.0**-53]
+    for check, witness in zip(genuine, witnessed):
+        assert check.passed, check
+        assert not witness.passed and witness.value > 100 * witness.threshold, witness
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 5.0, 100.0])
+def test_isomorphism_volume_fails_a_shear_that_keeps_the_casimir(monkeypatch, epsilon):
+    """Precomposed with a turn of (x, y) by 1e-6 y / sqrt(x^2 + y^2), the
+    isomorphism keeps every radius, so isomorphism_casimir PASSes it, but
+    it is no Poisson map: its Jacobian determinant is off by the turn's
+    derivative, and isomorphism_volume FAILs it by more than 100 times its
+    threshold.  The bivectors' 3x3 pushforward is off by 1.2e-6 at eps 0.3,
+    so an absolute 1e-5 on it would PASS the shear."""
+    iso = su2.momentum_isomorphism
+
+    def sheared(xyz, epsilon):
+        x, y, z = np.moveaxis(xyz, -1, 0)
+        angle = 1e-6 * y / np.sqrt(x * x + y * y)
+        c, s = np.cos(angle), np.sin(angle)
+        return iso(np.stack([c * x - s * y, s * x + c * y, z], axis=-1), epsilon)
+
+    monkeypatch.setattr(su2, "momentum_isomorphism", sheared)
+    volume, casimir = _isomorphism_checks(epsilon)
+    assert casimir.passed, casimir
+    assert not volume.passed and volume.value > 100 * volume.threshold, volume
 
 
 def _largest_valid(make, guess):
@@ -1184,10 +1217,10 @@ def test_isomorphism_jacobian_matches_central_difference(epsilon):
 def test_certificate_structure_checks_pass_at_epsilon_5(seed):
     """The complex-step derivative has no step to trade against eps: at
     eps 5 the group bracket's Jacobi check and the momentum isomorphism's
-    pushforward PASS."""
+    volume PASS."""
     checks = {c.name: c for c in cli.su2_certificate(5.0, seed, CERT_POINTS)}
     assert checks["jacobi_group"].passed
-    assert checks["isomorphism_pushforward"].passed
+    assert checks["isomorphism_volume"].passed
 
 
 def test_casimir_pulls_back_to_radius_function():
@@ -1210,7 +1243,7 @@ def _bits(a):
 def test_stacked_chart_maps_and_flow_rhs_are_each_points_alone(epsilon):
     """momentum_isomorphism, casimir_radius_squared, flow_rhs and the trace
     energy of a stack are, bit for bit, each point's value alone, on the
-    axis, at the origin and at the complex-step points a pushforward reads."""
+    axis, at the origin and at the complex-step points the Jacobian reads."""
     p = np.random.default_rng(29).uniform(-su2._CUBE, su2._CUBE, size=(40, 3))
     p[0, :2] = 0.0
     p[1] = 0.0
@@ -1233,28 +1266,26 @@ def test_stacked_chart_maps_and_flow_rhs_are_each_points_alone(epsilon):
 
 def _per_point_isomorphism_deviation(epsilon, n_points, seed):
     """Test-local reference: the isomorphism checks one point at a time, each
-    drawn alone, with the math module's sinh and sqrt for the Casimir.
-    Returns the worst pushforward and Casimir defects and the largest entry
-    each is measured against; the Casimir defect is relative, so its scale
-    is 1."""
+    drawn alone, with LAPACK's determinant for the volume and the math
+    module's sinh and sqrt for the Casimir.  Returns the worst volume and
+    Casimir defects and the largest entry each is measured against; both
+    defects are relative, so their scales are 1."""
     rng = np.random.default_rng(seed)
-    lin, mom = linear_momentum_bivector(), momentum_bivector(epsilon)
-    push, cas, push_scale = [], [], 0.0
+    vol, cas = [], []
     for _ in range(n_points):
         p = rng.uniform(-su2._CUBE, su2._CUBE, size=3)
         r = float(np.linalg.norm(p))
         img = momentum_isomorphism(p, epsilon)
-        got = pushforward_bivector(lin, lambda q: momentum_isomorphism(q, epsilon), p)
-        want = mom.matrix(img)
-        push.append(np.max(np.abs(got - want)))
+        det = np.linalg.det(bracket._complex_step(lambda q: momentum_isomorphism(q, epsilon), p))
+        dh = math.sinh(2.0 * epsilon * r) / (2.0 * epsilon * r) if epsilon else 1.0
+        vol.append(abs(det - dh) / (dh * (1.0 + abs(epsilon) * r)))
         big_r = math.sqrt(casimir_radius_squared(img, epsilon))
         if epsilon:
             exact = math.sinh(epsilon * r)
             cas.append(abs(epsilon * big_r - exact) / (abs(exact) * (1.0 + abs(epsilon) * r)))
         else:
             cas.append(abs(big_r - r) / r)
-        push_scale = max(push_scale, float(np.max(np.abs(want))))
-    return max(push), max(cas), push_scale, 1.0
+    return max(vol), max(cas), 1.0, 1.0
 
 
 def _per_point_dual_path_deviation(epsilon, n_points, seed):
@@ -1276,14 +1307,14 @@ def _per_point_dual_path_deviation(epsilon, n_points, seed):
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, -0.1, 1.0, 5.0, 10.0])
 def test_stacked_certificate_checks_match_their_per_point_references(epsilon):
     """The isomorphism and dual-path checks of the certificate agree with
-    their per-point references to 1e-15 of the largest entry they measure,
-    and the reference values give the certificate's verdicts."""
+    their per-point references to 1e-15 of the largest entry they measure
+    (the volume's triple product with LAPACK's determinant to 4.5 u), and
+    the reference values give the certificate's verdicts."""
     seed = 7
     checks = {c.name: c for c in cli.su2_certificate(epsilon, seed, CERT_POINTS)}
-    push, cas, push_scale, cas_scale = _per_point_isomorphism_deviation(epsilon, CERT_POINTS,
-                                                                        seed + 4)
+    vol, cas, vol_scale, cas_scale = _per_point_isomorphism_deviation(epsilon, CERT_POINTS, seed + 4)
     dual, dual_scale = _per_point_dual_path_deviation(epsilon, CERT_POINTS, seed + 3)
-    for name, ref, scale in (("isomorphism_pushforward", push, push_scale),
+    for name, ref, scale in (("isomorphism_volume", vol, vol_scale),
                              ("isomorphism_casimir", cas, cas_scale),
                              ("dual_path_dynamics", dual, dual_scale)):
         check = checks[name]
